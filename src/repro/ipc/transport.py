@@ -17,10 +17,12 @@ makes the message plane pluggable:
   the pre-seam behaviour; ``invoke`` dispatches directly to exported
   objects in-process (used by the backend-parity tests and benchmarks).
 
-* :class:`SocketServer` / :class:`SocketTransport` — a real asyncio TCP
-  pair speaking the :mod:`repro.ipc.wire` framing, so a Spring stack can
-  be split across OS processes: the server process exposes objects by
-  name (``node.expose``), the client process binds
+* :class:`SocketServer` / :class:`SocketTransport` — a real TCP pair
+  speaking the :mod:`repro.ipc.wire` framing (an asyncio
+  ``BufferedProtocol`` server, a blocking-socket client; neither puts a
+  stream or a task between the socket and the codec), so a Spring stack
+  can be split across OS processes: the server process exposes objects
+  by name (``node.expose``), the client process binds
   :class:`RemoteStub`\\ s and invokes them.  Socket failures map onto
   the same transient-error taxonomy the simulated fault plane uses —
   connect failures/timeouts become
@@ -36,6 +38,7 @@ makes the message plane pluggable:
 from __future__ import annotations
 
 import asyncio
+import socket
 import threading
 import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -180,8 +183,9 @@ class SimulatedTransport(Transport):
 class SocketServer:
     """Asyncio TCP server hosting an export registry.
 
-    One client connection is one framed request/reply stream; requests
-    on a connection are served in order (a Spring server domain's
+    One client connection is one framed request/reply stream (a
+    :class:`_Connection`); requests are served in arrival order, each
+    to completion on the event loop (a Spring server domain's
     single-threaded determinism).  ``fail_next_reply`` is the socket
     analogue of the simulated fault plane's crash injection: the op
     executes, then the connection drops before the reply — the client
@@ -210,6 +214,7 @@ class SocketServer:
         self._shutdown_after_reply = False
         self._server: Optional[asyncio.AbstractServer] = None
         self._closed: Optional[asyncio.Event] = None
+        self._connections: set = set()  # live client transports
 
     # --- fault injection / shutdown ------------------------------------
     def fail_next_reply(self, count: int = 1) -> None:
@@ -225,8 +230,8 @@ class SocketServer:
     # --- lifecycle ------------------------------------------------------
     async def start(self) -> int:
         self._closed = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self.port
@@ -235,44 +240,15 @@ class SocketServer:
         assert self._closed is not None, "start() first"
         await self._closed.wait()
         self._server.close()
+        for transport in list(self._connections):
+            transport.close()
         await self._server.wait_closed()
 
     def stop(self) -> None:
         if self._closed is not None:
             self._closed.set()
 
-    # --- the serving loop ----------------------------------------------
-    async def _handle_client(self, reader, writer) -> None:
-        try:
-            while True:
-                try:
-                    msg = await wire.read_message(reader)
-                except (wire.WireError, ConnectionError):
-                    break
-                if msg is None:
-                    break
-                self.frames_in += 1
-                reply = self._reply_for(msg)
-                if self._fail_next_replies > 0:
-                    self._fail_next_replies -= 1
-                    break  # crash: executed, never replied
-                writer.write(reply)
-                await writer.drain()
-                self.frames_out += 1
-                self.bytes_out += len(reply)
-                if self._shutdown_after_reply:
-                    self.stop()
-                    break
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                # The loop may be tearing down (asyncio.run cancels
-                # handler tasks); the connection is closed either way.
-                pass
-
-    def _reply_for(self, msg: wire.Message) -> bytes:
+    def _reply_for(self, msg: wire.Message) -> bytearray:
         self.bytes_in += msg.nbytes
         if msg.op == PING_OP:
             return wire.pack_frame(
@@ -318,6 +294,60 @@ class SocketServer:
             return wire.pack_frame(
                 wire.ERROR, msg.seq, self.name, msg.src, msg.op, exc
             )
+
+
+class _Connection(asyncio.BufferedProtocol):
+    """One client connection of a :class:`SocketServer`: the loop
+    receives into a :class:`~repro.ipc.wire.FrameBuffer`, and every whole
+    frame in it is decoded, executed and answered before the next read,
+    so a body view never outlives its bytes."""
+
+    def __init__(self, server: SocketServer) -> None:
+        self._server = server
+        self._frames = wire.FrameBuffer()
+        self._transport: Optional[asyncio.Transport] = None
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        self._server._connections.add(transport)
+
+    def connection_lost(self, exc) -> None:
+        server = self._server
+        server._connections.discard(self._transport)
+        if server._shutdown_after_reply:
+            server.stop()  # the farewell reply has been flushed
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._frames.writable()
+
+    def buffer_updated(self, nbytes: int) -> None:
+        server, frames, transport = self._server, self._frames, self._transport
+        frames.received(nbytes)
+        try:
+            while not transport.is_closing():
+                body = frames.next_frame()
+                if body is None:
+                    break
+                msg = wire.unpack_body(body)
+                server.frames_in += 1
+                reply = server._reply_for(msg)
+                if server._fail_next_replies > 0:
+                    server._fail_next_replies -= 1
+                    transport.close()  # crash: executed, never replied
+                    break
+                transport.write(reply)
+                server.frames_out += 1
+                server.bytes_out += len(reply)
+                if server._shutdown_after_reply:
+                    transport.close()  # closes once the reply is flushed
+        except wire.WireError:
+            transport.close()
+
+    def pause_writing(self) -> None:
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._transport.resume_reading()
 
 
 class ServerThread:
@@ -367,10 +397,10 @@ class ServerThread:
 class SocketTransport(Transport):
     """Client half of the real-socket backend.
 
-    Synchronous facade over an asyncio TCP connection: each ``invoke``
-    writes one request frame and blocks for the matching reply.  The
-    connection is established lazily and re-established after any
-    failure, so a healed server is reachable again on the next call.
+    One blocking TCP socket: each ``invoke`` sends one request frame and
+    blocks for the matching reply.  The connection is established lazily
+    and re-established after any failure (or :meth:`close`), so a healed
+    server is reachable again on the next call.
 
     Retry semantics mirror :func:`repro.ipc.retry.retry_send`: with a
     :class:`~repro.ipc.retry.RetryPolicy` installed, *send-phase*
@@ -404,81 +434,79 @@ class SocketTransport(Transport):
         self.retries = 0
         self.reconnects = 0
         self._seq = 0
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._loop = asyncio.new_event_loop()
+        self._sock: Optional[socket.socket] = None
+        self._frames = wire.FrameBuffer()
 
     # --- connection management ------------------------------------------
-    def _disconnect(self) -> None:
-        if self._writer is not None:
-            try:
-                self._writer.close()
-            except Exception:
-                pass
-        self._reader = self._writer = None
-
     def close(self) -> None:
-        self._disconnect()
-        if not self._loop.is_closed():
-            # Let transport close callbacks run before the loop dies.
-            self._loop.run_until_complete(asyncio.sleep(0))
-            self._loop.close()
+        """Drop the connection; the next call reconnects."""
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
+        self._frames.clear()
 
-    async def _ensure_connected(self) -> None:
-        if self._writer is not None:
-            return
+    def _connect(self) -> socket.socket:
         try:
-            self._reader, self._writer = await asyncio.wait_for(
-                asyncio.open_connection(self.host, self.port),
-                timeout=self.connect_timeout_s,
+            sock = socket.create_connection(
+                (self.host, self.port), timeout=self.connect_timeout_s
             )
-        except (asyncio.TimeoutError, OSError) as exc:
+        except OSError as exc:
             raise _send_phase(NetworkPartitionError(
                 f"connect to {self.host}:{self.port} failed: "
                 f"{type(exc).__name__}: {exc}"
             )) from exc
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.reconnects += 1
+        self._sock = sock
+        return sock
 
-    async def _exchange(self, kind: int, op: str, payload: Any) -> wire.Message:
+    def _exchange(self, kind: int, op: str, payload: Any) -> wire.Message:
         """One request frame out, one reply frame in.  Raises transient
         errors tagged with whether the failure was send-phase."""
-        await self._ensure_connected()
+        sock = self._sock or self._connect()
         self._seq += 1
         seq = self._seq
         frame = wire.pack_frame(kind, seq, self.src, self.dst, op, payload)
+        sock.settimeout(self.reply_timeout_s)
         try:
-            self._writer.write(frame)
-            await self._writer.drain()
-        except (asyncio.TimeoutError, OSError) as exc:
-            self._disconnect()
+            sock.sendall(frame)
+        except OSError as exc:
+            self.close()
             raise _send_phase(NodeCrashedError(
                 f"request write to {self.dst!r} failed: {exc}"
             )) from exc
         self.messages += 1
         self.bytes_out += len(frame)
+        frames = self._frames
+        deadline = time.monotonic() + self.reply_timeout_s
         try:
-            msg = await asyncio.wait_for(
-                wire.read_message(self._reader), timeout=self.reply_timeout_s
-            )
-        except asyncio.TimeoutError as exc:
-            self._disconnect()
+            while True:
+                nbytes = sock.recv_into(frames.writable())
+                if not nbytes:
+                    raise ConnectionError(f"closed mid-invoke (op {op!r})")
+                frames.received(nbytes)
+                body = frames.next_frame()
+                if body is not None:
+                    break
+                # The reply timeout spans the frame, not each recv.
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise socket.timeout()
+                sock.settimeout(remaining)
+            msg = wire.unpack_body(body)
+        except socket.timeout as exc:
+            self.close()
             raise MessageDroppedError(
                 f"no reply from {self.dst!r} within "
                 f"{self.reply_timeout_s}s (op {op!r})"
             ) from exc
         except (wire.WireError, OSError) as exc:
-            self._disconnect()
+            self.close()
             raise NodeCrashedError(
                 f"connection to {self.dst!r} died awaiting reply: {exc}"
             ) from exc
-        if msg is None:
-            self._disconnect()
-            raise NodeCrashedError(
-                f"server {self.dst!r} closed the connection mid-invoke "
-                f"(op {op!r})"
-            )
         if msg.seq != seq:
-            self._disconnect()
+            self.close()
             raise wire.WireError(
                 f"reply seq {msg.seq} does not match request seq {seq}"
             )
@@ -493,9 +521,7 @@ class SocketTransport(Transport):
         waited_us = 0.0
         while True:
             try:
-                return self._loop.run_until_complete(
-                    self._exchange(kind, op, payload)
-                )
+                return self._exchange(kind, op, payload)
             except TransientNetworkError as exc:
                 send_phase = getattr(exc, "_send_phase", False)
                 if (

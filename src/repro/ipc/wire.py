@@ -31,15 +31,20 @@ Exceptions cross the wire by *registered class name* (every
 builtins) and are re-raised client-side as the same type; unknown server
 exceptions decode as :class:`RemoteError` carrying the original class
 name and message.
+
+Both directions are table-dispatched and stream-free: :func:`pack_frame`
+builds a whole frame in one bytearray; :func:`unpack_body` decodes out of
+a :class:`FrameBuffer` view of the receive buffer, copies what it keeps,
+and raises only :class:`WireError` whatever bytes arrive.
 """
 
 from __future__ import annotations
 
-import asyncio
 import builtins
 import dataclasses
+import mmap
 import struct
-from typing import Any, Callable, Dict, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro import errors as _errors
 from repro.errors import InvocationError, SpringError
@@ -62,12 +67,20 @@ COMPOUND_OP = "*compound*"
 #: corrupt rather than trusted to allocate gigabytes.
 MAX_FRAME = 64 * 1024 * 1024
 
+#: Size of the receive buffer a connection reuses for every frame (a
+#: 256 KiB payload and its headers fit); larger frames get a one-off.
+RECV_BUFFER = 512 * 1024
+
 _LEN = struct.Struct("!I")
 _HEAD = struct.Struct("!2sBBI")
+_FRAME_HEAD = struct.Struct("!I2sBBI")  # _LEN then _HEAD
 _U16 = struct.Struct("!H")
 _U32 = struct.Struct("!I")
 _I64 = struct.Struct("!q")
 _F64 = struct.Struct("!d")
+_TAG_U32 = struct.Struct("!BI")  # tag byte, then a length or count
+_TAG_I64 = struct.Struct("!Bq")
+_TAG_F64 = struct.Struct("!Bd")
 
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
@@ -111,7 +124,7 @@ class RemoteError(InvocationError):
 # Registered value types cross the wire as (name, field dict) and are
 # rebuilt by their registered decoder — the typed alternative to pickle.
 
-_STRUCTS: Dict[str, Tuple[type, Callable[[Any], dict], Callable[[dict], Any]]] = {}
+_STRUCTS: Dict[str, Callable[[dict], Any]] = {}  # name -> from_fields
 
 
 def register_struct(
@@ -121,7 +134,8 @@ def register_struct(
     from_fields: Callable[[dict], Any],
 ) -> None:
     """Teach the wire a value type (idempotent per name)."""
-    _STRUCTS[name] = (cls, to_fields, from_fields)
+    _STRUCTS[name] = from_fields
+    _ENCODERS[cls] = _struct_encoder(name, to_fields)
 
 
 def _register_builtin_structs() -> None:
@@ -220,158 +234,212 @@ def exception_from_fields(fields: dict) -> BaseException:
 
 
 # --- value encoding ---------------------------------------------------------
+# Encoders append to a bytearray and are picked by exact ``type(value)``
+# from ``_ENCODERS``; what the table lacks (subclasses, exceptions, enums,
+# structs not yet registered) takes ``_encode_other``.
 
-def encode_value(value: Any, out: Optional[bytearray] = None) -> bytes:
+def encode_value(value: Any) -> bytes:
     """Encode one payload value into wire bytes."""
-    buf = bytearray() if out is None else out
-    _encode(value, buf)
+    buf = bytearray()
+    _ENCODERS.get(type(value), _encode_other)(value, buf)
     return bytes(buf)
 
 
-def _encode_str(text: str, buf: bytearray) -> None:
-    raw = text.encode("utf-8")
-    buf += _U32.pack(len(raw))
+def _encode_int(value: int, buf: bytearray) -> None:
+    if _I64_MIN <= value <= _I64_MAX:
+        buf += _TAG_I64.pack(_T_INT, value)
+    else:
+        raw = value.to_bytes((value.bit_length() + 8) // 8, "big", signed=True)
+        buf += _TAG_U32.pack(_T_BIGINT, len(raw))
+        buf += raw
+
+
+def _encode_str(value: str, buf: bytearray) -> None:
+    raw = value.encode("utf-8")
+    buf += _TAG_U32.pack(_T_STR, len(raw))
     buf += raw
 
 
-def _encode(value: Any, buf: bytearray) -> None:
-    if value is None:
-        buf.append(_T_NONE)
-    elif value is True:
-        buf.append(_T_TRUE)
-    elif value is False:
-        buf.append(_T_FALSE)
-    elif type(value) is int:
-        if _I64_MIN <= value <= _I64_MAX:
-            buf.append(_T_INT)
-            buf += _I64.pack(value)
-        else:
-            raw = value.to_bytes(
-                (value.bit_length() + 8) // 8, "big", signed=True
+def _encode_bytes(value, buf: bytearray) -> None:
+    buf += _TAG_U32.pack(_T_BYTES, len(value))
+    buf += value
+
+
+def _encode_view(value: memoryview, buf: bytearray) -> None:
+    # Only a flat byte view can be appended (and measured with len()).
+    flat = value.cast("B") if value.c_contiguous else value.tobytes()
+    _encode_bytes(flat, buf)
+
+
+def _encode_list(value, buf: bytearray, tag: int = _T_LIST) -> None:
+    buf += _TAG_U32.pack(tag, len(value))
+    for item in value:
+        _ENCODERS.get(type(item), _encode_other)(item, buf)
+
+
+def _encode_dict(value: dict, buf: bytearray) -> None:
+    buf += _TAG_U32.pack(_T_DICT, len(value))
+    for key, item in value.items():
+        if type(key) is not str:
+            raise WireEncodeError(
+                f"dict keys must be str, got {type(key).__name__}"
             )
-            buf.append(_T_BIGINT)
-            buf += _U32.pack(len(raw))
-            buf += raw
-    elif type(value) is float:
-        buf.append(_T_FLOAT)
-        buf += _F64.pack(value)
-    elif type(value) is str:
-        buf.append(_T_STR)
-        _encode_str(value, buf)
-    elif isinstance(value, (bytes, bytearray, memoryview)):
-        raw = bytes(value)
-        buf.append(_T_BYTES)
+        raw = key.encode("utf-8")
         buf += _U32.pack(len(raw))
         buf += raw
-    elif type(value) is list or type(value) is tuple:
-        buf.append(_T_LIST if type(value) is list else _T_TUPLE)
-        buf += _U32.pack(len(value))
-        for item in value:
-            _encode(item, buf)
-    elif type(value) is dict:
-        buf.append(_T_DICT)
-        buf += _U32.pack(len(value))
-        for key, item in value.items():
-            if type(key) is not str:
-                raise WireEncodeError(
-                    f"dict keys must be str, got {type(key).__name__}"
-                )
-            _encode_str(key, buf)
-            _encode(item, buf)
+        _ENCODERS.get(type(item), _encode_other)(item, buf)
+
+
+def _struct_encoder(name: str, to_fields: Callable[[Any], dict]):
+    raw = name.encode("utf-8")
+    head = _TAG_U32.pack(_T_STRUCT, len(raw)) + raw
+
+    def encode_struct(value: Any, buf: bytearray) -> None:
+        buf += head
+        _encode_dict(to_fields(value), buf)
+
+    return encode_struct
+
+
+def _encode_other(value: Any, buf: bytearray) -> None:
+    if isinstance(value, (bytes, bytearray)):
+        _encode_bytes(value, buf)
     elif isinstance(value, BaseException):
         buf.append(_T_EXC)
-        _encode(exception_to_fields(value), buf)
+        _encode_dict(exception_to_fields(value), buf)
+    elif not _STRUCTS:
+        _register_builtin_structs()
+        _ENCODERS.get(type(value), _encode_other)(value, buf)
     else:
-        if not _STRUCTS:
-            _register_builtin_structs()
-        for name, (cls, to_fields, _) in _STRUCTS.items():
-            if type(value) is cls:
-                buf.append(_T_STRUCT)
-                _encode_str(name, buf)
-                _encode(to_fields(value), buf)
-                return
         # Enums (e.g. FileType) degrade to their value.
         ivalue = getattr(value, "value", None)
-        if isinstance(value, int) and type(ivalue) is int:
-            _encode(ivalue, buf)
-            return
-        raise WireEncodeError(
-            f"type {type(value).__name__} cannot cross the wire"
-        )
+        if not (isinstance(value, int) and type(ivalue) is int):
+            raise WireEncodeError(
+                f"type {type(value).__name__} cannot cross the wire"
+            )
+        _encode_int(ivalue, buf)
 
 
-class _Reader:
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        end = self.pos + n
-        if end > len(self.data):
-            raise WireError("truncated frame body")
-        chunk = self.data[self.pos:end]
-        self.pos = end
-        return chunk
-
-    def u16(self) -> int:
-        return _U16.unpack(self.take(2))[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
-
-    def text(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
-
-    def short_text(self) -> str:
-        return self.take(self.u16()).decode("utf-8")
+_ENCODERS: Dict[type, Callable[[Any, bytearray], None]] = {
+    type(None): lambda value, buf: buf.append(_T_NONE),
+    bool: lambda value, buf: buf.append(_T_TRUE if value else _T_FALSE),
+    int: _encode_int,
+    float: lambda value, buf: buf.extend(_TAG_F64.pack(_T_FLOAT, value)),
+    str: _encode_str,
+    bytes: _encode_bytes,
+    bytearray: _encode_bytes,
+    memoryview: _encode_view,
+    list: _encode_list,
+    tuple: lambda value, buf: _encode_list(value, buf, _T_TUPLE),
+    dict: _encode_dict,
+}
 
 
-def decode_value(data: bytes) -> Any:
-    reader = _Reader(data)
-    value = _decode(reader)
-    if reader.pos != len(data):
-        raise WireError(f"{len(data) - reader.pos} trailing bytes in value")
+# --- value decoding ---------------------------------------------------------
+# Decoders are ``(buf, pos past the tag) -> (value, pos)`` over bytes or
+# a memoryview, indexed by tag.  No decoded value aliases ``buf``.
+
+#: What malformed input raises below: a truncated fixed-width field or
+#: tag, invalid utf-8, struct/exception fields of the wrong shape, and
+#: nesting deeper than the stack.  All become :class:`WireError`.
+_MALFORMED = (struct.error, IndexError, ValueError, KeyError, TypeError,
+              AttributeError, RecursionError)
+
+
+def decode_value(data) -> Any:
+    try:
+        value, pos = _DECODERS[data[0]](data, 1)
+    except _MALFORMED as exc:
+        raise WireError(f"malformed value: {exc!r}") from exc
+    if pos != len(data):
+        raise WireError(f"{len(data) - pos} trailing bytes in value")
     return value
 
 
-def _decode(r: _Reader) -> Any:
-    tag = r.take(1)[0]
-    if tag == _T_NONE:
-        return None
-    if tag == _T_TRUE:
-        return True
-    if tag == _T_FALSE:
-        return False
-    if tag == _T_INT:
-        return _I64.unpack(r.take(8))[0]
-    if tag == _T_BIGINT:
-        return int.from_bytes(r.take(r.u32()), "big", signed=True)
-    if tag == _T_FLOAT:
-        return _F64.unpack(r.take(8))[0]
-    if tag == _T_STR:
-        return r.text()
-    if tag == _T_BYTES:
-        return r.take(r.u32())
-    if tag == _T_LIST:
-        return [_decode(r) for _ in range(r.u32())]
-    if tag == _T_TUPLE:
-        return tuple(_decode(r) for _ in range(r.u32()))
-    if tag == _T_DICT:
-        return {r.text(): _decode(r) for _ in range(r.u32())}
-    if tag == _T_STRUCT:
-        name = r.text()
-        fields = _decode(r)
-        if not _STRUCTS:
-            _register_builtin_structs()
-        entry = _STRUCTS.get(name)
-        if entry is None:
-            raise WireError(f"unknown wire struct {name!r}")
-        return entry[2](fields)
-    if tag == _T_EXC:
-        return exception_from_fields(_decode(r))
-    raise WireError(f"unknown value tag 0x{tag:02x}")
+def _take(buf, pos: int, n: int):
+    """``buf[pos:pos + n]`` and the offset past it.  A slice, unlike
+    ``unpack_from``, truncates silently, so check."""
+    end = pos + n
+    if end > len(buf):
+        raise WireError("truncated frame body")
+    return buf[pos:end], end
+
+
+def _decode_unknown(buf, pos: int):
+    raise WireError(f"unknown value tag 0x{buf[pos - 1]:02x}")
+
+
+def _decode_bigint(buf, pos: int):
+    raw, pos = _take(buf, pos + 4, _U32.unpack_from(buf, pos)[0])
+    return int.from_bytes(raw, "big", signed=True), pos
+
+
+def _decode_str(buf, pos: int):
+    raw, pos = _take(buf, pos + 4, _U32.unpack_from(buf, pos)[0])
+    return str(raw, "utf-8"), pos
+
+
+def _decode_bytes(buf, pos: int):
+    raw, pos = _take(buf, pos + 4, _U32.unpack_from(buf, pos)[0])
+    return bytes(raw), pos
+
+
+def _decode_list(buf, pos: int):
+    count = _U32.unpack_from(buf, pos)[0]
+    pos += 4
+    items = []
+    for _ in range(count):
+        item, pos = _DECODERS[buf[pos]](buf, pos + 1)
+        items.append(item)
+    return items, pos
+
+
+def _decode_tuple(buf, pos: int):
+    items, pos = _decode_list(buf, pos)
+    return tuple(items), pos
+
+
+def _decode_dict(buf, pos: int):
+    fields = {}
+    count = _U32.unpack_from(buf, pos)[0]
+    pos += 4
+    for _ in range(count):
+        key, pos = _decode_str(buf, pos)
+        item, pos = _DECODERS[buf[pos]](buf, pos + 1)
+        fields[key] = item
+    return fields, pos
+
+
+def _decode_struct(buf, pos: int):
+    name, pos = _decode_str(buf, pos)
+    fields, pos = _DECODERS[buf[pos]](buf, pos + 1)
+    if not _STRUCTS:
+        _register_builtin_structs()
+    from_fields = _STRUCTS.get(name)
+    if from_fields is None:
+        raise WireError(f"unknown wire struct {name!r}")
+    return from_fields(fields), pos
+
+
+def _decode_exception(buf, pos: int):
+    fields, pos = _DECODERS[buf[pos]](buf, pos + 1)
+    return exception_from_fields(fields), pos
+
+
+_DECODERS: List[Callable[[Any, int], Tuple[Any, int]]] = [_decode_unknown] * 256
+_DECODERS[_T_NONE] = lambda buf, pos: (None, pos)
+_DECODERS[_T_TRUE] = lambda buf, pos: (True, pos)
+_DECODERS[_T_FALSE] = lambda buf, pos: (False, pos)
+_DECODERS[_T_INT] = lambda buf, pos: (_I64.unpack_from(buf, pos)[0], pos + 8)
+_DECODERS[_T_BIGINT] = _decode_bigint
+_DECODERS[_T_FLOAT] = lambda buf, pos: (_F64.unpack_from(buf, pos)[0], pos + 8)
+_DECODERS[_T_STR] = _decode_str
+_DECODERS[_T_BYTES] = _decode_bytes
+_DECODERS[_T_LIST] = _decode_list
+_DECODERS[_T_TUPLE] = _decode_tuple
+_DECODERS[_T_DICT] = _decode_dict
+_DECODERS[_T_STRUCT] = _decode_struct
+_DECODERS[_T_EXC] = _decode_exception
 
 
 # --- framing ----------------------------------------------------------------
@@ -386,26 +454,29 @@ class Message:
     dst: str
     op: str
     payload: Any
-    #: Size of the frame as read off the wire (length prefix included);
-    #: 0 for messages built locally rather than received.
+    #: Size of the frame on the wire (length prefix included).
     nbytes: int = 0
 
 
 def pack_frame(
     kind: int, seq: int, src: str, dst: str, op: str, payload: Any
-) -> bytes:
-    body = bytearray(_HEAD.pack(MAGIC, VERSION, kind, seq))
+) -> bytearray:
+    """One whole frame in one buffer; the length is patched in last."""
+    frame = bytearray(_FRAME_HEAD.size)
     for text in (src, dst, op):
         raw = text.encode("utf-8")
-        body += _U16.pack(len(raw))
-        body += raw
-    encode_value(payload, body)
-    if len(body) > MAX_FRAME:
-        raise WireEncodeError(f"frame body {len(body)} exceeds MAX_FRAME")
-    return _LEN.pack(len(body)) + bytes(body)
+        frame += _U16.pack(len(raw))
+        frame += raw
+    _ENCODERS.get(type(payload), _encode_other)(payload, frame)
+    length = len(frame) - _LEN.size
+    if length > MAX_FRAME:
+        raise WireEncodeError(f"frame body {length} exceeds MAX_FRAME")
+    _FRAME_HEAD.pack_into(frame, 0, length, MAGIC, VERSION, kind, seq)
+    return frame
 
 
-def unpack_body(body: bytes) -> Message:
+def unpack_body(body) -> Message:
+    """Decode one frame body; the message keeps no reference to it."""
     if len(body) < _HEAD.size:
         raise WireError("frame body shorter than header")
     magic, version, kind, seq = _HEAD.unpack_from(body)
@@ -413,29 +484,67 @@ def unpack_body(body: bytes) -> Message:
         raise WireError(f"bad magic {magic!r}")
     if version != VERSION:
         raise WireError(f"unsupported wire version {version}")
-    reader = _Reader(body)
-    reader.pos = _HEAD.size
-    src = reader.short_text()
-    dst = reader.short_text()
-    op = reader.short_text()
-    payload = _decode(reader)
-    if reader.pos != len(body):
-        raise WireError(f"{len(body) - reader.pos} trailing bytes in frame")
-    return Message(kind, seq, src, dst, op, payload)
-
-
-async def read_message(reader: asyncio.StreamReader) -> Optional[Message]:
-    """Read one frame; None on clean EOF at a frame boundary."""
+    pos = _HEAD.size
+    names = []
     try:
-        prefix = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean close between frames
-        raise WireError("connection closed inside a length prefix") from exc
-    (length,) = _LEN.unpack(prefix)
-    if length > MAX_FRAME:
-        raise WireError(f"announced frame body {length} exceeds MAX_FRAME")
-    body = await reader.readexactly(length)
-    message = unpack_body(body)
-    message.nbytes = _LEN.size + length
-    return message
+        for _ in range(3):
+            raw, pos = _take(body, pos + 2, _U16.unpack_from(body, pos)[0])
+            names.append(str(raw, "utf-8"))
+        payload, pos = _DECODERS[body[pos]](body, pos + 1)
+    except _MALFORMED as exc:
+        raise WireError(f"malformed frame body: {exc!r}") from exc
+    if pos != len(body):
+        raise WireError(f"{len(body) - pos} trailing bytes in frame")
+    return Message(kind, seq, *names, payload, _LEN.size + len(body))
+
+
+class FrameBuffer:
+    """Receive side of the framing, for both ends of a connection.
+
+    The owner receives into :meth:`writable`, reports the count to
+    :meth:`received`, then takes bodies from :meth:`next_frame` until it
+    returns None.  A body is a view of the one reusable buffer, valid
+    until the next call on this object.  A frame that does not fit gets
+    a one-off buffer of exactly its size, after the ``MAX_FRAME`` check.
+    """
+
+    def __init__(self, size: int = RECV_BUFFER) -> None:
+        # An anonymous map, not a bytearray: its pages become resident
+        # only as far as frames reach into it.
+        self._home = memoryview(mmap.mmap(-1, size))
+        self.clear()
+
+    def clear(self) -> None:
+        self._view = self._home
+        self._start = self._end = 0
+
+    def writable(self) -> memoryview:
+        """Where the next ``recv_into`` goes; never empty."""
+        return self._view[self._end:]
+
+    def received(self, nbytes: int) -> None:
+        self._end += nbytes
+
+    def next_frame(self) -> Optional[memoryview]:
+        view, start = self._view, self._start
+        have = self._end - start
+        need = _LEN.size
+        if have >= need:
+            (length,) = _LEN.unpack_from(view, start)
+            if length > MAX_FRAME:
+                raise WireError(f"frame body {length} exceeds MAX_FRAME")
+            need += length
+            if have >= need:
+                if have == need:
+                    self.clear()
+                else:
+                    self._start = start + need
+                return view[start + _LEN.size:start + need]
+        # Incomplete: make sure the rest of it has somewhere to land.
+        if start:
+            view[:have] = view[start:self._end]
+            self._start, self._end = 0, have
+        if need > len(view):
+            self._view = memoryview(bytearray(need))
+            self._view[:have] = view[:have]
+        return None

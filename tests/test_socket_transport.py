@@ -2,10 +2,13 @@
 failure mapping, retries, and simulated/socket backend parity."""
 
 import socket
+import threading
+import time
 
 import pytest
 
 from repro.errors import (
+    MessageDroppedError,
     NodeCrashedError,
     TransientNetworkError,
     UnixError,
@@ -52,6 +55,43 @@ def served():
     harness = ServedWorld()
     yield harness
     harness.stop()
+
+
+class ScriptedPeer:
+    """A raw TCP listener that reads one request frame, then runs
+    ``script(conn, request_seq)`` — a server that misbehaves on cue."""
+
+    def __init__(self, script):
+        self._script = script
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self._listener.getsockname()[1]
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread.start()
+
+    def _run(self):
+        conn, _ = self._listener.accept()
+        with conn:
+            self._script(conn, recv_frames(conn, 1)[0].seq)
+
+    def close(self):
+        self._listener.close()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+
+
+def recv_frames(sock, count):
+    """Read ``count`` whole frames off a raw socket."""
+    frames, messages = wire.FrameBuffer(), []
+    while len(messages) < count:
+        nbytes = sock.recv_into(frames.writable())
+        assert nbytes, "peer closed early"
+        frames.received(nbytes)
+        while True:
+            body = frames.next_frame()
+            if body is None:
+                break
+            messages.append(wire.unpack_body(body))
+    return messages
 
 
 def closed_port() -> int:
@@ -205,6 +245,57 @@ class TestSocketRoundTrip:
             client.close()
 
 
+    def test_frames_larger_than_the_receive_buffer(self, served):
+        client = served.client()
+        try:
+            fs = client.bind("fs")
+            big = bytes(range(251)) * (3 * wire.RECV_BUFFER // 251)
+            assert len(big) > 2 * wire.RECV_BUFFER
+            assert fs.write_file("big", big) == len(big)   # request > buffer
+            assert fs.read_file("big") == big              # reply > buffer
+            assert fs.stat("big").size == len(big)         # back to small
+            assert client.reconnects == 1
+        finally:
+            client.close()
+
+    def test_pipelined_requests_answered_in_order(self, served):
+        # Two request frames in one segment: the server parses both out
+        # of one receive buffer and replies in arrival order.
+        pings = b"".join(
+            wire.pack_frame(wire.REQUEST, seq, "raw", served.node.name,
+                            "ping", {"target": "control", "args": [],
+                                     "kwargs": {}})
+            for seq in (1, 2)
+        )
+        with socket.create_connection(("127.0.0.1", served.port)) as sock:
+            sock.settimeout(5)
+            sock.sendall(pings)
+            replies = recv_frames(sock, 2)
+        assert [(m.seq, m.kind, m.payload) for m in replies] == [
+            (1, wire.REPLY, "pong"), (2, wire.REPLY, "pong")
+        ]
+
+    def test_close_is_not_terminal(self, served):
+        client = served.client()
+        control = client.bind("control")
+        assert control.ping() == "pong"
+        client.close()
+        client.close()  # idempotent
+        # The next call reconnects lazily, like after any other failure.
+        assert control.ping() == "pong"
+        assert client.reconnects == 2
+        client.close()
+
+    def test_shutdown_reply_arrives_before_serving_stops(self, served):
+        client = served.client()
+        try:
+            assert client.bind("control").shutdown() == "bye"
+        finally:
+            client.close()
+        served.thread._thread.join(timeout=5)
+        assert not served.thread._thread.is_alive()
+
+
 # --- failure mapping and retries --------------------------------------------
 
 class TestFailureMapping:
@@ -273,6 +364,65 @@ class TestFailureMapping:
             assert client.retries == 0
         finally:
             client.close()
+
+    def test_garbage_request_drops_only_that_connection(self, served):
+        good = served.client()
+        try:
+            assert good.bind("control").ping() == "pong"
+            for junk in (
+                b"\x00\x00\x00\x05junk!",                   # bad magic
+                (wire.MAX_FRAME + 1).to_bytes(4, "big"),     # over the cap
+                b"\x00\x00\x00\x0fSW\x01\x01\x00\x00\x00\x01"
+                b"\x00\x02\xff\xfe\x00\x00\x00",              # invalid utf-8
+            ):
+                with socket.create_connection(("127.0.0.1", served.port)) as bad:
+                    bad.settimeout(5)
+                    bad.sendall(junk)
+                    assert bad.recv(1) == b""  # dropped, no reply
+            assert good.bind("control").ping() == "pong"
+            assert good.reconnects == 1
+        finally:
+            good.close()
+
+    def test_undecodable_reply_is_a_crash(self):
+        def script(conn, seq):
+            reply = wire.pack_frame(wire.REPLY, seq, "peer", "client", "op", "x")
+            reply[-1:] = b"\xff"  # the string payload is no longer utf-8
+            conn.sendall(reply)
+
+        peer = ScriptedPeer(script)
+        client = SocketTransport("127.0.0.1", peer.port, reply_timeout_s=5.0)
+        try:
+            with pytest.raises(NodeCrashedError):
+                client.invoke("fs", "stat", ("x",))
+        finally:
+            client.close()
+            peer.close()
+
+    def test_reply_deadline_spans_the_frame(self):
+        # Half a reply, then a trickle: every recv returns well inside
+        # the timeout, but the frame as a whole never completes.
+        def script(conn, seq):
+            reply = wire.pack_frame(wire.REPLY, seq, "peer", "client", "op",
+                                    b"x" * 4000)
+            conn.sendall(reply[:2000])
+            try:
+                for at in range(2000, 2040):
+                    time.sleep(0.05)
+                    conn.sendall(reply[at:at + 1])
+            except OSError:
+                pass  # the client gave up and closed, as it should
+
+        peer = ScriptedPeer(script)
+        client = SocketTransport("127.0.0.1", peer.port, reply_timeout_s=0.4)
+        try:
+            started = time.monotonic()
+            with pytest.raises(MessageDroppedError):
+                client.invoke("fs", "read", (1,))
+            assert time.monotonic() - started < 1.5
+        finally:
+            client.close()
+            peer.close()
 
     def test_send_phase_retry_after_refused(self):
         # Nothing listens yet: with a policy the connect failures back
