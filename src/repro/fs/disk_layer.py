@@ -108,7 +108,10 @@ class DiskFile(File):
 
     @operation
     def sync(self) -> None:
-        self.layer.volume.sync()
+        volume = self.layer.volume
+        volume.sync()
+        # fsync acknowledges: nothing may still sit in the store's buffer.
+        volume.device.flush()
 
 
 class DiskDirectory(NamingContext):
@@ -223,6 +226,12 @@ class DiskOps(ChannelOps):
         usable = min(size, len(data), max(0, file_size - offset))
         if usable > 0:
             self.layer.volume.write_data(ino, offset, data[:usable])
+        # A pager ``sync`` (the client keeps the page read-write) is how
+        # an fsync from a cache manager above ends: when it returns, the
+        # bytes must have left the block store's userspace buffer.  Free
+        # in virtual time, like every ``BlockDevice.flush``.
+        if retain is AccessRights.READ_WRITE:
+            self.layer.volume.device.flush()
 
     def page_out_range(
         self, source_key, pager_object, offset, size, data, retain
@@ -236,6 +245,8 @@ class DiskOps(ChannelOps):
         usable = min(size, len(data), max(0, file_size - offset))
         if usable > 0:
             self.layer.volume.write_data_clustered(ino, offset, data[:usable])
+        if retain is AccessRights.READ_WRITE:  # a sync, as in page_out
+            self.layer.volume.device.flush()
 
     def attr_page_in(self, source_key, pager_object) -> FileAttributes:
         return FileAttributes.from_inode(

@@ -364,6 +364,8 @@ class MonolithicSfs(BaseLayer):
                 self.volume.write_data(ino, offset, page.snapshot()[:usable])
             page.dirty = False
         self.volume.sync()
+        # fsync acknowledges: nothing may still sit in the store's buffer.
+        self.volume.device.flush()
 
     def _merge(self, state: _MonoState, recovered: Dict[int, bytes]) -> None:
         if not recovered:

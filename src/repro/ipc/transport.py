@@ -250,50 +250,51 @@ class SocketServer:
 
     def _reply_for(self, msg: wire.Message) -> bytearray:
         self.bytes_in += msg.nbytes
-        if msg.op == PING_OP:
-            return wire.pack_frame(
-                wire.REPLY, msg.seq, self.name, msg.src, msg.op, None
-            )
-        if msg.kind == wire.COMPOUND:
-            self.compound_batches += 1
-            calls = [
-                (c["target"], c["op"], c["args"], c["kwargs"])
-                for c in msg.payload["calls"]
-            ]
-            outcomes = self.registry.run_compound(
-                calls, fail_fast=msg.payload["fail_fast"]
-            )
-            self.ops_served += sum(
-                1 for status, _ in outcomes if status == OK
-            )
-            encoded = [
-                {"status": status, "value": value}
-                for status, value in outcomes
-            ]
-            return wire.pack_frame(
-                wire.COMPOUND_REPLY, msg.seq, self.name, msg.src,
-                msg.op, encoded,
-            )
+        kind = wire.REPLY
         try:
-            value = self.registry.call(
-                msg.payload["target"], msg.op,
-                msg.payload["args"], msg.payload["kwargs"],
-            )
-            self.ops_served += 1
-            kind = wire.REPLY
+            if msg.kind == wire.COMPOUND:
+                kind, value = wire.COMPOUND_REPLY, self._run_compound(msg)
+            elif msg.op == PING_OP:
+                value = None
+            else:
+                _check_call(msg.payload, msg.kwargs)
+                value = self.registry.call(
+                    msg.target, msg.op, msg.payload, msg.kwargs
+                )
+                self.ops_served += 1
         except Exception as exc:
-            value = exc
-            kind = wire.ERROR
+            kind, value = wire.ERROR, exc
         try:
-            return wire.pack_frame(
-                kind, msg.seq, self.name, msg.src, msg.op, value
-            )
+            return wire.pack_frame(kind, msg.seq, "", "", value)
         except wire.WireEncodeError as exc:
             # The op returned something outside the wire type system;
             # surface that as the error rather than killing the stream.
-            return wire.pack_frame(
-                wire.ERROR, msg.seq, self.name, msg.src, msg.op, exc
-            )
+            return wire.pack_frame(wire.ERROR, msg.seq, "", "", exc)
+
+    def _run_compound(self, msg: wire.Message) -> List[Tuple[str, Any]]:
+        _check_call(msg.payload, msg.kwargs)
+        for call in msg.payload:
+            if not (isinstance(call, (list, tuple)) and len(call) == 4
+                    and type(call[0]) is type(call[1]) is str):
+                raise InvocationError(
+                    "malformed compound: a call is [target, op, args, kwargs]"
+                )
+            _check_call(call[2], call[3])
+        self.compound_batches += 1
+        outcomes = self.registry.run_compound(
+            msg.payload, fail_fast=msg.kwargs.get("fail_fast", True)
+        )
+        self.ops_served += sum(1 for status, _ in outcomes if status == OK)
+        return outcomes
+
+
+def _check_call(args: Any, kwargs: Any) -> None:
+    """The shape of a call as read off the wire (the codec has already
+    made every dict key a str)."""
+    if not isinstance(args, (list, tuple)) or type(kwargs) is not dict:
+        raise InvocationError(
+            "malformed call: args must be a list and kwargs a dict"
+        )
 
 
 class _Connection(asyncio.BufferedProtocol):
@@ -460,13 +461,14 @@ class SocketTransport(Transport):
         self._sock = sock
         return sock
 
-    def _exchange(self, kind: int, op: str, payload: Any) -> wire.Message:
+    def _exchange(self, kind: int, target: str, op: str, args: list,
+                  kwargs: Optional[dict]) -> wire.Message:
         """One request frame out, one reply frame in.  Raises transient
         errors tagged with whether the failure was send-phase."""
         sock = self._sock or self._connect()
         self._seq += 1
         seq = self._seq
-        frame = wire.pack_frame(kind, seq, self.src, self.dst, op, payload)
+        frame = wire.pack_frame(kind, seq, target, op, args, kwargs)
         sock.settimeout(self.reply_timeout_s)
         try:
             sock.sendall(frame)
@@ -513,15 +515,16 @@ class SocketTransport(Transport):
         self.bytes_in += msg.nbytes
         return msg
 
-    def _call(self, kind: int, op: str, payload: Any,
-              idempotent: bool) -> wire.Message:
-        """Run one exchange with send-only (or idempotent) retries."""
+    def _call(self, kind: int, target: str, op: str, args: list,
+              kwargs: Optional[dict], idempotent: bool) -> Any:
+        """Run one exchange with send-only (or idempotent) retries;
+        returns the reply's value or raises the error it carries."""
         policy = self.retry_policy
         attempt = 0
         waited_us = 0.0
         while True:
             try:
-                return self._exchange(kind, op, payload)
+                msg = self._exchange(kind, target, op, args, kwargs)
             except TransientNetworkError as exc:
                 send_phase = getattr(exc, "_send_phase", False)
                 if (
@@ -535,6 +538,11 @@ class SocketTransport(Transport):
                 waited_us += backoff
                 attempt += 1
                 self.retries += 1
+            else:
+                # Outside the try: an error the *op* raised is never retried.
+                if msg.kind == wire.ERROR:
+                    raise msg.payload
+                return msg.payload
 
     # --- Transport surface ----------------------------------------------
     def send(self, src, dst, nbytes: int, checked: bool = True) -> None:
@@ -542,34 +550,24 @@ class SocketTransport(Transport):
         socket analogue of :meth:`Network.transfer` (src/dst are fixed
         by the connection; the arguments are accepted for surface
         compatibility)."""
-        self._call(wire.REQUEST, PING_OP, b"\x00" * nbytes, idempotent=True)
+        self._call(wire.REQUEST, "", PING_OP, [b"\x00" * nbytes], None, True)
 
     def payload(self, src, dst, nbytes: int) -> None:
         """Reply payloads ride the real reply frames; nothing to do."""
 
     def invoke(self, target, op, args=(), kwargs=None, idempotent=False):
-        msg = self._call(
-            wire.REQUEST, op,
-            {"target": target, "args": list(args), "kwargs": kwargs or {}},
-            idempotent,
+        return self._call(
+            wire.REQUEST, target, op, list(args), kwargs, idempotent
         )
-        if msg.kind == wire.ERROR:
-            raise msg.payload
-        return msg.payload
 
     def invoke_compound(self, calls, fail_fast=True, idempotent=False):
-        payload = {
-            "fail_fast": fail_fast,
-            "calls": [
-                {"target": target, "op": op, "args": list(args),
-                 "kwargs": kwargs or {}}
-                for target, op, args, kwargs in calls
-            ],
-        }
-        msg = self._call(wire.COMPOUND, wire.COMPOUND_OP, payload, idempotent)
-        if msg.kind == wire.ERROR:
-            raise msg.payload
-        return [(entry["status"], entry["value"]) for entry in msg.payload]
+        outcomes = self._call(
+            wire.COMPOUND, "", "",
+            [[target, op, list(args), kwargs or {}]
+             for target, op, args, kwargs in calls],
+            {"fail_fast": fail_fast}, idempotent,
+        )
+        return [(status, value) for status, value in outcomes]
 
     def describe(self) -> str:
         return f"SocketTransport({self.host}:{self.port})"
@@ -603,7 +601,9 @@ class RemoteStub:
     def __getattr__(self, op: str) -> "StubOperation":
         if op.startswith("_"):
             raise AttributeError(op)
-        return StubOperation(self, op)
+        # Kept: the next access finds it without coming through here.
+        operation = self.__dict__[op] = StubOperation(self, op)
+        return operation
 
     def __repr__(self) -> str:
         return (
@@ -615,20 +615,14 @@ class StubOperation:
     """One bound stub operation — callable, and recognised by
     :class:`~repro.ipc.compound.CompoundInvocation` for batching."""
 
-    __slots__ = ("_stub", "_op", "__name__")
+    __slots__ = ("_wire_call", "__name__")
 
     def __init__(self, stub: RemoteStub, op: str) -> None:
-        self._stub = stub
-        self._op = op
-        self.__name__ = op
-
-    @property
-    def _wire_call(self) -> Tuple[Transport, str, str, bool]:
-        stub = self._stub
-        return (
-            stub._transport, stub._target, self._op,
-            self._op in stub._idempotent,
+        #: (transport, target, op, idempotent)
+        self._wire_call: Tuple[Transport, str, str, bool] = (
+            stub._transport, stub._target, op, op in stub._idempotent
         )
+        self.__name__ = op
 
     def __call__(self, *args: Any, **kwargs: Any) -> Any:
         transport, target, op, idempotent = self._wire_call

@@ -5,18 +5,26 @@ bytes; :class:`~repro.ipc.transport.SocketTransport` moves actual bytes
 between OS processes, and this module defines the bytes it moves.
 
 Framing is length-prefixed binary, in the spirit of ONC RPC record
-marking or the Lustre LNet headers: every message on a connection is ::
+marking or the Lustre LNet headers.  This is format **v2**; there is one
+version and no negotiation — both ends ship together, and a frame of any
+other version is a :class:`WireError` and a closed connection.  Every
+message on a connection is ::
 
     u32   body length (big-endian)
     body:
       2s  magic  b"SW"
-      u8  protocol version (1)
+      u8  protocol version (2)
       u8  kind   (REQUEST / REPLY / ERROR / COMPOUND / COMPOUND_REPLY)
-      u32 sequence number (echoed by the reply)
-      u16-prefixed utf-8  src   (sending node name)
-      u16-prefixed utf-8  dst   (receiving node name)
-      u16-prefixed utf-8  op    (operation name; "*compound*" for batches)
-      encoded value       payload
+      u32 sequence number (echoed by the reply, which it alone matches)
+      u8  len(target), u8 len(op)   both 0 unless the kind is REQUEST
+      target, op                    utf-8, at most 255 bytes each
+      REQUEST, COMPOUND:  the args as one list value, then the kwargs as
+                          one dict value only when there are any
+      other kinds:        one value, the result or the exception
+
+A COMPOUND's args are one ``[target, op, args, kwargs]`` per call, its
+kwargs ``{"fail_fast": bool}``, its reply a list of ``(status, value)``.
+Node names are not sent: they are constant per connection.
 
 Payload values use a small tag-byte binary encoding covering exactly the
 types Spring operations carry across machines: None, bools, ints,
@@ -41,16 +49,17 @@ and raises only :class:`WireError` whatever bytes arrive.
 from __future__ import annotations
 
 import builtins
-import dataclasses
+import functools
 import mmap
 import struct
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro import errors as _errors
 from repro.errors import InvocationError, SpringError
 
 MAGIC = b"SW"
-VERSION = 1
+VERSION = 2
 
 #: Frame kinds.
 REQUEST = 1
@@ -58,10 +67,6 @@ REPLY = 2
 ERROR = 3
 COMPOUND = 4
 COMPOUND_REPLY = 5
-
-#: The header op name carried by compound batches (illegal as a real
-#: operation name — leading "*" never survives the export-name check).
-COMPOUND_OP = "*compound*"
 
 #: Upper bound on one frame body; a peer announcing more is treated as
 #: corrupt rather than trusted to allocate gigabytes.
@@ -71,11 +76,9 @@ MAX_FRAME = 64 * 1024 * 1024
 #: 256 KiB payload and its headers fit); larger frames get a one-off.
 RECV_BUFFER = 512 * 1024
 
-_LEN = struct.Struct("!I")
-_HEAD = struct.Struct("!2sBBI")
-_FRAME_HEAD = struct.Struct("!I2sBBI")  # _LEN then _HEAD
-_U16 = struct.Struct("!H")
-_U32 = struct.Struct("!I")
+_LEN = _U32 = struct.Struct("!I")  # the frame length; a length or count
+_HEAD = struct.Struct("!2sBBIBB")  # magic, version, kind, seq, name lengths
+_FRAME_HEAD = struct.Struct("!I2sBBI")  # _LEN, then _HEAD up to the lengths
 _I64 = struct.Struct("!q")
 _F64 = struct.Struct("!d")
 _TAG_U32 = struct.Struct("!BI")  # tag byte, then a length or count
@@ -121,45 +124,39 @@ class RemoteError(InvocationError):
 
 
 # --- value structs ----------------------------------------------------------
-# Registered value types cross the wire as (name, field dict) and are
-# rebuilt by their registered decoder — the typed alternative to pickle.
+# Registered value types cross the wire as a name and their field values
+# in registered order, and are rebuilt by their registered constructor —
+# the typed alternative to pickle.  name -> (field count, constructor):
 
-_STRUCTS: Dict[str, Callable[[dict], Any]] = {}  # name -> from_fields
+_STRUCTS: Dict[str, Tuple[int, Callable[..., Any]]] = {}
 
 
-def register_struct(
-    name: str,
-    cls: type,
-    to_fields: Callable[[Any], dict],
-    from_fields: Callable[[dict], Any],
-) -> None:
-    """Teach the wire a value type (idempotent per name)."""
-    _STRUCTS[name] = from_fields
-    _ENCODERS[cls] = _struct_encoder(name, to_fields)
+def register_struct(name: str, cls: type, fields: Tuple[str, ...],
+                    from_values: Callable[..., Any]) -> None:
+    """Teach the wire a value type (idempotent per name): ``fields`` are
+    the attributes sent, in order; ``from_values(*values)`` rebuilds."""
+    raw = name.encode("utf-8")
+    head = _TAG_U32.pack(_T_STRUCT, len(raw)) + raw
+    values_of = attrgetter(*fields)
+
+    def encode_struct(value: Any, buf: bytearray) -> None:
+        buf += head
+        _encode_list(values_of(value), buf)
+
+    _STRUCTS[name] = (len(fields), from_values)
+    _ENCODERS[cls] = encode_struct
 
 
 def _register_builtin_structs() -> None:
     from repro.fs.attributes import FileAttributes
     from repro.storage.inode import FileType
 
+    _ENCODERS[FileType] = _encode_int  # an IntEnum packs as its value
     register_struct(
-        "FileAttributes",
-        FileAttributes,
-        lambda a: {
-            "size": a.size,
-            "atime_us": a.atime_us,
-            "mtime_us": a.mtime_us,
-            "ctime_us": a.ctime_us,
-            "ftype": int(a.ftype),
-            "nlink": a.nlink,
-        },
-        lambda f: FileAttributes(
-            size=f["size"],
-            atime_us=f["atime_us"],
-            mtime_us=f["mtime_us"],
-            ctime_us=f["ctime_us"],
-            ftype=FileType(f["ftype"]),
-            nlink=f["nlink"],
+        "FileAttributes", FileAttributes,
+        ("size", "atime_us", "mtime_us", "ctime_us", "ftype", "nlink"),
+        lambda size, atime, mtime, ctime, ftype, nlink: FileAttributes(
+            size, atime, mtime, ctime, FileType(ftype), nlink
         ),
     )
 
@@ -178,7 +175,8 @@ _SAFE_BUILTIN_EXCS = (
 )
 
 
-def _exception_registry() -> Dict[str, Type[BaseException]]:
+@functools.lru_cache(maxsize=None)
+def _exc_registry() -> Dict[str, Type[BaseException]]:
     registry: Dict[str, Type[BaseException]] = {}
     for name in dir(_errors):
         obj = getattr(_errors, name)
@@ -191,16 +189,6 @@ def _exception_registry() -> Dict[str, Type[BaseException]]:
     for name in _SAFE_BUILTIN_EXCS:
         registry[name] = getattr(builtins, name)
     return registry
-
-
-_EXC_REGISTRY: Optional[Dict[str, Type[BaseException]]] = None
-
-
-def _exc_registry() -> Dict[str, Type[BaseException]]:
-    global _EXC_REGISTRY
-    if _EXC_REGISTRY is None:
-        _EXC_REGISTRY = _exception_registry()
-    return _EXC_REGISTRY
 
 
 def exception_to_fields(exc: BaseException) -> dict:
@@ -235,7 +223,7 @@ def exception_from_fields(fields: dict) -> BaseException:
 
 # --- value encoding ---------------------------------------------------------
 # Encoders append to a bytearray and are picked by exact ``type(value)``
-# from ``_ENCODERS``; what the table lacks (subclasses, exceptions, enums,
+# from ``_ENCODERS``; what the table lacks (bytes subclasses, exceptions,
 # structs not yet registered) takes ``_encode_other``.
 
 def encode_value(value: Any) -> bytes:
@@ -274,7 +262,10 @@ def _encode_view(value: memoryview, buf: bytearray) -> None:
 def _encode_list(value, buf: bytearray, tag: int = _T_LIST) -> None:
     buf += _TAG_U32.pack(tag, len(value))
     for item in value:
-        _ENCODERS.get(type(item), _encode_other)(item, buf)
+        if type(item) is int and _I64_MIN <= item <= _I64_MAX:
+            buf += _TAG_I64.pack(_T_INT, item)
+        else:
+            _ENCODERS.get(type(item), _encode_other)(item, buf)
 
 
 def _encode_dict(value: dict, buf: bytearray) -> None:
@@ -290,17 +281,6 @@ def _encode_dict(value: dict, buf: bytearray) -> None:
         _ENCODERS.get(type(item), _encode_other)(item, buf)
 
 
-def _struct_encoder(name: str, to_fields: Callable[[Any], dict]):
-    raw = name.encode("utf-8")
-    head = _TAG_U32.pack(_T_STRUCT, len(raw)) + raw
-
-    def encode_struct(value: Any, buf: bytearray) -> None:
-        buf += head
-        _encode_dict(to_fields(value), buf)
-
-    return encode_struct
-
-
 def _encode_other(value: Any, buf: bytearray) -> None:
     if isinstance(value, (bytes, bytearray)):
         _encode_bytes(value, buf)
@@ -311,13 +291,7 @@ def _encode_other(value: Any, buf: bytearray) -> None:
         _register_builtin_structs()
         _ENCODERS.get(type(value), _encode_other)(value, buf)
     else:
-        # Enums (e.g. FileType) degrade to their value.
-        ivalue = getattr(value, "value", None)
-        if not (isinstance(value, int) and type(ivalue) is int):
-            raise WireEncodeError(
-                f"type {type(value).__name__} cannot cross the wire"
-            )
-        _encode_int(ivalue, buf)
+        raise WireEncodeError(f"{type(value).__name__} cannot cross the wire")
 
 
 _ENCODERS: Dict[type, Callable[[Any, bytearray], None]] = {
@@ -389,8 +363,13 @@ def _decode_list(buf, pos: int):
     pos += 4
     items = []
     for _ in range(count):
-        item, pos = _DECODERS[buf[pos]](buf, pos + 1)
-        items.append(item)
+        tag = buf[pos]
+        if tag == _T_INT:
+            items.append(_I64.unpack_from(buf, pos + 1)[0])
+            pos += 9
+        else:
+            item, pos = _DECODERS[tag](buf, pos + 1)
+            items.append(item)
     return items, pos
 
 
@@ -412,13 +391,15 @@ def _decode_dict(buf, pos: int):
 
 def _decode_struct(buf, pos: int):
     name, pos = _decode_str(buf, pos)
-    fields, pos = _DECODERS[buf[pos]](buf, pos + 1)
     if not _STRUCTS:
         _register_builtin_structs()
-    from_fields = _STRUCTS.get(name)
-    if from_fields is None:
+    if name not in _STRUCTS:
         raise WireError(f"unknown wire struct {name!r}")
-    return from_fields(fields), pos
+    arity, from_values = _STRUCTS[name]
+    values, pos = _DECODERS[buf[pos]](buf, pos + 1)
+    if type(values) is not list or len(values) != arity:
+        raise WireError(f"struct {name!r} takes a list of {arity} fields")
+    return from_values(*values), pos
 
 
 def _decode_exception(buf, pos: int):
@@ -444,30 +425,41 @@ _DECODERS[_T_EXC] = _decode_exception
 
 # --- framing ----------------------------------------------------------------
 
-@dataclasses.dataclass
 class Message:
-    """One decoded frame."""
+    """One decoded frame: ``payload`` is a request's args or a reply's
+    value; ``nbytes`` its size on the wire, length prefix included."""
 
-    kind: int
-    seq: int
-    src: str
-    dst: str
-    op: str
-    payload: Any
-    #: Size of the frame on the wire (length prefix included).
-    nbytes: int = 0
+    __slots__ = ("kind", "seq", "target", "op", "payload", "kwargs", "nbytes")
+
+    def __init__(self, kind: int, seq: int, target: str, op: str,
+                 payload: Any, kwargs: Any, nbytes: int) -> None:
+        self.kind = kind
+        self.seq = seq
+        self.target = target
+        self.op = op
+        self.payload = payload
+        self.kwargs = kwargs
+        self.nbytes = nbytes
 
 
-def pack_frame(
-    kind: int, seq: int, src: str, dst: str, op: str, payload: Any
-) -> bytearray:
-    """One whole frame in one buffer; the length is patched in last."""
+@functools.lru_cache(maxsize=4096)
+def _names(target: str, op: str) -> bytes:
+    """Both length bytes, then both names: encoded once per pair."""
+    raws = target.encode("utf-8"), op.encode("utf-8")
+    if max(map(len, raws)) > 255:
+        raise WireEncodeError("target and op names are at most 255 bytes")
+    return bytes(map(len, raws)) + b"".join(raws)
+
+
+def pack_frame(kind: int, seq: int, target: str, op: str, payload: Any,
+               kwargs: Optional[dict] = None) -> bytearray:
+    """One whole frame in one buffer; the length is patched in last.
+    A reply has no names (``""``) and no kwargs."""
     frame = bytearray(_FRAME_HEAD.size)
-    for text in (src, dst, op):
-        raw = text.encode("utf-8")
-        frame += _U16.pack(len(raw))
-        frame += raw
+    frame += _names(target, op)
     _ENCODERS.get(type(payload), _encode_other)(payload, frame)
+    if kwargs:
+        _encode_dict(kwargs, frame)
     length = len(frame) - _LEN.size
     if length > MAX_FRAME:
         raise WireEncodeError(f"frame body {length} exceeds MAX_FRAME")
@@ -479,23 +471,31 @@ def unpack_body(body) -> Message:
     """Decode one frame body; the message keeps no reference to it."""
     if len(body) < _HEAD.size:
         raise WireError("frame body shorter than header")
-    magic, version, kind, seq = _HEAD.unpack_from(body)
+    magic, version, kind, seq, target_len, op_len = _HEAD.unpack_from(body)
     if magic != MAGIC:
         raise WireError(f"bad magic {magic!r}")
     if version != VERSION:
         raise WireError(f"unsupported wire version {version}")
     pos = _HEAD.size
-    names = []
+    target = op = ""
+    kwargs: Any = {}
     try:
-        for _ in range(3):
-            raw, pos = _take(body, pos + 2, _U16.unpack_from(body, pos)[0])
-            names.append(str(raw, "utf-8"))
+        if target_len or op_len:
+            mid = pos + target_len
+            pos = mid + op_len
+            target = str(body[_HEAD.size:mid], "utf-8")
+            op = str(body[mid:pos], "utf-8")
+        # Names cut short leave no tag byte here: an IndexError.
         payload, pos = _DECODERS[body[pos]](body, pos + 1)
+        if pos != len(body) and kind in (REQUEST, COMPOUND):
+            kwargs, pos = _DECODERS[body[pos]](body, pos + 1)
     except _MALFORMED as exc:
         raise WireError(f"malformed frame body: {exc!r}") from exc
     if pos != len(body):
         raise WireError(f"{len(body) - pos} trailing bytes in frame")
-    return Message(kind, seq, *names, payload, _LEN.size + len(body))
+    return Message(
+        kind, seq, target, op, payload, kwargs, _LEN.size + len(body)
+    )
 
 
 class FrameBuffer:

@@ -345,6 +345,57 @@ class TestStackPersistence:
             assert null2.resolve("top.txt").read(0, 11) == b"at the root"
         dev2.close()
 
+    # What ``sync`` acknowledged is in the image file even though this
+    # process never closes (or flushes) its handle — the view a
+    # ``kill -9`` leaves behind.
+    @pytest.mark.parametrize("placement", ["not_stacked", "two_domains"])
+    def test_fsync_of_a_new_file_leaves_nothing_in_the_process(
+        self, tmp_path, placement
+    ):
+        path = str(tmp_path / "fsync.img")
+        world = World()
+        node = world.create_node("n")
+        dev = world.create_image(node.nucleus, path, num_blocks=2048)
+        sfs = create_sfs(node, dev, placement=placement, format_device=True)
+        bottom = sfs.disk_layer or sfs.top  # DiskFile.sync / the fused copy
+        payload = bytes(range(256)) * 100
+        with world.create_user_domain(node).activate():
+            f = bottom.create_file("acked.bin")
+            f.write(0, payload)
+            f.sync()  # data, then bitmap, i-node and directory: all of it
+        dev2 = image_device(path, fresh=False)
+        vol = Volume.mount(dev2)
+        ino = vol.lookup(vol.sb.root_ino, "acked.bin")
+        assert vol.read_data(ino, 0, len(payload) + 1) == payload
+        dev2.close()
+        dev.close()
+
+    def test_stacked_fsync_leaves_nothing_in_the_process(self, tmp_path):
+        """Stacked, ``sync`` pushes dirty pages through the pager channel
+        (never ``Volume.sync``), so the file is allocated and saved
+        before the writes under test."""
+        path = str(tmp_path / "fsync.img")
+        world = World()
+        node = world.create_node("n")
+        dev = world.create_image(node.nucleus, path, num_blocks=2048)
+        sfs = create_sfs(node, dev, placement="two_domains", format_device=True)
+        block = bytes(range(256)) * 16
+        with world.create_user_domain(node).activate():
+            f = sfs.top.create_file("acked.bin")
+            f.write(0, bytes(8 * len(block)))
+            world.save()
+            for index in (5, 0, 3):
+                f.write(index * len(block), block)
+            f.sync()
+        dev2 = image_device(path, fresh=False)
+        vol = Volume.mount(dev2)
+        data = vol.read_data(vol.lookup(vol.sb.root_ino, "acked.bin"),
+                             0, 8 * len(block))
+        assert [data[i * len(block):(i + 1) * len(block)] == block
+                for i in range(8)] == [i in (0, 3, 5) for i in range(8)]
+        dev2.close()
+        dev.close()
+
     def test_fresh_process_serves_identical_reads(self, tmp_path):
         """The acceptance-criteria wording taken literally: a second OS
         process remounts the image and reads the same bytes."""

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.errors import (
+    InvocationError,
     MessageDroppedError,
     NodeCrashedError,
     TransientNetworkError,
@@ -150,18 +151,15 @@ class TestWireCodec:
             wire.encode_value({1: "non-string key"})
 
     def test_frame_round_trip(self):
-        frame = wire.pack_frame(
-            wire.REQUEST, 7, "client", "server", "stat",
-            {"target": "fs", "args": ["a"], "kwargs": {}},
-        )
+        frame = wire.pack_frame(wire.REQUEST, 7, "fs", "stat", ["a"])
         msg = wire.unpack_body(frame[4:])
-        assert (msg.kind, msg.seq, msg.src, msg.dst, msg.op) == (
-            wire.REQUEST, 7, "client", "server", "stat"
+        assert (msg.kind, msg.seq, msg.target, msg.op) == (
+            wire.REQUEST, 7, "fs", "stat"
         )
-        assert msg.payload["args"] == ["a"]
+        assert msg.payload == ["a"] and msg.kwargs == {}
 
     def test_corrupt_frames_raise(self):
-        frame = wire.pack_frame(wire.REPLY, 1, "a", "b", "op", None)
+        frame = wire.pack_frame(wire.REPLY, 1, "", "", None)
         with pytest.raises(wire.WireError):
             wire.unpack_body(frame[4:-1])          # truncated
         with pytest.raises(wire.WireError):
@@ -224,6 +222,27 @@ class TestSocketRoundTrip:
         finally:
             client.close()
 
+    def test_stub_operations_are_created_once(self, served):
+        client = served.client()
+        try:
+            fs = client.bind("fs", idempotent=("stat",))
+            stat = fs.stat
+            assert fs.stat is stat and fs.mkdir is not stat
+            assert stat._wire_call == (client, "fs", "stat", True)
+            assert fs.mkdir._wire_call[3] is False
+            with pytest.raises(AttributeError):
+                fs._private
+            # The kept operation is still what a batch recognises.
+            fs.write_file("f", b"12")
+            frames = client.messages
+            batch = CompoundInvocation()
+            batch.add(stat, "f")
+            batch.add(fs.stat, "f")
+            assert [a.size for a in batch.commit().values()] == [2, 2]
+            assert client.messages - frames == 1
+        finally:
+            client.close()
+
     def test_compound_fail_fast_demux(self, served):
         client = served.client()
         try:
@@ -262,9 +281,7 @@ class TestSocketRoundTrip:
         # Two request frames in one segment: the server parses both out
         # of one receive buffer and replies in arrival order.
         pings = b"".join(
-            wire.pack_frame(wire.REQUEST, seq, "raw", served.node.name,
-                            "ping", {"target": "control", "args": [],
-                                     "kwargs": {}})
+            wire.pack_frame(wire.REQUEST, seq, "control", "ping", [])
             for seq in (1, 2)
         )
         with socket.create_connection(("127.0.0.1", served.port)) as sock:
@@ -274,6 +291,54 @@ class TestSocketRoundTrip:
         assert [(m.seq, m.kind, m.payload) for m in replies] == [
             (1, wire.REPLY, "pong"), (2, wire.REPLY, "pong")
         ]
+
+    def test_wrong_shaped_calls_get_an_error_reply(self, served):
+        # Well-framed, but not a call: the answer is an ERROR frame and
+        # the connection (and the loop under it) keeps serving.
+        def hand_built(kind, seq, *values):
+            body = (b"SW" + bytes([wire.VERSION, kind]) + seq.to_bytes(4, "big")
+                    + b"\x07\x04controlping"
+                    + b"".join(map(wire.encode_value, values)))
+            return len(body).to_bytes(4, "big") + body
+
+        ping = ["control", "ping", [], {}]
+        bad = [
+            wire.pack_frame(wire.REQUEST, 1, "control", "ping", None),
+            wire.pack_frame(wire.REQUEST, 2, "control", "ping", "ab"),
+            hand_built(wire.REQUEST, 3, [], "not a dict"),
+            wire.pack_frame(wire.COMPOUND, 4, "", "", None),
+            wire.pack_frame(wire.COMPOUND, 5, "", "", [ping[:3]]),
+            wire.pack_frame(wire.COMPOUND, 6, "", "", [ping, None]),
+            wire.pack_frame(wire.COMPOUND, 7, "", "", [["control", 5, [], {}]]),
+            wire.pack_frame(wire.COMPOUND, 8, "", "", [["control", "ping", 1, {}]]),
+            hand_built(wire.COMPOUND, 9, [ping], ["fail_fast"]),
+        ]
+        good = wire.pack_frame(wire.COMPOUND, 10, "", "", [ping], {"fail_fast": False})
+        with socket.create_connection(("127.0.0.1", served.port)) as sock:
+            sock.settimeout(5)
+            sock.sendall(b"".join(bad) + good)
+            replies = recv_frames(sock, len(bad) + 1)
+        for seq, msg in enumerate(replies[:-1], start=1):
+            assert (msg.seq, msg.kind) == (seq, wire.ERROR)
+            assert type(msg.payload) is InvocationError
+            assert "malformed" in str(msg.payload)
+        assert (replies[-1].kind, replies[-1].payload) == (
+            wire.COMPOUND_REPLY, [("ok", "pong")]
+        )
+        assert served.server.compound_batches == 1
+
+    def test_version_1_frame_closes_the_connection(self, served):
+        v1 = (b"SW\x01\x01\x00\x00\x00\x01\x00\x03raw\x00\x06server"
+              b"\x00\x04ping\x0a\x00\x00\x00\x00")
+        with socket.create_connection(("127.0.0.1", served.port)) as sock:
+            sock.settimeout(5)
+            sock.sendall(len(v1).to_bytes(4, "big") + v1)
+            assert sock.recv(1) == b""
+        client = served.client()
+        try:
+            assert client.bind("control").ping() == "pong"
+        finally:
+            client.close()
 
     def test_close_is_not_terminal(self, served):
         client = served.client()
@@ -365,6 +430,30 @@ class TestFailureMapping:
         finally:
             client.close()
 
+    def test_transient_error_raised_by_the_op_is_not_retried(self):
+        # The reply arrived: NodeCrashedError here is the op's own answer
+        # (a fault further down the stack), not a failure of this hop.
+        class Flaky:
+            calls = 0
+
+            def poke(self):
+                self.calls += 1
+                raise NodeCrashedError("storage node is down")
+
+        flaky = Flaky()
+        thread = ServerThread(SocketServer({"flaky": flaky}))
+        client = SocketTransport(
+            "127.0.0.1", thread.start(),
+            retry_policy=RetryPolicy(max_attempts=4, base_backoff_us=1000.0),
+        )
+        try:
+            with pytest.raises(NodeCrashedError, match="storage node is down"):
+                client.bind("flaky", idempotent=("poke",)).poke()
+            assert (flaky.calls, client.retries) == (1, 0)
+        finally:
+            client.close()
+            thread.stop()
+
     def test_garbage_request_drops_only_that_connection(self, served):
         good = served.client()
         try:
@@ -372,8 +461,8 @@ class TestFailureMapping:
             for junk in (
                 b"\x00\x00\x00\x05junk!",                   # bad magic
                 (wire.MAX_FRAME + 1).to_bytes(4, "big"),     # over the cap
-                b"\x00\x00\x00\x0fSW\x01\x01\x00\x00\x00\x01"
-                b"\x00\x02\xff\xfe\x00\x00\x00",              # invalid utf-8
+                b"\x00\x00\x00\x0dSW\x02\x01\x00\x00\x00\x01"
+                b"\x02\x00\xff\xfe\x00",                      # invalid utf-8
             ):
                 with socket.create_connection(("127.0.0.1", served.port)) as bad:
                     bad.settimeout(5)
@@ -386,7 +475,7 @@ class TestFailureMapping:
 
     def test_undecodable_reply_is_a_crash(self):
         def script(conn, seq):
-            reply = wire.pack_frame(wire.REPLY, seq, "peer", "client", "op", "x")
+            reply = wire.pack_frame(wire.REPLY, seq, "", "", "x")
             reply[-1:] = b"\xff"  # the string payload is no longer utf-8
             conn.sendall(reply)
 
@@ -403,8 +492,7 @@ class TestFailureMapping:
         # Half a reply, then a trickle: every recv returns well inside
         # the timeout, but the frame as a whole never completes.
         def script(conn, seq):
-            reply = wire.pack_frame(wire.REPLY, seq, "peer", "client", "op",
-                                    b"x" * 4000)
+            reply = wire.pack_frame(wire.REPLY, seq, "", "", b"x" * 4000)
             conn.sendall(reply[:2000])
             try:
                 for at in range(2000, 2040):

@@ -3,6 +3,7 @@ round trips over the whole value grammar, byte-for-byte goldens, hostile
 input, ``FrameBuffer`` reassembly, and the copy budget of a large frame."""
 
 import array
+import pathlib
 import tracemalloc
 
 import pytest
@@ -14,7 +15,7 @@ from repro.fs.attributes import FileAttributes
 from repro.ipc import wire
 from repro.storage.inode import FileType
 
-REQUEST_PAYLOAD = {"target": "fs", "args": [3, 4096, 8192], "kwargs": {}}
+REQUEST_ARGS = [3, 4096, 8192]
 ATTRS = FileAttributes(
     size=77, atime_us=1, mtime_us=2, ctime_us=3,
     ftype=FileType.DIRECTORY, nlink=2,
@@ -79,6 +80,22 @@ def body_of(frame):
     return memoryview(frame)[4:]
 
 
+def reply(value, seq=1, kind=wire.REPLY):
+    return wire.pack_frame(kind, seq, "", "", value)
+
+
+def raw_body(*parts, kind=wire.REQUEST, version=wire.VERSION,
+             target=b"fs", op=b"op"):
+    """A frame body put together by hand, for shapes ``pack_frame``
+    refuses to produce; ``parts`` are already-encoded values."""
+    return (b"SW" + bytes([version, kind]) + (1).to_bytes(4, "big")
+            + bytes([len(target), len(op)]) + target + op + b"".join(parts))
+
+
+names = st.text(max_size=255).filter(lambda s: len(s.encode()) <= 255)
+kwargs_dicts = st.dictionaries(st.text(max_size=6), values, max_size=3)
+
+
 # --- round trips ------------------------------------------------------------
 
 class TestRoundTrip:
@@ -89,16 +106,60 @@ class TestRoundTrip:
         assert same(wire.decode_value(encoded), value)
         assert same(wire.decode_value(memoryview(encoded)), value)
 
-    @given(values, st.integers(0, 2**32 - 1), st.text(max_size=8))
+    @given(values, st.integers(0, 2**32 - 1),
+           st.sampled_from([wire.REPLY, wire.ERROR, wire.COMPOUND_REPLY]))
     @settings(max_examples=100, deadline=None)
-    def test_frames(self, value, seq, name):
-        frame = wire.pack_frame(wire.REPLY, seq, name, "dst", "op", value)
+    def test_frames(self, value, seq, kind):
+        frame = reply(value, seq, kind)
         assert len(frame) == 4 + int.from_bytes(frame[:4], "big")
         msg = wire.unpack_body(body_of(frame))
-        assert (msg.kind, msg.seq, msg.src, msg.dst, msg.op, msg.nbytes) == (
-            wire.REPLY, seq, name, "dst", "op", len(frame)
-        )
+        assert (msg.kind, msg.seq, msg.target, msg.op, msg.kwargs,
+                msg.nbytes) == (kind, seq, "", "", {}, len(frame))
         assert same(msg.payload, value)
+
+    @given(names, names, st.lists(values, max_size=4), kwargs_dicts,
+           st.sampled_from([wire.REQUEST, wire.COMPOUND]))
+    @settings(max_examples=150, deadline=None)
+    def test_request_frames(self, target, op, args, kwargs, kind):
+        frame = wire.pack_frame(kind, 9, target, op, args, kwargs)
+        msg = wire.unpack_body(body_of(frame))
+        assert (msg.kind, msg.seq, msg.target, msg.op, msg.nbytes) == (
+            kind, 9, target, op, len(frame)
+        )
+        assert same(msg.payload, args) and same(msg.kwargs, kwargs)
+
+    @given(attributes)
+    def test_every_registered_struct(self, attrs):
+        wire.encode_value(attrs)  # the builtin structs register lazily
+        assert sorted(wire._STRUCTS) == ["FileAttributes"]
+        back = wire.decode_value(wire.encode_value(attrs))
+        assert back == attrs and type(back.ftype) is FileType
+
+    def test_kwargs_add_exactly_the_dict_bytes(self):
+        kwargs = {"offset": 8192, "flags": ["x"]}
+        bare = wire.pack_frame(wire.REQUEST, 7, "fs", "pread", REQUEST_ARGS)
+        empty = wire.pack_frame(wire.REQUEST, 7, "fs", "pread", REQUEST_ARGS, {})
+        full = wire.pack_frame(wire.REQUEST, 7, "fs", "pread", REQUEST_ARGS, kwargs)
+        assert bare == empty
+        assert full[4:] == bare[4:] + wire.encode_value(kwargs)
+        assert wire.unpack_body(body_of(full)).kwargs == kwargs
+
+    def test_names_are_at_most_255_bytes(self):
+        wire.pack_frame(wire.REQUEST, 1, "t" * 255, "é" * 127, [])
+        for target, op in (("t" * 256, "op"), ("fs", "o" * 256),
+                           ("fs", "é" * 128)):
+            with pytest.raises(wire.WireEncodeError):
+                wire.pack_frame(wire.REQUEST, 1, target, op, [])
+
+    def test_names_are_encoded_once_and_the_cache_is_bounded(self):
+        wire._names.cache_clear()
+        frames = {bytes(wire.pack_frame(wire.REQUEST, 1, "fs", "stat", ["a"]))
+                  for _ in range(3)}
+        info = wire._names.cache_info()
+        assert len(frames) == 1 and (info.misses, info.hits) == (1, 2)
+        for index in range(info.maxsize + 10):
+            wire.pack_frame(wire.REQUEST, 1, "fs", f"op{index}", [])
+        assert wire._names.cache_info().currsize == info.maxsize
 
     @given(exceptions())
     @settings(max_examples=100, deadline=None)
@@ -130,41 +191,44 @@ class TestRoundTrip:
 
         assert wire.decode_value(wire.encode_value(Blob(b"xy"))) == b"xy"
         assert wire.decode_value(wire.encode_value(FileType.DIRECTORY)) == 2
+        assert wire.decode_value(wire.encode_value([FileType.REGULAR])) == [1]
         with pytest.raises(wire.WireEncodeError):
             wire.encode_value({"set": {1, 2}})
 
     def test_decoded_payload_does_not_alias_the_buffer(self):
-        frame = wire.pack_frame(wire.REPLY, 1, "a", "b", "op", [b"data", "s"])
+        frame = wire.pack_frame(wire.REQUEST, 1, "a", "op", [b"data", "s"],
+                                {"k": b"v"})
         msg = wire.unpack_body(body_of(frame))
         frame[:] = bytes(len(frame))  # the receive buffer is reused
-        assert msg.payload == [b"data", "s"] and msg.src == "a"
+        assert msg.payload == [b"data", "s"] and msg.kwargs == {"k": b"v"}
+        assert (msg.target, msg.op) == ("a", "op")
 
 
 class TestGoldenBytes:
-    """The format did not move: these literals are what the previous
-    (stream-based, if-chain) codec produced for the same inputs."""
+    """Format v2, byte for byte.  ``tests/golden/wire_v2_frames.txt``
+    holds the frames a client and server exchange; CI's
+    ``benchmarks/check_golden_drift.py`` prints the diff when it moves."""
 
     def test_request(self):
-        frame = wire.pack_frame(
-            wire.REQUEST, 7, "client", "server", "pread", REQUEST_PAYLOAD
-        )
+        frame = wire.pack_frame(wire.REQUEST, 7, "fs", "pread", REQUEST_ARGS)
         assert frame.hex() == (
-            "0000006c53570101000000070006636c69656e74000673657276657200057072"
-            "6561640a0000000300000006746172676574060000000266730000000461726773"
-            "0800000003030000000000000003030000000000001000030000000000002000"
-            "000000066b77617267730a00000000"
+            "0000003153570201000000070205667370726561640800000003030000000000"
+            "000003030000000000001000030000000000002000"
         )
 
     def test_file_attributes_reply(self):
-        frame = wire.pack_frame(wire.REPLY, 7, "server", "client", "fstat", ATTRS)
+        frame = reply(ATTRS, seq=7)
         assert frame.hex() == (
-            "000000ab535701020000000700067365727665720006636c69656e7400056673"
-            "7461740b0000000e46696c65417474726962757465730a000000060000000473"
-            "697a6503000000000000004d000000086174696d655f75730300000000000000"
-            "01000000086d74696d655f7573030000000000000002000000086374696d655f"
-            "7573030000000000000003000000056674797065030000000000000002000000"
-            "056e6c696e6b030000000000000002"
+            "00000058535702020000000700000b0000000e46696c65417474726962757465"
+            "73080000000603000000000000004d0300000000000000010300000000000000"
+            "02030000000000000003030000000000000002030000000000000002"
         )
+
+    def test_committed_frames(self):
+        from benchmarks.check_golden_drift import wire_v2_frames
+
+        golden = pathlib.Path(__file__).parent / "golden" / "wire_v2_frames.txt"
+        assert wire_v2_frames() == golden.read_text()
 
 
 # --- hostile input ----------------------------------------------------------
@@ -181,7 +245,7 @@ class TestHostileInput:
     @settings(max_examples=300, deadline=None)
     def test_arbitrary_bytes(self, junk):
         header = bytes(body_of(
-            wire.pack_frame(wire.REQUEST, 1, "a", "b", "op", None)
+            wire.pack_frame(wire.REQUEST, 1, "a", "op", None)
         ))[:-1]
         for data in (junk, memoryview(junk)):
             only_wire_error(wire.decode_value, data)
@@ -192,7 +256,7 @@ class TestHostileInput:
     @settings(max_examples=150, deadline=None)
     def test_corrupted_valid_frames(self, value, data):
         body = bytearray(body_of(
-            wire.pack_frame(wire.REPLY, 1, "src", "dst", "op", value)
+            wire.pack_frame(wire.REQUEST, 1, "fs", "op", [value], {"k": value})
         ))
         at = data.draw(st.integers(0, len(body) - 1))
         body[at] = data.draw(st.integers(0, 255))
@@ -200,25 +264,32 @@ class TestHostileInput:
         only_wire_error(wire.unpack_body, memoryview(body))
 
     @pytest.mark.parametrize("payload", [
-        REQUEST_PAYLOAD, ATTRS, UnixError("ENOENT", "gone"), -(2**70),
+        REQUEST_ARGS, ATTRS, UnixError("ENOENT", "gone"), -(2**70),
         [("a", 1.5, None, True)], b"\x00" * 40,
     ])
     def test_every_truncation(self, payload):
-        body = bytes(body_of(
-            wire.pack_frame(wire.REPLY, 1, "src", "dst", "op", payload)
-        ))
         value = wire.encode_value(payload)
-        for cut in range(len(body)):
-            with pytest.raises(wire.WireError):
-                wire.unpack_body(memoryview(body)[:cut])
         for cut in range(len(value)):
             with pytest.raises(wire.WireError):
                 wire.decode_value(value[:cut])
+        body = bytes(body_of(reply(payload)))
+        for cut in range(len(body)):
+            with pytest.raises(wire.WireError):
+                wire.unpack_body(memoryview(body)[:cut])
+        # As a request: the cut that leaves exactly the args is a whole
+        # frame (kwargs are optional); every other one is an error.
+        request = bytes(body_of(
+            wire.pack_frame(wire.REQUEST, 1, "fs", "op", [payload], {"k": payload})
+        ))
+        whole = len(body_of(wire.pack_frame(wire.REQUEST, 1, "fs", "op", [payload])))
+        for cut in set(range(len(request))) - {whole}:
+            with pytest.raises(wire.WireError):
+                wire.unpack_body(memoryview(request)[:cut])
+        assert wire.unpack_body(request[:whole]).kwargs == {}
 
     @pytest.mark.parametrize("body", [
-        b"SW\x01\x01\x00\x00\x00\x01\x00\x02\xff\xfe\x00\x00\x00\x00\x00",
-        b"SW\x01\x01\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00"
-        b"\x06\x00\x00\x00\x02\xc3\x28",
+        raw_body(b"\x00", target=b"\xff\xfe"),
+        raw_body(b"\x06\x00\x00\x00\x02\xc3\x28"),
     ], ids=["header", "string-value"])
     def test_invalid_utf8_is_a_wire_error(self, body):
         with pytest.raises(wire.WireError):
@@ -231,7 +302,11 @@ class TestHostileInput:
         name = wire.encode_value("FileAttributes")[1:]
         for data in (
             bytes([0x0B]) + name + wire.encode_value({"size": 1}),
+            bytes([0x0B]) + name + wire.encode_value((1, 2, 3, 4, 1, 1)),
             bytes([0x0B]) + name + wire.encode_value([1, 2]),
+            bytes([0x0B]) + name + wire.encode_value([1, 2, 3, 4, 1, 1, 0]),
+            bytes([0x0B]) + name + wire.encode_value([1, 2, 3, 4, 9, 1]),
+            bytes([0x0B]) + name + wire.encode_value(["a", 2, 3, 4, None, 1]),
             bytes([0x0B]) + wire.encode_value("NoSuchStruct")[1:] + b"\x00",
             tagged(0x0C, {"type": "UnixError", "message": 5}),
             tagged(0x0C, {"message": "no type"}),
@@ -239,6 +314,31 @@ class TestHostileInput:
         ):
             with pytest.raises(wire.WireError):
                 wire.decode_value(data)
+
+    def test_other_versions_are_refused(self):
+        v1 = (b"SW\x01\x01\x00\x00\x00\x07\x00\x06client\x00\x06server"
+              b"\x00\x04stat\x00")
+        for body in (v1, raw_body(b"\x00", version=1), raw_body(b"\x00", version=3)):
+            with pytest.raises(wire.WireError, match="unsupported wire version"):
+                wire.unpack_body(body)
+        with pytest.raises(wire.WireError, match="version 1"):
+            wire.unpack_body(v1)
+
+    def test_wrong_shaped_envelopes_raise_only_wire_errors(self):
+        args = wire.encode_value([1])
+        # Shapes the codec passes on for the server to refuse ...
+        assert wire.unpack_body(raw_body(args, wire.encode_value("s"))).kwargs == "s"
+        assert wire.unpack_body(raw_body(b"\x00")).payload is None
+        # ... and ones that are not a frame at all.
+        for body in (
+            raw_body(args, wire.encode_value({}), b"\x00"),  # a third value
+            raw_body(args, args, kind=wire.REPLY),           # a reply has one
+            raw_body(args, b"\xfe"),
+            raw_body(),
+            raw_body(args)[:11],                             # names cut short
+        ):
+            with pytest.raises(wire.WireError):
+                wire.unpack_body(body)
 
     def test_nesting_bomb(self):
         with pytest.raises(wire.WireError):
@@ -268,7 +368,7 @@ def feed(frames, data, chunk=None):
 
 
 def frame_of(payload, seq=1):
-    return bytes(wire.pack_frame(wire.REPLY, seq, "s", "c", "op", payload))
+    return bytes(reply(payload, seq))
 
 
 class TestFrameBuffer:
@@ -325,7 +425,7 @@ class TestCopyBudget:
         payload = bytes(range(256)) * 4096
         tracemalloc.start()
         try:
-            frame = wire.pack_frame(wire.REPLY, 1, "s", "c", "read_file", payload)
+            frame = reply(payload)
             msg = wire.unpack_body(body_of(frame))
             _, peak = tracemalloc.get_traced_memory()
         finally:
