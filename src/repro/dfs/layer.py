@@ -176,27 +176,12 @@ class ShardedDfsLayer(BaseLayer):
         super().stack_on(underlying, config)
 
     # ------------------------------------------------------ recovered pages
-    def push_recovered(self, state, recovered: Dict[int, bytes]) -> None:
+    def push_run(self, state, offset: int, chunks: list) -> None:
         """Dirty pages recalled from upstream holders go to the shards
-        (the base class would push them down the metadata channel)."""
-        if not recovered:
-            return
-        run: list = []
-        for index, data in sorted(recovered.items()):
-            if run and index != run[-1][0] + 1:
-                self._push_shard_run(state, run)
-            run.append((index, data))
-        self._push_shard_run(state, run)
-
-    def _push_shard_run(self, state, run: list) -> None:
-        if not run:
-            return
-        data = b"".join(bytes(chunk) for _, chunk in run)
-        offset = run[0][0] * PAGE_SIZE
-        # Like page_out: recalled dirty pages are whole pages and must
-        # not grow an unaligned file's length.
-        self.shard_write(state, offset, data)
-        run.clear()
+        (the base class would push them down the metadata channel).
+        Like page_out: recalled dirty pages are whole pages and must not
+        grow an unaligned file's length."""
+        self.shard_write(state, offset, b"".join(chunks))
 
     def note_written(self, state, end: int) -> None:
         """A byte-precise write reached ``end``; grow the (metadata)
@@ -212,9 +197,7 @@ class ShardedDfsLayer(BaseLayer):
 
     def file_read(self, state, offset: int, size: int) -> bytes:
         self.world.charge.fs_read_cpu()
-        with self.fanout_region():
-            recovered = state.holders.collect_latest(offset, size)
-        self.push_recovered(state, recovered)
+        self.recall(state, offset, size)
         length = state.length
         if offset >= length or size <= 0:
             return b""
@@ -222,11 +205,7 @@ class ShardedDfsLayer(BaseLayer):
 
     def file_write(self, state, offset: int, data: bytes) -> int:
         self.world.charge.fs_write_cpu()
-        with self.fanout_region():
-            recovered = state.holders.acquire(
-                None, offset, len(data), AccessRights.READ_WRITE
-            )
-        self.push_recovered(state, recovered)
+        self.recall(state, offset, len(data), AccessRights.READ_WRITE)
         self.shard_write(state, offset, data)
         self.note_written(state, offset + len(data))
         return len(data)
@@ -246,9 +225,7 @@ class ShardedDfsLayer(BaseLayer):
             self.shard_write(state, length, bytes(pad))
 
     def file_sync(self, state) -> None:
-        with self.fanout_region():
-            recovered = state.holders.collect_latest(0, WHOLE_FILE)
-        self.push_recovered(state, recovered)
+        self.recall(state, 0, WHOLE_FILE)
         state.under_file.sync()
 
     # --------------------------------------------------------- sharded read

@@ -85,9 +85,6 @@ class NameNodeService(SpringObject):
     def register_datanode(self, name: str, service: DataNodeService) -> None:
         self._datanodes[name] = DataNodeEntry(name, service)
 
-    def datanode_count(self) -> int:
-        return len(self._datanodes)
-
     def _live(self) -> List[DataNodeEntry]:
         return [e for e in self._datanodes.values() if e.alive]
 

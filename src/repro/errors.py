@@ -39,15 +39,6 @@ class RevokedObjectError(InvocationError):
     """The target object's server has destroyed or revoked the object."""
 
 
-class NoCurrentDomainError(InvocationError):
-    """An operation was invoked with no active calling domain.
-
-    All Spring invocations happen on behalf of some domain; tests and
-    examples enter one with ``with domain.activate():`` or via
-    :meth:`repro.world.World.user_domain`.
-    """
-
-
 class NarrowError(SpringError):
     """An object could not be narrowed to the requested interface."""
 
@@ -78,10 +69,6 @@ class PermissionDeniedError(SpringError):
 
 class VmError(SpringError):
     """Base class for virtual-memory errors."""
-
-
-class BindError(VmError):
-    """A bind() on a memory object failed."""
 
 
 class ChannelClosedError(VmError):

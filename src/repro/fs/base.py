@@ -26,11 +26,16 @@ claim made concrete.  It provides:
   (plus ``<layer>.<op>.bytes`` when data moves) and, when tracing is on,
   emits a ``layer`` trace span carrying the layer name, stack depth, and
   range;
-* generic per-file state (:class:`LayerFileState`), file/directory
-  wrappers (:class:`LayerFile`, :class:`ForwardingFile`,
-  :class:`LayerDirectory`) and a generic naming face on
-  :class:`BaseLayer`, so a transparent pass-through layer is just a
-  ``fs_type`` away (see ``nullfs.py``).
+* generic per-file state (:class:`LayerFileState`), file wrappers
+  (:class:`LayerFile`, :class:`ForwardingFile`) and the naming face
+  (:class:`LayerNaming`), written once and run both on the layer root
+  and on its :class:`LayerDirectory` handles, so a transparent
+  pass-through layer is just a ``fs_type`` away (see ``nullfs.py``);
+* the cache manager's file protocol — recall from the holders above,
+  merge, then act (:meth:`BaseLayer.recall`,
+  :meth:`BaseLayer.recall_for_shrink`, :meth:`BaseLayer.push_recovered`,
+  :func:`split_pages`) — so a layer's ``file_*`` hooks say only what the
+  layer does with the data.
 """
 
 from __future__ import annotations
@@ -46,17 +51,18 @@ from repro.ipc.compound import compound_region
 from repro.ipc.invocation import operation
 from repro.ipc.narrow import narrow
 from repro.naming.context import NamingContext
-from repro.types import PAGE_SIZE, AccessRights
+from repro.types import PAGE_SIZE, AccessRights, page_range
 from repro.vm.cache_object import FsCache
 from repro.vm.channel import BindResult, CacheRights, Channel
 from repro.vm.memory_object import CacheManager
+from repro.vm.page import index_runs
 from repro.vm.pager_object import FsPager, PagerObject
 from repro.vm.pager_base import ChannelRegistry
 
 from repro.fs.attributes import FileAttributes
 from repro.fs.file import File
 from repro.fs.fs_interfaces import StackableFs
-from repro.fs.holders import make_holder_table
+from repro.fs.holders import WHOLE_FILE, make_holder_table
 
 #: Channel operations dispatched through the spine, pager side then
 #: cache side.  ``write_out``/``sync`` (and their ranged forms) are the
@@ -86,9 +92,14 @@ CACHE_OPS: Tuple[str, ...] = (
     "write_back_attributes",
 )
 
-#: Everything a holder table may cover; "the rest of the file" for
-#: invalidations.
-WHOLE_FILE = 2**62
+
+def split_pages(offset: int, size: int, data) -> Dict[int, bytes]:
+    """A channel op's ``offset, size, data`` as ``{page index: chunk}`` —
+    the form holder recalls come back in and ``merge_recovered`` takes."""
+    return {
+        index: data[i * PAGE_SIZE : (i + 1) * PAGE_SIZE]
+        for i, index in enumerate(page_range(offset, size))
+    }
 
 
 def _pages_bytes(pages: Optional[Dict[int, bytes]]) -> int:
@@ -272,10 +283,9 @@ class ChannelOps:
         return max(0, min(max_size, max(min_size, self.data_length(state) - offset)))
 
     def merge_recovered(self, state, recovered: Dict[int, bytes]) -> None:
-        """Dispose of dirty pages recalled from upstream holders.  The
-        pass-through pushes them straight below; caching layers install
-        them instead."""
-        self.layer.push_recovered(state, recovered)
+        """Dispose of dirty pages recalled from upstream holders (the
+        layer's :meth:`BaseLayer.merge_recovered`)."""
+        self.layer.merge_recovered(state, recovered)
 
     def writeback_bookkeeping(
         self, state, requester: Optional[Channel], offset: int, size: int, retain
@@ -747,57 +757,78 @@ class ForwardingFile(LayerFile):
         self.state.under_file.sync()
 
 
-class LayerDirectory(NamingContext):
-    """Generic directory wrapper: resolution returns wrapped objects,
-    mutation forwards below (purging layer state on unlink)."""
+class LayerNaming(NamingContext):
+    """A layer's naming face, written once.
 
-    def __init__(self, layer: "BaseLayer", under_context: NamingContext) -> None:
-        super().__init__(layer.domain)
-        self.layer = layer
-        self.under_context = under_context
+    The naming operations of a stacked layer run on two kinds of object:
+    the layer root — a layer root *is* a directory of that layer, the
+    one wrapping the root of the file system below — and the
+    :class:`LayerDirectory` handles the layer gives out for everything
+    deeper.  Both carry ``layer`` (on the root, the root itself) and
+    ``under`` (the context the directory wraps), and the bodies use
+    nothing else: resolution returns wrapped objects, mutation forwards
+    below.  A layer that changes one operation overrides the hook behind
+    it (``wrap_resolved``, ``unbind_in``) and so changes it in both
+    places.
+    """
 
     @operation
     def resolve(self, name: str) -> object:
-        return self.layer.wrap_resolved(self.under_context.resolve(name))
+        return self.layer.wrap_resolved(self.under.resolve(name))
 
     @operation
     def bind(self, name: str, obj: object) -> None:
-        self.under_context.bind(name, obj)
+        self.under.bind(name, obj)
 
     @operation
     def unbind(self, name: str) -> object:
-        self.layer.purge_named(self.under_context, name)
-        return self.under_context.unbind(name)
+        return self.layer.unbind_in(self.under, name)
 
     @operation
     def rebind(self, name: str, obj: object) -> object:
-        return self.under_context.rebind(name, obj)
+        return self.under.rebind(name, obj)
 
     @operation
     def list_bindings(self):
+        wrap = self.layer.wrap_resolved
         return [
-            (name, self.layer.wrap_resolved(obj, charge_open=False))
-            for name, obj in self.under_context.list_bindings()
+            (name, wrap(obj, charge_open=False))
+            for name, obj in self.under.list_bindings()
         ]
 
     @operation
     def create_file(self, name: str) -> File:
-        return self.layer.wrap_resolved(self.under_context.create_file(name))
+        return self.layer.wrap_resolved(self.under.create_file(name))
 
     @operation
     def create_dir(self, name: str) -> "LayerDirectory":
-        return type(self)(self.layer, self.under_context.create_dir(name))
+        layer = self.layer
+        return layer.directory_class(layer, self.under.create_dir(name))
 
     @operation
     def rename(self, old_name: str, new_name: str) -> None:
-        self.under_context.rename(old_name, new_name)
+        self.under.rename(old_name, new_name)
 
 
-class BaseLayer(StackableFs, CacheManager, abc.ABC):
+class LayerDirectory(LayerNaming):
+    """A directory of ``layer`` below its root, wrapping the context
+    ``under`` of the file system below."""
+
+    def __init__(self, layer: "BaseLayer", under: NamingContext) -> None:
+        super().__init__(layer.domain)
+        self.layer = layer
+        #: ``under_context`` is the name
+        #: :meth:`~repro.naming.context.NamingContext.path_identity`
+        #: follows wrapped chains by.
+        self.under = self.under_context = under
+
+
+class BaseLayer(LayerNaming, StackableFs, CacheManager, abc.ABC):
     """Shared implementation base for every file system layer.
 
     A minimal pass-through layer overrides nothing but ``fs_type``; the
-    defaults give it a naming face that wraps resolved files in
+    defaults give it a naming face (:class:`LayerNaming`, with the layer
+    as the root directory) that wraps resolved files in
     :class:`ForwardingFile` handles, a :class:`ChannelOps` spine, and
     per-layer telemetry.  Transform layers customize three class
     attributes — ``ops_class``, ``file_class``, ``directory_class`` —
@@ -818,6 +849,8 @@ class BaseLayer(StackableFs, CacheManager, abc.ABC):
 
     def __init__(self, domain) -> None:
         super().__init__(domain)
+        #: The root is a directory of its own layer (:class:`LayerNaming`).
+        self.layer = self
         self._under: List[StackableFs] = []
         #: Pager side: channels where *we* are the pager.
         self.channels = ChannelRegistry()
@@ -1040,9 +1073,13 @@ class BaseLayer(StackableFs, CacheManager, abc.ABC):
     def _state_for(self, under_file: File) -> Any:
         state = self._states.get(under_file.source_key)
         if state is None:
-            state = self.state_class(self, under_file)
-            self._states[state.under_key] = state
-            self._states_by_source[state.source_key] = state
+            state = self._adopt_state(self.state_class(self, under_file))
+        return state
+
+    def _adopt_state(self, state: Any) -> Any:
+        """Enter a new file state in both registries."""
+        self._states[state.under_key] = state
+        self._states_by_source[state.source_key] = state
         return state
 
     def state_by_source(self, source_key: Hashable) -> Any:
@@ -1070,33 +1107,71 @@ class BaseLayer(StackableFs, CacheManager, abc.ABC):
         state.purge()
 
     # ------------------------------------------------------- data movement
-    def push_recovered(self, state: Any, recovered: Dict[int, bytes]) -> None:
-        """Push dirty pages recalled from upstream holders to the layer
-        below, coalescing contiguous runs into single ranged calls."""
-        if not recovered:
-            return
-        self.ensure_down(state)
-        run: list = []  # contiguous (index, data) run, pushed as one call
-        for index, data in sorted(recovered.items()):
-            if run and index != run[-1][0] + 1:
-                self._push_run(state, run)
-            run.append((index, data))
-        self._push_run(state, run)
+    # The cache manager's half of every file operation: before this
+    # layer acts on a range, take back what the holders above have that
+    # it lacks (or may no longer keep), and fold that in.
+    def recall(
+        self,
+        state: Any,
+        offset: int,
+        size: int,
+        access: Optional[AccessRights] = None,
+    ) -> Dict[int, bytes]:
+        """Recall ``[offset, offset + size)`` from the upstream holders
+        and merge what comes back.  With no ``access`` the layer only
+        reads: holders keep their pages and hand over the latest copy.
+        With ``access`` the layer itself takes the range in that mode,
+        so conflicting holders flush and give it up.  Returns the
+        recalled pages (already merged)."""
+        with self.fanout_region():
+            if access is None:
+                recovered = state.holders.collect_latest(offset, size)
+            else:
+                recovered = state.holders.acquire(None, offset, size, access)
+        self.merge_recovered(state, recovered)
+        return recovered
 
-    def _push_run(self, state: Any, run: list) -> None:
-        if not run:
-            return
-        if len(run) == 1:
-            index, chunk = run[0]
-            state.down_channel.pager_object.page_out(
-                index * PAGE_SIZE, PAGE_SIZE, chunk
+    def recall_for_shrink(self, state: Any, length: int, old_length: int) -> None:
+        """The holders' side of a truncate from ``old_length`` down to
+        ``length``: recall the boundary page from any dirty holder (its
+        head, below the new length, survives), then invalidate
+        everything above the new length."""
+        with self.fanout_region():
+            if length % PAGE_SIZE:
+                boundary = length - length % PAGE_SIZE
+                self.merge_recovered(
+                    state,
+                    state.holders.acquire(
+                        None, boundary, PAGE_SIZE, AccessRights.READ_WRITE
+                    ),
+                )
+            state.holders.invalidate(length, old_length - length)
+
+    def merge_recovered(self, state: Any, recovered: Dict[int, bytes]) -> None:
+        """Dispose of dirty pages recalled from upstream holders.  A
+        layer with no cache of its own pushes them straight below;
+        caching layers install them instead."""
+        self.push_recovered(state, recovered)
+
+    def push_recovered(self, state: Any, recovered: Dict[int, bytes]) -> None:
+        """Push recalled pages toward storage, one :meth:`push_run` per
+        contiguous run."""
+        for start, count in index_runs(sorted(recovered)):
+            self.push_run(
+                state,
+                start * PAGE_SIZE,
+                [recovered[index] for index in range(start, start + count)],
             )
+
+    def push_run(self, state: Any, offset: int, chunks: List[bytes]) -> None:
+        """Where a run of recalled pages goes: down the channel, as one
+        (ranged, when longer than a page) page-out."""
+        pager = self.ops.down(state)
+        if len(chunks) == 1:
+            pager.page_out(offset, PAGE_SIZE, chunks[0])
         else:
-            data = b"".join(chunk for _, chunk in run)
-            state.down_channel.pager_object.page_out_range(
-                run[0][0] * PAGE_SIZE, len(data), data
-            )
-        run.clear()
+            data = b"".join(chunks)
+            pager.page_out_range(offset, len(data), data)
 
     def invalidate_upstream_attrs(
         self, state: Any, exclude: Optional[Channel] = None
@@ -1125,56 +1200,32 @@ class BaseLayer(StackableFs, CacheManager, abc.ABC):
             self._on_open(state, attrs)
             if charge_open:
                 return self.file_class(self, state)
-            handle = object.__new__(self.file_class)
-            File.__init__(handle, self.domain)
-            handle.layer = self
-            handle.state = state
-            handle.source_key = state.source_key
-            return handle
+            return self.listed_file(state)
         under_context = narrow(obj, NamingContext)
         if under_context is not None:
             return self.directory_class(self, under_context)
         return obj
 
+    def listed_file(self, state: Any) -> File:
+        """The handle a listing returns for ``state``'s file: what an
+        open returns, built without the open-state charge that
+        ``file_class.__init__`` makes."""
+        handle = object.__new__(self.file_class)
+        File.__init__(handle, self.domain)
+        handle.layer = self
+        handle.state = state
+        handle.source_key = state.source_key
+        return handle
+
+    def unbind_in(self, under_context: NamingContext, name: str) -> object:
+        """Hook behind ``unbind`` on the root and on every directory:
+        purge this layer's state for the file, then unlink below."""
+        self.purge_named(under_context, name)
+        return under_context.unbind(name)
+
     def _on_open(self, state: Any, attrs: Optional[FileAttributes]) -> None:
         """Hook: a handle is being created; ``attrs`` carries the
         open-time attribute fetch when one was paid for."""
-
-    @operation
-    def resolve(self, name: str) -> object:
-        return self.wrap_resolved(self.under.resolve(name))
-
-    @operation
-    def bind(self, name: str, obj: object) -> None:
-        self.under.bind(name, obj)
-
-    @operation
-    def unbind(self, name: str) -> object:
-        self.purge_named(self.under, name)
-        return self.under.unbind(name)
-
-    @operation
-    def rebind(self, name: str, obj: object) -> object:
-        return self.under.rebind(name, obj)
-
-    @operation
-    def list_bindings(self):
-        return [
-            (name, self.wrap_resolved(obj, charge_open=False))
-            for name, obj in self.under.list_bindings()
-        ]
-
-    @operation
-    def create_file(self, name: str) -> File:
-        return self.wrap_resolved(self.under.create_file(name))
-
-    @operation
-    def create_dir(self, name: str) -> NamingContext:
-        return self.directory_class(self, self.under.create_dir(name))
-
-    @operation
-    def rename(self, old_name: str, new_name: str) -> None:
-        self.under.rename(old_name, new_name)
 
     # ------------------------------------------------------------ file hooks
     # Defaults forward to the underlying file; transform layers override.

@@ -68,10 +68,6 @@ class CfsFileState(LayerFileState):
     def remote_file(self) -> File:
         return self.under_file
 
-    @property
-    def remote_key(self):
-        return self.under_key
-
 
 class CfsFile(LayerFile):
     """The locally implemented stand-in for a remote file."""
@@ -95,19 +91,15 @@ class CfsFile(LayerFile):
 class CfsContext(LayerDirectory):
     """Wraps a remote context so resolved files come back interposed."""
 
-    @property
-    def remote_context(self) -> NamingContext:
-        return self.under_context
-
     @operation
     def unbind(self, name: str) -> object:
         # No purge: interposed state belongs to the remote file, and the
         # remote side handles its own unlink hygiene.
-        return self.under_context.unbind(name)
+        return self.under.unbind(name)
 
     @operation
     def list_bindings(self):
-        return self.under_context.list_bindings()
+        return self.under.list_bindings()
 
 
 class CfsOps(ChannelOps):

@@ -48,6 +48,7 @@ from repro.fs.base import (
     LayerDirectory,
     LayerFile,
     LayerFileState,
+    split_pages,
 )
 from repro.fs.file import File
 
@@ -91,9 +92,6 @@ class CoherencyOps(ChannelOps):
         if channel is None:
             raise FsError("pager object does not belong to a live channel")
         return channel
-
-    def merge_recovered(self, state, recovered: Dict[int, bytes]) -> None:
-        self.layer._merge_recovered(state, recovered)
 
     # ----------------------------------------------------------- pager side
     def page_in(self, source_key, pager_object, offset, size, access) -> bytes:
@@ -165,11 +163,7 @@ class CoherencyOps(ChannelOps):
                 requester, offset, size, AccessRights.READ_WRITE
             )
             self.merge_recovered(state, recovered)
-        pages = {
-            index: data[i * PAGE_SIZE : (i + 1) * PAGE_SIZE]
-            for i, index in enumerate(page_range(offset, size))
-        }
-        self.merge_recovered(state, pages)
+        self.merge_recovered(state, split_pages(offset, size, data))
 
     def attr_page_in(self, source_key, pager_object) -> FileAttributes:
         return self.layer._current_attrs(self.state(source_key)).copy()
@@ -233,10 +227,8 @@ class CoherencyOps(ChannelOps):
         state.store.zero_range(offset, size)
 
     def populate(self, state, offset, size, access, data) -> None:
-        for i, index in enumerate(page_range(offset, size)):
-            state.store.install(
-                index, data[i * PAGE_SIZE : (i + 1) * PAGE_SIZE], access
-            )
+        for index, chunk in split_pages(offset, size, data).items():
+            state.store.install(index, chunk, access)
 
     def destroy_cache(self, state) -> None:
         state.store.clear()
@@ -335,7 +327,7 @@ class CoherencyLayer(BaseLayer):
 
         return fault
 
-    def _merge_recovered(
+    def merge_recovered(
         self, state: CoherentFileState, recovered: Dict[int, bytes]
     ) -> None:
         """Fold data recalled from upstream holders into our cache as
@@ -428,9 +420,7 @@ class CoherencyLayer(BaseLayer):
         if offset >= attrs.size:
             return b""
         size = min(size, attrs.size - offset)
-        with self.fanout_region():
-            recovered = state.holders.collect_latest(offset, size)
-        self._merge_recovered(state, recovered)
+        recovered = self.recall(state, offset, size)
         if self.cache_enabled:
             data = state.store.read(
                 offset, size, self._fault_below(state, AccessRights.READ_ONLY)
@@ -476,11 +466,7 @@ class CoherencyLayer(BaseLayer):
 
     def file_write(self, state: CoherentFileState, offset: int, data: bytes) -> int:
         self.world.charge.fs_write_cpu()
-        with self.fanout_region():
-            recovered = state.holders.acquire(
-                None, offset, len(data), AccessRights.READ_WRITE
-            )
-        self._merge_recovered(state, recovered)
+        self.recall(state, offset, len(data), AccessRights.READ_WRITE)
         self.world.charge.memcpy(len(data))
         if self.cache_enabled:
             state.store.write(
@@ -511,16 +497,7 @@ class CoherencyLayer(BaseLayer):
     def file_set_length(self, state: CoherentFileState, length: int) -> None:
         old = self._current_attrs(state).size
         if length < old:
-            with self.fanout_region():
-                if length % PAGE_SIZE:
-                    # Recover the boundary page from any dirty holder before
-                    # invalidating — its head (below the new length) survives.
-                    boundary = (length // PAGE_SIZE) * PAGE_SIZE
-                    recovered = state.holders.acquire(
-                        None, boundary, PAGE_SIZE, AccessRights.READ_WRITE
-                    )
-                    self._merge_recovered(state, recovered)
-                state.holders.invalidate(length, old - length)
+            self.recall_for_shrink(state, length, old)
             state.store.truncate_to(length)
         if self.cache_enabled:
             state.attrs.set_size(length)

@@ -44,11 +44,13 @@ from repro.vm.page import PageStore
 
 from repro.fs.attributes import FileAttributes
 from repro.fs.base import (
+    WHOLE_FILE,
     BaseLayer,
     ChannelOps,
     LayerDirectory,
     LayerFile,
     LayerFileState,
+    split_pages,
 )
 from repro.fs.file import File
 
@@ -119,9 +121,6 @@ class CompOps(ChannelOps):
     read-only, so cache-side flushes return nothing — any change to it
     just drops the derived plaintext."""
 
-    def merge_recovered(self, state, recovered: Dict[int, bytes]) -> None:
-        self.layer._merge(state, recovered)
-
     def page_in(self, source_key, pager_object, offset, size, access) -> bytes:
         layer = self.layer
         state = self.state(source_key)
@@ -156,10 +155,7 @@ class CompOps(ChannelOps):
             state, self.requester(source_key, pager_object), offset, size, retain
         )
         usable = min(size, max(0, state.plain_size - offset))
-        pages = {}
-        for i, index in enumerate(page_range(offset, usable)):
-            pages[index] = data[i * PAGE_SIZE : (i + 1) * PAGE_SIZE]
-        self.merge_recovered(state, pages)
+        self.merge_recovered(state, split_pages(offset, usable, data))
         if layer.coherent:
             layer._write_through(state)
 
@@ -306,9 +302,11 @@ class CompFs(BaseLayer):
         state.dirty = False
         # Our clients' caches are now potentially stale too.
         if state.holders.any_holder():
-            state.holders.invalidate(0, 2**62)
+            state.holders.invalidate(0, WHOLE_FILE)
 
-    def _merge(self, state: CompFileState, recovered: Dict[int, bytes]) -> None:
+    def merge_recovered(
+        self, state: CompFileState, recovered: Dict[int, bytes]
+    ) -> None:
         for index, data in recovered.items():
             state.plain.install(index, data, AccessRights.READ_WRITE, dirty=True)
             state.dirty = True
@@ -317,8 +315,7 @@ class CompFs(BaseLayer):
     def file_read(self, state: CompFileState, offset: int, size: int) -> bytes:
         self.world.charge.fs_read_cpu()
         self._ensure_loaded(state)
-        recovered = state.holders.collect_latest(offset, size)
-        self._merge(state, recovered)
+        self.recall(state, offset, size)
         if offset >= state.plain_size:
             return b""
         size = min(size, state.plain_size - offset)
@@ -329,10 +326,7 @@ class CompFs(BaseLayer):
     def file_write(self, state: CompFileState, offset: int, data: bytes) -> int:
         self.world.charge.fs_write_cpu()
         self._ensure_loaded(state)
-        recovered = state.holders.acquire(
-            None, offset, len(data), AccessRights.READ_WRITE
-        )
-        self._merge(state, recovered)
+        self.recall(state, offset, len(data), AccessRights.READ_WRITE)
         state.plain.write(offset, data, self._zero_fault(state))
         state.plain_size = max(state.plain_size, offset + len(data))
         state.dirty = True
@@ -348,13 +342,7 @@ class CompFs(BaseLayer):
     def file_set_length(self, state: CompFileState, length: int) -> None:
         self._ensure_loaded(state)
         if length < state.plain_size:
-            if length % PAGE_SIZE:
-                boundary = (length // PAGE_SIZE) * PAGE_SIZE
-                recovered = state.holders.acquire(
-                    None, boundary, PAGE_SIZE, AccessRights.READ_WRITE
-                )
-                self._merge(state, recovered)
-            state.holders.invalidate(length, state.plain_size - length)
+            self.recall_for_shrink(state, length, state.plain_size)
             state.plain.truncate_to(length)
         state.plain_size = length
         state.dirty = True

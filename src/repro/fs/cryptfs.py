@@ -33,6 +33,7 @@ from repro.fs.base import (
     LayerDirectory,
     LayerFile,
     LayerFileState,
+    split_pages,
 )
 from repro.fs.file import File
 
@@ -85,9 +86,6 @@ class CryptOps(ChannelOps):
 
     register_writers = False
 
-    def merge_recovered(self, state, recovered: Dict[int, bytes]) -> None:
-        self.layer._merge(state, recovered)
-
     def page_in(self, source_key, pager_object, offset, size, access) -> bytes:
         layer = self.layer
         state = self.state(source_key)
@@ -119,11 +117,7 @@ class CryptOps(ChannelOps):
         self.writeback_bookkeeping(
             state, self.requester(source_key, pager_object), offset, size, retain
         )
-        pages = {
-            index: data[i * PAGE_SIZE : (i + 1) * PAGE_SIZE]
-            for i, index in enumerate(page_range(offset, size))
-        }
-        self.merge_recovered(state, pages)
+        self.merge_recovered(state, split_pages(offset, size, data))
 
     def attr_write_out(self, source_key, pager_object, attrs) -> None:
         state = self.state(source_key)
@@ -257,8 +251,7 @@ class CryptFs(BaseLayer):
         if offset >= file_size:
             return b""
         size = min(size, file_size - offset)
-        recovered = state.holders.collect_latest(offset, size)
-        self._merge(state, recovered)
+        self.recall(state, offset, size)
         data = state.plain.read(
             offset, size, self._fault_decrypt(state, AccessRights.READ_ONLY)
         )
@@ -291,10 +284,7 @@ class CryptFs(BaseLayer):
 
     def file_write(self, state: CryptFileState, offset: int, data: bytes) -> int:
         self.world.charge.fs_write_cpu()
-        recovered = state.holders.acquire(
-            None, offset, len(data), AccessRights.READ_WRITE
-        )
-        self._merge(state, recovered)
+        self.recall(state, offset, len(data), AccessRights.READ_WRITE)
         end = offset + len(data)
         old = state.under_file.get_length()
         if end > old:
@@ -338,13 +328,7 @@ class CryptFs(BaseLayer):
     def file_set_length(self, state: CryptFileState, length: int) -> None:
         old = state.under_file.get_length()
         if length < old:
-            if length % PAGE_SIZE:
-                boundary = (length // PAGE_SIZE) * PAGE_SIZE
-                recovered = state.holders.acquire(
-                    None, boundary, PAGE_SIZE, AccessRights.READ_WRITE
-                )
-                self._merge(state, recovered)
-            state.holders.invalidate(length, old - length)
+            self.recall_for_shrink(state, length, old)
             state.plain.truncate_to(length)
             state.under_file.set_length(length)
         elif length > old:
@@ -358,7 +342,9 @@ class CryptFs(BaseLayer):
         for state in self._states.values():
             self._flush_range(state, 0, state.under_file.get_length())
 
-    def _merge(self, state: CryptFileState, recovered: Dict[int, bytes]) -> None:
+    def merge_recovered(
+        self, state: CryptFileState, recovered: Dict[int, bytes]
+    ) -> None:
         if not recovered:
             return
         for index, data in recovered.items():

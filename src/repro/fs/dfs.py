@@ -43,11 +43,13 @@ from repro.vm.memory_object import CacheManager
 
 from repro.fs.attributes import FileAttributes
 from repro.fs.base import (
+    WHOLE_FILE,
     BaseLayer,
     ChannelOps,
     LayerDirectory,
     LayerFile,
     LayerFileState,
+    LayerNaming,
 )
 from repro.fs.file import File
 
@@ -121,17 +123,34 @@ class DfsFile(LayerFile):
         )
 
 
-class DfsDirectory(LayerDirectory):
-    """Directory wrapper exporting DFS files (resolvable remotely)."""
+class DfsNaming(LayerNaming):
+    """The DFS naming face: the generic one plus the intent open, on the
+    layer root and on every directory alike."""
 
     @operation
-    def open_intent(self, name: str) -> "IntentOpenResult":
+    def open_intent(self, name: str) -> IntentOpenResult:
         """Lookup + access check + attribute fetch in one invocation
-        (one round trip for a remote client)."""
-        return self.layer._open_intent(self.under_context, name)
+        (one round trip for a remote client): the body runs entirely on
+        the server, where every sub-step is a local or cross-domain
+        call."""
+        layer = self.layer
+        under_file = narrow(self.under.resolve(name), File)
+        if under_file is None:
+            raise FsError(f"{name!r} is not a file")
+        under_file.check_access(AccessRights.READ_ONLY)
+        attrs = under_file.get_attributes()
+        layer.world.charge.fs_attr_copy()
+        layer.world.counters.inc("dfs.intent_open")
+        return IntentOpenResult(
+            DfsFile(layer, layer._state_for(under_file)), attrs
+        )
 
 
-class DfsLayer(BaseLayer):
+class DfsDirectory(DfsNaming, LayerDirectory):
+    """Directory wrapper exporting DFS files (resolvable remotely)."""
+
+
+class DfsLayer(DfsNaming, BaseLayer):
     """The DFS server layer; see module docstring."""
 
     max_under = 1
@@ -213,25 +232,6 @@ class DfsLayer(BaseLayer):
             file=str(state.under_key), epoch=node.epoch,
         )
 
-    @operation
-    def open_intent(self, name: str) -> IntentOpenResult:
-        """Lookup + access check + attribute fetch in one invocation
-        (one round trip for a remote client)."""
-        return self._open_intent(self.under, name)
-
-    def _open_intent(self, under_context, name: str) -> IntentOpenResult:
-        """Shared body of the intent-open operations: runs entirely on
-        the server, where every sub-step is a local or cross-domain call."""
-        obj = under_context.resolve(name)
-        under_file = narrow(obj, File)
-        if under_file is None:
-            raise FsError(f"{name!r} is not a file")
-        under_file.check_access(AccessRights.READ_ONLY)
-        attrs = under_file.get_attributes()
-        self.world.charge.fs_attr_copy()
-        self.world.counters.inc("dfs.intent_open")
-        return IntentOpenResult(DfsFile(self, self._state_for(under_file)), attrs)
-
     # ------------------------------------------------------------- file ops
     # DFS keeps no data cache of its own: reads and writes are served out
     # of the underlying file after recalling anything remote VMMs hold
@@ -240,25 +240,19 @@ class DfsLayer(BaseLayer):
     def file_read(self, state: DfsFileState, offset: int, size: int) -> bytes:
         self._ensure_recovered(state)
         self.world.charge.fs_read_cpu()
-        with self.fanout_region():
-            recovered = state.holders.collect_latest(offset, size)
-            self.push_recovered(state, recovered)
+        self.recall(state, offset, size)
         return state.under_file.read(offset, size)
 
     def file_write(self, state: DfsFileState, offset: int, data: bytes) -> int:
         self._ensure_recovered(state)
         self.world.charge.fs_write_cpu()
-        with self.fanout_region():
-            recovered = state.holders.acquire(
-                None, offset, len(data), AccessRights.READ_WRITE
-            )
-            self.push_recovered(state, recovered)
+        self.recall(state, offset, len(data), AccessRights.READ_WRITE)
         return state.under_file.write(offset, data)
 
     def file_set_length(self, state: DfsFileState, length: int) -> None:
         self._ensure_recovered(state)
         with self.fanout_region():
-            state.holders.invalidate(length, 2**62)
+            state.holders.invalidate(length, WHOLE_FILE)
         state.under_file.set_length(length)
 
 

@@ -20,6 +20,10 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.types import PAGE_SIZE, AccessRights, page_range
 from repro.vm.channel import Channel
 
+#: A size no file reaches: "the rest of the file" for invalidations, and
+#: the extent of the coarse protocol's whole-file coherency actions.
+WHOLE_FILE = 2**62
+
 
 class BlockHolderTable:
     """MRSW state for the blocks of one file across client channels.
@@ -245,10 +249,6 @@ class BlockHolderTable:
                 holders[oid] = (previous[0], AccessRights.READ_ONLY)
                 if previous[1].writable:
                     self._unref_writer(oid)
-
-
-#: "Whole file" for the coarse protocol's coherency actions.
-WHOLE_FILE = 2**62
 
 
 class WholeFileHolderTable:

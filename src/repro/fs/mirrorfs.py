@@ -10,163 +10,57 @@ Policy: writes and creates go to every replica; reads are served from
 the primary (first-stacked) replica, falling over to the secondary on a
 storage error.  ``scrub`` compares replicas and reports divergence —
 failure-injection tests drive both paths.
+
+In spine terms (:mod:`repro.fs.base`) it is an ordinary layer whose
+"file below" is a list: the per-file state carries every replica (the
+primary is its ``under_file``), the ``file_*`` hooks fan out or fail
+over, and the naming face (:class:`MirrorNaming`) does to each
+underlying context what the generic one does to its single one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional
+from typing import List, Optional
 
 from repro.errors import FsError, StorageError
 from repro.ipc.invocation import operation
 from repro.ipc.narrow import narrow
 from repro.naming.context import NamingContext
 from repro.types import AccessRights
-from repro.vm.channel import BindResult
-from repro.vm.memory_object import CacheManager
 
 from repro.fs.attributes import FileAttributes
-from repro.fs.base import BaseLayer
+from repro.fs.base import BaseLayer, LayerFile, LayerFileState
 from repro.fs.file import File
 
 
-class MirrorFileState:
+class MirrorFileState(LayerFileState):
+    """One mirrored file: ``under_file`` is the primary replica,
+    ``replicas`` all of them in stacking order."""
+
     def __init__(self, layer: "MirrorFs", replicas: List[File]) -> None:
-        self.layer = layer
+        super().__init__(layer, replicas[0])
         self.replicas = replicas
-        self.source_key: Hashable = (
-            "mirrorfs",
-            layer.oid,
-            tuple(r.source_key for r in replicas),
-        )
 
 
-class MirrorFile(File):
-    """An open handle to a mirrored file."""
-
-    def __init__(self, layer: "MirrorFs", state: MirrorFileState) -> None:
-        super().__init__(layer.domain)
-        self.layer = layer
-        self.state = state
-        self.source_key = state.source_key
-        layer.world.charge.fs_open_state()
-
-    @operation
-    def bind(
-        self,
-        cache_manager: CacheManager,
-        requested_access: AccessRights,
-        offset: int,
-        length: int,
-    ) -> BindResult:
-        if requested_access.writable:
-            raise FsError(
-                "mirrorfs supports read-only mappings; write through the "
-                "file interface so both replicas stay in step"
-            )
-        # Read-only mappings can share the primary replica's cache.
-        return self.state.replicas[0].bind(
-            cache_manager, requested_access, offset, length
-        )
-
-    @operation
-    def get_length(self) -> int:
-        return self.layer._primary_call(self.state, "get_length")
-
-    @operation
-    def set_length(self, length: int) -> None:
-        for replica in self.state.replicas:
-            replica.set_length(length)
-
-    @operation
-    def read(self, offset: int, size: int) -> bytes:
-        return self.layer.file_read(self.state, offset, size)
-
-    @operation
-    def write(self, offset: int, data: bytes) -> int:
-        return self.layer.file_write(self.state, offset, data)
-
-    @operation
-    def get_attributes(self) -> FileAttributes:
-        self.layer.world.charge.fs_attr_copy()
-        return self.layer._primary_call(self.state, "get_attributes")
-
-    @operation
-    def check_access(self, access: AccessRights) -> None:
-        self.layer.world.charge.fs_access_check()
-
-    @operation
-    def sync(self) -> None:
-        for replica in self.state.replicas:
-            replica.sync()
+class MirrorFile(LayerFile):
+    """An open handle to a mirrored file; every operation, ``bind``
+    included, is one of :class:`MirrorFs`'s hooks."""
 
 
-class MirrorDirectory(NamingContext):
-    def __init__(self, layer: "MirrorFs", under_contexts: List[NamingContext]):
-        super().__init__(layer.domain)
-        self.layer = layer
-        self.under_contexts = under_contexts
+def _each(targets: list, op: str, *args) -> list:
+    """Invoke ``op`` on every target — replica files, or the replicas'
+    contexts — in stacking order; returns every result."""
+    return [getattr(target, op)(*args) for target in targets]
+
+
+class MirrorNaming(NamingContext):
+    """MIRRORFS's naming face, written once: each operation runs against
+    every context in ``unders`` — the replicas' roots on the layer root,
+    the replicas' subdirectories on a :class:`MirrorDirectory`."""
 
     @operation
     def resolve(self, name: str) -> object:
-        return self.layer.wrap_resolved(
-            [context.resolve(name) for context in self.under_contexts]
-        )
-
-    @operation
-    def bind(self, name: str, obj: object) -> None:
-        raise FsError("mirrorfs directories hold files; use create_file")
-
-    @operation
-    def unbind(self, name: str) -> object:
-        results = [context.unbind(name) for context in self.under_contexts]
-        return results[0]
-
-    @operation
-    def rebind(self, name: str, obj: object) -> object:
-        raise FsError("mirrorfs does not support rebind")
-
-    @operation
-    def list_bindings(self):
-        return self.under_contexts[0].list_bindings()
-
-    @operation
-    def create_file(self, name: str) -> File:
-        return self.layer.wrap_resolved(
-            [context.create_file(name) for context in self.under_contexts]
-        )
-
-    @operation
-    def create_dir(self, name: str) -> "MirrorDirectory":
-        return MirrorDirectory(
-            self.layer,
-            [context.create_dir(name) for context in self.under_contexts],
-        )
-
-
-class MirrorFs(BaseLayer):
-    """Two-way (or N-way) mirroring layer."""
-
-    max_under = 2
-
-    def __init__(self, domain) -> None:
-        super().__init__(domain)
-        self._states: Dict[Hashable, MirrorFileState] = {}
-        self.failovers = 0
-
-    def fs_type(self) -> str:
-        return "mirrorfs"
-
-    def _require_replicas(self) -> List[object]:
-        if len(self._under) < 2:
-            raise FsError("mirrorfs needs stack_on() called for two replicas")
-        return self._under
-
-    # --- naming face -----------------------------------------------------
-    @operation
-    def resolve(self, name: str) -> object:
-        return self.wrap_resolved(
-            [under.resolve(name) for under in self._require_replicas()]
-        )
+        return self.layer.wrap_resolved(_each(self.unders, "resolve", name))
 
     @operation
     def bind(self, name: str, obj: object) -> None:
@@ -174,8 +68,7 @@ class MirrorFs(BaseLayer):
 
     @operation
     def unbind(self, name: str) -> object:
-        results = [under.unbind(name) for under in self._require_replicas()]
-        return results[0]
+        return _each(self.unders, "unbind", name)[0]
 
     @operation
     def rebind(self, name: str, obj: object) -> object:
@@ -183,37 +76,71 @@ class MirrorFs(BaseLayer):
 
     @operation
     def list_bindings(self):
-        return self._require_replicas()[0].list_bindings()
+        return self.unders[0].list_bindings()
 
     @operation
     def create_file(self, name: str) -> File:
-        return self.wrap_resolved(
-            [under.create_file(name) for under in self._require_replicas()]
-        )
+        return self.layer.wrap_resolved(_each(self.unders, "create_file", name))
 
     @operation
-    def create_dir(self, name: str) -> MirrorDirectory:
-        return MirrorDirectory(
-            self, [under.create_dir(name) for under in self._require_replicas()]
-        )
+    def create_dir(self, name: str) -> "MirrorDirectory":
+        return MirrorDirectory(self.layer, _each(self.unders, "create_dir", name))
+
+
+class MirrorDirectory(MirrorNaming):
+    def __init__(self, layer: "MirrorFs", unders: List[NamingContext]) -> None:
+        super().__init__(layer.domain)
+        self.layer = layer
+        self.unders = unders
+
+
+class MirrorFs(MirrorNaming, BaseLayer):
+    """Two-way (or N-way) mirroring layer."""
+
+    max_under = 2
+    file_class = MirrorFile
+
+    def __init__(self, domain) -> None:
+        super().__init__(domain)
+        self.failovers = 0
+
+    def fs_type(self) -> str:
+        return "mirrorfs"
+
+    def _make_holders(self):
+        return None  # binds go to the primary replica; nothing is held here
+
+    @property
+    def unders(self) -> List[NamingContext]:
+        """The root directory's contexts: the file systems stacked on."""
+        if len(self._under) < 2:
+            raise FsError("mirrorfs needs stack_on() called for two replicas")
+        return self._under
 
     def wrap_resolved(self, objs: List[object]) -> object:
         files = [narrow(obj, File) for obj in objs]
         if all(f is not None for f in files):
             for f in files:
                 f.check_access(AccessRights.READ_ONLY)
-            key = ("mirrorfs", self.oid, tuple(f.source_key for f in files))
-            state = self._states.get(key)
+            state = self._states.get(files[0].source_key)
             if state is None:
-                state = MirrorFileState(self, files)
-                self._states[key] = state
+                state = self._adopt_state(MirrorFileState(self, files))
             return MirrorFile(self, state)
         contexts = [narrow(obj, NamingContext) for obj in objs]
         if all(c is not None for c in contexts):
             return MirrorDirectory(self, contexts)
         raise FsError("replicas disagree about the object's type")
 
-    # --- data path ------------------------------------------------------------
+    # --- file hooks: fail over for reads, fan out for writes ------------------
+    def bind_file(self, state, cache_manager, requested_access, offset, length):
+        if requested_access.writable:
+            raise FsError(
+                "mirrorfs supports read-only mappings; write through the "
+                "file interface so both replicas stay in step"
+            )
+        # Read-only mappings can share the primary replica's cache.
+        return state.under_file.bind(cache_manager, requested_access, offset, length)
+
     def _primary_call(self, state: MirrorFileState, op: str, *args):
         """Invoke on the primary, failing over to later replicas on
         storage errors."""
@@ -228,16 +155,26 @@ class MirrorFs(BaseLayer):
                     self.world.counters.inc("mirrorfs.failover")
         raise FsError(f"all replicas failed: {last_error}")
 
+    def file_length(self, state: MirrorFileState) -> int:
+        return self._primary_call(state, "get_length")
+
+    def file_set_length(self, state: MirrorFileState, length: int) -> None:
+        _each(state.replicas, "set_length", length)
+
     def file_read(self, state: MirrorFileState, offset: int, size: int) -> bytes:
         self.world.charge.fs_read_cpu()
         return self._primary_call(state, "read", offset, size)
 
     def file_write(self, state: MirrorFileState, offset: int, data: bytes) -> int:
         self.world.charge.fs_write_cpu()
-        written = 0
-        for replica in state.replicas:
-            written = replica.write(offset, data)
-        return written
+        return _each(state.replicas, "write", offset, data)[-1]
+
+    def file_get_attributes(self, state: MirrorFileState) -> FileAttributes:
+        self.world.charge.fs_attr_copy()
+        return self._primary_call(state, "get_attributes")
+
+    def file_sync(self, state: MirrorFileState) -> None:
+        _each(state.replicas, "sync")
 
     # --- maintenance -----------------------------------------------------------
     @operation
@@ -245,7 +182,7 @@ class MirrorFs(BaseLayer):
         """Compare replicas of one file; returns a list of divergence
         descriptions (empty = replicas identical)."""
         problems: List[str] = []
-        replicas = [under.resolve(name) for under in self._require_replicas()]
+        replicas = _each(self.unders, "resolve", name)
         lengths = [r.get_length() for r in replicas]
         if len(set(lengths)) > 1:
             problems.append(f"length mismatch: {lengths}")
@@ -260,7 +197,7 @@ class MirrorFs(BaseLayer):
     @operation
     def repair(self, name: str) -> None:
         """Copy the primary replica's content over the others."""
-        replicas = [under.resolve(name) for under in self._require_replicas()]
+        replicas = _each(self.unders, "resolve", name)
         primary = replicas[0]
         size = primary.get_length()
         data = primary.read(0, size)
@@ -268,6 +205,3 @@ class MirrorFs(BaseLayer):
             replica.set_length(size)
             if size:
                 replica.write(0, data)
-
-    def _sync_impl(self) -> None:
-        pass

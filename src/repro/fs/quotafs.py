@@ -16,7 +16,9 @@ Accounting notes:
   (same reasoning as TransformFile denying mappings, sec. 5).
 
 As a layer it is the generic pass-through plus three interceptions on
-the file face (bind / write / set_length) and a refunding unlink.
+the file face (bind / write / set_length) and a refunding unlink — one
+override of the ``unbind_in`` hook, which the naming face runs on the
+root and on every directory.
 """
 
 from __future__ import annotations
@@ -68,9 +70,7 @@ class QuotaFile(ForwardingFile):
 
 
 class QuotaDirectory(LayerDirectory):
-    @operation
-    def unbind(self, name: str) -> object:
-        return self.layer.unbind_in(self.under_context, name)
+    """A pass-through directory; the refund is the layer's ``unbind_in``."""
 
 
 class QuotaFs(BaseLayer):
@@ -117,7 +117,3 @@ class QuotaFs(BaseLayer):
         result = context.unbind(name)
         self.charge_growth(-size)
         return result
-
-    @operation
-    def unbind(self, name: str) -> object:
-        return self.unbind_in(self.under, name)

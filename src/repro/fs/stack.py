@@ -58,16 +58,6 @@ def domains_of(top: StackableFs) -> List[str]:
     return seen
 
 
-def nodes_of(top: StackableFs) -> List[str]:
-    """Distinct nodes the stack's layers run on, top-down."""
-    seen: List[str] = []
-    for layer in stack_layers(top):
-        name = layer.domain.node.name
-        if name not in seen:
-            seen.append(name)
-    return seen
-
-
 def layer_op_breakdown(
     top: StackableFs,
 ) -> List[Tuple[str, int, Dict[str, Tuple[int, int]]]]:
@@ -140,15 +130,3 @@ def layer_busy_breakdown(
         util = busy / makespan_us if makespan_us > 0 else 0.0
         rows.append((layer.fs_type(), layer.runtime.depth, busy, util))
     return rows
-
-
-def remote_boundaries(top: StackableFs) -> int:
-    """Number of layer-to-layer edges in the stack that cross machines —
-    each one is a network round trip per uncompounded operation, which is
-    what the compound-invocation machinery batches away."""
-    count = 0
-    for layer in stack_layers(top):
-        for under in layer.under_layers():
-            if under.domain.node is not layer.domain.node:
-                count += 1
-    return count

@@ -197,9 +197,6 @@ class FaultPlane:
         self.applied: List[Tuple[str, float, str, str]] = []
 
     # --- event application -------------------------------------------------
-    def pending_events(self) -> int:
-        return len(self._pending) - self._next
-
     def _link(self, src: str, dst: str) -> _LinkEffects:
         effects = self._links.get((src, dst))
         if effects is None:

@@ -46,10 +46,6 @@ class BlockAllocator:
         self._last_group = 0
 
     # --- geometry ---------------------------------------------------------
-    @property
-    def group_count(self) -> int:
-        return len(self._groups)
-
     def _group_of(self, index: int) -> Optional[int]:
         """Group whose *data region* contains ``index`` (None if the
         block is metadata or out of range)."""
@@ -57,10 +53,6 @@ class BlockAllocator:
             if data_lo <= index < end:
                 return gi
         return None
-
-    def group_free(self, gi: int) -> int:
-        _start, data_lo, end = self._groups[gi]
-        return (end - data_lo) - self._group_used[gi]
 
     # --- persistence image -----------------------------------------------------
     def group_bitmap(self, gi: int, block_size: int) -> List[bytes]:

@@ -223,20 +223,11 @@ class BlockDevice(SpringObject):
         self._power_countdown = writes
         self._power_failed = False
 
-    def clear_power_failure(self) -> None:
-        self._power_countdown = None
-        self._power_failed = False
-
     # --- test/introspection helpers (not operations) -----------------------------
     def peek(self, index: int) -> bytes:
         """Raw block contents without latency or stats — test aid."""
         data = self.store.read(index)
         return data if data is not None else bytes(self.block_size)
-
-    def allocated_blocks(self) -> int:
-        """Blocks written through this store instance (for the memory
-        backend: exactly the blocks that exist)."""
-        return self.store.written_count()
 
 
 class RamDevice(BlockDevice):

@@ -77,11 +77,6 @@ class BlockStore:
         """Whether blocks survive the death of this process."""
         return False
 
-    def written_count(self) -> int:
-        """Blocks written through this store instance — a test and
-        capacity-reporting aid, not part of the durable state."""
-        raise NotImplementedError
-
 
 class MemoryBlockStore(BlockStore):
     """The classic in-memory backend: a dict of materialized blocks.
@@ -120,9 +115,6 @@ class MemoryBlockStore(BlockStore):
         for i in range(count):
             self._blocks[start + i] = bytes(data[i * bs : (i + 1) * bs])
 
-    def written_count(self) -> int:
-        return len(self._blocks)
-
 
 class ImageBlockStore(BlockStore):
     """A file-backed block array — the persistent half of the volume
@@ -134,15 +126,13 @@ class ImageBlockStore(BlockStore):
     ``file.write`` — no intermediate ``bytes()`` copy.
     """
 
-    __slots__ = ("num_blocks", "block_size", "path", "_file", "_written", "_closed")
+    __slots__ = ("num_blocks", "block_size", "path", "_file", "_closed")
 
     def __init__(self, path: str, file, num_blocks: int, block_size: int) -> None:
         self.path = path
         self._file = file
         self.num_blocks = num_blocks
         self.block_size = block_size
-        #: Blocks written through THIS handle (session-local aid).
-        self._written: set = set()
         self._closed = False
 
     # ------------------------------------------------------------- lifecycle
@@ -208,13 +198,11 @@ class ImageBlockStore(BlockStore):
         self._check_open()
         self._file.seek(self._offset(index))
         self._file.write(data)
-        self._written.add(index)
 
     def write_run(self, start: int, data) -> None:
         self._check_open()
         self._file.seek(self._offset(start))
         self._file.write(data)
-        self._written.update(range(start, start + len(data) // self.block_size))
 
     def flush(self) -> None:
         if not self._closed:
@@ -233,6 +221,3 @@ class ImageBlockStore(BlockStore):
     @property
     def persistent(self) -> bool:
         return True
-
-    def written_count(self) -> int:
-        return len(self._written)

@@ -74,10 +74,6 @@ class CylinderGroup:
     inode_count: int    # i-nodes owned by this group
     data_start: int     # first data block
 
-    @property
-    def data_blocks(self) -> int:
-        return self.end - self.data_start
-
 
 @dataclasses.dataclass
 class SuperBlock:

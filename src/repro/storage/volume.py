@@ -146,18 +146,11 @@ class Volume:
             [(g.start, g.data_start, g.end) for g in groups],
             bitmaps,
         )
-        per_block = sb.block_size // INODE_SIZE
         inodes: List[Inode] = [None] * sb.inode_count  # type: ignore[list-item]
         for group in groups:
             for block_index in range(group.inode_blocks):
                 raw = device.read_block(group.inode_start + block_index)
-                for slot in range(per_block):
-                    local = block_index * per_block + slot
-                    if local >= group.inode_count:
-                        break
-                    ino = group.ino_base + local
-                    if ino >= sb.inode_count:
-                        break
+                for slot, ino in enumerate(volume._table_block_inos(group, block_index)):
                     inodes[ino] = Inode.unpack(
                         ino, raw[slot * INODE_SIZE : (slot + 1) * INODE_SIZE]
                     )
@@ -505,7 +498,7 @@ class Volume:
             for file_block, device_block in self._mapped_blocks(inode):
                 if file_block >= keep_blocks:
                     self.allocator.free(device_block)
-                    self._clear_mapping(inode, file_block)
+                    self._set_mapping(inode, file_block, 0)
             # Zero the tail of a retained partial boundary block, so a
             # later extension reads zeros rather than resurrected bytes.
             within = length % bs
@@ -521,24 +514,10 @@ class Volume:
         inode.ctime_us = now
         self.mark_dirty(ino)
 
-    def _clear_mapping(self, inode: Inode, file_block: int) -> None:
-        ppb = self._pointers_per_block
-        if file_block < NUM_DIRECT:
-            inode.direct[file_block] = 0
-            self.mark_dirty(inode.ino)
-            return
-        file_block -= NUM_DIRECT
-        if file_block < ppb:
-            self._set_pointer(inode.indirect, file_block, 0)
-            return
-        file_block -= ppb
-        outer, inner = divmod(file_block, ppb)
-        level1 = self._pointer(inode.dbl_indirect, outer)
-        self._set_pointer(level1, inner, 0)
-
     def _set_mapping(self, inode: Inode, file_block: int, device_block: int) -> None:
-        """Point ``file_block`` at ``device_block`` (fsck's duplicate-
-        block repair; the indirect chain must already exist)."""
+        """Point ``file_block`` at ``device_block`` — 0 unmaps it
+        (truncate); fsck's duplicate-block repair remaps it.  The
+        indirect chain must already exist."""
         ppb = self._pointers_per_block
         if file_block < NUM_DIRECT:
             inode.direct[file_block] = device_block
@@ -666,12 +645,18 @@ class Volume:
         self._dentries.pop((src_dir, src_name), None)
         self._dentries[(dst_dir, dst_name)] = ino
 
-    def _free_inode(self, inode: Inode) -> None:
+    def _free_inode(self, inode: Inode, bitmap_may_lag: bool = False) -> None:
+        """Release an i-node and every block it owns.  Freeing a block
+        the bitmap does not have is an error — except from fsck
+        (``bitmap_may_lag``), which repairs exactly the post-crash
+        states where the bitmap never recorded an allocation."""
         assert self.allocator is not None
-        for _, device_block in self._mapped_blocks(inode):
-            self.allocator.free(device_block)
-        for meta_block in self._metadata_blocks(inode):
-            self.allocator.free(meta_block)
+        file_blocks = [block for _, block in self._mapped_blocks(inode)]
+        meta_blocks = self._metadata_blocks(inode)
+        for block in file_blocks + meta_blocks:
+            if not bitmap_may_lag or self.allocator.is_allocated(block):
+                self.allocator.free(block)
+        for meta_block in meta_blocks:
             self._meta.pop(meta_block, None)
             self._dirty_meta.discard(meta_block)
         inode.type = FileType.FREE
@@ -714,19 +699,12 @@ class Volume:
             written += 1
         self._dirty_meta.clear()
         # 3. The i-node table, one block at a time.
-        per_block = self.sb.block_size // INODE_SIZE
         dirty_table_blocks = sorted(
             {self._inode_table_block(ino) for ino in self._dirty_inodes}
         )
         for device_block, group, block_index in dirty_table_blocks:
             raw = bytearray(self.sb.block_size)
-            for slot in range(per_block):
-                local = block_index * per_block + slot
-                if local >= group.inode_count:
-                    break
-                ino = group.ino_base + local
-                if ino >= self.sb.inode_count:
-                    break
+            for slot, ino in enumerate(self._table_block_inos(group, block_index)):
                 raw[slot * INODE_SIZE : (slot + 1) * INODE_SIZE] = self._inodes[
                     ino
                 ].pack()
@@ -741,6 +719,19 @@ class Volume:
         group = self._groups[self.sb.group_of_ino(ino)]
         block_index = (ino - group.ino_base) // per_block
         return (group.inode_start + block_index, group, block_index)
+
+    def _table_block_inos(self, group, block_index: int) -> range:
+        """The i-nodes stored in block ``block_index`` of ``group``'s
+        table slice, in slot order — the one walk :meth:`mount` reads the
+        table by and :meth:`sync` writes it by."""
+        per_block = self.sb.block_size // INODE_SIZE
+        first = block_index * per_block
+        stop = min(
+            first + per_block,
+            group.inode_count,
+            self.sb.inode_count - group.ino_base,
+        )
+        return range(group.ino_base + first, group.ino_base + stop)
 
     def unmount(self) -> int:
         """Cleanly detach: flush all dirty metadata (ordered), then —
@@ -890,7 +881,7 @@ class Volume:
         #    their blocks go back to the free pool.
         for inode in orphans:
             inode.nlink = 0
-            self._free_inode_guarded(inode)
+            self._free_inode(inode, bitmap_may_lag=True)
         # 4. Free leaked blocks — after orphan release so a block both
         #    leaked and orphan-owned is freed exactly once.
         for block in leaked:
@@ -909,30 +900,3 @@ class Volume:
             self.mark_dirty(inode.ino)
         self.sync()
         self.was_clean = True
-
-    def _free_inode_guarded(self, inode: Inode) -> None:
-        """:meth:`_free_inode`, but tolerant of blocks the bitmap never
-        recorded — the post-crash states fsck repairs."""
-        assert self.allocator is not None
-        for _, device_block in self._mapped_blocks(inode):
-            if self.allocator.is_allocated(device_block):
-                self.allocator.free(device_block)
-        for meta_block in self._metadata_blocks(inode):
-            if self.allocator.is_allocated(meta_block):
-                self.allocator.free(meta_block)
-            self._meta.pop(meta_block, None)
-            self._dirty_meta.discard(meta_block)
-        inode.type = FileType.FREE
-        inode.size = 0
-        inode.direct = [0] * NUM_DIRECT
-        inode.indirect = 0
-        inode.dbl_indirect = 0
-        gi = self.sb.group_of_ino(inode.ino)
-        self._ino_free[gi] += 1
-        local = inode.ino - self._groups[gi].ino_base
-        if local < self._ino_hint[gi]:
-            self._ino_hint[gi] = local
-        self.mark_dirty(inode.ino)
-        stale = [key for key, value in self._dentries.items() if value == inode.ino]
-        for key in stale:
-            del self._dentries[key]

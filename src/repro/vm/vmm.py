@@ -558,9 +558,6 @@ class Vmm(CacheManager):
                     cache.store.drop(index)
         return len(victims)
 
-    def cache_for_rights(self, rights: CacheRights) -> Optional[VmCache]:
-        return self._caches_by_rights.get(rights.oid)
-
     def live_caches(self) -> List[VmCache]:
         return [c for c in self._caches_by_rights.values() if not c.destroyed]
 

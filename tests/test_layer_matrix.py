@@ -7,6 +7,8 @@ is implemented"."""
 import pytest
 
 from repro.bench.workloads import pattern_bytes
+from repro.errors import InvalidNameError
+from repro.fs.file import File
 from repro.fs.cfs import start_cfs
 from repro.fs.compfs import CompFs
 from repro.fs.cryptfs import CryptFs
@@ -16,6 +18,8 @@ from repro.fs.nullfs import NullFs
 from repro.fs.quotafs import QuotaFs
 from repro.fs.sfs import create_sfs
 from repro.ipc.domain import Credentials
+from repro.ipc.narrow import narrow
+from repro.naming.context import NamingContext
 from repro.storage.block_device import RamDevice
 from repro.types import PAGE_SIZE
 from repro.unix import O_CREAT, O_RDONLY, O_RDWR, Posix
@@ -133,3 +137,41 @@ class TestSameWorkloadEverywhere:
             fd = posix.open(f"f{i}.dat", O_RDONLY)
             assert posix.read(fd, 200) == pattern_bytes(100 + i, tag=i)
             posix.close(fd)
+
+    @pytest.mark.parametrize("bad", ["a/b", ""])
+    def test_bad_component_rejected_the_same_way(self, kind, bad):
+        """A binding name is one component: no layer — stacked or fused,
+        on its root or in a subdirectory — may create, remove or rename
+        to an entry that no ``resolve`` can reach."""
+        root, user = _stack(kind)
+        with user.activate():
+            sub = root.create_dir("d")
+            for directory in (root, sub):
+                directory.create_file("ok")
+                for op in (directory.create_file, directory.create_dir,
+                           directory.unbind):
+                    with pytest.raises(InvalidNameError):
+                        op(bad)
+                if kind != "mirrorfs":  # mirrorfs has no rename
+                    with pytest.raises(InvalidNameError):
+                        directory.rename("ok", bad)
+            assert [name for name, _ in root.list_bindings()] == ["d", "ok"]
+            assert [name for name, _ in sub.list_bindings()] == ["ok"]
+
+    def test_list_bindings_yields_objects(self, kind):
+        """``list_bindings`` returns ``(name, object)`` pairs — files and
+        contexts, not i-node numbers — on the root and below it."""
+        root, user = _stack(kind)
+        with user.activate():
+            sub = root.create_dir("d")
+            root.create_file("b")
+            sub.create_file("inner")
+            sub.create_dir("deeper")
+            for directory, expected in (
+                (root, {"b": File, "d": NamingContext}),
+                (sub, {"deeper": NamingContext, "inner": File}),
+            ):
+                listed = directory.list_bindings()
+                assert [name for name, _ in listed] == sorted(expected)
+                for name, obj in listed:
+                    assert narrow(obj, expected[name]) is not None, (name, obj)

@@ -102,3 +102,43 @@ class TestTransformLayerPurge:
             g = quota.create_file("b.dat")
             g.write(0, b"y" * (10 * PAGE_SIZE))
         assert quota.used_bytes == 10 * PAGE_SIZE
+
+
+class TestMonolithicPurge:
+    """The fused baseline keeps its file state in the runtime's two
+    registries (by i-node and by source key); unlink must empty both."""
+
+    @pytest.fixture
+    def mono(self, world, node, device):
+        return create_sfs(node, device, placement="not_stacked").top
+
+    def test_unlink_drops_state_from_both_registries(self, mono, user):
+        with user.activate():
+            sub = mono.create_dir("sub")
+            for i, directory in enumerate((mono, mono, mono, sub, sub)):
+                f = directory.create_file(f"f{i}.dat")
+                f.write(0, bytes([i]) * (2 * PAGE_SIZE))
+            assert len(mono._states) == len(mono._states_by_source) == 5
+            cached = [s.store for s in mono._states_by_source.values()]
+            assert sum(len(list(store.pages())) for store in cached) == 10
+            for i, directory in enumerate((mono, mono, mono, sub, sub)):
+                directory.unbind(f"f{i}.dat")
+        assert mono._states == {}
+        assert mono._states_by_source == {}
+        assert sum(len(list(store.pages())) for store in cached) == 0
+
+    def test_mapping_of_reused_inode_does_not_see_the_old_file(
+        self, mono, node, user
+    ):
+        from repro.types import AccessRights
+
+        with user.activate():
+            old = mono.create_file("old.dat")
+            old.write(0, b"A" * PAGE_SIZE)
+            aspace = node.vmm.create_address_space("t")
+            assert bytes(aspace.map(old, AccessRights.READ_ONLY).read(0, 4)) == b"AAAA"
+            mono.unbind("old.dat")
+            new = mono.create_file("new.dat")
+            assert new.source_key == old.source_key  # the i-node was reused
+            new.write(0, b"B" * PAGE_SIZE)
+            assert bytes(aspace.map(new, AccessRights.READ_ONLY).read(0, 4)) == b"BBBB"
