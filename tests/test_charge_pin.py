@@ -11,6 +11,17 @@ committed table.  The table was recorded at the commit before the
 naming face, the recall-then-act protocol and MirrorFs were folded into
 the runtime, so it is the referee for "no charge change".
 
+The knob sessions (``KNOB_SESSIONS``) add what no default-knob session
+reaches — sequential read-ahead at the VMM and the coherency layer
+(mapped and through ``File.read``, plain and through CRYPTFS), batched
+and unbatched write-back of a multi-run dirty mapping (``sync_all``,
+``VmCache.flush``, ``file_sync``), eviction of dirty pages under
+``capacity_pages``, a two-holder DFS recall whose pages go below as a
+one-page and a three-page run (``compound`` off and on), the window
+clamps of the uncached coherency layer and COMPFS, and CRYPTFS over a
+layer that refuses its channel.  They were recorded at the commit before the cache
+manager's half of the channel was folded into one per-source cache.
+
 Regenerate (only for a change that means to move a charge)::
 
     PYTHONPATH=src python -m tests.test_charge_pin
@@ -23,7 +34,13 @@ import pytest
 
 from repro.bench.workloads import pattern_bytes
 from repro.errors import FsError
+from repro.fs.cryptfs import CryptFs
+from repro.fs.dfs import export_dfs, mount_remote
+from repro.fs.sfs import create_sfs
+from repro.ipc.domain import Credentials
+from repro.storage.block_device import RamDevice
 from repro.types import PAGE_SIZE, AccessRights
+from repro.world import World
 
 from tests.test_layer_matrix import _stack
 
@@ -34,28 +51,38 @@ KINDS = [
 ]
 
 
-def _session(kind: str) -> dict:
-    """Run the pinned session; returns ``{step: snapshot}`` in order."""
-    root, user = _stack(kind)
-    world = user.world
-    table = {}
-    last = {}
+class _Pin:
+    """The table a session fills: after every step, what moved."""
 
-    def snap(step: str) -> None:
+    def __init__(self, world) -> None:
+        self.world = world
+        self.table = {}
+        self._last = {}
+
+    def snap(self, step: str) -> None:
         # Cumulative values, but only of what moved during the step.
+        world = self.world
         now = {
             "categories": world.clock.categories(),
             "charge_counts": world.clock.charge_counts(),
             "counters": world.counters.snapshot(),
         }
-        table[step] = {
+        self.table[step] = {
             group: {
                 key: value for key, value in sorted(values.items())
-                if last.get(group, {}).get(key) != value
+                if self._last.get(group, {}).get(key) != value
             }
             for group, values in now.items()
         }
-        last.update(now)
+        self._last.update(now)
+
+
+def _session(kind: str) -> dict:
+    """Run the pinned session; returns ``{step: snapshot}`` in order."""
+    root, user = _stack(kind)
+    pin = _Pin(user.world)
+    snap = pin.snap
+    table = pin.table
 
     payload = pattern_bytes(2 * PAGE_SIZE + 123, tag=3)
     renames = kind != "mirrorfs"  # mirrorfs has no rename
@@ -108,10 +135,225 @@ def _session(kind: str) -> dict:
     return table
 
 
-@pytest.mark.parametrize("kind", KINDS)
+
+def _cold_file(root, user, name: str, pages: int):
+    """A ``pages``-page file written through ``root`` and synced, with
+    every layer cache between ``root`` and the disk dropped."""
+    with user.activate():
+        f = root.create_file(name)
+        f.write(0, pattern_bytes(pages * PAGE_SIZE, tag=5))
+        f.sync()
+        root.sync_fs()
+    layer = root
+    while True:
+        for state in layer._states.values():
+            for attr in ("store", "plain"):
+                if hasattr(state, attr):
+                    getattr(state, attr).clear()
+            if hasattr(state, "streams"):
+                state.streams.reset()
+            if hasattr(state, "plain_size"):
+                state.plain_size = None  # compfs: plaintext not loaded
+        if not layer.under_layers():
+            return f
+        layer = layer.under
+
+
+def _readahead_session(kind: str, mapped: bool) -> dict:
+    """A cold 16-page sequential scan with a 4-page window at the VMM
+    and at the coherency layer, one step per page; then the same file
+    cold again in one 16-page read."""
+    if kind == "sfs-uncached":
+        world = World()
+        node = world.create_node("pin")
+        root = create_sfs(node, RamDevice(node.nucleus, "ram", 16384), cache=False).top
+        user = world.create_user_domain(node)
+    else:
+        root, user = _stack(kind)
+    pin = _Pin(user.world)
+    coherency = root if kind.startswith("sfs") else root.under
+    f = _cold_file(root, user, "scan.bin", 16)
+    user.node.vmm.readahead_pages = 4
+    coherency.readahead_pages = 4
+    expected = pattern_bytes(16 * PAGE_SIZE, tag=5)
+    with user.activate():
+        pin.snap("start")
+        if mapped:
+            reader = user.node.vmm.create_address_space("pin").map(
+                f, AccessRights.READ_ONLY
+            )
+            pin.snap("map")
+        else:
+            reader = f
+        for page in range(16):
+            got = reader.read(page * PAGE_SIZE, PAGE_SIZE)
+            assert bytes(got) == expected[page * PAGE_SIZE : (page + 1) * PAGE_SIZE]
+            pin.snap(f"page_{page:02d}")
+    g = _cold_file(root, user, "whole.bin", 16)
+    with user.activate():
+        pin.snap("second_file")
+        assert g.read(0, 16 * PAGE_SIZE) == expected
+        pin.snap("whole_read")
+    return pin.table
+
+
+def _dirty_runs(mapping) -> None:
+    """Dirty pages 0-2 and 5-6: two runs, a clean gap between."""
+    for page in (0, 1, 2, 5, 6):
+        mapping.write(page * PAGE_SIZE + 7, b"D" * 9)
+
+
+def _writeback_session(batch: bool) -> dict:
+    """A multi-run dirty mapping written back every way the VMM and the
+    coherency layer do it, ``batch_pageout`` the same at both levels;
+    then a write scan under ``capacity_pages`` that evicts dirty pages."""
+    root, user = _stack("sfs")
+    pin = _Pin(user.world)
+    vmm = user.node.vmm
+    vmm.batch_pageout = root.batch_pageout = batch
+    f = _cold_file(root, user, "wb.bin", 8)
+    with user.activate():
+        pin.snap("start")
+        mapping = vmm.create_address_space("pin").map(f, AccessRights.READ_WRITE)
+        _dirty_runs(mapping)
+        pin.snap("dirty")
+        assert vmm.sync_all() == 5
+        pin.snap("sync_all")
+        f.sync()
+        pin.snap("file_sync")
+        _dirty_runs(mapping)
+        pin.snap("dirty_again")
+        assert mapping.cache.flush() == 5
+        pin.snap("flush")
+        f.sync()
+        pin.snap("file_sync_again")
+
+    g = _cold_file(root, user, "evict.bin", 12)
+    vmm.capacity_pages = 4
+    vmm.readahead_pages = 2
+    with user.activate():
+        pin.snap("second_file")
+        scan = vmm.create_address_space("pin2").map(g, AccessRights.READ_WRITE)
+        for page in range(12):
+            scan.write(page * PAGE_SIZE + 3, b"E" * 5)
+            if page % 4 == 3:
+                pin.snap(f"evict_through_{page:02d}")
+        assert vmm.resident_pages() <= 4
+        vmm.sync_all()
+        g.sync()
+        pin.snap("evict_sync")
+    return pin.table
+
+
+def _two_holder_recall_session(compound: bool) -> dict:
+    """Two remote clients hold pages of one DFS file; what the DFS layer
+    recalls goes below as a one-page run and a three-page run."""
+    root, user = _stack("sfs")
+    world = user.world
+    server = user.node
+    pin = _Pin(world)
+    with user.activate():
+        root.create_file("shared.bin").write(
+            0, pattern_bytes(6 * PAGE_SIZE, tag=9)
+        )
+    dfs = export_dfs(server, root, compound=compound)
+    clients = []
+    for name in ("alpha", "beta"):
+        node = world.create_node(name)
+        mount_remote(node, server, "dfs")
+        clients.append((node, world.create_user_domain(node, f"{name}-user")))
+    (alpha, alpha_user), (beta, beta_user) = clients
+
+    def remote(node):
+        return node.fs_context.resolve(f"dfs@{server.name}").resolve("shared.bin")
+
+    pin.snap("start")
+    with alpha_user.activate():
+        writer = alpha.vmm.create_address_space("a").map(
+            remote(alpha), AccessRights.READ_WRITE
+        )
+        for page in (0, 2, 3, 4):
+            writer.write(page * PAGE_SIZE + 11, b"A" * 6)
+    pin.snap("alpha_dirty")
+    with beta_user.activate():
+        reader = beta.vmm.create_address_space("b").map(
+            remote(beta), AccessRights.READ_ONLY
+        )
+        assert bytes(reader.read(PAGE_SIZE, 4)) == pattern_bytes(
+            6 * PAGE_SIZE, tag=9
+        )[PAGE_SIZE : PAGE_SIZE + 4]
+    pin.snap("beta_reads_clean_page")
+    with user.activate():
+        data = dfs.resolve("shared.bin").read(0, 6 * PAGE_SIZE)
+    assert data[11:17] == data[2 * PAGE_SIZE + 11 : 2 * PAGE_SIZE + 17] == b"A" * 6
+    pin.snap("server_read_recalls_runs")
+    with alpha_user.activate():
+        for page in (0, 2, 3, 4):
+            writer.write(page * PAGE_SIZE + 21, b"B" * 6)
+    pin.snap("alpha_dirty_again")
+    with beta_user.activate():
+        assert bytes(reader.read(2 * PAGE_SIZE + 21, 6)) == b"B" * 6
+    pin.snap("beta_read_recalls_page")
+    with user.activate():
+        dfs.resolve("shared.bin").write(0, b"S" * (5 * PAGE_SIZE))
+    pin.snap("server_write_recalls_all")
+    return pin.table
+
+
+def _cryptfs_refused_session() -> dict:
+    """CRYPTFS over MirrorFs, which refuses the writable bind: every
+    block goes through the plain file interface."""
+    mirror, user = _stack("mirrorfs")
+    pin = _Pin(user.world)
+    crypt = CryptFs(
+        user.node.create_domain("crypt", Credentials("crypt", True)), key=b"pin"
+    )
+    crypt.stack_on(mirror)
+    payload = pattern_bytes(3 * PAGE_SIZE + 50, tag=4)
+    with user.activate():
+        pin.snap("start")
+        f = crypt.create_file("sealed.bin")
+        f.write(0, payload)
+        pin.snap("write")
+        assert f.read(0, len(payload)) == payload
+        pin.snap("read")
+        for state in crypt._states.values():
+            state.plain.clear()
+        assert f.read(0, len(payload)) == payload
+        pin.snap("cold_read")
+        f.write(PAGE_SIZE - 4, b"straddle")
+        f.sync()
+        pin.snap("write_sync")
+    return pin.table
+
+
+KNOB_SESSIONS = {
+    "sfs+readahead-mapped": lambda: _readahead_session("sfs", mapped=True),
+    "sfs+readahead-file": lambda: _readahead_session("sfs", mapped=False),
+    "cryptfs+readahead-mapped": lambda: _readahead_session("cryptfs", mapped=True),
+    "cryptfs+readahead-file": lambda: _readahead_session("cryptfs", mapped=False),
+    "sfs+writeback-unbatched": lambda: _writeback_session(batch=False),
+    "sfs+writeback-batched": lambda: _writeback_session(batch=True),
+    "sfs-uncached+readahead-mapped": lambda: _readahead_session(
+        "sfs-uncached", mapped=True
+    ),
+    "compfs+readahead-mapped": lambda: _readahead_session("compfs", mapped=True),
+    "dfs+two-holder-recall": lambda: _two_holder_recall_session(compound=False),
+    "dfs+two-holder-recall-compound": lambda: _two_holder_recall_session(
+        compound=True
+    ),
+    "cryptfs+channel-refused": _cryptfs_refused_session,
+}
+
+
+def _run(kind: str) -> dict:
+    return KNOB_SESSIONS[kind]() if kind in KNOB_SESSIONS else _session(kind)
+
+
+@pytest.mark.parametrize("kind", KINDS + list(KNOB_SESSIONS))
 def test_charge_sequence_matches_recorded_table(kind):
     recorded = json.loads(GOLDEN.read_text())[kind]
-    fresh = _session(kind)
+    fresh = _run(kind)
     assert list(fresh) == list(recorded)
     for step, snapshot in fresh.items():
         assert snapshot == recorded[step], f"{kind}: charges moved at {step!r}"
@@ -119,6 +361,9 @@ def test_charge_sequence_matches_recorded_table(kind):
 
 if __name__ == "__main__":
     GOLDEN.write_text(
-        json.dumps({kind: _session(kind) for kind in KINDS}, indent=1) + "\n"
+        json.dumps(
+            {kind: _run(kind) for kind in KINDS + list(KNOB_SESSIONS)}, indent=1
+        )
+        + "\n"
     )
     print(f"wrote {GOLDEN}")
