@@ -3,13 +3,16 @@
 A server crash loses the volatile per-client holder tables; recovery
 (Lustre-style) is detected via the node's epoch bump and rebuilds them
 from the surviving clients' ``held_blocks`` reports, replaying any dirty
-attribute copies down through the stack.  The name cache's
+attribute copies down through the stack.  Both remote layers recover
+this way — :class:`TestShardedLayerRecovery` runs the same tests over
+the sharded DFS layer.  The name cache's
 ``serve_stale`` knob covers the naming side: resolution degrades to the
 last known answer while the authority is unreachable.
 """
 
 import pytest
 
+from repro.dfs import create_sharded_dfs
 from repro.errors import FileNotFoundError_
 from repro.fs.cfs import start_cfs
 from repro.fs.dfs import export_dfs, mount_remote
@@ -43,6 +46,10 @@ def remote_file(client, name="shared.dat"):
 
 def dfs_state(dfs):
     return next(iter(dfs._states.values()))
+
+
+def recoveries(dfs):
+    return dfs.world.counters.get(f"{dfs.fs_type()}.recoveries")
 
 
 class TestCrashLosesHolderState:
@@ -100,7 +107,7 @@ class TestEpochRecovery:
         # page — no client data is lost to the crash.
         with su.activate():
             assert dfs.resolve("shared.dat").read(0, 12) == b"CLIENT DIRTY"
-        assert world.counters.get("dfs.recoveries") == 1
+        assert recoveries(dfs) == 1
         assert dfs_state(dfs).registered_epoch == server.epoch == 1
 
     def test_recovery_runs_once_per_epoch(self, dist):
@@ -112,12 +119,12 @@ class TestEpochRecovery:
         with su.activate():
             dfs.resolve("shared.dat").read(0, 4)
             dfs.resolve("shared.dat").read(0, 4)
-        assert world.counters.get("dfs.recoveries") == 1
+        assert recoveries(dfs) == 1
         server.crash()
         server.recover()
         with su.activate():
             dfs.resolve("shared.dat").read(0, 4)
-        assert world.counters.get("dfs.recoveries") == 2
+        assert recoveries(dfs) == 2
 
     def test_remote_traffic_triggers_recovery_too(self, dist):
         world, server, client, sfs, dfs, su, cu = dist
@@ -128,7 +135,7 @@ class TestEpochRecovery:
         server.recover()
         with cu.activate():
             assert rf.read(0, 4) == b"SSSS"
-        assert world.counters.get("dfs.recoveries") == 1
+        assert recoveries(dfs) == 1
 
     def test_dirty_attributes_replayed_from_cfs(self, dist):
         world, server, client, sfs, dfs, su, cu = dist
@@ -152,7 +159,25 @@ class TestEpochRecovery:
             remote_file(client).read(0, 4)
         with su.activate():
             dfs.resolve("shared.dat").read(0, 4)
-        assert world.counters.get("dfs.recoveries") == 0
+        assert recoveries(dfs) == 0
+
+
+class TestShardedLayerRecovery(TestCrashLosesHolderState, TestEpochRecovery):
+    """The same crash and re-registration tests with the sharded DFS
+    layer as the server: its node is the one that crashes, and the
+    clients are a second machine's VMM and CFS."""
+
+    @pytest.fixture
+    def dist(self):
+        cluster = create_sharded_dfs()
+        world, server, dfs = cluster.world, cluster.client, cluster.layer
+        client = world.create_node("remote")
+        client.fs_context.bind("dfs@server", dfs)
+        su = world.create_user_domain(server, "server-user")
+        cu = world.create_user_domain(client, "client-user")
+        with su.activate():
+            dfs.create_file("shared.dat").write(0, b"S" * (2 * PAGE_SIZE))
+        return world, server, client, cluster.meta_sfs, dfs, su, cu
 
 
 class TestNameCacheStaleServing:

@@ -211,3 +211,40 @@ class TestPartitionBehaviour:
         world.network.partition(server, client)
         with su.activate():
             assert dfs.resolve("shared.dat").read(0, 4) == b"SSSS"
+
+
+def _file_with_remote_mapper(kind):
+    """A 2-page file of ``A`` on ``kind``, plus a node other than the
+    file's and a user on it to map the file from."""
+    from repro.dfs import create_sharded_dfs
+    from repro.world import World
+
+    if kind == "shardfs":
+        cluster = create_sharded_dfs()
+        world, root = cluster.world, cluster.layer
+        owner = world.create_user_domain(cluster.client)
+    else:
+        world = World()
+        server = world.create_node("server")
+        sfs = create_sfs(server, BlockDevice(server.nucleus, "sd0", 8192))
+        root = sfs.top if kind == "sfs" else export_dfs(server, sfs.top)
+        owner = world.create_user_domain(server)
+    with owner.activate():
+        root.create_file("t.dat").write(0, b"A" * (2 * PAGE_SIZE))
+    mapper = world.create_node("mapper")
+    return root, mapper, world.create_user_domain(mapper, "mapper-user")
+
+
+@pytest.mark.parametrize("kind", ["sfs", "dfs-remote", "shardfs"])
+def test_truncate_into_page_a_remote_holder_has_dirty_keeps_its_head(kind):
+    """Shrinking into a page recalls it from the holder that dirtied it:
+    the bytes below the new length are that holder's, not the stale copy
+    underneath."""
+    root, mapper, user = _file_with_remote_mapper(kind)
+    with user.activate():
+        f = root.resolve("t.dat")
+        mapping = mapper.vmm.create_address_space("m").map(f, RW)
+        mapping.write(10, b"M" * 16)
+        f.set_length(50)
+        assert f.get_length() == 50
+        assert f.read(0, 50)[8:28] == b"AA" + b"M" * 16 + b"AA"
