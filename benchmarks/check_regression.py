@@ -39,6 +39,13 @@ Headline metrics:
   only; ``frames_batched`` carries zero tolerance because a compound
   batch over the wire is exactly one frame or the batching is broken.
 
+After the headline gate comes the **exact check**: every leaf of every
+rebuilt record that is not a wall-clock measurement
+(:data:`WALL_CLOCK_LEAVES`) must equal the committed file, and the
+dotted path of each one that does not is printed.  This is the "no
+deterministic field moved" referee for a refactor — and the reminder to
+re-emit a record after a change that *means* to move one.
+
 Usage (from the repo root)::
 
     PYTHONPATH=src:. python benchmarks/check_regression.py [--tolerance 0.10]
@@ -117,11 +124,51 @@ HEADLINE = [
 ]
 
 
+#: Leaves holding wall-clock measurements, by dotted-path prefix: they
+#: differ from host to host and run to run.  Every other leaf of a
+#: rebuilt record is deterministic.
+WALL_CLOCK_LEAVES = {
+    "BENCH_hotpath.json": ("metrics.",),
+    "BENCH_socket.json": (
+        "cells.batching.elapsed_",
+        "cells.batching.wall_speedup",
+        "cells.socket.",
+    ),
+}
+
+
 def dig(record: dict, path: str):
     value = record
     for key in path.split("."):
         value = value[key]
     return value
+
+
+def leaves(value, prefix: str = ""):
+    """``(dotted path, leaf)`` for every leaf of a JSON value."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from leaves(item, f"{prefix}{key}.")
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from leaves(item, f"{prefix}{index}.")
+    else:
+        yield prefix[:-1], value
+
+
+def moved_leaves(filename: str, committed: dict, rebuilt: dict) -> list:
+    """Dotted paths of the deterministic leaves on which the rebuilt
+    record and the committed one disagree (a leaf present on one side
+    only counts)."""
+    skip = WALL_CLOCK_LEAVES.get(filename, ())
+    # Through JSON and back, so the rebuilt record has the committed
+    # one's types (string keys, lists for tuples).
+    old, new = dict(leaves(committed)), dict(leaves(json.loads(json.dumps(rebuilt))))
+    return [
+        path
+        for path in sorted(old.keys() | new.keys())
+        if not path.startswith(skip) and old.get(path) != new.get(path)
+    ]
 
 
 def main(argv=None) -> int:
@@ -134,18 +181,19 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    rebuilt = {}  # emitter module -> freshly built record
+    records = {}  # committed file -> (committed record, freshly built one)
     failures = []
     for filename, module_name, path, direction, tolerance in HEADLINE:
         if tolerance is None:
             tolerance = args.tolerance
-        with open(os.path.join(BENCH_DIR, filename)) as fh:
-            committed = dig(json.load(fh), path)
-        if module_name not in rebuilt:
-            rebuilt[module_name] = importlib.import_module(
-                module_name
-            ).build_record()
-        current = dig(rebuilt[module_name], path)
+        if filename not in records:
+            with open(os.path.join(BENCH_DIR, filename)) as fh:
+                records[filename] = (
+                    json.load(fh),
+                    importlib.import_module(module_name).build_record(),
+                )
+        committed = dig(records[filename][0], path)
+        current = dig(records[filename][1], path)
         if direction == "lower":
             regressed = current > committed * (1 + tolerance)
         else:
@@ -175,6 +223,25 @@ def main(argv=None) -> int:
     print(
         f"\nregression gate OK: {len(HEADLINE)} headline metrics within "
         "tolerance of committed baselines."
+    )
+
+    moved = [
+        f"{filename}:{path}"
+        for filename, (committed, rebuilt) in records.items()
+        for path in moved_leaves(filename, committed, rebuilt)
+    ]
+    for entry in moved:
+        print(f"  [MOVED] {entry}")
+    if moved:
+        print(
+            f"\nexact check FAILED: {len(moved)} deterministic field(s) differ "
+            "from the committed records.  A refactor must not move them; "
+            "after a change that means to, re-emit the records."
+        )
+        return 1
+    print(
+        f"exact check OK: every deterministic field of {len(records)} "
+        "rebuilt records equals the committed files."
     )
     return 0
 

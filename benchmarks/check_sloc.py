@@ -1,6 +1,6 @@
 """Source-size gate: code lines per ``src/repro`` package.
 
-ROADMAP item 3 makes line count a gated number — the paper's thesis is
+ROADMAP item 6 makes line count a gated number — the paper's thesis is
 that one invocation path and one pager/cache channel protocol are enough
 to build every file system, so the reproduction should get *smaller* as
 duplicates fold.  A code line is a physical line that carries at least

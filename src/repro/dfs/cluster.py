@@ -18,7 +18,6 @@ from repro.ipc.node import Node
 from repro.storage.block_device import BlockDevice
 from repro.world import World
 
-from repro.fs.base import StackConfig
 from repro.fs.sfs import SfsStack, create_sfs
 
 from repro.dfs.datanode import DataNodeService
@@ -51,7 +50,6 @@ def create_sharded_dfs(
     server_slots: Optional[int] = None,
     device_blocks: int = 4096,
     mount_name: str = "shardfs",
-    config: Optional[StackConfig] = None,
 ) -> ShardedCluster:
     """Build and wire a sharded DFS; returns the :class:`ShardedCluster`.
 
@@ -101,7 +99,7 @@ def create_sharded_dfs(
     )
     for name, service in services.items():
         layer.attach_datanode(name, service)
-    layer.stack_on(meta_sfs.top, config=config)
+    layer.stack_on(meta_sfs.top)
     client.fs_context.bind(mount_name, layer)
 
     return ShardedCluster(

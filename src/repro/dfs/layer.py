@@ -29,7 +29,7 @@ failover list of length one.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 from repro.errors import FsError, StackingError, TransientNetworkError
 from repro.types import PAGE_SIZE, AccessRights
@@ -37,11 +37,10 @@ from repro.vm.page import ZERO_PAGE, ZERO_VIEW
 
 from repro.fs.base import (
     WHOLE_FILE,
-    BaseLayer,
-    ChannelOps,
     LayerFile,
-    LayerFileState,
-    StackConfig,
+    RecoveringFileState,
+    RecoveringLayer,
+    RecoveringOps,
 )
 from repro.fs.file import File
 from repro.fs.fs_interfaces import StackableFs
@@ -61,7 +60,7 @@ class QuorumReadError(FsError):
     """No reachable current replica could serve a required block."""
 
 
-class ShardedFileState(LayerFileState):
+class ShardedFileState(RecoveringFileState):
     """Per-file state: the metadata under-file plus a client-side copy
     of the length (so every page-in clamp does not cost a metadata
     round trip).  ``file_key`` — the key blocks are stored under on the
@@ -73,33 +72,28 @@ class ShardedFileState(LayerFileState):
         self.length = under_file.get_length()
 
 
-class ShardedOps(ChannelOps):
+class ShardedOps(RecoveringOps):
     """Dispatch table: holder bookkeeping above (the layer is still a
-    coherent pager to its clients), sharded quorum I/O below instead of
-    a down-channel."""
+    coherent pager to its clients, and rebuilds its holder tables after
+    a crash like DFS), sharded quorum I/O below instead of a
+    down-channel."""
 
     def data_length(self, state) -> int:
         return state.length
 
     def page_in(self, source_key, pager_object, offset, size, access):
         state = self.state(source_key)
-        requester = self.requester(source_key, pager_object)
-        with self.region():
-            recovered = state.holders.acquire(requester, offset, size, access)
-            self.merge_recovered(state, recovered)
+        self.admit(state, pager_object, offset, size, access)
         return self.layer.shard_read(state, offset, size)
 
     def page_in_range(
         self, source_key, pager_object, offset, min_size, max_size, access
     ):
         state = self.state(source_key)
-        requester = self.requester(source_key, pager_object)
         size = self.clamp_window(state, offset, min_size, max_size)
         if size == 0:
             return b""
-        with self.region():
-            recovered = state.holders.acquire(requester, offset, size, access)
-            self.merge_recovered(state, recovered)
+        self.admit(state, pager_object, offset, size, access)
         return self.layer.shard_read(state, offset, size)
 
     def page_out(self, source_key, pager_object, offset, size, data, retain):
@@ -119,7 +113,7 @@ class ShardedOps(ChannelOps):
     # the page_out override of a transforming layer.
 
 
-class ShardedDfsLayer(BaseLayer):
+class ShardedDfsLayer(RecoveringLayer):
     """The striping/replication layer; see module docstring."""
 
     max_under = 1
@@ -149,9 +143,7 @@ class ShardedDfsLayer(BaseLayer):
         self._datanodes[name] = service
 
     # ------------------------------------------------------------- stacking
-    def stack_on(
-        self, underlying: StackableFs, config: Optional[StackConfig] = None
-    ) -> None:
+    def stack_on(self, underlying: StackableFs) -> None:
         replication = self.namenode.replication
         if self.write_quorum < 1:
             raise StackingError(
@@ -173,7 +165,7 @@ class ShardedDfsLayer(BaseLayer):
             )
         if not self._datanodes:
             raise StackingError("shardfs: no datanodes attached")
-        super().stack_on(underlying, config)
+        super().stack_on(underlying)
 
     # ------------------------------------------------------ recovered pages
     def push_run(self, state, offset: int, chunks: list) -> None:
@@ -211,8 +203,7 @@ class ShardedDfsLayer(BaseLayer):
         return len(data)
 
     def file_set_length(self, state, length: int) -> None:
-        with self.fanout_region():
-            state.holders.invalidate(length, WHOLE_FILE)
+        self.recall_for_shrink(state, length, length + WHOLE_FILE)
         shrunk_into_block = length < state.length and length % PAGE_SIZE != 0
         state.length = length
         state.under_file.set_length(length)

@@ -18,9 +18,6 @@ claim made concrete.  It provides:
   subclass it and override only their transform points — COMPFS's
   encode/decode, CRYPTFS's seal/unseal, the coherency layer's recall
   policy;
-* :class:`StackConfig` — the per-stack knob bundle (``batch_pageout``,
-  ``compound``, ``readahead_pages``) propagated down the stack at
-  ``stack_on()`` time, replacing scattered per-layer attributes;
 * :class:`LayerRuntime` — uniform telemetry at the dispatch choke-point:
   every dispatched op increments a standardized ``<layer>.<op>`` counter
   (plus ``<layer>.<op>.bytes`` when data moves) and, when tracing is on,
@@ -35,14 +32,20 @@ claim made concrete.  It provides:
   merge, then act (:meth:`BaseLayer.recall`,
   :meth:`BaseLayer.recall_for_shrink`, :meth:`BaseLayer.push_recovered`,
   :func:`split_pages`) — so a layer's ``file_*`` hooks say only what the
-  layer does with the data.
+  layer does with the data;
+* :class:`LayerCache` — a layer's per-file
+  :class:`~repro.vm.source_cache.SourceCache` over the file's downstream
+  channel: fault, read-ahead, prefetch and write-back for a layer that
+  caches what it pages in from below;
+* :class:`RecoveringLayer` — the base of the layers that serve clients
+  on other machines (DFS, the sharded DFS): their holder tables are
+  volatile and are rebuilt from the surviving clients after a crash.
 """
 
 from __future__ import annotations
 
 import abc
 import contextlib
-import dataclasses
 import sys
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
@@ -58,6 +61,7 @@ from repro.vm.memory_object import CacheManager
 from repro.vm.page import index_runs
 from repro.vm.pager_object import FsPager, PagerObject
 from repro.vm.pager_base import ChannelRegistry
+from repro.vm.source_cache import SourceCache, write_run
 
 from repro.fs.attributes import FileAttributes
 from repro.fs.file import File
@@ -104,30 +108,6 @@ def split_pages(offset: int, size: int, data) -> Dict[int, bytes]:
 
 def _pages_bytes(pages: Optional[Dict[int, bytes]]) -> int:
     return sum(len(chunk) for chunk in pages.values()) if pages else 0
-
-
-@dataclasses.dataclass(slots=True)
-class StackConfig:
-    """Stack-wide tuning knobs, set once per stack.
-
-    Passing ``config=`` to :meth:`BaseLayer.stack_on` propagates a *copy*
-    to every layer already below, so a whole stack is configured in one
-    place.  Assigning a knob on an individual layer afterwards stays
-    local to that layer (benchmarks toggle single layers this way).
-    All knobs default off: calibration runs unbatched, uncompounded, and
-    without read-ahead.
-    """
-
-    #: Coalesce contiguous dirty runs into ranged page-outs on flush.
-    batch_pageout: bool = False
-    #: Batch per-holder coherency fan-out messages into one round trip
-    #: per remote node (see :mod:`repro.ipc.compound`).
-    compound: bool = False
-    #: Sequential read-ahead window, in pages, for layers that cluster.
-    readahead_pages: int = 0
-
-    def copy(self) -> "StackConfig":
-        return dataclasses.replace(self)
 
 
 class LayerRuntime:
@@ -287,6 +267,18 @@ class ChannelOps:
         layer's :meth:`BaseLayer.merge_recovered`)."""
         self.layer.merge_recovered(state, recovered)
 
+    def admit(self, state, pager_object, offset, size, access) -> Dict[int, bytes]:
+        """Page-in admission, the pager's half of every page-in: make it
+        legal for the requesting channel to hold the range with
+        ``access`` — conflicting holders flush or downgrade, inside one
+        fan-out region — then merge what they gave back.  Returns the
+        recalled pages (already merged)."""
+        requester = self.requester(state.source_key, pager_object)
+        with self.region():
+            recovered = state.holders.acquire(requester, offset, size, access)
+        self.merge_recovered(state, recovered)
+        return recovered
+
     def writeback_bookkeeping(
         self, state, requester: Optional[Channel], offset: int, size: int, retain
     ) -> None:
@@ -308,10 +300,7 @@ class ChannelOps:
     # ----------------------------------------------------------- pager side
     def page_in(self, source_key, pager_object, offset, size, access) -> bytes:
         state = self.state(source_key)
-        requester = self.requester(source_key, pager_object)
-        with self.region():
-            recovered = state.holders.acquire(requester, offset, size, access)
-            self.merge_recovered(state, recovered)
+        self.admit(state, pager_object, offset, size, access)
         # Fetch below with the client's access mode so the layer below
         # runs its own coherency against its other holders.
         return self.down(state).page_in(offset, size, access)
@@ -324,13 +313,10 @@ class ChannelOps:
             # its override rather than forwarding a range it never sees.
             return self.page_in(source_key, pager_object, offset, min_size, access)
         state = self.state(source_key)
-        requester = self.requester(source_key, pager_object)
         size = self.clamp_window(state, offset, min_size, max_size)
         if size == 0:
             return b""
-        with self.region():
-            recovered = state.holders.acquire(requester, offset, size, access)
-            self.merge_recovered(state, recovered)
+        self.admit(state, pager_object, offset, size, access)
         return self.down(state).page_in_range(offset, min_size, size, access)
 
     def page_out(self, source_key, pager_object, offset, size, data, retain) -> None:
@@ -653,6 +639,28 @@ class LayerFileState:
         self.down_pager = None
 
 
+class LayerCache(SourceCache):
+    """A layer's cache of one file of the layer below: the
+    :class:`~repro.vm.source_cache.SourceCache` whose channel is the
+    file state's downstream channel, bound below on first use.  The
+    layer is the manager — its ``readahead_pages`` and ``batch_pageout``
+    are the cache's knobs."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, layer: "BaseLayer", state: LayerFileState) -> None:
+        super().__init__(layer, layer.fs_type())
+        self.state = state
+
+    def pager(self) -> PagerObject:
+        state = self.state
+        channel = state.down_channel
+        if channel is None or channel.closed:
+            self.manager.ensure_down(state)
+            channel = state.down_channel
+        return channel.pager_object
+
+
 class LayerFile(File):
     """Generic open handle for a layer's file: each operation delegates
     to the layer's ``file_*`` hook, whose defaults forward to the
@@ -846,6 +854,17 @@ class BaseLayer(LayerNaming, StackableFs, CacheManager, abc.ABC):
     directory_class = LayerDirectory
     #: Access requested when binding below on first downstream use.
     down_access = AccessRights.READ_WRITE
+    #: Tuning knobs, all off by default: calibration runs unbatched,
+    #: uncompounded and without read-ahead.  Set per layer, by
+    #: assignment or the constructor keyword of the layers that take
+    #: one.  ``batch_pageout``: coalesce contiguous dirty runs into
+    #: ranged write-backs.  ``compound``: batch per-holder coherency
+    #: fan-out messages into one round trip per remote node (see
+    #: :mod:`repro.ipc.compound`).  ``readahead_pages``: sequential
+    #: read-ahead window of the layer's per-file caches.
+    batch_pageout = False
+    compound = False
+    readahead_pages = 0
 
     def __init__(self, domain) -> None:
         super().__init__(domain)
@@ -860,7 +879,6 @@ class BaseLayer(LayerNaming, StackableFs, CacheManager, abc.ABC):
         #: Per-file state, by underlying file key and by our source key.
         self._states: Dict[Hashable, Any] = {}
         self._states_by_source: Dict[Hashable, Any] = {}
-        self.config = StackConfig()
         self.ops: ChannelOps = self.ops_class(self)
         self.runtime = LayerRuntime(self)
 
@@ -873,51 +891,16 @@ class BaseLayer(LayerNaming, StackableFs, CacheManager, abc.ABC):
         no upstream coherency state of its own."""
         return make_holder_table(getattr(self, "protocol", "per_block"))
 
-    # --------------------------------------------------------- configuration
-    @property
-    def batch_pageout(self) -> bool:
-        return self.config.batch_pageout
-
-    @batch_pageout.setter
-    def batch_pageout(self, value: bool) -> None:
-        self.config.batch_pageout = value
-
-    @property
-    def compound(self) -> bool:
-        return self.config.compound
-
-    @compound.setter
-    def compound(self, value: bool) -> None:
-        self.config.compound = value
-
-    @property
-    def readahead_pages(self) -> int:
-        return self.config.readahead_pages
-
-    @readahead_pages.setter
-    def readahead_pages(self, value: int) -> None:
-        self.config.readahead_pages = value
-
-    def apply_config(self, config: StackConfig) -> None:
-        """Adopt ``config`` (a private copy) and push it to every layer
-        below, so one call configures a whole stack."""
-        self.config = config.copy()
-        for under in self._under:
-            if isinstance(under, BaseLayer):
-                under.apply_config(config)
-
     def fanout_region(self):
-        """A compound region around a holder fan-out when the stack's
+        """A compound region around a holder fan-out when the layer's
         ``compound`` knob is on, else a no-op context."""
-        if self.config.compound:
+        if self.compound:
             return compound_region(self.world)
         return contextlib.nullcontext()
 
     # ------------------------------------------------------------- stacking
     @operation
-    def stack_on(
-        self, underlying: StackableFs, config: Optional[StackConfig] = None
-    ) -> None:
+    def stack_on(self, underlying: StackableFs) -> None:
         if narrow(underlying, StackableFs) is None:
             raise StackingError(
                 f"{type(underlying).__name__} is not a stackable_fs"
@@ -928,8 +911,6 @@ class BaseLayer(LayerNaming, StackableFs, CacheManager, abc.ABC):
                 f"file system(s)"
             )
         self._under.append(underlying)
-        if config is not None:
-            self.apply_config(config)
         if isinstance(underlying, BaseLayer):
             self.runtime.depth = max(
                 self.runtime.depth, underlying.runtime.depth + 1
@@ -1166,12 +1147,7 @@ class BaseLayer(LayerNaming, StackableFs, CacheManager, abc.ABC):
     def push_run(self, state: Any, offset: int, chunks: List[bytes]) -> None:
         """Where a run of recalled pages goes: down the channel, as one
         (ranged, when longer than a page) page-out."""
-        pager = self.ops.down(state)
-        if len(chunks) == 1:
-            pager.page_out(offset, PAGE_SIZE, chunks[0])
-        else:
-            data = b"".join(chunks)
-            pager.page_out_range(offset, len(data), data)
+        write_run(self.ops.down(state), "page_out", offset, chunks, len(chunks) > 1)
 
     def invalidate_upstream_attrs(
         self, state: Any, exclude: Optional[Channel] = None
@@ -1260,3 +1236,102 @@ class BaseLayer(LayerNaming, StackableFs, CacheManager, abc.ABC):
 
     def _sync_impl(self) -> None:
         """Hook: flush this layer's own caches."""
+
+
+class RecoveringFileState(LayerFileState):
+    """Per-file state of a :class:`RecoveringLayer`.  The holder table
+    is *volatile*: a crash of the layer's node loses it.
+    ``registered_epoch`` stamps which incarnation of the node the
+    current table was built under; a mismatch against ``node.epoch``
+    after recovery triggers re-registration."""
+
+    def __init__(self, layer: "RecoveringLayer", under_file: File) -> None:
+        super().__init__(layer, under_file)
+        self.registered_epoch = layer.domain.node.epoch
+
+
+class RecoveringOps(ChannelOps):
+    """The coherent pass-through table of a layer whose holder tables a
+    crash loses: every state lookup first runs crash recovery — a
+    channel operation arriving after the node rebooted must not see the
+    empty post-crash holder table as authoritative."""
+
+    def state(self, source_key):
+        state = self.layer.state_by_source(source_key)
+        self.layer.ensure_recovered(state)
+        return state
+
+
+class RecoveringLayer(BaseLayer):
+    """Base of the layers that serve clients on other machines (DFS, the
+    sharded DFS).  A crash of the layer's node loses the per-client
+    holder tables; recovery rebuilds them from the surviving clients
+    (Lustre-style), before the first recall or channel operation of the
+    new epoch consults them."""
+
+    ops_class = RecoveringOps
+    state_class = RecoveringFileState
+
+    def __init__(self, domain) -> None:
+        super().__init__(domain)
+        domain.node.add_crash_listener(self._on_node_crash)
+
+    def _on_node_crash(self) -> None:
+        """The machine went down: every per-client holder table — who
+        caches which block, with what rights — is volatile state and is
+        lost with the crash.  The data below and the clients' own caches
+        survive."""
+        for state in self._states.values():
+            state.holders = self._make_holders()
+
+    def ensure_recovered(self, state: RecoveringFileState) -> None:
+        """Rebuild ``state``'s holder table after a crash of this node.
+
+        Clients detect the recovery through the node's epoch bump (the
+        state is stamped with the epoch its table was registered under).
+        Each surviving upstream channel re-declares its cached holds via
+        :meth:`~repro.vm.cache_object.CacheObject.held_blocks`, and any
+        dirty attribute copy a client's fs_cache still holds is replayed
+        down the stack — so post-recovery reads see exactly the
+        pre-crash state.  Dirty *data* blocks need no replay here:
+        re-recording the writer's hold lets the normal MRSW recall fetch
+        them on the next conflicting access.
+        """
+        node = self.domain.node
+        if state.registered_epoch == node.epoch:
+            return
+        state.registered_epoch = node.epoch
+        with self.fanout_region():
+            for channel in self.channels.channels_for(state.source_key):
+                held = channel.cache_object.held_blocks()
+                if held:
+                    for index in sorted(held):
+                        writable, _dirty = held[index]
+                        access = (
+                            AccessRights.READ_WRITE
+                            if writable
+                            else AccessRights.READ_ONLY
+                        )
+                        state.holders.record(
+                            channel, index * PAGE_SIZE, PAGE_SIZE, access
+                        )
+                fs_cache = narrow(channel.cache_object, FsCache)
+                if fs_cache is not None:
+                    attrs = fs_cache.write_back_attributes()
+                    if attrs is not None:
+                        self.ensure_down(state)
+                        if state.down_pager is not None:
+                            state.down_pager.attr_write_out(attrs)
+        self.world.counters.inc(f"{self.fs_type()}.recoveries")
+        self.world.trace(
+            "fault", f"{self.fs_type()}_recovered",
+            file=str(state.under_key), epoch=node.epoch,
+        )
+
+    def recall(self, state, offset, size, access=None) -> Dict[int, bytes]:
+        self.ensure_recovered(state)
+        return super().recall(state, offset, size, access)
+
+    def recall_for_shrink(self, state, length: int, old_length: int) -> None:
+        self.ensure_recovered(state)
+        super().recall_for_shrink(state, length, old_length)

@@ -35,16 +35,16 @@ from typing import Dict, Hashable, Optional
 
 from repro.errors import FsError, StaleFileError
 from repro.ipc.narrow import narrow
-from repro.types import PAGE_SIZE, AccessRights, page_range
+from repro.types import PAGE_SIZE, AccessRights
 from repro.vm.cache_object import FsCache
 from repro.vm.channel import Channel
-from repro.vm.page import ZERO_VIEW, CachedPage, PageStore, index_runs
-from repro.vm.readahead import StreamTable
+from repro.vm.page import ZERO_VIEW
 
 from repro.fs.attributes import CachedAttributes, FileAttributes
 from repro.fs.base import (
     BaseLayer,
     ChannelOps,
+    LayerCache,
     LayerDirectory,
     LayerFile,
     LayerFileState,
@@ -59,10 +59,13 @@ class CoherentFileState(LayerFileState):
 
     def __init__(self, layer: "CoherencyLayer", under_file: File) -> None:
         super().__init__(layer, under_file)
-        self.store = PageStore()
+        #: The layer's cache of the file below: faults, read-ahead,
+        #: prefetch and write-back all go through it.
+        self.cache = LayerCache(layer, self)
+        self.store = self.cache.store
+        self.streams = self.cache.streams
         self.attrs: Optional[CachedAttributes] = None
         self.destroyed = False
-        self.streams = StreamTable()
 
     def purge(self) -> None:
         super().purge()
@@ -94,20 +97,20 @@ class CoherencyOps(ChannelOps):
         return channel
 
     # ----------------------------------------------------------- pager side
+    def data_length(self, state) -> int:
+        if self.layer.cache_enabled:
+            return self.layer.file_length(state)
+        return state.under_file.get_length()
+
     def page_in(self, source_key, pager_object, offset, size, access) -> bytes:
         layer = self.layer
         state = self.state(source_key)
-        requester = self.requester(source_key, pager_object)
-        with self.region():
-            recovered = state.holders.acquire(requester, offset, size, access)
-        self.merge_recovered(state, recovered)
+        recovered = self.admit(state, pager_object, offset, size, access)
         if layer.cache_enabled:
             # Zero-copy serve: the requester installs (copies) the page
             # into its own cache immediately, so handing out a view of
             # ours is safe — see DESIGN.md section 7.
-            return state.store.read_bytes(
-                offset, size, layer._fault_below(state, access)
-            )
+            return state.store.read_bytes(offset, size, state.cache.fault, access)
         return layer._read_through(state, offset, size, recovered)
 
     def page_in_range(
@@ -116,53 +119,32 @@ class CoherencyOps(ChannelOps):
         """Serve a ranged page-in from the cache (clamped to the file),
         so an upstream reader with read-ahead enabled gets its window in
         one call — and this layer prefetches below with clustering."""
-        layer = self.layer
         state = self.state(source_key)
-        if layer.cache_enabled:
-            size = min(max_size, max(min_size, layer.file_length(state) - offset))
-            size = max(size, 0)
-            if size == 0:
-                return b""
-            requester = self.requester(source_key, pager_object)
-            with self.region():
-                recovered = state.holders.acquire(requester, offset, size, access)
-            self.merge_recovered(state, recovered)
+        size = self.clamp_window(state, offset, min_size, max_size)
+        if size == 0:
+            return b""
+        self.admit(state, pager_object, offset, size, access)
+        if self.layer.cache_enabled:
             # The upstream explicitly asked for this window, so fetching
             # the missing pages below in clustered runs is demanded data,
             # not speculation — no knob gates it.  This is what lets a
             # read-ahead hint issued above a stacked layer survive all
             # the way to the disk layer's clustering.
-            layer._prefetch_missing(state, offset, size, access)
-            return state.store.read_bytes(
-                offset, size, layer._fault_below(state, access)
-            )
-        # Not caching: still forward the window so clustering below
-        # survives this layer instead of collapsing to the minimum.
-        size = min(max_size, max(min_size, state.under_file.get_length() - offset))
-        size = max(size, 0)
-        if size == 0:
-            return b""
-        requester = self.requester(source_key, pager_object)
-        with self.region():
-            recovered = state.holders.acquire(requester, offset, size, access)
-        self.merge_recovered(state, recovered)  # pushed straight down
+            state.cache.prefetch(offset, size, access)
+            return state.store.read_bytes(offset, size, state.cache.fault, access)
+        # Not caching (what was recalled went straight down): still
+        # forward the window so clustering below survives this layer
+        # instead of collapsing to the minimum.
         return self.down(state).page_in_range(offset, min_size, size, access)
 
     def page_out(self, source_key, pager_object, offset, size, data, retain) -> None:
         state = self.state(source_key)
-        requester = self.requester(source_key, pager_object)
-        if retain is None:
-            state.holders.forget_range(requester, offset, size)
-        elif retain is AccessRights.READ_ONLY:
-            state.holders.record(requester, offset, size, AccessRights.READ_ONLY)
-        else:
-            # sync: the client retains the data read-write — it IS a
-            # writer of these blocks, so register it (flushing any other
-            # holder first; the incoming data supersedes what they held).
-            recovered = state.holders.acquire(
-                requester, offset, size, AccessRights.READ_WRITE
-            )
-            self.merge_recovered(state, recovered)
+        # A sync registers the client as writer of these blocks (flushing
+        # any other holder first); the incoming data supersedes what
+        # they held, so it is merged last.
+        self.writeback_bookkeeping(
+            state, self.requester(source_key, pager_object), offset, size, retain
+        )
         self.merge_recovered(state, split_pages(offset, size, data))
 
     def attr_page_in(self, source_key, pager_object) -> FileAttributes:
@@ -290,43 +272,6 @@ class CoherencyLayer(BaseLayer):
             state.attrs = CachedAttributes(attrs.copy())
 
     # ------------------------------------------------------ downstream access
-    def _fault_below(self, state: CoherentFileState, access: AccessRights):
-        """Fault callback for ``state.store``: page in from the lower
-        layer through the downstream channel.  With ``readahead_pages``
-        set, sequential misses issue a ranged page-in and install the
-        extra (clustered) data speculatively."""
-
-        def fault(index: int, needed: AccessRights) -> CachedPage:
-            effective = access if access.writable else needed
-            self.ensure_down(state)
-            window = self.readahead_pages
-            sequential = state.streams.observe(index)
-            if window > 0 and sequential:
-                self.world.counters.inc("coherency.readahead")
-                data = state.down_channel.pager_object.page_in_range(
-                    index * PAGE_SIZE,
-                    PAGE_SIZE,
-                    (1 + window) * PAGE_SIZE,
-                    effective,
-                )
-                extra_pages = max(0, (len(data) - 1) // PAGE_SIZE)
-                for i in range(1, extra_pages + 1):
-                    if (index + i) not in state.store:
-                        state.store.install(
-                            index + i,
-                            data[i * PAGE_SIZE : (i + 1) * PAGE_SIZE],
-                            effective,
-                        )
-                # Keep the scan looking sequential past the window.
-                state.streams.advance_head(index + extra_pages)
-                return state.store.install(index, data[:PAGE_SIZE], effective)
-            data = state.down_channel.pager_object.page_in(
-                index * PAGE_SIZE, PAGE_SIZE, effective
-            )
-            return state.store.install(index, data, effective)
-
-        return fault
-
     def merge_recovered(
         self, state: CoherentFileState, recovered: Dict[int, bytes]
     ) -> None:
@@ -345,36 +290,6 @@ class CoherencyLayer(BaseLayer):
             for index, data in sorted(recovered.items()):
                 state.down_channel.pager_object.page_out(
                     index * PAGE_SIZE, PAGE_SIZE, data
-                )
-
-    def _prefetch_missing(
-        self,
-        state: CoherentFileState,
-        offset: int,
-        size: int,
-        access: AccessRights,
-    ) -> None:
-        """Fetch the missing pages of ``[offset, offset + size)`` from
-        below as ranged page-ins, one per contiguous missing run.
-        Single-page gaps are left to the normal fault path (identical
-        cost, and they keep feeding the sequential-stream detector)."""
-        effective = access if access.writable else AccessRights.READ_ONLY
-        missing = [i for i in page_range(offset, size) if i not in state.store]
-        for run_start, run_len in index_runs(missing):
-            if run_len < 2:
-                continue
-            self.ensure_down(state)
-            data = state.down_channel.pager_object.page_in_range(
-                run_start * PAGE_SIZE,
-                run_len * PAGE_SIZE,
-                run_len * PAGE_SIZE,
-                effective,
-            )
-            for i in range(run_len):
-                state.store.install(
-                    run_start + i,
-                    data[i * PAGE_SIZE : (i + 1) * PAGE_SIZE],
-                    effective,
                 )
 
     # ------------------------------------------------------------- attributes
@@ -422,9 +337,7 @@ class CoherencyLayer(BaseLayer):
         size = min(size, attrs.size - offset)
         recovered = self.recall(state, offset, size)
         if self.cache_enabled:
-            data = state.store.read(
-                offset, size, self._fault_below(state, AccessRights.READ_ONLY)
-            )
+            data = state.store.read(offset, size, state.cache.fault)
             state.attrs.touch_atime(self._now())
         else:
             data = self._read_through(state, offset, size, recovered)
@@ -469,9 +382,7 @@ class CoherencyLayer(BaseLayer):
         self.recall(state, offset, len(data), AccessRights.READ_WRITE)
         self.world.charge.memcpy(len(data))
         if self.cache_enabled:
-            state.store.write(
-                offset, data, self._fault_below(state, AccessRights.READ_WRITE)
-            )
+            state.store.write(offset, data, state.cache.fault)
             self._current_attrs(state)  # ensure attrs are cached
             state.attrs.grow(offset + len(data))
             state.attrs.touch_mtime(self._now())
@@ -519,19 +430,7 @@ class CoherencyLayer(BaseLayer):
             if state.down_pager is not None:
                 state.down_pager.attr_write_out(state.attrs.attrs.copy())
             state.attrs.dirty = False
-        if self.batch_pageout:
-            for run in state.store.dirty_runs():
-                data = b"".join(page.snapshot() for _, page in run)
-                state.down_channel.pager_object.sync_range(
-                    run[0][0] * PAGE_SIZE, len(data), data
-                )
-                for _, page in run:
-                    page.dirty = False
-            return
-        pager_sync = state.down_channel.pager_object.sync
-        for index, page in state.store.dirty_pages():
-            pager_sync(index * PAGE_SIZE, PAGE_SIZE, page.snapshot())
-            page.dirty = False
+        state.cache.write_back(state.store.dirty_pages(), "sync")
 
     def _sync_impl(self) -> None:
         for state in self._states.values():

@@ -121,17 +121,18 @@ class CompOps(ChannelOps):
     read-only, so cache-side flushes return nothing — any change to it
     just drops the derived plaintext."""
 
+    def data_length(self, state) -> int:
+        self.layer._ensure_loaded(state)
+        return state.plain_size
+
     def page_in(self, source_key, pager_object, offset, size, access) -> bytes:
-        layer = self.layer
         state = self.state(source_key)
-        layer._ensure_loaded(state)
-        requester = self.requester(source_key, pager_object)
-        recovered = state.holders.acquire(requester, offset, size, access)
-        self.merge_recovered(state, recovered)
-        if offset >= state.plain_size:
+        plain_size = self.data_length(state)
+        self.admit(state, pager_object, offset, size, access)
+        if offset >= plain_size:
             return b""
-        size = min(size, state.plain_size - offset)
-        return state.plain.read(offset, size, layer._zero_fault(state))
+        size = min(size, plain_size - offset)
+        return state.plain.read(offset, size, self.layer._zero_fault(state))
 
     def page_in_range(
         self, source_key, pager_object, offset, min_size, max_size, access
@@ -139,10 +140,7 @@ class CompOps(ChannelOps):
         """COMPFS holds the whole plaintext once loaded, so serving a
         read-ahead window up to ``max_size`` costs nothing extra — the
         hint survives to upstream caches instead of dying here."""
-        state = self.state(source_key)
-        self.layer._ensure_loaded(state)
-        size = min(max_size, max(min_size, state.plain_size - offset))
-        size = max(size, 0)
+        size = self.clamp_window(self.state(source_key), offset, min_size, max_size)
         if size == 0:
             return b""
         return self.page_in(source_key, pager_object, offset, size, access)

@@ -14,7 +14,11 @@ reviewed; the point is the layer mechanics, not the cipher).
 
 In spine terms the transform points are the decrypt on page-in and the
 encrypt-and-write-through on page-out/merge (:class:`CryptOps`); the
-naming face, binding, and attribute forwarding are all generic.
+naming face, binding, and attribute forwarding are all generic.  On the
+cache-manager side the plaintext cache is a
+:class:`~repro.fs.base.LayerCache` with a per-block ``decode`` /
+``encode`` (:class:`CryptCache`): faulting, prefetching a window and
+writing dirty runs back are the shared engine's.
 """
 
 from __future__ import annotations
@@ -25,11 +29,12 @@ from typing import Dict
 from repro.errors import FsError
 
 from repro.types import PAGE_SIZE, AccessRights, page_range
-from repro.vm.page import PageStore, index_runs
+from repro.vm.source_cache import NEVER
 
 from repro.fs.base import (
     BaseLayer,
     ChannelOps,
+    LayerCache,
     LayerDirectory,
     LayerFile,
     LayerFileState,
@@ -55,10 +60,68 @@ def xor_block(data: bytes, key: bytes, block_index: int) -> bytes:
     return bytes(a ^ b for a, b in zip(data, stream))
 
 
+class _FileInterfacePager:
+    """The two pager operations the plaintext cache needs, over the
+    plain file interface of a layer that refused the channel."""
+
+    def __init__(self, under_file: File) -> None:
+        self.under_file = under_file
+
+    def page_in(self, offset: int, size: int, access: AccessRights) -> bytes:
+        return self.under_file.read(offset, size)
+
+    def sync(self, offset: int, size: int, data: bytes) -> None:
+        usable = min(size, max(0, self.under_file.get_length() - offset))
+        if usable:
+            self.under_file.write(offset, data[:usable])
+
+
+class CryptCache(LayerCache):
+    """The decrypted block cache of one file: ciphertext crosses the
+    channel, one keystream per block.  When the layer below refuses the
+    channel the sink is its plain file interface — page by page, no
+    ranged calls, and none of its coherency actions reach this cache."""
+
+    __slots__ = ()
+
+    def pager(self):
+        state = self.state
+        if self.manager.ensure_down(state):
+            return state.down_channel.pager_object
+        self.readahead_override = 0  # the file interface has no ranged read
+        return _FileInterfacePager(state.under_file)
+
+    def ranged_from(self) -> int:
+        """Write-through pushes what one write touched: a run goes down
+        as one ranged sync, a lone block as a plain one."""
+        return 2 if self.manager.ensure_down(self.state) else NEVER
+
+    def prefetch(self, offset: int, size: int, access: AccessRights) -> None:
+        if self.manager.ensure_down(self.state):
+            super().prefetch(offset, size, access)
+
+    def decode(self, first: int, data: bytes) -> bytes:
+        self.world.charge.decrypt(len(data))
+        key = self.manager.key
+        return b"".join(
+            xor_block(data[start : start + PAGE_SIZE], key, first + start // PAGE_SIZE)
+            for start in range(0, len(data), PAGE_SIZE)
+        )
+
+    def encode(self, run) -> list:
+        key = self.manager.key
+        chunks = []
+        for index, page in run:
+            self.world.charge.encrypt(PAGE_SIZE)
+            chunks.append(xor_block(page.snapshot(), key, index))
+        return chunks
+
+
 class CryptFileState(LayerFileState):
     def __init__(self, layer: "CryptFs", under_file: File) -> None:
         super().__init__(layer, under_file)
-        self.plain = PageStore()          # decrypted block cache
+        self.cache = CryptCache(layer, self)
+        self.plain = self.cache.store     # decrypted block cache
         #: True once the lower layer refused a writable bind (mirrorfs);
         #: we then use the plain file interface instead of a channel.
         self.channel_refused = False
@@ -87,12 +150,9 @@ class CryptOps(ChannelOps):
     register_writers = False
 
     def page_in(self, source_key, pager_object, offset, size, access) -> bytes:
-        layer = self.layer
         state = self.state(source_key)
-        requester = self.requester(source_key, pager_object)
-        recovered = state.holders.acquire(requester, offset, size, access)
-        self.merge_recovered(state, recovered)
-        return state.plain.read(offset, size, layer._fault_decrypt(state, access))
+        self.admit(state, pager_object, offset, size, access)
+        return state.plain.read(offset, size, state.cache.fault, access)
 
     def page_in_range(
         self, source_key, pager_object, offset, min_size, max_size, access
@@ -101,16 +161,13 @@ class CryptOps(ChannelOps):
         below in clustered ranged calls, decrypt per block, and serve
         the whole window — an upstream read-ahead hint survives the
         encryption layer instead of collapsing to one page."""
-        layer = self.layer
         state = self.state(source_key)
         size = self.clamp_window(state, offset, min_size, max_size)
         if size == 0:
             return b""
-        requester = self.requester(source_key, pager_object)
-        recovered = state.holders.acquire(requester, offset, size, access)
-        self.merge_recovered(state, recovered)
-        layer._prefetch_decrypt(state, offset, size, access)
-        return state.plain.read(offset, size, layer._fault_decrypt(state, access))
+        self.admit(state, pager_object, offset, size, access)
+        state.cache.prefetch(offset, size, access)
+        return state.plain.read(offset, size, state.cache.fault, access)
 
     def page_out(self, source_key, pager_object, offset, size, data, retain) -> None:
         state = self.state(source_key)
@@ -191,60 +248,6 @@ class CryptFs(BaseLayer):
             self.world.counters.inc("cryptfs.bind_refused")
             return False
 
-    def _page_in_under(
-        self, state: CryptFileState, index: int, access: AccessRights
-    ) -> bytes:
-        if self.ensure_down(state):
-            return state.down_channel.pager_object.page_in(
-                index * PAGE_SIZE, PAGE_SIZE, access
-            )
-        return state.under_file.read(index * PAGE_SIZE, PAGE_SIZE)
-
-    def _page_push_under(self, state: CryptFileState, index: int, data: bytes) -> None:
-        if self.ensure_down(state):
-            state.down_channel.pager_object.sync(index * PAGE_SIZE, PAGE_SIZE, data)
-        else:
-            size = state.under_file.get_length()
-            usable = min(PAGE_SIZE, max(0, size - index * PAGE_SIZE))
-            if usable:
-                state.under_file.write(index * PAGE_SIZE, data[:usable])
-
-    def _fault_decrypt(self, state: CryptFileState, access: AccessRights):
-        def fault(index: int, needed: AccessRights):
-            effective = access if access.writable else needed
-            ciphertext = self._page_in_under(state, index, effective)
-            self.world.charge.decrypt(len(ciphertext))
-            plaintext = xor_block(ciphertext, self.key, index)
-            return state.plain.install(index, plaintext, effective)
-
-        return fault
-
-    def _prefetch_decrypt(
-        self, state: CryptFileState, offset: int, size: int, access: AccessRights
-    ) -> None:
-        """Pull the missing blocks of ``[offset, offset + size)`` from
-        below as contiguous ranged page-ins and install them decrypted.
-        In degraded file-interface mode (channel refused) the per-page
-        fault path handles them instead."""
-        if not self.ensure_down(state):
-            return
-        missing = [i for i in page_range(offset, size) if state.plain.get(i) is None]
-        for run_start, run_len in index_runs(missing):
-            if run_len < 2:
-                continue
-            ciphertext = state.down_channel.pager_object.page_in_range(
-                run_start * PAGE_SIZE,
-                run_len * PAGE_SIZE,
-                run_len * PAGE_SIZE,
-                access,
-            )
-            self.world.charge.decrypt(len(ciphertext))
-            for i in range(run_len):
-                block = ciphertext[i * PAGE_SIZE : (i + 1) * PAGE_SIZE]
-                state.plain.install(
-                    run_start + i, xor_block(block, self.key, run_start + i), access
-                )
-
     def file_read(self, state: CryptFileState, offset: int, size: int) -> bytes:
         self.world.charge.fs_read_cpu()
         file_size = state.under_file.get_length()
@@ -252,9 +255,7 @@ class CryptFs(BaseLayer):
             return b""
         size = min(size, file_size - offset)
         self.recall(state, offset, size)
-        data = state.plain.read(
-            offset, size, self._fault_decrypt(state, AccessRights.READ_ONLY)
-        )
+        data = state.plain.read(offset, size, state.cache.fault)
         self.world.charge.memcpy(size)
         return data
 
@@ -275,9 +276,7 @@ class CryptFs(BaseLayer):
             else:
                 page = state.plain.get(index)
                 if page is None:
-                    page = self._fault_decrypt(state, AccessRights.READ_WRITE)(
-                        index, AccessRights.READ_WRITE
-                    )
+                    page = state.cache.fault(index, AccessRights.READ_WRITE)
                 within = old - page_start
                 page.data[within:] = bytes(PAGE_SIZE - within)
                 page.dirty = True
@@ -289,9 +288,7 @@ class CryptFs(BaseLayer):
         old = state.under_file.get_length()
         if end > old:
             self._extend(state, old, end)
-        state.plain.write(
-            offset, data, self._fault_decrypt(state, AccessRights.READ_WRITE)
-        )
+        state.plain.write(offset, data, state.cache.fault)
         self.world.charge.memcpy(len(data))
         self._flush_range(state, offset, len(data))
         return len(data)
@@ -301,29 +298,12 @@ class CryptFs(BaseLayer):
         Contiguous dirty blocks go down as one ranged sync per run, so a
         big sequential write pays one invocation per run instead of one
         per 4 KB block."""
-        pending: list = []  # contiguous (index, ciphertext) run
+        dirty = []
         for index in page_range(offset, size):
             page = state.plain.get(index)
-            if page is None or not page.dirty:
-                self._push_cipher_run(state, pending)
-                continue
-            self.world.charge.encrypt(PAGE_SIZE)
-            pending.append((index, xor_block(page.snapshot(), self.key, index)))
-            page.dirty = False
-        self._push_cipher_run(state, pending)
-
-    def _push_cipher_run(self, state: CryptFileState, pending: list) -> None:
-        if not pending:
-            return
-        if len(pending) > 1 and self.ensure_down(state):
-            data = b"".join(ciphertext for _, ciphertext in pending)
-            state.down_channel.pager_object.sync_range(
-                pending[0][0] * PAGE_SIZE, len(data), data
-            )
-        else:
-            for index, ciphertext in pending:
-                self._page_push_under(state, index, ciphertext)
-        pending.clear()
+            if page is not None and page.dirty:
+                dirty.append((index, page))
+        state.cache.write_back(dirty, "sync")
 
     def file_set_length(self, state: CryptFileState, length: int) -> None:
         old = state.under_file.get_length()

@@ -24,9 +24,10 @@ invocation — our network model charges every hop, which *is* the
 
 DFS is the layer the :class:`repro.fs.base.ChannelOps` defaults are
 modelled on — a coherent pass-through that keeps no data cache of its
-own — so it overrides *no* channel operations at all.  What remains
-here is its one transform point (local bind forwarding) and the
-intent-open fast path.
+own — so it overrides *no* channel operations at all, and its crash
+recovery (the per-client holder tables are volatile) is the shared
+:class:`repro.fs.base.RecoveringLayer`.  What remains here is its one
+transform point (local bind forwarding) and the intent-open fast path.
 """
 
 from __future__ import annotations
@@ -36,20 +37,17 @@ import dataclasses
 from repro.errors import FsError
 from repro.ipc.invocation import operation
 from repro.ipc.narrow import narrow
-from repro.types import PAGE_SIZE, AccessRights
-from repro.vm.cache_object import FsCache
+from repro.types import AccessRights
 from repro.vm.channel import BindResult
 from repro.vm.memory_object import CacheManager
 
 from repro.fs.attributes import FileAttributes
 from repro.fs.base import (
     WHOLE_FILE,
-    BaseLayer,
-    ChannelOps,
     LayerDirectory,
     LayerFile,
-    LayerFileState,
     LayerNaming,
+    RecoveringLayer,
 )
 from repro.fs.file import File
 
@@ -63,32 +61,6 @@ class IntentOpenResult:
 
     file: "DfsFile"
     attributes: FileAttributes
-
-
-class DfsFileState(LayerFileState):
-    """Per-exported-file state on the DFS server.
-
-    The holder table is *volatile*: a node crash loses it (see
-    :meth:`DfsLayer._on_node_crash`).  ``registered_epoch`` stamps which
-    server incarnation the current table was built under; a mismatch
-    against ``node.epoch`` after recovery triggers re-registration.
-    """
-
-    def __init__(self, layer: "DfsLayer", under_file: File) -> None:
-        super().__init__(layer, under_file)
-        self.registered_epoch = layer.domain.node.epoch
-
-
-class DfsOps(ChannelOps):
-    """DFS dispatch table: identical to the coherent pass-through
-    defaults, except that every state lookup first runs crash recovery —
-    a channel operation arriving after the server rebooted must not see
-    the empty post-crash holder table as authoritative."""
-
-    def state(self, source_key):
-        state = self.layer.state_by_source(source_key)
-        self.layer._ensure_recovered(state)
-        return state
 
 
 class DfsFile(LayerFile):
@@ -150,12 +122,10 @@ class DfsDirectory(DfsNaming, LayerDirectory):
     """Directory wrapper exporting DFS files (resolvable remotely)."""
 
 
-class DfsLayer(DfsNaming, BaseLayer):
+class DfsLayer(DfsNaming, RecoveringLayer):
     """The DFS server layer; see module docstring."""
 
     max_under = 1
-    ops_class = DfsOps
-    state_class = DfsFileState
     file_class = DfsFile
     directory_class = DfsDirectory
 
@@ -172,87 +142,29 @@ class DfsLayer(DfsNaming, BaseLayer):
         #: protocol is the pager's choice).
         self.protocol = protocol
         self.compound = compound
-        # A server crash loses the volatile per-client holder state;
-        # recovery rebuilds it from the surviving clients (Lustre-style).
-        domain.node.add_crash_listener(self._on_node_crash)
 
     def fs_type(self) -> str:
         return "dfs"
-
-    # --------------------------------------------------- crash recovery
-    def _on_node_crash(self) -> None:
-        """The server machine went down: every per-client holder table —
-        who caches which block, with what rights — is volatile state and
-        is lost with the crash.  The underlying SFS data (disk) and the
-        clients' own caches survive."""
-        for state in self._states.values():
-            state.holders = self._make_holders()
-
-    def _ensure_recovered(self, state: DfsFileState) -> None:
-        """Rebuild ``state``'s holder table after a server crash.
-
-        Clients detect the recovery through the node's epoch bump (the
-        state is stamped with the epoch its table was registered under).
-        Each surviving upstream channel re-declares its cached holds via
-        :meth:`~repro.vm.cache_object.CacheObject.held_blocks`, and any
-        dirty attribute copy a client's fs_cache still holds is replayed
-        down through the coherency layer — so post-recovery reads see
-        exactly the pre-crash state.  Dirty *data* blocks need no replay
-        here: re-recording the writer's hold lets the normal MRSW recall
-        fetch them on the next conflicting access.
-        """
-        node = self.domain.node
-        if state.registered_epoch == node.epoch:
-            return
-        state.registered_epoch = node.epoch
-        with self.fanout_region():
-            for channel in self.channels.channels_for(state.source_key):
-                held = channel.cache_object.held_blocks()
-                if held:
-                    for index in sorted(held):
-                        writable, _dirty = held[index]
-                        access = (
-                            AccessRights.READ_WRITE
-                            if writable
-                            else AccessRights.READ_ONLY
-                        )
-                        state.holders.record(
-                            channel, index * PAGE_SIZE, PAGE_SIZE, access
-                        )
-                fs_cache = narrow(channel.cache_object, FsCache)
-                if fs_cache is not None:
-                    attrs = fs_cache.write_back_attributes()
-                    if attrs is not None:
-                        self.ensure_down(state)
-                        if state.down_pager is not None:
-                            state.down_pager.attr_write_out(attrs)
-        self.world.counters.inc("dfs.recoveries")
-        self.world.trace(
-            "fault", "dfs_recovered",
-            file=str(state.under_key), epoch=node.epoch,
-        )
 
     # ------------------------------------------------------------- file ops
     # DFS keeps no data cache of its own: reads and writes are served out
     # of the underlying file after recalling anything remote VMMs hold
     # dirty.  (The paper's DFS maps file_SFS; the effect — data cached on
     # the server by the layer below — is the same.)
-    def file_read(self, state: DfsFileState, offset: int, size: int) -> bytes:
-        self._ensure_recovered(state)
+    def file_read(self, state, offset: int, size: int) -> bytes:
         self.world.charge.fs_read_cpu()
         self.recall(state, offset, size)
         return state.under_file.read(offset, size)
 
-    def file_write(self, state: DfsFileState, offset: int, data: bytes) -> int:
-        self._ensure_recovered(state)
+    def file_write(self, state, offset: int, data: bytes) -> int:
         self.world.charge.fs_write_cpu()
         self.recall(state, offset, len(data), AccessRights.READ_WRITE)
         return state.under_file.write(offset, data)
 
-    def file_set_length(self, state: DfsFileState, length: int) -> None:
-        self._ensure_recovered(state)
-        with self.fanout_region():
-            state.holders.invalidate(length, WHOLE_FILE)
+    def file_set_length(self, state, length: int) -> None:
+        # Everything above the new length goes, to end-of-file — without
+        # paying a get_length below to learn where that is.
+        self.recall_for_shrink(state, length, length + WHOLE_FILE)
         state.under_file.set_length(length)
 
 

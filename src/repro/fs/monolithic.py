@@ -146,9 +146,7 @@ class MonoOps(ChannelOps):
     def page_in(self, source_key, pager_object, offset, size, access) -> bytes:
         fs = self.layer
         state = self.state(source_key)
-        requester = self.requester(source_key, pager_object)
-        recovered = state.holders.acquire(requester, offset, size, access)
-        self.merge_recovered(state, recovered)
+        self.admit(state, pager_object, offset, size, access)
         if fs.cache_enabled:
             return state.store.read(offset, size, fs._fault_from_disk(state))
         return fs.volume.read_data(state.ino, offset, size)

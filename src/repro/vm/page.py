@@ -249,13 +249,16 @@ class PageStore:
         offset: int,
         size: int,
         fault: Callable[[int, AccessRights], CachedPage],
+        access: AccessRights = _READ_ONLY,
     ):
         """Zero-copy read: ``size`` bytes starting at ``offset``.
 
         A range within one page returns a read-only :class:`memoryview`
         into the page — no allocation, valid until the page is next
         mutated.  Ranges spanning pages materialize exactly once into
-        ``bytes``.  Missing pages fault via ``fault(index, READ_ONLY)``.
+        ``bytes``.  Missing pages fault via ``fault(index, access)`` —
+        READ_ONLY unless the reader serves a client that asked for more
+        (a pager answering a read-write page-in from its own cache).
         """
         if size <= 0:
             return b""
@@ -263,7 +266,7 @@ class PageStore:
         if start + size <= PAGE_SIZE:
             page = self._pages.get(index)
             if page is None:
-                page = fault(index, _READ_ONLY)
+                page = fault(index, access)
             return memoryview(page.data).toreadonly()[start : start + size]
         out = bytearray(size)
         filled = 0
@@ -273,7 +276,7 @@ class PageStore:
             index = position // PAGE_SIZE
             page = self._pages.get(index)
             if page is None:
-                page = fault(index, _READ_ONLY)
+                page = fault(index, access)
             start = position % PAGE_SIZE
             take = min(PAGE_SIZE - start, remaining)
             out[filled : filled + take] = page.data[start : start + take]
@@ -287,12 +290,13 @@ class PageStore:
         offset: int,
         size: int,
         fault: Callable[[int, AccessRights], CachedPage],
+        access: AccessRights = _READ_ONLY,
     ) -> bytes:
         """Copy ``size`` bytes starting at ``offset`` out of the store,
-        calling ``fault(page_index, READ_ONLY)`` for each missing page.
+        calling ``fault(page_index, access)`` for each missing page.
         The result is an immutable ``bytes`` that never aliases the
         store — the retain-safe counterpart of :meth:`read_bytes`."""
-        data = self.read_bytes(offset, size, fault)
+        data = self.read_bytes(offset, size, fault, access)
         if type(data) is bytes:
             return data
         return bytes(data)

@@ -24,112 +24,60 @@ from repro.types import PAGE_SIZE, AccessRights
 from repro.vm.cache_object import CacheObject
 from repro.vm.channel import CacheRights, Channel
 from repro.vm.memory_object import CacheManager, MemoryObject
-from repro.vm.page import CachedPage, PageStore, coalesce_runs
+from repro.vm.page import CachedPage
 from repro.vm.pager_object import PagerObject
-from repro.vm.readahead import StreamTable
+from repro.vm.source_cache import SourceCache
 
 
-class VmCache:
+class VmCache(SourceCache):
     """The VMM's cached pages for one bound source (one cache-rights
     object).  Several mappings — from any number of address spaces — may
-    share one VmCache; that sharing is local coherency."""
+    share one VmCache; that sharing is local coherency.
 
-    __slots__ = (
-        "vmm",
-        "world",
-        "label",
-        "store",
-        "channel",
-        "destroyed",
-        "mappings",
-        "streams",
-        "readahead_override",
-    )
+    Faulting, read-ahead and write-back are the shared
+    :class:`~repro.vm.source_cache.SourceCache`; what the VMM adds is
+    the ``vm_fault`` charge, the residency bound (``capacity_pages``:
+    room is reserved before a fetch and no speculative page is installed
+    past it) and the observer hooks that feed the eviction queues."""
+
+    __slots__ = ("label", "channel", "destroyed", "mappings")
 
     def __init__(self, vmm: "Vmm", channel_label: str) -> None:
-        self.vmm = vmm
-        self.world = vmm.world
+        super().__init__(vmm, "vmm", observer=self)
         self.label = channel_label
-        self.store = PageStore(observer=self)
         self.channel: Optional[Channel] = None
         self.destroyed = False
         self.mappings = 0
-        self.streams = StreamTable()
-        #: Per-cache read-ahead window; None means use the node-wide
-        #: ``vmm.readahead_pages``.  Layers that map files through the
-        #: VMM (CFS) set this to get read-ahead on their own traffic
-        #: without changing the node's global policy.
-        self.readahead_override: Optional[int] = None
 
-    @property
     def pager(self) -> PagerObject:
-        assert self.channel is not None
-        return self.channel.pager_object
-
-    def check_live(self) -> None:
         if self.destroyed:
             raise ChannelClosedError(f"cache for {self.label!r} was destroyed")
+        return self.channel.pager_object
+
+    def full(self) -> bool:
+        capacity = self.manager.capacity_pages
+        return capacity is not None and self.manager.resident_pages() >= capacity
 
     # --- PageStore observer (incremental residency accounting) ---------------
     def page_installed(self, index: int, page: CachedPage) -> None:
-        self.vmm._page_installed(self, index, page)
+        self.manager._page_installed(self, index, page)
 
     def page_dropped(self, index: int, page: CachedPage) -> None:
-        self.vmm._page_dropped(self, index)
+        self.manager._page_dropped(self, index)
 
-    # --- faulting ------------------------------------------------------------
-    def fault(self, index: int, access: AccessRights) -> CachedPage:
-        """Bring a page in from the pager with at least ``access``.
-
-        With read-ahead enabled on the VMM (``vmm.readahead_pages > 0``)
-        a sequential fault pattern issues a ranged page-in and installs
-        the extra pages speculatively (clean, same access).
-        """
-        self.check_live()
+    def before_fetch(self, index: int, pages: int) -> None:
+        """The VMM's own work on a page fault: charge it, and reserve
+        room for the whole window, not just the faulting page —
+        otherwise a prefetch overshoots ``capacity_pages``."""
         world = self.world
         world.charge.vm_fault()
         world.counters.inc("vmm.fault")
-        offset = index * PAGE_SIZE
-        window = self.readahead_override
-        if window is None:
-            window = self.vmm.readahead_pages
-        sequential = self.streams.observe(index)
-        prefetching = window > 0 and sequential
-        if self.vmm.capacity_pages is not None:
-            # Reserve room for the whole window, not just the faulting
-            # page — otherwise a prefetch overshoots capacity_pages.
-            want = 1 + (window if prefetching else 0)
-            self.vmm.reclaim(
-                pages_needed=min(want, self.vmm.capacity_pages),
+        vmm = self.manager
+        if vmm.capacity_pages is not None:
+            vmm.reclaim(
+                pages_needed=min(pages, vmm.capacity_pages),
                 protect=(self, index),
             )
-        if prefetching:
-            world.counters.inc("vmm.readahead")
-            data = self.pager.page_in_range(
-                offset, PAGE_SIZE, (1 + window) * PAGE_SIZE, access
-            )
-            page = self.store.install(index, data[:PAGE_SIZE], access)
-            extra_pages = max(0, (len(data) - 1) // PAGE_SIZE)
-            installed_through = index
-            for i in range(1, extra_pages + 1):
-                if (
-                    self.vmm.capacity_pages is not None
-                    and self.vmm.resident_pages() >= self.vmm.capacity_pages
-                ):
-                    break  # never install speculative pages past the bound
-                if (index + i) not in self.store:
-                    self.store.install(
-                        index + i,
-                        data[i * PAGE_SIZE : (i + 1) * PAGE_SIZE],
-                        access,
-                    )
-                installed_through = index + i
-            # The next fault of this scan lands after the prefetched
-            # window; move the stream head so it still looks sequential.
-            self.streams.advance_head(installed_through)
-            return page
-        data = self.pager.page_in(offset, PAGE_SIZE, access)
-        return self.store.install(index, data, access)
 
     # --- write-back ------------------------------------------------------------
     def sync(self) -> int:
@@ -141,42 +89,15 @@ class VmCache:
         runs go out as single ranged calls in the same ascending order.
         Benchmarks rely on this determinism for stable virtual time.
         """
-        self.check_live()
-        if self.vmm.batch_pageout:
-            runs = self.store.dirty_runs()
-            assert all(
-                a[-1][0] < b[0][0] for a, b in zip(runs, runs[1:])
-            ), "dirty runs must ascend"
-            count = 0
-            for run in runs:
-                data = b"".join(page.snapshot() for _, page in run)
-                self.pager.sync_range(run[0][0] * PAGE_SIZE, len(data), data)
-                for _, page in run:
-                    page.dirty = False
-                count += len(run)
-            return count
-        dirty = self.store.dirty_pages()
-        pager_sync = self.pager.sync
-        for index, page in dirty:
-            pager_sync(index * PAGE_SIZE, PAGE_SIZE, page.snapshot())
-            page.dirty = False
-        return len(dirty)
+        return self.write_back(self.store.dirty_pages(), "sync")
 
     def flush(self) -> int:
         """Push dirty pages and drop everything (page_out semantics).
         Like :meth:`sync`, ascending order; batched into runs when
         ``vmm.batch_pageout`` is set."""
-        self.check_live()
-        dropped = self.store.clear()
-        dirty = [(index, page) for index, page in dropped if page.dirty]
-        if self.vmm.batch_pageout:
-            for run in coalesce_runs(dirty):
-                data = b"".join(page.snapshot() for _, page in run)
-                self.pager.page_out_range(run[0][0] * PAGE_SIZE, len(data), data)
-            return len(dirty)
-        for index, page in dirty:
-            self.pager.page_out(index * PAGE_SIZE, PAGE_SIZE, page.snapshot())
-        return len(dirty)
+        count = self.write_back(self.store.dirty_pages(), "page_out")
+        self.store.clear()
+        return count
 
 
 class VmmCacheObject(CacheObject):
@@ -439,7 +360,7 @@ class Vmm(CacheManager):
             raise VmError(
                 "bind returned cache_rights from a different cache manager"
             )
-        cache.check_live()
+        cache.pager()  # raises if the cache was destroyed
         return cache
 
     @operation
@@ -538,24 +459,19 @@ class Vmm(CacheManager):
         return evicted
 
     def _evict_dirty(self, victims: List[Tuple[VmCache, int, CachedPage]]) -> int:
-        """Page out and drop the chosen dirty victims.  With
-        ``batch_pageout`` set, contiguous victims of one cache go out as
-        single ranged calls."""
+        """Page out and drop the chosen dirty victims: one by one in
+        queue order, or — with ``batch_pageout`` set — each cache's
+        victims together, ascending, so contiguous ones go out as single
+        ranged calls."""
         if not self.batch_pageout:
             for cache, index, page in victims:
-                cache.pager.page_out(index * PAGE_SIZE, PAGE_SIZE, page.snapshot())
-                cache.store.drop(index)
+                cache.write_back([(index, page)], "page_out")
             return len(victims)
         by_cache: Dict[VmCache, List[Tuple[int, CachedPage]]] = {}
         for cache, index, page in victims:
             by_cache.setdefault(cache, []).append((index, page))
         for cache, pairs in by_cache.items():
-            pairs.sort(key=lambda pair: pair[0])
-            for run in coalesce_runs(pairs):
-                data = b"".join(page.snapshot() for _, page in run)
-                cache.pager.page_out_range(run[0][0] * PAGE_SIZE, len(data), data)
-                for index, _ in run:
-                    cache.store.drop(index)
+            cache.write_back(sorted(pairs, key=lambda pair: pair[0]), "page_out")
         return len(victims)
 
     def live_caches(self) -> List[VmCache]:

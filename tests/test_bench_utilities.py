@@ -168,3 +168,38 @@ class TestReport:
         out = capsys.readouterr().out
         assert "Table 2" in out and "Table 3" in out
         assert "Figure 5" not in out
+
+
+class TestRegressionGateExactCheck:
+    """``benchmarks/check_regression.py``: every leaf of a rebuilt
+    record that is not a wall-clock measurement must equal the committed
+    file; the differing dotted paths are what it prints."""
+
+    def test_moved_leaves_names_paths_and_skips_wall_clock(self):
+        from benchmarks.check_regression import moved_leaves
+
+        committed = {
+            "cells": {
+                "batching": {"frames_batched": 1, "elapsed_batched_ms": 3.8},
+                "simulated": {"rows": [1, 2], "gone": 5},
+                "socket": {"rtt_small_p50_us": 28.1},
+            }
+        }
+        rebuilt = {
+            "cells": {
+                "batching": {"frames_batched": 2, "elapsed_batched_ms": 9.9},
+                "simulated": {"rows": (1, 3), "new": 7},
+                "socket": {"rtt_small_p50_us": 55.0},
+            }
+        }
+        assert moved_leaves("BENCH_socket.json", committed, rebuilt) == [
+            "cells.batching.frames_batched",
+            "cells.simulated.gone",
+            "cells.simulated.new",
+            "cells.simulated.rows.1",
+        ]
+        assert moved_leaves("BENCH_socket.json", committed, committed) == []
+        # A record with no wall-clock leaves is compared whole.
+        assert "cells.socket.rtt_small_p50_us" in moved_leaves(
+            "BENCH_ipc.json", committed, rebuilt
+        )

@@ -183,3 +183,18 @@ class TestDegradedMode:
             raw_b = sfs_b.top.resolve("d.bin").read(0, 15)
             assert raw_a == raw_b != b"mirrored secret"
         assert world.counters.get("cryptfs.bind_refused") == 1
+
+        # The file interface has no ranged read: a read-ahead window on
+        # the layer must not turn a sequential scan into one.
+        crypt.readahead_pages = 4
+        payload = bytes(range(256)) * (6 * PAGE_SIZE // 256)
+        with user.activate():
+            g = crypt.create_file("scan.bin")
+            g.write(0, payload)
+            for state in crypt._states.values():
+                state.plain.clear()
+            scanned = b"".join(
+                g.read(page * PAGE_SIZE, PAGE_SIZE) for page in range(6)
+            )
+        assert scanned == payload
+        assert world.counters.get("cryptfs.readahead") == 0

@@ -232,6 +232,47 @@ class TestWriteBack:
         assert bytes(backing[10:13]) == b"ALL"
 
 
+    def test_write_out_keeps_a_clean_read_only_copy(self, node, pager_env):
+        memobj, backing, log = pager_env
+        mapping = node.vmm.create_address_space("t").map(memobj, RW)
+        mapping.write(PAGE_SIZE, b"KEPT")
+        cache = mapping.cache
+        assert cache.write_back(cache.store.dirty_pages(), "write_out") == 1
+        assert ("write_out", PAGE_SIZE, PAGE_SIZE) in log
+        page = cache.store.get(1)
+        assert not page.dirty and page.rights is RO
+        assert bytes(backing[PAGE_SIZE : PAGE_SIZE + 4]) == b"KEPT"
+        # The retained copy is read-only: the next store re-faults it.
+        mapping.write(PAGE_SIZE, b"AGAIN")
+        assert log[-1] == ("page_in", PAGE_SIZE, PAGE_SIZE, RW)
+
+    def test_failed_write_back_leaves_the_page_dirty_and_resident(
+        self, node, pager_env
+    ):
+        """A page is settled only after the call that carried it
+        returned: a flush that fails midway loses nothing."""
+        memobj, backing, log = pager_env
+        mapping = node.vmm.create_address_space("t").map(memobj, RW)
+        mapping.write(0, b"ONE")
+        mapping.write(2 * PAGE_SIZE, b"TWO")
+        cache = mapping.cache
+        pager = cache.channel.pager_object
+
+        def refuse_second_page(offset, size, data):
+            if offset:
+                raise ChannelClosedError("pager went away")
+            pager._apply(offset, size, data)
+
+        pager.page_out = refuse_second_page
+        with pytest.raises(ChannelClosedError):
+            cache.flush()
+        assert 0 not in cache.store  # carried by the call that returned
+        assert cache.store.get(2).dirty  # still here, still dirty
+        del pager.page_out
+        assert cache.flush() == 1
+        assert bytes(backing[2 * PAGE_SIZE : 2 * PAGE_SIZE + 3]) == b"TWO"
+
+
 class TestVmmCacheObject:
     """The pager-driven coherency operations against the VMM's cache."""
 
