@@ -25,6 +25,13 @@ manager's half of the channel was folded into one per-source cache.
 Regenerate (only for a change that means to move a charge)::
 
     PYTHONPATH=src python -m tests.test_charge_pin
+
+Dry run first — ``--diff`` prints every cumulative value that differs
+from the committed table and writes nothing; ``--fold OLD=NEW`` sums a
+renamed counter into its new key on both sides before comparing::
+
+    PYTHONPATH=src python -m tests.test_charge_pin --diff \\
+        --fold op.read_blocks=op.read_block
 """
 
 import json
@@ -359,7 +366,76 @@ def test_charge_sequence_matches_recorded_table(kind):
         assert snapshot == recorded[step], f"{kind}: charges moved at {step!r}"
 
 
-if __name__ == "__main__":
+def _cumulative(table: dict, folds: dict) -> dict:
+    """``{step: {group: {key: cumulative value}}}`` of a session table
+    (which records per step only what moved), after summing every key
+    that ends with a ``folds`` suffix into the key with that suffix
+    replaced."""
+    running, out = {}, {}
+    for step, snapshot in table.items():
+        out[step] = {}
+        for group, moved in snapshot.items():
+            values = running.setdefault(group, {})
+            values.update(moved)
+            folded = out[step][group] = {}
+            for key, value in values.items():
+                for old, new in folds.items():
+                    if key.endswith(old):
+                        key = key[: len(key) - len(old)] + new
+                        break
+                folded[key] = folded.get(key, 0) + value
+    return out
+
+
+def test_cumulative_carries_values_forward_and_folds_suffixes():
+    table = {
+        "a": {"counters": {"op.read_blocks": 2, "op.read_block": 1, "x": 5}},
+        "b": {"counters": {"op.read_block": 4}},
+    }
+    folded = _cumulative(table, {"op.read_blocks": "op.read_block"})
+    assert folded["a"]["counters"] == {"op.read_block": 3, "x": 5}
+    assert folded["b"]["counters"] == {"op.read_block": 6, "x": 5}
+
+
+def diff_against_golden(folds: dict) -> list:
+    """Dry run of the regeneration: one line per session / step / group
+    / key whose cumulative value differs from the committed table."""
+    golden = json.loads(GOLDEN.read_text())
+    lines = []
+    for kind in KINDS + list(KNOB_SESSIONS):
+        recorded = _cumulative(golden.get(kind, {}), folds)
+        fresh = _cumulative(_run(kind), folds)
+        for step in dict.fromkeys([*recorded, *fresh]):
+            was, now = recorded.get(step), fresh.get(step)
+            if was is None or now is None:
+                lines.append(f"{kind} / {step}: {'added' if was is None else 'gone'}")
+                continue
+            for group in now:
+                for key in sorted({*was[group], *now[group]}):
+                    a, b = was[group].get(key, 0), now[group].get(key, 0)
+                    if a != b:
+                        lines.append(f"{kind} / {step} / {group} / {key}: {a} -> {b}")
+    return lines
+
+
+def main(argv=None) -> int:
+    import argparse
+
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--diff", action="store_true",
+        help="print what differs from the committed table; write nothing",
+    )
+    parser.add_argument(
+        "--fold", nargs="*", default=[], metavar="OLD=NEW",
+        help="with --diff: on both sides, sum keys ending in OLD into the "
+        "key ending in NEW (e.g. op.read_blocks=op.read_block)",
+    )
+    args = parser.parse_args(argv)
+    if args.diff:
+        lines = diff_against_golden(dict(f.split("=", 1) for f in args.fold))
+        print("\n".join(lines) if lines else "charge pin: no differences")
+        return 1 if lines else 0
     GOLDEN.write_text(
         json.dumps(
             {kind: _run(kind) for kind in KINDS + list(KNOB_SESSIONS)}, indent=1
@@ -367,3 +443,8 @@ if __name__ == "__main__":
         + "\n"
     )
     print(f"wrote {GOLDEN}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
