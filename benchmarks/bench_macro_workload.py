@@ -85,7 +85,7 @@ def _run_flush(batch: bool) -> dict:
     through the two-domain SFS, with vectored page-out off or on.  Per
     page, an unbatched flush pays one invocation plus one full disk
     transfer (~13.7 ms); batching coalesces the dirty run into one
-    ranged sync and one clustered device write."""
+    sync and one clustered device write."""
     world = World()
     node = world.create_node("bench")
     device = BlockDevice(node.nucleus, "sd0", 32768)
@@ -160,7 +160,7 @@ def flush():
 class TestVectoredFlush:
     def test_batched_flush_at_least_30pct_faster(self, flush):
         """The tentpole claim: batching contiguous dirty pages into
-        ranged pager calls + clustered device writes cuts the uncached
+        one pager call per run + clustered device writes cuts the uncached
         sequential flush by well over the 30% acceptance bar."""
         assert flush[True]["elapsed_ms"] <= flush[False]["elapsed_ms"] * 0.7
 

@@ -2,9 +2,9 @@
 
 Sits on the ChannelOps spine like every other layer, but instead of
 forwarding page traffic to the layer below it *fans out* to the
-datanodes: ``page_out``/``page_out_range`` become quorum writes striped
-block-by-block across replicas, ``page_in``/``page_in_range`` become
-located reads with per-replica failover.  The layer it stacks on is the
+datanodes: ``page_out`` becomes quorum writes striped block-by-block
+across replicas, ``page_in``/``page_in_range`` become located reads
+with per-replica failover.  The layer it stacks on is the
 *metadata* file system (an SFS on the namenode's machine): the file's
 namespace entry, attributes, and length live there; its data does not —
 the Lustre MDS/OST split on the Spring stacking architecture.
@@ -108,9 +108,6 @@ class ShardedOps(RecoveringOps):
         # Length grows only on the byte-precise file_write/set_length
         # paths — same contract as the base ChannelOps.page_out.
         self.layer.shard_write(state, offset, data)
-
-    # page_out_range needs no override: the spine hands whole runs to
-    # the page_out override of a transforming layer.
 
 
 class ShardedDfsLayer(RecoveringLayer):

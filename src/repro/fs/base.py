@@ -14,7 +14,7 @@ claim made concrete.  It provides:
   :class:`ChannelOps` table;
 * :class:`ChannelOps` — the dispatch spine.  Its defaults implement a
   complete coherent pass-through layer (modelled on DFS's forwarding):
-  holder bookkeeping above, ranged forwarding below.  Concrete layers
+  holder bookkeeping above, forwarding below.  Concrete layers
   subclass it and override only their transform points — COMPFS's
   encode/decode, CRYPTFS's seal/unseal, the coherency layer's recall
   policy;
@@ -69,18 +69,15 @@ from repro.fs.fs_interfaces import StackableFs
 from repro.fs.holders import WHOLE_FILE, make_holder_table
 
 #: Channel operations dispatched through the spine, pager side then
-#: cache side.  ``write_out``/``sync`` (and their ranged forms) are the
-#: retain-variants of ``page_out``; they share the page_out dispatch
-#: entry but are counted under their own wire names.
+#: cache side.  ``write_out``/``sync`` are the retain-variants of
+#: ``page_out``; they share the page_out dispatch entry but are counted
+#: under their own wire names.
 PAGER_OPS: Tuple[str, ...] = (
     "page_in",
     "page_in_range",
     "page_out",
     "write_out",
     "sync",
-    "page_out_range",
-    "write_out_range",
-    "sync_range",
     "attr_page_in",
     "attr_write_out",
 )
@@ -208,7 +205,7 @@ class ChannelOps:
 
     The defaults implement a *coherent pass-through*: holder bookkeeping
     for the channels above (recalls, write-denials, invalidations fan
-    out to upstream caches) and ranged forwarding to the channel below.
+    out to upstream caches) and forwarding to the channel below.
     DFS — the paper's remote-forwarding layer — is exactly this table
     with no overrides.
 
@@ -216,10 +213,10 @@ class ChannelOps:
     coherency layer) override the ops they change and keep the rest.
     Two conveniences keep those overrides small:
 
-    * a layer that overrides :meth:`page_in` / :meth:`page_out` receives
-      ranged traffic through the same override (the run is handed to it
-      whole) unless it also overrides the ranged op — so a transform
-      layer writes one decode and one encode, not four;
+    * a layer that overrides :meth:`page_in` receives ranged page-ins
+      through the same override unless it also overrides
+      :meth:`page_in_range`, and :meth:`page_out` carries one page or a
+      whole run — so a transform layer writes one decode and one encode;
     * the cache-side defaults no-op gracefully when the layer keeps no
       holder table (``state.holders is None``).
     """
@@ -325,22 +322,9 @@ class ChannelOps:
             self.writeback_bookkeeping(
                 state, self.requester(source_key, pager_object), offset, size, retain
             )
+        # One call below whatever the size, so a run stays a run down to
+        # the disk layer.
         self.down(state).page_out(offset, size, data)
-
-    def page_out_range(
-        self, source_key, pager_object, offset, size, data, retain
-    ) -> None:
-        if type(self).page_out is not ChannelOps.page_out:
-            # The layer transforms page-outs; hand it the whole run.
-            self.page_out(source_key, pager_object, offset, size, data, retain)
-            return
-        state = self.state(source_key)
-        with self.region():
-            self.writeback_bookkeeping(
-                state, self.requester(source_key, pager_object), offset, size, retain
-            )
-        # One ranged call below, so batching survives to the disk layer.
-        self.down(state).page_out_range(offset, size, data)
 
     def attr_page_in(self, source_key, pager_object) -> FileAttributes:
         return self.state(source_key).under_file.get_attributes()
@@ -467,33 +451,6 @@ class LayerPagerObject(FsPager):
         runtime.timed(
             self.ops.page_out, self.source_key, self, offset, size, data,
             retain=AccessRights.READ_WRITE,
-        )
-
-    @operation
-    def page_out_range(self, offset: int, size: int, data: bytes) -> None:
-        runtime = self.runtime
-        runtime.record("page_out_range", offset, size)
-        runtime.timed(
-            self.ops.page_out_range, self.source_key, self, offset, size,
-            data, retain=None,
-        )
-
-    @operation
-    def write_out_range(self, offset: int, size: int, data: bytes) -> None:
-        runtime = self.runtime
-        runtime.record("write_out_range", offset, size)
-        runtime.timed(
-            self.ops.page_out_range, self.source_key, self, offset, size,
-            data, retain=AccessRights.READ_ONLY,
-        )
-
-    @operation
-    def sync_range(self, offset: int, size: int, data: bytes) -> None:
-        runtime = self.runtime
-        runtime.record("sync_range", offset, size)
-        runtime.timed(
-            self.ops.page_out_range, self.source_key, self, offset, size,
-            data, retain=AccessRights.READ_WRITE,
         )
 
     @operation
@@ -857,8 +814,8 @@ class BaseLayer(LayerNaming, StackableFs, CacheManager, abc.ABC):
     #: Tuning knobs, all off by default: calibration runs unbatched,
     #: uncompounded and without read-ahead.  Set per layer, by
     #: assignment or the constructor keyword of the layers that take
-    #: one.  ``batch_pageout``: coalesce contiguous dirty runs into
-    #: ranged write-backs.  ``compound``: batch per-holder coherency
+    #: one.  ``batch_pageout``: coalesce adjacent dirty pages into
+    #: one write-back call per run.  ``compound``: batch per-holder coherency
     #: fan-out messages into one round trip per remote node (see
     #: :mod:`repro.ipc.compound`).  ``readahead_pages``: sequential
     #: read-ahead window of the layer's per-file caches.
@@ -1146,8 +1103,8 @@ class BaseLayer(LayerNaming, StackableFs, CacheManager, abc.ABC):
 
     def push_run(self, state: Any, offset: int, chunks: List[bytes]) -> None:
         """Where a run of recalled pages goes: down the channel, as one
-        (ranged, when longer than a page) page-out."""
-        write_run(self.ops.down(state), "page_out", offset, chunks, len(chunks) > 1)
+        page-out."""
+        write_run(self.ops.down(state), "page_out", offset, chunks)
 
     def invalidate_upstream_attrs(
         self, state: Any, exclude: Optional[Channel] = None

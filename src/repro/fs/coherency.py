@@ -421,8 +421,8 @@ class CoherencyLayer(BaseLayer):
         and dirty blocks to the lower layer.
 
         Write-back order is deterministic: dirty pages ascend by index;
-        with ``batch_pageout`` set, contiguous runs go down as single
-        ranged syncs, in the same ascending order."""
+        with ``batch_pageout`` set, each contiguous run goes down as one
+        sync, in the same ascending order."""
         if not self.cache_enabled:
             return
         self.ensure_down(state)

@@ -29,7 +29,6 @@ from typing import Dict
 from repro.errors import FsError
 
 from repro.types import PAGE_SIZE, AccessRights, page_range
-from repro.vm.source_cache import NEVER
 
 from repro.fs.base import (
     BaseLayer,
@@ -79,8 +78,8 @@ class _FileInterfacePager:
 class CryptCache(LayerCache):
     """The decrypted block cache of one file: ciphertext crosses the
     channel, one keystream per block.  When the layer below refuses the
-    channel the sink is its plain file interface — page by page, no
-    ranged calls, and none of its coherency actions reach this cache."""
+    channel the sink is its plain file interface — page by page, and
+    none of its coherency actions reach this cache."""
 
     __slots__ = ()
 
@@ -91,10 +90,10 @@ class CryptCache(LayerCache):
         self.readahead_override = 0  # the file interface has no ranged read
         return _FileInterfacePager(state.under_file)
 
-    def ranged_from(self) -> int:
-        """Write-through pushes what one write touched: a run goes down
-        as one ranged sync, a lone block as a plain one."""
-        return 2 if self.manager.ensure_down(self.state) else NEVER
+    def coalesces(self) -> bool:
+        """Write-through pushes what one write touched: down a channel,
+        a run of blocks is one sync."""
+        return self.manager.ensure_down(self.state)
 
     def prefetch(self, offset: int, size: int, access: AccessRights) -> None:
         if self.manager.ensure_down(self.state):
@@ -295,9 +294,9 @@ class CryptFs(BaseLayer):
 
     def _flush_range(self, state: CryptFileState, offset: int, size: int) -> None:
         """Write-through: encrypt and push the touched blocks below.
-        Contiguous dirty blocks go down as one ranged sync per run, so a
-        big sequential write pays one invocation per run instead of one
-        per 4 KB block."""
+        Contiguous dirty blocks go down as one sync per run, so a big
+        sequential write pays one invocation per run instead of one per
+        4 KB block."""
         dirty = []
         for index in page_range(offset, size):
             page = state.plain.get(index)

@@ -212,7 +212,7 @@ class DiskOps(ChannelOps):
         contiguous multi-block transfers provides — the paper sec. 8
         'return more data than strictly needed' opportunity.  Short of
         the minimum only at EOF (callers zero-pad pages)."""
-        return self.layer.volume.read_data_clustered(
+        return self.layer.volume.read_data(
             self._ino_of(source_key), offset, max_size
         )
 
@@ -230,21 +230,6 @@ class DiskOps(ChannelOps):
         # bytes must have left the block store's userspace buffer.  Free
         # in virtual time, like every ``BlockDevice.flush``.
         if retain is AccessRights.READ_WRITE:
-            self.layer.volume.device.flush()
-
-    def page_out_range(
-        self, source_key, pager_object, offset, size, data, retain
-    ) -> None:
-        """Vectored page-out: same clamping as the single-page op, but
-        the device write clusters physically contiguous blocks into
-        multi-block transfers — one seek+rotation per run instead of one
-        per page."""
-        ino = self._ino_of(source_key)
-        file_size = self.layer.volume.iget(ino).size
-        usable = min(size, len(data), max(0, file_size - offset))
-        if usable > 0:
-            self.layer.volume.write_data_clustered(ino, offset, data[:usable])
-        if retain is AccessRights.READ_WRITE:  # a sync, as in page_out
             self.layer.volume.device.flush()
 
     def attr_page_in(self, source_key, pager_object) -> FileAttributes:

@@ -134,8 +134,8 @@ class MonoDirectory(MonoNaming):
 class MonoOps(ChannelOps):
     """Channel ops serving the VMM straight from the fused cache+volume.
 
-    Only the four leaf transforms are written out; the ranged ops fold
-    onto them via the spine's defaults, exactly as a stacked SFS's
+    Only the four leaf transforms are written out; ranged page-ins fold
+    onto ``page_in`` via the spine's default, exactly as a stacked SFS's
     bottom layer would behave without clustering."""
 
     def state(self, source_key):

@@ -90,23 +90,42 @@ class BlockDevice(SpringObject):
         )
         return self.queue
 
-    def _enqueue(self, nbytes: int) -> None:
-        """Concurrent mode: wait for the disk arm before the transfer
-        itself is charged (no-op without an installed queue)."""
-        if self.queue is not None:
-            self.queue.admit(self.world.cost_model.disk_io_us(nbytes))
-
-    # --- helpers ---------------------------------------------------------
-    def _check(self, index: int) -> None:
-        if not 0 <= index < self.num_blocks:
+    # --- device interface --------------------------------------------------
+    def _transfer(self, start: int, count: int, write: bool) -> None:
+        """Everything one transfer of ``count`` physically contiguous
+        blocks at ``start`` does before its store call: validate, the
+        write-side power-cut gate, wait for the disk arm, charge and
+        trace.  ONE seek + rotational latency, then sequential media
+        transfer — per-byte cost collapses for sequential runs, which is
+        what makes clustering, read-ahead (paper sec. 8's open problem)
+        and batched page-out pay."""
+        if count <= 0:
+            raise DeviceError(f"transfer of {count} blocks on {self.name!r}")
+        if start < 0 or start + count > self.num_blocks:
             raise DeviceError(
-                f"block {index} out of range on {self.name!r} "
-                f"(0..{self.num_blocks - 1})"
+                f"blocks {start}..{start + count - 1} out of range on "
+                f"{self.name!r} (0..{self.num_blocks - 1})"
             )
-        if index in self._bad_blocks:
-            raise DeviceError(
-                f"I/O error on {self.name!r} block {index}: "
-                f"{self._bad_blocks[index]}"
+        bad = self._bad_blocks
+        if bad:
+            for index in range(start, start + count):
+                if index in bad:
+                    raise DeviceError(
+                        f"I/O error on {self.name!r} block {index}: {bad[index]}"
+                    )
+        if write:
+            self._power_check()
+        world = self.world
+        nbytes = count * self.block_size
+        if self.queue is not None:
+            # Concurrent mode: wait for the disk arm before the transfer
+            # itself is charged.
+            self.queue.admit(world.cost_model.disk_io_us(nbytes))
+        if self.charge_latency:
+            world.charge.disk_io(nbytes)
+        if world.tracer is not None:
+            world.trace(
+                "disk", "transfer", device=self.name, blocks=count, write=write
             )
 
     def _power_check(self) -> None:
@@ -120,78 +139,34 @@ class BlockDevice(SpringObject):
             raise DeviceError(f"simulated power failure on {self.name!r}")
         self._power_countdown -= 1
 
-    def _charge(self) -> None:
-        self._enqueue(self.block_size)
-        if self.charge_latency:
-            self.world.charge.disk_io(self.block_size)
-        self.world.trace("disk", "transfer", device=self.name)
-
-    # --- device interface --------------------------------------------------
     @operation
-    def read_block(self, index: int) -> bytes:
-        self._check(index)
-        self._charge()
+    def read_block(self, start: int, count: int = 1) -> bytes:
+        """Read ``count`` physically contiguous blocks in one transfer."""
+        self._transfer(start, count, False)
         self.reads += 1
-        data = self.store.read(index)
+        data = self.store.read(start, count)
         if data is None:
             return self._zero_block
         return data
 
     @operation
-    def read_blocks(self, start: int, count: int) -> bytes:
-        """Read ``count`` physically contiguous blocks in ONE transfer:
-        one seek + rotational latency, then sequential media transfer.
-        This is what makes clustering/read-ahead pay (paper sec. 8's
-        open problem): per-byte cost collapses for sequential runs."""
-        if count <= 0:
-            raise DeviceError("read_blocks needs a positive count")
-        for index in range(start, start + count):
-            self._check(index)
-        self._enqueue(count * self.block_size)
-        if self.charge_latency:
-            self.world.charge.disk_io(count * self.block_size)
-        self.reads += 1
-        return self.store.read_run(start, count)
-
-    @operation
-    def write_blocks(self, start: int, data: bytes) -> None:
-        """Write whole physically contiguous blocks in ONE transfer — the
-        write-side counterpart of :meth:`read_blocks`: one seek +
-        rotational latency, then sequential media transfer.  This is
-        what makes batched page-out pay."""
-        if len(data) == 0 or len(data) % self.block_size != 0:
-            raise DeviceError(
-                f"write_blocks needs a positive multiple of {self.block_size} "
-                f"bytes, got {len(data)}"
-            )
-        count = len(data) // self.block_size
-        for index in range(start, start + count):
-            self._check(index)
-        self._power_check()
-        self._enqueue(len(data))
-        if self.charge_latency:
-            self.world.charge.disk_io(len(data))
-        self.world.trace("disk", "transfer", device=self.name)
-        self.writes += 1
-        self.store.write_run(start, data)
-
-    @operation
-    def write_block(self, index: int, data: bytes) -> None:
-        self._check(index)
-        if len(data) > self.block_size:
-            raise DeviceError(
-                f"write of {len(data)} bytes exceeds block size {self.block_size}"
-            )
-        self._power_check()
-        self._charge()
-        self.writes += 1
+    def write_block(self, start: int, data: bytes) -> None:
+        """Write whole physically contiguous blocks in one transfer; a
+        single short block is zero-padded."""
         size = len(data)
-        if size < self.block_size:
-            padded = bytearray(self.block_size)
+        block_size = self.block_size
+        if size < block_size:
+            padded = bytearray(block_size)
             padded[:size] = data
-            self.store.write(index, padded)
-        else:
-            self.store.write(index, data)
+            data = padded
+        elif size % block_size:
+            raise DeviceError(
+                f"write of {size} bytes is not a whole number of "
+                f"{block_size}-byte blocks"
+            )
+        self._transfer(start, len(data) // block_size, True)
+        self.writes += 1
+        self.store.write(start, data)
 
     @operation
     def capacity_bytes(self) -> int:
@@ -215,7 +190,7 @@ class BlockDevice(SpringObject):
         self._bad_blocks.clear()
 
     def inject_power_failure_after(self, writes: int) -> None:
-        """Let ``writes`` more block writes succeed, then fail every
+        """Let ``writes`` more write transfers succeed, then fail every
         subsequent write — a deterministic crash-mid-flush.  Reads keep
         working (the medium is intact; the machine is what died).
         Recovery is modelled by building a fresh device over the same

@@ -4,12 +4,12 @@ The simulated device charges latency, enforces geometry, and injects
 faults; *where the block bytes live* is this module's concern.  The
 ``BlockStore`` contract is deliberately tiny so a backend stays dumb:
 
-* ``read(index)`` — one block, or ``None`` for a block never written
-  (the device substitutes its interned zero block);
-* ``read_run(start, count)`` — ``count`` contiguous blocks as one
-  buffer, holes zero-filled;
-* ``write(index, data)`` / ``write_run(start, data)`` — whole-block
-  writes.  ``data`` may be any buffer (``bytes``, ``bytearray``,
+* ``read(index, count=1)`` — ``count`` contiguous blocks starting at
+  ``index`` as one buffer, never-written blocks zero-filled; a single
+  never-written block may come back as ``None`` (the device
+  substitutes its interned zero block);
+* ``write(index, data)`` — one or more whole blocks starting at
+  ``index``.  ``data`` may be any buffer (``bytes``, ``bytearray``,
   ``memoryview``): the store materializes exactly once at its own
   boundary, per the zero-copy ownership contract (DESIGN.md sec. 7) —
   which is what lets a page snapshot ride a ``memoryview`` all the way
@@ -54,16 +54,10 @@ class BlockStore:
     num_blocks: int
     block_size: int
 
-    def read(self, index: int) -> Optional[bytes]:
-        raise NotImplementedError
-
-    def read_run(self, start: int, count: int) -> bytes:
+    def read(self, index: int, count: int = 1) -> Optional[bytes]:
         raise NotImplementedError
 
     def write(self, index: int, data) -> None:
-        raise NotImplementedError
-
-    def write_run(self, start: int, data) -> None:
         raise NotImplementedError
 
     def flush(self) -> None:
@@ -92,28 +86,24 @@ class MemoryBlockStore(BlockStore):
         self.block_size = block_size
         self._blocks: Dict[int, bytes] = {}
 
-    def read(self, index: int) -> Optional[bytes]:
-        return self._blocks.get(index)
-
-    def read_run(self, start: int, count: int) -> bytes:
+    def read(self, index: int, count: int = 1) -> Optional[bytes]:
         blocks = self._blocks
-        zero = b"\x00" * self.block_size
-        out = bytearray()
-        for index in range(start, start + count):
-            data = blocks.get(index)
-            out += data if data is not None else zero
-        return bytes(out)
+        if count == 1:  # nothing to join: the stored block, or None
+            return blocks.get(index)
+        zero = bytes(self.block_size)
+        return b"".join(
+            [blocks.get(i, zero) for i in range(index, index + count)]
+        )
 
     def write(self, index: int, data) -> None:
         # Materialize exactly once at the storage boundary: ``data`` may
         # be a memoryview riding down from a page snapshot.
-        self._blocks[index] = bytes(data)
-
-    def write_run(self, start: int, data) -> None:
         bs = self.block_size
-        count = len(data) // bs
-        for i in range(count):
-            self._blocks[start + i] = bytes(data[i * bs : (i + 1) * bs])
+        if len(data) <= bs:  # nothing to split
+            self._blocks[index] = bytes(data)
+            return
+        for i in range(len(data) // bs):
+            self._blocks[index + i] = bytes(data[i * bs : (i + 1) * bs])
 
 
 class ImageBlockStore(BlockStore):
@@ -184,24 +174,14 @@ class ImageBlockStore(BlockStore):
     def _offset(self, index: int) -> int:
         return HEADER_SIZE + index * self.block_size
 
-    def read(self, index: int) -> Optional[bytes]:
+    def read(self, index: int, count: int = 1) -> Optional[bytes]:
         self._check_open()
         self._file.seek(self._offset(index))
-        return self._file.read(self.block_size)
-
-    def read_run(self, start: int, count: int) -> bytes:
-        self._check_open()
-        self._file.seek(self._offset(start))
         return self._file.read(count * self.block_size)
 
     def write(self, index: int, data) -> None:
         self._check_open()
         self._file.seek(self._offset(index))
-        self._file.write(data)
-
-    def write_run(self, start: int, data) -> None:
-        self._check_open()
-        self._file.seek(self._offset(start))
         self._file.write(data)
 
     def flush(self) -> None:

@@ -362,131 +362,80 @@ class Volume:
         return blocks
 
     # ----------------------------------------------------------------- file data
-    def read_data(self, ino: int, offset: int, size: int) -> bytes:
-        """Read file data; holes read as zeros without disk I/O."""
-        inode = self.iget(ino)
-        if offset >= inode.size:
-            return b""
-        size = min(size, inode.size - offset)
-        out = bytearray()
-        bs = self.sb.block_size
-        position = offset
-        remaining = size
-        while remaining > 0:
-            file_block, in_block = divmod(position, bs)
-            take = min(bs - in_block, remaining)
-            device_block = self.bmap(inode, file_block)
-            if device_block == 0:
-                out += bytes(take)
-            else:
-                raw = self.device.read_block(device_block)
-                out += raw[in_block : in_block + take]
-            position += take
-            remaining -= take
-        inode.atime_us = self._now()
-        self.mark_dirty(ino)
-        return bytes(out)
+    def _runs(
+        self, inode: Inode, first: int, count: int, allocate: bool = False
+    ) -> List[List[int]]:
+        """Map file blocks ``[first, first + count)`` and coalesce them
+        into ``[device_block, index, length]`` runs: ``length`` file
+        blocks, starting at the ``index``-th of the range, that lie on
+        consecutive device blocks from ``device_block`` — one device
+        transfer.  ``device_block`` 0 is a run of holes."""
+        runs: List[List[int]] = []
+        for index in range(count):
+            block = self.bmap(inode, first + index, allocate)
+            if runs:
+                last = runs[-1]
+                # The next device block of a mapped run, 0 after a hole.
+                if block == (last[0] and last[0] + last[2]):
+                    last[2] += 1
+                    continue
+            runs.append([block, index, 1])
+        return runs
 
-    def read_data_clustered(self, ino: int, offset: int, size: int) -> bytes:
-        """Like :meth:`read_data`, but block-aligned and clustering:
-        physically contiguous device blocks are fetched in single
-        multi-block transfers.  Used by the disk layer's ranged page-in
-        (read-ahead support, paper sec. 8)."""
+    def read_data(self, ino: int, offset: int, size: int) -> bytes:
+        """Read file data, one device transfer per physically contiguous
+        run of blocks (what makes read-ahead pay, paper sec. 8); holes
+        read as zeros without disk I/O."""
         inode = self.iget(ino)
         if offset >= inode.size:
             return b""
         size = min(size, inode.size - offset)
         bs = self.sb.block_size
-        if offset % bs != 0:
-            return self.read_data(ino, offset, size)
-        first_block = offset // bs
-        block_count = (size + bs - 1) // bs
-        # Map every file block, then coalesce physically contiguous runs.
-        mapped = [
-            self.bmap(inode, first_block + i) for i in range(block_count)
-        ]
-        out = bytearray()
-        i = 0
-        while i < block_count:
-            device_block = mapped[i]
-            if device_block == 0:
-                out += bytes(bs)  # hole
-                i += 1
-                continue
-            run = 1
-            while (
-                i + run < block_count
-                and mapped[i + run] == device_block + run
-            ):
-                run += 1
-            out += self.device.read_blocks(device_block, run)
-            i += run
+        first, skip = divmod(offset, bs)
+        pieces = []
+        for block, _, length in self._runs(inode, first, (skip + size + bs - 1) // bs):
+            if block:
+                pieces.append(self.device.read_block(block, length))
+            else:
+                pieces.append(bytes(length * bs))
+        data = b"".join(pieces)
         inode.atime_us = self._now()
         self.mark_dirty(ino)
-        return bytes(out[:size])
+        return data[skip : skip + size]
 
     def write_data(self, ino: int, offset: int, data: bytes) -> None:
-        """Write file data, allocating blocks and growing size as needed."""
+        """Write file data, allocating blocks and growing size as
+        needed: one device transfer per physically contiguous run of
+        blocks, read-modify-write only for an unaligned head or a
+        partial tail block."""
         inode = self.iget(ino)
         bs = self.sb.block_size
-        position = offset
-        consumed = 0
-        remaining = len(data)
-        while remaining > 0:
-            file_block, in_block = divmod(position, bs)
-            take = min(bs - in_block, remaining)
-            device_block = self.bmap(inode, file_block, allocate=True)
-            if take == bs:
-                block_data = data[consumed : consumed + bs]
-            else:
-                # Read-modify-write for partial blocks.
-                raw = bytearray(self.device.read_block(device_block))
-                raw[in_block : in_block + take] = data[consumed : consumed + take]
-                block_data = bytes(raw)
-            self.device.write_block(device_block, block_data)
-            position += take
-            consumed += take
-            remaining -= take
-        if offset + len(data) > inode.size:
-            inode.size = offset + len(data)
+        size = len(data)
+        first, skip = divmod(offset, bs)
+        end = skip + size
+        # An empty write maps (and allocates) nothing.
+        count = (end + bs - 1) // bs if size else 0
+        runs = self._runs(inode, first, count, allocate=True)
+        if count and (skip or end % bs):
+            # Read-modify-write: the unaligned head block and the partial
+            # tail block are read (once, when they are the same block) and
+            # go out with the run they belong to.
+            buffer = bytearray(count * bs)
+            if skip:
+                buffer[:bs] = self.device.read_block(runs[0][0])
+            if end % bs and not (skip and count == 1):
+                block, _, length = runs[-1]
+                buffer[-bs:] = self.device.read_block(block + length - 1)
+            buffer[skip:end] = data
+            data = memoryview(buffer)
+        for block, index, length in runs:
+            self.device.write_block(block, data[index * bs : (index + length) * bs])
+        if offset + size > inode.size:
+            inode.size = offset + size
         now = self._now()
         inode.mtime_us = now
         inode.ctime_us = now
         self.mark_dirty(ino)
-
-    def write_data_clustered(self, ino: int, offset: int, data: bytes) -> None:
-        """Like :meth:`write_data`, but whole-block writes go to the
-        device as single multi-block transfers per physically contiguous
-        run — the write-side twin of :meth:`read_data_clustered`, used by
-        the disk layer's vectored page-out.  Unaligned heads and partial
-        tails fall back to :meth:`write_data`'s read-modify-write."""
-        bs = self.sb.block_size
-        if offset % bs != 0 or len(data) < bs:
-            return self.write_data(ino, offset, data)
-        inode = self.iget(ino)
-        whole = (len(data) // bs) * bs
-        first_block = offset // bs
-        block_count = whole // bs
-        mapped = [
-            self.bmap(inode, first_block + i, allocate=True)
-            for i in range(block_count)
-        ]
-        i = 0
-        while i < block_count:
-            run = 1
-            while i + run < block_count and mapped[i + run] == mapped[i] + run:
-                run += 1
-            self.device.write_blocks(mapped[i], data[i * bs : (i + run) * bs])
-            i += run
-        if offset + whole > inode.size:
-            inode.size = offset + whole
-        now = self._now()
-        inode.mtime_us = now
-        inode.ctime_us = now
-        self.mark_dirty(ino)
-        tail = data[whole:]
-        if tail:
-            self.write_data(ino, offset + whole, tail)
 
     def truncate(self, ino: int, length: int) -> None:
         """Shrink or extend (sparsely) a file to ``length`` bytes."""

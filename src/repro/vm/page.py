@@ -53,8 +53,7 @@ def coalesce_runs(
     """Group ascending ``(index, page)`` pairs into contiguous runs.
 
     Each run is a maximal list of pairs with consecutive indices — the
-    unit the vectored pager ops (``page_out_range`` etc.) write in one
-    call.  Input order is preserved, so runs ascend whenever the input
+    unit a coalescing cache manager writes back in one pager call.  Input order is preserved, so runs ascend whenever the input
     does."""
     runs: List[List[Tuple[int, CachedPage]]] = []
     for index, page in pairs:
@@ -123,7 +122,7 @@ class PageStore:
 
     def dirty_runs(self) -> List[List[Tuple[int, CachedPage]]]:
         """Dirty pages coalesced into contiguous ascending runs — one
-        ranged write-back per run.  A clean (or absent) page between two
+        write-back call per run under a coalescing manager.  A clean (or absent) page between two
         dirty ones splits the run."""
         return coalesce_runs(self.dirty_pages())
 

@@ -11,17 +11,23 @@ talking to a plain storage pager.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Callable, Dict
+from typing import TYPE_CHECKING
 
 from repro.ipc.object import SpringObject
-from repro.types import PAGE_SIZE, AccessRights
+from repro.types import AccessRights
 
 if TYPE_CHECKING:
     from repro.fs.attributes import FileAttributes
 
 
 class PagerObject(SpringObject, abc.ABC):
-    """One pager's end of a pager-cache channel for one memory object."""
+    """One pager's end of a pager-cache channel for one memory object.
+
+    ``size`` is a whole number of pages in every data operation: a cache
+    manager holding a contiguous run of dirty pages may push it in one
+    ``page_out`` / ``write_out`` / ``sync``, so the run pays a single
+    invocation and the disk layer can cluster the device write.  Whether
+    adjacent pages are coalesced is the caller's policy."""
 
     @abc.abstractmethod
     def page_in(self, offset: int, size: int, access: AccessRights) -> bytes:
@@ -56,42 +62,6 @@ class PagerObject(SpringObject, abc.ABC):
     def sync(self, offset: int, size: int, data: bytes) -> None:
         """Write data to the pager; the caller retains it in the same
         mode it held before the call."""
-
-    # --- ranged write-side ops (the write analogue of page_in_range) ------
-    #
-    # A cache manager holding a contiguous run of dirty pages may push
-    # them in ONE call instead of one per page, so the whole run pays a
-    # single invocation and the disk layer can cluster the device write.
-    # The defaults split the run into single-page calls, so existing
-    # pagers keep working unmodified; layers with a cheaper vectored path
-    # override them.
-
-    def page_out_range(self, offset: int, size: int, data: bytes) -> None:
-        """Ranged :meth:`page_out`: the caller no longer retains any of
-        ``[offset, offset + size)``."""
-        self._split_range(self.page_out, offset, size, data)
-
-    def write_out_range(self, offset: int, size: int, data: bytes) -> None:
-        """Ranged :meth:`write_out`: the caller retains the run read-only."""
-        self._split_range(self.write_out, offset, size, data)
-
-    def sync_range(self, offset: int, size: int, data: bytes) -> None:
-        """Ranged :meth:`sync`: the caller retains the run in the same
-        mode it held before the call."""
-        self._split_range(self.sync, offset, size, data)
-
-    def _split_range(
-        self,
-        op: Callable[[int, int, bytes], None],
-        offset: int,
-        size: int,
-        data: bytes,
-    ) -> None:
-        position = 0
-        while position < size:
-            take = min(PAGE_SIZE, size - position)
-            op(offset + position, take, data[position : position + take])
-            position += take
 
     @abc.abstractmethod
     def done_with_pager_object(self) -> None:

@@ -15,15 +15,15 @@ manager does with it:
 * **prefetch** the missing runs of a byte range an upstream window
   asked for, one ranged page-in per run;
 * **write back** dirty ``(index, page)`` pairs as ``page_out`` /
-  ``write_out`` / ``sync`` or their ranged forms, settling each page
-  (dropped, downgraded or marked clean) only after the call that
-  carried it returned.
+  ``write_out`` / ``sync`` calls of one page or of one contiguous run,
+  settling each page (dropped, downgraded or marked clean) only after
+  the call that carried it returned.
 
 What differs between cache managers is subclass surface: where the pager
 object comes from (:meth:`SourceCache.pager`), a per-block transform
 (``decode`` / ``encode``), the manager's own per-fault work and
-residency bound (``before_fetch`` / :meth:`SourceCache.full`) and which
-runs go out ranged (:meth:`SourceCache.ranged_from`).
+residency bound (``before_fetch`` / :meth:`SourceCache.full`) and
+whether adjacent dirty pages share a call (:meth:`SourceCache.coalesces`).
 """
 
 from __future__ import annotations
@@ -36,21 +36,14 @@ from repro.vm.page import CachedPage, PageStore, coalesce_runs, index_runs
 from repro.vm.pager_object import PagerObject
 from repro.vm.readahead import StreamTable
 
-#: ``ranged_from`` of a cache that never issues ranged write-backs.
-NEVER = sys.maxsize
 
-
-def write_run(pager, op: str, offset: int, chunks: Sequence, ranged: bool) -> None:
+def write_run(pager, op: str, offset: int, chunks: Sequence) -> None:
     """One write-back call carrying the contiguous run of page-size
     ``chunks`` that starts at byte ``offset``.  ``op`` names what the
     caller keeps of it — ``page_out`` (nothing), ``write_out`` (a
-    read-only copy), ``sync`` (the pages as they were); ``ranged``
-    selects ``<op>_range`` over the single-page op (a one-page run)."""
-    if ranged:
-        data = b"".join(chunks)
-        getattr(pager, op + "_range")(offset, len(data), data)
-    else:
-        getattr(pager, op)(offset, PAGE_SIZE, chunks[0])
+    read-only copy), ``sync`` (the pages as they were)."""
+    data = chunks[0] if len(chunks) == 1 else b"".join(chunks)
+    getattr(pager, op)(offset, len(chunks) * PAGE_SIZE, data)
 
 
 class SourceCache:
@@ -59,7 +52,7 @@ class SourceCache:
     ``manager`` is the cache manager the cache belongs to — the VMM or a
     file system layer — and supplies the knobs: ``readahead_pages`` (the
     window a sequential fault asks for) and ``batch_pageout`` (whether
-    dirty runs go out as ranged calls).  ``tag`` names the manager in
+    adjacent dirty pages go out in one call).  ``tag`` names the manager in
     the ``<tag>.readahead`` counter.
     """
 
@@ -99,11 +92,11 @@ class SourceCache:
         """True when no further speculative page may be installed."""
         return False
 
-    def ranged_from(self) -> int:
-        """The shortest dirty run that goes out as one ranged call; a
-        shorter run goes page by page.  By default the manager's
-        ``batch_pageout`` decides for every run."""
-        return 1 if self.manager.batch_pageout else NEVER
+    def coalesces(self) -> bool:
+        """True when adjacent dirty pages go out in one call, False when
+        every page gets a call of its own.  By default the manager's
+        ``batch_pageout`` decides."""
+        return self.manager.batch_pageout
 
     # --- faulting ------------------------------------------------------------
     def fault(self, index: int, access: AccessRights) -> CachedPage:
@@ -181,17 +174,14 @@ class SourceCache:
         if not pairs:
             return 0
         pager = self.pager()
-        ranged_from = self.ranged_from()
         encode = self.encode
-        # Where nothing goes out ranged, every page is a run of its own.
-        for run in zip(pairs) if ranged_from == NEVER else coalesce_runs(pairs):
+        # Where nothing is coalesced, every page is a run of its own.
+        for run in coalesce_runs(pairs) if self.coalesces() else zip(pairs):
             if encode is None:
                 chunks = [page.snapshot() for _, page in run]
             else:
                 chunks = encode(run)
-            write_run(
-                pager, op, run[0][0] * PAGE_SIZE, chunks, len(run) >= ranged_from
-            )
+            write_run(pager, op, run[0][0] * PAGE_SIZE, chunks)
             for index, page in run:
                 if op == "page_out":
                     self.store.drop(index)

@@ -86,7 +86,7 @@ class VmCache(SourceCache):
 
         Write-back order is deterministic either way — dirty pages
         ascend by index, and with ``vmm.batch_pageout`` set, contiguous
-        runs go out as single ranged calls in the same ascending order.
+        runs go out as single calls in the same ascending order.
         Benchmarks rely on this determinism for stable virtual time.
         """
         return self.write_back(self.store.dirty_pages(), "sync")
@@ -299,7 +299,7 @@ class Vmm(CacheManager):
         #: dropped, dirty pages written out through their pagers.
         self.capacity_pages: Optional[int] = None
         self.evictions = 0
-        #: Coalesce contiguous dirty pages into ranged pager calls on
+        #: Coalesce contiguous dirty pages into single pager calls on
         #: sync/flush/eviction.  Off by default — like readahead_pages,
         #: it is a sec. 8-style extension ablated separately from the
         #: Table 2/3 reproduction, whose calibration assumes per-page
@@ -390,7 +390,7 @@ class Vmm(CacheManager):
 
         Victims come from the two FIFO eviction queues maintained by the
         PageStore observer hooks — clean pages first (dropped for free),
-        then dirty pages (paged out, coalesced into ranged calls when
+        then dirty pages (paged out, coalesced into one call per run when
         ``batch_pageout`` is set).  The queues are validated lazily:
         entries for pages that were dropped since enqueue are discarded
         on pop, and an entry whose page changed dirtiness migrates to
@@ -461,8 +461,8 @@ class Vmm(CacheManager):
     def _evict_dirty(self, victims: List[Tuple[VmCache, int, CachedPage]]) -> int:
         """Page out and drop the chosen dirty victims: one by one in
         queue order, or — with ``batch_pageout`` set — each cache's
-        victims together, ascending, so contiguous ones go out as single
-        ranged calls."""
+        victims together, ascending, so contiguous ones go out in one
+        call."""
         if not self.batch_pageout:
             for cache, index, page in victims:
                 cache.write_back([(index, page)], "page_out")

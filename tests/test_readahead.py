@@ -3,12 +3,15 @@ page-ins, clustered device transfers, and the VMM/coherency policies."""
 
 import pytest
 
+from repro.errors import DeviceError
 from repro.fs.sfs import create_sfs
 from repro.storage.block_device import BlockDevice
 from repro.storage.inode import FileType
 from repro.storage.volume import Volume
 from repro.types import PAGE_SIZE, AccessRights
 from repro.world import World
+
+from tests.test_property_volume import runs_touched
 
 
 @pytest.fixture
@@ -33,7 +36,7 @@ class TestDeviceClustering:
             device.write_block(10 + i, bytes([i]) * 16)
         reads_before = device.reads
         clock_before = world.clock.charged("disk")
-        data = device.read_blocks(10, 8)
+        data = device.read_block(10, 8)
         assert device.reads == reads_before + 1
         assert data[0] == 0 and data[PAGE_SIZE] == 1
         one_transfer = world.clock.charged("disk") - clock_before
@@ -41,13 +44,46 @@ class TestDeviceClustering:
         assert one_transfer < 8 * world.cost_model.disk_io_us(PAGE_SIZE) / 2
 
     def test_read_blocks_bounds(self, node):
-        from repro.errors import DeviceError
-
         device = BlockDevice(node.nucleus, "c1", 16)
         with pytest.raises(DeviceError):
-            device.read_blocks(10, 10)
+            device.read_block(10, 10)
         with pytest.raises(DeviceError):
-            device.read_blocks(0, 0)
+            device.read_block(-1, 2)
+        with pytest.raises(DeviceError):
+            device.read_block(0, 0)
+        with pytest.raises(DeviceError):
+            device.write_block(15, bytes(2 * PAGE_SIZE))
+        assert device.reads == device.writes == 0
+
+    def test_run_writes_are_whole_blocks_or_one_short_block(self, node):
+        device = BlockDevice(node.nucleus, "c3", 16)
+        with pytest.raises(DeviceError):
+            device.write_block(2, bytes(PAGE_SIZE + 1))
+        device.write_block(2, b"short")  # a single short block is padded
+        assert device.read_block(2) == b"short" + bytes(PAGE_SIZE - 5)
+        device.write_block(4, b"a" * PAGE_SIZE + b"b" * PAGE_SIZE)
+        assert device.read_block(4, 2) == b"a" * PAGE_SIZE + b"b" * PAGE_SIZE
+        assert device.read_block(5) == b"b" * PAGE_SIZE
+        assert device.writes == 2
+
+    def test_bad_block_anywhere_in_a_run_fails_the_transfer(self, node):
+        device = BlockDevice(node.nucleus, "c4", 16)
+        device.inject_bad_block(6)
+        with pytest.raises(DeviceError):
+            device.read_block(4, 4)
+        with pytest.raises(DeviceError):
+            device.write_block(5, bytes(2 * PAGE_SIZE))
+        assert device.reads == device.writes == 0
+        assert device.peek(5) == bytes(PAGE_SIZE)
+
+    def test_power_cut_counts_transfers_not_blocks(self, node):
+        device = BlockDevice(node.nucleus, "c5", 16)
+        device.inject_power_failure_after(1)
+        device.write_block(0, bytes([1]) * (3 * PAGE_SIZE))
+        with pytest.raises(DeviceError):
+            device.write_block(3, bytes([2]) * (2 * PAGE_SIZE))
+        assert device.peek(2) == bytes([1]) * PAGE_SIZE
+        assert device.peek(3) == device.peek(4) == bytes(PAGE_SIZE)
 
 
 class TestVolumeClusteredRead:
@@ -56,17 +92,23 @@ class TestVolumeClusteredRead:
         f = volume.create(root, "c.dat", FileType.REGULAR)
         payload = bytes(i % 251 for i in range(10 * PAGE_SIZE))
         volume.write_data(f.ino, 0, payload)
-        assert volume.read_data_clustered(f.ino, 0, len(payload)) == payload
+        assert volume.read_data(f.ino, 0, len(payload)) == payload
         assert (
-            volume.read_data_clustered(f.ino, 2 * PAGE_SIZE, 3 * PAGE_SIZE)
+            volume.read_data(f.ino, 2 * PAGE_SIZE, 3 * PAGE_SIZE)
             == payload[2 * PAGE_SIZE : 5 * PAGE_SIZE]
+        )
+        # The same bytes as block-at-a-time reads of the same range.
+        assert payload[2 * PAGE_SIZE : 5 * PAGE_SIZE] == b"".join(
+            volume.read_data(f.ino, i * PAGE_SIZE, PAGE_SIZE) for i in (2, 3, 4)
         )
 
     def test_holes_read_zero(self, volume):
         root = volume.sb.root_ino
         f = volume.create(root, "h.dat", FileType.REGULAR)
         volume.write_data(f.ino, 5 * PAGE_SIZE, b"tail")
-        data = volume.read_data_clustered(f.ino, 0, 5 * PAGE_SIZE + 4)
+        reads_before = volume.device.reads
+        data = volume.read_data(f.ino, 0, 5 * PAGE_SIZE + 4)
+        assert volume.device.reads == reads_before + 1  # holes cost no I/O
         assert data[: 5 * PAGE_SIZE] == bytes(5 * PAGE_SIZE)
         assert data[5 * PAGE_SIZE :] == b"tail"
 
@@ -75,13 +117,14 @@ class TestVolumeClusteredRead:
         volume = Volume.mkfs(device, inode_count=32)
         f = volume.create(volume.sb.root_ino, "big", FileType.REGULAR)
         volume.write_data(f.ino, 0, b"z" * (16 * PAGE_SIZE))
-        reads_before = device.reads
-        volume.read_data_clustered(f.ino, 0, 16 * PAGE_SIZE)
-        clustered_reads = device.reads - reads_before
+        runs = runs_touched(volume, f.ino, 0, 16 * PAGE_SIZE)
         reads_before = device.reads
         volume.read_data(f.ino, 0, 16 * PAGE_SIZE)
-        plain_reads = device.reads - reads_before
-        assert clustered_reads < plain_reads
+        clustered_reads = device.reads - reads_before
+        reads_before = device.reads
+        for i in range(16):
+            volume.read_data(f.ino, i * PAGE_SIZE, PAGE_SIZE)
+        assert clustered_reads == runs < device.reads - reads_before == 16
 
 
 class TestCoherencyReadahead:

@@ -105,6 +105,17 @@ class TestTracerIntegration:
             f.write(0, b"x" * PAGE_SIZE)
         assert tracer.events("disk")
 
+    def test_every_device_transfer_is_traced_with_its_length(self, world, node):
+        device = BlockDevice(node.nucleus, "sd0", 64)
+        tracer = world.enable_tracing()
+        device.read_block(10, 8)
+        device.write_block(20, bytes(3 * PAGE_SIZE))
+        device.read_block(5)
+        assert [
+            (e.name, e.detail["blocks"], e.detail["write"])
+            for e in tracer.events("disk")
+        ] == [("transfer", 8, False), ("transfer", 3, True), ("transfer", 1, False)]
+
     def test_network_messages_traced(self):
         from repro.fs.dfs import export_dfs, mount_remote
         from repro.storage.block_device import RamDevice

@@ -1,7 +1,8 @@
-"""Tests for the vectored paging pipeline: dirty-run coalescing, ranged
-pager operations (defaults and batched write-back through a real
-2-layer stack), the VMM's O(1) eviction clock, multi-stream read-ahead
-detection, and read-ahead hint forwarding through stacked layers."""
+"""Tests for the vectored paging pipeline: dirty-run coalescing, pager
+write-back calls that carry whole runs (batched write-back through a
+real 2-layer stack), the VMM's O(1) eviction clock, multi-stream
+read-ahead detection, and read-ahead hint forwarding through stacked
+layers."""
 
 import types
 
@@ -27,13 +28,11 @@ def no_fault(index, access):
 
 
 class RecordingPager(PagerObject):
-    """Concrete pager that logs calls.  ``vectored=False`` keeps the
-    base-class ranged defaults (split into single-page calls);
-    ``vectored=True`` accepts whole runs."""
+    """Concrete pager that logs calls; every write-back op accepts one
+    page or a whole run."""
 
-    def __init__(self, domain, vectored: bool = False) -> None:
+    def __init__(self, domain) -> None:
         super().__init__(domain)
-        self.vectored = vectored
         self.log = []
 
     def page_in(self, offset, size, access):
@@ -48,18 +47,6 @@ class RecordingPager(PagerObject):
 
     def sync(self, offset, size, data):
         self.log.append(("sync", offset, size))
-
-    def sync_range(self, offset, size, data):
-        if self.vectored:
-            self.log.append(("sync_range", offset, size))
-            return
-        super().sync_range(offset, size, data)
-
-    def page_out_range(self, offset, size, data):
-        if self.vectored:
-            self.log.append(("page_out_range", offset, size))
-            return
-        super().page_out_range(offset, size, data)
 
     def done_with_pager_object(self):
         pass
@@ -148,73 +135,54 @@ class TestStreamTable:
 
 
 # --------------------------------------------------------------------------
-# Ranged pager operations
+# Write-back calls that carry runs
 # --------------------------------------------------------------------------
-class TestRangedPagerDefaults:
-    def test_sync_range_default_splits_per_page(self, node):
-        pager = RecordingPager(node.create_domain("p"))
-        pager.sync_range(0, 2 * PAGE_SIZE + 100, bytes(2 * PAGE_SIZE + 100))
-        assert pager.log == [
-            ("sync", 0, PAGE_SIZE),
-            ("sync", PAGE_SIZE, PAGE_SIZE),
-            ("sync", 2 * PAGE_SIZE, 100),
-        ]
-
-    def test_page_out_range_default_splits_per_page(self, node):
-        pager = RecordingPager(node.create_domain("p"))
-        pager.page_out_range(PAGE_SIZE, 2 * PAGE_SIZE, bytes(2 * PAGE_SIZE))
-        assert pager.log == [
-            ("page_out", PAGE_SIZE, PAGE_SIZE),
-            ("page_out", 2 * PAGE_SIZE, PAGE_SIZE),
-        ]
-
-
 class TestBatchedWriteBackOrder:
-    def _cache(self, node, vectored: bool):
-        pager = RecordingPager(node.create_domain("p"), vectored=vectored)
+    def _cache(self, node):
+        pager = RecordingPager(node.create_domain("p"))
         cache = VmCache(node.vmm, "t")
         cache.channel = types.SimpleNamespace(pager_object=pager)
         return cache, pager
 
     def test_batched_sync_one_call_per_run_ascending(self, node):
-        cache, pager = self._cache(node, vectored=True)
+        cache, pager = self._cache(node)
         for index in (5, 6, 0, 1, 2):  # install out of order
             cache.store.install(index, b"x", RW, dirty=True)
         node.vmm.batch_pageout = True
         assert cache.sync() == 5
         assert pager.log == [
-            ("sync_range", 0, 3 * PAGE_SIZE),
-            ("sync_range", 5 * PAGE_SIZE, 2 * PAGE_SIZE),
+            ("sync", 0, 3 * PAGE_SIZE),
+            ("sync", 5 * PAGE_SIZE, 2 * PAGE_SIZE),
         ]
         assert cache.store.dirty_runs() == []
 
     def test_unbatched_sync_same_ascending_order(self, node):
         """Satellite (f): write-back order is deterministic and identical
         with batching off — per page, ascending."""
-        cache, pager = self._cache(node, vectored=False)
+        cache, pager = self._cache(node)
         for index in (5, 6, 0, 1, 2):
             cache.store.install(index, b"x", RW, dirty=True)
         node.vmm.batch_pageout = False
         assert cache.sync() == 5
-        offsets = [offset for _, offset, _ in pager.log]
-        assert offsets == sorted(offsets)
-        assert len(pager.log) == 5
+        assert pager.log == [
+            ("sync", index * PAGE_SIZE, PAGE_SIZE) for index in (0, 1, 2, 5, 6)
+        ]
 
     def test_batched_flush_pages_out_runs(self, node):
-        cache, pager = self._cache(node, vectored=True)
+        cache, pager = self._cache(node)
         for index in (0, 1, 3):
             cache.store.install(index, b"x", RW, dirty=True)
         node.vmm.batch_pageout = True
         assert cache.flush() == 3
         assert pager.log == [
-            ("page_out_range", 0, 2 * PAGE_SIZE),
-            ("page_out_range", 3 * PAGE_SIZE, PAGE_SIZE),
+            ("page_out", 0, 2 * PAGE_SIZE),
+            ("page_out", 3 * PAGE_SIZE, PAGE_SIZE),
         ]
         assert len(cache.store) == 0
 
 
 # --------------------------------------------------------------------------
-# Ranged sync through the real 2-layer stack (VMM -> coherency -> disk)
+# A run's sync through the real 2-layer stack (VMM -> coherency -> disk)
 # --------------------------------------------------------------------------
 class TestRangedSyncThroughStack:
     def test_runs_travel_the_stack_and_land_on_the_volume(
@@ -230,15 +198,21 @@ class TestRangedSyncThroughStack:
             mapping.write(0, payload)
 
             node.vmm.batch_pageout = True
-            per_page_before = world.counters.get("coherency.sync")
+            counters = world.counters
+            syncs, nbytes = counters.get("coherency.sync"), counters.get(
+                "coherency.sync.bytes"
+            )
             mapping.cache.sync()
-            # One ranged call for the whole 4-page run, zero per-page ones.
-            assert world.counters.get("coherency.sync_range") == 1
-            assert world.counters.get("coherency.sync") == per_page_before
+            # One call for the whole 4-page run.
+            assert counters.get("coherency.sync") == syncs + 1
+            assert counters.get("coherency.sync.bytes") == nbytes + 4 * PAGE_SIZE
 
             stack.coherency_layer.batch_pageout = True
+            syncs, writes = counters.get("disk.sync"), device.writes
             stack.top.resolve("v.dat").sync()
-            assert world.counters.get("disk.sync_range") >= 1
+            # ... and one below, landing as one device transfer.
+            assert counters.get("disk.sync") == syncs + 1
+            assert device.writes == writes + 1
             stack.top.sync_fs()
         volume = stack.disk_layer.volume
         ino = volume.lookup(volume.sb.root_ino, "v.dat")
