@@ -8,7 +8,7 @@ overhead, not modeled cost, is what bounds big experiments (the macro
 workload drives ~2k invocations for a toy build; a 2048-client load
 sweep schedules millions of events).
 
-Four scenarios, each timed with :func:`time.perf_counter` around the
+Five scenarios, each timed with :func:`time.perf_counter` around the
 hot loop only (world construction and re-dirtying excluded), reported
 as the median of ``--repeats`` runs:
 
@@ -20,6 +20,11 @@ as the median of ``--repeats`` runs:
   warm block cache (fault + channel dispatch, no modeled disk).
 * ``events_per_sec`` — discrete-event scheduler frames (think/request
   alternation) with no file system at all.
+* ``bulk_file_mb_per_sec`` — the bulk file path: truncate, one
+  multi-page ``File.write`` and one ``File.read`` of the same range
+  through the two-domain SFS, in MB of user data per real second (the
+  in-repo guard for what ``benchmarks/e2e``'s ``stream_256k`` measures
+  across the wire: a run demanded once, each byte copied once).
 
 Unlike the virtual-time records, the committed numbers are inherently
 host-dependent; the regression gate compares them with a wider (25%)
@@ -76,6 +81,8 @@ FULL = {
     "fault_pages": 64,
     "clients": 64,
     "requests": 40,
+    "bulk_rounds": 120,
+    "bulk_pages": 64,
     "repeats": 5,
 }
 SMOKE = {
@@ -87,14 +94,16 @@ SMOKE = {
     "fault_pages": 16,
     "clients": 8,
     "requests": 5,
+    "bulk_rounds": 4,
+    "bulk_pages": 16,
     "repeats": 3,
 }
 
 
-def _mapped_file(pages: int, access: AccessRights):
-    """A two-domain SFS stack with one ``pages``-page file mapped into
-    an address space through the VMM.  Returns ``(user, mapping)``; all
-    setup cost happens here, outside the timed region."""
+def _sfs_file(pages: int):
+    """A two-domain SFS stack holding one synced ``pages``-page file.
+    Returns ``(node, user, handle)``; all setup cost happens here,
+    outside the timed region."""
     world = World()
     node = world.create_node("bench")
     device = BlockDevice(node.nucleus, "sd0", 32768)
@@ -105,6 +114,14 @@ def _mapped_file(pages: int, access: AccessRights):
         f.write(0, bytes(range(256)) * (pages * PAGE_SIZE // 256))
         f.sync()
         handle = stack.top.resolve("hot.dat")
+    return node, user, handle
+
+
+def _mapped_file(pages: int, access: AccessRights):
+    """:func:`_sfs_file` with the file mapped into an address space
+    through the VMM.  Returns ``(user, mapping)``."""
+    node, user, handle = _sfs_file(pages)
+    with user.activate():
         mapping = node.vmm.create_address_space("bench").map(handle, access)
     return user, mapping
 
@@ -188,16 +205,38 @@ def run_events(cfg: dict):
     return cfg["clients"] * cfg["requests"] * 2, elapsed
 
 
+def run_bulk_file(cfg: dict):
+    """Whole-file rewrite and read-back through the file interface:
+    truncate, one multi-page ``File.write``, one ``File.read`` of the
+    same range; returns (MB of user data moved, seconds)."""
+    pages = cfg["bulk_pages"]
+    _, user, handle = _sfs_file(pages)
+    size = pages * PAGE_SIZE
+    payloads = [bytes([fill]) * size for fill in (0x5A, 0xA5)]
+    with user.activate():
+        t0 = time.perf_counter()
+        for round_no in range(cfg["bulk_rounds"]):
+            data = payloads[round_no & 1]
+            handle.set_length(0)
+            handle.write(0, data)
+            if handle.read(0, size) != data:
+                raise AssertionError("bulk read-back differs from what was written")
+        elapsed = time.perf_counter() - t0
+    return cfg["bulk_rounds"] * 2 * size / 1e6, elapsed
+
+
 SCENARIOS = [
     ("cached_reads_per_sec", run_cached_reads),
     ("flush_pages_per_sec", run_flush_pages),
     ("faults_per_sec", run_faults),
     ("events_per_sec", run_events),
+    ("bulk_file_mb_per_sec", run_bulk_file),
 ]
 
 
 def measure(cfg: dict) -> dict:
-    """Median ops/sec per scenario over ``cfg['repeats']`` fresh runs."""
+    """Median ops (or MB) per second per scenario over
+    ``cfg['repeats']`` fresh runs."""
     metrics = {}
     for name, scenario in SCENARIOS:
         rates = []

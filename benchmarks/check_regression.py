@@ -19,7 +19,9 @@ Headline metrics:
   DFS configurations under the concurrent load sweep (the point of the
   discrete-event scheduler work).
 * ``BENCH_hotpath.json`` — wall-clock ops/sec of the zero-copy data
-  plane (the point of the memoryview/__slots__ work).  Unlike every
+  plane (the point of the memoryview/__slots__ work) and MB/s of the
+  bulk file path (a multi-page read or write demanded by the run, each
+  byte copied once).  Unlike every
   other record these are *wall-clock* measurements, so they carry a
   wider per-entry tolerance (25%) to absorb shared-runner noise while
   still catching a real 2x collapse.
@@ -99,6 +101,8 @@ HEADLINE = [
      "metrics.faults_per_sec", "higher", WALL_CLOCK_TOLERANCE),
     ("BENCH_hotpath.json", "benchmarks.bench_hotpath",
      "metrics.events_per_sec", "higher", WALL_CLOCK_TOLERANCE),
+    ("BENCH_hotpath.json", "benchmarks.bench_hotpath",
+     "metrics.bulk_file_mb_per_sec", "higher", WALL_CLOCK_TOLERANCE),
     ("BENCH_shard.json", "benchmarks.bench_dfs_shard",
      "cells.quorum.availability_pct", "higher", 0.0),
     ("BENCH_shard.json", "benchmarks.bench_dfs_shard",

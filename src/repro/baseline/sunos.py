@@ -183,7 +183,7 @@ class SunOsFs:
             usable = min(PAGE_SIZE, max(0, size - offset))
             if usable:
                 self.volume.write_data(entry.ino, offset, page.snapshot()[:usable])
-            page.dirty = False
+            self._store(entry.ino).set_dirty(index, False)
         self.volume.sync()
 
     def close(self, fd: int) -> None:

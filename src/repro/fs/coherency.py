@@ -38,7 +38,7 @@ from repro.ipc.narrow import narrow
 from repro.types import PAGE_SIZE, AccessRights
 from repro.vm.cache_object import FsCache
 from repro.vm.channel import Channel
-from repro.vm.page import ZERO_VIEW
+from repro.vm.page import index_runs
 
 from repro.fs.attributes import CachedAttributes, FileAttributes
 from repro.fs.base import (
@@ -107,6 +107,13 @@ class CoherencyOps(ChannelOps):
         state = self.state(source_key)
         recovered = self.admit(state, pager_object, offset, size, access)
         if layer.cache_enabled:
+            # What the requester asked for and is missing here comes from
+            # below run by run: a window an upstream reader explicitly
+            # asked for is demanded data, not speculation — no knob
+            # gates it — so a read-ahead hint issued above a stacked
+            # layer survives to the disk layer's clustering.
+            if offset % PAGE_SIZE + size > PAGE_SIZE:
+                state.cache.prefetch(offset, size, access)
             # Zero-copy serve: the requester installs (copies) the page
             # into its own cache immediately, so handing out a view of
             # ours is safe — see DESIGN.md section 7.
@@ -123,15 +130,9 @@ class CoherencyOps(ChannelOps):
         size = self.clamp_window(state, offset, min_size, max_size)
         if size == 0:
             return b""
-        self.admit(state, pager_object, offset, size, access)
         if self.layer.cache_enabled:
-            # The upstream explicitly asked for this window, so fetching
-            # the missing pages below in clustered runs is demanded data,
-            # not speculation — no knob gates it.  This is what lets a
-            # read-ahead hint issued above a stacked layer survive all
-            # the way to the disk layer's clustering.
-            state.cache.prefetch(offset, size, access)
-            return state.store.read_bytes(offset, size, state.cache.fault, access)
+            return self.page_in(source_key, pager_object, offset, size, access)
+        self.admit(state, pager_object, offset, size, access)
         # Not caching (what was recalled went straight down): still
         # forward the window so clustering below survives this layer
         # instead of collapsing to the minimum.
@@ -171,8 +172,7 @@ class CoherencyOps(ChannelOps):
             recovered = state.holders.acquire(
                 None, offset, size, AccessRights.READ_WRITE
             )
-        for index, data in recovered.items():
-            state.store.install(index, data, AccessRights.READ_WRITE, dirty=True)
+        state.store.install_modified(recovered)
         modified = state.store.collect_modified(offset, size)
         state.store.drop_range(offset, size)
         return modified
@@ -182,8 +182,7 @@ class CoherencyOps(ChannelOps):
             recovered = state.holders.acquire(
                 None, offset, size, AccessRights.READ_ONLY
             )
-        for index, data in recovered.items():
-            state.store.install(index, data, AccessRights.READ_WRITE, dirty=True)
+        state.store.install_modified(recovered)
         modified = state.store.collect_modified(offset, size)
         state.store.downgrade_range(offset, size)
         state.store.clean_range(offset, size)
@@ -192,8 +191,7 @@ class CoherencyOps(ChannelOps):
     def write_back(self, state, offset, size) -> Dict[int, bytes]:
         with self.region():
             recovered = state.holders.collect_latest(offset, size)
-        for index, data in recovered.items():
-            state.store.install(index, data, AccessRights.READ_WRITE, dirty=True)
+        state.store.install_modified(recovered)
         modified = state.store.collect_modified(offset, size)
         state.store.clean_range(offset, size)
         return modified
@@ -281,10 +279,7 @@ class CoherencyLayer(BaseLayer):
         if not recovered:
             return
         if self.cache_enabled:
-            for index, data in recovered.items():
-                state.store.install(
-                    index, data, AccessRights.READ_WRITE, dirty=True
-                )
+            state.store.install_modified(recovered)
         else:
             self.ensure_down(state)
             for index, data in sorted(recovered.items()):
@@ -337,6 +332,10 @@ class CoherencyLayer(BaseLayer):
         size = min(size, attrs.size - offset)
         recovered = self.recall(state, offset, size)
         if self.cache_enabled:
+            # The file operation knows its range: more than one page is
+            # demanded by the run, not by the page.
+            if offset % PAGE_SIZE + size > PAGE_SIZE:
+                state.cache.prefetch(offset, size, AccessRights.READ_ONLY)
             data = state.store.read(offset, size, state.cache.fault)
             state.attrs.touch_atime(self._now())
         else:
@@ -351,45 +350,50 @@ class CoherencyLayer(BaseLayer):
         size: int,
         recovered: Dict[int, bytes],
     ) -> bytes:
+        """An uncached read: the pages of the range are paged in from
+        below, one call per contiguous run, into a zeroed buffer (pagers
+        return short data at EOF).  What was just recalled is newer than
+        what is below: those pages are not fetched but overlaid."""
         self.ensure_down(state)
-        out = bytearray()
-        position, remaining = offset, size
-        while remaining > 0:
-            index, start = divmod(position, PAGE_SIZE)
-            take = min(PAGE_SIZE - start, remaining)
-            if index in recovered:
-                page = recovered[index]
-            else:
-                page = state.down_channel.pager_object.page_in(
-                    index * PAGE_SIZE, PAGE_SIZE, AccessRights.READ_ONLY
-                )
-            # ``page`` may be a memoryview; pad short (EOF) pages with
-            # slices of the interned zero page instead of concatenating.
-            end = start + take
-            length = len(page)
-            if length >= end:
-                out += page[start:end]
-            else:
-                if start < length:
-                    out += page[start:length]
-                out += ZERO_VIEW[: end - max(start, length)]
-            position += take
-            remaining -= take
-        return bytes(out)
+        pager = state.down_channel.pager_object
+        first, skip = divmod(offset, PAGE_SIZE)
+        count = (skip + size - 1) // PAGE_SIZE + 1
+        runs = [(first, count)]  # nothing recalled, the usual case: one run
+        if recovered:
+            runs = index_runs(
+                [i for i in range(first, first + count) if i not in recovered]
+            )
+        out = bytearray(count * PAGE_SIZE)
+        for run, pages in runs:
+            data = pager.page_in(
+                run * PAGE_SIZE, pages * PAGE_SIZE, AccessRights.READ_ONLY
+            )
+            at = (run - first) * PAGE_SIZE
+            out[at : at + len(data)] = data
+        for index, data in recovered.items():
+            if first <= index < first + count:
+                at = (index - first) * PAGE_SIZE
+                out[at : at + len(data)] = data
+        return bytes(memoryview(out)[skip : skip + size])
 
     def file_write(self, state: CoherentFileState, offset: int, data: bytes) -> int:
+        size = len(data)
         self.world.charge.fs_write_cpu()
-        self.recall(state, offset, len(data), AccessRights.READ_WRITE)
-        self.world.charge.memcpy(len(data))
+        self.recall(state, offset, size, AccessRights.READ_WRITE)
+        self.world.charge.memcpy(size)
         if self.cache_enabled:
+            if offset % PAGE_SIZE + size > PAGE_SIZE:
+                state.cache.prefetch(
+                    offset, size, AccessRights.READ_WRITE, upgrade=True
+                )
             state.store.write(offset, data, state.cache.fault)
             self._current_attrs(state)  # ensure attrs are cached
-            state.attrs.grow(offset + len(data))
+            state.attrs.grow(offset + size)
             state.attrs.touch_mtime(self._now())
             self.invalidate_upstream_attrs(state)
         else:
             state.under_file.write(offset, data)
-        return len(data)
+        return size
 
     def file_get_attributes(self, state: CoherentFileState) -> FileAttributes:
         self.world.charge.fs_attr_copy()

@@ -28,7 +28,7 @@ from typing import Dict
 
 from repro.errors import FsError
 
-from repro.types import PAGE_SIZE, AccessRights, page_range
+from repro.types import PAGE_SIZE, AccessRights
 
 from repro.fs.base import (
     BaseLayer,
@@ -78,8 +78,9 @@ class _FileInterfacePager:
 class CryptCache(LayerCache):
     """The decrypted block cache of one file: ciphertext crosses the
     channel, one keystream per block.  When the layer below refuses the
-    channel the sink is its plain file interface — page by page, and
-    none of its coherency actions reach this cache."""
+    channel the source and sink is its plain file interface — no
+    read-ahead window, write-back page by page — and none of its
+    coherency actions reach this cache."""
 
     __slots__ = ()
 
@@ -94,10 +95,6 @@ class CryptCache(LayerCache):
         """Write-through pushes what one write touched: down a channel,
         a run of blocks is one sync."""
         return self.manager.ensure_down(self.state)
-
-    def prefetch(self, offset: int, size: int, access: AccessRights) -> None:
-        if self.manager.ensure_down(self.state):
-            super().prefetch(offset, size, access)
 
     def decode(self, first: int, data: bytes) -> bytes:
         self.world.charge.decrypt(len(data))
@@ -151,22 +148,20 @@ class CryptOps(ChannelOps):
     def page_in(self, source_key, pager_object, offset, size, access) -> bytes:
         state = self.state(source_key)
         self.admit(state, pager_object, offset, size, access)
+        state.cache.prefetch(offset, size, access)
         return state.plain.read(offset, size, state.cache.fault, access)
 
     def page_in_range(
         self, source_key, pager_object, offset, min_size, max_size, access
     ) -> bytes:
-        """Ranged page-in: fetch the missing ciphertext window from
-        below in clustered ranged calls, decrypt per block, and serve
-        the whole window — an upstream read-ahead hint survives the
-        encryption layer instead of collapsing to one page."""
-        state = self.state(source_key)
-        size = self.clamp_window(state, offset, min_size, max_size)
+        """Ranged page-in: the window (clamped to the file) served like
+        any other size — the missing ciphertext fetched run by run and
+        decrypted per block — so an upstream read-ahead hint survives
+        the encryption layer instead of collapsing to one page."""
+        size = self.clamp_window(self.state(source_key), offset, min_size, max_size)
         if size == 0:
             return b""
-        self.admit(state, pager_object, offset, size, access)
-        state.cache.prefetch(offset, size, access)
-        return state.plain.read(offset, size, state.cache.fault, access)
+        return self.page_in(source_key, pager_object, offset, size, access)
 
     def page_out(self, source_key, pager_object, offset, size, data, retain) -> None:
         state = self.state(source_key)
@@ -194,16 +189,18 @@ class CryptOps(ChannelOps):
         return {}
 
     def delete_range(self, state, offset, size) -> None:
+        """What the layer below changed drops the cached plaintext —
+        but never dirty pages: locally modified data supersedes any
+        external invalidation and is re-encrypted over it on the next
+        flush."""
         state.holders.invalidate(offset, size)
-        self.layer._drop_clean(state, offset, size)
+        state.plain.drop_range(offset, size, keep_dirty=True)
 
     def zero_fill(self, state, offset, size) -> None:
-        state.holders.invalidate(offset, size)
-        self.layer._drop_clean(state, offset, size)
+        self.delete_range(state, offset, size)
 
     def populate(self, state, offset, size, access, data) -> None:
-        state.holders.invalidate(offset, size)
-        self.layer._drop_clean(state, offset, size)
+        self.delete_range(state, offset, size)
 
     def destroy_cache(self, state) -> None:
         state.plain.clear()
@@ -254,6 +251,7 @@ class CryptFs(BaseLayer):
             return b""
         size = min(size, file_size - offset)
         self.recall(state, offset, size)
+        state.cache.prefetch(offset, size, AccessRights.READ_ONLY)
         data = state.plain.read(offset, size, state.cache.fault)
         self.world.charge.memcpy(size)
         return data
@@ -264,21 +262,17 @@ class CryptFs(BaseLayer):
         raw zeros — NOT valid ciphertext — so zero plaintext pages are
         recorded dirty and real encrypted zeros go down on flush."""
         state.under_file.set_length(new)
-        first = old // PAGE_SIZE
-        last = (new - 1) // PAGE_SIZE
-        for index in range(first, last + 1):
-            page_start = index * PAGE_SIZE
-            if page_start >= old:
-                state.plain.install(
-                    index, b"", AccessRights.READ_WRITE, dirty=True
-                )
-            else:
-                page = state.plain.get(index)
-                if page is None:
-                    page = state.cache.fault(index, AccessRights.READ_WRITE)
-                within = old - page_start
-                page.data[within:] = bytes(PAGE_SIZE - within)
-                page.dirty = True
+        first, within = divmod(old, PAGE_SIZE)
+        if within:
+            # The old last page keeps its head and is zero from there on.
+            page = state.plain.get(first)
+            if page is None:
+                page = state.cache.fault(first, AccessRights.READ_WRITE)
+            page.data[within:] = bytes(PAGE_SIZE - within)
+            state.plain.set_dirty(first, True)
+            first += 1
+        for index in range(first, (new - 1) // PAGE_SIZE + 1):
+            state.plain.install(index, b"", AccessRights.READ_WRITE, dirty=True)
 
     def file_write(self, state: CryptFileState, offset: int, data: bytes) -> int:
         self.world.charge.fs_write_cpu()
@@ -287,6 +281,7 @@ class CryptFs(BaseLayer):
         old = state.under_file.get_length()
         if end > old:
             self._extend(state, old, end)
+        state.cache.prefetch(offset, len(data), AccessRights.READ_WRITE, upgrade=True)
         state.plain.write(offset, data, state.cache.fault)
         self.world.charge.memcpy(len(data))
         self._flush_range(state, offset, len(data))
@@ -297,12 +292,7 @@ class CryptFs(BaseLayer):
         Contiguous dirty blocks go down as one sync per run, so a big
         sequential write pays one invocation per run instead of one per
         4 KB block."""
-        dirty = []
-        for index in page_range(offset, size):
-            page = state.plain.get(index)
-            if page is not None and page.dirty:
-                dirty.append((index, page))
-        state.cache.write_back(dirty, "sync")
+        state.cache.write_back(state.plain.dirty_pages(offset, size), "sync")
 
     def file_set_length(self, state: CryptFileState, length: int) -> None:
         old = state.under_file.get_length()
@@ -326,18 +316,9 @@ class CryptFs(BaseLayer):
     ) -> None:
         if not recovered:
             return
-        for index, data in recovered.items():
-            state.plain.install(index, data, AccessRights.READ_WRITE, dirty=True)
+        state.plain.install_modified(recovered)
         first = min(recovered)
         last = max(recovered)
         self._flush_range(
             state, first * PAGE_SIZE, (last - first + 1) * PAGE_SIZE
         )
-
-    def _drop_clean(self, state, offset: int, size: int) -> None:
-        """Drop cached plaintext in the range — but never dirty pages:
-        locally modified data supersedes any external invalidation and
-        will be re-encrypted over it on the next flush."""
-        for index, page in state.plain.drop_range(offset, size):
-            if page.dirty:
-                state.plain._pages[index] = page

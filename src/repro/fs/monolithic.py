@@ -26,7 +26,7 @@ from repro.storage.block_device import BlockDevice
 from repro.storage.inode import FileType
 from repro.storage.volume import Volume
 from repro.types import PAGE_SIZE, AccessRights
-from repro.vm.page import CachedPage, PageStore
+from repro.vm.source_cache import SourceCache
 
 from repro.fs.attributes import FileAttributes
 from repro.fs.base import (
@@ -40,6 +40,25 @@ from repro.fs.file import File
 from repro.fs.holders import BlockHolderTable
 
 
+class _MonoCache(SourceCache):
+    """The fused layer's cache of one i-node.  There is no layer below:
+    the cache is its own pager and pages in straight from the volume, so
+    the baseline demands its pages — one at a time, or a file
+    operation's run at once — by the same engine as the stacked SFS."""
+
+    __slots__ = ("ino",)
+
+    def __init__(self, layer: "MonolithicSfs", ino: int) -> None:
+        super().__init__(layer, "mono")
+        self.ino = ino
+
+    def pager(self) -> "_MonoCache":
+        return self
+
+    def page_in(self, offset: int, size: int, access: AccessRights) -> bytes:
+        return self.manager.volume.read_data(self.ino, offset, size)
+
+
 class _MonoState(LayerFileState):
     """Per-i-node cache state.  The fused layer has no file below it:
     what the registry keys a state by is the i-node number."""
@@ -48,7 +67,8 @@ class _MonoState(LayerFileState):
         self.layer = layer
         self.ino = self.under_key = ino
         self.source_key = ("mono", layer.oid, ino)
-        self.store = PageStore()
+        self.cache = _MonoCache(layer, ino)
+        self.store = self.cache.store
         self.holders = BlockHolderTable()
         self.down_channel = self.down_pager = None
 
@@ -148,7 +168,8 @@ class MonoOps(ChannelOps):
         state = self.state(source_key)
         self.admit(state, pager_object, offset, size, access)
         if fs.cache_enabled:
-            return state.store.read(offset, size, fs._fault_from_disk(state))
+            state.cache.prefetch(offset, size, AccessRights.READ_ONLY)
+            return state.store.read(offset, size, state.cache.fault)
         return fs.volume.read_data(state.ino, offset, size)
 
     def page_out(self, source_key, pager_object, offset, size, data, retain) -> None:
@@ -212,13 +233,6 @@ class MonolithicSfs(MonoNaming, BaseLayer):
         return MonoFile(self, state)
 
     # ---------------------------------------------------------------- data path
-    def _fault_from_disk(self, state: _MonoState):
-        def fault(index: int, needed: AccessRights) -> CachedPage:
-            data = self.volume.read_data(state.ino, index * PAGE_SIZE, PAGE_SIZE)
-            return state.store.install(index, data, needed)
-
-        return fault
-
     def _write_clamped(self, state: _MonoState, index: int, data) -> None:
         """Write page ``index`` to the volume, never past the file's
         length (pages arrive padded)."""
@@ -229,8 +243,7 @@ class MonolithicSfs(MonoNaming, BaseLayer):
 
     def merge_recovered(self, state: _MonoState, recovered: Dict[int, bytes]) -> None:
         if self.cache_enabled:
-            for index, data in recovered.items():
-                state.store.install(index, data, AccessRights.READ_WRITE, dirty=True)
+            state.store.install_modified(recovered)
         else:
             for index, data in sorted(recovered.items()):
                 self._write_clamped(state, index, data)
@@ -255,7 +268,8 @@ class MonolithicSfs(MonoNaming, BaseLayer):
         size = min(size, inode.size - offset)
         self.recall(state, offset, size)
         if self.cache_enabled:
-            data = state.store.read(offset, size, self._fault_from_disk(state))
+            state.cache.prefetch(offset, size, AccessRights.READ_ONLY)
+            data = state.store.read(offset, size, state.cache.fault)
         else:
             data = self.volume.read_data(state.ino, offset, size)
         self.world.charge.memcpy(size)
@@ -266,7 +280,10 @@ class MonolithicSfs(MonoNaming, BaseLayer):
         self.recall(state, offset, len(data), AccessRights.READ_WRITE)
         self.world.charge.memcpy(len(data))
         if self.cache_enabled:
-            state.store.write(offset, data, self._fault_from_disk(state))
+            state.cache.prefetch(
+                offset, len(data), AccessRights.READ_WRITE, upgrade=True
+            )
+            state.store.write(offset, data, state.cache.fault)
             inode = self.volume.iget(state.ino)
             if offset + len(data) > inode.size:
                 inode.size = offset + len(data)
@@ -286,7 +303,7 @@ class MonolithicSfs(MonoNaming, BaseLayer):
     def file_sync(self, state: _MonoState) -> None:
         for index, page in state.store.dirty_pages():
             self._write_clamped(state, index, page.snapshot())
-            page.dirty = False
+            state.store.set_dirty(index, False)
         self.volume.sync()
         # fsync acknowledges: nothing may still sit in the store's buffer.
         self.volume.device.flush()

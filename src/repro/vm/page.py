@@ -18,7 +18,7 @@ outlive the pages they were recalled from).
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.types import PAGE_SIZE, AccessRights, page_range
 
@@ -30,6 +30,7 @@ ZERO_PAGE = bytes(PAGE_SIZE)
 ZERO_VIEW = memoryview(ZERO_PAGE)
 
 _READ_ONLY = AccessRights.READ_ONLY
+_READ_WRITE = AccessRights.READ_WRITE
 
 
 @dataclasses.dataclass(slots=True)
@@ -66,6 +67,8 @@ def coalesce_runs(
 
 def index_runs(indices: List[int]) -> List[Tuple[int, int]]:
     """Coalesce ascending page indices into ``(start, count)`` runs."""
+    if indices and indices[-1] - indices[0] == len(indices) - 1:
+        return [(indices[0], len(indices))]  # ascending and distinct: one run
     runs: List[Tuple[int, int]] = []
     for index in indices:
         if runs and index == runs[-1][0] + runs[-1][1]:
@@ -88,21 +91,19 @@ class PageStore:
     enters or leaves the store — the VMM uses this to maintain its
     resident-page count and eviction queues incrementally instead of
     rescanning every cache per fault.
+
+    The store also keeps the set of dirty page indices, so a write-back
+    visits the dirty pages and not every resident one.  Every change of
+    a page's ``dirty`` flag therefore goes through a store method
+    (:meth:`set_dirty` from outside).
     """
 
-    __slots__ = ("_pages", "observer")
+    __slots__ = ("_pages", "_dirty", "observer")
 
     def __init__(self, observer: Optional[object] = None) -> None:
         self._pages: Dict[int, CachedPage] = {}
+        self._dirty: Set[int] = set()
         self.observer = observer
-
-    def _note_install(self, index: int, page: CachedPage) -> None:
-        if self.observer is not None:
-            self.observer.page_installed(index, page)
-
-    def _note_drop(self, index: int, page: CachedPage) -> None:
-        if self.observer is not None:
-            self.observer.page_dropped(index, page)
 
     # --- introspection ---------------------------------------------------
     def __len__(self) -> int:
@@ -117,8 +118,35 @@ class PageStore:
     def pages(self) -> Iterator[Tuple[int, CachedPage]]:
         return iter(sorted(self._pages.items()))
 
-    def dirty_pages(self) -> List[Tuple[int, CachedPage]]:
-        return [(i, p) for i, p in sorted(self._pages.items()) if p.dirty]
+    def dirty_pages(
+        self, offset: int = 0, size: int = 2**62
+    ) -> List[Tuple[int, CachedPage]]:
+        """The dirty pages, ascending — all of them, or those of a byte
+        range."""
+        dirty = sorted(self._tracked_pages(offset, size, dirty=True))
+        return [(index, self._pages[index]) for index in dirty]
+
+    def set_dirty(self, index: int, dirty: bool) -> None:
+        """Mark resident page ``index`` dirty or clean."""
+        self._pages[index].dirty = dirty
+        (self._dirty.add if dirty else self._dirty.discard)(index)
+
+    def needed_runs(
+        self, offset: int, size: int, upgrade: bool = False
+    ) -> List[Tuple[int, int]]:
+        """The pages of the byte range that have to be demanded from the
+        pager before the range can be read — the absent ones — or, with
+        ``upgrade``, before it can be written: absent *or not writable*.
+        Returned as ascending ``(first, count)`` runs."""
+        pages = self._pages
+        wanted = set(page_range(offset, size))
+        needed = wanted.difference(pages)
+        if upgrade:
+            needed.update(
+                index for index in wanted.intersection(pages)
+                if pages[index].rights is not _READ_WRITE
+            )
+        return index_runs(sorted(needed))
 
     def dirty_runs(self) -> List[List[Tuple[int, CachedPage]]]:
         """Dirty pages coalesced into contiguous ascending runs — one
@@ -129,56 +157,78 @@ class PageStore:
     def resident_bytes(self) -> int:
         return len(self._pages) * PAGE_SIZE
 
-    def _tracked_pages(self, offset: int, size: int):
-        """Resident pages intersecting the byte range.  Coherency actions
-        may cover 'the whole file' (size 2**62); iterate resident keys,
-        never the raw page range."""
+    def _tracked_pages(self, offset: int, size: int, dirty: bool = False):
+        """Resident (or just the dirty) pages intersecting the byte
+        range.  Coherency actions may cover 'the whole file' (size
+        2**62); iterate resident keys, never the raw page range."""
         if size <= 0:
             return []
         first = offset // PAGE_SIZE
         last = (offset + size - 1) // PAGE_SIZE
-        return [p for p in self._pages if first <= p <= last]
+        tracked = self._dirty if dirty else self._pages
+        return [p for p in tracked if first <= p <= last]
 
     # --- page-level mutation ----------------------------------------------
     def install(
         self, index: int, data: bytes, rights: AccessRights, dirty: bool = False
     ) -> CachedPage:
-        """Install (or replace) a page.  ``data`` shorter than a page is
-        zero-padded — pagers return short data at EOF.
+        """Install (or replace) one page — a run of one, see
+        :meth:`install_run` — clean unless ``dirty``."""
+        page = self.install_run(index, 1, data, rights)
+        if dirty:
+            self.set_dirty(index, True)
+        return page
+
+    def install_run(
+        self, first: int, count: int, data: bytes, rights: AccessRights
+    ) -> Optional[CachedPage]:
+        """Install (or replace) ``count`` clean pages starting at
+        ``first`` out of one buffer — what a page-in of the run
+        returned.  Where the data ends short of a page boundary, or of
+        the run, the rest is zeros — pagers return short data at EOF.
+        Returns the first page (None for an empty run).
 
         Replacing a resident page reuses its backing buffer in place (no
         allocation, no observer churn); views of the old contents observe
         the new bytes, per the valid-until-next-mutation contract.
         """
-        length = len(data)
-        page = self._pages.get(index)
-        if page is not None:
-            buf = page.data
-            buf[:length] = data
-            if length < PAGE_SIZE:
-                buf[length:] = ZERO_VIEW[length:]
-            page.rights = rights
-            page.dirty = dirty
-            return page
-        buf = bytearray(PAGE_SIZE)
-        buf[:length] = data
-        page = CachedPage(buf, rights, dirty)
-        self._pages[index] = page
-        self._note_install(index, page)
-        return page
+        view = memoryview(data)
+        pages = self._pages
+        for index in range(first, first + count):
+            position = (index - first) * PAGE_SIZE
+            chunk = view[position : position + PAGE_SIZE]
+            page = pages.get(index)
+            if page is None:
+                buf = bytearray(chunk)
+                if len(buf) < PAGE_SIZE:
+                    buf += ZERO_VIEW[len(buf) :]
+                page = pages[index] = CachedPage(buf, rights)
+                if self.observer is not None:
+                    self.observer.page_installed(index, page)
+            else:
+                page.data[: len(chunk)] = chunk
+                page.data[len(chunk) :] = ZERO_VIEW[len(chunk) :]
+                page.rights = rights
+                self.set_dirty(index, False)
+        return pages.get(first)
 
     def drop(self, index: int) -> Optional[CachedPage]:
         page = self._pages.pop(index, None)
         if page is not None:
-            self._note_drop(index, page)
+            self._dirty.discard(index)
+            if self.observer is not None:
+                self.observer.page_dropped(index, page)
         return page
 
-    def drop_range(self, offset: int, size: int) -> List[Tuple[int, CachedPage]]:
+    def drop_range(
+        self, offset: int, size: int, keep_dirty: bool = False
+    ) -> List[Tuple[int, CachedPage]]:
+        """Drop the resident pages of the byte range (all of them, or
+        with ``keep_dirty`` only the clean ones); returns what went."""
         dropped = []
         for index in sorted(self._tracked_pages(offset, size)):
-            page = self._pages.pop(index)
-            self._note_drop(index, page)
-            dropped.append((index, page))
+            if not (keep_dirty and index in self._dirty):
+                dropped.append((index, self.drop(index)))
         return dropped
 
     def zero_range(self, offset: int, size: int) -> None:
@@ -191,7 +241,7 @@ class PageStore:
                 self.install(index, b"", AccessRights.READ_ONLY)
             else:
                 page.data[:] = ZERO_PAGE
-                page.dirty = False
+                self.set_dirty(index, False)
 
     # --- coherency-action helpers ------------------------------------------
     def collect_modified(self, offset: int, size: int) -> Dict[int, bytes]:
@@ -201,16 +251,17 @@ class PageStore:
         boundary and is retained (merged, replayed, pushed down) after
         the source pages have been dropped or mutated — the canonical
         copy-on-retain site."""
-        modified = {}
-        for index in self._tracked_pages(offset, size):
-            page = self._pages[index]
-            if page.dirty:
-                modified[index] = bytes(page.data)
-        return modified
+        return {i: bytes(page.data) for i, page in self.dirty_pages(offset, size)}
+
+    def install_modified(self, modified: Dict[int, bytes]) -> None:
+        """Install what a holder's :meth:`collect_modified` gave back:
+        newer than the pager's own copy, so read-write and dirty."""
+        for index, data in modified.items():
+            self.install(index, data, _READ_WRITE, dirty=True)
 
     def clean_range(self, offset: int, size: int) -> None:
-        for index in self._tracked_pages(offset, size):
-            self._pages[index].dirty = False
+        for index in self._tracked_pages(offset, size, dirty=True):
+            self.set_dirty(index, False)
 
     def downgrade_range(self, offset: int, size: int) -> None:
         """RW -> RO over the byte range (deny_writes)."""
@@ -224,22 +275,23 @@ class PageStore:
         below ``length`` is preserved — unlike drop_range, which would
         discard the whole boundary page."""
         boundary_page, within = divmod(length, PAGE_SIZE)
-        for index in [p for p in self._pages if p > boundary_page]:
-            self._note_drop(index, self._pages.pop(index))
-        if within == 0:
-            page = self._pages.pop(boundary_page, None)
-            if page is not None:
-                self._note_drop(boundary_page, page)
-        else:
+        if within:
             page = self._pages.get(boundary_page)
             if page is not None:
                 page.data[within:] = ZERO_VIEW[within:]
+            boundary_page += 1
+        if not boundary_page:
+            self.clear()  # every page goes: no per-page work
+        for index in [p for p in self._pages if p >= boundary_page]:
+            self.drop(index)
 
     def clear(self) -> List[Tuple[int, CachedPage]]:
         everything = sorted(self._pages.items())
         self._pages.clear()
-        for index, page in everything:
-            self._note_drop(index, page)
+        self._dirty.clear()
+        if self.observer is not None:
+            for index, page in everything:
+                self.observer.page_dropped(index, page)
         return everything
 
     # --- byte-range access ---------------------------------------------------
@@ -255,9 +307,11 @@ class PageStore:
         A range within one page returns a read-only :class:`memoryview`
         into the page — no allocation, valid until the page is next
         mutated.  Ranges spanning pages materialize exactly once into
-        ``bytes``.  Missing pages fault via ``fault(index, access)`` —
-        READ_ONLY unless the reader serves a client that asked for more
-        (a pager answering a read-write page-in from its own cache).
+        ``bytes`` — one join over the page buffers, head and tail
+        trimmed by views.  Missing pages fault via ``fault(index,
+        access)`` — READ_ONLY unless the reader serves a client that
+        asked for more (a pager answering a read-write page-in from its
+        own cache).
         """
         if size <= 0:
             return b""
@@ -267,22 +321,16 @@ class PageStore:
             if page is None:
                 page = fault(index, access)
             return memoryview(page.data).toreadonly()[start : start + size]
-        out = bytearray(size)
-        filled = 0
-        remaining = size
-        position = offset
-        while remaining > 0:
-            index = position // PAGE_SIZE
-            page = self._pages.get(index)
-            if page is None:
-                page = fault(index, access)
-            start = position % PAGE_SIZE
-            take = min(PAGE_SIZE - start, remaining)
-            out[filled : filled + take] = page.data[start : start + take]
-            filled += take
-            position += take
-            remaining -= take
-        return bytes(out)
+        end = offset + size
+        get = self._pages.get
+        buffers = [
+            (get(i) or fault(i, access)).data
+            for i in range(index, (end - 1) // PAGE_SIZE + 1)
+        ]
+        buffers[0] = memoryview(buffers[0])[start:]
+        if end % PAGE_SIZE:
+            buffers[-1] = memoryview(buffers[-1])[: end % PAGE_SIZE]
+        return b"".join(buffers)
 
     def read(
         self,
@@ -310,21 +358,22 @@ class PageStore:
 
         Every touched page must be writable: missing pages and read-only
         pages are (re)faulted with READ_WRITE via ``fault``; pages are
-        marked dirty.
+        marked dirty.  Each byte is copied once, out of a view of
+        ``data``.
         """
-        remaining = len(data)
-        position = offset
-        consumed = 0
+        size = len(data)
+        view = memoryview(data)
         pages = self._pages
-        while remaining > 0:
-            index = position // PAGE_SIZE
+        mark = self._dirty.add
+        for index in page_range(offset, size):
             page = pages.get(index)
-            if page is None or not page.rights.writable:
-                page = fault(index, AccessRights.READ_WRITE)
-            start = position % PAGE_SIZE
-            take = min(PAGE_SIZE - start, remaining)
-            page.data[start : start + take] = data[consumed : consumed + take]
+            if page is None or page.rights is not _READ_WRITE:
+                page = fault(index, _READ_WRITE)
+            base = index * PAGE_SIZE - offset  # of this page within ``data``
+            if 0 <= base <= size - PAGE_SIZE:
+                page.data[:] = view[base : base + PAGE_SIZE]
+            else:
+                low, high = max(base, 0), min(base + PAGE_SIZE, size)
+                page.data[low - base : high - base] = view[low:high]
             page.dirty = True
-            position += take
-            consumed += take
-            remaining -= take
+            mark(index)

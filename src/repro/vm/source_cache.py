@@ -9,11 +9,14 @@ the same side of a channel and make the same Appendix B calls.  A
 way to the channel's pager object — and owns the three things a cache
 manager does with it:
 
-* **fault** one page in, or, when the fault continues a sequential
-  stream and the manager has a read-ahead window, a ranged page-in
-  whose extra pages are installed speculatively;
-* **prefetch** the missing runs of a byte range an upstream window
-  asked for, one ranged page-in per run;
+* **fault** a run of pages in — one page for a load or store through a
+  mapping, every needed page at once for a file operation that knows
+  its range — as one ``page_in`` of that size or, when the fault
+  continues a sequential stream and the manager has a read-ahead
+  window, one ranged page-in whose extra pages are installed
+  speculatively;
+* **prefetch** the needed pages of a byte range, one fault per
+  contiguous run;
 * **write back** dirty ``(index, page)`` pairs as ``page_out`` /
   ``write_out`` / ``sync`` calls of one page or of one contiguous run,
   settling each page (dropped, downgraded or marked clean) only after
@@ -31,8 +34,8 @@ from __future__ import annotations
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from repro.types import PAGE_SIZE, AccessRights, page_range
-from repro.vm.page import CachedPage, PageStore, coalesce_runs, index_runs
+from repro.types import PAGE_SIZE, AccessRights
+from repro.vm.page import CachedPage, PageStore, coalesce_runs
 from repro.vm.pager_object import PagerObject
 from repro.vm.readahead import StreamTable
 
@@ -65,8 +68,8 @@ class SourceCache:
     #: channel carries the pages as they are.
     decode = None
     encode = None
-    #: ``before_fetch(index, pages)``: the manager's own work on a fault
-    #: that is about to fetch ``pages`` pages starting at ``index`` (the
+    #: ``before_fetch(first, pages)``: the manager's own work on a fault
+    #: that is about to fetch ``pages`` pages starting at ``first`` (the
     #: VMM charges the fault and makes room).  None: nothing to do.
     before_fetch = None
 
@@ -99,68 +102,62 @@ class SourceCache:
         return self.manager.batch_pageout
 
     # --- faulting ------------------------------------------------------------
-    def fault(self, index: int, access: AccessRights) -> CachedPage:
-        """Bring page ``index`` in from the pager with ``access`` — the
-        callback :meth:`PageStore.read` / :meth:`PageStore.write` invoke
-        on a miss.
+    def fault(self, first: int, access: AccessRights, count: int = 1) -> CachedPage:
+        """Bring the run of ``count`` pages starting at page ``first`` in
+        from the pager with ``access``, in one call; returns the first.
+        One page is what :meth:`PageStore.read` / :meth:`PageStore.write`
+        ask for on a miss; a file operation asks for whole runs first
+        (:meth:`prefetch`).
 
         A fault that continues a sequential stream, in a cache whose
-        manager has a read-ahead window, issues one ranged page-in and
-        installs the extra pages speculatively (clean, same access).
+        manager has a read-ahead window, is a ranged page-in — at least
+        the run, at most the run plus the window — and installs the
+        extra pages speculatively (clean, same access).  Nothing is
+        installed unless the call returns.
         """
         pager = self.pager()
         window = self.readahead_override
         if window is None:
             window = self.manager.readahead_pages
-        if not self.streams.observe(index):
+        if not self.streams.observe(first):
             window = 0
         if self.before_fetch is not None:
-            self.before_fetch(index, 1 + window)
+            self.before_fetch(first, count + window)
+        nbytes = count * PAGE_SIZE
         if window == 0:
-            data = pager.page_in(index * PAGE_SIZE, PAGE_SIZE, access)
-            if self.decode is not None:
-                data = self.decode(index, data)
-            return self.store.install(index, data, access)
-        self.world.counters.inc(self._readahead_key)
-        data = pager.page_in_range(
-            index * PAGE_SIZE, PAGE_SIZE, (1 + window) * PAGE_SIZE, access
-        )
+            data = pager.page_in(first * PAGE_SIZE, nbytes, access)
+        else:
+            self.world.counters.inc(self._readahead_key)
+            data = pager.page_in_range(
+                first * PAGE_SIZE, nbytes, nbytes + window * PAGE_SIZE, access
+            )
         if self.decode is not None:
-            data = self.decode(index, data)
+            data = self.decode(first, data)
         store = self.store
-        page = store.install(index, data[:PAGE_SIZE], access)
-        through = index
-        for i in range(1, max(0, (len(data) - 1) // PAGE_SIZE) + 1):
+        page = store.install_run(first, count, data, access)
+        through = first + count - 1
+        for position in range(nbytes, len(data), PAGE_SIZE):
             if self.full():
                 break
-            if index + i not in store:
-                store.install(
-                    index + i, data[i * PAGE_SIZE : (i + 1) * PAGE_SIZE], access
-                )
-            through = index + i
-        # The next fault of this scan lands after the prefetched window;
-        # move the stream head so it still looks sequential.
-        self.streams.advance_head(through)
+            through += 1
+            if through not in store:
+                store.install(through, data[position : position + PAGE_SIZE], access)
+        if through != first:
+            # The next fault of this scan lands after the run and its
+            # window; move the stream head so it still looks sequential.
+            self.streams.advance_head(through)
         return page
 
-    def prefetch(self, offset: int, size: int, access: AccessRights) -> None:
-        """Fetch the missing pages of ``[offset, offset + size)`` as
-        ranged page-ins, one per contiguous missing run.  Single-page
-        gaps are left to the fault path (identical cost, and they keep
-        feeding the sequential-stream detector)."""
-        store = self.store
-        missing = [index for index in page_range(offset, size) if index not in store]
-        for first, count in index_runs(missing):
-            if count < 2:
-                continue
-            nbytes = count * PAGE_SIZE
-            data = self.pager().page_in_range(first * PAGE_SIZE, nbytes, nbytes, access)
-            if self.decode is not None:
-                data = self.decode(first, data)
-            for i in range(count):
-                store.install(
-                    first + i, data[i * PAGE_SIZE : (i + 1) * PAGE_SIZE], access
-                )
+    def prefetch(
+        self, offset: int, size: int, access: AccessRights, upgrade: bool = False
+    ) -> None:
+        """Demand the needed pages of ``[offset, offset + size)`` — the
+        absent ones, or with ``upgrade`` (the range is about to be
+        written) the absent and the read-only ones — one :meth:`fault`
+        per contiguous run.  For the operations that know their range:
+        a file read or write, a page-in served out of this cache."""
+        for first, count in self.store.needed_runs(offset, size, upgrade):
+            self.fault(first, access, count)
 
     # --- write-back ------------------------------------------------------------
     def write_back(self, pairs: List[Tuple[int, CachedPage]], op: str) -> int:
@@ -186,7 +183,7 @@ class SourceCache:
                 if op == "page_out":
                     self.store.drop(index)
                 else:
-                    page.dirty = False
+                    self.store.set_dirty(index, False)
                     if op == "write_out":
                         page.rights = AccessRights.READ_ONLY
         return len(pairs)

@@ -146,9 +146,8 @@ class VmmCacheObject(CacheObject):
     ) -> None:
         if offset % PAGE_SIZE != 0:
             raise OutOfRangeError("populate must be page-aligned")
-        for i in range((size + PAGE_SIZE - 1) // PAGE_SIZE):
-            chunk = data[i * PAGE_SIZE : (i + 1) * PAGE_SIZE]
-            self.cache.store.install(offset // PAGE_SIZE + i, chunk, access)
+        pages = (size + PAGE_SIZE - 1) // PAGE_SIZE
+        self.cache.store.install_run(offset // PAGE_SIZE, pages, data, access)
         self.world.counters.inc("vmm.populate")
 
     @operation

@@ -7,7 +7,8 @@ is implemented"."""
 import pytest
 
 from repro.bench.workloads import pattern_bytes
-from repro.errors import InvalidNameError
+from repro.errors import InvalidNameError, UnixError
+from repro.fs.coherency import CoherencyLayer
 from repro.fs.file import File
 from repro.fs.cfs import start_cfs
 from repro.fs.compfs import CompFs
@@ -17,12 +18,14 @@ from repro.fs.mirrorfs import MirrorFs
 from repro.fs.nullfs import NullFs
 from repro.fs.quotafs import QuotaFs
 from repro.fs.sfs import create_sfs
+from repro.fs.stack import stack_layers
 from repro.ipc.domain import Credentials
 from repro.ipc.narrow import narrow
 from repro.naming.context import NamingContext
 from repro.storage.block_device import RamDevice
 from repro.types import PAGE_SIZE
 from repro.unix import O_CREAT, O_RDONLY, O_RDWR, Posix
+from repro.vm.page import PageStore
 from repro.world import World
 
 
@@ -74,6 +77,25 @@ def _stack(kind: str):
             root = client.fs_context.resolve("dfs@server".replace("server", node.name))
         return root, cu
     raise ValueError(kind)
+
+
+def _go_cold(root, user) -> None:
+    """Everything down to the device, then every cache between ``root``
+    and the device dropped and the volume re-mounted: the next read is
+    served from the blocks alone."""
+    with user.activate():
+        root.sync_fs()
+    for layer in stack_layers(root):
+        for state in getattr(layer, "_states", {}).values():
+            for value in vars(state).values():
+                if isinstance(value, PageStore):
+                    value.clear()
+            if hasattr(state, "streams"):
+                state.streams.reset()
+            if hasattr(state, "plain_size"):
+                state.plain_size = None  # compfs: plaintext not loaded
+        if hasattr(layer, "remount"):
+            layer.remount()
 
 
 KINDS = [
@@ -175,3 +197,69 @@ class TestSameWorkloadEverywhere:
                 assert [name for name, _ in listed] == sorted(expected)
                 for name, obj in listed:
                     assert narrow(obj, expected[name]) is not None, (name, obj)
+
+    @pytest.mark.parametrize("through_cache", [False, True])
+    def test_multi_page_session(self, kind, through_cache, request):
+        """Multi-page reads and writes — demanded below by the run —
+        give the same bytes and the same errors on every stack.  With
+        ``through_cache`` the session runs through a coherency layer
+        stacked on top of the kind, whose run faults ask the kind's own
+        ``page_in`` for more than a page at a time."""
+        root, user = _stack(kind)
+        if through_cache:
+            if kind == "mirrorfs":
+                pytest.skip("mirrorfs refuses the writable bind a cache needs")
+            if kind == "cryptfs":
+                request.applymarker(pytest.mark.xfail(strict=True, reason=(
+                    "CRYPTFS decrypts the zero-fill a page-in past EOF gets "
+                    "from below as if it were ciphertext (ROADMAP item 2)"
+                )))
+            top = CoherencyLayer(
+                user.node.create_domain("top", Credentials("top", True))
+            )
+            top.stack_on(root)
+            root = top
+        posix = Posix(root, user)
+        model = bytearray()
+
+        def pwrite(data, offset):
+            assert posix.pwrite(fd, data, offset) == len(data)
+            if offset > len(model):
+                model.extend(bytes(offset - len(model)))
+            model[offset : offset + len(data)] = data
+
+        def check_whole():
+            assert posix.fstat(fd).size == len(model)
+            assert posix.pread(fd, len(model) + PAGE_SIZE, 0) == bytes(model)
+
+        fd = posix.open("bulk.bin", O_RDWR | O_CREAT)
+        pwrite(pattern_bytes(5 * PAGE_SIZE + 77, tag=11), 123)  # unaligned, 6 pages
+        check_whole()
+        pwrite(pattern_bytes(PAGE_SIZE + 10, tag=12), PAGE_SIZE - 5)  # three pages
+        check_whole()
+        posix.ftruncate(fd, 2 * PAGE_SIZE + 1000)  # into the middle of a page
+        del model[2 * PAGE_SIZE + 1000 :]
+        check_whole()
+        posix.ftruncate(fd, 4 * PAGE_SIZE + 9)  # ...then out again: zeros
+        model.extend(bytes(4 * PAGE_SIZE + 9 - len(model)))
+        check_whole()
+        pwrite(pattern_bytes(3 * PAGE_SIZE, tag=13), 3 * PAGE_SIZE + 1)  # extends
+        check_whole()
+        assert posix.pread(fd, 2 * PAGE_SIZE, len(model)) == b""
+        assert posix.pread(fd, 2 * PAGE_SIZE, len(model) - 10) == bytes(model[-10:])
+        posix.fsync(fd)
+        posix.close(fd)
+
+        _go_cold(root, user)
+        fd = posix.open("bulk.bin", O_RDONLY)
+        check_whole()  # one cold read of the whole file
+        assert posix.pread(fd, 2 * PAGE_SIZE + 3, PAGE_SIZE - 1) == bytes(
+            model[PAGE_SIZE - 1 : 3 * PAGE_SIZE + 2]
+        )
+        with pytest.raises(UnixError) as refused:
+            posix.pwrite(fd, b"x" * (2 * PAGE_SIZE), 0)
+        assert refused.value.code == "EBADF"
+        with pytest.raises(UnixError) as missing:
+            posix.open("absent.bin", O_RDONLY)
+        assert missing.value.code == "ENOENT"
+        check_whole()

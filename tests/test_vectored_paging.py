@@ -19,6 +19,8 @@ from repro.vm.pager_object import PagerObject
 from repro.vm.readahead import StreamTable
 from repro.vm.vmm import VmCache
 
+from tests.test_demand_runs import calls_below
+
 RO = AccessRights.READ_ONLY
 RW = AccessRights.READ_WRITE
 
@@ -309,9 +311,9 @@ class TestReadaheadThroughCompfs:
         self, world, node, device, user
     ):
         """A cold read through coherent COMPFS issues one ranged page-in
-        for the whole compressed image; the coherency layer prefetches
-        the missing run and the disk layer clusters the device reads —
-        far fewer transfers than pages."""
+        for the whole compressed image; the coherency layer demands the
+        missing run below in one call and the disk layer clusters the
+        device reads — far fewer transfers than pages."""
         stack = create_sfs(node, device)
         payload = incompressible_bytes(8 * PAGE_SIZE, seed=3)
         first = CompFs(
@@ -333,11 +335,16 @@ class TestReadaheadThroughCompfs:
         )
         second.stack_on(stack.top)
         reads_before = device.reads
-        ranged_before = world.counters.get("disk.page_in_range")
+        counters = world.counters
+        calls_before = calls_below(world)
+        bytes_before = counters.get("disk.page_in.bytes")
         with user.activate():
             assert second.resolve("big.z").read(0, len(payload)) == payload
-        assert world.counters.get("coherency.page_in_range") >= 1
-        assert world.counters.get("disk.page_in_range") > ranged_before
+        assert counters.get("coherency.page_in_range") >= 1
+        # The missing run reaches the disk layer as a run: one call of
+        # many pages (a plain sized page-in — no window is set here).
+        assert calls_below(world) - calls_before == 1
+        assert counters.get("disk.page_in.bytes") - bytes_before > 4 * PAGE_SIZE
         # ~8 pages of incompressible image came in via clustered reads.
         assert device.reads - reads_before < 8
 
