@@ -24,6 +24,7 @@ from repro.ipc.narrow import narrow
 from repro.naming.context import NamingContext
 from repro.storage.block_device import RamDevice
 from repro.types import PAGE_SIZE
+from repro.serve import FileService
 from repro.unix import O_CREAT, O_RDONLY, O_RDWR, Posix
 from repro.vm.page import PageStore
 from repro.world import World
@@ -96,6 +97,75 @@ def _go_cold(root, user) -> None:
                 state.plain_size = None  # compfs: plaintext not loaded
         if hasattr(layer, "remount"):
             layer.remount()
+
+
+def posix_error_script(fs):
+    """Every way a path can be wrong, as ``[(call, UnixError.code)]``.
+    ``fs`` is a :class:`Posix` or anything with its path calls (a
+    ``FileService`` stub across the socket).  ``f`` is a regular file,
+    ``d`` a non-empty directory, ``nodir`` does not exist."""
+    fs.close(fs.open("f", O_RDWR | O_CREAT))
+    fs.mkdir("d")
+    fs.close(fs.open("d/inner", O_RDWR | O_CREAT))
+    calls = [
+        ("open f/x", fs.open, "f/x"),
+        ("stat f/x", fs.stat, "f/x"),
+        ("open f/x O_CREAT", fs.open, "f/x", O_RDWR | O_CREAT),
+        ("listdir f/x", fs.listdir, "f/x"),
+        ("listdir f", fs.listdir, "f"),
+        ("mkdir f/d", fs.mkdir, "f/d"),
+        ("unlink f/x", fs.unlink, "f/x"),
+        ("open nodir/x O_CREAT", fs.open, "nodir/x", O_RDWR | O_CREAT),
+        ("mkdir nodir/d", fs.mkdir, "nodir/d"),
+        ("unlink nodir/x", fs.unlink, "nodir/x"),
+        ("unlink absent", fs.unlink, "absent"),
+        ("listdir nodir", fs.listdir, "nodir"),
+        ("rename nodir/a nodir/b", fs.rename, "nodir/a", "nodir/b"),
+        ("rename absent x", fs.rename, "absent", "x"),
+        ("stat absent", fs.stat, "absent"),
+        ("mkdir f", fs.mkdir, "f"),
+        ("mkdir d", fs.mkdir, "d"),
+        ("rename f d", fs.rename, "f", "d"),
+        ("open ''", fs.open, ""),
+        ("stat a//b", fs.stat, "a//b"),
+        ("open d", fs.open, "d"),
+        ("unlink d", fs.unlink, "d"),
+    ]
+    seen = []
+    for label, call, *args in calls:
+        with pytest.raises(UnixError) as raised:
+            call(*args)
+        seen.append((label, raised.value.code))
+    # Nothing above changed the tree.
+    assert sorted(fs.listdir("")) == ["d", "f"]
+    assert sorted(fs.listdir("d")) == ["inner"]
+    return seen
+
+
+POSIX_ERRORS = [
+    ("open f/x", "ENOTDIR"),
+    ("stat f/x", "ENOTDIR"),
+    ("open f/x O_CREAT", "ENOTDIR"),
+    ("listdir f/x", "ENOTDIR"),
+    ("listdir f", "ENOTDIR"),
+    ("mkdir f/d", "ENOTDIR"),
+    ("unlink f/x", "ENOTDIR"),
+    ("open nodir/x O_CREAT", "ENOENT"),
+    ("mkdir nodir/d", "ENOENT"),
+    ("unlink nodir/x", "ENOENT"),
+    ("unlink absent", "ENOENT"),
+    ("listdir nodir", "ENOENT"),
+    ("rename nodir/a nodir/b", "ENOENT"),
+    ("rename absent x", "ENOENT"),
+    ("stat absent", "ENOENT"),
+    ("mkdir f", "EEXIST"),
+    ("mkdir d", "EEXIST"),
+    ("rename f d", "EEXIST"),
+    ("open ''", "EINVAL"),
+    ("stat a//b", "EINVAL"),
+    ("open d", "EISDIR"),
+    ("unlink d", "ENOTEMPTY"),
+]
 
 
 KINDS = [
@@ -198,6 +268,23 @@ class TestSameWorkloadEverywhere:
                 for name, obj in listed:
                     assert narrow(obj, expected[name]) is not None, (name, obj)
 
+    def test_unbind_returns_the_file(self, kind):
+        """``unbind`` hands back the object the name was bound to — a
+        file narrows to ``File`` — on every stack, fused or stacked."""
+        root, user = _stack(kind)
+        with user.activate():
+            sub = root.create_dir("d")
+            for directory in (root, sub):
+                directory.create_file("gone")
+                assert narrow(directory.unbind("gone"), File) is not None
+            assert [name for name, _ in sub.list_bindings()] == []
+
+    def test_posix_errors_are_errnos(self, kind):
+        """No raw Spring error leaves the facade, and no stack disagrees
+        about which errno a bad path is."""
+        root, user = _stack(kind)
+        assert posix_error_script(Posix(root, user)) == POSIX_ERRORS
+
     @pytest.mark.parametrize("through_cache", [False, True])
     def test_multi_page_session(self, kind, through_cache, request):
         """Multi-page reads and writes — demanded below by the run —
@@ -263,3 +350,26 @@ class TestSameWorkloadEverywhere:
             posix.open("absent.bin", O_RDONLY)
         assert missing.value.code == "ENOENT"
         check_whole()
+
+
+def test_posix_errors_are_errnos_across_the_socket():
+    """The same script through ``FileService`` over ``SocketTransport``:
+    the client sees the same ``UnixError.code`` per case, not one
+    exception class per layer that happened to raise."""
+    from repro.ipc.transport import ServerThread, SocketTransport
+
+    root, user = _stack("sfs")
+    node = user.node
+    server = node.serve()
+    node.expose("fs", FileService(Posix(root, user)))
+    thread = ServerThread(server)
+    port = thread.start()
+    client = SocketTransport(
+        "127.0.0.1", port, dst=node.name,
+        connect_timeout_s=2.0, reply_timeout_s=5.0,
+    )
+    try:
+        assert posix_error_script(client.bind("fs")) == POSIX_ERRORS
+    finally:
+        client.close()
+        thread.stop()
