@@ -177,12 +177,8 @@ class SunOsFs:
     def fsync(self, fd: int) -> None:
         entry = self._entry(fd)
         self._trap()
-        size = self.volume.iget(entry.ino).size
         for index, page in self._store(entry.ino).dirty_pages():
-            offset = index * PAGE_SIZE
-            usable = min(PAGE_SIZE, max(0, size - offset))
-            if usable:
-                self.volume.write_data(entry.ino, offset, page.snapshot()[:usable])
+            self.volume.write_back(entry.ino, index * PAGE_SIZE, page.snapshot())
             self._store(entry.ino).set_dirty(index, False)
         self.volume.sync()
 

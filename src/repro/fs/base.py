@@ -623,12 +623,15 @@ class LayerFile(File):
     to the layer's ``file_*`` hook, whose defaults forward to the
     underlying file.  ``bind`` serves a channel from this layer."""
 
-    def __init__(self, layer: "BaseLayer", state: LayerFileState) -> None:
+    def __init__(
+        self, layer: "BaseLayer", state: LayerFileState, charge_open: bool = True
+    ) -> None:
         super().__init__(layer.domain)
         self.layer = layer
         self.state = state
         self.source_key = state.source_key
-        layer.world.charge.fs_open_state()
+        if charge_open:  # a listing's handle pays no open-state cost
+            layer.world.charge.fs_open_state()
 
     @operation
     def bind(
@@ -1131,24 +1134,11 @@ class BaseLayer(LayerNaming, StackableFs, CacheManager, abc.ABC):
                 attrs = under_file.get_attributes()
             state = self._state_for(under_file)
             self._on_open(state, attrs)
-            if charge_open:
-                return self.file_class(self, state)
-            return self.listed_file(state)
+            return self.file_class(self, state, charge_open)
         under_context = narrow(obj, NamingContext)
         if under_context is not None:
             return self.directory_class(self, under_context)
         return obj
-
-    def listed_file(self, state: Any) -> File:
-        """The handle a listing returns for ``state``'s file: what an
-        open returns, built without the open-state charge that
-        ``file_class.__init__`` makes."""
-        handle = object.__new__(self.file_class)
-        File.__init__(handle, self.domain)
-        handle.layer = self
-        handle.state = state
-        handle.source_key = state.source_key
-        return handle
 
     def unbind_in(self, under_context: NamingContext, name: str) -> object:
         """Hook behind ``unbind`` on the root and on every directory:

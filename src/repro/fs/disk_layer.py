@@ -14,19 +14,21 @@ not, however, implement a coherency algorithm."  Accordingly:
 
 Files and directories are addressed by i-node through a mounted
 :class:`repro.storage.volume.Volume`.
+
+What sits directly on a volume is written once, here, for the disk layer
+and for the monolithic baseline (:mod:`repro.fs.monolithic`) alike:
+:class:`VolumeNaming` (the naming operations of one directory of the
+volume), :class:`DiskDirectory` (the handle for a directory below the
+root), :class:`VolumeOps` (the attribute half of the channel, for a
+pager that owns the i-node) and :class:`VolumeLayer` (the mount
+lifecycle).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Hashable, List, Tuple
 
-from repro.errors import (
-    FsError,
-    IsADirectoryError_,
-    NotADirectoryError_,
-    ReadOnlyError,
-    StaleFileError,
-)
+from repro.errors import FsError, IsADirectoryError_
 from repro.ipc.invocation import operation
 from repro.naming import name as names
 from repro.naming.context import NamingContext
@@ -45,12 +47,13 @@ from repro.fs.file import File
 class DiskFile(File):
     """An open handle to one on-disk file (per-open state)."""
 
-    def __init__(self, layer: "DiskLayer", ino: int) -> None:
+    def __init__(self, layer: "DiskLayer", ino: int, charge_open: bool = True) -> None:
         super().__init__(layer.domain)
         self.layer = layer
         self.ino = ino
         self.source_key: Hashable = ("disk", layer.oid, ino)
-        layer.world.charge.fs_open_state()
+        if charge_open:  # a listing's handle pays no open-state cost
+            layer.world.charge.fs_open_state()
 
     # --- memory_object ------------------------------------------------------
     @operation
@@ -108,41 +111,37 @@ class DiskFile(File):
 
     @operation
     def sync(self) -> None:
-        volume = self.layer.volume
-        volume.sync()
-        # fsync acknowledges: nothing may still sit in the store's buffer.
-        volume.device.flush()
+        self.layer.volume.commit()
 
 
-class DiskNaming(NamingContext):
-    """The disk layer's naming face, written once: the naming operations
-    of the directory ``dir_ino`` of ``layer``'s volume.  Runs on
-    :class:`DiskDirectory` handles and on the :class:`DiskLayer` root —
-    the layer root *is* the volume's root directory.
+class VolumeNaming(NamingContext):
+    """The naming face of a layer that sits directly on a volume,
+    written once: the naming operations of the directory ``dir_ino`` of
+    ``layer``'s volume.  Runs on :class:`DiskDirectory` handles and on
+    the layer root — the layer root *is* the volume's root directory.
 
     Name resolution is the real thing: component-by-component through
     the volume's dentry cache, with directory data read from disk on
-    cold lookups.
+    cold lookups.  What the layers differ in is behind three methods of
+    ``layer``: ``make_object`` (the handle an i-node is opened, listed
+    or unlinked as) and the hooks ``created_file`` and ``unlinked``.
     """
 
     @operation
     def resolve(self, name: str) -> object:
         layer = self.layer
-        components = names.split_name(name)
         current = self.dir_ino
-        for component in components[:-1]:
+        for component in names.split_name(name):
             layer.world.charge.fs_resolve()
+            # Looking a name up in a regular file is the volume's
+            # NotADirectoryError_.
             current = layer.volume.lookup(current, component)
-            if not layer.volume.iget(current).is_dir:
-                raise NotADirectoryError_(f"{component!r} is not a directory")
-        layer.world.charge.fs_resolve()
-        ino = layer.volume.lookup(current, components[-1])
-        return layer.make_object(ino)
+        return layer.make_object(current)
 
     @operation
     def bind(self, name: str, obj: object) -> None:
         raise FsError(
-            "disk directories hold files, not arbitrary bindings; "
+            "volume directories hold files, not arbitrary bindings; "
             "use create_file/create_dir"
         )
 
@@ -150,14 +149,16 @@ class DiskNaming(NamingContext):
     def unbind(self, name: str) -> object:
         """Unlink.  Returns a handle to the (possibly now free) file."""
         names.validate_component(name)
-        ino = self.layer.volume.lookup(self.dir_ino, name)
-        obj = self.layer.make_object(ino, charge_open=False)
-        self.layer.volume.unlink(self.dir_ino, name)
+        layer = self.layer
+        ino = layer.volume.lookup(self.dir_ino, name)
+        obj = layer.make_object(ino, charge_open=False)
+        layer.volume.unlink(self.dir_ino, name)
+        layer.unlinked(ino)
         return obj
 
     @operation
     def rebind(self, name: str, obj: object) -> object:
-        raise FsError("disk directories do not support rebind")
+        raise FsError("volume directories do not support rebind")
 
     @operation
     def list_bindings(self) -> List[Tuple[str, object]]:
@@ -171,7 +172,7 @@ class DiskNaming(NamingContext):
     def create_file(self, name: str) -> File:
         names.validate_component(name)
         inode = self.layer.volume.create(self.dir_ino, name, FileType.REGULAR)
-        return self.layer.make_object(inode.ino)
+        return self.layer.created_file(inode.ino)
 
     @operation
     def create_dir(self, name: str) -> "DiskDirectory":
@@ -185,25 +186,79 @@ class DiskNaming(NamingContext):
         self.layer.volume.rename(self.dir_ino, old_name, self.dir_ino, new_name)
 
 
-class DiskDirectory(DiskNaming):
-    """A directory exported as a naming context."""
+class DiskDirectory(VolumeNaming):
+    """A directory of a volume, exported as a naming context."""
 
-    def __init__(self, layer: "DiskLayer", dir_ino: int) -> None:
+    def __init__(self, layer: "VolumeLayer", dir_ino: int) -> None:
         super().__init__(layer.domain)
         self.layer = layer
         self.dir_ino = dir_ino
 
 
-class DiskOps(ChannelOps):
+class VolumeOps(ChannelOps):
+    """The attribute half of the channel for a pager that owns the
+    i-node: source keys are ``(tag, layer oid, ino)``."""
+
+    def attr_page_in(self, source_key, pager_object) -> FileAttributes:
+        return FileAttributes.from_inode(self.layer.volume.iget(source_key[2]))
+
+    def attr_write_out(self, source_key, pager_object, attrs) -> None:
+        ino = source_key[2]
+        attrs.apply_to_inode(self.layer.volume.iget(ino))
+        self.layer.volume.mark_dirty(ino)
+
+
+class VolumeLayer(VolumeNaming, BaseLayer):
+    """The stackable_fs face of one mounted volume: the layer doubles as
+    the volume's root directory context, so binding it into the name
+    space exposes the whole tree.  A subclass supplies ``make_object``
+    and ``fs_type`` and overrides what it does differently."""
+
+    max_under = 0
+
+    def __init__(self, domain, device: BlockDevice, format_device: bool = False):
+        super().__init__(domain)
+        self.device = device
+        self._mounted(Volume.mkfs(device) if format_device else Volume.mount(device))
+
+    def _mounted(self, volume: Volume) -> None:
+        self.volume = volume
+        #: The root is the volume's root directory (:class:`VolumeNaming`).
+        self.dir_ino = volume.sb.root_ino
+
+    def created_file(self, ino: int) -> File:
+        """Hook: the handle ``create_file`` returns for its new i-node."""
+        return self.make_object(ino)
+
+    def unlinked(self, ino: int) -> None:
+        """Hook: ``ino`` just lost a name (and may now be free); drop
+        whatever per-file state the layer keys by it."""
+
+    # --- fs ------------------------------------------------------------------------------
+    def _sync_impl(self) -> None:
+        self.volume.sync()
+
+    # --- mount lifecycle -----------------------------------------------------------------
+    def unmount(self) -> int:
+        """Cleanly detach the on-disk state: ordered metadata flush, then
+        the superblock goes CLEAN (see :meth:`repro.storage.volume.Volume.unmount`).
+        The layer keeps serving; the next mutation lazily re-dirties the
+        superblock.  Returns blocks written."""
+        return self.volume.unmount()
+
+    def remount(self) -> None:
+        """Drop all in-memory volume state and re-mount from the device —
+        the in-process equivalent of a reboot of this layer's server."""
+        self._mounted(Volume.mount(self.device))
+
+
+class DiskOps(VolumeOps):
     """Disk-layer dispatch: every op hits the volume; no coherency
     actions between channels (that is the coherency layer's job)."""
 
-    def _ino_of(self, source_key: Hashable) -> int:
-        return source_key[2]  # ("disk", layer oid, ino)
-
     def page_in(self, source_key, pager_object, offset, size, access) -> bytes:
         # Non-coherent by design: no actions against other channels.
-        return self.layer.volume.read_data(self._ino_of(source_key), offset, size)
+        return self.layer.volume.read_data(source_key[2], offset, size)
 
     def page_in_range(
         self, source_key, pager_object, offset, min_size, max_size, access
@@ -212,36 +267,17 @@ class DiskOps(ChannelOps):
         contiguous multi-block transfers provides — the paper sec. 8
         'return more data than strictly needed' opportunity.  Short of
         the minimum only at EOF (callers zero-pad pages)."""
-        return self.layer.volume.read_data(
-            self._ino_of(source_key), offset, max_size
-        )
+        return self.layer.volume.read_data(source_key[2], offset, max_size)
 
     def page_out(self, source_key, pager_object, offset, size, data, retain) -> None:
-        # Page-outs arrive page-padded; never let padding extend the file.
-        # Cache managers push attributes (the authoritative length) before
-        # data, so clamping to the current i-node size is correct.
-        ino = self._ino_of(source_key)
-        file_size = self.layer.volume.iget(ino).size
-        usable = min(size, len(data), max(0, file_size - offset))
-        if usable > 0:
-            self.layer.volume.write_data(ino, offset, data[:usable])
+        volume = self.layer.volume
+        volume.write_back(source_key[2], offset, data[:size])
         # A pager ``sync`` (the client keeps the page read-write) is how
         # an fsync from a cache manager above ends: when it returns, the
         # bytes must have left the block store's userspace buffer.  Free
         # in virtual time, like every ``BlockDevice.flush``.
         if retain is AccessRights.READ_WRITE:
-            self.layer.volume.device.flush()
-
-    def attr_page_in(self, source_key, pager_object) -> FileAttributes:
-        return FileAttributes.from_inode(
-            self.layer.volume.iget(self._ino_of(source_key))
-        )
-
-    def attr_write_out(self, source_key, pager_object, attrs) -> None:
-        ino = self._ino_of(source_key)
-        inode = self.layer.volume.iget(ino)
-        attrs.apply_to_inode(inode)
-        self.layer.volume.mark_dirty(ino)
+            volume.device.flush()
 
 
 def _through_root(name: str):
@@ -257,25 +293,14 @@ def _through_root(name: str):
     return operation(forward)
 
 
-class DiskLayer(DiskNaming, BaseLayer):
-    """The stackable_fs face of one mounted volume.
+class DiskLayer(VolumeLayer):
+    """The disk layer: a :class:`VolumeLayer` whose files are
+    :class:`DiskFile` handles straight onto the volume."""
 
-    The layer itself doubles as the volume's root directory context, so
-    binding the layer into the name space exposes its whole tree.
-    """
-
-    max_under = 0
     ops_class = DiskOps
 
-    def __init__(self, domain, device: BlockDevice, format_device: bool = False):
-        super().__init__(domain)
-        self.device = device
-        self._mounted(Volume.mkfs(device) if format_device else Volume.mount(device))
-
     def _mounted(self, volume: Volume) -> None:
-        self.volume = volume
-        #: The root is the volume's root directory (:class:`DiskNaming`).
-        self.dir_ino = volume.sb.root_ino
+        super()._mounted(volume)
         self._root = DiskDirectory(self, self.dir_ino)
 
     def fs_type(self) -> str:
@@ -283,38 +308,11 @@ class DiskLayer(DiskNaming, BaseLayer):
 
     def make_object(self, ino: int, charge_open: bool = True) -> object:
         """Materialize a handle for an i-node: DiskFile or DiskDirectory."""
-        inode = self.volume.iget(ino)
-        if inode.is_dir:
+        if self.volume.iget(ino).is_dir:
             return DiskDirectory(self, ino)
-        if charge_open:
-            return DiskFile(self, ino)
-        # Listing should not pay open-state cost; build the handle without
-        # the charge by bypassing DiskFile.__init__'s accounting.
-        handle = object.__new__(DiskFile)
-        File.__init__(handle, self.domain)
-        handle.layer = self
-        handle.ino = ino
-        handle.source_key = ("disk", self.oid, ino)
-        return handle
+        return DiskFile(self, ino, charge_open)
 
     unbind = _through_root("unbind")
     create_file = _through_root("create_file")
     create_dir = _through_root("create_dir")
     rename = _through_root("rename")
-
-    # --- fs ------------------------------------------------------------------------------
-    def _sync_impl(self) -> None:
-        self.volume.sync()
-
-    # --- mount lifecycle -----------------------------------------------------------------
-    def unmount(self) -> int:
-        """Cleanly detach the on-disk state: ordered metadata flush, then
-        the superblock goes CLEAN (see :meth:`repro.storage.volume.Volume.unmount`).
-        The layer stays usable; the next mutation lazily re-dirties the
-        superblock.  Returns blocks written."""
-        return self.volume.unmount()
-
-    def remount(self) -> None:
-        """Drop all in-memory volume state and re-mount from the device —
-        the in-process equivalent of a reboot of this layer's server."""
-        self._mounted(Volume.mount(self.device))

@@ -11,32 +11,23 @@ upstream VMM clients, same cached/uncached switch — so the benchmark
 differences isolate exactly the cost of stacking.  It is built from the
 same runtime pieces as the stacked layers (the state registry, the
 :class:`~repro.fs.base.LayerFile` handle over ``file_*`` hooks, the
-recall-then-act file protocol) so that the two cannot drift.
+recall-then-act file protocol) and shows the volume through the disk
+layer's own face (:class:`~repro.fs.disk_layer.VolumeLayer`: naming,
+attribute paging, mount lifecycle) so that the two cannot drift.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-from repro.errors import FsError, IsADirectoryError_
-from repro.ipc.invocation import operation
-from repro.naming import name as names
-from repro.naming.context import NamingContext
+from repro.errors import IsADirectoryError_
 from repro.storage.block_device import BlockDevice
-from repro.storage.inode import FileType
-from repro.storage.volume import Volume
 from repro.types import PAGE_SIZE, AccessRights
 from repro.vm.source_cache import SourceCache
 
 from repro.fs.attributes import FileAttributes
-from repro.fs.base import (
-    BaseLayer,
-    ChannelOps,
-    LayerFile,
-    LayerFileState,
-    split_pages,
-)
-from repro.fs.file import File
+from repro.fs.base import LayerFile, LayerFileState, split_pages
+from repro.fs.disk_layer import DiskDirectory, VolumeLayer, VolumeOps
 from repro.fs.holders import BlockHolderTable
 
 
@@ -82,79 +73,10 @@ class MonoFile(LayerFile):
     of the layer's ``file_*`` hooks."""
 
 
-class MonoNaming(NamingContext):
-    """The monolithic SFS's naming face, written once: the naming
-    operations of the directory ``dir_ino`` of ``layer``'s volume, on
-    :class:`MonoDirectory` handles and on the layer root alike."""
-
-    @operation
-    def resolve(self, name: str) -> object:
-        """The open path: lookup + access check + attribute access +
-        one open state, all inside one layer."""
-        layer = self.layer
-        current = self.dir_ino
-        for component in names.split_name(name):
-            layer.world.charge.fs_resolve()
-            current = layer.volume.lookup(current, component)
-        return layer.make_object(current)
-
-    @operation
-    def bind(self, name: str, obj: object) -> None:
-        raise FsError("monolithic SFS holds files; use create_file")
-
-    @operation
-    def unbind(self, name: str) -> object:
-        names.validate_component(name)
-        layer = self.layer
-        ino = layer.volume.lookup(self.dir_ino, name)
-        layer.volume.unlink(self.dir_ino, name)
-        layer._purge_state(ino)
-        return name
-
-    @operation
-    def rebind(self, name: str, obj: object) -> object:
-        raise FsError("monolithic SFS does not support rebind")
-
-    @operation
-    def list_bindings(self):
-        layer = self.layer
-        return [
-            (entry, layer.make_object(ino, charge_open=False))
-            for entry, ino in sorted(layer.volume.readdir(self.dir_ino).items())
-        ]
-
-    @operation
-    def create_file(self, name: str) -> File:
-        names.validate_component(name)
-        layer = self.layer
-        inode = layer.volume.create(self.dir_ino, name, FileType.REGULAR)
-        return MonoFile(layer, layer._state(inode.ino))
-
-    @operation
-    def create_dir(self, name: str) -> "MonoDirectory":
-        names.validate_component(name)
-        inode = self.layer.volume.create(self.dir_ino, name, FileType.DIRECTORY)
-        return MonoDirectory(self.layer, inode.ino)
-
-    @operation
-    def rename(self, old_name: str, new_name: str) -> None:
-        names.validate_component(new_name)
-        self.layer.volume.rename(self.dir_ino, old_name, self.dir_ino, new_name)
-
-
-class MonoDirectory(MonoNaming):
-    """A directory exported by the monolithic SFS."""
-
-    def __init__(self, layer: "MonolithicSfs", dir_ino: int) -> None:
-        super().__init__(layer.domain)
-        self.layer = layer
-        self.dir_ino = dir_ino
-
-
-class MonoOps(ChannelOps):
+class MonoOps(VolumeOps):
     """Channel ops serving the VMM straight from the fused cache+volume.
 
-    Only the four leaf transforms are written out; ranged page-ins fold
+    Only the two data transforms are written out; ranged page-ins fold
     onto ``page_in`` via the spine's default, exactly as a stacked SFS's
     bottom layer would behave without clustering."""
 
@@ -178,34 +100,16 @@ class MonoOps(ChannelOps):
         self.writeback_bookkeeping(state, requester, offset, size, retain)
         self.merge_recovered(state, split_pages(offset, size, data))
 
-    def attr_page_in(self, source_key, pager_object) -> FileAttributes:
-        state = self.state(source_key)
-        return FileAttributes.from_inode(self.layer.volume.iget(state.ino))
 
-    def attr_write_out(self, source_key, pager_object, attrs) -> None:
-        state = self.state(source_key)
-        attrs.apply_to_inode(self.layer.volume.iget(state.ino))
-        self.layer.volume.mark_dirty(state.ino)
-
-
-class MonolithicSfs(MonoNaming, BaseLayer):
+class MonolithicSfs(VolumeLayer):
     """Single-layer SFS: volume + cache + coherency fused."""
 
-    max_under = 0
     ops_class = MonoOps
-    file_class = MonoFile
 
     def __init__(self, domain, device: BlockDevice, format_device: bool = False,
                  cache: bool = True) -> None:
-        super().__init__(domain)
-        self.device = device
+        super().__init__(domain, device, format_device)
         self.cache_enabled = cache
-        self._mounted(Volume.mkfs(device) if format_device else Volume.mount(device))
-
-    def _mounted(self, volume: Volume) -> None:
-        self.volume = volume
-        #: The root is the volume's root directory (:class:`MonoNaming`).
-        self.dir_ino = volume.sb.root_ino
 
     def fs_type(self) -> str:
         return "mono-sfs"
@@ -224,29 +128,27 @@ class MonolithicSfs(MonoNaming, BaseLayer):
         its access check and attribute access here, inside the one
         layer."""
         if self.volume.iget(ino).is_dir:
-            return MonoDirectory(self, ino)
-        state = self._state(ino)
-        if not charge_open:
-            return self.listed_file(state)
-        self.world.charge.fs_access_check()
-        self.world.charge.fs_attr_copy()
-        return MonoFile(self, state)
+            return DiskDirectory(self, ino)
+        if charge_open:
+            self.world.charge.fs_access_check()
+            self.world.charge.fs_attr_copy()
+        return MonoFile(self, self._state(ino), charge_open)
+
+    def created_file(self, ino: int) -> MonoFile:
+        # A create is not an open: no access check, no attribute access
+        # (Table 2 counts the difference).
+        return MonoFile(self, self._state(ino))
+
+    def unlinked(self, ino: int) -> None:
+        self._purge_state(ino)
 
     # ---------------------------------------------------------------- data path
-    def _write_clamped(self, state: _MonoState, index: int, data) -> None:
-        """Write page ``index`` to the volume, never past the file's
-        length (pages arrive padded)."""
-        offset = index * PAGE_SIZE
-        usable = min(PAGE_SIZE, max(0, self.volume.iget(state.ino).size - offset))
-        if usable:
-            self.volume.write_data(state.ino, offset, data[:usable])
-
     def merge_recovered(self, state: _MonoState, recovered: Dict[int, bytes]) -> None:
         if self.cache_enabled:
             state.store.install_modified(recovered)
         else:
             for index, data in sorted(recovered.items()):
-                self._write_clamped(state, index, data)
+                self.volume.write_back(state.ino, index * PAGE_SIZE, data)
 
     def file_length(self, state: _MonoState) -> int:
         return self.volume.iget(state.ino).size
@@ -302,11 +204,9 @@ class MonolithicSfs(MonoNaming, BaseLayer):
 
     def file_sync(self, state: _MonoState) -> None:
         for index, page in state.store.dirty_pages():
-            self._write_clamped(state, index, page.snapshot())
+            self.volume.write_back(state.ino, index * PAGE_SIZE, page.snapshot())
             state.store.set_dirty(index, False)
-        self.volume.sync()
-        # fsync acknowledges: nothing may still sit in the store's buffer.
-        self.volume.device.flush()
+        self.volume.commit()
 
     def _sync_impl(self) -> None:
         for state in list(self._states.values()):
@@ -318,7 +218,7 @@ class MonolithicSfs(MonoNaming, BaseLayer):
         """Flush every cached page and all metadata, then mark the
         volume CLEAN.  Returns blocks written."""
         self.sync_fs()
-        return self.volume.unmount()
+        return super().unmount()
 
     def remount(self) -> None:
         """Drop in-memory volume state (and the page cache — its i-node
@@ -327,4 +227,4 @@ class MonolithicSfs(MonoNaming, BaseLayer):
             state.store.clear()  # a handle from before must not serve it
         self._states.clear()
         self._states_by_source.clear()
-        self._mounted(Volume.mount(self.device))
+        super().remount()

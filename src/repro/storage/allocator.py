@@ -15,7 +15,7 @@ the classic single-cursor first-fit.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.errors import NoSpaceError, StorageError
 
@@ -96,29 +96,6 @@ class BlockAllocator:
                     allocator._used.add(index)
                     allocator._group_used[gi] += 1
         return allocator
-
-    def to_bitmap(self, block_size: int, bitmap_blocks: int) -> List[bytes]:
-        """Legacy single-group serialization (absolute bit-per-block
-        image; metadata blocks below data_start marked used)."""
-        blocks = self.group_bitmap(0, block_size)
-        if len(blocks) != bitmap_blocks:
-            raise StorageError(
-                f"bitmap geometry mismatch: {len(blocks)} blocks vs "
-                f"{bitmap_blocks} expected"
-            )
-        return blocks
-
-    @classmethod
-    def from_bitmap(
-        cls, blocks: Iterable[bytes], num_blocks: int, data_start: int
-    ) -> "BlockAllocator":
-        """Legacy single-group deserialization."""
-        return cls.from_group_bitmaps(
-            num_blocks,
-            data_start,
-            [(0, data_start, num_blocks)],
-            [b"".join(blocks)],
-        )
 
     # --- allocation ---------------------------------------------------------
     @property

@@ -75,6 +75,17 @@ class Inode:
             dbl_indirect=fields[7 + NUM_DIRECT],
         )
 
+    def reset(self, ftype: FileType) -> None:
+        """Become an empty i-node of ``ftype`` — no links, no bytes, no
+        blocks — the state an allocation starts from and a release
+        (``FileType.FREE``) leaves behind.  Timestamps are the caller's."""
+        self.type = ftype
+        self.nlink = 0
+        self.size = 0
+        self.direct = [0] * NUM_DIRECT
+        self.indirect = 0
+        self.dbl_indirect = 0
+
     @property
     def is_dir(self) -> bool:
         return self.type is FileType.DIRECTORY

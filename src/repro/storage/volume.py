@@ -50,6 +50,7 @@ from repro.storage.block_device import BlockDevice
 from repro.storage.directory import pack_entries, unpack_entries
 from repro.storage.inode import INODE_SIZE, NUM_DIRECT, FileType, Inode
 from repro.storage.layout import STATE_CLEAN, STATE_DIRTY, SuperBlock
+from repro.vm.page import index_runs
 
 
 class Volume:
@@ -133,27 +134,22 @@ class Volume:
         volume.was_clean = was_clean
         volume._sb_clean_on_disk = was_clean
         groups = volume._groups
-        bitmaps = [
-            b"".join(
-                device.read_block(g.bitmap_start + i)
-                for i in range(g.bitmap_blocks)
-            )
-            for g in groups
-        ]
+        # A group's bitmap and its i-node table slice are each one
+        # contiguous region (docs/ONDISK.md): one transfer per region.
         volume.allocator = BlockAllocator.from_group_bitmaps(
             sb.num_blocks,
             sb.data_start,
             [(g.start, g.data_start, g.end) for g in groups],
-            bitmaps,
+            [device.read_block(g.bitmap_start, g.bitmap_blocks) for g in groups],
         )
         inodes: List[Inode] = [None] * sb.inode_count  # type: ignore[list-item]
         for group in groups:
+            raw = device.read_block(group.inode_start, group.inode_blocks)
             for block_index in range(group.inode_blocks):
-                raw = device.read_block(group.inode_start + block_index)
-                for slot, ino in enumerate(volume._table_block_inos(group, block_index)):
-                    inodes[ino] = Inode.unpack(
-                        ino, raw[slot * INODE_SIZE : (slot + 1) * INODE_SIZE]
-                    )
+                at = block_index * sb.block_size
+                for ino in volume._table_block_inos(group, block_index):
+                    inodes[ino] = Inode.unpack(ino, raw[at : at + INODE_SIZE])
+                    at += INODE_SIZE
         volume._inodes = inodes
         volume._init_ino_tracking()
         volume._register()
@@ -233,12 +229,7 @@ class Volume:
                 inode = self._inodes[ino]
                 if inode.allocated:
                     continue
-                inode.type = ftype
-                inode.nlink = 0
-                inode.size = 0
-                inode.direct = [0] * NUM_DIRECT
-                inode.indirect = 0
-                inode.dbl_indirect = 0
+                inode.reset(ftype)
                 now = self._now()
                 inode.atime_us = inode.mtime_us = inode.ctime_us = now
                 self._ino_hint[gi] = local + 1
@@ -324,42 +315,53 @@ class Volume:
             self._set_pointer(level1, inner, block)
         return block
 
+    def _walk(self, inode: Inode):
+        """Everything ``inode`` owns, in file order, as ``(file_block,
+        block, holder, slot)``.  ``file_block`` is None for a pointer
+        block, which comes before what it points to.  ``holder, slot``
+        say where the pointer to ``block`` lives — ``slot`` of pointer
+        block ``holder``, or of the i-node's own pointers when
+        ``holder`` is 0 — which is what :meth:`_repoint` stores
+        through, so changing a mapping needs no second descent."""
+        for slot, block in enumerate(inode.direct):
+            if block:
+                yield slot, block, 0, slot
+        ppb = self._pointers_per_block
+        yield from self._walk_tree(inode.indirect, 0, NUM_DIRECT, 1, NUM_DIRECT)
+        yield from self._walk_tree(
+            inode.dbl_indirect, 0, NUM_DIRECT + 1, ppb, NUM_DIRECT + ppb
+        )
+
+    def _walk_tree(self, block: int, holder: int, slot: int, span: int, base: int):
+        """:meth:`_walk` below one pointer: the tree under pointer block
+        ``block`` (0: there is none), each of whose slots covers
+        ``span`` file blocks, the first of them ``base``."""
+        if not block:
+            return
+        yield None, block, holder, slot
+        for index in range(self._pointers_per_block):
+            child = self._pointer(block, index)
+            if child and span == 1:
+                yield base + index, child, block, index
+            elif child:
+                yield from self._walk_tree(
+                    child, block, index,
+                    span // self._pointers_per_block, base + index * span,
+                )
+
+    def _repoint(self, inode: Inode, holder: int, slot: int, block: int) -> None:
+        """Point the file block whose pointer :meth:`_walk` found at
+        ``holder, slot`` at ``block`` — 0 unmaps it (truncate); fsck's
+        duplicate-block repair remaps it."""
+        if holder:
+            self._set_pointer(holder, slot, block)
+        else:
+            inode.direct[slot] = block
+            self.mark_dirty(inode.ino)
+
     def _mapped_blocks(self, inode: Inode) -> List[Tuple[int, int]]:
         """All (file_block, device_block) pairs mapped by an i-node."""
-        assert self.allocator is not None
-        ppb = self._pointers_per_block
-        result: List[Tuple[int, int]] = []
-        for i, block in enumerate(inode.direct):
-            if block:
-                result.append((i, block))
-        if inode.indirect:
-            for slot in range(ppb):
-                block = self._pointer(inode.indirect, slot)
-                if block:
-                    result.append((NUM_DIRECT + slot, block))
-        if inode.dbl_indirect:
-            for outer in range(ppb):
-                level1 = self._pointer(inode.dbl_indirect, outer)
-                if not level1:
-                    continue
-                for inner in range(ppb):
-                    block = self._pointer(level1, inner)
-                    if block:
-                        result.append((NUM_DIRECT + ppb + outer * ppb + inner, block))
-        return result
-
-    def _metadata_blocks(self, inode: Inode) -> List[int]:
-        """Indirect-pointer blocks owned by an i-node."""
-        blocks: List[int] = []
-        if inode.indirect:
-            blocks.append(inode.indirect)
-        if inode.dbl_indirect:
-            blocks.append(inode.dbl_indirect)
-            for outer in range(self._pointers_per_block):
-                level1 = self._pointer(inode.dbl_indirect, outer)
-                if level1:
-                    blocks.append(level1)
-        return blocks
+        return [(fb, block) for fb, block, _, _ in self._walk(inode) if fb is not None]
 
     # ----------------------------------------------------------------- file data
     def _runs(
@@ -437,6 +439,15 @@ class Volume:
         inode.ctime_us = now
         self.mark_dirty(ino)
 
+    def write_back(self, ino: int, offset: int, data) -> None:
+        """Write back a cache manager's page-padded ``data`` at
+        ``offset``: the padding never extends the file.  Cache managers
+        push attributes — the authoritative length — before data, so
+        whatever lies past the i-node's size is padding."""
+        usable = min(len(data), self.iget(ino).size - offset)
+        if usable > 0:
+            self.write_data(ino, offset, data[:usable])
+
     def truncate(self, ino: int, length: int) -> None:
         """Shrink or extend (sparsely) a file to ``length`` bytes."""
         assert self.allocator is not None
@@ -444,10 +455,10 @@ class Volume:
         if length < inode.size:
             bs = self.sb.block_size
             keep_blocks = (length + bs - 1) // bs
-            for file_block, device_block in self._mapped_blocks(inode):
-                if file_block >= keep_blocks:
-                    self.allocator.free(device_block)
-                    self._set_mapping(inode, file_block, 0)
+            for file_block, block, holder, slot in list(self._walk(inode)):
+                if file_block is not None and file_block >= keep_blocks:
+                    self.allocator.free(block)
+                    self._repoint(inode, holder, slot, 0)
             # Zero the tail of a retained partial boundary block, so a
             # later extension reads zeros rather than resurrected bytes.
             within = length % bs
@@ -462,24 +473,6 @@ class Volume:
         inode.mtime_us = now
         inode.ctime_us = now
         self.mark_dirty(ino)
-
-    def _set_mapping(self, inode: Inode, file_block: int, device_block: int) -> None:
-        """Point ``file_block`` at ``device_block`` — 0 unmaps it
-        (truncate); fsck's duplicate-block repair remaps it.  The
-        indirect chain must already exist."""
-        ppb = self._pointers_per_block
-        if file_block < NUM_DIRECT:
-            inode.direct[file_block] = device_block
-            self.mark_dirty(inode.ino)
-            return
-        file_block -= NUM_DIRECT
-        if file_block < ppb:
-            self._set_pointer(inode.indirect, file_block, device_block)
-            return
-        file_block -= ppb
-        outer, inner = divmod(file_block, ppb)
-        level1 = self._pointer(inode.dbl_indirect, outer)
-        self._set_pointer(level1, inner, device_block)
 
     # ----------------------------------------------------------------- directories
     def _dir_entries(self, dir_ino: int) -> Dict[str, int]:
@@ -511,15 +504,7 @@ class Volume:
         return self._dir_entries(dir_ino)
 
     def create(self, dir_ino: int, name: str, ftype: FileType) -> Inode:
-        entries = self._dir_entries(dir_ino)
-        if name in entries:
-            raise FileExistsError_(f"{name!r} already exists in directory {dir_ino}")
-        inode = self._alloc_inode(ftype, parent_ino=dir_ino)
-        inode.nlink = 1
-        entries[name] = inode.ino
-        self._write_dir(dir_ino, entries)
-        self._dentries[(dir_ino, name)] = inode.ino
-        return inode
+        return self._inodes[self.create_many(dir_ino, [name], ftype)[0]]
 
     def create_many(
         self, dir_ino: int, names: Sequence[str], ftype: FileType = FileType.REGULAR
@@ -538,9 +523,10 @@ class Volume:
             inode = self._alloc_inode(ftype, parent_ino=dir_ino)
             inode.nlink = 1
             entries[name] = inode.ino
-            self._dentries[(dir_ino, name)] = inode.ino
             inos.append(inode.ino)
         self._write_dir(dir_ino, entries)
+        # Cached only once the directory holds them.
+        self._dentries.update(zip(((dir_ino, name) for name in names), inos))
         return inos
 
     def link(self, dir_ino: int, name: str, target_ino: int) -> None:
@@ -600,19 +586,13 @@ class Volume:
         (``bitmap_may_lag``), which repairs exactly the post-crash
         states where the bitmap never recorded an allocation."""
         assert self.allocator is not None
-        file_blocks = [block for _, block in self._mapped_blocks(inode)]
-        meta_blocks = self._metadata_blocks(inode)
-        for block in file_blocks + meta_blocks:
+        for file_block, block, _, _ in list(self._walk(inode)):
             if not bitmap_may_lag or self.allocator.is_allocated(block):
                 self.allocator.free(block)
-        for meta_block in meta_blocks:
-            self._meta.pop(meta_block, None)
-            self._dirty_meta.discard(meta_block)
-        inode.type = FileType.FREE
-        inode.size = 0
-        inode.direct = [0] * NUM_DIRECT
-        inode.indirect = 0
-        inode.dbl_indirect = 0
+            if file_block is None:
+                self._meta.pop(block, None)
+                self._dirty_meta.discard(block)
+        inode.reset(FileType.FREE)
         gi = self.sb.group_of_ino(inode.ino)
         self._ino_free[gi] += 1
         local = inode.ino - self._groups[gi].ino_base
@@ -629,38 +609,56 @@ class Volume:
         — bitmaps first, then indirect blocks, then i-nodes — so a crash
         at any point leaves at worst allocated-but-unreferenced blocks
         (a leak fsck can free), never a referenced block the bitmap
-        considers free.  Returns the number of blocks written."""
-        assert self.allocator is not None
-        written = 0
-        # 1. Block bitmaps (per dirty cylinder group).
-        if self.allocator.dirty:
-            for gi in sorted(self.allocator.dirty_groups):
-                group = self._groups[gi]
-                for i, block in enumerate(
-                    self.allocator.group_bitmap(gi, self.sb.block_size)
-                ):
-                    self.device.write_block(group.bitmap_start + i, block)
-                    written += 1
-            self.allocator.mark_clean()
-        # 2. Indirect-pointer blocks (the metadata buffer cache).
-        for meta_block in sorted(self._dirty_meta):
-            self.device.write_block(meta_block, bytes(self._meta[meta_block]))
-            written += 1
-        self._dirty_meta.clear()
-        # 3. The i-node table, one block at a time.
-        dirty_table_blocks = sorted(
-            {self._inode_table_block(ino) for ino in self._dirty_inodes}
+        considers free.  Each step is a ``{device block: bytes}`` that
+        goes out ascending, one transfer per run of adjacent blocks, and
+        stays dirty until all of it has; steps never share a transfer.
+        Returns the number of blocks written."""
+        allocator, groups, bs = self.allocator, self._groups, self.sb.block_size
+        assert allocator is not None
+        steps = (
+            # 1. The block bitmap of every group that allocated or freed.
+            (
+                {
+                    groups[gi].bitmap_start + i: block
+                    for gi in allocator.dirty_groups
+                    for i, block in enumerate(allocator.group_bitmap(gi, bs))
+                },
+                allocator.mark_clean,
+            ),
+            # 2. Indirect-pointer blocks (the metadata buffer cache).
+            (
+                {block: self._meta[block] for block in self._dirty_meta},
+                self._dirty_meta.clear,
+            ),
+            # 3. Every i-node table block that holds a dirty i-node.
+            (
+                {
+                    block: b"".join(
+                        self._inodes[ino].pack()
+                        for ino in self._table_block_inos(group, index)
+                    ).ljust(bs, b"\0")
+                    for block, group, index in {
+                        self._inode_table_block(ino) for ino in self._dirty_inodes
+                    }
+                },
+                self._dirty_inodes.clear,
+            ),
         )
-        for device_block, group, block_index in dirty_table_blocks:
-            raw = bytearray(self.sb.block_size)
-            for slot, ino in enumerate(self._table_block_inos(group, block_index)):
-                raw[slot * INODE_SIZE : (slot + 1) * INODE_SIZE] = self._inodes[
-                    ino
-                ].pack()
-            self.device.write_block(device_block, bytes(raw))
-            written += 1
-        self._dirty_inodes.clear()
+        written = 0
+        for blocks, flushed in steps:
+            order = sorted(blocks)
+            for start, count in index_runs(order):
+                run = [blocks[block] for block in range(start, start + count)]
+                self.device.write_block(start, run[0] if count == 1 else b"".join(run))
+            flushed()
+            written += len(order)
         return written
+
+    def commit(self) -> None:
+        """How an fsync ends: the ordered flush, then nothing of it may
+        still sit in the block store's buffer."""
+        self.sync()
+        self.device.flush()
 
     def _inode_table_block(self, ino: int):
         """(device block, group, block-within-group) holding ``ino``."""
@@ -714,16 +712,14 @@ class Volume:
                 "superblock: volume was not cleanly unmounted (dirty)"
             )
         claimed: Dict[int, int] = {}
-        duplicates: List[Tuple[int, int, Optional[int]]] = []
+        duplicates: List[Tuple[Inode, int, int, int]] = []
         lost_claims: List[int] = []
+        bs = self.sb.block_size
         for inode in self._inodes:
             if not inode.allocated:
                 continue
-            owned: List[Tuple[int, Optional[int]]] = [
-                (b, fb) for fb, b in self._mapped_blocks(inode)
-            ]
-            owned += [(b, None) for b in self._metadata_blocks(inode)]
-            for block, file_block in owned:
+            max_block = (inode.size + bs - 1) // bs
+            for file_block, block, holder, slot in self._walk(inode):
                 if not self.sb.is_data_block(block):
                     problems.append(f"ino {inode.ino}: block {block} out of range")
                 elif not self.allocator.is_allocated(block):
@@ -736,13 +732,13 @@ class Volume:
                         f"block {block} claimed by ino {claimed[block]} "
                         f"and ino {inode.ino}"
                     )
-                    duplicates.append((block, inode.ino, file_block))
+                    # A doubly-claimed pointer block cannot be resolved
+                    # without knowing which chain is stale: reported only.
+                    if file_block is not None:
+                        duplicates.append((inode, block, holder, slot))
                 else:
                     claimed[block] = inode.ino
-            bs = self.sb.block_size
-            max_block = (inode.size + bs - 1) // bs
-            for file_block, _ in self._mapped_blocks(inode):
-                if file_block >= max_block and inode.size > 0:
+                if file_block is not None and file_block >= max_block and inode.size:
                     problems.append(
                         f"ino {inode.ino}: block beyond size "
                         f"(file_block {file_block}, size {inode.size})"
@@ -802,7 +798,7 @@ class Volume:
     def _repair(
         self,
         lost_claims: List[int],
-        duplicates: List[Tuple[int, int, Optional[int]]],
+        duplicates: List[Tuple[Inode, int, int, int]],
         leaked: List[int],
         dangling: List[Tuple[int, str]],
         nlink_fixes: List[Tuple[Inode, int]],
@@ -816,20 +812,14 @@ class Volume:
             self.allocator.claim(block)
         # 2. Resolve double claims: the second claimant gets a fresh
         #    block with a copy of the contested bytes (classic fsck
-        #    block duplication).  Metadata (indirect) double claims are
-        #    unresolvable without knowing which chain is stale; leave
-        #    them reported.
-        for block, ino, file_block in duplicates:
-            if file_block is None:
-                continue
-            inode = self._inodes[ino]
-            fresh = self.allocator.allocate(self.sb.group_of_ino(ino))
+        #    block duplication).
+        for inode, block, holder, slot in duplicates:
+            fresh = self.allocator.allocate(self.sb.group_of_ino(inode.ino))
             self.device.write_block(fresh, self.device.read_block(block))
-            self._set_mapping(inode, file_block, fresh)
+            self._repoint(inode, holder, slot, fresh)
         # 3. Release orphaned i-nodes (allocated, zero references):
         #    their blocks go back to the free pool.
         for inode in orphans:
-            inode.nlink = 0
             self._free_inode(inode, bitmap_may_lag=True)
         # 4. Free leaked blocks — after orphan release so a block both
         #    leaked and orphan-owned is freed exactly once.

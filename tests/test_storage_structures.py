@@ -165,13 +165,17 @@ class TestBlockAllocator:
     def test_bitmap_roundtrip(self):
         allocator = BlockAllocator(100, data_start=10)
         blocks = {allocator.allocate() for _ in range(25)}
-        blob = allocator.to_bitmap(PAGE_SIZE, 1)
-        again = BlockAllocator.from_bitmap(blob, 100, 10)
+        blob = allocator.group_bitmap(0, PAGE_SIZE)
+        assert len(blob) == 1  # 100 blocks: one bitmap block
+        again = BlockAllocator.from_group_bitmaps(
+            100, 10, [(0, 10, 100)], [b"".join(blob)]
+        )
         assert {b for b in range(10, 100) if again.is_allocated(b)} == blocks
+        assert (again.used_count, again.free_count) == (25, 65)
 
     def test_bitmap_marks_metadata_used(self):
         allocator = BlockAllocator(100, data_start=10)
-        blob = allocator.to_bitmap(PAGE_SIZE, 1)[0]
+        blob = allocator.group_bitmap(0, PAGE_SIZE)[0]
         for index in range(10):
             assert blob[index // 8] & (1 << (index % 8))
 
