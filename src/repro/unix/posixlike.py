@@ -8,21 +8,20 @@ means over *any* stack.
 
 All calls execute on behalf of the facade's client domain, so the
 benchmarks' invocation accounting is identical whether a workload uses
-the facade or raw objects.
+the facade or raw objects — and no Spring error leaves it: where a call
+enters the client domain (:meth:`Posix._client`) is where an error the
+stack raised becomes the ``UnixError`` that :data:`ERRNO` names.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.errors import (
-    FileNotFoundError_,
-    FsError,
-    NameNotFoundError,
-    SpringError,
-    UnixError,
-)
+from repro import errors
+from repro.errors import UnixError
+from repro.ipc import invocation
 from repro.ipc.domain import Domain
 from repro.ipc.narrow import narrow
 from repro.naming.context import NamingContext
@@ -42,6 +41,20 @@ O_APPEND = 0o2000
 SEEK_SET = 0
 SEEK_CUR = 1
 SEEK_END = 2
+
+#: The errno of each Spring error a path or a write can meet, whichever
+#: layer of whichever stack raised it: a naming error and its file
+#: system twin are one errno.  Looked up along the error's MRO.
+ERRNO = {
+    errors.NameNotFoundError: "ENOENT", errors.FileNotFoundError_: "ENOENT",
+    errors.NotAContextError: "ENOTDIR", errors.NotADirectoryError_: "ENOTDIR",
+    errors.NameAlreadyBoundError: "EEXIST", errors.FileExistsError_: "EEXIST",
+    errors.InvalidNameError: "EINVAL",
+    errors.IsADirectoryError_: "EISDIR",
+    errors.DirectoryNotEmptyError: "ENOTEMPTY",
+    errors.NoSpaceError: "ENOSPC",
+    errors.ReadOnlyError: "EROFS",
+}
 
 
 @dataclasses.dataclass
@@ -68,38 +81,48 @@ class Posix:
         self._fds: Dict[int, OpenFile] = {}
         self._next_fd = 3  # leave 0-2 for the traditional trio
 
+    @contextlib.contextmanager
+    def _client(self, path: str = ""):
+        """Run the enclosed call on behalf of the client domain (what
+        ``Domain.activate`` does); a Spring error it raises leaves as
+        the ``UnixError`` of :data:`ERRNO`."""
+        invocation.push_domain(self.domain)
+        try:
+            yield
+        except errors.SpringError as exc:
+            for cls in type(exc).__mro__:
+                if cls in ERRNO:
+                    raise UnixError(ERRNO[cls], path or str(exc)) from exc
+            raise
+        finally:
+            invocation.pop_domain()
+
     # ------------------------------------------------------------ resolution
-    def _split_parent(self, path: str):
+    def _context(self, path: str) -> NamingContext:
+        """The directory at ``path`` (the root when empty)."""
         path = path.strip("/")
-        if not path:
-            raise UnixError("EINVAL", "empty path")
-        if "/" in path:
-            parent_path, leaf = path.rsplit("/", 1)
-            parent = self.root.resolve(parent_path)
-        else:
-            parent, leaf = self.root, path
-        context = narrow(parent, NamingContext)
+        context = narrow(self.root.resolve(path) if path else self.root, NamingContext)
         if context is None:
             raise UnixError("ENOTDIR", path)
-        return context, leaf
+        return context
+
+    def _split_parent(self, path: str):
+        parent, _, leaf = path.strip("/").rpartition("/")
+        return self._context(parent), leaf
 
     def _resolve_file(self, path: str) -> File:
-        try:
-            obj = self.root.resolve(path.strip("/"))
-        except (NameNotFoundError, FileNotFoundError_):
-            raise UnixError("ENOENT", path)
-        f = narrow(obj, File)
+        f = narrow(self.root.resolve(path.strip("/")), File)
         if f is None:
             raise UnixError("EISDIR", path)
         return f
 
     # ------------------------------------------------------------- syscalls
     def open(self, path: str, flags: int = O_RDONLY) -> int:
-        with self.domain.activate():
+        with self._client(path):
             try:
                 f = self._resolve_file(path)
-            except UnixError as exc:
-                if exc.code != "ENOENT" or not flags & O_CREAT:
+            except (errors.NameNotFoundError, errors.FileNotFoundError_):
+                if not flags & O_CREAT:
                     raise
                 context, leaf = self._split_parent(path)
                 try:
@@ -132,7 +155,7 @@ class Posix:
         entry = self._entry(fd)
         if not entry.readable:
             raise UnixError("EBADF", "fd not open for reading")
-        with self.domain.activate():
+        with self._client():
             data = entry.file.read(entry.position, size)
         entry.position += len(data)
         return data
@@ -141,7 +164,7 @@ class Posix:
         entry = self._entry(fd)
         if not entry.writable:
             raise UnixError("EBADF", "fd not open for writing")
-        with self.domain.activate():
+        with self._client():
             if entry.flags & O_APPEND:
                 entry.position = entry.file.get_length()
             written = entry.file.write(entry.position, data)
@@ -152,14 +175,14 @@ class Posix:
         entry = self._entry(fd)
         if not entry.readable:
             raise UnixError("EBADF", "fd not open for reading")
-        with self.domain.activate():
+        with self._client():
             return entry.file.read(offset, size)
 
     def pwrite(self, fd: int, data: bytes, offset: int) -> int:
         entry = self._entry(fd)
         if not entry.writable:
             raise UnixError("EBADF", "fd not open for writing")
-        with self.domain.activate():
+        with self._client():
             return entry.file.write(offset, data)
 
     def lseek(self, fd: int, offset: int, whence: int = SEEK_SET) -> int:
@@ -169,7 +192,7 @@ class Posix:
         elif whence == SEEK_CUR:
             new = entry.position + offset
         elif whence == SEEK_END:
-            with self.domain.activate():
+            with self._client():
                 new = entry.file.get_length() + offset
         else:
             raise UnixError("EINVAL", f"whence {whence}")
@@ -180,23 +203,23 @@ class Posix:
 
     def fstat(self, fd: int) -> FileAttributes:
         entry = self._entry(fd)
-        with self.domain.activate():
+        with self._client():
             return entry.file.get_attributes()
 
     def stat(self, path: str) -> FileAttributes:
-        with self.domain.activate():
+        with self._client(path):
             return self._resolve_file(path).get_attributes()
 
     def ftruncate(self, fd: int, length: int) -> None:
         entry = self._entry(fd)
         if not entry.writable:
             raise UnixError("EBADF", "fd not open for writing")
-        with self.domain.activate():
+        with self._client():
             entry.file.set_length(length)
 
     def fsync(self, fd: int) -> None:
         entry = self._entry(fd)
-        with self.domain.activate():
+        with self._client():
             entry.file.sync()
 
     def close(self, fd: int) -> None:
@@ -205,7 +228,7 @@ class Posix:
 
     # ------------------------------------------------------- directory calls
     def mkdir(self, path: str):
-        with self.domain.activate():
+        with self._client(path):
             context, leaf = self._split_parent(path)
             try:
                 return context.create_dir(leaf)
@@ -213,26 +236,16 @@ class Posix:
                 raise UnixError("EROFS", f"{path}: context cannot create dirs")
 
     def unlink(self, path: str) -> None:
-        with self.domain.activate():
+        with self._client(path):
             context, leaf = self._split_parent(path)
-            try:
-                context.unbind(leaf)
-            except (NameNotFoundError, FileNotFoundError_):
-                raise UnixError("ENOENT", path)
+            context.unbind(leaf)
 
     def listdir(self, path: str = "") -> List[str]:
-        with self.domain.activate():
-            if path.strip("/"):
-                obj = self.root.resolve(path.strip("/"))
-            else:
-                obj = self.root
-            context = narrow(obj, NamingContext)
-            if context is None:
-                raise UnixError("ENOTDIR", path)
-            return [name for name, _ in context.list_bindings()]
+        with self._client(path):
+            return [name for name, _ in self._context(path).list_bindings()]
 
     def rename(self, old: str, new: str) -> None:
-        with self.domain.activate():
+        with self._client(old):
             old_context, old_leaf = self._split_parent(old)
             new_context, new_leaf = self._split_parent(new)
             if old_context is not new_context:
@@ -241,8 +254,6 @@ class Posix:
                 old_context.rename(old_leaf, new_leaf)
             except AttributeError:
                 raise UnixError("EROFS", "context cannot rename")
-            except (NameNotFoundError, FileNotFoundError_):
-                raise UnixError("ENOENT", old)
 
     def open_fds(self) -> int:
         return len(self._fds)
