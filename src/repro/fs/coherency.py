@@ -426,8 +426,10 @@ class CoherencyLayer(BaseLayer):
 
         Write-back order is deterministic: dirty pages ascend by index;
         with ``batch_pageout`` set, each contiguous run goes down as one
-        sync, in the same ascending order."""
+        sync, in the same ascending order.  Uncached there is nothing of
+        ours to push: the file below syncs itself."""
         if not self.cache_enabled:
+            state.under_file.sync()
             return
         self.ensure_down(state)
         if state.attrs is not None and state.attrs.dirty:
