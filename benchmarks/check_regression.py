@@ -32,8 +32,9 @@ Headline metrics:
   regression, not noise; the deterministic p99 gets the default.
 * ``BENCH_volume.json`` — mount/remount and cold-stat costs of
   image-backed persistent volumes (the point of the pluggable
-  block-store work): mount time and reads must not grow beyond the
-  i-node-table scan, and the clean-unmount flush must stay bounded.
+  block-store work): mount is one transfer per metadata region
+  (``1 + 2 x groups`` reads — the 100k-file mount is ROADMAP's tracked
+  number), and the clean-unmount flush one transfer per run per step.
 * ``BENCH_socket.json`` — simulated per-message virtual cost and the
   real-socket compound-batching frame counts (the point of the
   transport-seam work).  The gated metrics are deterministic protocol
@@ -111,6 +112,8 @@ HEADLINE = [
      "cells.quorum.elapsed_ms", "lower", None),
     ("BENCH_volume.json", "benchmarks.bench_volume_persist",
      "cells.10k.mount_us", "lower", None),
+    ("BENCH_volume.json", "benchmarks.bench_volume_persist",
+     "cells.100k.mount_us", "lower", None),
     ("BENCH_volume.json", "benchmarks.bench_volume_persist",
      "cells.10k.cold_stat_us", "lower", None),
     ("BENCH_volume.json", "benchmarks.bench_volume_persist",

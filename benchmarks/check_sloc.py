@@ -10,9 +10,12 @@ documentation moves the figure.  (Lines are what ``tokenize`` sees;
 docstrings are what ``ast`` says are docstrings.)
 
 Prints the per-package count and its delta against the committed
-``benchmarks/SLOC.json``; exits non-zero when the ``src/repro`` total
-exceeds the committed total.  After a change that is meant to move the
-figure, ``--update`` rewrites the committed file.
+``benchmarks/SLOC.json``, then the five largest modules (the per-file
+figures ROADMAP quotes come from here); exits non-zero when the
+``src/repro`` total exceeds the committed total, and also when any
+committed row no longer equals the tree — a stale row is a ratchet that
+has stopped holding.  After a change that moves a figure, ``--update``
+rewrites the committed file.
 
 Usage (from the repo root)::
 
@@ -57,14 +60,22 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def count(root: pathlib.Path = ROOT) -> dict:
-    """``{package: code lines}`` for each directory under ``root`` (its
-    top-level modules count under ``"."``), plus ``"total"``."""
+def count_modules(root: pathlib.Path = ROOT) -> dict:
+    """``{module path relative to root: code lines}``."""
+    return {
+        path.relative_to(root): code_lines(path.read_text())
+        for path in sorted(root.rglob("*.py"))
+    }
+
+
+def count(modules: dict) -> dict:
+    """``{package: code lines}`` for each directory of the root that
+    ``modules`` (:func:`count_modules`) was counted under — its top-level
+    modules count under ``"."`` — plus ``"total"``."""
     packages: dict = {}
-    for path in sorted(root.rglob("*.py")):
-        relative = path.relative_to(root)
+    for relative, lines in modules.items():
         package = relative.parts[0] if len(relative.parts) > 1 else "."
-        packages[package] = packages.get(package, 0) + code_lines(path.read_text())
+        packages[package] = packages.get(package, 0) + lines
     packages["total"] = sum(packages.values())
     return packages
 
@@ -74,7 +85,8 @@ def main(argv=None) -> int:
     parser.add_argument("--update", action="store_true",
                         help="rewrite benchmarks/SLOC.json with the fresh counts")
     args = parser.parse_args(argv)
-    fresh = count()
+    modules = count_modules()
+    fresh = count(modules)
     if args.update:
         COMMITTED.write_text(json.dumps(fresh, indent=2, sort_keys=True) + "\n")
         print(f"wrote {COMMITTED}")
@@ -83,6 +95,9 @@ def main(argv=None) -> int:
     for package in sorted(set(fresh) | set(committed), key=lambda p: (p == "total", p)):
         now, before = fresh.get(package, 0), committed.get(package, 0)
         print(f"  {package:<10} {now:>6}  ({now - before:+d} vs committed {before})")
+    print("\nlargest modules:")
+    for relative in sorted(modules, key=modules.get, reverse=True)[:5]:
+        print(f"  {str(relative):<24} {modules[relative]:>6}")
     if fresh["total"] > committed["total"]:
         print(
             f"\nsrc/repro grew: {fresh['total']} code lines > committed "
@@ -90,7 +105,14 @@ def main(argv=None) -> int:
             "and say in the PR why the growth is needed."
         )
         return 1
-    print("\nsrc/repro is no larger than the committed figure.")
+    if fresh != committed:
+        print(
+            "\nbenchmarks/SLOC.json is stale: a committed row differs from "
+            "the tree.  Run `python benchmarks/check_sloc.py --update` and "
+            "commit the file."
+        )
+        return 1
+    print("\nsrc/repro matches the committed figures.")
     return 0
 
 

@@ -526,7 +526,7 @@ class Volume:
             inos.append(inode.ino)
         self._write_dir(dir_ino, entries)
         # Cached only once the directory holds them.
-        self._dentries.update(zip(((dir_ino, name) for name in names), inos))
+        self._dentries.update({(dir_ino, name): ino for name, ino in zip(names, inos)})
         return inos
 
     def link(self, dir_ino: int, name: str, target_ino: int) -> None:

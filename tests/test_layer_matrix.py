@@ -21,6 +21,7 @@ from repro.fs.sfs import create_sfs
 from repro.fs.stack import stack_layers
 from repro.ipc.domain import Credentials
 from repro.ipc.narrow import narrow
+from repro.ipc.transport import ServerThread, SocketTransport
 from repro.naming.context import NamingContext
 from repro.storage.block_device import RamDevice
 from repro.types import PAGE_SIZE
@@ -356,8 +357,6 @@ def test_posix_errors_are_errnos_across_the_socket():
     """The same script through ``FileService`` over ``SocketTransport``:
     the client sees the same ``UnixError.code`` per case, not one
     exception class per layer that happened to raise."""
-    from repro.ipc.transport import ServerThread, SocketTransport
-
     root, user = _stack("sfs")
     node = user.node
     server = node.serve()

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.storage.block_device import RamDevice
-from repro.storage.inode import FileType
+from repro.storage.inode import NUM_DIRECT, FileType
 from repro.storage.volume import Volume
 from repro.types import PAGE_SIZE
 from repro.world import World
@@ -71,6 +71,35 @@ FRAGMENT = [
 ] + [
     ("write", 0, 2 * PAGE_SIZE + 100, _PATTERN[7 : 7 + 3 * PAGE_SIZE + 50]),
     ("read", 0, PAGE_SIZE // 2, 13 * PAGE_SIZE),
+]
+
+
+#: The block-map campaign: three files, writes landing anywhere from the
+#: direct blocks to three level-1 blocks into the double-indirect tree
+#: (file block >= 12 + 1024), truncates that cut anywhere in that range.
+_TREE_SPAN = (NUM_DIRECT + 4 * 1024) * PAGE_SIZE
+tree_files = st.integers(min_value=0, max_value=2)
+tree_offsets = st.one_of(
+    st.integers(0, _TREE_SPAN),
+    # Around the two boundaries of the tree.
+    st.integers((NUM_DIRECT - 2) * PAGE_SIZE, (NUM_DIRECT + 2) * PAGE_SIZE),
+    st.integers((NUM_DIRECT + 1022) * PAGE_SIZE, (NUM_DIRECT + 1026) * PAGE_SIZE),
+)
+tree_op = st.one_of(
+    st.tuples(st.just("write"), tree_files, tree_offsets,
+              st.integers(1, 3 * PAGE_SIZE)),
+    st.tuples(st.just("truncate"), tree_files, tree_offsets),
+    st.tuples(st.just("unlink"), tree_files),
+)
+#: Ahead of every generated campaign: one file with data under the
+#: single-indirect block and under two level-1 blocks, cut back into
+#: the double-indirect range, then into the single-indirect one.
+TREE_PREAMBLE = [
+    ("write", 0, (NUM_DIRECT + 5) * PAGE_SIZE - 10, 2 * PAGE_SIZE),
+    ("write", 0, (NUM_DIRECT + 1024 + 7) * PAGE_SIZE, 100),
+    ("write", 0, (NUM_DIRECT + 2 * 1024 + 1000) * PAGE_SIZE, PAGE_SIZE + 1),
+    ("truncate", 0, (NUM_DIRECT + 1024 + 8) * PAGE_SIZE),
+    ("truncate", 0, (NUM_DIRECT + 6) * PAGE_SIZE),
 ]
 
 
@@ -158,6 +187,81 @@ class TestVolumeAgainstOracle:
             assert device.reads - reads == (
                 runs_touched(volume, inos[name], 0, len(buf)) if buf else 0
             )
+
+    @given(ops=st.lists(tree_op, max_size=14))
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_block_map_walk_matches_oracle(self, ops):
+        """Sparse writes and truncates out in the double-indirect range
+        against a model of the block map itself.  After every step the
+        one walk agrees with the one descent, shows a pointer block
+        before anything it points to, and the allocator holds exactly
+        what the model says each file owns: a truncate into the tree
+        frees the data blocks past the cut and nothing else, the pointer
+        blocks stay with the i-node until an unlink frees the lot."""
+        volume, device = fresh_volume()
+        root = volume.sb.root_ino
+        bs = volume.sb.block_size
+        ppb = bs // 4
+        inos = {}      # name -> ino
+        mapped = {}    # name -> {file blocks that hold data}
+        pointers = {}  # name -> {pointer blocks instantiated: "ind", "dbl", outer}
+        for kind, fid, *args in TREE_PREAMBLE + ops:
+            name = f"t{fid}"
+            if kind == "write":
+                offset, size = args
+                if name not in inos:
+                    inos[name] = volume.create(root, name, FileType.REGULAR).ino
+                    mapped[name], pointers[name] = set(), set()
+                volume.write_data(inos[name], offset, _PATTERN[:size])
+                assert volume.read_data(inos[name], offset, size) == _PATTERN[:size]
+                for fb in range(offset // bs, (offset + size - 1) // bs + 1):
+                    mapped[name].add(fb)
+                    if fb >= NUM_DIRECT + ppb:
+                        pointers[name] |= {"dbl", (fb - NUM_DIRECT - ppb) // ppb}
+                    elif fb >= NUM_DIRECT:
+                        pointers[name].add("ind")
+            elif name not in inos:
+                continue
+            elif kind == "truncate":
+                (length,) = args
+                used = volume.allocator.used_count
+                past = {fb for fb in mapped[name] if fb >= (length + bs - 1) // bs}
+                volume.truncate(inos[name], length)
+                assert used - volume.allocator.used_count == len(past)
+                mapped[name] -= past
+            elif kind == "unlink":
+                used = volume.allocator.used_count
+                volume.unlink(root, name)
+                owned = len(mapped.pop(name)) + len(pointers.pop(name))
+                # (The shrunken root directory may give a block back too.)
+                assert used - volume.allocator.used_count in (owned, owned + 1)
+                del inos[name]
+            owned_everywhere = 0
+            for name, ino in list(inos.items()) + [("/", root)]:
+                inode = volume.iget(ino)
+                walked = list(volume._walk(inode))
+                owned_everywhere += len(walked)
+                seen = {0}  # holder 0: the i-node itself
+                for file_block, block, holder, _ in walked:
+                    assert holder in seen, "visited before its pointer block"
+                    if file_block is None:
+                        seen.add(block)
+                if name == "/":
+                    continue
+                assert {fb: b for fb, b, _, _ in walked if fb is not None} == {
+                    fb: volume.bmap(inode, fb) for fb in mapped[name]
+                }
+                assert all(b for _, b, _, _ in walked)
+                assert sum(fb is None for fb, _, _, _ in walked) == len(pointers[name])
+                assert volume._mapped_blocks(inode) == [
+                    (fb, b) for fb, b, _, _ in walked if fb is not None
+                ]
+            assert volume.allocator.used_count == owned_everywhere
+            assert volume.fsck() == []
 
     @given(
         contents=st.dictionaries(

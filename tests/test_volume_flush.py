@@ -3,6 +3,7 @@ every metadata region moves as a run (docs/ONDISK.md sec. 5)."""
 
 import pytest
 
+from repro.errors import DeviceError
 from repro.storage import BlockDevice, FileType, MemoryBlockStore, Volume
 from repro.storage.inode import INODE_SIZE, NUM_DIRECT
 from repro.types import PAGE_SIZE
@@ -38,16 +39,19 @@ def fresh_device_over(device):
     return BlockDevice(node.nucleus, "sd0", store=device.store)
 
 
-def build(num_blocks=40_000, inode_count=8 * PER_BLOCK, cylinder_groups=1):
-    """A cleanly unmounted volume whose i-node table is fully populated
-    (``f000``..), so an i-node can be picked in any table block."""
+def build(num_blocks=40_000, inode_count=8 * PER_BLOCK, cylinder_groups=1,
+          spare_inodes=0):
+    """A cleanly unmounted volume whose i-node table is populated
+    (``f000``.., all of it but ``spare_inodes``), so an i-node can be
+    picked in any table block."""
     device = logged_device(num_blocks)
     volume = Volume.mkfs(
         device, inode_count=inode_count, cylinder_groups=cylinder_groups
     )
     root = volume.sb.root_ino
     inos = volume.create_many(
-        root, [f"f{i:03d}" for i in range(volume.sb.inode_count - 2)]
+        root,
+        [f"f{i:03d}" for i in range(volume.sb.inode_count - 2 - spare_inodes)],
     )
     volume.unmount()
     return device, volume, inos
@@ -117,3 +121,117 @@ class TestFlushByRuns:
         del device.store.log[:]
         volume.unmount()
         assert device.store.log == [(1, 1), (2, 1), (0, 1)]
+
+
+class TestPowerCutAtEveryTransfer:
+    """ROADMAP item 1's campaign in miniature, on the flush itself: cut
+    the power after every k of the transfers one ``unmount()`` makes."""
+
+    KEPT = (0, 70, 130, 190)  # files of the last clean state, with data
+
+    def session(self, groups):
+        """A clean state with data in it, then a session's worth of
+        unflushed work: new files (the root directory is rewritten), an
+        allocation under a new pointer block, data landing in several
+        groups, and i-nodes dirtied in non-adjacent table blocks."""
+        device, volume, inos = build(cylinder_groups=groups, spare_inodes=40)
+        root = volume.sb.root_ino
+        for index in self.KEPT:
+            volume.write_data(inos[index], 0, self.content(index))
+        volume.unmount()
+        volume.create_many(root, ["new0", "new1"])
+        new0 = volume.lookup(root, "new0")
+        volume.write_data(new0, (NUM_DIRECT + 3) * PAGE_SIZE, b"n" * 5000)
+        for index in (40, 100, 160):  # other groups' bitmaps, when there are any
+            volume.write_data(inos[index], 0, b"late" * 2000)
+        for index in (35, 36, 99):
+            volume.truncate(inos[index], 12_345)  # metadata only
+        volume.unlink(root, "f150")
+        return device, volume, inos
+
+    @staticmethod
+    def content(index):
+        return bytes([index]) * (2 * PAGE_SIZE + index)
+
+    @pytest.mark.parametrize("groups", [1, 4])
+    def test_every_cut_recovers(self, groups):
+        device, volume, inos = self.session(groups)
+        writes = device.writes
+        volume.unmount()
+        transfers = device.writes - writes
+        # Bitmap, pointer block and table runs, then the superblock: a
+        # handful, so every one of them can be the last.
+        assert 4 <= transfers <= 4 + 3 * groups
+        for k in range(transfers + 1):
+            device, volume, inos = self.session(groups)
+            device.inject_power_failure_after(k)
+            if k < transfers:
+                with pytest.raises(DeviceError, match="power failure"):
+                    volume.unmount()
+            else:
+                volume.unmount()
+            again = Volume.mount(fresh_device_over(device))
+            assert again.was_clean == (k == transfers)
+            again.fsck(repair=True)
+            assert again.fsck() == [], k
+            root = again.sb.root_ino
+            names = again.readdir(root)
+            # Everything of the last clean state is there, but for the
+            # one file the session unlinked, if that reached the device.
+            assert set(names) - {"new0", "new1", "f150"} == {
+                f"f{i:03d}" for i in range(len(inos)) if i != 150
+            }
+            for index in self.KEPT:
+                expected = self.content(index)
+                assert again.read_data(
+                    names[f"f{index:03d}"], 0, len(expected) + 1
+                ) == expected, k
+            # The allocator holds exactly what the i-nodes own.
+            assert again.allocator.used_count == sum(
+                len(list(again._walk(inode)))
+                for inode in again._inodes[1:] if inode.allocated
+            ), k
+
+
+class TestWriteBack:
+    """``Volume.write_back``: page-padded data never extends the file."""
+
+    @pytest.fixture
+    def filled(self):
+        device = logged_device(2048)
+        volume = Volume.mkfs(device, inode_count=64)
+        ino = volume.create(volume.sb.root_ino, "f", FileType.REGULAR).ino
+        size = 2 * PAGE_SIZE + 100
+        volume.write_data(ino, 0, b"a" * size)
+        return device, volume, ino, size
+
+    def test_at_across_and_past_eof(self, filled):
+        device, volume, ino, size = filled
+        page = b"b" * PAGE_SIZE
+        # Wholly inside the file: all of it lands.
+        volume.write_back(ino, PAGE_SIZE, page)
+        assert volume.iget(ino).size == size
+        # Across EOF: the 100 bytes below the length land, the padding
+        # does not.
+        volume.write_back(ino, 2 * PAGE_SIZE, page)
+        assert volume.iget(ino).size == size
+        assert volume.read_data(ino, 0, size + PAGE_SIZE) == (
+            b"a" * PAGE_SIZE + b"b" * PAGE_SIZE + b"b" * 100
+        )
+        # A run of pages, the last of them across EOF.
+        volume.write_back(ino, 0, b"c" * (3 * PAGE_SIZE))
+        assert volume.iget(ino).size == size
+        assert volume.read_data(ino, 0, size + 1) == b"c" * size
+        assert volume.fsck() == []
+
+    def test_nothing_below_the_length_writes_nothing(self, filled):
+        device, volume, ino, size = filled
+        volume.truncate(ino, 2 * PAGE_SIZE)
+        writes, blocks = device.writes, volume.allocator.used_count
+        page = b"d" * PAGE_SIZE
+        volume.write_back(ino, 2 * PAGE_SIZE, page)  # the tail is zero bytes long
+        volume.write_back(ino, 5 * PAGE_SIZE, page)  # wholly past EOF
+        volume.write_back(ino, PAGE_SIZE, b"")
+        assert device.writes == writes
+        assert volume.allocator.used_count == blocks
+        assert volume.iget(ino).size == 2 * PAGE_SIZE
