@@ -1,10 +1,18 @@
 """Unit tests for location-independent invocation: path selection,
 charging, revocation, and payload accounting."""
 
+import threading
+
 import pytest
 
 from repro.errors import RevokedObjectError
-from repro.ipc.invocation import bytes_in, current_domain, operation
+from repro.ipc.compound import compound_region
+from repro.ipc.invocation import (
+    bytes_in,
+    calling_domain,
+    current_domain,
+    operation,
+)
 from repro.ipc.object import SpringObject
 from repro.world import World
 
@@ -161,3 +169,35 @@ class TestCounters:
             echo.ping()
         delta = world.counters.delta_since(snapshot)
         assert delta["op.ping"] == 1
+
+
+class TestThreads:
+    def test_a_new_thread_starts_with_empty_stacks(self, setup):
+        """The domain, caller and compound-region stacks are per thread:
+        a thread started inside an operation body, under an open region,
+        sees none of the three."""
+        world, echo, server, _, remote = setup
+        seen = {}
+
+        def body():
+            seen["current"] = current_domain()
+            seen["calling"] = calling_domain()
+            with remote.activate():
+                echo.ping()  # its own round trip, not the region's
+            seen["after"] = current_domain()
+
+        class Spawner(SpringObject):
+            @operation
+            def run(self) -> None:
+                thread = threading.Thread(target=body)
+                thread.start()
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+
+        with remote.activate(), compound_region(world) as region:
+            Spawner(server).run()
+            assert region.absorbed_ops == 1
+        assert seen == {"current": None, "calling": None, "after": None}
+        assert world.counters.get("invoke.network_batched") == 1
+        assert world.counters.get("invoke.network") == 1
+        assert world.network.messages == 2

@@ -4,6 +4,8 @@ interface of the new layer conforms to the interface of a file system,
 clients will view the new layer as a file system, regardless of how it
 is implemented"."""
 
+import contextlib
+
 import pytest
 
 from repro.bench.workloads import pattern_bytes
@@ -169,6 +171,74 @@ POSIX_ERRORS = [
 ]
 
 
+def posix_argument_script(fs):
+    """Every negative size, offset and length a call can be handed, as
+    ``[(call, UnixError.code)]``, on a ten-byte file that none of them
+    may change.  ``fs`` as for :func:`posix_error_script`."""
+    fd = fs.open("f", O_RDWR | O_CREAT)
+    fs.pwrite(fd, b"0123456789", 0)
+    calls = [
+        ("read size -1", fs.read, fd, -1),
+        ("pread size -1", fs.pread, fd, -1, 0),
+        ("pread offset -4", fs.pread, fd, 4, -4),
+        ("pwrite offset -3", fs.pwrite, fd, b"ZZZZZZ", -3),
+        ("ftruncate -1", fs.ftruncate, fd, -1),
+        ("lseek -1", fs.lseek, fd, -1),
+    ]
+    seen = []
+    for label, call, *args in calls:
+        with pytest.raises(UnixError) as raised:
+            call(*args)
+        seen.append((label, raised.value.code))
+    assert fs.fstat(fd).size == 10
+    assert fs.pread(fd, 100, 0) == b"0123456789"
+    fs.fsync(fd)
+    fs.close(fd)
+    return seen
+
+
+POSIX_ARGUMENT_ERRORS = [
+    ("read size -1", "EINVAL"),
+    ("pread size -1", "EINVAL"),
+    ("pread offset -4", "EINVAL"),
+    ("pwrite offset -3", "EINVAL"),
+    ("ftruncate -1", "EINVAL"),
+    ("lseek -1", "EINVAL"),
+]
+
+
+def posix_rename_script(fs):
+    """A rename inside one subdirectory moves the name; one between two
+    directories is ``EXDEV`` and moves nothing."""
+    fs.mkdir("d")
+    fs.mkdir("e")
+    fd = fs.open("d/a", O_RDWR | O_CREAT)
+    fs.pwrite(fd, b"payload", 0)
+    fs.close(fd)
+    fs.rename("d/a", "d/b")
+    assert fs.listdir("d") == ["b"]
+    assert fs.stat("d/b").size == 7
+    for new in ("e/b", "b"):
+        with pytest.raises(UnixError) as refused:
+            fs.rename("d/b", new)
+        assert refused.value.code == "EXDEV"
+    assert (fs.listdir("d"), fs.listdir("e")) == (["b"], [])
+    assert sorted(fs.listdir("")) == ["d", "e"]
+
+
+def settle(root, user):
+    """Everything down to the device and every volume under ``root``
+    cleanly unmounted; returns what ``fsck`` then finds."""
+    with user.activate():
+        root.sync_fs()
+    findings = []
+    for layer in stack_layers(root):
+        if hasattr(layer, "unmount"):
+            layer.unmount()
+            findings += layer.volume.fsck()
+    return findings
+
+
 KINDS = [
     "sfs",
     "mono",
@@ -286,6 +356,20 @@ class TestSameWorkloadEverywhere:
         root, user = _stack(kind)
         assert posix_error_script(Posix(root, user)) == POSIX_ERRORS
 
+    def test_negative_arguments_are_einval(self, kind):
+        """A negative size, offset or length is refused at the facade on
+        every stack, and the volume underneath can still be flushed."""
+        root, user = _stack(kind)
+        assert posix_argument_script(Posix(root, user)) == POSIX_ARGUMENT_ERRORS
+        assert settle(root, user) == []
+
+    def test_rename_below_the_root(self, kind):
+        if kind == "mirrorfs":
+            pytest.skip("mirrorfs has no rename")
+        root, user = _stack(kind)
+        posix_rename_script(Posix(root, user))
+        assert settle(root, user) == []
+
     @pytest.mark.parametrize("through_cache", [False, True])
     def test_multi_page_session(self, kind, through_cache, request):
         """Multi-page reads and writes — demanded below by the run —
@@ -353,10 +437,10 @@ class TestSameWorkloadEverywhere:
         check_whole()
 
 
-def test_posix_errors_are_errnos_across_the_socket():
-    """The same script through ``FileService`` over ``SocketTransport``:
-    the client sees the same ``UnixError.code`` per case, not one
-    exception class per layer that happened to raise."""
+@contextlib.contextmanager
+def served_sfs():
+    """``(fs stub, root, user)``: an SFS behind ``FileService`` over
+    ``SocketTransport``."""
     root, user = _stack("sfs")
     node = user.node
     server = node.serve()
@@ -368,7 +452,30 @@ def test_posix_errors_are_errnos_across_the_socket():
         connect_timeout_s=2.0, reply_timeout_s=5.0,
     )
     try:
-        assert posix_error_script(client.bind("fs")) == POSIX_ERRORS
+        yield client.bind("fs"), root, user
     finally:
         client.close()
         thread.stop()
+
+
+def test_posix_errors_are_errnos_across_the_socket():
+    """The same script through ``FileService`` over ``SocketTransport``:
+    the client sees the same ``UnixError.code`` per case, not one
+    exception class per layer that happened to raise."""
+    with served_sfs() as (fs, _, _):
+        assert posix_error_script(fs) == POSIX_ERRORS
+
+
+def test_negative_arguments_are_einval_across_the_socket():
+    """No argument a TCP client can send wedges the server: it answers
+    ``EINVAL``, keeps answering, and its volume still flushes."""
+    with served_sfs() as (fs, root, user):
+        assert posix_argument_script(fs) == POSIX_ARGUMENT_ERRORS
+        assert fs.listdir("") == ["f"]
+    assert settle(root, user) == []
+
+
+def test_rename_below_the_root_across_the_socket():
+    with served_sfs() as (fs, root, user):
+        posix_rename_script(fs)
+    assert settle(root, user) == []

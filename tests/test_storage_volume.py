@@ -10,6 +10,7 @@ from repro.errors import (
     IsADirectoryError_,
     NoSpaceError,
     NotADirectoryError_,
+    OutOfRangeError,
 )
 from repro.storage.inode import NUM_DIRECT, FileType
 from repro.storage.volume import Volume
@@ -96,6 +97,19 @@ class TestFileData:
         assert volume.iget(f.ino).size == 3 * PAGE_SIZE
         assert volume.read_data(f.ino, 0, 16) == bytes(16)
         assert volume._mapped_blocks(volume.iget(f.ino)) == []
+
+    def test_negative_length_and_offset_refused(self, volume, root):
+        """A size the i-node cannot pack never reaches it, and a write
+        before offset 0 does not land its tail at the start."""
+        f = volume.create(root, "f", FileType.REGULAR)
+        volume.write_data(f.ino, 0, b"0123456789")
+        with pytest.raises(OutOfRangeError):
+            volume.truncate(f.ino, -1)
+        with pytest.raises(OutOfRangeError):
+            volume.write_data(f.ino, -3, b"ZZZZZZ")
+        assert volume.read_data(f.ino, 0, 100) == b"0123456789"
+        volume.sync()
+        assert volume.fsck() == []
 
     def test_timestamps_progress(self, volume, root, world):
         f = volume.create(root, "f", FileType.REGULAR)
