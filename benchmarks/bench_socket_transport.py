@@ -1,7 +1,8 @@
 """Simulated vs. real-socket message costs, and batching over the wire.
 
-Two backends carry the same operation surface (see
-``repro.ipc.transport``); this benchmark puts numbers on the gap:
+A cross-node message is charged by ``Network.transfer`` inside one
+process and carried by the socket pair of ``repro.ipc.transport``
+between two; this benchmark puts numbers on the gap:
 
 * ``simulated`` — what the cost model *charges* for a cross-node
   message (virtual microseconds per ``Network.transfer``, at the small-
@@ -65,7 +66,7 @@ def measure_simulated() -> dict:
     for name, nbytes in (("small", SMALL_BYTES), ("page", PAGE_BYTES)):
         start = world.clock.now_us
         for _ in range(PINGS):
-            world.network.send(a, b, nbytes)
+            world.network.transfer(a, b, nbytes)
         cells[f"per_message_{name}_us"] = round(
             (world.clock.now_us - start) / PINGS, 3
         )

@@ -877,10 +877,6 @@ class BaseLayer(LayerNaming, StackableFs, CacheManager, abc.ABC):
             )
         else:
             self.runtime.depth = max(self.runtime.depth, 1)
-        self._on_stacked(underlying)
-
-    def _on_stacked(self, underlying: StackableFs) -> None:
-        """Hook: called after each successful stack_on."""
 
     @operation
     def under_layers(self) -> List[StackableFs]:
@@ -935,15 +931,10 @@ class BaseLayer(LayerNaming, StackableFs, CacheManager, abc.ABC):
         )
         if created:
             self.world.counters.inc(f"{self.fs_type()}.channel_created")
-            self._on_channel_created(source_key, channel)
         return BindResult(channel.cache_rights, offset)
 
     def _make_pager_object(self, source_key: Hashable) -> LayerPagerObject:
         return LayerPagerObject(self.domain, self, source_key)
-
-    def _on_channel_created(self, source_key: Hashable, channel: Channel) -> None:
-        """Hook: a new upstream channel exists; layers narrow the cache
-        object to fs_cache here if they care (paper sec. 4.3)."""
 
     def _channel_done(self, source_key: Hashable, pager_object) -> None:
         """An upstream cache manager closed its channel end."""

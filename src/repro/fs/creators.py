@@ -18,7 +18,7 @@ import dataclasses
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import FsError, NameNotFoundError
-from repro.ipc.domain import Credentials, Domain
+from repro.ipc.domain import Credentials
 from repro.ipc.invocation import operation
 from repro.ipc.node import Node
 
@@ -37,8 +37,7 @@ class LayerCreator(StackableFsCreator):
     """A creator parameterized by a layer class.
 
     Each ``create`` call makes a fresh server domain for the instance
-    (the common administrative choice); pass ``shared_domain`` to place
-    all instances in one domain instead.
+    (the common administrative choice).
     """
 
     _counter = 0
@@ -48,13 +47,11 @@ class LayerCreator(StackableFsCreator):
         domain,
         layer_class: type,
         type_tag: str,
-        shared_domain: Optional[Domain] = None,
         **layer_kwargs: Any,
     ) -> None:
         super().__init__(domain)
         self.layer_class = layer_class
         self.type_tag = type_tag
-        self.shared_domain = shared_domain
         self.layer_kwargs = layer_kwargs
 
     def create_type_tag(self) -> str:
@@ -62,14 +59,11 @@ class LayerCreator(StackableFsCreator):
 
     @operation
     def create(self, **overrides: Any) -> StackableFs:
-        if self.shared_domain is not None:
-            domain = self.shared_domain
-        else:
-            LayerCreator._counter += 1
-            domain = self.domain.node.create_domain(
-                f"{self.type_tag}-{LayerCreator._counter}",
-                Credentials(self.type_tag, privileged=True),
-            )
+        LayerCreator._counter += 1
+        domain = self.domain.node.create_domain(
+            f"{self.type_tag}-{LayerCreator._counter}",
+            Credentials(self.type_tag, privileged=True),
+        )
         kwargs = dict(self.layer_kwargs)
         kwargs.update(overrides)
         return self.layer_class(domain, **kwargs)

@@ -18,19 +18,15 @@ from repro.ipc.retry import RetryPolicy
 from repro.ipc.transport import (
     RemoteStub,
     ServerThread,
-    SimulatedTransport,
     SocketServer,
     SocketTransport,
-    Transport,
 )
 
 __all__ = [
     "RemoteStub",
     "ServerThread",
-    "SimulatedTransport",
     "SocketServer",
     "SocketTransport",
-    "Transport",
     "CompoundInvocation",
     "CompoundResult",
     "CompoundSubOpError",

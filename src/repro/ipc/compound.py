@@ -111,7 +111,7 @@ class CompoundRegion:
         for (src, dst), (nops, nbytes) in self._pairs.items():
             if nops == 0:
                 continue
-            self.world.network.send(src, dst, nbytes, checked=False)
+            self.world.network.transfer(src, dst, nbytes, checked=False)
             counters.inc("compound.batches")
             counters.inc("compound.batched_ops", nops)
             # Round trips the batch avoided relative to one-per-op.

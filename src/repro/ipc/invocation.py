@@ -28,8 +28,6 @@ from typing import Any, Callable, List, Optional, TypeVar
 from repro.errors import RevokedObjectError
 from repro.ipc.retry import retry_send
 
-_tls = threading.local()
-
 #: Counter keys for the five invocation paths, interned once — the
 #: wrapper below runs on every simulated invocation, so it must not
 #: rebuild (and re-hash fresh copies of) these strings per call.
@@ -42,70 +40,61 @@ _INVOKE_KEYS = {
 }
 
 
-def _stack() -> List[Any]:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = []
-        _tls.stack = stack
-    return stack
+class _Stacks(threading.local):
+    """One thread's invocation state.  ``threading.local`` runs
+    ``__init__`` in each thread that touches the object, so all three
+    stacks exist — empty — wherever they are read."""
+
+    def __init__(self) -> None:
+        #: Domains on whose behalf code is executing, innermost last.
+        self.stack: List[Any] = []
+        #: The domain that invoked each operation now executing.
+        self.callers: List[Any] = []
+        #: Open compound regions (see repro.ipc.compound.CompoundRegion):
+        #: a region absorbs the network hops issued by the domain that
+        #: opened it, coalescing them into one round trip per destination
+        #: node.  The stack lives here so the hot wrapper below needs no
+        #: import of the compound module.
+        self.regions: List[Any] = []
+
+
+_tls = _Stacks()
 
 
 def current_domain() -> Optional[Any]:
     """The domain on whose behalf the current code is executing, or None."""
-    stack = _stack()
+    stack = _tls.stack
     return stack[-1] if stack else None
-
-
-def _caller_stack() -> List[Any]:
-    stack = getattr(_tls, "callers", None)
-    if stack is None:
-        stack = []
-        _tls.callers = stack
-    return stack
 
 
 def calling_domain() -> Optional[Any]:
     """The domain that invoked the operation currently executing — what
     ACL checks must authenticate (the *client*, not the server whose
     domain is active while the operation body runs)."""
-    stack = _caller_stack()
+    stack = _tls.callers
     return stack[-1] if stack else None
 
 
 def push_domain(domain: Any) -> None:
-    _stack().append(domain)
+    _tls.stack.append(domain)
 
 
 def pop_domain() -> None:
-    _stack().pop()
-
-
-# --- compound-invocation regions ------------------------------------------
-# A region (see repro.ipc.compound.CompoundRegion) absorbs the network
-# hops issued by the domain that opened it, coalescing them into one
-# round trip per destination node.  The stack lives here so the hot
-# wrapper below needs no import of the compound module.
-
-def _region_stack() -> List[Any]:
-    stack = getattr(_tls, "regions", None)
-    if stack is None:
-        stack = []
-        _tls.regions = stack
-    return stack
+    _tls.stack.pop()
 
 
 def push_compound_region(region: Any) -> None:
-    _region_stack().append(region)
+    _tls.regions.append(region)
 
 
 def pop_compound_region() -> None:
-    _region_stack().pop()
+    _tls.regions.pop()
 
 
 def _absorbing_region(caller: Any, server: Any) -> Optional[Any]:
     """Innermost active region willing to absorb a ``caller`` -> ``server``
     network hop, or None."""
-    for region in reversed(_region_stack()):
+    for region in reversed(_tls.regions):
         if region.absorbs(caller, server):
             return region
     return None
@@ -150,17 +139,8 @@ def operation(fn: F) -> F:
             )
         server = self.domain
         world = server.world
-        # Inlined _stack()/_caller_stack(): the wrapper runs on every
-        # simulated invocation, so the thread-local lookups happen once
-        # here instead of per helper call.
-        try:
-            domain_stack = _tls.stack
-        except AttributeError:
-            domain_stack = _tls.stack = []
-        try:
-            caller_stack = _tls.callers
-        except AttributeError:
-            caller_stack = _tls.callers = []
+        domain_stack = _tls.stack
+        caller_stack = _tls.callers
         caller = domain_stack[-1] if domain_stack else None
         if caller is None:
             # No active domain: zero-cost local semantics (see module doc).
@@ -174,7 +154,7 @@ def operation(fn: F) -> F:
         else:
             request_bytes = _payload_bytes(args, kwargs)
             region = (
-                _absorbing_region(caller, server) if _region_stack() else None
+                _absorbing_region(caller, server) if _tls.regions else None
             )
             if region is not None:
                 # Batched: the round trip is shared with the other ops of
@@ -185,9 +165,7 @@ def operation(fn: F) -> F:
                 path = "network"
                 policy = world.retry_policy
                 if policy is None:
-                    # Through the transport seam: the simulated backend
-                    # delegates straight to Network.transfer.
-                    world.network.send(
+                    world.network.transfer(
                         caller.node, server.node, request_bytes
                     )
                 else:

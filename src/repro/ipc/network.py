@@ -39,29 +39,8 @@ class Network:
         self._partitions: Set[FrozenSet[str]] = set()
         #: Scripted failure schedule; None = no faults (the default).
         self.fault_plane: Optional["FaultPlane"] = None
-        #: The message plane behind this network (see
-        #: :mod:`repro.ipc.transport`).  The default simulated transport
-        #: routes :meth:`send` straight back into :meth:`transfer`, so
-        #: simulation stays byte-identical; installing a different
-        #: transport redirects every invocation-layer send.
-        from repro.ipc.transport import SimulatedTransport
-
-        self.transport = SimulatedTransport(self)
-
-    def install_transport(self, transport) -> None:
-        """Replace the message plane (see :class:`repro.ipc.transport.Transport`)."""
-        self.transport = transport
 
     # --- traffic ----------------------------------------------------------
-    def send(
-        self, src: "Node", dst: "Node", nbytes: int, checked: bool = True
-    ) -> None:
-        """One request message via the installed transport — the seam
-        the invocation, retry, and compound layers send through.  With
-        the default :class:`~repro.ipc.transport.SimulatedTransport`
-        this is exactly :meth:`transfer`."""
-        self.transport.send(src, dst, nbytes, checked=checked)
-
     def transfer(
         self, src: "Node", dst: "Node", nbytes: int, checked: bool = True
     ) -> None:

@@ -67,9 +67,7 @@ class Node:
         :class:`~repro.ipc.transport.ServerThread`)."""
         from repro.ipc.transport import SocketServer
 
-        return SocketServer(
-            self.exports, name=self.name, host=host, port=port
-        )
+        return SocketServer(self.exports, host=host, port=port)
 
     # --- service capacity ---------------------------------------------------
     def install_server_queue(self, servers: int = 1) -> "ServiceQueue":

@@ -83,7 +83,7 @@ def retry_send(world, target, policy: RetryPolicy, src_node, dst_node,
     waited_us = 0.0
     while True:
         try:
-            world.network.send(src_node, dst_node, nbytes)
+            world.network.transfer(src_node, dst_node, nbytes)
             return
         except TransientNetworkError as exc:
             if not policy.should_retry(attempt, waited_us, exc):

@@ -1,38 +1,30 @@
-"""The transport seam: simulated and real-socket message planes.
+"""The socket RPC pair: a real TCP message plane beside the simulated one.
 
 The paper's network proxies let the same invocation cross a real machine
-boundary; our :class:`~repro.ipc.network.Network` has so far only
-*simulated* that crossing (virtual-clock costs, no bytes).  This module
-makes the message plane pluggable:
+boundary.  Inside one process that crossing is *simulated*:
+``@operation`` charges :meth:`repro.ipc.network.Network.transfer`
+(virtual-clock costs, no bytes).  This module is the other plane, the
+one ``repro.serve`` uses to split a Spring stack across OS processes —
+the two do not plug into one another:
 
-* :class:`Transport` — the seam.  ``send`` is the message-plane surface
-  :class:`~repro.ipc.network.Network` routes through (one request
-  message, sized in bytes); ``invoke`` / ``invoke_compound`` carry the
-  operation surface stubs use, so client code is identical against both
-  backends.
+* :class:`ExportRegistry` — the objects a server process exposes by name
+  (``node.expose``); resolves and executes ops, compound batches
+  included.
 
-* :class:`SimulatedTransport` — the default, installed by every
-  ``Network``.  ``send`` delegates straight back to
-  :meth:`Network.transfer`, so the simulated world is byte-identical to
-  the pre-seam behaviour; ``invoke`` dispatches directly to exported
-  objects in-process (used by the backend-parity tests and benchmarks).
-
-* :class:`SocketServer` / :class:`SocketTransport` — a real TCP pair
+* :class:`SocketServer` / :class:`SocketTransport` — a TCP pair
   speaking the :mod:`repro.ipc.wire` framing (an asyncio
   ``BufferedProtocol`` server, a blocking-socket client; neither puts a
-  stream or a task between the socket and the codec), so a Spring stack
-  can be split across OS processes: the server process exposes objects
-  by name (``node.expose``), the client process binds
-  :class:`RemoteStub`\\ s and invokes them.  Socket failures map onto
-  the same transient-error taxonomy the simulated fault plane uses —
-  connect failures/timeouts become
+  stream or a task between the socket and the codec).  The client
+  process binds :class:`RemoteStub`\\ s and invokes them.  Socket
+  failures map onto the same transient-error taxonomy the simulated
+  fault plane uses — connect failures/timeouts become
   :class:`~repro.ipc.network.NetworkPartitionError`, a connection that
   dies before the reply becomes
   :class:`~repro.errors.NodeCrashedError`, and a reply timeout becomes
   :class:`~repro.errors.MessageDroppedError` — which is exactly what
   lets :class:`~repro.ipc.retry.RetryPolicy` (send-only retries) and
   :class:`~repro.ipc.compound.CompoundInvocation` (one frame per batch)
-  work unchanged on both backends.
+  work unchanged on both planes.
 """
 
 from __future__ import annotations
@@ -53,9 +45,9 @@ from repro.errors import (
 from repro.ipc import wire
 from repro.ipc.network import NetworkPartitionError
 
-#: Reserved op the socket transport's ``send`` uses: the server replies
+#: Reserved op :meth:`SocketTransport.send` uses: the server replies
 #: None without touching any export — a pure round trip carrying the
-#: request's payload bytes (the socket analogue of ``Network.transfer``).
+#: request's payload bytes.
 PING_OP = "*ping*"
 
 #: Compound outcome statuses on the transport surface.
@@ -63,12 +55,10 @@ OK, ERRORED, SKIPPED = "ok", "error", "skipped"
 
 
 class ExportRegistry:
-    """Named objects reachable through a transport.
-
-    The server-side half of the operation surface, shared by the
-    simulated and socket backends so both resolve and execute ops —
-    including compound batches — with identical semantics.  Only public
-    methods (no leading underscore) are invokable.
+    """Named objects reachable through a :class:`SocketServer`: the
+    server-side half of the operation surface, which resolves and
+    executes ops, compound batches included.  Only public methods (no
+    leading underscore) are invokable.
     """
 
     def __init__(self, exports: Optional[Dict[str, Any]] = None) -> None:
@@ -115,71 +105,6 @@ class ExportRegistry:
         return outcomes
 
 
-class Transport:
-    """Abstract message plane.  See module docstring."""
-
-    def send(self, src, dst, nbytes: int, checked: bool = True) -> None:
-        """Deliver one request message of ``nbytes`` from ``src`` to
-        ``dst`` (node objects or node names, backend-dependent)."""
-        raise NotImplementedError
-
-    def payload(self, src, dst, nbytes: int) -> None:
-        """Additional reply payload riding an already-sent exchange."""
-        raise NotImplementedError
-
-    def invoke(
-        self, target: str, op: str, args: Sequence = (),
-        kwargs: Optional[dict] = None, idempotent: bool = False,
-    ) -> Any:
-        raise NotImplementedError
-
-    def invoke_compound(
-        self, calls: Sequence[Tuple[str, str, Sequence, dict]],
-        fail_fast: bool = True, idempotent: bool = False,
-    ) -> List[Tuple[str, Any]]:
-        raise NotImplementedError
-
-    def bind(self, target: str, idempotent: Iterable[str] = ()) -> "RemoteStub":
-        """A stub whose method calls go through this transport."""
-        return RemoteStub(self, target, idempotent)
-
-    def close(self) -> None:
-        pass
-
-    def describe(self) -> str:
-        return type(self).__name__
-
-
-class SimulatedTransport(Transport):
-    """The in-process backend: costs move, bytes don't.
-
-    ``send``/``payload`` delegate to the owning
-    :class:`~repro.ipc.network.Network`'s transfer/payload accounting —
-    the pre-seam code path, unchanged — while ``invoke`` dispatches
-    directly to exported objects (any simulated invocation costs are
-    charged by the ops themselves, exactly as for a local caller).
-    """
-
-    def __init__(self, network, exports: Optional[Dict[str, Any]] = None,
-                 registry: Optional[ExportRegistry] = None) -> None:
-        self.network = network
-        self.registry = registry or ExportRegistry(exports)
-
-    def send(self, src, dst, nbytes: int, checked: bool = True) -> None:
-        self.network.transfer(src, dst, nbytes, checked=checked)
-
-    def payload(self, src, dst, nbytes: int) -> None:
-        self.network.payload(src, dst, nbytes)
-
-    def invoke(self, target, op, args=(), kwargs=None, idempotent=False):
-        return self.registry.call(target, op, args, kwargs or {})
-
-    def invoke_compound(self, calls, fail_fast=True, idempotent=False):
-        return self.registry.run_compound(calls, fail_fast)
-
-
-# --- real sockets -----------------------------------------------------------
-
 class SocketServer:
     """Asyncio TCP server hosting an export registry.
 
@@ -195,13 +120,10 @@ class SocketServer:
     def __init__(
         self,
         exports: Optional[Dict[str, Any]] = None,
-        name: str = "server",
         host: str = "127.0.0.1",
         port: int = 0,
-        registry: Optional[ExportRegistry] = None,
     ) -> None:
-        self.registry = registry or ExportRegistry(exports)
-        self.name = name
+        self.registry = ExportRegistry(exports)
         self.host = host
         self.port = port
         self.frames_in = 0
@@ -395,8 +317,8 @@ class ServerThread:
         self._thread.join(timeout=timeout)
 
 
-class SocketTransport(Transport):
-    """Client half of the real-socket backend.
+class SocketTransport:
+    """Client half of the socket pair.
 
     One blocking TCP socket: each ``invoke`` sends one request frame and
     blocks for the matching reply.  The connection is established lazily
@@ -544,16 +466,17 @@ class SocketTransport(Transport):
                     raise msg.payload
                 return msg.payload
 
-    # --- Transport surface ----------------------------------------------
-    def send(self, src, dst, nbytes: int, checked: bool = True) -> None:
-        """One real round trip carrying ``nbytes`` of payload — the
-        socket analogue of :meth:`Network.transfer` (src/dst are fixed
-        by the connection; the arguments are accepted for surface
-        compatibility)."""
+    # --- the operation surface stubs use ---------------------------------
+    def send(self, src, dst, nbytes: int) -> None:
+        """One real round trip carrying ``nbytes`` of payload and
+        calling no export — the floor under every op.  The connection
+        fixes both ends; ``src``/``dst`` only keep the call shaped like
+        :meth:`Network.transfer`, which is what it is measured against."""
         self._call(wire.REQUEST, "", PING_OP, [b"\x00" * nbytes], None, True)
 
-    def payload(self, src, dst, nbytes: int) -> None:
-        """Reply payloads ride the real reply frames; nothing to do."""
+    def bind(self, target: str, idempotent: Iterable[str] = ()) -> "RemoteStub":
+        """A stub whose method calls go through this transport."""
+        return RemoteStub(self, target, idempotent)
 
     def invoke(self, target, op, args=(), kwargs=None, idempotent=False):
         return self._call(
@@ -569,7 +492,7 @@ class SocketTransport(Transport):
         )
         return [(status, value) for status, value in outcomes]
 
-    def describe(self) -> str:
+    def __repr__(self) -> str:
         return f"SocketTransport({self.host}:{self.port})"
 
 
@@ -592,7 +515,7 @@ class RemoteStub:
         batch.commit()                   # ... one compound frame
     """
 
-    def __init__(self, transport: Transport, target: str,
+    def __init__(self, transport: SocketTransport, target: str,
                  idempotent: Iterable[str] = ()) -> None:
         self._transport = transport
         self._target = target
@@ -606,9 +529,7 @@ class RemoteStub:
         return operation
 
     def __repr__(self) -> str:
-        return (
-            f"<RemoteStub {self._target!r} via {self._transport.describe()}>"
-        )
+        return f"<RemoteStub {self._target!r} via {self._transport!r}>"
 
 
 class StubOperation:
@@ -619,7 +540,7 @@ class StubOperation:
 
     def __init__(self, stub: RemoteStub, op: str) -> None:
         #: (transport, target, op, idempotent)
-        self._wire_call: Tuple[Transport, str, str, bool] = (
+        self._wire_call: Tuple[SocketTransport, str, str, bool] = (
             stub._transport, stub._target, op, op in stub._idempotent
         )
         self.__name__ = op

@@ -257,7 +257,3 @@ class MemoryContext(NamingContext):
         sub = MemoryContext(self.domain, acl)
         self.bind(name, sub)
         return sub
-
-    def contains(self, name: str) -> bool:
-        """Non-invocation peek used by tests."""
-        return name in self._bindings

@@ -30,7 +30,7 @@ Two execution modes share this clock:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Optional
 
 
 class SimClock:
@@ -43,7 +43,7 @@ class SimClock:
     domain call overhead").
     """
 
-    __slots__ = ("_now_us", "_by_category", "_charges", "_listeners",
+    __slots__ = ("_now_us", "_by_category", "_charges",
                  "_frame_start", "_frame_saved")
 
     def __init__(self) -> None:
@@ -54,7 +54,6 @@ class SimClock:
         #: is what lets :class:`StopWatch` distinguish "charged 0.0"
         #: from "never charged".
         self._charges: Dict[str, int] = {}
-        self._listeners: List[Callable[[str, float], None]] = []
         #: Open speculative frame (see module docstring); None outside
         #: the discrete-event scheduler.
         self._frame_start: Optional[float] = None
@@ -73,11 +72,9 @@ class SimClock:
 
         This is the hottest function in the simulator (a toy macro
         workload charges it ~2k times; a load sweep, millions), so the
-        body avoids per-call allocation and — when no listeners are
-        registered, the overwhelmingly common case — skips the listener
-        dispatch entirely.  Charge sites should pass interned category
-        strings (see :mod:`repro.sim.costs`) so the dict updates hash
-        pre-interned keys.
+        body avoids per-call allocation.  Charge sites should pass
+        interned category strings (see :mod:`repro.sim.costs`) so the
+        dict updates hash pre-interned keys.
         """
         if delta_us < 0:
             raise ValueError(f"negative time charge: {delta_us}")
@@ -90,9 +87,6 @@ class SimClock:
             self._charges[category] += 1
         except KeyError:
             self._charges[category] = 1
-        if self._listeners:
-            for listener in self._listeners:
-                listener(category, delta_us)
 
     def charged(self, category: str) -> float:
         """Total virtual time charged to ``category`` since construction."""
@@ -110,14 +104,6 @@ class SimClock:
     def charge_counts(self) -> Dict[str, int]:
         """Snapshot of all per-category charge counts."""
         return dict(self._charges)
-
-    def add_listener(self, fn: Callable[[str, float], None]) -> None:
-        """Register a callback invoked as ``fn(category, delta_us)`` on
-        every charge.  Used by the measurement harness."""
-        self._listeners.append(fn)
-
-    def remove_listener(self, fn: Callable[[str, float], None]) -> None:
-        self._listeners.remove(fn)
 
     # --- scheduler integration (see repro.sim.scheduler) -------------------
     def seek(self, to_us: float) -> None:

@@ -42,24 +42,6 @@ class TestSimClock:
         snapshot["cpu"] = 999
         assert clock.charged("cpu") == 1
 
-    def test_listener_sees_every_charge(self):
-        clock = SimClock()
-        events = []
-        clock.add_listener(lambda cat, delta: events.append((cat, delta)))
-        clock.advance(4, "disk")
-        clock.advance(1, "cpu")
-        assert events == [("disk", 4), ("cpu", 1)]
-
-    def test_listener_removal(self):
-        clock = SimClock()
-        events = []
-        listener = lambda cat, delta: events.append(delta)
-        clock.add_listener(listener)
-        clock.advance(1)
-        clock.remove_listener(listener)
-        clock.advance(1)
-        assert events == [1]
-
     def test_charge_counts(self):
         clock = SimClock()
         clock.advance(5, "disk")

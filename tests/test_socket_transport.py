@@ -1,5 +1,6 @@
 """The real socket transport: framing, round trips, compound batches,
-failure mapping, retries, and simulated/socket backend parity."""
+failure mapping, retries, and parity with the served objects called in
+process."""
 
 import socket
 import threading
@@ -20,7 +21,6 @@ from repro.ipc.retry import RetryPolicy
 from repro.ipc import wire
 from repro.ipc.transport import (
     ServerThread,
-    SimulatedTransport,
     SocketServer,
     SocketTransport,
 )
@@ -530,11 +530,13 @@ class TestFailureMapping:
             client.close()
 
 
-# --- backend parity ---------------------------------------------------------
+# --- parity with the served objects ------------------------------------------
 
-def run_script(fs, control):
+def run_script(fs, control, batch):
     """A scripted op sequence; returns every outcome (values and typed
-    errors) so two backends can be compared verbatim."""
+    errors) so a run across the socket and a run in process can be
+    compared verbatim.  ``batch`` is the ``CompoundInvocation`` its
+    compound step goes through."""
     out = []
     out.append(control.ping())
     out.append(fs.mkdir("dir"))
@@ -548,7 +550,6 @@ def run_script(fs, control):
         fs.stat("nope")
     except UnixError as exc:
         out.append(("error", type(exc).__name__, exc.code))
-    batch = CompoundInvocation()
     batch.add(fs.stat, "dir/a")
     batch.add(fs.stat, "nope")
     batch.add(fs.stat, "dir/b")
@@ -561,82 +562,22 @@ def run_script(fs, control):
 
 
 class TestBackendParity:
-    def test_simulated_and_socket_backends_agree(self, served):
-        # Socket backend: a served world driven over TCP.
+    def test_socket_transcript_equals_the_in_process_one(self, served):
+        # A served world driven over TCP, its batch one compound frame.
         client = served.client()
         try:
             socket_out = run_script(
-                client.bind("fs"), client.bind("control")
+                client.bind("fs"), client.bind("control"), CompoundInvocation()
             )
         finally:
             client.close()
 
-        # Simulated backend: an identical world driven through the
-        # in-process transport — same stub code path, no sockets.
-        world, node, service = build_service("sfs")
-        node.expose("fs", service)
-        node.expose("control", Control(world))
-        simulated = SimulatedTransport(world.network, registry=None)
-        simulated.registry.exports = node.exports
-        sim_out = run_script(
-            simulated.bind("fs"), simulated.bind("control")
+        # The same objects of an identical world called directly: no
+        # stub, no frame, the batch a compound region of that world.
+        world, _, service = build_service("sfs")
+        assert socket_out == run_script(
+            service, Control(world), CompoundInvocation(world)
         )
-        assert sim_out == socket_out
-
-
-# --- the network seam -------------------------------------------------------
-
-class TestTransportSeam:
-    def test_default_transport_is_simulated(self):
-        world = World()
-        assert isinstance(world.network.transport, SimulatedTransport)
-
-    def test_network_send_routes_through_transport(self):
-        world = World()
-        a = world.create_node("a")
-        b = world.create_node("b")
-        sent = []
-        original = world.network.transport
-
-        class Recording(SimulatedTransport):
-            def send(self, src, dst, nbytes, checked=True):
-                sent.append((src.name, dst.name, nbytes))
-                original.send(src, dst, nbytes, checked=checked)
-
-        world.network.install_transport(Recording(world.network))
-        world.network.send(a, b, 123)
-        assert sent == [("a", "b", 123)]
-        assert world.network.messages == 1
-
-    def test_invocation_path_uses_seam(self):
-        # A cross-node invocation must flow through Network.send.
-        from repro.ipc.domain import Credentials
-        from repro.ipc.invocation import operation
-        from repro.ipc.object import SpringObject
-
-        class Service(SpringObject):
-            @operation
-            def hello(self):
-                return "hi"
-
-        world = World()
-        a = world.create_node("a")
-        b = world.create_node("b")
-        server_domain = b.create_domain("srv", Credentials("srv", True))
-        service = Service(server_domain)
-        seen = []
-        original = world.network.transport
-
-        class Recording(SimulatedTransport):
-            def send(self, src, dst, nbytes, checked=True):
-                seen.append((src.name, dst.name))
-                original.send(src, dst, nbytes, checked=checked)
-
-        world.network.install_transport(Recording(world.network))
-        client = world.create_user_domain(a)
-        with client.activate():
-            assert service.hello() == "hi"
-        assert seen == [("a", "b")]
 
 
 class TestServerThread:
