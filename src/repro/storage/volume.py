@@ -43,6 +43,7 @@ from repro.errors import (
     IsADirectoryError_,
     NoSpaceError,
     NotADirectoryError_,
+    OutOfRangeError,
     StorageError,
 )
 from repro.storage.allocator import BlockAllocator
@@ -410,6 +411,8 @@ class Volume:
         needed: one device transfer per physically contiguous run of
         blocks, read-modify-write only for an unaligned head or a
         partial tail block."""
+        if offset < 0:
+            raise OutOfRangeError(f"write at negative offset {offset}")
         inode = self.iget(ino)
         bs = self.sb.block_size
         size = len(data)
@@ -451,6 +454,8 @@ class Volume:
     def truncate(self, ino: int, length: int) -> None:
         """Shrink or extend (sparsely) a file to ``length`` bytes."""
         assert self.allocator is not None
+        if length < 0:
+            raise OutOfRangeError(f"truncate to negative length {length}")
         inode = self.iget(ino)
         if length < inode.size:
             bs = self.sb.block_size

@@ -42,14 +42,14 @@ SEEK_SET = 0
 SEEK_CUR = 1
 SEEK_END = 2
 
-#: The errno of each Spring error a path or a write can meet, whichever
-#: layer of whichever stack raised it: a naming error and its file
-#: system twin are one errno.  Looked up along the error's MRO.
+#: The errno of each Spring error a path, a write or an offset can meet,
+#: whichever layer of whichever stack raised it: a naming error and its
+#: file system twin are one errno.  Looked up along the error's MRO.
 ERRNO = {
     errors.NameNotFoundError: "ENOENT", errors.FileNotFoundError_: "ENOENT",
     errors.NotAContextError: "ENOTDIR", errors.NotADirectoryError_: "ENOTDIR",
     errors.NameAlreadyBoundError: "EEXIST", errors.FileExistsError_: "EEXIST",
-    errors.InvalidNameError: "EINVAL",
+    errors.InvalidNameError: "EINVAL", errors.OutOfRangeError: "EINVAL",
     errors.IsADirectoryError_: "EISDIR",
     errors.DirectoryNotEmptyError: "ENOTEMPTY",
     errors.NoSpaceError: "ENOSPC",
@@ -155,6 +155,8 @@ class Posix:
         entry = self._entry(fd)
         if not entry.readable:
             raise UnixError("EBADF", "fd not open for reading")
+        if size < 0:
+            raise UnixError("EINVAL", "negative size")
         with self._client():
             data = entry.file.read(entry.position, size)
         entry.position += len(data)
@@ -175,6 +177,8 @@ class Posix:
         entry = self._entry(fd)
         if not entry.readable:
             raise UnixError("EBADF", "fd not open for reading")
+        if size < 0 or offset < 0:
+            raise UnixError("EINVAL", "negative size or offset")
         with self._client():
             return entry.file.read(offset, size)
 
@@ -182,6 +186,8 @@ class Posix:
         entry = self._entry(fd)
         if not entry.writable:
             raise UnixError("EBADF", "fd not open for writing")
+        if offset < 0:
+            raise UnixError("EINVAL", "negative offset")
         with self._client():
             return entry.file.write(offset, data)
 
@@ -214,6 +220,8 @@ class Posix:
         entry = self._entry(fd)
         if not entry.writable:
             raise UnixError("EBADF", "fd not open for writing")
+        if length < 0:
+            raise UnixError("EINVAL", "negative length")
         with self._client():
             entry.file.set_length(length)
 
@@ -245,13 +253,13 @@ class Posix:
             return [name for name, _ in self._context(path).list_bindings()]
 
     def rename(self, old: str, new: str) -> None:
+        parent, _, new_leaf = new.strip("/").rpartition("/")
+        if parent != old.strip("/").rpartition("/")[0]:
+            raise UnixError("EXDEV", "cross-directory rename unsupported here")
         with self._client(old):
-            old_context, old_leaf = self._split_parent(old)
-            new_context, new_leaf = self._split_parent(new)
-            if old_context is not new_context:
-                raise UnixError("EXDEV", "cross-directory rename unsupported here")
+            context, old_leaf = self._split_parent(old)
             try:
-                old_context.rename(old_leaf, new_leaf)
+                context.rename(old_leaf, new_leaf)
             except AttributeError:
                 raise UnixError("EROFS", "context cannot rename")
 

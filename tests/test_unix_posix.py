@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import UnixError
+from repro.errors import OutOfRangeError, UnixError
 from repro.unix import (
     O_APPEND,
     O_CREAT,
@@ -115,6 +115,14 @@ class TestReadWrite:
         fd = posix.open("s.txt", O_RDWR | O_CREAT)
         with pytest.raises(UnixError):
             posix.lseek(fd, -1, SEEK_SET)
+
+    def test_out_of_range_from_a_layer_is_einval(self, posix):
+        """The facade refuses a negative argument itself; the same
+        refusal from a layer below (a Spring client can reach one
+        directly) is the same errno."""
+        with pytest.raises(UnixError) as err, posix._client("f"):
+            raise OutOfRangeError("truncate to negative length -1")
+        assert err.value.code == "EINVAL"
 
     def test_ftruncate(self, posix):
         fd = posix.open("t.txt", O_RDWR | O_CREAT)
