@@ -4,11 +4,12 @@ comparison ("Spring is from 2 to 7 times slower than SunOS")."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict
 
 from repro.baseline.sunos import SunOsFs
 from repro.bench.harness import Measurement, TableFormatter, measure
-from repro.bench.table2 import _setup
+from repro.bench.table2 import _measure_cell
 from repro.storage.block_device import BlockDevice
 from repro.types import PAGE_SIZE
 from repro.world import World
@@ -42,8 +43,17 @@ class Table3Result:
         return table.render()
 
 
+#: What one iteration of each row does to the SunOS file system and an
+#: open descriptor on ``bench.dat``.
+SUNOS_OPS = {
+    "open": lambda fs, fd: fs.open("bench.dat"),
+    "4KB read": lambda fs, fd: fs.pread(fd, PAGE_SIZE, 0),
+    "4KB write": lambda fs, fd: fs.pwrite(fd, b"w" * PAGE_SIZE, 0),
+    "fstat": lambda fs, fd: fs.fstat(fd),
+}
+
+
 def run_table3(iterations: int = 100, runs: int = 5) -> Table3Result:
-    # --- SunOS side -------------------------------------------------------
     world = World()
     node = world.create_node("sunos-host")
     device = BlockDevice(node.nucleus, "sd0", 8192)
@@ -52,57 +62,19 @@ def run_table3(iterations: int = 100, runs: int = 5) -> Table3Result:
     fs.pwrite(fd, b"b" * PAGE_SIZE, 0)
     fs.pread(fd, PAGE_SIZE, 0)  # warm the buffer cache
     sunos = {
-        "open": measure(world, "open", lambda: fs.open("bench.dat"), iterations, runs),
-        "4KB read": measure(
-            world, "4KB read", lambda: fs.pread(fd, PAGE_SIZE, 0), iterations, runs
-        ),
-        "4KB write": measure(
-            world,
-            "4KB write",
-            lambda: fs.pwrite(fd, b"w" * PAGE_SIZE, 0),
-            iterations,
-            runs,
-        ),
-        "fstat": measure(world, "fstat", lambda: fs.fstat(fd), iterations, runs),
+        op: measure(world, op, functools.partial(run, fs, fd), iterations, runs)
+        for op, run in SUNOS_OPS.items()
     }
-
-    # --- Spring side.  The paper's "2 to 7 times slower" bracket holds
-    # against the non-stacked implementation (the stacked two-domain
-    # open is ~8x SunOS — which is exactly why sec. 6.4 flags the open
-    # stacking overhead as "very significant when compared to the much
-    # faster SunOS open").
-    spring_world, stack, user = _setup("not_stacked", cache=True)
-    with user.activate():
-        handle = stack.top.resolve("bench.dat")
-        handle.read(0, PAGE_SIZE)
-        spring = {
-            "open": measure(
-                spring_world,
-                "open",
-                lambda: stack.top.resolve("bench.dat"),
-                iterations,
-                runs,
-            ),
-            "4KB read": measure(
-                spring_world,
-                "4KB read",
-                lambda: handle.read(0, PAGE_SIZE),
-                iterations,
-                runs,
-            ),
-            "4KB write": measure(
-                spring_world,
-                "4KB write",
-                lambda: handle.write(0, b"w" * PAGE_SIZE),
-                iterations,
-                runs,
-            ),
-            "fstat": measure(
-                spring_world,
-                "fstat",
-                lambda: handle.get_attributes(),
-                iterations,
-                runs,
-            ),
-        }
+    # The Spring column is Table 2's not-stacked cached cell.  The
+    # paper's "2 to 7 times slower" bracket holds against the non-stacked
+    # implementation (the stacked two-domain open is ~8x SunOS — which is
+    # exactly why sec. 6.4 flags the open stacking overhead as "very
+    # significant when compared to the much faster SunOS open").
+    spring = {
+        op: _measure_cell(
+            "not_stacked", True, "stat" if op == "fstat" else op,
+            iterations, runs,
+        )
+        for op in SUNOS_OPS
+    }
     return Table3Result(sunos, spring)
