@@ -35,9 +35,9 @@ Headline metrics:
   block-store work): mount is one transfer per metadata region
   (``1 + 2 x groups`` reads — the 100k-file mount is ROADMAP's tracked
   number), and the clean-unmount flush one transfer per run per step.
-* ``BENCH_socket.json`` — simulated per-message virtual cost and the
-  real-socket compound-batching frame counts (the point of the
-  transport-seam work).  The gated metrics are deterministic protocol
+* ``BENCH_socket.json`` — simulated per-message virtual cost (what
+  ``Network.transfer`` charges) and the real-socket compound-batching
+  frame counts.  The gated metrics are deterministic protocol
   facts — the wall-clock RTT cells in the record are informational
   only; ``frames_batched`` carries zero tolerance because a compound
   batch over the wire is exactly one frame or the batching is broken.

@@ -466,7 +466,7 @@ class SocketTransport:
                     raise msg.payload
                 return msg.payload
 
-    # --- the operation surface stubs use ---------------------------------
+    # --- round trips ------------------------------------------------------
     def send(self, src, dst, nbytes: int) -> None:
         """One real round trip carrying ``nbytes`` of payload and
         calling no export — the floor under every op.  The connection

@@ -562,7 +562,7 @@ def run_script(fs, control, batch):
 
 
 class TestBackendParity:
-    def test_socket_transcript_equals_the_in_process_one(self, served):
+    def test_simulated_and_socket_backends_agree(self, served):
         # A served world driven over TCP, its batch one compound frame.
         client = served.client()
         try:
