@@ -34,7 +34,7 @@ class Node:
         self.epoch = 0
         #: Called (no args) when the node crashes — server layers hosted
         #: here register to drop the volatile state a real crash loses.
-        self._crash_listeners: List[Callable[[], None]] = []
+        self._on_crash: List[Callable[[], None]] = []
         #: The nucleus domain — kernel + VMM live here.
         self.nucleus = self.create_domain(
             "nucleus", Credentials("nucleus", privileged=True)
@@ -87,7 +87,7 @@ class Node:
     # --- failure / recovery ------------------------------------------------
     def add_crash_listener(self, fn: Callable[[], None]) -> None:
         """Register ``fn`` to run when this node crashes."""
-        self._crash_listeners.append(fn)
+        self._on_crash.append(fn)
 
     def crash(self) -> None:
         """The machine goes down.  Volatile server state is lost (crash
@@ -101,7 +101,7 @@ class Node:
             # The in-memory request queue dies with the machine: slots
             # free immediately, so post-recovery requests start clean.
             self.server_queue.reset()
-        for fn in self._crash_listeners:
+        for fn in self._on_crash:
             fn()
 
     def recover(self) -> None:

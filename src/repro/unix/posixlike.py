@@ -253,13 +253,13 @@ class Posix:
             return [name for name, _ in self._context(path).list_bindings()]
 
     def rename(self, old: str, new: str) -> None:
-        parent, _, new_leaf = new.strip("/").rpartition("/")
-        if parent != old.strip("/").rpartition("/")[0]:
+        parent, _, old_leaf = old.strip("/").rpartition("/")
+        new_parent, _, new_leaf = new.strip("/").rpartition("/")
+        if parent != new_parent:
             raise UnixError("EXDEV", "cross-directory rename unsupported here")
         with self._client(old):
-            context, old_leaf = self._split_parent(old)
             try:
-                context.rename(old_leaf, new_leaf)
+                self._context(parent).rename(old_leaf, new_leaf)
             except AttributeError:
                 raise UnixError("EROFS", "context cannot rename")
 
