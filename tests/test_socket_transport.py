@@ -2,7 +2,9 @@
 failure mapping, retries, and parity with the served objects called in
 process."""
 
+import os
 import socket
+import sys
 import threading
 import time
 
@@ -18,7 +20,7 @@ from repro.errors import (
 from repro.ipc import CompoundInvocation
 from repro.ipc.network import NetworkPartitionError
 from repro.ipc.retry import RetryPolicy
-from repro.ipc import wire
+from repro.ipc import transport, wire
 from repro.ipc.transport import (
     ServerThread,
     SocketServer,
@@ -93,6 +95,23 @@ def recv_frames(sock, count):
                 break
             messages.append(wire.unpack_body(body))
     return messages
+
+
+def connection_threads(server):
+    """The live threads serving connections of ``server``."""
+    prefix = f"repro-socket-server:{server.port}<-"
+    return [t for t in threading.enumerate() if t.name.startswith(prefix)]
+
+
+def wait_until(condition, timeout=2.0):
+    """Poll ``condition`` until it holds or ``timeout`` passes; returns
+    whether it held."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.01)
+    return True
 
 
 def closed_port() -> int:
@@ -512,6 +531,44 @@ class TestFailureMapping:
             client.close()
             peer.close()
 
+    def test_timeout_is_set_at_connect_not_on_every_call(self, served, monkeypatch):
+        calls = []
+        plain = socket.socket.settimeout
+
+        def counting(sock, value):
+            calls.append(value)
+            plain(sock, value)
+
+        client = served.client(reply_timeout_s=4.0)
+        try:
+            control = client.bind("control")
+            assert control.ping() == "pong"  # connects
+            assert client._sock.gettimeout() == 4.0
+            monkeypatch.setattr(socket.socket, "settimeout", counting)
+            for _ in range(5):
+                assert control.ping() == "pong"
+            assert calls == []
+        finally:
+            client.close()
+
+    def test_timeout_is_restored_after_a_reply_in_pieces(self):
+        # The second recv runs under what is left of the deadline; the
+        # next call must again have all of reply_timeout_s.
+        def script(conn, seq):
+            reply = wire.pack_frame(wire.REPLY, seq, "", "", b"x" * 4000)
+            conn.sendall(reply[:2000])
+            time.sleep(0.1)
+            conn.sendall(reply[2000:])
+
+        peer = ScriptedPeer(script)
+        client = SocketTransport("127.0.0.1", peer.port, reply_timeout_s=5.0)
+        try:
+            assert client.invoke("fs", "read", (1,)) == b"x" * 4000
+            assert client._sock.gettimeout() == 5.0
+        finally:
+            client.close()
+            peer.close()
+
     def test_send_phase_retry_after_refused(self):
         # Nothing listens yet: with a policy the connect failures back
         # off and surface only after the attempts are exhausted.
@@ -580,7 +637,304 @@ class TestBackendParity:
         )
 
 
+# --- one thread per connection, one domain lock -------------------------------
+
+class Tally:
+    """Read, yield, write: loses updates unless calls are serialised."""
+
+    value = 0
+
+    def bump(self):
+        seen = self.value
+        time.sleep(0)  # lets any other runnable thread in
+        self.value = seen + 1
+        return seen
+
+    def echo(self, data):
+        return data
+
+    def nap(self, seconds):
+        time.sleep(seconds)
+        self.value += 1
+
+
+@pytest.fixture
+def tally_server():
+    tally = Tally()
+    server = SocketServer({"tally": tally})
+    server.registry.expose("control", Control(World(), server))
+    thread = ServerThread(server)
+    thread.start()
+    yield tally, server, thread
+    thread.stop()
+
+
+def raw_connection(server):
+    sock = socket.create_connection(("127.0.0.1", server.port))
+    sock.settimeout(5)
+    return sock
+
+
+class TestThreadedServer:
+    def test_requests_of_all_connections_run_one_at_a_time(self, tally_server):
+        tally, server, _ = tally_server
+        workers = 2 * (os.cpu_count() or 2) + 2
+        sent = [0] * workers
+        errors = []
+        stop_at = time.monotonic() + 0.5
+
+        def hammer(index):
+            client = SocketTransport("127.0.0.1", server.port,
+                                     reply_timeout_s=5.0)
+            try:
+                bump = client.bind("tally").bump
+                while time.monotonic() < stop_at and sent[index] < 400:
+                    bump()
+                    sent[index] += 1
+            except Exception as exc:
+                errors.append(exc)
+            finally:
+                client.close()
+
+        threads = [threading.Thread(target=hammer, args=(i,), daemon=True)
+                   for i in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert min(sent) > 0
+        assert tally.value == sum(sent) == server.ops_served
+        assert server.frames_in == server.frames_out == sum(sent)
+
+    def test_one_thread_per_connection_and_none_left_behind(self, tally_server):
+        _, server, _ = tally_server
+        clients = [SocketTransport("127.0.0.1", server.port) for _ in range(3)]
+        try:
+            for client in clients:
+                assert client.bind("control").ping() == "pong"
+            assert len(connection_threads(server)) == 3
+            assert len(server._connections) == 3
+        finally:
+            for client in clients:
+                client.close()
+        assert wait_until(lambda: not connection_threads(server))
+        assert server._connections == {}
+
+    def test_half_a_frame_stalls_only_its_own_connection(
+        self, tally_server, monkeypatch
+    ):
+        _, server, _ = tally_server
+        monkeypatch.setattr(transport, "FRAME_TIMEOUT_S", 0.3)
+        frame = wire.pack_frame(wire.REQUEST, 1, "control", "ping", [])
+        other = SocketTransport("127.0.0.1", server.port, reply_timeout_s=5.0)
+        stalled = raw_connection(server)
+        try:
+            stalled.sendall(frame[:len(frame) // 2])
+            started = time.monotonic()
+            ping = other.bind("control").ping
+            for _ in range(20):
+                assert ping() == "pong"  # answered while the other stalls
+            # The deadline closes the stalled connection, and only it.
+            assert stalled.recv(1) == b""
+            assert 0.25 < time.monotonic() - started < 2.0
+            assert ping() == "pong"
+            assert other.reconnects == 1
+        finally:
+            stalled.close()
+            other.close()
+
+    def test_frame_deadline_spans_the_frame_not_each_recv(
+        self, tally_server, monkeypatch
+    ):
+        # A trickle: every recv returns well inside the timeout, but the
+        # frame as a whole never completes (the client's rule, mirrored).
+        _, server, _ = tally_server
+        monkeypatch.setattr(transport, "FRAME_TIMEOUT_S", 0.3)
+        frame = wire.pack_frame(wire.REQUEST, 1, "tally", "echo", [b"x" * 200])
+        with raw_connection(server) as sock:
+            started = time.monotonic()
+            try:
+                for at in range(60):
+                    sock.sendall(frame[at:at + 1])
+                    time.sleep(0.05)
+                dropped = sock.recv(1) == b""
+            except OSError:
+                dropped = True  # reset under the next byte: closed
+            assert dropped
+            assert time.monotonic() - started < 2.5
+        assert wait_until(lambda: not connection_threads(server))
+
+    def test_a_finished_frame_lifts_the_deadline(self, tally_server, monkeypatch):
+        _, server, _ = tally_server
+        monkeypatch.setattr(transport, "FRAME_TIMEOUT_S", 0.3)
+        frame = wire.pack_frame(wire.REQUEST, 1, "control", "ping", [])
+        with raw_connection(server) as sock:
+            sock.sendall(frame[:5])
+            time.sleep(0.1)
+            sock.sendall(frame[5:])
+            assert recv_frames(sock, 1)[0].payload == "pong"
+            time.sleep(0.5)  # idle for longer than the deadline: no timeout
+            sock.sendall(frame)
+            assert recv_frames(sock, 1)[0].payload == "pong"
+
+    def test_a_slow_reader_holds_up_only_itself(self, tally_server):
+        # Connection A asks for 8 MiB of replies and reads none of them:
+        # its thread blocks in sendall, outside the domain lock.
+        _, server, _ = tally_server
+        blob = b"z" * (1 << 20)
+        requests = b"".join(
+            wire.pack_frame(wire.REQUEST, seq, "tally", "echo", [blob])
+            for seq in range(1, 9)
+        )
+        other = SocketTransport("127.0.0.1", server.port, reply_timeout_s=5.0)
+        slow = raw_connection(server)
+        try:
+            feeder = threading.Thread(
+                target=lambda: slow.sendall(requests), daemon=True
+            )
+            feeder.start()
+            ping = other.bind("control").ping
+            for _ in range(20):
+                assert ping() == "pong"
+                time.sleep(0.005)
+            replies = recv_frames(slow, 8)  # now drain: all eight arrive
+            feeder.join(timeout=5)
+            assert not feeder.is_alive()
+            assert [m.seq for m in replies] == list(range(1, 9))
+            assert all(m.payload == blob for m in replies)
+        finally:
+            slow.close()
+            other.close()
+
+    def test_one_mebibyte_request_and_reply(self, tally_server):
+        _, server, _ = tally_server
+        blob = bytes(range(256)) * 4096
+        assert len(blob) == 1 << 20 > wire.RECV_BUFFER
+        client = SocketTransport("127.0.0.1", server.port, reply_timeout_s=5.0)
+        try:
+            tally = client.bind("tally")
+            assert tally.echo(blob) == blob
+            assert tally.echo(b"small") == b"small"  # back to the home buffer
+            assert client.reconnects == 1
+        finally:
+            client.close()
+
+    def test_crash_injection_drops_one_connection(self, tally_server):
+        tally, server, _ = tally_server
+        first = SocketTransport("127.0.0.1", server.port, reply_timeout_s=5.0)
+        second = SocketTransport("127.0.0.1", server.port, reply_timeout_s=5.0)
+        try:
+            assert second.bind("control").ping() == "pong"
+            server.fail_next_reply()
+            with pytest.raises(NodeCrashedError):
+                first.bind("tally").bump()
+            assert tally.value == 1  # executed, never answered
+            assert first.bind("tally").bump() == 1  # reconnected
+            assert (first.reconnects, second.reconnects) == (2, 1)
+            assert second.bind("control").ping() == "pong"
+        finally:
+            first.close()
+            second.close()
+
+    def test_malformed_frame_closes_only_its_own_connection(self, tally_server):
+        _, server, _ = tally_server
+        other = SocketTransport("127.0.0.1", server.port, reply_timeout_s=5.0)
+        try:
+            ping = other.bind("control").ping
+            assert ping() == "pong"
+            with raw_connection(server) as bad:
+                bad.sendall(b"\x00\x00\x00\x05junk!")
+                assert bad.recv(1) == b""
+            assert ping() == "pong"
+            assert other.reconnects == 1
+            assert wait_until(lambda: len(connection_threads(server)) == 1)
+        finally:
+            other.close()
+
+    def test_shutdown_from_inside_a_served_op(self):
+        server = SocketServer()
+        server.registry.expose("control", Control(World(), server))
+        thread = ServerThread(server)
+        thread.start()
+        idle = raw_connection(server)
+        client = SocketTransport("127.0.0.1", server.port, reply_timeout_s=5.0)
+        try:
+            control = client.bind("control")
+            assert control.ping() == "pong"  # both connections are accepted
+            assert len(connection_threads(server)) == 2
+            assert control.shutdown() == "bye"  # the reply comes first
+            thread._thread.join(timeout=5)
+            assert not thread._thread.is_alive()  # wait_closed() returned
+            assert idle.recv(1) == b""
+            assert wait_until(lambda: not connection_threads(server))
+            assert server._connections == {}
+            assert server._listener.fileno() == -1
+            client.close()
+            with pytest.raises(NetworkPartitionError):
+                control.ping()  # nothing listens any more
+        finally:
+            idle.close()
+            client.close()
+        thread.stop()  # already stopped: nothing to raise
+
+    def test_stop_waits_for_the_request_in_flight(self, tally_server):
+        # stop() cuts every connection at once, so the caller sees a
+        # crash — but the op it had started has run to completion by the
+        # time stop() returns, and nothing of the server is left behind.
+        tally, server, thread = tally_server
+        client = SocketTransport("127.0.0.1", server.port, reply_timeout_s=5.0)
+        outcome = []
+
+        def call():
+            try:
+                client.bind("tally").nap(0.3)
+            except NodeCrashedError as exc:
+                outcome.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        try:
+            caller.start()
+            assert wait_until(server._domain.locked)
+            thread.stop()
+            assert tally.value == 1
+            assert not server._domain.locked()
+            assert not connection_threads(server)
+            caller.join(timeout=5)
+            assert not caller.is_alive()
+            assert len(outcome) == 1
+        finally:
+            client.close()
+
+
 class TestServerThread:
+    def test_startup_failure_surfaces_in_start(self):
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            thread = ServerThread(
+                SocketServer(port=taken.getsockname()[1])
+            )
+            with pytest.raises(OSError):
+                thread.start()
+        thread.stop()  # raised once already; the thread is gone
+
+    def test_stop_reraises_what_the_serving_thread_died_with(self):
+        class Dying(SocketServer):
+            async def wait_closed(self):
+                await super().wait_closed()
+                raise RuntimeError("died serving")
+
+        thread = ServerThread(Dying())
+        thread.start()
+        with pytest.raises(RuntimeError, match="died serving"):
+            thread.stop()
+        assert not thread._thread.is_alive()
+
     def test_port_zero_assigns_port(self):
         server = SocketServer({"c": Control(World())})
         thread = ServerThread(server)
