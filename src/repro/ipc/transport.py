@@ -12,10 +12,12 @@ the two do not plug into one another:
   included.
 
 * :class:`SocketServer` / :class:`SocketTransport` — a TCP pair
-  speaking the :mod:`repro.ipc.wire` framing (an asyncio
-  ``BufferedProtocol`` server, a blocking-socket client; neither puts a
-  stream or a task between the socket and the codec).  The client
-  process binds :class:`RemoteStub`\\ s and invokes them.  Socket
+  speaking the :mod:`repro.ipc.wire` framing over blocking sockets at
+  both ends: the server answers a request on the thread that received
+  it (one thread per connection, one domain lock around execution), the
+  client blocks for the reply; neither puts an event loop, a stream or
+  a task between the socket and the codec.  The client process binds
+  :class:`RemoteStub`\\ s and invokes them.  Socket
   failures map onto the same transient-error taxonomy the simulated
   fault plane uses — connect failures/timeouts become
   :class:`~repro.ipc.network.NetworkPartitionError`, a connection that
@@ -52,6 +54,11 @@ PING_OP = "*ping*"
 
 #: Compound outcome statuses on the transport surface.
 OK, ERRORED, SKIPPED = "ok", "error", "skipped"
+
+#: How long either end waits for the rest of a frame whose first bytes
+#: have arrived — over the whole frame, not per ``recv``.  The client's
+#: default reply timeout; on the server, what a stalled peer gets.
+FRAME_TIMEOUT_S = 30.0
 
 
 class ExportRegistry:
@@ -106,15 +113,26 @@ class ExportRegistry:
 
 
 class SocketServer:
-    """Asyncio TCP server hosting an export registry.
+    """TCP server hosting an export registry: a request is served on
+    the thread that received it.
 
-    One client connection is one framed request/reply stream (a
-    :class:`_Connection`); requests are served in arrival order, each
-    to completion on the event loop (a Spring server domain's
-    single-threaded determinism).  ``fail_next_reply`` is the socket
-    analogue of the simulated fault plane's crash injection: the op
-    executes, then the connection drops before the reply — the client
-    observes a mid-invoke server crash.
+    One client connection is one framed request/reply stream and one
+    blocking daemon thread (:meth:`_serve`).  Every thread executes
+    under the one **domain lock**, held from the decode of a request to
+    its encoded reply: requests from all connections run one at a time,
+    each to completion, in the order they took the lock (a Spring
+    server domain's single-threaded determinism), and only the socket
+    I/O around them overlaps — a peer stalled mid-frame, or slow to
+    drain its reply (``sendall`` blocking *is* the back-pressure), holds
+    up its own thread alone.  A frame begun but not finished within
+    :data:`FRAME_TIMEOUT_S` closes that connection.
+
+    asyncio is the lifecycle face only (``await start()``, ``await
+    wait_closed()``, accepting on the loop); no request byte passes
+    through it.  ``fail_next_reply`` is the socket analogue of the
+    simulated fault plane's crash injection: the op executes, then the
+    connection drops before the reply — the client observes a mid-invoke
+    server crash.
     """
 
     def __init__(
@@ -134,9 +152,11 @@ class SocketServer:
         self.compound_batches = 0
         self._fail_next_replies = 0
         self._shutdown_after_reply = False
-        self._server: Optional[asyncio.AbstractServer] = None
+        self._domain = threading.Lock()
+        self._listener: Optional[socket.socket] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._closed: Optional[asyncio.Event] = None
-        self._connections: set = set()  # live client transports
+        self._connections: Dict[socket.socket, threading.Thread] = {}
 
     # --- fault injection / shutdown ------------------------------------
     def fail_next_reply(self, count: int = 1) -> None:
@@ -146,29 +166,109 @@ class SocketServer:
 
     def request_shutdown(self) -> None:
         """Stop serving after the currently executing request's reply is
-        written (safe to call from inside a served operation)."""
+        sent (safe to call from inside a served operation)."""
         self._shutdown_after_reply = True
 
     # --- lifecycle ------------------------------------------------------
     async def start(self) -> int:
-        self._closed = asyncio.Event()
-        self._server = await asyncio.get_running_loop().create_server(
-            lambda: _Connection(self), self.host, self.port
+        family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
+        self._listener = socket.create_server(
+            (self.host, self.port), family=family, backlog=100
         )
-        self.port = self._server.sockets[0].getsockname()[1]
+        self._listener.setblocking(False)
+        self.port = self._listener.getsockname()[1]
+        self._loop = asyncio.get_running_loop()
+        self._closed = asyncio.Event()
+        self._loop.add_reader(self._listener, self._accept)
         return self.port
 
     async def wait_closed(self) -> None:
+        """Returns once serving has stopped: the listener and every
+        connection closed, every connection thread finished (a request
+        in flight runs to completion first)."""
         assert self._closed is not None, "start() first"
         await self._closed.wait()
-        self._server.close()
-        for transport in list(self._connections):
-            transport.close()
-        await self._server.wait_closed()
+        self._loop.remove_reader(self._listener)
+        self._listener.close()
+        connections = list(self._connections.items())
+        for sock, _ in connections:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)  # wakes its thread
+            except OSError:
+                pass  # that thread closed it first
+        for _, thread in connections:
+            thread.join()
 
     def stop(self) -> None:
-        if self._closed is not None:
-            self._closed.set()
+        """Make :meth:`wait_closed` return; callable from any thread."""
+        if self._loop is not None:
+            try:
+                self._loop.call_soon_threadsafe(self._closed.set)
+            except RuntimeError:
+                pass  # the loop is closed: already stopped
+
+    def _accept(self) -> None:
+        try:
+            sock, peer = self._listener.accept()
+        except OSError:
+            return  # the peer gave up between readiness and accept
+        sock.setblocking(True)  # not everywhere the default after accept
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        thread = threading.Thread(
+            target=self._serve, args=(sock,), daemon=True,
+            name=f"repro-socket-server:{self.port}<-{peer[1]}",
+        )
+        self._connections[sock] = thread
+        thread.start()
+
+    def _serve(self, sock: socket.socket) -> None:
+        """One connection, start to finish on its own thread.  Every
+        whole frame received is decoded, executed and answered before
+        the next ``recv``, so a body view never outlives its bytes."""
+        frames = wire.FrameBuffer()
+        recv_into, domain = sock.recv_into, self._domain
+        deadline = None  # set while part of a frame is buffered
+        try:
+            while True:
+                nbytes = recv_into(frames.writable())
+                if not nbytes:
+                    return
+                frames.received(nbytes)
+                while frames.pending():
+                    body = frames.next_frame()
+                    if body is None:
+                        # Part of a frame.  The deadline spans the frame,
+                        # not each recv; an idle connection has none.
+                        now = time.monotonic()
+                        if deadline is None:
+                            deadline = now + FRAME_TIMEOUT_S
+                        elif now >= deadline:
+                            return
+                        sock.settimeout(deadline - now)
+                        break
+                    if deadline is not None:
+                        deadline = None
+                        sock.settimeout(None)
+                    with domain:
+                        msg = wire.unpack_body(body)
+                        self.frames_in += 1
+                        reply = self._reply_for(msg)
+                        if self._fail_next_replies > 0:
+                            self._fail_next_replies -= 1
+                            return  # crash: executed, never replied
+                        self.frames_out += 1
+                        self.bytes_out += len(reply)
+                        farewell = self._shutdown_after_reply
+                    sock.sendall(reply)
+                    if farewell:
+                        return
+        except (wire.WireError, OSError):
+            pass  # malformed, timed out or gone: this connection only
+        finally:
+            sock.close()
+            del self._connections[sock]
+            if self._shutdown_after_reply:
+                self.stop()  # the farewell reply has been sent
 
     def _reply_for(self, msg: wire.Message) -> bytearray:
         self.bytes_in += msg.nbytes
@@ -219,70 +319,15 @@ def _check_call(args: Any, kwargs: Any) -> None:
         )
 
 
-class _Connection(asyncio.BufferedProtocol):
-    """One client connection of a :class:`SocketServer`: the loop
-    receives into a :class:`~repro.ipc.wire.FrameBuffer`, and every whole
-    frame in it is decoded, executed and answered before the next read,
-    so a body view never outlives its bytes."""
-
-    def __init__(self, server: SocketServer) -> None:
-        self._server = server
-        self._frames = wire.FrameBuffer()
-        self._transport: Optional[asyncio.Transport] = None
-
-    def connection_made(self, transport) -> None:
-        self._transport = transport
-        self._server._connections.add(transport)
-
-    def connection_lost(self, exc) -> None:
-        server = self._server
-        server._connections.discard(self._transport)
-        if server._shutdown_after_reply:
-            server.stop()  # the farewell reply has been flushed
-
-    def get_buffer(self, sizehint: int) -> memoryview:
-        return self._frames.writable()
-
-    def buffer_updated(self, nbytes: int) -> None:
-        server, frames, transport = self._server, self._frames, self._transport
-        frames.received(nbytes)
-        try:
-            while not transport.is_closing():
-                body = frames.next_frame()
-                if body is None:
-                    break
-                msg = wire.unpack_body(body)
-                server.frames_in += 1
-                reply = server._reply_for(msg)
-                if server._fail_next_replies > 0:
-                    server._fail_next_replies -= 1
-                    transport.close()  # crash: executed, never replied
-                    break
-                transport.write(reply)
-                server.frames_out += 1
-                server.bytes_out += len(reply)
-                if server._shutdown_after_reply:
-                    transport.close()  # closes once the reply is flushed
-        except wire.WireError:
-            transport.close()
-
-    def pause_writing(self) -> None:
-        self._transport.pause_reading()
-
-    def resume_writing(self) -> None:
-        self._transport.resume_reading()
-
-
 class ServerThread:
-    """Run a :class:`SocketServer` on a private event loop in a daemon
-    thread — the in-process harness tests and benchmarks use; a real
-    deployment runs the loop in its own OS process (``repro.serve``)."""
+    """Run a :class:`SocketServer`'s lifecycle loop in a daemon thread —
+    the in-process harness tests and benchmarks use; a real deployment
+    runs it in its own OS process (``repro.serve``)."""
 
     def __init__(self, server: SocketServer) -> None:
         self.server = server
         self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._error: Optional[BaseException] = None
         self._thread = threading.Thread(
             target=self._run, name="repro-socket-server", daemon=True
         )
@@ -290,31 +335,35 @@ class ServerThread:
     def _run(self) -> None:
         try:
             asyncio.run(self._main())
-        except BaseException as exc:  # startup failures surface in start()
-            self._startup_error = exc
+        except BaseException as exc:  # surfaces in start() or stop()
+            self._error = exc
+        finally:
             self._started.set()
 
     async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        try:
-            await self.server.start()
-        finally:
-            self._started.set()
+        await self.server.start()
+        self._started.set()
         await self.server.wait_closed()
+
+    def _reraise(self) -> None:
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
 
     def start(self) -> int:
         """Start serving; returns the bound port."""
         self._thread.start()
         if not self._started.wait(timeout=10):
             raise RuntimeError("socket server failed to start in time")
-        if self._startup_error is not None:
-            raise self._startup_error
+        self._reraise()
         return self.server.port
 
     def stop(self, timeout: float = 5.0) -> None:
-        if self._loop is not None and self._loop.is_running():
-            self._loop.call_soon_threadsafe(self.server.stop)
+        """Stop serving and join the thread; raises what it died with."""
+        self.server.stop()
         self._thread.join(timeout=timeout)
+        assert not self._thread.is_alive(), "socket server did not stop"
+        self._reraise()
 
 
 class SocketTransport:
@@ -341,7 +390,7 @@ class SocketTransport:
         src: str = "client",
         dst: str = "server",
         connect_timeout_s: float = 5.0,
-        reply_timeout_s: float = 30.0,
+        reply_timeout_s: float = FRAME_TIMEOUT_S,
         retry_policy=None,
     ) -> None:
         self.host = host
@@ -379,6 +428,7 @@ class SocketTransport:
                 f"{type(exc).__name__}: {exc}"
             )) from exc
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(self.reply_timeout_s)
         self.reconnects += 1
         self._sock = sock
         return sock
@@ -391,7 +441,6 @@ class SocketTransport:
         self._seq += 1
         seq = self._seq
         frame = wire.pack_frame(kind, seq, target, op, args, kwargs)
-        sock.settimeout(self.reply_timeout_s)
         try:
             sock.sendall(frame)
         except OSError as exc:
@@ -403,6 +452,7 @@ class SocketTransport:
         self.bytes_out += len(frame)
         frames = self._frames
         deadline = time.monotonic() + self.reply_timeout_s
+        shortened = False
         try:
             while True:
                 nbytes = sock.recv_into(frames.writable())
@@ -417,6 +467,7 @@ class SocketTransport:
                 if remaining <= 0:
                     raise socket.timeout()
                 sock.settimeout(remaining)
+                shortened = True
             msg = wire.unpack_body(body)
         except socket.timeout as exc:
             self.close()
@@ -434,6 +485,8 @@ class SocketTransport:
             raise wire.WireError(
                 f"reply seq {msg.seq} does not match request seq {seq}"
             )
+        if shortened:
+            sock.settimeout(self.reply_timeout_s)
         self.bytes_in += msg.nbytes
         return msg
 

@@ -525,6 +525,10 @@ class FrameBuffer:
     def received(self, nbytes: int) -> None:
         self._end += nbytes
 
+    def pending(self) -> int:
+        """Bytes received that :meth:`next_frame` has not yet returned."""
+        return self._end - self._start
+
     def next_frame(self) -> Optional[memoryview]:
         view, start = self._view, self._start
         have = self._end - start
