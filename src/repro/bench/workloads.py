@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import random
-import string
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.types import PAGE_SIZE
 
@@ -69,38 +68,3 @@ def random_ranges(
     for _ in range(count):
         page = rng.randrange(pages)
         yield page * io_size, io_size
-
-
-def hot_cold_accesses(
-    files: Sequence[str], count: int, hot_fraction: float = 0.1,
-    hot_weight: float = 0.9, seed: int = 0,
-) -> Iterator[str]:
-    """Skewed file-access stream: ``hot_weight`` of accesses hit the
-    ``hot_fraction`` hottest files (a classic FS-workload skew)."""
-    rng = random.Random(seed)
-    split = max(1, int(len(files) * hot_fraction))
-    hot, cold = list(files[:split]), list(files[split:]) or list(files[:split])
-    for _ in range(count):
-        pool = hot if rng.random() < hot_weight else cold
-        yield rng.choice(pool)
-
-
-def build_tree_spec(
-    depth: int, fanout: int, files_per_dir: int, seed: int = 0
-) -> List[Tuple[str, str]]:
-    """A directory-tree description: list of ('dir'|'file', path)."""
-    rng = random.Random(seed)
-    spec: List[Tuple[str, str]] = []
-
-    def walk(prefix: str, level: int) -> None:
-        for i in range(files_per_dir):
-            spec.append(("file", f"{prefix}file{i}.dat"))
-        if level >= depth:
-            return
-        for d in range(fanout):
-            sub = f"{prefix}dir{level}_{d}/"
-            spec.append(("dir", sub.rstrip("/")))
-            walk(sub, level + 1)
-
-    walk("", 0)
-    return spec

@@ -8,8 +8,7 @@ one ``repro.serve`` uses to split a Spring stack across OS processes —
 the two do not plug into one another:
 
 * :class:`ExportRegistry` — the objects a server process exposes by name
-  (``node.expose``); resolves and executes ops, compound batches
-  included.
+  (``node.expose``); resolves and executes one op.
 
 * :class:`SocketServer` / :class:`SocketTransport` — a TCP pair
   speaking the :mod:`repro.ipc.wire` framing over blocking sockets at
@@ -35,6 +34,7 @@ import asyncio
 import socket
 import threading
 import time
+from concurrent.futures import Future
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import (
@@ -61,10 +61,30 @@ OK, ERRORED, SKIPPED = "ok", "error", "skipped"
 FRAME_TIMEOUT_S = 30.0
 
 
+def _rest_of_frame(sock: socket.socket, frames: wire.FrameBuffer,
+                   deadline: float) -> memoryview:
+    """The body of the frame whose first bytes are in ``frames``, once
+    the rest of it has arrived.  The deadline spans the frame, not each
+    ``recv``, so a peer that trickles bytes still times out; the socket
+    is left with what remained of it as its timeout."""
+    while True:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise socket.timeout()
+        sock.settimeout(remaining)
+        nbytes = sock.recv_into(frames.writable())
+        if not nbytes:
+            raise ConnectionError("closed mid-frame")
+        frames.received(nbytes)
+        body = frames.next_frame()
+        if body is not None:
+            return body
+
+
 class ExportRegistry:
     """Named objects reachable through a :class:`SocketServer`: the
-    server-side half of the operation surface, which resolves and
-    executes ops, compound batches included.  Only public methods (no
+    server-side half of the operation surface, which resolves an op by
+    export and method name and executes it.  Only public methods (no
     leading underscore) are invokable.
     """
 
@@ -74,7 +94,7 @@ class ExportRegistry:
     def expose(self, name: str, obj: Any) -> None:
         self.exports[name] = obj
 
-    def resolve(self, target: str, op: str):
+    def call(self, target: str, op: str, args: Sequence, kwargs: dict) -> Any:
         try:
             obj = self.exports[target]
         except KeyError:
@@ -82,34 +102,11 @@ class ExportRegistry:
         if op.startswith("_") or op.startswith("*"):
             raise InvocationError(f"operation name {op!r} is not invokable")
         method = getattr(obj, op, None)
-        if method is None or not callable(method):
+        if not callable(method):
             raise InvocationError(
                 f"export {target!r} has no operation {op!r}"
             )
-        return method
-
-    def call(self, target: str, op: str, args: Sequence, kwargs: dict) -> Any:
-        return self.resolve(target, op)(*args, **kwargs)
-
-    def run_compound(
-        self, calls: Sequence[Tuple[str, str, Sequence, dict]],
-        fail_fast: bool = True,
-    ) -> List[Tuple[str, Any]]:
-        """Execute a batch; returns ``(status, value)`` per sub-op where
-        status is OK (value = result), ERRORED (value = exception), or
-        SKIPPED (fail-fast abort; value = None)."""
-        outcomes: List[Tuple[str, Any]] = []
-        failed = False
-        for target, op, args, kwargs in calls:
-            if failed and fail_fast:
-                outcomes.append((SKIPPED, None))
-                continue
-            try:
-                outcomes.append((OK, self.call(target, op, args, kwargs)))
-            except Exception as exc:
-                outcomes.append((ERRORED, exc))
-                failed = True
-        return outcomes
+        return method(*args, **kwargs)
 
 
 class SocketServer:
@@ -227,7 +224,6 @@ class SocketServer:
         the next ``recv``, so a body view never outlives its bytes."""
         frames = wire.FrameBuffer()
         recv_into, domain = sock.recv_into, self._domain
-        deadline = None  # set while part of a frame is buffered
         try:
             while True:
                 nbytes = recv_into(frames.writable())
@@ -237,17 +233,11 @@ class SocketServer:
                 while frames.pending():
                     body = frames.next_frame()
                     if body is None:
-                        # Part of a frame.  The deadline spans the frame,
-                        # not each recv; an idle connection has none.
-                        now = time.monotonic()
-                        if deadline is None:
-                            deadline = now + FRAME_TIMEOUT_S
-                        elif now >= deadline:
-                            return
-                        sock.settimeout(deadline - now)
-                        break
-                    if deadline is not None:
-                        deadline = None
+                        # Only now, with part of a frame buffered, does
+                        # the socket carry a timeout; idle, it has none.
+                        body = _rest_of_frame(
+                            sock, frames, time.monotonic() + FRAME_TIMEOUT_S
+                        )
                         sock.settimeout(None)
                     with domain:
                         msg = wire.unpack_body(body)
@@ -258,9 +248,8 @@ class SocketServer:
                             return  # crash: executed, never replied
                         self.frames_out += 1
                         self.bytes_out += len(reply)
-                        farewell = self._shutdown_after_reply
                     sock.sendall(reply)
-                    if farewell:
+                    if self._shutdown_after_reply:
                         return
         except (wire.WireError, OSError):
             pass  # malformed, timed out or gone: this connection only
@@ -294,6 +283,9 @@ class SocketServer:
             return wire.pack_frame(wire.ERROR, msg.seq, "", "", exc)
 
     def _run_compound(self, msg: wire.Message) -> List[Tuple[str, Any]]:
+        """Execute a batch; ``(status, value)`` per sub-op where status
+        is OK (value = result), ERRORED (value = exception), or SKIPPED
+        (fail-fast abort; value = None)."""
         _check_call(msg.payload, msg.kwargs)
         for call in msg.payload:
             if not (isinstance(call, (list, tuple)) and len(call) == 4
@@ -303,10 +295,19 @@ class SocketServer:
                 )
             _check_call(call[2], call[3])
         self.compound_batches += 1
-        outcomes = self.registry.run_compound(
-            msg.payload, fail_fast=msg.kwargs.get("fail_fast", True)
-        )
-        self.ops_served += sum(1 for status, _ in outcomes if status == OK)
+        fail_fast = msg.kwargs.get("fail_fast", True)
+        outcomes: List[Tuple[str, Any]] = []
+        failed = False
+        for target, op, args, kwargs in msg.payload:
+            if failed and fail_fast:
+                outcomes.append((SKIPPED, None))
+                continue
+            try:
+                outcomes.append((OK, self.registry.call(target, op, args, kwargs)))
+                self.ops_served += 1
+            except Exception as exc:
+                outcomes.append((ERRORED, exc))
+                failed = True
         return outcomes
 
 
@@ -327,7 +328,8 @@ class ServerThread:
     def __init__(self, server: SocketServer) -> None:
         self.server = server
         self._started = threading.Event()
-        self._error: Optional[BaseException] = None
+        #: How the thread ended: None, or what it died with.
+        self._done: Future = Future()
         self._thread = threading.Thread(
             target=self._run, name="repro-socket-server", daemon=True
         )
@@ -335,35 +337,30 @@ class ServerThread:
     def _run(self) -> None:
         try:
             asyncio.run(self._main())
+            self._done.set_result(None)
         except BaseException as exc:  # surfaces in start() or stop()
-            self._error = exc
-        finally:
-            self._started.set()
+            self._done.set_exception(exc)
+        self._started.set()
 
     async def _main(self) -> None:
         await self.server.start()
         self._started.set()
         await self.server.wait_closed()
 
-    def _reraise(self) -> None:
-        error, self._error = self._error, None
-        if error is not None:
-            raise error
-
     def start(self) -> int:
         """Start serving; returns the bound port."""
         self._thread.start()
         if not self._started.wait(timeout=10):
             raise RuntimeError("socket server failed to start in time")
-        self._reraise()
+        if self._done.done():
+            self._done.result()  # raises the startup failure
         return self.server.port
 
     def stop(self, timeout: float = 5.0) -> None:
-        """Stop serving and join the thread; raises what it died with."""
+        """Stop serving and wait for the thread to end: raises what it
+        died with, or ``TimeoutError`` if it is still serving."""
         self.server.stop()
-        self._thread.join(timeout=timeout)
-        assert not self._thread.is_alive(), "socket server did not stop"
-        self._reraise()
+        self._done.result(timeout)
 
 
 class SocketTransport:
@@ -452,22 +449,15 @@ class SocketTransport:
         self.bytes_out += len(frame)
         frames = self._frames
         deadline = time.monotonic() + self.reply_timeout_s
-        shortened = False
         try:
-            while True:
-                nbytes = sock.recv_into(frames.writable())
-                if not nbytes:
-                    raise ConnectionError(f"closed mid-invoke (op {op!r})")
-                frames.received(nbytes)
-                body = frames.next_frame()
-                if body is not None:
-                    break
-                # The reply timeout spans the frame, not each recv.
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise socket.timeout()
-                sock.settimeout(remaining)
-                shortened = True
+            nbytes = sock.recv_into(frames.writable())
+            if not nbytes:
+                raise ConnectionError(f"closed mid-invoke (op {op!r})")
+            frames.received(nbytes)
+            body = frames.next_frame()
+            if body is None:
+                body = _rest_of_frame(sock, frames, deadline)
+                sock.settimeout(self.reply_timeout_s)
             msg = wire.unpack_body(body)
         except socket.timeout as exc:
             self.close()
@@ -485,8 +475,6 @@ class SocketTransport:
             raise wire.WireError(
                 f"reply seq {msg.seq} does not match request seq {seq}"
             )
-        if shortened:
-            sock.settimeout(self.reply_timeout_s)
         self.bytes_in += msg.nbytes
         return msg
 

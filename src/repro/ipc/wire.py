@@ -503,7 +503,8 @@ class FrameBuffer:
 
     The owner receives into :meth:`writable`, reports the count to
     :meth:`received`, then takes bodies from :meth:`next_frame` until it
-    returns None.  A body is a view of the one reusable buffer, valid
+    returns None (or nothing is :meth:`pending`: every frame received
+    was whole).  A body is a view of the one reusable buffer, valid
     until the next call on this object.  A frame that does not fit gets
     a one-off buffer of exactly its size, after the ``MAX_FRAME`` check.
     """

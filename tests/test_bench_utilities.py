@@ -13,10 +13,8 @@ from repro.bench.harness import (
     normalized,
 )
 from repro.bench.workloads import (
-    build_tree_spec,
     compressible_bytes,
     file_names,
-    hot_cold_accesses,
     incompressible_bytes,
     pattern_bytes,
     random_ranges,
@@ -118,20 +116,6 @@ class TestWorkloads:
         for offset, size in random_ranges(10 * PAGE_SIZE, 50, seed=2):
             assert offset % PAGE_SIZE == 0
             assert offset + size <= 10 * PAGE_SIZE
-
-    def test_hot_cold_skew(self):
-        files = file_names(100)
-        accesses = list(hot_cold_accesses(files, 2000, seed=5))
-        hot = set(files[:10])
-        hot_fraction = sum(1 for a in accesses if a in hot) / len(accesses)
-        assert hot_fraction > 0.8
-
-    def test_tree_spec_shape(self):
-        spec = build_tree_spec(depth=2, fanout=2, files_per_dir=3)
-        dirs = [path for kind, path in spec if kind == "dir"]
-        files = [path for kind, path in spec if kind == "file"]
-        assert len(dirs) == 2 + 4  # level0: 2, level1: 4
-        assert len(files) == 3 * (1 + 2 + 4)
 
 
 class TestCounters:
