@@ -9,7 +9,7 @@ import contextlib
 import pytest
 
 from repro.bench.workloads import pattern_bytes
-from repro.errors import InvalidNameError, UnixError
+from repro.errors import InvalidNameError, OutOfRangeError, UnixError
 from repro.fs.coherency import CoherencyLayer
 from repro.fs.file import File
 from repro.fs.cfs import start_cfs
@@ -348,6 +348,36 @@ class TestSameWorkloadEverywhere:
         every stack, and the volume underneath can still be flushed."""
         root, user = _stack(kind)
         posix_argument_script(Posix(root, user))
+        assert settle(root, user) == []
+
+    def test_negative_offsets_are_out_of_range(self, kind):
+        """A Spring client inside the process that hands a file a
+        negative offset is refused by the first page cache the bytes
+        reach — one page or several, read or write — instead of getting
+        Python's slice semantics: nothing is read from the end of the
+        previous page, no page -1 enters a store, and what the file
+        held is still there and still flushes.  (Every write here ends
+        inside the file: CRYPTFS grows a file before it looks at the
+        pages — ROADMAP item 2.)"""
+        root, user = _stack(kind)
+        held = b"A" * (2 * PAGE_SIZE + 10)
+        with user.activate():
+            handle = root.create_file("f")
+            handle.write(0, held)
+            for call, *args in [
+                (handle.read, -1, 10),
+                (handle.read, -PAGE_SIZE - 8, 4),
+                (handle.write, -5, b"zz"),
+                (handle.write, -3, b"z" * (PAGE_SIZE + 9)),
+            ]:
+                with pytest.raises(OutOfRangeError):
+                    call(*args)
+            assert handle.read(0, 4 * PAGE_SIZE) == held
+        for layer in stack_layers(root):
+            for state in getattr(layer, "_states", {}).values():
+                for value in vars(state).values():
+                    if isinstance(value, PageStore):
+                        assert [i for i, _ in value.pages() if i < 0] == []
         assert settle(root, user) == []
 
     def test_rename_below_the_root(self, kind):

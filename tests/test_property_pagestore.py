@@ -1,14 +1,22 @@
 """Property-based tests for the page store: byte-level equivalence with
-a flat bytearray oracle under arbitrary read/write interleavings."""
+a flat bytearray oracle under arbitrary read/write interleavings, the
+dirty index against a full scan, the bulk path against a flat model,
+and the run-level entries against the per-page loops they replaced."""
 
+import collections
+import sys
 import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.types import PAGE_SIZE, AccessRights
-from repro.vm.page import PageStore
+from repro.errors import OutOfRangeError
+from repro.fs.sfs import create_sfs
+from repro.storage.block_device import RamDevice
+from repro.types import PAGE_SIZE, AccessRights, page_range
+from repro.vm import page as page_module
+from repro.vm.page import ZERO_PAGE, ZERO_VIEW, CachedPage, PageStore
 from repro.vm.source_cache import SourceCache
 from repro.world import World
 
@@ -337,3 +345,304 @@ def test_failed_run_page_in_leaves_the_store_as_it_was():
     assert [i for i, _ in store.pages()] == [0, 1, 2, 6]
     assert _snapshot(store, {2, 6}) == before
     assert [i for i, _ in store.dirty_pages()] == [2]
+
+
+# --------------------------------------------------------------------------
+# The run-level entries against the per-page loops they replaced
+# --------------------------------------------------------------------------
+class _PerPageStore(PageStore):
+    """The oracle: ``install_run``, ``write``, ``read_bytes`` and
+    ``zero_range`` as the page-by-page loops they were before the store
+    moved runs, kept here verbatim.  Everything else is inherited, so a
+    sequence of operations drives both stores through the same code
+    except for these four."""
+
+    __slots__ = ()
+
+    def install_run(self, first, count, data, rights):
+        view = memoryview(data)
+        pages = self._pages
+        for index in range(first, first + count):
+            position = (index - first) * PAGE_SIZE
+            chunk = view[position : position + PAGE_SIZE]
+            page = pages.get(index)
+            if page is None:
+                buf = bytearray(chunk)
+                if len(buf) < PAGE_SIZE:
+                    buf += ZERO_VIEW[len(buf) :]
+                page = pages[index] = CachedPage(buf, rights)
+                if self.observer is not None:
+                    self.observer.page_installed(index, page)
+            else:
+                page.data[: len(chunk)] = chunk
+                page.data[len(chunk) :] = ZERO_VIEW[len(chunk) :]
+                page.rights = rights
+                self.set_dirty(index, False)
+        return pages.get(first)
+
+    def zero_range(self, offset, size):
+        for index in page_range(offset, size):
+            page = self._pages.get(index)
+            if page is None:
+                self.install(index, b"", AccessRights.READ_ONLY)
+            else:
+                page.data[:] = ZERO_PAGE
+                self.set_dirty(index, False)
+
+    def read_bytes(self, offset, size, fault, access=RO):
+        if size <= 0:
+            return b""
+        index, start = divmod(offset, PAGE_SIZE)
+        if start + size <= PAGE_SIZE:
+            page = self._pages.get(index)
+            if page is None:
+                page = fault(index, access)
+            return memoryview(page.data).toreadonly()[start : start + size]
+        end = offset + size
+        get = self._pages.get
+        buffers = [
+            (get(i) or fault(i, access)).data
+            for i in range(index, (end - 1) // PAGE_SIZE + 1)
+        ]
+        buffers[0] = memoryview(buffers[0])[start:]
+        if end % PAGE_SIZE:
+            buffers[-1] = memoryview(buffers[-1])[: end % PAGE_SIZE]
+        return b"".join(buffers)
+
+    def write(self, offset, data, fault):
+        size = len(data)
+        view = memoryview(data)
+        pages = self._pages
+        mark = self._dirty.add
+        for index in page_range(offset, size):
+            page = pages.get(index)
+            if page is None or page.rights is not RW:
+                page = fault(index, RW)
+            base = index * PAGE_SIZE - offset  # of this page within ``data``
+            if 0 <= base <= size - PAGE_SIZE:
+                page.data[:] = view[base : base + PAGE_SIZE]
+            else:
+                low, high = max(base, 0), min(base + PAGE_SIZE, size)
+                page.data[low - base : high - base] = view[low:high]
+            page.dirty = True
+            mark(index)
+
+
+class _Recorder:
+    """A store observer that logs what it is told, and checks that the
+    page it is handed is the one the store holds (or just held)."""
+
+    def __init__(self) -> None:
+        self.events = []
+        self.store = None
+
+    def page_installed(self, index, page):
+        assert self.store.get(index) is page
+        self.events.append(("installed", index, bytes(page.data), page.rights))
+
+    def page_dropped(self, index, page):
+        assert self.store.get(index) is None
+        self.events.append(("dropped", index, bytes(page.data), page.rights))
+
+
+RUN_PAGES = 10
+byte_offsets = st.integers(0, RUN_PAGES * PAGE_SIZE - 1)
+#: Payload lengths around the page boundaries a run can end on.
+lengths = st.one_of(
+    st.integers(0, 3),
+    st.integers(PAGE_SIZE - 2, PAGE_SIZE + 2),
+    st.integers(0, 6 * PAGE_SIZE),
+    st.sampled_from([2 * PAGE_SIZE, 4 * PAGE_SIZE, 6 * PAGE_SIZE]),
+)
+run_pages = st.integers(0, RUN_PAGES - 1)
+
+run_op = st.one_of(
+    st.tuples(st.just("install_run"), run_pages, st.integers(0, 6), lengths, rights),
+    st.tuples(st.just("install"), run_pages, lengths, rights, st.booleans()),
+    st.tuples(st.just("write"), byte_offsets, lengths, st.frozensets(run_pages)),
+    st.tuples(st.just("read_bytes"), byte_offsets, lengths, rights),
+    st.tuples(st.just("truncate_to"), st.integers(0, RUN_PAGES * PAGE_SIZE)),
+    st.tuples(st.just("zero_range"), byte_offsets, lengths),
+    st.tuples(st.just("downgrade_range"), byte_offsets, lengths),
+    st.tuples(st.just("drop"), run_pages),
+)
+
+
+def _payload(length: int, salt: int) -> bytes:
+    return bytes((salt * 31 + i * 7 + i // PAGE_SIZE) % 251 + 1 for i in range(length))
+
+
+class _Side:
+    """One store under test with its observer log, its fault log and a
+    fault handler that installs a page of pattern — and, for the page
+    indices in ``evicting``, first drops the page before it, as a VMM at
+    capacity would evict to make room."""
+
+    def __init__(self, store_class) -> None:
+        self.recorder = _Recorder()
+        self.store = self.recorder.store = store_class(observer=self.recorder)
+        self.faults = []
+        self.evicting = frozenset()
+
+    def fault(self, index, access):
+        self.faults.append((index, access))
+        if index in self.evicting:
+            self.store.drop(index - 1)
+        return self.store.install(index, _payload(PAGE_SIZE - 5, index), access)
+
+    def apply(self, step: int, name: str, args):
+        store = self.store
+        if name == "install_run":
+            first, count, length, access = args
+            page = store.install_run(first, count, _payload(length, step), access)
+            return None if page is None else bytes(page.data)
+        if name == "install":
+            index, length, access, dirty = args
+            return bytes(store.install(index, _payload(length, step), access, dirty).data)
+        if name == "write":
+            offset, length, self.evicting = args
+            return store.write(offset, _payload(length, step), self.fault)
+        if name == "read_bytes":
+            offset, size, access = args
+            self.evicting = frozenset()
+            got = store.read_bytes(offset, size, self.fault, access)
+            return type(got), bytes(got)
+        if name in ("truncate_to", "drop"):
+            result = getattr(store, name)(args[0])
+            return None if result is None else bytes(result.data)
+        return getattr(store, name)(*args)
+
+    def state(self):
+        """Everything a client of the store can see, plus the identity
+        of every resident page and of its buffer."""
+        store = self.store
+        return (
+            [(i, bytes(p.data), p.rights, p.dirty) for i, p in store.pages()],
+            [i for i, _ in store.dirty_pages()],
+            list(store._pages),  # insertion order: truncate_to drops in it
+            self.recorder.events,
+            self.faults,
+        )
+
+    def identities(self):
+        return {i: (id(p), id(p.data)) for i, p in self.store.pages()}
+
+
+class TestRunEntriesMatchThePerPageLoops:
+    @given(ops=st.lists(run_op, max_size=25))
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes_rights_dirt_observer_calls_and_buffer_reuse(self, ops):
+        """Any sequence of run installs (absent, resident and mixed
+        runs; short, empty and over-long data), unaligned multi-page
+        writes (through faults that evict), spanning reads, zero-fills
+        and truncations leaves the store exactly as the per-page loops
+        would have: same bytes, rights, dirty flags and dirty index,
+        same observer calls and faults in the same order, same results
+        — and the same pages and buffers kept in place."""
+        new, old = _Side(PageStore), _Side(_PerPageStore)
+        for step, (name, *args) in enumerate(ops):
+            before = new.identities(), old.identities()
+            assert new.apply(step, name, args) == old.apply(step, name, args)
+            assert new.state() == old.state()
+            # Whatever survived the step in one store survived in the
+            # other, and as the same page object over the same buffer.
+            kept = [
+                {i for i, ids in side.identities().items() if was.get(i) == ids}
+                for side, was in zip((new, old), before)
+            ]
+            assert kept[0] == kept[1]
+            assert set(new.identities()) - kept[0] == set(old.identities()) - kept[1]
+
+    @given(
+        first=run_pages, count=st.integers(2, 6), length=lengths, access=rights,
+        resident=st.frozensets(st.integers(0, RUN_PAGES + 6)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_install_run_observer_sees_ascending_absent_pages_once(
+        self, first, count, length, access, resident
+    ):
+        side = _Side(PageStore)
+        for index in resident:
+            side.store.install(index, b"r", RO)
+        buffers = {i: p.data for i, p in side.store.pages()}
+        del side.recorder.events[:]
+        side.store.install_run(first, count, _payload(length, 3), access)
+        run = range(first, first + count)
+        assert [(kind, i) for kind, i, _, _ in side.recorder.events] == [
+            ("installed", i) for i in run if i not in resident
+        ]
+        image = _payload(length, 3)[: count * PAGE_SIZE].ljust(count * PAGE_SIZE, b"\0")
+        for at, index in enumerate(run):
+            page = side.store.get(index)
+            assert bytes(page.data) == image[at * PAGE_SIZE : (at + 1) * PAGE_SIZE]
+            assert page.rights is access and not page.dirty
+            if index in resident:
+                assert page.data is buffers[index]  # refreshed in place
+
+
+def test_negative_offsets_are_refused_before_anything_moves():
+    store = PageStore()
+    fault = zero_fault(store)
+    store.write(0, b"x" * 10, fault)
+    before = _snapshot(store, {0})
+    for call, *args in [
+        (store.read_bytes, -1, 10, fault),
+        (store.read, -PAGE_SIZE, 4, fault),
+        (store.write, -5, b"zz", fault),
+        (store.write, -3, b"z" * (PAGE_SIZE + 9), fault),
+        (store.needed_runs, -1, 10),
+    ]:
+        with pytest.raises(OutOfRangeError):
+            call(*args)
+    assert [i for i, _ in store.pages()] == [0]
+    assert _snapshot(store, {0}) == before
+
+
+# --------------------------------------------------------------------------
+# The pin: what the page store costs per page on the bulk path
+# --------------------------------------------------------------------------
+PIN_PAGES = 64
+
+
+def test_bulk_path_spends_no_per_page_bytecodes_in_the_page_store():
+    """Truncate, one 64-page write and one 64-page read of a file on a
+    cached two-domain SFS, bytecodes counted the way ``benchmarks/e2e``
+    counts ``py_instr_per_op`` (``sys.settrace`` + ``f_trace_opcodes``):
+    ``vm/page.py`` may spend at most 30 per page (it spends about 9).
+    The per-page loops spent 134 (61 in ``install_run``, 57 in
+    ``write``, 11 in ``read_bytes``); a ``for`` over the pages in any
+    one of the three costs 25 or more by itself, so this fails as soon
+    as one comes back.
+    The frozen benchmark's ``stream_256k`` is the same path across the
+    wire and is not run by the tier-1 suite."""
+    world = World()
+    node = world.create_node("pin")
+    stack = create_sfs(node, RamDevice(node.nucleus, "ram", 4096))
+    user = world.create_user_domain(node)
+    data = _payload(PIN_PAGES * PAGE_SIZE, 9)
+    spent = collections.Counter()
+
+    def local_trace(frame, event, arg):
+        if event == "opcode":
+            spent[frame.f_code.co_filename] += 1
+        return local_trace
+
+    def global_trace(frame, event, arg):
+        frame.f_trace_opcodes = True
+        frame.f_trace_lines = False
+        return local_trace
+
+    with user.activate():
+        handle = stack.top.create_file("bulk.bin")
+        handle.write(0, data)  # warm: the file exists, its blocks allocated
+        previous = sys.gettrace()
+        sys.settrace(global_trace)
+        try:
+            handle.set_length(0)
+            handle.write(0, data)
+            got = handle.read(0, len(data))
+        finally:
+            sys.settrace(previous)
+    assert got == data
+    in_store = sum(n for name, n in spent.items() if name == page_module.__file__)
+    assert 0 < in_store <= 30 * PIN_PAGES, (in_store / PIN_PAGES, spent.most_common(5))
