@@ -39,7 +39,7 @@ import zlib
 from typing import Dict, Optional
 
 from repro.errors import FsError
-from repro.types import PAGE_SIZE, AccessRights, page_range
+from repro.types import PAGE_SIZE, AccessRights
 from repro.vm.page import PageStore
 
 from repro.fs.attributes import FileAttributes
@@ -251,12 +251,8 @@ class CompFs(BaseLayer):
             payload = state.under_file.read(0, compressed_size)
         plaintext = unpack_compressed(payload)
         self.world.charge.decompress(len(payload))
-        for index in page_range(0, len(plaintext)):
-            state.plain.install(
-                index,
-                plaintext[index * PAGE_SIZE : (index + 1) * PAGE_SIZE],
-                AccessRights.READ_WRITE,
-            )
+        pages = (len(plaintext) + PAGE_SIZE - 1) // PAGE_SIZE
+        state.plain.install_run(0, pages, plaintext, AccessRights.READ_WRITE)
         state.plain_size = len(plaintext)
         state.dirty = False
 

@@ -17,9 +17,14 @@ outlive the pages they were recalled from).
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import io
+from itertools import repeat
+from operator import attrgetter
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
+from repro.errors import OutOfRangeError
 from repro.types import PAGE_SIZE, AccessRights, page_range
 
 #: The interned zero page: every zero-fill in the system slices this
@@ -31,6 +36,14 @@ ZERO_VIEW = memoryview(ZERO_PAGE)
 
 _READ_ONLY = AccessRights.READ_ONLY
 _READ_WRITE = AccessRights.READ_WRITE
+
+_data_of = attrgetter("data")
+
+
+def _each(function, *columns) -> None:
+    """``function(*row)`` for every row of the zipped ``columns``, in
+    order, for its effect — driven from C, not from a ``for``."""
+    collections.deque(map(function, *columns), maxlen=0)
 
 
 @dataclasses.dataclass(slots=True)
@@ -56,12 +69,10 @@ def coalesce_runs(
     Each run is a maximal list of pairs with consecutive indices — the
     unit a coalescing cache manager writes back in one pager call.  Input order is preserved, so runs ascend whenever the input
     does."""
-    runs: List[List[Tuple[int, CachedPage]]] = []
-    for index, page in pairs:
-        if runs and index == runs[-1][-1][0] + 1:
-            runs[-1].append((index, page))
-        else:
-            runs.append([(index, page)])
+    runs, at = [], 0
+    for _, count in index_runs([index for index, _ in pairs]):
+        runs.append(pairs[at : at + count])
+        at += count
     return runs
 
 
@@ -138,6 +149,8 @@ class PageStore:
         pager before the range can be read — the absent ones — or, with
         ``upgrade``, before it can be written: absent *or not writable*.
         Returned as ascending ``(first, count)`` runs."""
+        if offset < 0:
+            raise OutOfRangeError(f"negative offset {offset}")
         pages = self._pages
         wanted = set(page_range(offset, size))
         needed = wanted.difference(pages)
@@ -147,12 +160,6 @@ class PageStore:
                 if pages[index].rights is not _READ_WRITE
             )
         return index_runs(sorted(needed))
-
-    def dirty_runs(self) -> List[List[Tuple[int, CachedPage]]]:
-        """Dirty pages coalesced into contiguous ascending runs — one
-        write-back call per run under a coalescing manager.  A clean (or absent) page between two
-        dirty ones splits the run."""
-        return coalesce_runs(self.dirty_pages())
 
     def resident_bytes(self) -> int:
         return len(self._pages) * PAGE_SIZE
@@ -188,13 +195,27 @@ class PageStore:
         the run, the rest is zeros — pagers return short data at EOF.
         Returns the first page (None for an empty run).
 
+        A run of more than one page, none of them resident, is created
+        in bulk: zero pages, one pass of the buffer into them, one
+        ``dict.update``, then the observer calls in ascending order.
         Replacing a resident page reuses its backing buffer in place (no
         allocation, no observer churn); views of the old contents observe
         the new bytes, per the valid-until-next-mutation contract.
         """
         view = memoryview(data)
         pages = self._pages
-        for index in range(first, first + count):
+        span = range(first, first + count)
+        if count > 1 and pages.keys().isdisjoint(span):
+            # Zero pages, and the buffer read off into them one after
+            # another: short data leaves the rest of the run zero.
+            buffers = list(map(bytearray, repeat(PAGE_SIZE, count)))
+            _each(io.BytesIO(data).readinto, buffers)
+            fresh = list(map(CachedPage, buffers, repeat(rights)))
+            pages.update(zip(span, fresh))
+            if self.observer is not None:
+                _each(self.observer.page_installed, span, fresh)
+            return fresh[0]
+        for index in span:
             position = (index - first) * PAGE_SIZE
             chunk = view[position : position + PAGE_SIZE]
             page = pages.get(index)
@@ -235,13 +256,11 @@ class PageStore:
         """Mark a byte range as zero-filled (paper Appendix A zero_fill).
         Present pages are zeroed in place and marked clean; absent pages
         are installed as clean read-only zeros."""
-        for index in page_range(offset, size):
-            page = self._pages.get(index)
-            if page is None:
-                self.install(index, b"", AccessRights.READ_ONLY)
-            else:
-                page.data[:] = ZERO_PAGE
-                self.set_dirty(index, False)
+        for index in self._tracked_pages(offset, size):
+            self._pages[index].data[:] = ZERO_PAGE
+            self.set_dirty(index, False)
+        for first, count in self.needed_runs(offset, size):
+            self.install_run(first, count, b"", _READ_ONLY)
 
     # --- coherency-action helpers ------------------------------------------
     def collect_modified(self, offset: int, size: int) -> Dict[int, bytes]:
@@ -315,6 +334,8 @@ class PageStore:
         """
         if size <= 0:
             return b""
+        if offset < 0:
+            raise OutOfRangeError(f"negative offset {offset}")
         index, start = divmod(offset, PAGE_SIZE)
         if start + size <= PAGE_SIZE:
             page = self._pages.get(index)
@@ -322,11 +343,12 @@ class PageStore:
                 page = fault(index, access)
             return memoryview(page.data).toreadonly()[start : start + size]
         end = offset + size
-        get = self._pages.get
-        buffers = [
-            (get(i) or fault(i, access)).data
-            for i in range(index, (end - 1) // PAGE_SIZE + 1)
-        ]
+        span = range(index, (end - 1) // PAGE_SIZE + 1)
+        try:
+            held = list(map(self._pages.__getitem__, span))
+        except KeyError:  # a miss: page by page, faulting where needed
+            held = [self._pages.get(i) or fault(i, access) for i in span]
+        buffers = list(map(_data_of, held))
         buffers[0] = memoryview(buffers[0])[start:]
         if end % PAGE_SIZE:
             buffers[-1] = memoryview(buffers[-1])[: end % PAGE_SIZE]
@@ -343,10 +365,7 @@ class PageStore:
         calling ``fault(page_index, access)`` for each missing page.
         The result is an immutable ``bytes`` that never aliases the
         store — the retain-safe counterpart of :meth:`read_bytes`."""
-        data = self.read_bytes(offset, size, fault, access)
-        if type(data) is bytes:
-            return data
-        return bytes(data)
+        return bytes(self.read_bytes(offset, size, fault, access))
 
     def write(
         self,
@@ -361,19 +380,37 @@ class PageStore:
         marked dirty.  Each byte is copied once, out of a view of
         ``data``.
         """
+        if offset < 0:
+            raise OutOfRangeError(f"negative offset {offset}")
         size = len(data)
-        view = memoryview(data)
         pages = self._pages
-        mark = self._dirty.add
-        for index in page_range(offset, size):
-            page = pages.get(index)
-            if page is None or page.rights is not _READ_WRITE:
-                page = fault(index, _READ_WRITE)
-            base = index * PAGE_SIZE - offset  # of this page within ``data``
-            if 0 <= base <= size - PAGE_SIZE:
-                page.data[:] = view[base : base + PAGE_SIZE]
-            else:
-                low, high = max(base, 0), min(base + PAGE_SIZE, size)
-                page.data[low - base : high - base] = view[low:high]
-            page.dirty = True
-            mark(index)
+        index, start = divmod(offset, PAGE_SIZE)
+        if start + size <= PAGE_SIZE:
+            if size:
+                page = pages.get(index)
+                if page is None or page.rights is not _READ_WRITE:
+                    page = fault(index, _READ_WRITE)
+                page.data[start : start + size] = data
+                page.dirty = True
+                self._dirty.add(index)
+            return
+        span = range(index, (offset + size - 1) // PAGE_SIZE + 1)
+        held = list(map(pages.get, span))
+        rights = list(map(getattr, held, repeat("rights"), repeat(None)))
+        if rights.count(_READ_WRITE) < len(held):
+            # A fault may evict: page by page, each written before the
+            # next is faulted.
+            view = memoryview(data)
+            for at in range(-start, size, PAGE_SIZE):
+                low = max(at, 0)
+                self.write(offset + low, view[low : at + PAGE_SIZE], fault)
+            return
+        # Nothing to fault: the data is read off into the page buffers
+        # one after another — the head page from ``start``, whole pages,
+        # what is left into the tail page — and the run marked at once.
+        source = io.BytesIO(data)
+        buffers = list(map(_data_of, held))
+        source.readinto(memoryview(buffers[0])[start:])
+        _each(source.readinto, buffers[1:])
+        _each(setattr, held, repeat("dirty"), repeat(True))
+        self._dirty.update(span)

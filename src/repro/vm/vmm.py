@@ -224,10 +224,7 @@ class Mapping:
     def read_copy(self, offset: int, size: int) -> bytes:
         """Like :meth:`read` but always an immutable ``bytes`` copy —
         the retain-safe variant."""
-        data = self.read(offset, size)
-        if type(data) is bytes:
-            return data
-        return bytes(data)
+        return bytes(self.read(offset, size))
 
     def write(self, offset: int, data: bytes) -> None:
         size = len(data)
@@ -374,11 +371,7 @@ class Vmm(CacheManager):
         each cache :meth:`VmCache.sync`'s ascending page order — the
         run-coalescing rewrite preserves both, so repeated runs charge
         identical virtual time."""
-        return sum(
-            cache.sync()
-            for cache in self._caches_by_rights.values()
-            if not cache.destroyed
-        )
+        return sum(cache.sync() for cache in self.live_caches())
 
     def reclaim(
         self,

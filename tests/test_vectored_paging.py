@@ -63,7 +63,7 @@ class TestDirtyRuns:
         for index in range(3):
             store.install(index, b"", RW)
         store.write(PAGE_SIZE - 50, b"x" * 100, no_fault)  # dirties 0 and 1
-        runs = store.dirty_runs()
+        runs = coalesce_runs(store.dirty_pages())
         assert [[i for i, _ in run] for run in runs] == [[0, 1]]
 
     def test_clean_gap_splits_runs(self):
@@ -73,7 +73,7 @@ class TestDirtyRuns:
         store.write(0, b"a", no_fault)
         store.write(PAGE_SIZE, b"b", no_fault)
         store.write(3 * PAGE_SIZE, b"c", no_fault)  # page 2 stays clean
-        runs = store.dirty_runs()
+        runs = coalesce_runs(store.dirty_pages())
         assert [[i for i, _ in run] for run in runs] == [[0, 1], [3]]
 
     def test_runs_ascend_regardless_of_write_order(self):
@@ -81,7 +81,7 @@ class TestDirtyRuns:
         for index in (7, 2, 3, 8):
             store.install(index, b"", RW)
             store.write(index * PAGE_SIZE, b"d", no_fault)
-        runs = store.dirty_runs()
+        runs = coalesce_runs(store.dirty_pages())
         assert [[i for i, _ in run] for run in runs] == [[2, 3], [7, 8]]
 
     def test_coalesce_runs_empty(self):
@@ -156,7 +156,7 @@ class TestBatchedWriteBackOrder:
             ("sync", 0, 3 * PAGE_SIZE),
             ("sync", 5 * PAGE_SIZE, 2 * PAGE_SIZE),
         ]
-        assert cache.store.dirty_runs() == []
+        assert cache.store.dirty_pages() == []
 
     def test_unbatched_sync_same_ascending_order(self, node):
         """Satellite (f): write-back order is deterministic and identical
