@@ -25,7 +25,9 @@ class FileAttributes:
     nlink: int = 1
 
     def copy(self) -> "FileAttributes":
-        return dataclasses.replace(self)
+        return FileAttributes(
+            self.size, self.atime_us, self.mtime_us, self.ctime_us, self.ftype, self.nlink
+        )
 
     @classmethod
     def from_inode(cls, inode: Inode) -> "FileAttributes":

@@ -15,7 +15,6 @@ stack raised becomes the ``UnixError`` that :data:`ERRNO` names.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 from typing import Dict, List
 
@@ -72,6 +71,29 @@ class OpenFile:
         return (self.flags & 0o3) in (O_WRONLY, O_RDWR)
 
 
+class _ClientCall:
+    """Run the enclosed call on behalf of the client domain (what
+    ``Domain.activate`` does); a Spring error it raises leaves as the
+    ``UnixError`` of :data:`ERRNO`.  A plain context manager: this is
+    entered once per POSIX call."""
+
+    __slots__ = ("domain", "path")
+
+    def __init__(self, domain: Domain, path: str) -> None:
+        self.domain = domain
+        self.path = path
+
+    def __enter__(self) -> None:
+        invocation.push_domain(self.domain)
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        invocation.pop_domain()
+        if isinstance(exc, errors.SpringError):
+            for cls in exc_type.__mro__:
+                if cls in ERRNO:
+                    raise UnixError(ERRNO[cls], self.path or str(exc)) from exc
+
+
 class Posix:
     """One process's UNIX-like view of a file system tree."""
 
@@ -81,21 +103,8 @@ class Posix:
         self._fds: Dict[int, OpenFile] = {}
         self._next_fd = 3  # leave 0-2 for the traditional trio
 
-    @contextlib.contextmanager
-    def _client(self, path: str = ""):
-        """Run the enclosed call on behalf of the client domain (what
-        ``Domain.activate`` does); a Spring error it raises leaves as
-        the ``UnixError`` of :data:`ERRNO`."""
-        invocation.push_domain(self.domain)
-        try:
-            yield
-        except errors.SpringError as exc:
-            for cls in type(exc).__mro__:
-                if cls in ERRNO:
-                    raise UnixError(ERRNO[cls], path or str(exc)) from exc
-            raise
-        finally:
-            invocation.pop_domain()
+    def _client(self, path: str = "") -> "_ClientCall":
+        return _ClientCall(self.domain, path)
 
     # ------------------------------------------------------------ resolution
     def _context(self, path: str) -> NamingContext:
