@@ -26,7 +26,7 @@ fstat      trap 25 + attribute copy 3                    =  28
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List
+from typing import Dict
 
 from repro.errors import UnixError
 from repro.storage.block_device import BlockDevice

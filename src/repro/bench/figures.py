@@ -8,14 +8,11 @@ benchmark prints and the integration tests assert on.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
-from repro.fs.cfs import start_cfs
-from repro.fs.coherency import CoherencyLayer
 from repro.fs.compfs import CompFs, pack_compressed
 from repro.fs.dfs import DfsLayer, export_dfs, mount_remote
-from repro.fs.disk_layer import DiskLayer
-from repro.fs.fs_interfaces import Fs, StackableFs, StackableFsCreator
+from repro.fs.fs_interfaces import Fs
 from repro.fs.mirrorfs import MirrorFs
 from repro.fs.sfs import create_sfs
 from repro.fs.stack import describe_stack, domains_of, stack_depth
@@ -27,8 +24,6 @@ from repro.types import PAGE_SIZE, AccessRights
 from repro.vm.cache_object import CacheObject, FsCache
 from repro.vm.memory_object import MemoryObject
 from repro.vm.pager_object import FsPager, PagerObject
-
-from repro.fs.file import File
 
 
 def fig01_node_structure() -> Dict[str, object]:

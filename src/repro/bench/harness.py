@@ -10,7 +10,7 @@ shape makes the harness output line up with the paper's tables.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from repro.sim.clock import StopWatch
 from repro.world import World

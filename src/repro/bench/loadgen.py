@@ -26,7 +26,7 @@ the last microsecond.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.fs.dfs import export_dfs, mount_remote
 from repro.fs.nullfs import NullFs

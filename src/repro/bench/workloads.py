@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Tuple
-
-from repro.types import PAGE_SIZE
+from typing import List
 
 
 def compressible_bytes(size: int, seed: int = 0, ratio_hint: float = 0.25) -> bytes:
@@ -47,24 +45,3 @@ def file_names(count: int, prefix: str = "f", seed: int = 0) -> List[str]:
         f"{prefix}{i:04d}.{rng.choice(suffixes)}"
         for i in range(count)
     ]
-
-
-def sequential_ranges(
-    file_size: int, io_size: int = PAGE_SIZE
-) -> Iterator[Tuple[int, int]]:
-    """(offset, size) pairs sweeping a file front to back."""
-    offset = 0
-    while offset < file_size:
-        yield offset, min(io_size, file_size - offset)
-        offset += io_size
-
-
-def random_ranges(
-    file_size: int, count: int, io_size: int = PAGE_SIZE, seed: int = 0
-) -> Iterator[Tuple[int, int]]:
-    """``count`` random page-aligned (offset, size) pairs."""
-    rng = random.Random(seed)
-    pages = max(1, file_size // io_size)
-    for _ in range(count):
-        page = rng.randrange(pages)
-        yield page * io_size, io_size

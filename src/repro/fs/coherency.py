@@ -31,7 +31,7 @@ face, the bind plumbing, and the fan-out helpers.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from typing import Dict, Optional
 
 from repro.errors import FsError, StaleFileError
 from repro.ipc.narrow import narrow

@@ -15,7 +15,7 @@ sequence of the paper's sec. 4.5 walkthrough.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import FsError, NameNotFoundError
 from repro.ipc.domain import Credentials

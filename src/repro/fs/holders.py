@@ -15,7 +15,7 @@ maintains coherency: the coherency layer, DFS, and the monolithic SFS.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.types import PAGE_SIZE, AccessRights, page_range
 from repro.vm.channel import Channel

@@ -18,7 +18,7 @@ Two mechanisms from the paper:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.errors import PermissionDeniedError, ReadOnlyError
 from repro.ipc.interpose import InterposerBase

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-from typing import Deque, Dict, Iterator, List, Optional
+from typing import Deque, Dict, List, Optional
 
 
 @dataclasses.dataclass

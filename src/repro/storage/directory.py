@@ -15,7 +15,7 @@ simplicity is the right trade.
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from repro.errors import StorageError
 

@@ -12,11 +12,10 @@ exactly this by forwarding local binds to the underlying SFS file.
 from __future__ import annotations
 
 import abc
-from typing import Tuple
 
 from repro.ipc.object import SpringObject
 from repro.types import AccessRights
-from repro.vm.channel import BindResult, CacheRights, Channel
+from repro.vm.channel import BindResult, Channel
 from repro.vm.pager_object import PagerObject
 
 

@@ -17,10 +17,7 @@ from repro.bench.workloads import (
     file_names,
     incompressible_bytes,
     pattern_bytes,
-    random_ranges,
-    sequential_ranges,
 )
-from repro.types import PAGE_SIZE
 from repro.world import World
 
 
@@ -106,16 +103,18 @@ class TestWorkloads:
         names = file_names(100)
         assert len(set(names)) == 100
 
-    def test_sequential_ranges_cover_file(self):
-        ranges = list(sequential_ranges(3 * PAGE_SIZE + 100))
-        assert sum(size for _, size in ranges) == 3 * PAGE_SIZE + 100
-        assert ranges[0] == (0, PAGE_SIZE)
-        assert ranges[-1][1] == 100
 
-    def test_random_ranges_aligned_and_bounded(self):
-        for offset, size in random_ranges(10 * PAGE_SIZE, 50, seed=2):
-            assert offset % PAGE_SIZE == 0
-            assert offset + size <= 10 * PAGE_SIZE
+class TestUnusedImportScan:
+    def test_the_tree_is_clean_and_a_dead_import_is_found(self, capsys):
+        from benchmarks.check_unused_imports import main, unused_imports
+
+        assert main([]) == 0
+        source = (
+            "import os\nimport sys\nfrom typing import Dict, List\n"
+            "def f(x: 'List') -> None:\n    return sys.argv\n"
+        )
+        assert unused_imports(source) == [(1, "os"), (3, "Dict")]
+        assert "never used" not in capsys.readouterr().out
 
 
 class TestCounters:
