@@ -260,8 +260,7 @@ class CompFs(BaseLayer):
         assert state.plain_size is not None
         if state.plain_size == 0:
             return b""
-        data = state.plain.read(0, state.plain_size, self._zero_fault(state))
-        return data
+        return state.plain.read(0, state.plain_size, self._zero_fault(state))
 
     @staticmethod
     def _zero_fault(state: CompFileState):

@@ -103,7 +103,7 @@ class Posix:
         self._fds: Dict[int, OpenFile] = {}
         self._next_fd = 3  # leave 0-2 for the traditional trio
 
-    def _client(self, path: str = "") -> "_ClientCall":
+    def _client(self, path: str = "") -> _ClientCall:
         return _ClientCall(self.domain, path)
 
     # ------------------------------------------------------------ resolution

@@ -69,10 +69,12 @@ def coalesce_runs(
     Each run is a maximal list of pairs with consecutive indices — the
     unit a coalescing cache manager writes back in one pager call.  Input order is preserved, so runs ascend whenever the input
     does."""
-    runs, at = [], 0
-    for _, count in index_runs([index for index, _ in pairs]):
-        runs.append(pairs[at : at + count])
-        at += count
+    runs: List[List[Tuple[int, CachedPage]]] = []
+    for index, page in pairs:
+        if runs and index == runs[-1][-1][0] + 1:
+            runs[-1].append((index, page))
+        else:
+            runs.append([(index, page)])
     return runs
 
 
@@ -202,7 +204,6 @@ class PageStore:
         allocation, no observer churn); views of the old contents observe
         the new bytes, per the valid-until-next-mutation contract.
         """
-        view = memoryview(data)
         pages = self._pages
         span = range(first, first + count)
         if count > 1 and pages.keys().isdisjoint(span):
@@ -215,6 +216,7 @@ class PageStore:
             if self.observer is not None:
                 _each(self.observer.page_installed, span, fresh)
             return fresh[0]
+        view = memoryview(data)
         for index in span:
             position = (index - first) * PAGE_SIZE
             chunk = view[position : position + PAGE_SIZE]
@@ -377,8 +379,9 @@ class PageStore:
 
         Every touched page must be writable: missing pages and read-only
         pages are (re)faulted with READ_WRITE via ``fault``; pages are
-        marked dirty.  Each byte is copied once, out of a view of
-        ``data``.
+        marked dirty.  Each byte is copied once, straight out of
+        ``data``: a one-page write is one slice assignment, a longer one
+        over resident writable pages is read off into their buffers.
         """
         if offset < 0:
             raise OutOfRangeError(f"negative offset {offset}")
