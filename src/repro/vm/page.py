@@ -336,13 +336,16 @@ class PageStore:
         """
         if size <= 0:
             return b""
+        index, start = divmod(offset, PAGE_SIZE)
+        page = self._pages.get(index)
+        if page is not None and start + size <= PAGE_SIZE:
+            return memoryview(page.data).toreadonly()[start : start + size]
+        # Not a one-page hit.  No page below zero is ever resident, so
+        # the hit above never had to ask.
         if offset < 0:
             raise OutOfRangeError(f"negative offset {offset}")
-        index, start = divmod(offset, PAGE_SIZE)
         if start + size <= PAGE_SIZE:
-            page = self._pages.get(index)
-            if page is None:
-                page = fault(index, access)
+            page = fault(index, access)
             return memoryview(page.data).toreadonly()[start : start + size]
         end = offset + size
         span = range(index, (end - 1) // PAGE_SIZE + 1)
