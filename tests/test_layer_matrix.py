@@ -9,6 +9,7 @@ import contextlib
 import pytest
 
 from repro.bench.workloads import pattern_bytes
+from repro.dfs.cluster import create_sharded_dfs
 from repro.errors import InvalidNameError, OutOfRangeError, UnixError
 from repro.fs.coherency import CoherencyLayer
 from repro.fs.file import File
@@ -26,7 +27,7 @@ from repro.ipc.narrow import narrow
 from repro.ipc.transport import ServerThread, SocketTransport
 from repro.naming.context import NamingContext
 from repro.storage.block_device import RamDevice
-from repro.types import PAGE_SIZE
+from repro.types import PAGE_SIZE, AccessRights
 from repro.serve import FileService
 from repro.unix import O_CREAT, O_RDONLY, O_RDWR, Posix
 from repro.vm.page import PageStore
@@ -50,6 +51,12 @@ def _stack(kind: str):
 
     if kind == "sfs":
         return sfs.top, user
+    if kind == "sfs-uncached":
+        node3 = world.create_node("uncached-node")
+        uncached = create_sfs(
+            node3, RamDevice(node3.nucleus, "ram", 16384), cache=False
+        )
+        return uncached.top, world.create_user_domain(node3)
     if kind == "mono":
         node2 = world.create_node("mono-node")
         mono = create_sfs(
@@ -80,6 +87,9 @@ def _stack(kind: str):
         with cu.activate():
             root = client.fs_context.resolve("dfs@server".replace("server", node.name))
         return root, cu
+    if kind == "sharded":
+        cluster = create_sharded_dfs(world)
+        return cluster.layer, world.create_user_domain(cluster.client)
     raise ValueError(kind)
 
 
@@ -380,6 +390,24 @@ class TestSameWorkloadEverywhere:
                         assert [i for i, _ in value.pages() if i < 0] == []
         assert settle(root, user) == []
 
+    def test_a_refused_write_leaves_the_length_unchanged(self, kind, request):
+        """A write the stack refuses changes nothing — not the bytes and
+        not the length, even when the refused range ends past EOF."""
+        if kind == "cryptfs":
+            request.applymarker(pytest.mark.xfail(strict=True, reason=(
+                "CryptFs.file_write grows the file (_extend) before "
+                "anything looks at the offset (ROADMAP item 2)"
+            )))
+        root, user = _stack(kind)
+        with user.activate():
+            handle = root.create_file("f")
+            handle.write(0, b"x" * 100)
+            with pytest.raises(OutOfRangeError):
+                handle.write(-2, b"y" * 200)
+            assert handle.get_length() == 100
+            assert handle.read(0, 300) == b"x" * 100
+        assert settle(root, user) == []
+
     def test_rename_below_the_root(self, kind):
         if kind == "mirrorfs":
             pytest.skip("mirrorfs has no rename")
@@ -452,6 +480,251 @@ class TestSameWorkloadEverywhere:
             posix.open("absent.bin", O_RDONLY)
         assert missing.value.code == "ENOENT"
         check_whole()
+
+
+#: The stacks a VMM pages through: the eight kinds, the SFS with its
+#: coherency layer not caching, and the sharded DFS.
+PAGING_KINDS = KINDS + ["sfs-uncached", "sharded"]
+
+#: The data operations of the pager side of a channel, as the spine
+#: counts them (``<layer>.<op>``).
+_DATA_OPS = ("page_in", "page_in_range", "page_out", "write_out", "sync")
+
+
+def _channel_census(root, before, transfers):
+    """What the stack under ``root`` did since ``before`` (a counter
+    snapshot) and ``transfers`` (``_device_transfers`` then): every
+    layer's count of each pager-side data operation, and the device
+    reads and writes underneath."""
+    layers = stack_layers(root)
+    delta = layers[0].world.counters.delta_since(before)
+    census = {
+        f"{fs}.{op}": delta[f"{fs}.{op}"]
+        for fs in sorted({layer.fs_type() for layer in layers})
+        for op in _DATA_OPS
+        if f"{fs}.{op}" in delta
+    }
+    for key in ("shard.reads", "shard.quorum_writes"):  # the sharded layer's sink
+        if key in delta:
+            census[key] = delta[key]
+    reads, writes = _device_transfers(root)
+    census["device.reads"] = reads - transfers[0]
+    census["device.writes"] = writes - transfers[1]
+    return census
+
+
+def _device_transfers(root):
+    devices = [
+        layer.device for layer in stack_layers(root) if hasattr(layer, "device")
+    ]
+    return sum(d.reads for d in devices), sum(d.writes for d in devices)
+
+
+#: A cold 16-page file scanned page by page through a mapping, VMM
+#: read-ahead window 4: who saw a fault, who saw a window, and how many
+#: transfers the device made.  Recorded at 433fecd.
+MAPPED_SCAN = {
+    "sfs": {
+        "coherency.page_in": 1, "coherency.page_in_range": 3,
+        "disk.page_in": 4, "device.reads": 7, "device.writes": 0,
+    },
+    "mono": {
+        "mono-sfs.page_in": 1, "mono-sfs.page_in_range": 15,
+        "device.reads": 18, "device.writes": 0,
+    },
+    "nullfs": {
+        "coherency.page_in": 1, "coherency.page_in_range": 3,
+        "disk.page_in": 4, "device.reads": 7, "device.writes": 0,
+    },
+    "compfs": {
+        "coherency.page_in_range": 1, "compfs.page_in": 1,
+        "compfs.page_in_range": 3, "disk.page_in": 1, "device.reads": 2,
+        "device.writes": 0,
+    },
+    "cryptfs": {
+        "coherency.page_in": 4, "cryptfs.page_in": 1,
+        "cryptfs.page_in_range": 3, "disk.page_in": 4, "device.reads": 7,
+        "device.writes": 0,
+    },
+    "quotafs": {
+        "coherency.page_in": 1, "coherency.page_in_range": 3,
+        "disk.page_in": 4, "device.reads": 7, "device.writes": 0,
+    },
+    "mirrorfs": {
+        "coherency.page_in": 1, "coherency.page_in_range": 3,
+        "disk.page_in": 4, "device.reads": 8, "device.writes": 0,
+    },
+    "dfs-remote": {
+        "coherency.page_in": 1, "coherency.page_in_range": 3, "dfs.page_in": 1,
+        "dfs.page_in_range": 3, "disk.page_in": 4, "device.reads": 7,
+        "device.writes": 0,
+    },
+    "sfs-uncached": {
+        "coherency.page_in": 1, "coherency.page_in_range": 3,
+        "disk.page_in": 1, "disk.page_in_range": 3, "device.reads": 7,
+        "device.writes": 0,
+    },
+    "sharded": {
+        "shardfs.page_in": 1, "shardfs.page_in_range": 3, "shard.reads": 4,
+        "device.reads": 1, "device.writes": 0,
+    },
+}
+
+
+@pytest.mark.parametrize("kind", PAGING_KINDS)
+def test_mapped_scan_with_readahead(kind):
+    """A read-ahead window asked for by the VMM reaches — or stops at —
+    the same layers with the same calls on every stack, and the bytes
+    are the file's."""
+    root, user = _stack(kind)
+    payload = pattern_bytes(16 * PAGE_SIZE, tag=5)
+    with user.activate():
+        root.create_file("scan.bin").write(0, payload)
+    _go_cold(root, user)
+    vmm = user.node.vmm
+    vmm.readahead_pages = 4
+    before = root.world.counters.snapshot()
+    transfers = _device_transfers(root)
+    with user.activate():
+        mapping = vmm.create_address_space("scan").map(
+            root.resolve("scan.bin"), AccessRights.READ_ONLY
+        )
+        got = b"".join(
+            mapping.read_copy(page * PAGE_SIZE, PAGE_SIZE) for page in range(16)
+        )
+    assert got == payload
+    assert _channel_census(root, before, transfers) == MAPPED_SCAN[kind]
+
+
+#: Five pages stored through a writable mapping and ``sync``-ed, three
+#: of them stored again and ``flush``-ed (``page_out``), then the file
+#: ``sync``-ed to the device — by ``vmm.batch_pageout``.  Recorded at
+#: 433fecd.
+MAPPED_WRITE = {
+    ("sfs", False): {
+        "coherency.page_in": 5, "coherency.page_out": 3, "coherency.sync": 5,
+        "disk.page_in": 5, "disk.sync": 5, "device.reads": 6,
+        "device.writes": 5,
+    },
+    ("sfs", True): {
+        "coherency.page_in": 5, "coherency.page_out": 1, "coherency.sync": 1,
+        "disk.page_in": 5, "disk.sync": 5, "device.reads": 6,
+        "device.writes": 5,
+    },
+    ("mono", False): {
+        "mono-sfs.page_in": 5, "mono-sfs.page_out": 3, "mono-sfs.sync": 5,
+        "device.reads": 6, "device.writes": 6,
+    },
+    ("mono", True): {
+        "mono-sfs.page_in": 5, "mono-sfs.page_out": 1, "mono-sfs.sync": 1,
+        "device.reads": 6, "device.writes": 6,
+    },
+    ("nullfs", False): {
+        "coherency.page_in": 5, "coherency.page_out": 3, "coherency.sync": 5,
+        "disk.page_in": 5, "disk.sync": 5, "device.reads": 6,
+        "device.writes": 5,
+    },
+    ("nullfs", True): {
+        "coherency.page_in": 5, "coherency.page_out": 1, "coherency.sync": 1,
+        "disk.page_in": 5, "disk.sync": 5, "device.reads": 6,
+        "device.writes": 5,
+    },
+    ("compfs", False): {
+        "coherency.page_in_range": 1, "compfs.page_in": 5,
+        "compfs.page_out": 3, "compfs.sync": 5, "disk.page_in": 2,
+        "disk.sync": 1, "device.reads": 5, "device.writes": 2,
+    },
+    ("compfs", True): {
+        "coherency.page_in_range": 1, "compfs.page_in": 5,
+        "compfs.page_out": 1, "compfs.sync": 1, "disk.page_in": 2,
+        "disk.sync": 1, "device.reads": 4, "device.writes": 1,
+    },
+    ("cryptfs", False): {
+        "coherency.page_in": 5, "coherency.sync": 8, "cryptfs.page_in": 5,
+        "cryptfs.page_out": 3, "cryptfs.sync": 5, "disk.page_in": 5,
+        "disk.sync": 5, "device.reads": 6, "device.writes": 5,
+    },
+    ("cryptfs", True): {
+        "coherency.page_in": 5, "coherency.sync": 2, "cryptfs.page_in": 5,
+        "cryptfs.page_out": 1, "cryptfs.sync": 1, "disk.page_in": 5,
+        "disk.sync": 5, "device.reads": 6, "device.writes": 5,
+    },
+    ("quotafs", False): {
+        "coherency.page_in": 5, "coherency.page_out": 3, "coherency.sync": 5,
+        "disk.page_in": 5, "disk.sync": 5, "device.reads": 6,
+        "device.writes": 5,
+    },
+    ("quotafs", True): {
+        "coherency.page_in": 5, "coherency.page_out": 1, "coherency.sync": 1,
+        "disk.page_in": 5, "disk.sync": 5, "device.reads": 6,
+        "device.writes": 5,
+    },
+    ("dfs-remote", False): {
+        "coherency.page_in": 5, "coherency.page_out": 8, "dfs.page_in": 5,
+        "dfs.page_out": 3, "dfs.sync": 5, "disk.page_in": 5, "disk.sync": 5,
+        "device.reads": 6, "device.writes": 5,
+    },
+    ("dfs-remote", True): {
+        "coherency.page_in": 5, "coherency.page_out": 2, "dfs.page_in": 5,
+        "dfs.page_out": 1, "dfs.sync": 1, "disk.page_in": 5, "disk.sync": 5,
+        "device.reads": 6, "device.writes": 5,
+    },
+    ("sfs-uncached", False): {
+        "coherency.page_in": 5, "coherency.page_out": 3, "coherency.sync": 5,
+        "disk.page_in": 5, "disk.page_out": 8, "device.reads": 6,
+        "device.writes": 9,
+    },
+    ("sfs-uncached", True): {
+        "coherency.page_in": 5, "coherency.page_out": 1, "coherency.sync": 1,
+        "disk.page_in": 5, "disk.page_out": 8, "device.reads": 6,
+        "device.writes": 9,
+    },
+    ("sharded", False): {
+        "shardfs.page_in": 5, "shardfs.page_out": 3, "shardfs.sync": 5,
+        "shard.reads": 5, "shard.quorum_writes": 8, "device.reads": 1,
+        "device.writes": 0,
+    },
+    ("sharded", True): {
+        "shardfs.page_in": 5, "shardfs.page_out": 1, "shardfs.sync": 1,
+        "shard.reads": 5, "shard.quorum_writes": 2, "device.reads": 1,
+        "device.writes": 0,
+    },
+}
+
+
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("kind", PAGING_KINDS)
+def test_mapped_write_back(kind, batch):
+    """Dirty pages written back by the VMM — page by page or a run at a
+    time, retained or not — go down every stack by the same calls, and
+    a cold read finds them."""
+    if kind == "mirrorfs":
+        pytest.skip("mirrorfs refuses the writable bind a mapping needs")
+    root, user = _stack(kind)
+    model = bytearray(5 * PAGE_SIZE)
+    with user.activate():
+        root.create_file("dirty.bin").write(0, bytes(model))
+    _go_cold(root, user)
+    vmm = user.node.vmm
+    vmm.batch_pageout = batch
+    before = root.world.counters.snapshot()
+    transfers = _device_transfers(root)
+    with user.activate():
+        handle = root.resolve("dirty.bin")
+        mapping = vmm.create_address_space("dirty").map(
+            handle, AccessRights.READ_WRITE
+        )
+        model[:] = pattern_bytes(5 * PAGE_SIZE, tag=6)
+        mapping.write(0, bytes(model))
+        assert mapping.cache.sync() == 5
+        model[PAGE_SIZE : 4 * PAGE_SIZE] = pattern_bytes(3 * PAGE_SIZE, tag=7)
+        mapping.write(PAGE_SIZE, bytes(model[PAGE_SIZE : 4 * PAGE_SIZE]))
+        assert mapping.cache.flush() == 3
+        handle.sync()
+    assert _channel_census(root, before, transfers) == MAPPED_WRITE[kind, batch]
+    _go_cold(root, user)
+    with user.activate():
+        assert root.resolve("dirty.bin").read(0, 6 * PAGE_SIZE) == bytes(model)
 
 
 @contextlib.contextmanager
