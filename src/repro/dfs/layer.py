@@ -2,9 +2,10 @@
 
 Sits on the ChannelOps spine like every other layer, but instead of
 forwarding page traffic to the layer below it *fans out* to the
-datanodes: ``page_out`` becomes quorum writes striped block-by-block
-across replicas, ``page_in``/``page_in_range`` become located reads
-with per-replica failover.  The layer it stacks on is the
+datanodes: a written-back run (``push_run``, where the spine's
+``page_out`` ends) becomes quorum writes striped block-by-block across
+replicas, a ``page_in`` — of a page, a run or a read-ahead window —
+becomes located reads with per-replica failover.  The layer it stacks on is the
 *metadata* file system (an SFS on the namenode's machine): the file's
 namespace entry, attributes, and length live there; its data does not —
 the Lustre MDS/OST split on the Spring stacking architecture.
@@ -86,29 +87,6 @@ class ShardedOps(RecoveringOps):
         self.admit(state, pager_object, offset, size, access)
         return self.layer.shard_read(state, offset, size)
 
-    def page_in_range(
-        self, source_key, pager_object, offset, min_size, max_size, access
-    ):
-        state = self.state(source_key)
-        size = self.clamp_window(state, offset, min_size, max_size)
-        if size == 0:
-            return b""
-        self.admit(state, pager_object, offset, size, access)
-        return self.layer.shard_read(state, offset, size)
-
-    def page_out(self, source_key, pager_object, offset, size, data, retain):
-        state = self.state(source_key)
-        with self.region():
-            self.writeback_bookkeeping(
-                state, self.requester(source_key, pager_object), offset, size, retain
-            )
-        # Page-granular flushes never grow the file: the VMM writes back
-        # whole pages, so an unaligned file would get its length rounded
-        # up to the page boundary (and serve trailing zeros as content).
-        # Length grows only on the byte-precise file_write/set_length
-        # paths — same contract as the base ChannelOps.page_out.
-        self.layer.shard_write(state, offset, data)
-
 
 class ShardedDfsLayer(RecoveringLayer):
     """The striping/replication layer; see module docstring."""
@@ -166,10 +144,13 @@ class ShardedDfsLayer(RecoveringLayer):
 
     # ------------------------------------------------------ recovered pages
     def push_run(self, state, offset: int, chunks: list) -> None:
-        """Dirty pages recalled from upstream holders go to the shards
-        (the base class would push them down the metadata channel).
-        Like page_out: recalled dirty pages are whole pages and must not
-        grow an unaligned file's length."""
+        """A run of dirty pages — written back by a client or recalled
+        from upstream holders — goes to the shards (the base class would
+        push it down the metadata channel).  Page-granular flushes never
+        grow the file: the VMM writes back whole pages, so an unaligned
+        file would get its length rounded up to the page boundary (and
+        serve trailing zeros as content).  Length grows only on the
+        byte-precise file_write/set_length paths."""
         self.shard_write(state, offset, b"".join(chunks))
 
     def note_written(self, state, end: int) -> None:

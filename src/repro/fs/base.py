@@ -213,10 +213,12 @@ class ChannelOps:
     coherency layer) override the ops they change and keep the rest.
     Two conveniences keep those overrides small:
 
-    * a layer that overrides :meth:`page_in` receives ranged page-ins
-      through the same override unless it also overrides
-      :meth:`page_in_range`, and :meth:`page_out` carries one page or a
-      whole run — so a transform layer writes one decode and one encode;
+    * a layer that overrides :meth:`page_in` receives a ranged page-in
+      through the same override — the window, clamped to the file
+      (:meth:`data_length`), as its size — and :meth:`page_out` is
+      holder bookkeeping followed by the layer's own
+      :meth:`BaseLayer.merge_recovered`, one page or a whole run — so a
+      transform layer writes one decode and one encode;
     * the cache-side defaults no-op gracefully when the layer keeps no
       holder table (``state.holders is None``).
     """
@@ -305,26 +307,31 @@ class ChannelOps:
     def page_in_range(
         self, source_key, pager_object, offset, min_size, max_size, access
     ) -> bytes:
-        if type(self).page_in is not ChannelOps.page_in:
-            # The layer transforms page-ins; serve the minimum through
-            # its override rather than forwarding a range it never sees.
-            return self.page_in(source_key, pager_object, offset, min_size, access)
         state = self.state(source_key)
         size = self.clamp_window(state, offset, min_size, max_size)
         if size == 0:
             return b""
+        if type(self).page_in is not ChannelOps.page_in:
+            # The layer transforms or caches page-ins: the window is
+            # served like any other size, through its override, rather
+            # than forwarded as a range the layer never sees.
+            return self.page_in(source_key, pager_object, offset, size, access)
         self.admit(state, pager_object, offset, size, access)
         return self.down(state).page_in_range(offset, min_size, size, access)
 
     def page_out(self, source_key, pager_object, offset, size, data, retain) -> None:
         state = self.state(source_key)
+        # A sync registers the client as writer of these blocks (flushing
+        # any other holder first); the incoming data supersedes what
+        # they held, so it is merged last.
         with self.region():
             self.writeback_bookkeeping(
                 state, self.requester(source_key, pager_object), offset, size, retain
             )
-        # One call below whatever the size, so a run stays a run down to
-        # the disk layer.
-        self.down(state).page_out(offset, size, data)
+        # A layer with no cache sends a run below as one call, so a run
+        # stays a run down to the disk layer; a caching layer installs
+        # it or writes it through.
+        self.merge_recovered(state, split_pages(offset, size, data))
 
     def attr_page_in(self, source_key, pager_object) -> FileAttributes:
         return self.state(source_key).under_file.get_attributes()

@@ -123,9 +123,12 @@ class CoherencyOps(ChannelOps):
     def page_in_range(
         self, source_key, pager_object, offset, min_size, max_size, access
     ) -> bytes:
-        """Serve a ranged page-in from the cache (clamped to the file),
-        so an upstream reader with read-ahead enabled gets its window in
-        one call — and this layer prefetches below with clustering."""
+        """The spine's default with the layer's own switch in place of
+        "does this layer override ``page_in``": caching, the window is
+        served out of the cache like any other size (and prefetched
+        below by the run); not caching, it is forwarded as a window —
+        one ``page_in_range`` below, not one ``page_in`` of the window,
+        which is what the default would make of it."""
         state = self.state(source_key)
         size = self.clamp_window(state, offset, min_size, max_size)
         if size == 0:
@@ -133,20 +136,7 @@ class CoherencyOps(ChannelOps):
         if self.layer.cache_enabled:
             return self.page_in(source_key, pager_object, offset, size, access)
         self.admit(state, pager_object, offset, size, access)
-        # Not caching (what was recalled went straight down): still
-        # forward the window so clustering below survives this layer
-        # instead of collapsing to the minimum.
         return self.down(state).page_in_range(offset, min_size, size, access)
-
-    def page_out(self, source_key, pager_object, offset, size, data, retain) -> None:
-        state = self.state(source_key)
-        # A sync registers the client as writer of these blocks (flushing
-        # any other holder first); the incoming data supersedes what
-        # they held, so it is merged last.
-        self.writeback_bookkeeping(
-            state, self.requester(source_key, pager_object), offset, size, retain
-        )
-        self.merge_recovered(state, split_pages(offset, size, data))
 
     def attr_page_in(self, source_key, pager_object) -> FileAttributes:
         return self.layer._current_attrs(self.state(source_key)).copy()

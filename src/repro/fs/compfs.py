@@ -134,17 +134,6 @@ class CompOps(ChannelOps):
         size = min(size, plain_size - offset)
         return state.plain.read(offset, size, self.layer._zero_fault(state))
 
-    def page_in_range(
-        self, source_key, pager_object, offset, min_size, max_size, access
-    ) -> bytes:
-        """COMPFS holds the whole plaintext once loaded, so serving a
-        read-ahead window up to ``max_size`` costs nothing extra — the
-        hint survives to upstream caches instead of dying here."""
-        size = self.clamp_window(self.state(source_key), offset, min_size, max_size)
-        if size == 0:
-            return b""
-        return self.page_in(source_key, pager_object, offset, size, access)
-
     def page_out(self, source_key, pager_object, offset, size, data, retain) -> None:
         layer = self.layer
         state = self.state(source_key)

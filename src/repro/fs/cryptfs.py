@@ -37,7 +37,6 @@ from repro.fs.base import (
     LayerDirectory,
     LayerFile,
     LayerFileState,
-    split_pages,
 )
 from repro.fs.file import File
 
@@ -150,25 +149,6 @@ class CryptOps(ChannelOps):
         self.admit(state, pager_object, offset, size, access)
         state.cache.prefetch(offset, size, access)
         return state.plain.read(offset, size, state.cache.fault, access)
-
-    def page_in_range(
-        self, source_key, pager_object, offset, min_size, max_size, access
-    ) -> bytes:
-        """Ranged page-in: the window (clamped to the file) served like
-        any other size — the missing ciphertext fetched run by run and
-        decrypted per block — so an upstream read-ahead hint survives
-        the encryption layer instead of collapsing to one page."""
-        size = self.clamp_window(self.state(source_key), offset, min_size, max_size)
-        if size == 0:
-            return b""
-        return self.page_in(source_key, pager_object, offset, size, access)
-
-    def page_out(self, source_key, pager_object, offset, size, data, retain) -> None:
-        state = self.state(source_key)
-        self.writeback_bookkeeping(
-            state, self.requester(source_key, pager_object), offset, size, retain
-        )
-        self.merge_recovered(state, split_pages(offset, size, data))
 
     def attr_write_out(self, source_key, pager_object, attrs) -> None:
         state = self.state(source_key)

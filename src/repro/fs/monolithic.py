@@ -26,7 +26,7 @@ from repro.types import PAGE_SIZE, AccessRights
 from repro.vm.source_cache import SourceCache
 
 from repro.fs.attributes import FileAttributes
-from repro.fs.base import LayerFile, LayerFileState, split_pages
+from repro.fs.base import LayerFile, LayerFileState
 from repro.fs.disk_layer import DiskDirectory, VolumeLayer, VolumeOps
 from repro.fs.holders import BlockHolderTable
 
@@ -76,9 +76,10 @@ class MonoFile(LayerFile):
 class MonoOps(VolumeOps):
     """Channel ops serving the VMM straight from the fused cache+volume.
 
-    Only the two data transforms are written out; ranged page-ins fold
-    onto ``page_in`` via the spine's default, exactly as a stacked SFS's
-    bottom layer would behave without clustering."""
+    Only the page-in is written out — a page-out is the spine's default,
+    bookkeeping then :meth:`MonolithicSfs.merge_recovered` — and a
+    ranged page-in serves its minimum: the baseline does not cluster,
+    exactly as a stacked SFS's bottom layer would behave without it."""
 
     def state(self, source_key):
         # source_key is ("mono", oid, ino); state is created on demand so
@@ -94,11 +95,10 @@ class MonoOps(VolumeOps):
             return state.store.read(offset, size, state.cache.fault)
         return fs.volume.read_data(state.ino, offset, size)
 
-    def page_out(self, source_key, pager_object, offset, size, data, retain) -> None:
-        state = self.state(source_key)
-        requester = self.requester(source_key, pager_object)
-        self.writeback_bookkeeping(state, requester, offset, size, retain)
-        self.merge_recovered(state, split_pages(offset, size, data))
+    def page_in_range(
+        self, source_key, pager_object, offset, min_size, max_size, access
+    ) -> bytes:
+        return self.page_in(source_key, pager_object, offset, min_size, access)
 
 
 class MonolithicSfs(VolumeLayer):
