@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 from typing import Dict
 
-from repro.errors import FsError
+from repro.errors import FsError, OutOfRangeError
 
 from repro.types import PAGE_SIZE, AccessRights
 
@@ -256,6 +256,8 @@ class CryptFs(BaseLayer):
 
     def file_write(self, state: CryptFileState, offset: int, data: bytes) -> int:
         self.world.charge.fs_write_cpu()
+        if offset < 0:  # refused before _extend can grow the file for it
+            raise OutOfRangeError(f"negative offset {offset}")
         self.recall(state, offset, len(data), AccessRights.READ_WRITE)
         end = offset + len(data)
         old = state.under_file.get_length()

@@ -366,9 +366,7 @@ class TestSameWorkloadEverywhere:
         reach — one page or several, read or write — instead of getting
         Python's slice semantics: nothing is read from the end of the
         previous page, no page -1 enters a store, and what the file
-        held is still there and still flushes.  (Every write here ends
-        inside the file: CRYPTFS grows a file before it looks at the
-        pages — ROADMAP item 2.)"""
+        held is still there and still flushes."""
         root, user = _stack(kind)
         held = b"A" * (2 * PAGE_SIZE + 10)
         with user.activate():
@@ -390,14 +388,9 @@ class TestSameWorkloadEverywhere:
                         assert [i for i, _ in value.pages() if i < 0] == []
         assert settle(root, user) == []
 
-    def test_a_refused_write_leaves_the_length_unchanged(self, kind, request):
+    def test_a_refused_write_leaves_the_length_unchanged(self, kind):
         """A write the stack refuses changes nothing — not the bytes and
         not the length, even when the refused range ends past EOF."""
-        if kind == "cryptfs":
-            request.applymarker(pytest.mark.xfail(strict=True, reason=(
-                "CryptFs.file_write grows the file (_extend) before "
-                "anything looks at the offset (ROADMAP item 2)"
-            )))
         root, user = _stack(kind)
         with user.activate():
             handle = root.create_file("f")
