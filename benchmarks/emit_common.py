@@ -80,10 +80,10 @@ def emit(
     rendered = dump_record(record)  # validates JSON-serializability
     if args.smoke:
         print(f"smoke OK: {filename} ({len(rendered)} bytes, not written)")
-        return 0
-    out = os.path.join(BENCH_DIR, filename)
-    write_record(out, record)
-    print(f"wrote {out}")
+    else:
+        out = os.path.join(BENCH_DIR, filename)
+        write_record(out, record)
+        print(f"wrote {out}")
     if summarize is not None:
         print(summarize(record))
     return 0

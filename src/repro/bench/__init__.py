@@ -1,18 +1,4 @@
 """Benchmark harness: virtual-time measurement, workloads, and the
-table/figure reproduction builders."""
-
-from repro.bench.harness import (
-    Measurement,
-    TableFormatter,
-    measure,
-    measure_once,
-    normalized,
-)
-from repro.bench.table2 import ROWS, Table2Result, run_table2
-from repro.bench.table3 import PAPER_SUNOS_US, Table3Result, run_table3
-
-__all__ = [
-    "Measurement", "TableFormatter", "measure", "measure_once", "normalized",
-    "ROWS", "Table2Result", "run_table2",
-    "PAPER_SUNOS_US", "Table3Result", "run_table3",
-]
+table/figure reproduction builders.  Import from the modules
+(``repro.bench.harness``, ``.table2``, ``.figures``, ...): the package
+itself re-exports nothing."""

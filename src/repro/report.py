@@ -2,11 +2,15 @@
 
 ``python -m repro.report`` regenerates every table and figure of the
 paper in one run and prints them with the paper-reported values for
-side-by-side comparison — the human-readable form of EXPERIMENTS.md.
+side-by-side comparison — the human-readable form of EXPERIMENTS.md —
+followed by the per-layer channel telemetry of a 3-deep stack and a
+compact offered-load sweep.  The fault-tolerance drill is the
+benchmark's: ``benchmarks/bench_fault_recovery.py`` (``--smoke`` to run
+it without writing ``BENCH_faults.json``).
 
 Options::
 
-    python -m repro.report              # everything
+    python -m repro.report              # everything above
     python -m repro.report --tables     # Table 2 and Table 3 only
     python -m repro.report --figures    # Figures 1-10 only
     python -m repro.report --quick      # fewer iterations
@@ -93,104 +97,6 @@ def report_layer_breakdown() -> None:
     )
 
 
-def build_fault_tolerance_demo() -> str:
-    """Run a compact availability drill — a remote workload under a
-    scripted crash + partition schedule, with the fault-tolerance knobs
-    off and then on — and render the breakdown the telemetry recorded
-    (``invoke.retries``, ``dfs.recoveries``, ``namecache.stale_serves``).
-    Shared with the tests."""
-    from repro.errors import SpringError
-    from repro.fs.dfs import export_dfs, mount_remote
-    from repro.fs.sfs import create_sfs
-    from repro.ipc.retry import RetryPolicy
-    from repro.naming.cache import NameCache
-    from repro.sim.faults import FaultPlan
-    from repro.storage.block_device import BlockDevice
-    from repro.types import PAGE_SIZE
-    from repro.world import World
-
-    ops, files, think_us = 30, 4, 60.0
-
-    def run_cell(knobs_on: bool) -> Dict[str, object]:
-        world = World()
-        server = world.create_node("server")
-        client = world.create_node("client")
-        device = BlockDevice(server.nucleus, "sd0", 8192)
-        sfs = create_sfs(server, device)
-        dfs = export_dfs(server, sfs.top)
-        mount_remote(client, server, "dfs")
-        su = world.create_user_domain(server, "su")
-        cu = world.create_user_domain(client, "cu")
-        with su.activate():
-            proj = dfs.create_dir("proj")
-            for i in range(files):
-                proj.create_file(f"f{i}.dat").write(0, b"x" * PAGE_SIZE)
-        cache = None
-        if knobs_on:
-            world.enable_retries(
-                RetryPolicy(base_backoff_us=200.0, max_backoff_us=1_000.0)
-            )
-            cache = NameCache(world, serve_stale=True)
-        base = world.clock.now_us
-        plan = FaultPlan()
-        plan.crash("server", base + 20_000, recover_at_us=base + 22_500)
-        plan.partition(
-            "server", "client", base + 60_000, heal_at_us=base + 61_500
-        )
-        world.install_fault_plan(plan)
-        before = world.counters.snapshot()
-        completed = 0
-        with cu.activate():
-            for i in range(ops):
-                world.clock.advance(think_us, "client_think")
-                if i == ops // 2:
-                    client.fs_context.bind(f"scratch{i}", object())
-                try:
-                    path = f"dfs@server/proj/f{i % files}.dat"
-                    if cache is not None:
-                        handle = cache.resolve(client.fs_context, path)
-                    else:
-                        handle = client.fs_context.resolve(path)
-                    handle.read(0, 64)
-                    completed += 1
-                except SpringError:
-                    pass
-        delta = world.counters.delta_since(before)
-        return {
-            "completed": completed,
-            "retries": delta.get("invoke.retries", 0),
-            "recoveries": delta.get("dfs.recoveries", 0),
-            "stale_serves": delta.get("namecache.stale_serves", 0),
-            "backoff_ms": round(world.clock.charged("retry_backoff") / 1000, 2),
-        }
-
-    off, on = run_cell(False), run_cell(True)
-    lines = [
-        f"workload: {ops} remote ops; schedule: 1 server crash + 1 "
-        f"1.5ms partition",
-        f"  knobs off: {off['completed']}/{ops} ops completed "
-        f"({100 * off['completed'] // ops}% availability)",
-        f"  knobs on:  {on['completed']}/{ops} ops completed "
-        f"({100 * on['completed'] // ops}% availability)",
-        f"             {on['retries']} retries "
-        f"({on['backoff_ms']}ms backoff), "
-        f"{on['recoveries']} DFS holder-state recoveries, "
-        f"{on['stale_serves']} stale name serves",
-    ]
-    return "\n".join(lines)
-
-
-def report_fault_tolerance() -> None:
-    _heading("Fault tolerance — availability under the fault plane")
-    print(build_fault_tolerance_demo())
-    print(
-        "\nKnobs (all off by default): world.enable_retries() for capped\n"
-        "exponential backoff across fault windows, DFS epoch-bump crash\n"
-        "recovery, NameCache(serve_stale=True) for degraded resolution.\n"
-        "Full schedule + record: benchmarks/bench_fault_recovery.py."
-    )
-
-
 def build_load_saturation_demo(loads=None) -> str:
     """Run a compact offered-load sweep (the full 1 -> 2048 sweep lives
     in benchmarks/bench_load_sweep.py -> BENCH_load.json) and render the
@@ -263,7 +169,6 @@ def main(argv=None) -> int:
         report_figures()
     if everything:
         report_layer_breakdown()
-        report_fault_tolerance()
         report_load_saturation()
     print(f"\n{RULE}\nreport complete.\n{RULE}")
     return 0

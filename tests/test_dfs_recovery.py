@@ -247,13 +247,3 @@ class TestNameCacheStaleServing:
         cache.clear()
         assert len(cache) == 0
         assert len(cache._stale) == 0
-
-
-class TestReportSection:
-    def test_fault_tolerance_demo_renders(self):
-        from repro.report import build_fault_tolerance_demo
-
-        text = build_fault_tolerance_demo()
-        assert "knobs off: 26/30" in text
-        assert "knobs on:  30/30" in text
-        assert "DFS holder-state recoveries" in text
