@@ -13,9 +13,27 @@ per-step round trips.  The 2x2 ablation measures what each remedy buys:
 
 Both knobs default off in the library; cells here turn them on
 explicitly, so the off/off cell is the existing calibrated behaviour.
+
+Also the emitter of ``BENCH_ipc.json`` — network messages,
+client->server bytes and elapsed virtual time of the four cells; the
+``baseline`` cell is both knobs off, so its numbers double as a
+calibration check for the uncompounded path.
+
+Usage (from the repo root)::
+
+    PYTHONPATH=src:. python benchmarks/bench_ipc_compound.py [--smoke]
 """
 
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
+
 import pytest
+
+from benchmarks.emit_common import emit, ensure_repo_on_path
+
+ensure_repo_on_path()
 
 from benchmarks.conftest import print_banner
 from repro.bench.harness import TableFormatter
@@ -151,3 +169,37 @@ def test_bench_compound_open(benchmark):
         return batch.commit()
     with cu.activate():
         benchmark(open_all)
+
+
+def build_record() -> dict:
+    cells = {}
+    for name, use_cache, use_compound in CELLS:
+        row = _run_cell(use_cache, use_compound)
+        row.pop("sizes")  # correctness detail, not a benchmark number
+        cells[name] = row
+    return {
+        "workload": {
+            "description": "remote DFS-over-SFS open+stat by path",
+            "files": NUM_FILES,
+            "rounds": ROUNDS,
+        },
+        "cells": cells,
+    }
+
+
+def summarize(record: dict) -> str:
+    baseline = record["cells"]["baseline"]["messages"]
+    compound = record["cells"]["compound"]["messages"]
+    reduction = 1 - compound / baseline
+    return (
+        f"compound message reduction: {reduction:.1%} "
+        f"({baseline} -> {compound} messages)"
+    )
+
+
+def main(argv=None) -> int:
+    return emit("BENCH_ipc.json", build_record, summarize, argv)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,8 +19,8 @@ between two; this benchmark puts numbers on the gap:
   compound frame.  Frame counts are exact protocol facts (gated); the
   wall-clock speedup is recorded alongside.
 
-Regression-gated metrics (see ``check_regression.py``) are chosen to be
-deterministic: the virtual per-message costs and the frame counts.  A
+The deterministic fields (``check_regression.py`` compares each one
+exactly) are the virtual per-message costs and the frame counts.  A
 transport change that silently turns one batch into N frames — or a
 cost-model change that cheapens simulated messages out from under the
 calibration — fails the gate.

@@ -1,57 +1,36 @@
-"""Benchmark regression gate.
+"""Benchmark regression gate: one gate per record.
 
-Rebuilds each benchmark record fresh (the simulation is deterministic,
-so a clean tree reproduces the committed bytes exactly) and compares the
-*headline* metrics against the committed ``BENCH_*.json``.  The gate
-fails when a metric is more than 10% worse than the committed value —
-which catches both genuine performance regressions and records someone
-forgot to re-emit after changing the cost model.
+Rebuilds each benchmark record fresh and compares it with the committed
+``BENCH_*.json``.  The simulation is deterministic, so a clean tree
+reproduces every committed leaf that is not a wall-clock measurement
+exactly; which leaves are wall-clock, and which module rebuilds a
+record, is one table (:data:`RECORDS`).
 
-Headline metrics:
+**The exact check** runs first and on every record: every deterministic
+leaf of the rebuilt record must equal the committed file, and the dotted
+path of each one that does not is printed.  This is the
+"no deterministic field moved" referee for a refactor — and the reminder
+to re-emit a record after a change that *means* to move one.  It
+subsumes a tolerance on any deterministic metric, so there is none; the
+contracts a moved leaf may have broken are named in the failure text
+(:data:`CONTRACTS`): the quorum cell's and the knobs-on cell's
+``availability_pct`` is 100 — any failed op is a protocol regression —
+and a compound batch over the wire is exactly one frame
+(``frames_batched``).
 
-* ``BENCH_ipc.json`` — messages and elapsed time of the compound /
-  name-cache cells (the point of the compound-invocation work).
-* ``BENCH_paging.json`` — batched flush time and device writes (the
-  point of the vectored-paging work).
-* ``BENCH_faults.json`` — knobs-on availability and workload time under
-  the reference fault schedule (the point of the fault-tolerance work).
-* ``BENCH_load.json`` — peak throughput of the monolithic / stacked /
-  DFS configurations under the concurrent load sweep (the point of the
-  discrete-event scheduler work).
-* ``BENCH_hotpath.json`` — wall-clock ops/sec of the zero-copy data
-  plane (the point of the memoryview/__slots__ work) and MB/s of the
-  bulk file path (a multi-page read or write demanded by the run, each
-  byte copied once).  Unlike every
-  other record these are *wall-clock* measurements, so they carry a
-  wider per-entry tolerance (25%) to absorb shared-runner noise while
-  still catching a real 2x collapse.
-* ``BENCH_shard.json`` — availability and tail latency of the quorum
-  cell while one datanode crashes mid-write (the point of the sharded
-  replication work).  Availability carries a zero tolerance — the
-  quorum cell's contract is 100%, and *any* failed op is a protocol
-  regression, not noise; the deterministic p99 gets the default.
-* ``BENCH_volume.json`` — mount/remount and cold-stat costs of
-  image-backed persistent volumes (the point of the pluggable
-  block-store work): mount is one transfer per metadata region
-  (``1 + 2 x groups`` reads — the 100k-file mount is ROADMAP's tracked
-  number), and the clean-unmount flush one transfer per run per step.
-* ``BENCH_socket.json`` — simulated per-message virtual cost (what
-  ``Network.transfer`` charges) and the real-socket compound-batching
-  frame counts.  The gated metrics are deterministic protocol
-  facts — the wall-clock RTT cells in the record are informational
-  only; ``frames_batched`` carries zero tolerance because a compound
-  batch over the wire is exactly one frame or the batching is broken.
-
-After the headline gate comes the **exact check**: every leaf of every
-rebuilt record that is not a wall-clock measurement
-(:data:`WALL_CLOCK_LEAVES`) must equal the committed file, and the
-dotted path of each one that does not is printed.  This is the "no
-deterministic field moved" referee for a refactor — and the reminder to
-re-emit a record after a change that *means* to move one.
+**The wall-clock report** comes after it: the ``BENCH_hotpath.json``
+metrics (ops/sec of the zero-copy data plane, MB/s of the bulk file
+path) are measured, not simulated, and differ from host to host and run
+to run — a clean tree reads 20–40 % under the committing host's figures
+on a slower one.  They are printed beside the committed values and fail
+only beyond :data:`WALL_CLOCK_COLLAPSE`: a 2x collapse is a real
+regression on any host, anything less is weather.  The wall-clock
+leaves of ``BENCH_socket.json`` (RTTs, batching speed-up) are
+informational and not compared.
 
 Usage (from the repo root)::
 
-    PYTHONPATH=src:. python benchmarks/check_regression.py [--tolerance 0.10]
+    PYTHONPATH=src:. python benchmarks/check_regression.py
 """
 
 import argparse
@@ -66,89 +45,48 @@ from benchmarks.emit_common import BENCH_DIR, ensure_repo_on_path
 
 ensure_repo_on_path()
 
-#: Wall-clock metrics need headroom for shared-runner noise that the
-#: deterministic virtual-time records never see.
-WALL_CLOCK_TOLERANCE = 0.25
-
-#: (committed file, emitter module, dotted metric path, direction,
-#: per-entry tolerance or None for the ``--tolerance`` default).
-#: ``lower`` metrics regress upward; ``higher`` metrics regress downward.
-HEADLINE = [
-    ("BENCH_ipc.json", "benchmarks.emit_bench_ipc",
-     "cells.compound.messages", "lower", None),
-    ("BENCH_ipc.json", "benchmarks.emit_bench_ipc",
-     "cells.namecache+compound.messages", "lower", None),
-    ("BENCH_ipc.json", "benchmarks.emit_bench_ipc",
-     "cells.namecache+compound.elapsed_ms", "lower", None),
-    ("BENCH_paging.json", "benchmarks.emit_bench_paging",
-     "vectored_flush.batched.elapsed_ms", "lower", None),
-    ("BENCH_paging.json", "benchmarks.emit_bench_paging",
-     "vectored_flush.batched.device_writes", "lower", None),
-    ("BENCH_faults.json", "benchmarks.bench_fault_recovery",
-     "cells.knobs_on.availability_pct", "higher", None),
-    ("BENCH_faults.json", "benchmarks.bench_fault_recovery",
-     "cells.knobs_on.elapsed_ms", "lower", None),
-    ("BENCH_load.json", "benchmarks.bench_load_sweep",
-     "configs.monolithic.peak_throughput_rps", "higher", None),
-    ("BENCH_load.json", "benchmarks.bench_load_sweep",
-     "configs.stacked.peak_throughput_rps", "higher", None),
-    ("BENCH_load.json", "benchmarks.bench_load_sweep",
-     "configs.dfs.peak_throughput_rps", "higher", None),
-    ("BENCH_hotpath.json", "benchmarks.bench_hotpath",
-     "metrics.cached_reads_per_sec", "higher", WALL_CLOCK_TOLERANCE),
-    ("BENCH_hotpath.json", "benchmarks.bench_hotpath",
-     "metrics.flush_pages_per_sec", "higher", WALL_CLOCK_TOLERANCE),
-    ("BENCH_hotpath.json", "benchmarks.bench_hotpath",
-     "metrics.faults_per_sec", "higher", WALL_CLOCK_TOLERANCE),
-    ("BENCH_hotpath.json", "benchmarks.bench_hotpath",
-     "metrics.events_per_sec", "higher", WALL_CLOCK_TOLERANCE),
-    ("BENCH_hotpath.json", "benchmarks.bench_hotpath",
-     "metrics.bulk_file_mb_per_sec", "higher", WALL_CLOCK_TOLERANCE),
-    ("BENCH_shard.json", "benchmarks.bench_dfs_shard",
-     "cells.quorum.availability_pct", "higher", 0.0),
-    ("BENCH_shard.json", "benchmarks.bench_dfs_shard",
-     "cells.quorum.p99_ms", "lower", None),
-    ("BENCH_shard.json", "benchmarks.bench_dfs_shard",
-     "cells.quorum.elapsed_ms", "lower", None),
-    ("BENCH_volume.json", "benchmarks.bench_volume_persist",
-     "cells.10k.mount_us", "lower", None),
-    ("BENCH_volume.json", "benchmarks.bench_volume_persist",
-     "cells.100k.mount_us", "lower", None),
-    ("BENCH_volume.json", "benchmarks.bench_volume_persist",
-     "cells.10k.cold_stat_us", "lower", None),
-    ("BENCH_volume.json", "benchmarks.bench_volume_persist",
-     "cells.100k.mount_reads", "lower", None),
-    ("BENCH_volume.json", "benchmarks.bench_volume_persist",
-     "cells.100k.unmount_writes", "lower", None),
-    ("BENCH_socket.json", "benchmarks.bench_socket_transport",
-     "cells.simulated.per_message_small_us", "lower", None),
-    ("BENCH_socket.json", "benchmarks.bench_socket_transport",
-     "cells.simulated.per_message_page_us", "lower", None),
-    ("BENCH_socket.json", "benchmarks.bench_socket_transport",
-     "cells.batching.frames_individual", "lower", None),
-    ("BENCH_socket.json", "benchmarks.bench_socket_transport",
-     "cells.batching.frames_batched", "lower", 0.0),
-]
-
-
-#: Leaves holding wall-clock measurements, by dotted-path prefix: they
-#: differ from host to host and run to run.  Every other leaf of a
-#: rebuilt record is deterministic.
-WALL_CLOCK_LEAVES = {
-    "BENCH_hotpath.json": ("metrics.",),
+#: committed file -> (module whose ``build_record()`` rebuilds it,
+#: dotted-path prefixes of its wall-clock leaves).  Every other leaf of
+#: a rebuilt record is deterministic.
+RECORDS = {
+    "BENCH_ipc.json": ("benchmarks.bench_ipc_compound", ()),
+    "BENCH_paging.json": ("benchmarks.bench_macro_workload", ()),
+    "BENCH_faults.json": ("benchmarks.bench_fault_recovery", ()),
+    "BENCH_load.json": ("benchmarks.bench_load_sweep", ()),
+    "BENCH_hotpath.json": ("benchmarks.bench_hotpath", ("metrics.",)),
+    "BENCH_shard.json": ("benchmarks.bench_dfs_shard", ()),
+    "BENCH_volume.json": ("benchmarks.bench_volume_persist", ()),
     "BENCH_socket.json": (
-        "cells.batching.elapsed_",
-        "cells.batching.wall_speedup",
-        "cells.socket.",
+        "benchmarks.bench_socket_transport",
+        (
+            "cells.batching.elapsed_",
+            "cells.batching.wall_speedup",
+            "cells.socket.",
+        ),
     ),
 }
 
+#: The record whose wall-clock leaves are reported — five rates, higher
+#: is better — and the fraction of the committed value below which one
+#: fails.
+WALL_CLOCK_REPORTED = "BENCH_hotpath.json"
+WALL_CLOCK_COLLAPSE = 0.5
 
-def dig(record: dict, path: str):
-    value = record
-    for key in path.split("."):
-        value = value[key]
-    return value
+#: Deterministic leaves that are contracts rather than measurements:
+#: named when the exact check fails on one.
+CONTRACTS = {
+    "BENCH_faults.json:cells.knobs_on.availability_pct":
+        "knobs-on availability is 100: a failed op is a protocol regression",
+    "BENCH_shard.json:cells.quorum.availability_pct":
+        "quorum-cell availability is 100: a failed op is a protocol regression",
+    "BENCH_socket.json:cells.batching.frames_batched":
+        "a compound batch over the wire is exactly one frame",
+}
+
+#: Leaves holding wall-clock measurements, by record (derived).
+WALL_CLOCK_LEAVES = {
+    filename: prefixes for filename, (_, prefixes) in RECORDS.items() if prefixes
+}
 
 
 def leaves(value, prefix: str = ""):
@@ -179,58 +117,15 @@ def moved_leaves(filename: str, committed: dict, rebuilt: dict) -> list:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        help="allowed fractional regression before failing (default 0.10)",
-    )
-    args = parser.parse_args(argv)
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
 
     records = {}  # committed file -> (committed record, freshly built one)
-    failures = []
-    for filename, module_name, path, direction, tolerance in HEADLINE:
-        if tolerance is None:
-            tolerance = args.tolerance
-        if filename not in records:
-            with open(os.path.join(BENCH_DIR, filename)) as fh:
-                records[filename] = (
-                    json.load(fh),
-                    importlib.import_module(module_name).build_record(),
-                )
-        committed = dig(records[filename][0], path)
-        current = dig(records[filename][1], path)
-        if direction == "lower":
-            regressed = current > committed * (1 + tolerance)
-        else:
-            regressed = current < committed * (1 - tolerance)
-        delta_pct = (
-            100.0 * (current - committed) / committed if committed else 0.0
-        )
-        status = "FAIL" if regressed else "ok"
-        print(
-            f"  [{status:>4}] {filename}:{path}  "
-            f"committed={committed} current={current} ({delta_pct:+.1f}%)"
-        )
-        if regressed:
-            failures.append((filename, path, committed, current))
-
-    if failures:
-        print(
-            f"\nregression gate FAILED: {len(failures)} headline metric(s) "
-            "worse than committed by more than their tolerance."
-        )
-        print(
-            "If the change is intentional, re-emit the affected records "
-            "(PYTHONPATH=src:. python benchmarks/<emitter>.py) and commit "
-            "the new baselines with an explanation."
-        )
-        return 1
-    print(
-        f"\nregression gate OK: {len(HEADLINE)} headline metrics within "
-        "tolerance of committed baselines."
-    )
+    for filename, (module_name, _) in RECORDS.items():
+        with open(os.path.join(BENCH_DIR, filename)) as fh:
+            records[filename] = (
+                json.load(fh),
+                importlib.import_module(module_name).build_record(),
+            )
 
     moved = [
         f"{filename}:{path}"
@@ -238,17 +133,43 @@ def main(argv=None) -> int:
         for path in moved_leaves(filename, committed, rebuilt)
     ]
     for entry in moved:
-        print(f"  [MOVED] {entry}")
+        contract = CONTRACTS.get(entry)
+        print(f"  [MOVED] {entry}" + (f"  — {contract}" if contract else ""))
     if moved:
         print(
             f"\nexact check FAILED: {len(moved)} deterministic field(s) differ "
             "from the committed records.  A refactor must not move them; "
-            "after a change that means to, re-emit the records."
+            "after a change that means to, re-emit the records "
+            "(PYTHONPATH=src:. python benchmarks/<module>.py) and commit "
+            "the new baselines with an explanation."
         )
         return 1
     print(
         f"exact check OK: every deterministic field of {len(records)} "
         "rebuilt records equals the committed files."
+    )
+
+    collapsed = 0
+    committed, rebuilt = (dict(leaves(r)) for r in records[WALL_CLOCK_REPORTED])
+    for path, was in committed.items():
+        if not path.startswith(WALL_CLOCK_LEAVES[WALL_CLOCK_REPORTED]):
+            continue
+        failed = rebuilt[path] < was * WALL_CLOCK_COLLAPSE
+        collapsed += failed
+        print(
+            f"  [{'FAIL' if failed else 'wall':>4}] {WALL_CLOCK_REPORTED}:{path}  "
+            f"committed={was} current={rebuilt[path]} "
+            f"({100.0 * (rebuilt[path] - was) / was:+.1f}%)"
+        )
+    if collapsed:
+        print(
+            f"\nwall-clock report FAILED: {collapsed} metric(s) below "
+            f"{WALL_CLOCK_COLLAPSE:.0%} of the committed value."
+        )
+        return 1
+    print(
+        "wall-clock report OK: host-dependent, shown for comparison; none "
+        f"below {WALL_CLOCK_COLLAPSE:.0%} of the committed value."
     )
     return 0
 

@@ -1,4 +1,6 @@
-"""Shared plumbing for the ``emit_*`` benchmark-record writers.
+"""Shared plumbing for the benchmark-record writers: each
+``BENCH_*.json`` is emitted by the ``bench_*.py`` that holds its cells
+(``build_record`` / ``summarize`` / ``main`` beside them).
 
 Each emitter supplies a ``build()`` that returns the record dict and an
 optional ``summarize(record)`` for the one-line headline; everything

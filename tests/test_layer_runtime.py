@@ -127,13 +127,13 @@ class TestGoldenCalibration:
         assert rendered == (GOLDEN / "table3_quick.txt").read_text()
 
     def test_bench_ipc_record_matches_committed(self):
-        from benchmarks.emit_bench_ipc import build_record
+        from benchmarks.bench_ipc_compound import build_record
         from benchmarks.emit_common import dump_record
 
         assert dump_record(build_record()) == (BENCH / "BENCH_ipc.json").read_text()
 
     def test_bench_paging_record_matches_committed(self):
-        from benchmarks.emit_bench_paging import build_record
+        from benchmarks.bench_macro_workload import build_record
         from benchmarks.emit_common import dump_record
 
         assert (
