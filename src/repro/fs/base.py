@@ -346,17 +346,20 @@ class ChannelOps:
     # ----------------------------------------------------------- cache side
     # Invoked by the layer below; the pass-through holds nothing itself,
     # so every action fans out to the holders above.
-    def flush_back(self, state, offset, size) -> Dict[int, bytes]:
+    def _take_back(self, state, offset, size, access) -> Dict[int, bytes]:
+        """What the holders above give up so that the layer below may
+        have the range with ``access``: everything (a flush) or only
+        the right to write (a denial)."""
         if state.holders is None:
             return {}
         with self.region():
-            return state.holders.acquire(None, offset, size, AccessRights.READ_WRITE)
+            return state.holders.acquire(None, offset, size, access)
+
+    def flush_back(self, state, offset, size) -> Dict[int, bytes]:
+        return self._take_back(state, offset, size, AccessRights.READ_WRITE)
 
     def deny_writes(self, state, offset, size) -> Dict[int, bytes]:
-        if state.holders is None:
-            return {}
-        with self.region():
-            return state.holders.acquire(None, offset, size, AccessRights.READ_ONLY)
+        return self._take_back(state, offset, size, AccessRights.READ_ONLY)
 
     def write_back(self, state, offset, size) -> Dict[int, bytes]:
         if state.holders is None:
@@ -558,12 +561,10 @@ class LayerFsCache(FsCache):
     @operation
     def held_blocks(self) -> Optional[Dict[int, Tuple[bool, bool]]]:
         """Re-declare this layer's cached pages to a recovering lower
-        pager.  Reports from the state's page store when the layer keeps
-        one (``store`` — coherency, monolithic; ``plain`` — CFS,
-        CRYPTFS); a layer with no data cache of its own holds nothing."""
-        store = getattr(self.state, "store", None)
-        if store is None:
-            store = getattr(self.state, "plain", None)
+        pager: what is in the state's page store
+        (:attr:`LayerFileState.store`); a layer with no data cache of
+        its own holds nothing."""
+        store = self.state.store
         if store is None:
             return None
         return {
@@ -588,6 +589,10 @@ class LayerFileState:
         self.source_key: Hashable = (layer.source_tag(), layer.oid, self.under_key)
         #: Upstream channels' coherency state (who caches what, how).
         self.holders = layer._make_holders()
+        #: The layer's page store for this file — a caching layer's
+        #: subclass sets it (and may know it by a name of its own);
+        #: None: the layer keeps no data.
+        self.store = None
         #: This layer as cache manager to the layer below.
         self.down_channel: Optional[Channel] = None
         self.down_pager: Optional[FsPager] = None

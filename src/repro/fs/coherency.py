@@ -156,44 +156,34 @@ class CoherencyOps(ChannelOps):
     # ----------------------------------------------------------- cache side
     # The lower pager acts on our cache of ITS file; we must first recall
     # the affected blocks from our own upstream holders (recursive
-    # coherency, the P3-C3 arrow of Figure 6 composed with P1-C1).
+    # coherency, the P3-C3 arrow of Figure 6 composed with P1-C1) — that
+    # half is the spine's default, the fan-out to the holders above —
+    # and then act on our own store.
     def flush_back(self, state, offset, size) -> Dict[int, bytes]:
-        with self.region():
-            recovered = state.holders.acquire(
-                None, offset, size, AccessRights.READ_WRITE
-            )
-        state.store.install_modified(recovered)
+        state.store.install_modified(super().flush_back(state, offset, size))
         modified = state.store.collect_modified(offset, size)
         state.store.drop_range(offset, size)
         return modified
 
     def deny_writes(self, state, offset, size) -> Dict[int, bytes]:
-        with self.region():
-            recovered = state.holders.acquire(
-                None, offset, size, AccessRights.READ_ONLY
-            )
-        state.store.install_modified(recovered)
+        state.store.install_modified(super().deny_writes(state, offset, size))
         modified = state.store.collect_modified(offset, size)
         state.store.downgrade_range(offset, size)
         state.store.clean_range(offset, size)
         return modified
 
     def write_back(self, state, offset, size) -> Dict[int, bytes]:
-        with self.region():
-            recovered = state.holders.collect_latest(offset, size)
-        state.store.install_modified(recovered)
+        state.store.install_modified(super().write_back(state, offset, size))
         modified = state.store.collect_modified(offset, size)
         state.store.clean_range(offset, size)
         return modified
 
     def delete_range(self, state, offset, size) -> None:
-        with self.region():
-            state.holders.invalidate(offset, size)
+        super().delete_range(state, offset, size)
         state.store.drop_range(offset, size)
 
     def zero_fill(self, state, offset, size) -> None:
-        with self.region():
-            state.holders.invalidate(offset, size)
+        super().zero_fill(state, offset, size)
         state.store.zero_range(offset, size)
 
     def populate(self, state, offset, size, access, data) -> None:

@@ -84,7 +84,7 @@ class CompFileState(LayerFileState):
 
     def __init__(self, layer: "CompFs", under_file: File) -> None:
         super().__init__(layer, under_file)
-        self.plain = PageStore()
+        self.store = self.plain = PageStore()
         self.plain_size: Optional[int] = None  # None = not loaded
         self.dirty = False
         #: True while _write_through is rewriting the underlying file.

@@ -116,7 +116,7 @@ class CryptFileState(LayerFileState):
     def __init__(self, layer: "CryptFs", under_file: File) -> None:
         super().__init__(layer, under_file)
         self.cache = CryptCache(layer, self)
-        self.plain = self.cache.store     # decrypted block cache
+        self.store = self.plain = self.cache.store  # decrypted block cache
         #: True once the lower layer refused a writable bind (mirrorfs);
         #: we then use the plain file interface instead of a channel.
         self.channel_refused = False
