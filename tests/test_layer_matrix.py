@@ -21,7 +21,7 @@ from repro.fs.mirrorfs import MirrorFs
 from repro.fs.nullfs import NullFs
 from repro.fs.quotafs import QuotaFs
 from repro.fs.sfs import create_sfs
-from repro.fs.stack import stack_layers
+from repro.fs.stack import layer_op_breakdown, stack_layers
 from repro.ipc.domain import Credentials
 from repro.ipc.narrow import narrow
 from repro.ipc.transport import ServerThread, SocketTransport
@@ -484,22 +484,22 @@ PAGING_KINDS = KINDS + ["sfs-uncached", "sharded"]
 _DATA_OPS = ("page_in", "page_in_range", "page_out", "write_out", "sync")
 
 
-def _channel_census(root, before, transfers):
-    """What the stack under ``root`` did since ``before`` (a counter
-    snapshot) and ``transfers`` (``_device_transfers`` then): every
-    layer's count of each pager-side data operation, and the device
-    reads and writes underneath."""
-    layers = stack_layers(root)
-    delta = layers[0].world.counters.delta_since(before)
+def _channel_census(root, transfers):
+    """What the stack under ``root`` did since its world's counters
+    were reset and ``transfers`` (``_device_transfers`` then) was
+    taken: every layer's count of each pager-side data operation
+    (:func:`layer_op_breakdown`), the sharded layer's sink, and the
+    device reads and writes underneath."""
     census = {
-        f"{fs}.{op}": delta[f"{fs}.{op}"]
-        for fs in sorted({layer.fs_type() for layer in layers})
-        for op in _DATA_OPS
-        if f"{fs}.{op}" in delta
+        f"{fs}.{op}": count
+        for fs, _, ops in layer_op_breakdown(root)
+        for op, (count, _) in ops.items()
+        if op in _DATA_OPS
     }
-    for key in ("shard.reads", "shard.quorum_writes"):  # the sharded layer's sink
-        if key in delta:
-            census[key] = delta[key]
+    counters = root.world.counters
+    for key in ("shard.reads", "shard.quorum_writes"):
+        if counters.get(key):
+            census[key] = counters.get(key)
     reads, writes = _device_transfers(root)
     census["device.reads"] = reads - transfers[0]
     census["device.writes"] = writes - transfers[1]
@@ -576,7 +576,7 @@ def test_mapped_scan_with_readahead(kind):
     _go_cold(root, user)
     vmm = user.node.vmm
     vmm.readahead_pages = 4
-    before = root.world.counters.snapshot()
+    root.world.counters.reset()
     transfers = _device_transfers(root)
     with user.activate():
         mapping = vmm.create_address_space("scan").map(
@@ -586,7 +586,7 @@ def test_mapped_scan_with_readahead(kind):
             mapping.read_copy(page * PAGE_SIZE, PAGE_SIZE) for page in range(16)
         )
     assert got == payload
-    assert _channel_census(root, before, transfers) == MAPPED_SCAN[kind]
+    assert _channel_census(root, transfers) == MAPPED_SCAN[kind]
 
 
 #: Five pages stored through a writable mapping and ``sync``-ed, three
@@ -700,7 +700,7 @@ def test_mapped_write_back(kind, batch):
     _go_cold(root, user)
     vmm = user.node.vmm
     vmm.batch_pageout = batch
-    before = root.world.counters.snapshot()
+    root.world.counters.reset()
     transfers = _device_transfers(root)
     with user.activate():
         handle = root.resolve("dirty.bin")
@@ -714,7 +714,7 @@ def test_mapped_write_back(kind, batch):
         mapping.write(PAGE_SIZE, bytes(model[PAGE_SIZE : 4 * PAGE_SIZE]))
         assert mapping.cache.flush() == 3
         handle.sync()
-    assert _channel_census(root, before, transfers) == MAPPED_WRITE[kind, batch]
+    assert _channel_census(root, transfers) == MAPPED_WRITE[kind, batch]
     _go_cold(root, user)
     with user.activate():
         assert root.resolve("dirty.bin").read(0, 6 * PAGE_SIZE) == bytes(model)
