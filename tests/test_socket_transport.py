@@ -2,6 +2,7 @@
 failure mapping, retries, and parity with the served objects called in
 process."""
 
+import logging
 import os
 import socket
 import sys
@@ -473,8 +474,9 @@ class TestFailureMapping:
             client.close()
             thread.stop()
 
-    def test_garbage_request_drops_only_that_connection(self, served):
+    def test_garbage_request_drops_only_that_connection(self, served, caplog):
         good = served.client()
+        caplog.set_level(logging.INFO, logger="repro.ipc.transport")
         try:
             assert good.bind("control").ping() == "pong"
             for junk in (
@@ -489,6 +491,11 @@ class TestFailureMapping:
                     assert bad.recv(1) == b""  # dropped, no reply
             assert good.bind("control").ping() == "pong"
             assert good.reconnects == 1
+            # Each drop was logged as the peer's fault, not as a hang-up.
+            assert [
+                r.levelno for r in caplog.records
+                if r.name == "repro.ipc.transport"
+            ] == [logging.WARNING] * 3
             # Each bad connection took its thread with it.
             assert wait_until(
                 lambda: len(connection_threads(served.server)) == 1
@@ -732,10 +739,11 @@ class TestThreadedServer:
         assert server._connections == {}
 
     def test_half_a_frame_stalls_only_its_own_connection(
-        self, tally_server, monkeypatch
+        self, tally_server, monkeypatch, caplog
     ):
         _, server, _ = tally_server
         monkeypatch.setattr(transport, "FRAME_TIMEOUT_S", 0.3)
+        caplog.set_level(logging.INFO, logger="repro.ipc.transport")
         frame = wire.pack_frame(wire.REQUEST, 1, "control", "ping", [])
         other = SocketTransport("127.0.0.1", server.port, reply_timeout_s=5.0)
         stalled = raw_connection(server)
@@ -750,9 +758,30 @@ class TestThreadedServer:
             assert 0.25 < time.monotonic() - started < 2.0
             assert ping() == "pong"
             assert other.reconnects == 1
+            # The server said why it dropped the connection, and whose.
+            [record] = [
+                r for r in caplog.records if r.name == "repro.ipc.transport"
+            ]
+            assert record.levelno == logging.WARNING
+            assert "%s:%d" % stalled.getsockname() in record.getMessage()
+            assert "timed out" in record.getMessage()
         finally:
             stalled.close()
             other.close()
+
+    def test_a_peer_gone_mid_frame_is_logged_as_a_hang_up(
+        self, tally_server, caplog
+    ):
+        _, server, _ = tally_server
+        caplog.set_level(logging.INFO, logger="repro.ipc.transport")
+        frame = wire.pack_frame(wire.REQUEST, 1, "control", "ping", [])
+        with raw_connection(server) as sock:
+            sock.sendall(frame[:5])
+            peer = "%s:%d" % sock.getsockname()
+        assert wait_until(lambda: not connection_threads(server))
+        [record] = [r for r in caplog.records if r.name == "repro.ipc.transport"]
+        assert record.levelno == logging.INFO
+        assert peer in record.getMessage()
 
     def test_frame_deadline_spans_the_frame_not_each_recv(
         self, tally_server, monkeypatch

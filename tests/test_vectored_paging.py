@@ -1,16 +1,22 @@
 """Tests for the vectored paging pipeline: dirty-run coalescing, pager
 write-back calls that carry whole runs (batched write-back through a
-real 2-layer stack), the VMM's O(1) eviction clock, multi-stream
-read-ahead detection, and read-ahead hint forwarding through stacked
-layers."""
+real 2-layer stack, and as a property of every kind of cache manager —
+what a failed call leaves behind included), the VMM's O(1) eviction
+clock, multi-stream read-ahead detection, and read-ahead hint
+forwarding through stacked layers."""
 
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.workloads import incompressible_bytes
+from repro.errors import TransientNetworkError
+from repro.fs.base import LayerCache
 from repro.fs.cfs import start_cfs
 from repro.fs.compfs import CompFs
+from repro.fs.cryptfs import CryptCache, xor_block
 from repro.fs.sfs import create_sfs
 from repro.ipc.domain import Credentials
 from repro.types import PAGE_SIZE, AccessRights
@@ -18,6 +24,7 @@ from repro.vm.page import PageStore, coalesce_runs, index_runs
 from repro.vm.pager_object import PagerObject
 from repro.vm.readahead import StreamTable
 from repro.vm.vmm import VmCache
+from repro.world import World
 
 from tests.test_demand_runs import calls_below
 
@@ -30,25 +37,40 @@ def no_fault(index, access):
 
 
 class RecordingPager(PagerObject):
-    """Concrete pager that logs calls; every write-back op accepts one
-    page or a whole run."""
+    """Concrete pager that logs the calls it served; every write-back op
+    accepts one page or a whole run.  ``fail_call`` is the ordinal
+    (from 0) of the write-back call that raises instead — a bad block,
+    a partitioned remote pager; ``data`` keeps what each served
+    write-back call carried."""
 
     def __init__(self, domain) -> None:
         super().__init__(domain)
         self.log = []
+        self.data = []
+        self.fail_call = None
+        self._write_backs = 0
 
     def page_in(self, offset, size, access):
         self.log.append(("page_in", offset, size))
         return bytes(size)
 
+    def _write_back(self, op, offset, size, data):
+        ordinal = self._write_backs
+        self._write_backs += 1
+        if ordinal == self.fail_call:
+            raise TransientNetworkError(f"injected: {op} call {ordinal}")
+        assert len(data) == size
+        self.log.append((op, offset, size))
+        self.data.append(bytes(data))
+
     def page_out(self, offset, size, data):
-        self.log.append(("page_out", offset, size))
+        self._write_back("page_out", offset, size, data)
 
     def write_out(self, offset, size, data):
-        self.log.append(("write_out", offset, size))
+        self._write_back("write_out", offset, size, data)
 
     def sync(self, offset, size, data):
-        self.log.append(("sync", offset, size))
+        self._write_back("sync", offset, size, data)
 
     def done_with_pager_object(self):
         pass
@@ -139,12 +161,18 @@ class TestStreamTable:
 # --------------------------------------------------------------------------
 # Write-back calls that carry runs
 # --------------------------------------------------------------------------
+def recording_vm_cache(node):
+    """``(cache, pager)``: a VMM cache whose channel ends in a
+    :class:`RecordingPager`."""
+    pager = RecordingPager(node.create_domain("p"))
+    cache = VmCache(node.vmm, "t")
+    cache.channel = types.SimpleNamespace(pager_object=pager)
+    return cache, pager
+
+
 class TestBatchedWriteBackOrder:
     def _cache(self, node):
-        pager = RecordingPager(node.create_domain("p"))
-        cache = VmCache(node.vmm, "t")
-        cache.channel = types.SimpleNamespace(pager_object=pager)
-        return cache, pager
+        return recording_vm_cache(node)
 
     def test_batched_sync_one_call_per_run_ascending(self, node):
         cache, pager = self._cache(node)
@@ -181,6 +209,242 @@ class TestBatchedWriteBackOrder:
             ("page_out", 3 * PAGE_SIZE, PAGE_SIZE),
         ]
         assert len(cache.store) == 0
+
+    def test_failed_page_out_leaves_its_victims_evictable(self, node):
+        """A pager call that raises during eviction takes nothing: the
+        victims it carried (and those not yet sent) are still resident
+        and dirty, and go back on the queue — ``reclaim`` finds them
+        again once the pager heals, so ``capacity_pages`` stays a
+        bound."""
+        cache, pager = self._cache(node)
+        vmm = node.vmm
+        vmm.capacity_pages = 4
+        for index in (0, 1, 3, 4, 6, 7):
+            cache.store.install(index, b"x", RW, dirty=True)
+        pager.fail_call = 1  # the oldest four go as two runs; the second fails
+        with pytest.raises(TransientNetworkError):
+            vmm.reclaim(pages_needed=2)
+        assert pager.log == [("page_out", 0, 2 * PAGE_SIZE)]
+        assert sorted(i for i, _ in cache.store.dirty_pages()) == [3, 4, 6, 7]
+        # Healed.  A fault reserving the whole capacity gets it.
+        assert vmm.reclaim(pages_needed=4) == 4
+        assert vmm.resident_pages() + 4 <= vmm.capacity_pages
+        # Every page reached the pager exactly once, the stranded run
+        # first: it went back to the front of the queue.
+        assert pager.log == [
+            ("page_out", first * PAGE_SIZE, 2 * PAGE_SIZE) for first in (0, 3, 6)
+        ]
+
+
+# --------------------------------------------------------------------------
+# The one arm: exactly the maximal runs, on every kind of cache manager
+# --------------------------------------------------------------------------
+PAGES = 12
+KEY = b"runs"
+#: The refused-channel file ends inside its last page: the run that
+#: reaches it is written short, as its usable bytes.
+FILE_LENGTH = PAGES * PAGE_SIZE - 100
+
+
+class _FileOverPager:
+    """The plain file interface CRYPTFS falls back to when the layer
+    below refuses the channel; a ``write`` lands in the pager's log as
+    the ``sync`` it stands for, and fails when that call is to fail."""
+
+    def __init__(self, pager) -> None:
+        self.pager = pager
+
+    def get_length(self) -> int:
+        return FILE_LENGTH
+
+    def write(self, offset, data) -> None:
+        self.pager.sync(offset, len(data), data)
+
+
+def _layer_cache(world, cls=LayerCache, channel=True):
+    """``(cache, pager)``: a layer's cache of one file below — the class
+    for real, the layer and its file state as stand-ins — whose channel
+    (or, refused, whose file interface) ends in a RecordingPager."""
+    pager = RecordingPager(world.create_node("n").create_domain("p"))
+    layer = types.SimpleNamespace(
+        world=world, readahead_pages=0, key=KEY,
+        fs_type=lambda: "layer", ensure_down=lambda state: channel,
+    )
+    state = types.SimpleNamespace(
+        down_channel=types.SimpleNamespace(closed=False, pager_object=pager),
+        under_file=_FileOverPager(pager),
+    )
+    return cls(layer, state), pager
+
+
+#: kind -> (builder, {what the manager does: the op the pager sees}).
+CACHE_KINDS = {
+    "vm": (
+        lambda world: recording_vm_cache(world.create_node("n")),
+        {"sync": "sync", "flush": "page_out"},
+    ),
+    "layer": (
+        _layer_cache,
+        {"sync": "sync", "write_out": "write_out", "page_out": "page_out"},
+    ),
+    "crypt": (
+        lambda world: _layer_cache(world, CryptCache),
+        {"sync": "sync", "write_out": "write_out", "page_out": "page_out"},
+    ),
+    "crypt-refused": (
+        lambda world: _layer_cache(world, CryptCache, channel=False),
+        {"sync": "sync"},
+    ),
+}
+
+
+def _maximal_runs(indices):
+    """``(first, count)`` of every maximal stretch of consecutive
+    indices, ascending — computed apart from the code's own grouper."""
+    starts = [i for i in sorted(indices) if i - 1 not in indices]
+    ends = [i for i in sorted(indices) if i + 1 not in indices]
+    return [(a, b - a + 1) for a, b in zip(starts, ends)]
+
+
+def _content(index):
+    return bytes([index + 1]) * PAGE_SIZE
+
+
+def _write_back(cache, how):
+    """The VMM's cache has a method per way; a layer names the op."""
+    if isinstance(cache, VmCache):
+        return getattr(cache, how)()
+    return cache.write_back(cache.store.dirty_pages(), how)
+
+
+def _assert_carried(kind, pager, op, runs):
+    """The pager served exactly ``runs``, in order, each as one ``op``
+    call carrying those pages' contents (ciphertext from CRYPTFS; cut
+    to the file's length over the file interface)."""
+    sizes = [count * PAGE_SIZE for _, count in runs]
+    if kind == "crypt-refused":
+        sizes = [
+            min(size, FILE_LENGTH - first * PAGE_SIZE)
+            for size, (first, _) in zip(sizes, runs)
+        ]
+    assert pager.log == [
+        (op, first * PAGE_SIZE, size) for size, (first, _) in zip(sizes, runs)
+    ]
+    for carried, (first, count) in zip(pager.data, runs):
+        for at in range(count):
+            chunk = carried[at * PAGE_SIZE : (at + 1) * PAGE_SIZE]
+            if kind.startswith("crypt"):
+                chunk = xor_block(chunk, KEY, first + at)
+            assert chunk == _content(first + at)[: len(chunk)]
+
+
+def _assert_still_dirty(store, indices):
+    for index in indices:
+        page = store.get(index)
+        assert page is not None and page.dirty and page.rights is RW
+        assert bytes(page.data) == _content(index)
+    assert set(indices) <= {index for index, _ in store.dirty_pages()}
+
+
+class TestWriteBackSendsMaximalRuns:
+    @pytest.mark.parametrize("kind", list(CACHE_KINDS))
+    @given(
+        dirty=st.sets(st.integers(0, PAGES - 1), min_size=1),
+        clean=st.sets(st.integers(0, PAGES - 1)),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_one_call_per_run_and_a_failed_call_settles_nothing_after_it(
+        self, kind, dirty, clean, data
+    ):
+        """``sync`` / ``flush`` / ``write_out`` / ``page_out`` of any
+        dirty set: one call per maximal run, ascending, every page in
+        exactly one call; a page is settled only after the call that
+        carried it returned, so when call k raises the runs before it
+        are settled and every page of run k and after is still dirty,
+        resident and writable."""
+        build, ops = CACHE_KINDS[kind]
+        cache, pager = build(World())
+        store = cache.store
+        how = data.draw(st.sampled_from(sorted(ops)))
+        runs = _maximal_runs(dirty)
+        fail = data.draw(st.none() | st.integers(0, len(runs) - 1))
+        for index in data.draw(st.permutations(sorted(dirty | clean))):
+            store.install(index, _content(index), RW, dirty=index in dirty)
+        clean = clean - dirty
+        pager.fail_call = fail
+
+        if fail is None:
+            assert _write_back(cache, how) == len(dirty)
+            served = runs
+        else:
+            with pytest.raises(TransientNetworkError):
+                _write_back(cache, how)
+            served = runs[:fail]
+        _assert_carried(kind, pager, ops[how], served)
+
+        settled = [i for first, count in served for i in range(first, first + count)]
+        _assert_still_dirty(store, dirty - set(settled))
+        if how == "flush" and fail is None:
+            assert len(store) == 0  # a flush that went through drops the rest
+            return
+        for index in settled:
+            page = store.get(index)
+            if ops[how] == "page_out":
+                assert page is None
+            else:
+                assert not page.dirty
+                assert page.rights is (RO if how == "write_out" else RW)
+        for index in clean:
+            assert not store.get(index).dirty
+
+    @given(
+        order=st.lists(st.integers(0, PAGES - 1), min_size=1, unique=True),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_eviction_pages_out_its_victims_by_run_and_survives_a_failed_call(
+        self, order, data
+    ):
+        """Under ``capacity_pages`` the oldest-installed dirty pages are
+        the victims; they go out as the maximal runs among *them*,
+        ascending.  When call k raises, the runs before it are gone and
+        every other page is still dirty and resident — and still
+        evictable: after the pager heals a fault can reserve the whole
+        capacity, and every page has reached the pager exactly once."""
+        node = World().create_node("n")
+        cache, pager = recording_vm_cache(node)
+        vmm = node.vmm
+        for index in order:
+            cache.store.install(index, _content(index), RW, dirty=True)
+        vmm.capacity_pages = len(order)
+        room = data.draw(st.integers(1, len(order)))
+        victims = order[:room]  # FIFO: installation order
+        runs = _maximal_runs(set(victims))
+        fail = data.draw(st.none() | st.integers(0, len(runs) - 1))
+        pager.fail_call = fail
+
+        if fail is None:
+            assert vmm.reclaim(pages_needed=room) == room
+            served = runs
+        else:
+            with pytest.raises(TransientNetworkError):
+                vmm.reclaim(pages_needed=room)
+            served = runs[:fail]
+        _assert_carried("vm", pager, "page_out", served)
+        gone = {i for first, count in served for i in range(first, first + count)}
+        assert all(index not in cache.store for index in gone)
+        _assert_still_dirty(cache.store, set(order) - gone)
+        assert vmm.resident_pages() == len(order) - len(gone)
+
+        pager.fail_call = None
+        vmm.reclaim(pages_needed=vmm.capacity_pages)
+        assert vmm.resident_pages() == 0
+        paged_out = [
+            offset // PAGE_SIZE + at
+            for _, offset, size in pager.log for at in range(size // PAGE_SIZE)
+        ]
+        assert sorted(paged_out) == sorted(order)
 
 
 # --------------------------------------------------------------------------
