@@ -612,8 +612,8 @@ class LayerCache(SourceCache):
     """A layer's cache of one file of the layer below: the
     :class:`~repro.vm.source_cache.SourceCache` whose channel is the
     file state's downstream channel, bound below on first use.  The
-    layer is the manager — its ``readahead_pages`` and ``batch_pageout``
-    are the cache's knobs."""
+    layer is the manager — its ``readahead_pages`` is the cache's
+    knob."""
 
     __slots__ = ("state",)
 
@@ -826,15 +826,13 @@ class BaseLayer(LayerNaming, StackableFs, CacheManager, abc.ABC):
     directory_class = LayerDirectory
     #: Access requested when binding below on first downstream use.
     down_access = AccessRights.READ_WRITE
-    #: Tuning knobs, all off by default: calibration runs unbatched,
-    #: uncompounded and without read-ahead.  Set per layer, by
-    #: assignment or the constructor keyword of the layers that take
-    #: one.  ``batch_pageout``: coalesce adjacent dirty pages into
-    #: one write-back call per run.  ``compound``: batch per-holder coherency
-    #: fan-out messages into one round trip per remote node (see
-    #: :mod:`repro.ipc.compound`).  ``readahead_pages``: sequential
-    #: read-ahead window of the layer's per-file caches.
-    batch_pageout = False
+    #: Tuning knobs, both off by default: calibration runs uncompounded
+    #: and without read-ahead.  Set per layer, by assignment or the
+    #: constructor keyword of the layers that take one.  ``compound``:
+    #: batch per-holder coherency fan-out messages into one round trip
+    #: per remote node (see :mod:`repro.ipc.compound`).
+    #: ``readahead_pages``: sequential read-ahead window of the layer's
+    #: per-file caches.
     compound = False
     readahead_pages = 0
 

@@ -120,24 +120,6 @@ class CoherencyOps(ChannelOps):
             return state.store.read_bytes(offset, size, state.cache.fault, access)
         return layer._read_through(state, offset, size, recovered)
 
-    def page_in_range(
-        self, source_key, pager_object, offset, min_size, max_size, access
-    ) -> bytes:
-        """The spine's default with the layer's own switch in place of
-        "does this layer override ``page_in``": caching, the window is
-        served out of the cache like any other size (and prefetched
-        below by the run); not caching, it is forwarded as a window —
-        one ``page_in_range`` below, not one ``page_in`` of the window,
-        which is what the default would make of it."""
-        state = self.state(source_key)
-        size = self.clamp_window(state, offset, min_size, max_size)
-        if size == 0:
-            return b""
-        if self.layer.cache_enabled:
-            return self.page_in(source_key, pager_object, offset, size, access)
-        self.admit(state, pager_object, offset, size, access)
-        return self.down(state).page_in_range(offset, min_size, size, access)
-
     def attr_page_in(self, source_key, pager_object) -> FileAttributes:
         return self.layer._current_attrs(self.state(source_key)).copy()
 
@@ -223,14 +205,12 @@ class CoherencyLayer(BaseLayer):
         cache: bool = True,
         readahead_pages: int = 0,
         protocol: str = "per_block",
-        batch_pageout: bool = False,
         compound: bool = False,
     ) -> None:
         super().__init__(domain)
         self.cache_enabled = cache
         self.compound = compound
         self.readahead_pages = readahead_pages
-        self.batch_pageout = batch_pageout
         #: Coherency policy: "per_block" (the paper's production choice)
         #: or "whole_file" (coarse single-owner) — the protocol is not
         #: dictated by the architecture (sec. 3.3.3).
@@ -255,17 +235,13 @@ class CoherencyLayer(BaseLayer):
     ) -> None:
         """Fold data recalled from upstream holders into our cache as
         dirty (it is newer than the lower layer's copy), or push it
-        straight down when we are not caching."""
+        straight down, run by run, when we are not caching."""
         if not recovered:
             return
         if self.cache_enabled:
             state.store.install_modified(recovered)
         else:
-            self.ensure_down(state)
-            for index, data in sorted(recovered.items()):
-                state.down_channel.pager_object.page_out(
-                    index * PAGE_SIZE, PAGE_SIZE, data
-                )
+            self.push_recovered(state, recovered)
 
     # ------------------------------------------------------------- attributes
     def _collect_latest_attrs(self, state: CoherentFileState) -> None:
@@ -404,10 +380,9 @@ class CoherencyLayer(BaseLayer):
         """Push dirty attributes (first — the length clamps page-outs)
         and dirty blocks to the lower layer.
 
-        Write-back order is deterministic: dirty pages ascend by index;
-        with ``batch_pageout`` set, each contiguous run goes down as one
-        sync, in the same ascending order.  Uncached there is nothing of
-        ours to push: the file below syncs itself."""
+        Write-back order is deterministic: dirty pages ascend by index,
+        each contiguous run one sync.  Uncached there is nothing of ours
+        to push: the file below syncs itself."""
         if not self.cache_enabled:
             state.under_file.sync()
             return
@@ -416,7 +391,7 @@ class CoherencyLayer(BaseLayer):
             if state.down_pager is not None:
                 state.down_pager.attr_write_out(state.attrs.attrs.copy())
             state.attrs.dirty = False
-        state.cache.write_back(state.store.dirty_pages(), "sync")
+        state.cache.write_back(state.store.dirty_indices(), "sync")
 
     def _sync_impl(self) -> None:
         for state in self._states.values():

@@ -78,7 +78,7 @@ class CryptCache(LayerCache):
     """The decrypted block cache of one file: ciphertext crosses the
     channel, one keystream per block.  When the layer below refuses the
     channel the source and sink is its plain file interface — no
-    read-ahead window, write-back page by page — and none of its
+    read-ahead window, a dirty run is one ``write`` — and none of its
     coherency actions reach this cache."""
 
     __slots__ = ()
@@ -89,11 +89,6 @@ class CryptCache(LayerCache):
             return state.down_channel.pager_object
         self.readahead_override = 0  # the file interface has no ranged read
         return _FileInterfacePager(state.under_file)
-
-    def coalesces(self) -> bool:
-        """Write-through pushes what one write touched: down a channel,
-        a run of blocks is one sync."""
-        return self.manager.ensure_down(self.state)
 
     def decode(self, first: int, data: bytes) -> bytes:
         self.world.charge.decrypt(len(data))
@@ -106,9 +101,9 @@ class CryptCache(LayerCache):
     def encode(self, run) -> list:
         key = self.manager.key
         chunks = []
-        for index, page in run:
+        for index in run:
             self.world.charge.encrypt(PAGE_SIZE)
-            chunks.append(xor_block(page.snapshot(), key, index))
+            chunks.append(xor_block(self.store.get(index).snapshot(), key, index))
         return chunks
 
 
@@ -274,7 +269,7 @@ class CryptFs(BaseLayer):
         Contiguous dirty blocks go down as one sync per run, so a big
         sequential write pays one invocation per run instead of one per
         4 KB block."""
-        state.cache.write_back(state.plain.dirty_pages(offset, size), "sync")
+        state.cache.write_back(state.plain.dirty_indices(offset, size), "sync")
 
     def file_set_length(self, state: CryptFileState, length: int) -> None:
         old = state.under_file.get_length()

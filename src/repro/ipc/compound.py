@@ -76,7 +76,7 @@ class CompoundRegion:
 
     def __init__(self, world) -> None:
         self.world = world
-        #: The domain whose hops this region coalesces.  Nested
+        #: The domain whose hops this region absorbs.  Nested
         #: invocations run with the *server's* domain active, so they
         #: never match and charge normally.
         self.origin = invocation.current_domain()

@@ -61,25 +61,11 @@ class CachedPage:
         return memoryview(self.data).toreadonly()
 
 
-def coalesce_runs(
-    pairs: List[Tuple[int, CachedPage]]
-) -> List[List[Tuple[int, CachedPage]]]:
-    """Group ascending ``(index, page)`` pairs into contiguous runs.
-
-    Each run is a maximal list of pairs with consecutive indices — the
-    unit a coalescing cache manager writes back in one pager call.  Input order is preserved, so runs ascend whenever the input
-    does."""
-    runs: List[List[Tuple[int, CachedPage]]] = []
-    for index, page in pairs:
-        if runs and index == runs[-1][-1][0] + 1:
-            runs[-1].append((index, page))
-        else:
-            runs.append([(index, page)])
-    return runs
-
-
 def index_runs(indices: List[int]) -> List[Tuple[int, int]]:
-    """Coalesce ascending page indices into ``(start, count)`` runs."""
+    """Group ascending page indices into maximal ``(start, count)`` runs
+    of consecutive ones — the unit of every transfer between a cache
+    manager and a pager: one page-in per missing run, one write-back
+    call per dirty run.  Runs ascend because the input does."""
     if indices and indices[-1] - indices[0] == len(indices) - 1:
         return [(indices[0], len(indices))]  # ascending and distinct: one run
     runs: List[Tuple[int, int]] = []
@@ -131,11 +117,15 @@ class PageStore:
     def pages(self) -> Iterator[Tuple[int, CachedPage]]:
         return iter(sorted(self._pages.items()))
 
+    def dirty_indices(self, offset: int = 0, size: int = 2**62) -> List[int]:
+        """The indices of the dirty pages, ascending — all of them, or
+        those of a byte range.  What a write-back is given."""
+        return sorted(self._tracked_pages(offset, size, dirty=True))
+
     def dirty_pages(
         self, offset: int = 0, size: int = 2**62
     ) -> List[Tuple[int, CachedPage]]:
-        """The dirty pages, ascending — all of them, or those of a byte
-        range."""
+        """The dirty pages, ascending, as ``(index, page)`` pairs."""
         dirty = sorted(self._tracked_pages(offset, size, dirty=True))
         return [(index, self._pages[index]) for index in dirty]
 

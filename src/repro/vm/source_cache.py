@@ -18,24 +18,24 @@ manager does with it:
 * **prefetch** the needed pages of a byte range, one fault per
   contiguous run;
 * **write back** dirty ``(index, page)`` pairs as ``page_out`` /
-  ``write_out`` / ``sync`` calls of one page or of one contiguous run,
-  settling each page (dropped, downgraded or marked clean) only after
-  the call that carried it returned.
+  ``write_out`` / ``sync`` calls, one per contiguous run — adjacent
+  dirty pages are one call, the channel moves byte ranges — settling
+  each page (dropped, downgraded or marked clean) only after the call
+  that carried it returned.
 
 What differs between cache managers is subclass surface: where the pager
 object comes from (:meth:`SourceCache.pager`), a per-block transform
-(``decode`` / ``encode``), the manager's own per-fault work and
-residency bound (``before_fetch`` / :meth:`SourceCache.full`) and
-whether adjacent dirty pages share a call (:meth:`SourceCache.coalesces`).
+(``decode`` / ``encode``) and the manager's own per-fault work and
+residency bound (``before_fetch`` / :meth:`SourceCache.full`).
 """
 
 from __future__ import annotations
 
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.types import PAGE_SIZE, AccessRights
-from repro.vm.page import CachedPage, PageStore, coalesce_runs
+from repro.vm.page import CachedPage, PageStore, index_runs
 from repro.vm.pager_object import PagerObject
 from repro.vm.readahead import StreamTable
 
@@ -53,9 +53,8 @@ class SourceCache:
     """One cache manager's pages for one source; see module docstring.
 
     ``manager`` is the cache manager the cache belongs to — the VMM or a
-    file system layer — and supplies the knobs: ``readahead_pages`` (the
-    window a sequential fault asks for) and ``batch_pageout`` (whether
-    adjacent dirty pages go out in one call).  ``tag`` names the manager in
+    file system layer — and supplies the knob: ``readahead_pages`` (the
+    window a sequential fault asks for).  ``tag`` names the manager in
     the ``<tag>.readahead`` counter.
     """
 
@@ -64,8 +63,9 @@ class SourceCache:
 
     #: Per-block transforms of a cache whose pages differ from what
     #: crosses the channel: ``decode(first_index, data) -> data`` on the
-    #: way in, ``encode(run) -> chunks`` on the way out.  None: the
-    #: channel carries the pages as they are.
+    #: way in, ``encode(run) -> chunks`` (``run`` the page indices of
+    #: one contiguous run) on the way out.  None: the channel carries
+    #: the pages as they are.
     decode = None
     encode = None
     #: ``before_fetch(first, pages)``: the manager's own work on a fault
@@ -94,12 +94,6 @@ class SourceCache:
     def full(self) -> bool:
         """True when no further speculative page may be installed."""
         return False
-
-    def coalesces(self) -> bool:
-        """True when adjacent dirty pages go out in one call, False when
-        every page gets a call of its own.  By default the manager's
-        ``batch_pageout`` decides."""
-        return self.manager.batch_pageout
 
     # --- faulting ------------------------------------------------------------
     def fault(self, first: int, access: AccessRights, count: int = 1) -> CachedPage:
@@ -160,30 +154,32 @@ class SourceCache:
             self.fault(first, access, count)
 
     # --- write-back ------------------------------------------------------------
-    def write_back(self, pairs: List[Tuple[int, CachedPage]], op: str) -> int:
-        """Push ``(index, page)`` pairs to the pager with ``op`` (see
-        :func:`write_run`), in the order given — ascending, from the
-        store's dirty lists.  A page is settled (dropped after a
-        ``page_out``, clean after a ``sync``, clean and read-only after
-        a ``write_out``) only once the call that carried it returned, so
-        a failed call leaves it dirty and resident.  Returns the number
-        of pages pushed."""
-        if not pairs:
+    def write_back(self, indices: List[int], op: str) -> int:
+        """Push the resident pages ``indices`` — ascending, from the
+        store's dirty index — to the pager with ``op`` (see
+        :func:`write_run`), one call per contiguous run.  A page is
+        settled (dropped after a ``page_out``, clean after a ``sync``,
+        clean and read-only after a ``write_out``) only once the call
+        that carried it returned, so a failed call leaves its run, and
+        every later one, dirty and resident.  Returns the number of
+        pages pushed."""
+        if not indices:
             return 0
         pager = self.pager()
         encode = self.encode
-        # Where nothing is coalesced, every page is a run of its own.
-        for run in coalesce_runs(pairs) if self.coalesces() else zip(pairs):
+        store = self.store
+        for first, count in index_runs(indices):
+            run = range(first, first + count)
             if encode is None:
-                chunks = [page.snapshot() for _, page in run]
+                chunks = [store.get(index).snapshot() for index in run]
             else:
                 chunks = encode(run)
-            write_run(pager, op, run[0][0] * PAGE_SIZE, chunks)
-            for index, page in run:
+            write_run(pager, op, first * PAGE_SIZE, chunks)
+            for index in run:
                 if op == "page_out":
-                    self.store.drop(index)
+                    store.drop(index)
                 else:
-                    self.store.set_dirty(index, False)
+                    store.set_dirty(index, False)
                     if op == "write_out":
-                        page.rights = AccessRights.READ_ONLY
-        return len(pairs)
+                        store.get(index).rights = AccessRights.READ_ONLY
+        return len(indices)

@@ -84,18 +84,16 @@ class VmCache(SourceCache):
         """Push dirty pages to the pager, retaining them in the same
         mode.  Returns the number of pages written.
 
-        Write-back order is deterministic either way — dirty pages
-        ascend by index, and with ``vmm.batch_pageout`` set, contiguous
-        runs go out as single calls in the same ascending order.
-        Benchmarks rely on this determinism for stable virtual time.
+        Write-back order is deterministic — dirty pages ascend by
+        index, each contiguous run one call.  Benchmarks rely on this
+        determinism for stable virtual time.
         """
-        return self.write_back(self.store.dirty_pages(), "sync")
+        return self.write_back(self.store.dirty_indices(), "sync")
 
     def flush(self) -> int:
         """Push dirty pages and drop everything (page_out semantics).
-        Like :meth:`sync`, ascending order; batched into runs when
-        ``vmm.batch_pageout`` is set."""
-        count = self.write_back(self.store.dirty_pages(), "page_out")
+        Like :meth:`sync`, ascending, one call per run."""
+        count = self.write_back(self.store.dirty_indices(), "page_out")
         self.store.clear()
         return count
 
@@ -295,12 +293,6 @@ class Vmm(CacheManager):
         #: dropped, dirty pages written out through their pagers.
         self.capacity_pages: Optional[int] = None
         self.evictions = 0
-        #: Coalesce contiguous dirty pages into single pager calls on
-        #: sync/flush/eviction.  Off by default — like readahead_pages,
-        #: it is a sec. 8-style extension ablated separately from the
-        #: Table 2/3 reproduction, whose calibration assumes per-page
-        #: write-back.
-        self.batch_pageout = False
         #: Resident pages across all caches, maintained incrementally by
         #: the PageStore observer hooks (never recomputed by scanning).
         self._resident = 0
@@ -382,8 +374,8 @@ class Vmm(CacheManager):
 
         Victims come from the two FIFO eviction queues maintained by the
         PageStore observer hooks — clean pages first (dropped for free),
-        then dirty pages (paged out, coalesced into one call per run when
-        ``batch_pageout`` is set).  The queues are validated lazily:
+        then dirty pages (paged out, one call per run).  The queues are
+        validated lazily:
         entries for pages that were dropped since enqueue are discarded
         on pop, and an entry whose page changed dirtiness migrates to
         the other queue.  Each entry is touched at most a constant
@@ -426,7 +418,7 @@ class Vmm(CacheManager):
         if self._resident > target:
             queue = self._dirty_q
             budget = len(queue) + 2
-            victims: List[Tuple[VmCache, int, CachedPage]] = []
+            victims: List[Tuple[VmCache, int]] = []
             while budget > 0 and queue and self._resident - len(victims) > target:
                 budget -= 1
                 key = queue.popleft()
@@ -443,27 +435,30 @@ class Vmm(CacheManager):
                 if not page.dirty:
                     self._clean_q.append(key)  # cleaned since enqueue
                     continue
-                victims.append((cache, index, page))
+                victims.append(key)
             evicted += self._evict_dirty(victims)
 
         self.evictions += evicted
         self.world.counters.inc("vmm.evicted", evicted)
         return evicted
 
-    def _evict_dirty(self, victims: List[Tuple[VmCache, int, CachedPage]]) -> int:
-        """Page out and drop the chosen dirty victims: one by one in
-        queue order, or — with ``batch_pageout`` set — each cache's
+    def _evict_dirty(self, victims: List[Tuple[VmCache, int]]) -> int:
+        """Page out and drop the chosen dirty victims: each cache's
         victims together, ascending, so contiguous ones go out in one
-        call."""
-        if not self.batch_pageout:
-            for cache, index, page in victims:
-                cache.write_back([(index, page)], "page_out")
-            return len(victims)
-        by_cache: Dict[VmCache, List[Tuple[int, CachedPage]]] = {}
-        for cache, index, page in victims:
-            by_cache.setdefault(cache, []).append((index, page))
-        for cache, pairs in by_cache.items():
-            cache.write_back(sorted(pairs, key=lambda pair: pair[0]), "page_out")
+        call.  The victims are off the queue; if a pager call raises,
+        those it did not take are still resident and dirty and go back
+        to the front, order kept, for a later reclaim to choose."""
+        by_cache: Dict[VmCache, List[int]] = {}
+        for cache, index in victims:
+            by_cache.setdefault(cache, []).append(index)
+        try:
+            for cache, indices in by_cache.items():
+                cache.write_back(sorted(indices), "page_out")
+        except Exception:
+            self._dirty_q.extendleft(
+                key for key in reversed(victims) if key in self._queued
+            )
+            raise
         return len(victims)
 
     def live_caches(self) -> List[VmCache]:

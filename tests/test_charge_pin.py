@@ -13,8 +13,8 @@ the runtime, so it is the referee for "no charge change".
 
 The knob sessions (``KNOB_SESSIONS``) add what no default-knob session
 reaches — sequential read-ahead at the VMM and the coherency layer
-(mapped and through ``File.read``, plain and through CRYPTFS), batched
-and unbatched write-back of a multi-run dirty mapping (``sync_all``,
+(mapped and through ``File.read``, plain and through CRYPTFS),
+write-back of a multi-run dirty mapping (``sync_all``,
 ``VmCache.flush``, ``file_sync``), eviction of dirty pages under
 ``capacity_pages``, a two-holder DFS recall whose pages go below as a
 one-page and a three-page run (``compound`` off and on), the window
@@ -210,14 +210,13 @@ def _dirty_runs(mapping) -> None:
         mapping.write(page * PAGE_SIZE + 7, b"D" * 9)
 
 
-def _writeback_session(batch: bool) -> dict:
+def _writeback_session() -> dict:
     """A multi-run dirty mapping written back every way the VMM and the
-    coherency layer do it, ``batch_pageout`` the same at both levels;
-    then a write scan under ``capacity_pages`` that evicts dirty pages."""
+    coherency layer do it; then a write scan under ``capacity_pages``
+    that evicts dirty pages."""
     root, user = _stack("sfs")
     pin = _Pin(user.world)
     vmm = user.node.vmm
-    vmm.batch_pageout = root.batch_pageout = batch
     f = _cold_file(root, user, "wb.bin", 8)
     with user.activate():
         pin.snap("start")
@@ -339,8 +338,7 @@ KNOB_SESSIONS = {
     "sfs+readahead-file": lambda: _readahead_session("sfs", mapped=False),
     "cryptfs+readahead-mapped": lambda: _readahead_session("cryptfs", mapped=True),
     "cryptfs+readahead-file": lambda: _readahead_session("cryptfs", mapped=False),
-    "sfs+writeback-unbatched": lambda: _writeback_session(batch=False),
-    "sfs+writeback-batched": lambda: _writeback_session(batch=True),
+    "sfs+writeback-batched": _writeback_session,
     "sfs-uncached+readahead-mapped": lambda: _readahead_session(
         "sfs-uncached", mapped=True
     ),

@@ -589,10 +589,12 @@ def test_mapped_scan_with_readahead(kind):
     assert _channel_census(root, transfers) == MAPPED_SCAN[kind]
 
 
-#: Five pages stored through a writable mapping and ``sync``-ed, three
-#: of them stored again and ``flush``-ed (``page_out``), then the file
-#: ``sync``-ed to the device — by ``vmm.batch_pageout``.  Recorded at
-#: 433fecd.
+#: Pages stored through a writable mapping and ``sync``-ed, some stored
+#: again and ``flush``-ed (``page_out``), then the file ``sync``-ed to
+#: the device — by whether the stored pages are adjacent.  True: all
+#: five, then the middle three — one run each time.  False: pages 0, 2
+#: and 4, then 1 and 3 — every page a run of its own, so a clean gap
+#: splits a call on every stack.
 MAPPED_WRITE = {
     ("sfs", False): {
         "coherency.page_in": 5, "coherency.page_out": 3, "coherency.sync": 5,
@@ -685,12 +687,23 @@ MAPPED_WRITE = {
 }
 
 
-@pytest.mark.parametrize("batch", [False, True])
+def _store_runs(mapping, model: bytearray, runs, tag: int) -> int:
+    """Store fresh bytes through the mapping (and into the model), one
+    ``write`` per ``(first page, pages)`` run; returns the pages stored."""
+    for first, count in runs:
+        span = slice(first * PAGE_SIZE, (first + count) * PAGE_SIZE)
+        model[span] = pattern_bytes(count * PAGE_SIZE, tag=tag)
+        mapping.write(first * PAGE_SIZE, bytes(model[span]))
+    return sum(count for _, count in runs)
+
+
+@pytest.mark.parametrize("adjacent", [False, True])
 @pytest.mark.parametrize("kind", PAGING_KINDS)
-def test_mapped_write_back(kind, batch):
-    """Dirty pages written back by the VMM — page by page or a run at a
-    time, retained or not — go down every stack by the same calls, and
-    a cold read finds them."""
+def test_mapped_write_back(kind, adjacent):
+    """Dirty pages written back by the VMM — a run at a time, which for
+    pages with clean gaps between them is a page at a time; retained or
+    not — go down every stack by the same calls, and a cold read finds
+    them."""
     if kind == "mirrorfs":
         pytest.skip("mirrorfs refuses the writable bind a mapping needs")
     root, user = _stack(kind)
@@ -699,7 +712,10 @@ def test_mapped_write_back(kind, batch):
         root.create_file("dirty.bin").write(0, bytes(model))
     _go_cold(root, user)
     vmm = user.node.vmm
-    vmm.batch_pageout = batch
+    if adjacent:
+        first, again = [(0, 5)], [(1, 3)]
+    else:
+        first, again = [(0, 1), (2, 1), (4, 1)], [(1, 1), (3, 1)]
     root.world.counters.reset()
     transfers = _device_transfers(root)
     with user.activate():
@@ -707,14 +723,12 @@ def test_mapped_write_back(kind, batch):
         mapping = vmm.create_address_space("dirty").map(
             handle, AccessRights.READ_WRITE
         )
-        model[:] = pattern_bytes(5 * PAGE_SIZE, tag=6)
-        mapping.write(0, bytes(model))
-        assert mapping.cache.sync() == 5
-        model[PAGE_SIZE : 4 * PAGE_SIZE] = pattern_bytes(3 * PAGE_SIZE, tag=7)
-        mapping.write(PAGE_SIZE, bytes(model[PAGE_SIZE : 4 * PAGE_SIZE]))
-        assert mapping.cache.flush() == 3
+        stored = _store_runs(mapping, model, first, tag=6)
+        assert mapping.cache.sync() == stored
+        stored = _store_runs(mapping, model, again, tag=7)
+        assert mapping.cache.flush() == stored
         handle.sync()
-    assert _channel_census(root, transfers) == MAPPED_WRITE[kind, batch]
+    assert _channel_census(root, transfers) == MAPPED_WRITE[kind, adjacent]
     _go_cold(root, user)
     with user.activate():
         assert root.resolve("dirty.bin").read(0, 6 * PAGE_SIZE) == bytes(model)

@@ -200,9 +200,7 @@ class _Cache(SourceCache):
     __slots__ = ("_pager",)
 
     def __init__(self, pager) -> None:
-        manager = types.SimpleNamespace(
-            world=World(), readahead_pages=0, batch_pageout=False
-        )
+        manager = types.SimpleNamespace(world=World(), readahead_pages=0)
         super().__init__(manager, "test")
         self._pager = pager
 

@@ -20,7 +20,7 @@ from repro.fs.cryptfs import CryptCache, xor_block
 from repro.fs.sfs import create_sfs
 from repro.ipc.domain import Credentials
 from repro.types import PAGE_SIZE, AccessRights
-from repro.vm.page import PageStore, coalesce_runs, index_runs
+from repro.vm.page import PageStore, index_runs
 from repro.vm.pager_object import PagerObject
 from repro.vm.readahead import StreamTable
 from repro.vm.vmm import VmCache
@@ -79,14 +79,18 @@ class RecordingPager(PagerObject):
 # --------------------------------------------------------------------------
 # Dirty-run coalescing
 # --------------------------------------------------------------------------
+def dirty_runs(store):
+    """The ``(first, count)`` runs a write-back of ``store`` goes out as."""
+    return index_runs([index for index, _ in store.dirty_pages()])
+
+
 class TestDirtyRuns:
     def test_write_across_page_boundary_is_one_run(self):
         store = PageStore()
         for index in range(3):
             store.install(index, b"", RW)
         store.write(PAGE_SIZE - 50, b"x" * 100, no_fault)  # dirties 0 and 1
-        runs = coalesce_runs(store.dirty_pages())
-        assert [[i for i, _ in run] for run in runs] == [[0, 1]]
+        assert dirty_runs(store) == [(0, 2)]
 
     def test_clean_gap_splits_runs(self):
         store = PageStore()
@@ -95,19 +99,17 @@ class TestDirtyRuns:
         store.write(0, b"a", no_fault)
         store.write(PAGE_SIZE, b"b", no_fault)
         store.write(3 * PAGE_SIZE, b"c", no_fault)  # page 2 stays clean
-        runs = coalesce_runs(store.dirty_pages())
-        assert [[i for i, _ in run] for run in runs] == [[0, 1], [3]]
+        assert dirty_runs(store) == [(0, 2), (3, 1)]
 
     def test_runs_ascend_regardless_of_write_order(self):
         store = PageStore()
         for index in (7, 2, 3, 8):
             store.install(index, b"", RW)
             store.write(index * PAGE_SIZE, b"d", no_fault)
-        runs = coalesce_runs(store.dirty_pages())
-        assert [[i for i, _ in run] for run in runs] == [[2, 3], [7, 8]]
+        assert dirty_runs(store) == [(2, 2), (7, 2)]
 
     def test_coalesce_runs_empty(self):
-        assert coalesce_runs([]) == []
+        assert dirty_runs(PageStore()) == []
 
     def test_index_runs(self):
         assert index_runs([]) == []
@@ -178,7 +180,6 @@ class TestBatchedWriteBackOrder:
         cache, pager = self._cache(node)
         for index in (5, 6, 0, 1, 2):  # install out of order
             cache.store.install(index, b"x", RW, dirty=True)
-        node.vmm.batch_pageout = True
         assert cache.sync() == 5
         assert pager.log == [
             ("sync", 0, 3 * PAGE_SIZE),
@@ -186,23 +187,10 @@ class TestBatchedWriteBackOrder:
         ]
         assert cache.store.dirty_pages() == []
 
-    def test_unbatched_sync_same_ascending_order(self, node):
-        """Satellite (f): write-back order is deterministic and identical
-        with batching off — per page, ascending."""
-        cache, pager = self._cache(node)
-        for index in (5, 6, 0, 1, 2):
-            cache.store.install(index, b"x", RW, dirty=True)
-        node.vmm.batch_pageout = False
-        assert cache.sync() == 5
-        assert pager.log == [
-            ("sync", index * PAGE_SIZE, PAGE_SIZE) for index in (0, 1, 2, 5, 6)
-        ]
-
     def test_batched_flush_pages_out_runs(self, node):
         cache, pager = self._cache(node)
         for index in (0, 1, 3):
             cache.store.install(index, b"x", RW, dirty=True)
-        node.vmm.batch_pageout = True
         assert cache.flush() == 3
         assert pager.log == [
             ("page_out", 0, 2 * PAGE_SIZE),
@@ -314,7 +302,7 @@ def _write_back(cache, how):
     """The VMM's cache has a method per way; a layer names the op."""
     if isinstance(cache, VmCache):
         return getattr(cache, how)()
-    return cache.write_back(cache.store.dirty_pages(), how)
+    return cache.write_back(cache.store.dirty_indices(), how)
 
 
 def _assert_carried(kind, pager, op, runs):
@@ -463,7 +451,6 @@ class TestRangedSyncThroughStack:
             mapping = node.vmm.create_address_space("t").map(f, RW)
             mapping.write(0, payload)
 
-            node.vmm.batch_pageout = True
             counters = world.counters
             syncs, nbytes = counters.get("coherency.sync"), counters.get(
                 "coherency.sync.bytes"
@@ -473,7 +460,6 @@ class TestRangedSyncThroughStack:
             assert counters.get("coherency.sync") == syncs + 1
             assert counters.get("coherency.sync.bytes") == nbytes + 4 * PAGE_SIZE
 
-            stack.coherency_layer.batch_pageout = True
             syncs, writes = counters.get("disk.sync"), device.writes
             stack.top.resolve("v.dat").sync()
             # ... and one below, landing as one device transfer.

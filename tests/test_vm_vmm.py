@@ -237,7 +237,7 @@ class TestWriteBack:
         mapping = node.vmm.create_address_space("t").map(memobj, RW)
         mapping.write(PAGE_SIZE, b"KEPT")
         cache = mapping.cache
-        assert cache.write_back(cache.store.dirty_pages(), "write_out") == 1
+        assert cache.write_back(cache.store.dirty_indices(), "write_out") == 1
         assert ("write_out", PAGE_SIZE, PAGE_SIZE) in log
         page = cache.store.get(1)
         assert not page.dirty and page.rights is RO
