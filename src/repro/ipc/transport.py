@@ -31,6 +31,7 @@ the two do not plug into one another:
 from __future__ import annotations
 
 import asyncio
+import logging
 import socket
 import threading
 import time
@@ -59,6 +60,8 @@ OK, ERRORED, SKIPPED = "ok", "error", "skipped"
 #: have arrived — over the whole frame, not per ``recv``.  The client's
 #: default reply timeout; on the server, what a stalled peer gets.
 FRAME_TIMEOUT_S = 30.0
+
+_log = logging.getLogger(__name__)
 
 
 def _rest_of_frame(sock: socket.socket, frames: wire.FrameBuffer,
@@ -212,16 +215,18 @@ class SocketServer:
         sock.setblocking(True)  # not everywhere the default after accept
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         thread = threading.Thread(
-            target=self._serve, args=(sock,), daemon=True,
+            target=self._serve, args=(sock, peer), daemon=True,
             name=f"repro-socket-server:{self.port}<-{peer[1]}",
         )
         self._connections[sock] = thread
         thread.start()
 
-    def _serve(self, sock: socket.socket) -> None:
+    def _serve(self, sock: socket.socket, peer: Tuple[str, int]) -> None:
         """One connection, start to finish on its own thread.  Every
         whole frame received is decoded, executed and answered before
-        the next ``recv``, so a body view never outlives its bytes."""
+        the next ``recv``, so a body view never outlives its bytes.  A
+        connection dropped for the peer's doing is logged with why: a
+        malformed or stalled frame as a warning, a hang-up as info."""
         frames = wire.FrameBuffer()
         recv_into, domain = sock.recv_into, self._domain
         try:
@@ -251,8 +256,13 @@ class SocketServer:
                     sock.sendall(reply)
                     if self._shutdown_after_reply:
                         return
-        except (wire.WireError, OSError):
-            pass  # malformed, timed out or gone: this connection only
+        except (wire.WireError, OSError) as exc:
+            # Malformed, timed out or gone: this connection only.
+            at_fault = isinstance(exc, (wire.WireError, socket.timeout))
+            _log.log(
+                logging.WARNING if at_fault else logging.INFO,
+                "dropped connection from %s:%d: %r", *peer[:2], exc,
+            )
         finally:
             sock.close()
             del self._connections[sock]

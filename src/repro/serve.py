@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import logging
 from typing import List, Optional
 
 from repro.fs.attributes import FileAttributes
@@ -202,6 +203,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="size of the backing block device",
     )
     args = parser.parse_args(argv)
+    # To stderr (the default stream): stdout carries the READY/DONE lines.
+    logging.basicConfig(level=logging.INFO)
 
     world, node, service = build_service(args.stack, args.blocks)
     server = node.serve(host=args.host, port=args.port)

@@ -778,7 +778,7 @@ class TestThreadedServer:
         with raw_connection(server) as sock:
             sock.sendall(frame[:5])
             peer = "%s:%d" % sock.getsockname()
-        assert wait_until(lambda: not connection_threads(server))
+        assert wait_until(lambda: caplog.records)  # accepted, served, dropped
         [record] = [r for r in caplog.records if r.name == "repro.ipc.transport"]
         assert record.levelno == logging.INFO
         assert peer in record.getMessage()
