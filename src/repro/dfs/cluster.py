@@ -25,6 +25,12 @@ from repro.dfs.layer import ShardedDfsLayer
 from repro.dfs.namenode import NameNodeService
 
 
+#: Size of the metadata machine's block device.
+META_DEVICE_BLOCKS = 4096
+#: The name the layer's domain runs under and the client's mount point.
+MOUNT_NAME = "shardfs"
+
+
 @dataclasses.dataclass
 class ShardedCluster:
     """The assembled topology, for tests and benchmarks to poke at."""
@@ -46,10 +52,7 @@ def create_sharded_dfs(
     write_quorum: int = 2,
     read_quorum: int = 1,
     heartbeat_interval_us: float = 5_000.0,
-    repairs_per_scan: int = 4,
     server_slots: Optional[int] = None,
-    device_blocks: int = 4096,
-    mount_name: str = "shardfs",
 ) -> ShardedCluster:
     """Build and wire a sharded DFS; returns the :class:`ShardedCluster`.
 
@@ -60,7 +63,7 @@ def create_sharded_dfs(
     """
     world = world or World()
     meta = world.create_node("meta")
-    device = BlockDevice(meta.nucleus, "md0", device_blocks)
+    device = BlockDevice(meta.nucleus, "md0", META_DEVICE_BLOCKS)
     meta_sfs = create_sfs(meta, device, name="shardmeta")
 
     nn_domain = meta.create_domain(
@@ -70,7 +73,6 @@ def create_sharded_dfs(
         nn_domain,
         replication=replication,
         heartbeat_interval_us=heartbeat_interval_us,
-        repairs_per_scan=repairs_per_scan,
     )
 
     dn_nodes: List[Node] = []
@@ -89,7 +91,7 @@ def create_sharded_dfs(
 
     client = world.create_node("client")
     layer_domain = client.create_domain(
-        mount_name, Credentials(mount_name, privileged=True)
+        MOUNT_NAME, Credentials(MOUNT_NAME, privileged=True)
     )
     layer = ShardedDfsLayer(
         layer_domain,
@@ -100,7 +102,7 @@ def create_sharded_dfs(
     for name, service in services.items():
         layer.attach_datanode(name, service)
     layer.stack_on(meta_sfs.top)
-    client.fs_context.bind(mount_name, layer)
+    client.fs_context.bind(MOUNT_NAME, layer)
 
     return ShardedCluster(
         world=world,

@@ -43,6 +43,13 @@ from repro.dfs.blockmap import BlockInfo, BlockMap
 from repro.dfs.datanode import DataNodeService
 
 
+#: Repair moves allowed per heartbeat scan (bounds the latency a single
+#: client op absorbs during a recovery storm).
+REPAIRS_PER_SCAN = 4
+#: Minimum replica-count spread before the rebalancer moves one.
+REBALANCE_GAP = 2
+
+
 @dataclasses.dataclass
 class DataNodeEntry:
     """Registry row for one datanode."""
@@ -63,19 +70,12 @@ class NameNodeService(SpringObject):
         domain,
         replication: int = 3,
         heartbeat_interval_us: float = 5_000.0,
-        repairs_per_scan: int = 4,
-        rebalance_gap: int = 2,
     ) -> None:
         super().__init__(domain)
         if replication < 1:
             raise ValueError(f"replication must be >= 1, got {replication}")
         self.replication = replication
         self.heartbeat_interval_us = heartbeat_interval_us
-        #: Repair moves allowed per heartbeat scan (bounds the latency a
-        #: single client op absorbs during a recovery storm).
-        self.repairs_per_scan = repairs_per_scan
-        #: Minimum replica-count spread before the rebalancer moves one.
-        self.rebalance_gap = rebalance_gap
         self.block_map = BlockMap()
         self._datanodes: Dict[str, DataNodeEntry] = {}
         self._last_scan_us = float("-inf")
@@ -116,7 +116,7 @@ class NameNodeService(SpringObject):
                 entry.alive = True
                 counters.inc("shard.nn.datanode_recovered")
             entry.epoch = epoch
-        self._repair(self.repairs_per_scan)
+        self._repair(REPAIRS_PER_SCAN)
         self._rebalance(1)
 
     @operation
@@ -317,7 +317,7 @@ class NameNodeService(SpringObject):
     # ----------------------------------------------------------- rebalance
     def _rebalance(self, max_moves: int) -> int:
         """Move replicas from the fullest live datanode to the emptiest
-        while their replica counts differ by at least ``rebalance_gap``.
+        while their replica counts differ by at least ``REBALANCE_GAP``.
         Fullness ties break toward the node that has absorbed the most
         network bytes (the hot one sheds load first)."""
         moves = 0
@@ -336,7 +336,7 @@ class NameNodeService(SpringObject):
             ]
             source = max(loads, key=lambda t: (t[0], t[1]))
             target = min(loads, key=lambda t: (t[0], t[1]))
-            if source[0] - target[0] < self.rebalance_gap:
+            if source[0] - target[0] < REBALANCE_GAP:
                 return moves
             if not self._move_one(source[2], target[2]):
                 return moves
