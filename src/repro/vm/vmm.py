@@ -375,13 +375,10 @@ class Vmm(CacheManager):
         Victims come from the two FIFO eviction queues maintained by the
         PageStore observer hooks — clean pages first (dropped for free),
         then dirty pages (paged out, one call per run).  The queues are
-        validated lazily:
-        entries for pages that were dropped since enqueue are discarded
-        on pop, and an entry whose page changed dirtiness migrates to
-        the other queue.  Each entry is touched at most a constant
-        number of times over its lifetime, so eviction is amortized O(1)
-        per fault — the previous implementation re-walked every resident
-        page of every cache on every fault.
+        validated lazily (:meth:`_pop_victims`); each entry is touched
+        at most a constant number of times over its lifetime, so
+        eviction is amortized O(1) per fault, not a walk over every
+        resident page of every cache.
 
         ``protect`` is an optional ``(cache, page_index)`` the current
         fault is about to install — never chosen as a victim (requeued
@@ -393,9 +390,38 @@ class Vmm(CacheManager):
         evicted = 0
 
         # Pass 1: drop clean pages, oldest-installed first.
-        queue = self._clean_q
+        if self._resident > target:
+            for cache, index in self._pop_victims(False, protect):
+                cache.store.drop(index)  # observer updates _resident/_queued
+                evicted += 1
+                if self._resident <= target:
+                    break
+
+        # Pass 2: page out dirty pages.
+        if self._resident > target:
+            victims: List[Tuple[VmCache, int]] = []
+            for key in self._pop_victims(True, protect):
+                victims.append(key)
+                if self._resident - len(victims) <= target:
+                    break
+            evicted += self._evict_dirty(victims)
+
+        self.evictions += evicted
+        self.world.counters.inc("vmm.evicted", evicted)
+        return evicted
+
+    def _pop_victims(self, dirty: bool, protect: Optional[tuple]):
+        """Pop entries off the dirty (else the clean) eviction queue,
+        oldest first, yielding the ``(cache, index)`` of each that still
+        names a resident page of that kind.  This is the lazy
+        validation: an entry whose page was dropped since enqueue is
+        discarded, one whose page changed dirtiness migrates to the
+        other queue, and ``protect`` goes back to the tail."""
+        queue, other = self._clean_q, self._dirty_q
+        if dirty:
+            queue, other = other, queue
         budget = len(queue) + 2  # slack: protect may be requeued once
-        while budget > 0 and queue and self._resident > target:
+        while budget > 0 and queue:
             budget -= 1
             key = queue.popleft()
             if key not in self._queued:
@@ -404,43 +430,12 @@ class Vmm(CacheManager):
             page = cache.store.get(index)
             if page is None or cache.destroyed:
                 self._queued.discard(key)
-                continue
-            if key == protect:
+            elif key == protect:
                 queue.append(key)
-                continue
-            if page.dirty:
-                self._dirty_q.append(key)  # dirtied since enqueue: migrate
-                continue
-            cache.store.drop(index)  # observer updates _resident/_queued
-            evicted += 1
-
-        # Pass 2: page out dirty pages.
-        if self._resident > target:
-            queue = self._dirty_q
-            budget = len(queue) + 2
-            victims: List[Tuple[VmCache, int]] = []
-            while budget > 0 and queue and self._resident - len(victims) > target:
-                budget -= 1
-                key = queue.popleft()
-                if key not in self._queued:
-                    continue
-                cache, index = key
-                page = cache.store.get(index)
-                if page is None or cache.destroyed:
-                    self._queued.discard(key)
-                    continue
-                if key == protect:
-                    queue.append(key)
-                    continue
-                if not page.dirty:
-                    self._clean_q.append(key)  # cleaned since enqueue
-                    continue
-                victims.append(key)
-            evicted += self._evict_dirty(victims)
-
-        self.evictions += evicted
-        self.world.counters.inc("vmm.evicted", evicted)
-        return evicted
+            elif page.dirty != dirty:
+                other.append(key)  # dirtied or cleaned since enqueue
+            else:
+                yield key
 
     def _evict_dirty(self, victims: List[Tuple[VmCache, int]]) -> int:
         """Page out and drop the chosen dirty victims: each cache's
