@@ -103,10 +103,9 @@ def _run(placement: str) -> dict:
 def _run_flush() -> dict:
     """Sequential uncached write/flush: create a 1 MB file and sync it
     through the two-domain SFS.  The dirty run goes down as one sync
-    and lands as clustered device writes; written back a page at a
-    time — the arm this record used to carry beside it, see
-    EXPERIMENTS.md ablation G — every page paid an invocation plus a
-    full disk transfer (~13.7 ms)."""
+    and lands as clustered device writes, where a page per call would
+    pay an invocation plus a full disk transfer (~13.7 ms) per page
+    (EXPERIMENTS.md ablation G has those figures)."""
     world = World()
     node = world.create_node("bench")
     device = BlockDevice(node.nucleus, "sd0", 32768)

@@ -173,11 +173,8 @@ def recording_vm_cache(node):
 
 
 class TestBatchedWriteBackOrder:
-    def _cache(self, node):
-        return recording_vm_cache(node)
-
     def test_batched_sync_one_call_per_run_ascending(self, node):
-        cache, pager = self._cache(node)
+        cache, pager = recording_vm_cache(node)
         for index in (5, 6, 0, 1, 2):  # install out of order
             cache.store.install(index, b"x", RW, dirty=True)
         assert cache.sync() == 5
@@ -188,7 +185,7 @@ class TestBatchedWriteBackOrder:
         assert cache.store.dirty_pages() == []
 
     def test_batched_flush_pages_out_runs(self, node):
-        cache, pager = self._cache(node)
+        cache, pager = recording_vm_cache(node)
         for index in (0, 1, 3):
             cache.store.install(index, b"x", RW, dirty=True)
         assert cache.flush() == 3
@@ -204,7 +201,7 @@ class TestBatchedWriteBackOrder:
         and dirty, and go back on the queue — ``reclaim`` finds them
         again once the pager heals, so ``capacity_pages`` stays a
         bound."""
-        cache, pager = self._cache(node)
+        cache, pager = recording_vm_cache(node)
         vmm = node.vmm
         vmm.capacity_pages = 4
         for index in (0, 1, 3, 4, 6, 7):
