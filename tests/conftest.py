@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.fs.sfs import create_sfs
 from repro.storage.block_device import BlockDevice, RamDevice
 from repro.storage.volume import Volume
 from repro.world import World
+
+#: The chaos job's search depth (``--hypothesis-profile=deep``) for the
+#: property tests that leave ``max_examples`` to the profile.
+settings.register_profile("deep", max_examples=1500)
 
 
 @pytest.fixture

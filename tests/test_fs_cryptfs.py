@@ -4,6 +4,7 @@ on disk, per-block invalidation, and degraded (channel-refused) mode."""
 import pytest
 
 from repro.bench.workloads import incompressible_bytes
+from repro.errors import DeviceError
 from repro.fs.cryptfs import CryptFs, keystream, xor_block
 from repro.fs.sfs import create_sfs
 from repro.ipc.domain import Credentials
@@ -198,3 +199,38 @@ class TestDegradedMode:
             )
         assert scanned == payload
         assert world.counters.get("cryptfs.readahead") == 0
+
+
+class TestAFailedExtensionKeepsTheLength:
+    """Growing a file first faults its old last page (its tail must read
+    as zeros).  When that fault fails below, the file keeps its length,
+    above and below — a write past EOF and a growing ftruncate alike."""
+
+    @pytest.fixture
+    def faulty(self, world, node, device):
+        sfs = create_sfs(node, device, cache=False)
+        user = world.create_user_domain(node)
+        writer = CryptFs(node.create_domain("c1", Credentials("c1", True)))
+        writer.stack_on(sfs.top)
+        with user.activate():
+            writer.create_file("f.dat").write(0, b"a" * 6000)
+        volume = sfs.disk_layer.volume
+        inode = volume.iget(volume.lookup(volume.sb.root_ino, "f.dat"))
+        device.inject_bad_block(volume.bmap(inode, 1))  # under the second page
+        # A fresh layer: nothing of the file is cached above the disk.
+        layer = CryptFs(node.create_domain("c2", Credentials("c2", True)))
+        layer.stack_on(sfs.top)
+        return sfs, layer, user
+
+    @pytest.mark.parametrize("grow", ["write", "ftruncate"])
+    def test_a_failed_fault_leaves_the_length(self, faulty, grow):
+        sfs, layer, user = faulty
+        with user.activate():
+            f = layer.resolve("f.dat")
+            with pytest.raises(DeviceError):
+                if grow == "write":
+                    f.write(10_000, b"b" * 100)
+                else:
+                    f.set_length(10_100)
+            assert f.get_length() == 6000
+            assert sfs.top.resolve("f.dat").get_length() == 6000
