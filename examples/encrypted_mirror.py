@@ -77,7 +77,7 @@ def main() -> None:
         from repro.fs.cryptfs import xor_block
         recovered = xor_block(ciphertext[:9], b"home-dir-key", 0)
         print("read after primary disk failure:", recovered == secret[:9],
-              f"(failovers: {mirror.failovers})")
+              f"(failovers: {world.counters.get('mirrorfs.failover')})")
 
     device_a.clear_bad_blocks()
     print(f"virtual time: {world.clock.now_us / 1000:.1f} ms")

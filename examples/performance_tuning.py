@@ -70,7 +70,7 @@ def main() -> None:
         )
     print(f"\nmemory pressure: {FILE_PAGES} dirty pages through an "
           f"8-page VMM: data intact = {ok}, "
-          f"evictions = {node.vmm.evictions}, "
+          f"evictions = {world.counters.get('vmm.evicted')}, "
           f"resident = {node.vmm.resident_pages()} pages")
 
     # ---- protocol choice --------------------------------------------------------

@@ -58,23 +58,13 @@ class _Fd:
 
 
 class SunOsFs:
-    """Monolithic kernel file system with a unified buffer cache."""
+    """Monolithic kernel file system with a unified buffer cache, on a
+    freshly formatted ``device``."""
 
-    def __init__(
-        self,
-        world,
-        device: BlockDevice,
-        format_device: bool = True,
-        cache: bool = True,
-        costs: SunOsCosts = None,
-    ) -> None:
+    def __init__(self, world, device: BlockDevice) -> None:
         self.world = world
-        self.costs = costs or SunOsCosts()
-        self.cache_enabled = cache
-        if format_device:
-            self.volume = Volume.mkfs(device)
-        else:
-            self.volume = Volume.mount(device)
+        self.costs = SunOsCosts()
+        self.volume = Volume.mkfs(device)
         self._pages: Dict[int, PageStore] = {}
         self._fds: Dict[int, _Fd] = {}
         self._next_fd = 3
@@ -133,10 +123,7 @@ class SunOsFs:
         if offset >= inode.size:
             return b""
         size = min(size, inode.size - offset)
-        if self.cache_enabled:
-            data = self._store(entry.ino).read(offset, size, self._fault(entry.ino))
-        else:
-            data = self.volume.read_data(entry.ino, offset, size)
+        data = self._store(entry.ino).read(offset, size, self._fault(entry.ino))
         self._charge(self.costs.uiomove_per_kb_us * size / 1024)
         return data
 
@@ -145,15 +132,12 @@ class SunOsFs:
         self._trap()
         self._charge(self.costs.write_bookkeeping_us)
         self._charge(self.costs.uiomove_per_kb_us * len(data) / 1024)
-        if self.cache_enabled:
-            self._store(entry.ino).write(offset, data, self._fault(entry.ino))
-            inode = self.volume.iget(entry.ino)
-            if offset + len(data) > inode.size:
-                inode.size = offset + len(data)
-            inode.mtime_us = inode.ctime_us = int(self.world.clock.now_us)
-            self.volume.mark_dirty(entry.ino)
-        else:
-            self.volume.write_data(entry.ino, offset, data)
+        self._store(entry.ino).write(offset, data, self._fault(entry.ino))
+        inode = self.volume.iget(entry.ino)
+        if offset + len(data) > inode.size:
+            inode.size = offset + len(data)
+        inode.mtime_us = inode.ctime_us = int(self.world.clock.now_us)
+        self.volume.mark_dirty(entry.ino)
         return len(data)
 
     def read(self, fd: int, size: int) -> bytes:

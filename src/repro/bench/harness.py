@@ -37,16 +37,14 @@ def measure(
     op: Callable[[], object],
     iterations: int = 100,
     runs: int = 5,
-    warmup: int = 1,
 ) -> Measurement:
     """Average virtual cost of ``op`` over ``runs`` x ``iterations``.
 
-    ``warmup`` iterations run first (uncounted) so caches reach steady
+    One warm-up call runs first (uncounted) so caches reach steady
     state, matching how the paper's micro-benchmarks behave after the
     first touch.
     """
-    for _ in range(warmup):
-        op()
+    op()
     total = 0.0
     breakdown: Dict[str, float] = {}
     for _ in range(runs):

@@ -72,10 +72,12 @@ def _populate(top, count: int) -> List[str]:
     return names
 
 
-def build_config(name: str, files: int = FILES) -> LoadConfig:
-    """Build one of :data:`CONFIGS` with its service queues installed."""
+def build_config(name: str) -> LoadConfig:
+    """Build one of :data:`CONFIGS` with its service queues installed.
+    The scheduler comes first, so layer busy time counts from the
+    populate on."""
     world = World()
-    world.enable_layer_busy_accounting()
+    world.scheduler()
     if name == "dfs":
         server = world.create_node("server")
         client_node = world.create_node("client")
@@ -87,7 +89,7 @@ def build_config(name: str, files: int = FILES) -> LoadConfig:
         su = world.create_user_domain(server, "su")
         user = world.create_user_domain(client_node, "cu")
         with su.activate():
-            names = _populate(dfs, files)
+            names = _populate(dfs, FILES)
 
         def make_op(fname: str) -> Callable[[], object]:
             path = f"dfs@server/{fname}"
@@ -115,7 +117,7 @@ def build_config(name: str, files: int = FILES) -> LoadConfig:
             top = null
         user = world.create_user_domain(node)
         with user.activate():
-            names = _populate(top, files)
+            names = _populate(top, FILES)
 
         def make_op(fname: str) -> Callable[[], object]:
             def op() -> object:
@@ -130,14 +132,12 @@ def build_config(name: str, files: int = FILES) -> LoadConfig:
     return LoadConfig(world, names, make_op, top)
 
 
-def _client(config: LoadConfig, rng: random.Random,
-            latencies: List[float], requests: int,
-            think_mean_us: float):
+def _client(config: LoadConfig, rng: random.Random, latencies: List[float]):
     """One simulated client: a coroutine for the scheduler."""
     world = config.world
     names = config.names
-    for _ in range(requests):
-        yield think(rng.expovariate(1.0 / think_mean_us))
+    for _ in range(REQUESTS):
+        yield think(rng.expovariate(1.0 / THINK_MEAN_US))
         issued_us = world.clock.now_us
         yield request(config.make_op(names[rng.randrange(len(names))]))
         latencies.append(world.clock.now_us - issued_us)
@@ -148,9 +148,7 @@ def _percentile(ordered: List[float], fraction: float) -> float:
     return ordered[index]
 
 
-def run_cell(config_name: str, clients: int, seed: int = 11,
-             requests: int = REQUESTS,
-             think_mean_us: float = THINK_MEAN_US) -> Dict[str, object]:
+def run_cell(config_name: str, clients: int, seed: int = 11) -> Dict[str, object]:
     """One sweep cell: ``clients`` concurrent clients against a fresh
     build of ``config_name``; returns throughput/latency/queueing
     metrics in virtual time."""
@@ -161,17 +159,14 @@ def run_cell(config_name: str, clients: int, seed: int = 11,
     start_us = world.clock.now_us
     for cid in range(clients):
         rng = random.Random(seed * 1_000_003 + cid)
-        scheduler.spawn(
-            _client(config, rng, latencies, requests, think_mean_us),
-            name=f"client{cid}",
-        )
+        scheduler.spawn(_client(config, rng, latencies), name=f"client{cid}")
     scheduler.run()
     makespan_us = world.clock.now_us - start_us
     ordered = sorted(latencies)
     clock = world.clock
     busy = {
         fs_type: round(busy_us / 1000, 3)
-        for fs_type, _, busy_us, _ in layer_busy_breakdown(config.top)
+        for fs_type, _, busy_us in layer_busy_breakdown(config.top)
         if busy_us > 0
     }
     return {
@@ -189,17 +184,12 @@ def run_cell(config_name: str, clients: int, seed: int = 11,
     }
 
 
-def sweep(config_name: str, loads: List[int], seed: int = 11,
-          requests: int = REQUESTS,
-          think_mean_us: float = THINK_MEAN_US) -> Dict[str, object]:
+def sweep(config_name: str, loads: List[int], seed: int = 11) -> Dict[str, object]:
     """Sweep offered load for one configuration and locate the
     saturation knee: the smallest load whose throughput reaches 95% of
     the sweep's peak (beyond it, added clients only add queueing
     delay)."""
-    cells = [
-        run_cell(config_name, clients, seed, requests, think_mean_us)
-        for clients in loads
-    ]
+    cells = [run_cell(config_name, clients, seed) for clients in loads]
     peak = max(cell["throughput_rps"] for cell in cells)
     knee_clients: Optional[int] = None
     for cell in cells:

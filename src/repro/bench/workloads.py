@@ -6,8 +6,8 @@ import random
 from typing import List
 
 
-def compressible_bytes(size: int, seed: int = 0, ratio_hint: float = 0.25) -> bytes:
-    """Data that zlib compresses to roughly ``ratio_hint`` of its size:
+def compressible_bytes(size: int, seed: int = 0) -> bytes:
+    """Data that zlib compresses to roughly a quarter of its size:
     repeated dictionary words with occasional random salt.  Deterministic
     per seed."""
     rng = random.Random(seed)
@@ -17,7 +17,7 @@ def compressible_bytes(size: int, seed: int = 0, ratio_hint: float = 0.25) -> by
     ]
     out = bytearray()
     while len(out) < size:
-        if rng.random() < ratio_hint:
+        if rng.random() < 0.25:
             out += bytes(rng.getrandbits(8) for _ in range(8))
         else:
             out += rng.choice(words) + b" "
@@ -38,8 +38,8 @@ def pattern_bytes(size: int, tag: int = 0) -> bytes:
     return (block * reps)[:size]
 
 
-def file_names(count: int, prefix: str = "f", seed: int = 0) -> List[str]:
-    rng = random.Random(seed)
+def file_names(count: int, prefix: str = "f") -> List[str]:
+    rng = random.Random(0)
     suffixes = ["dat", "txt", "log", "idx", "tmp"]
     return [
         f"{prefix}{i:04d}.{rng.choice(suffixes)}"

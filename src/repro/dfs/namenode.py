@@ -32,7 +32,7 @@ never serving torn data.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 from repro.errors import TransientNetworkError
 from repro.ipc.invocation import operation
@@ -287,13 +287,10 @@ class NameNodeService(SpringObject):
         return moves
 
     @operation
-    def repair(self, max_moves: Optional[int] = None) -> int:
-        """Run the repair state machine to completion (or ``max_moves``).
-        Returns the number of block copies made."""
-        if max_moves is None:
-            max_moves = self.block_map.total_blocks() * self.replication
-        budget = max_moves
-        return self._repair(budget)
+    def repair(self) -> int:
+        """Run the repair state machine to completion.  Returns the
+        number of block copies made."""
+        return self._repair(self.block_map.total_blocks() * self.replication)
 
     @operation
     def under_replicated_count(self) -> int:

@@ -51,7 +51,7 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.errors import FsError, StackingError
 from repro.ipc.compound import compound_region
-from repro.ipc.invocation import operation
+from repro.ipc.invocation import bytes_in, operation
 from repro.ipc.narrow import narrow
 from repro.naming.context import NamingContext
 from repro.types import PAGE_SIZE, AccessRights, page_range
@@ -103,19 +103,15 @@ def split_pages(offset: int, size: int, data) -> Dict[int, bytes]:
     }
 
 
-def _pages_bytes(pages: Optional[Dict[int, bytes]]) -> int:
-    return sum(len(chunk) for chunk in pages.values()) if pages else 0
-
-
 class LayerRuntime:
     """Per-layer telemetry, applied at the channel dispatch choke-point.
 
     Every operation dispatched through :class:`LayerPagerObject` /
-    :class:`LayerFsCache` calls :meth:`record` exactly once, so the
-    ``<layer>.<op>`` counters are a complete census of channel traffic —
-    this is what ``report.py``'s per-layer breakdown reads.  Counter keys
-    are interned up front; the dispatch path runs on every simulated
-    page so it must not rebuild f-strings per call.
+    :class:`LayerFsCache` runs through :meth:`dispatch` exactly once, so
+    the ``<layer>.<op>`` counters are a complete census of channel
+    traffic — this is what ``report.py``'s per-layer breakdown reads.
+    Counter keys are interned up front; the dispatch path runs on every
+    simulated page so it must not rebuild f-strings per call.
     """
 
     __slots__ = (
@@ -131,16 +127,15 @@ class LayerRuntime:
     def __init__(self, layer: "BaseLayer") -> None:
         self.layer = layer
         #: The layer's world and its counter-increment method, resolved
-        #: once: record() runs per dispatched op, and the world/counters
+        #: once: dispatch() runs per channel op, and the world/counters
         #: objects are fixed for the layer's lifetime.
         self.world = layer.world
         self._inc = self.world.counters.inc
         #: Virtual time this layer spent servicing channel ops,
-        #: *exclusive* of time spent inside the layers below it.  Only
-        #: accumulated while the world's busy accounting is enabled
-        #: (:meth:`repro.world.World.enable_layer_busy_accounting`);
-        #: under the discrete-event scheduler, ``busy_us / makespan`` is
-        #: the layer's utilization.
+        #: *exclusive* of time spent inside the layers below it.
+        #: Accumulated once the world has a scheduler
+        #: (:meth:`repro.world.World.scheduler`); over a run's makespan
+        #: it is the layer's utilization.
         self.busy_us = 0.0
         #: Number of layers below this one in its stack (0 = bottom);
         #: maintained by :meth:`BaseLayer.stack_on`.
@@ -153,51 +148,62 @@ class LayerRuntime:
             op: sys.intern(f"{fs}.{op}.bytes") for op in PAGER_OPS + CACHE_OPS
         }
 
-    def record(self, op: str, offset: Optional[int] = None, size: int = 0) -> None:
-        key = self.count_keys[op]
-        self._inc(key)
-        if size:
-            self._inc(self.byte_keys[op], size)
-        world = self.world
-        if world.tracer is not None:
-            world.trace(
-                "layer",
-                key,
-                layer=self.layer.fs_type(),
-                depth=self.depth,
-                offset=offset,
-                size=size,
-            )
+    def dispatch(
+        self, op: str, offset: Optional[int], size: Optional[int], fn, *args
+    ):
+        """Count channel op ``op`` and run ``fn(*args)``.
 
-    def timed(self, fn, *args, **kwargs):
-        """Dispatch ``fn(*args, **kwargs)`` and attribute the virtual
-        time it charges to this layer, exclusive of nested dispatches
-        into lower layers.  When busy accounting is off (the default)
-        this is a tail call with no clock reads — the calibration hot
-        path pays one attribute load and one ``is None`` test.
+        The op is counted under ``<layer>.<op>``, with ``size`` bytes
+        under ``<layer>.<op>.bytes``, and traced when tracing is on.  A
+        request-sized op is counted first, so one that raises is still
+        counted; ``size`` None means result-sized: counted after the
+        call, with the bytes it returned.
 
-        The exclusive-time bookkeeping works on a world-level stack of
-        open dispatch frames ``[start_us, child_us]``: a frame's self
-        time is its total elapsed minus the totals its nested frames
-        reported into ``child_us``.  Works identically in sequential
-        and concurrent mode because it only ever *reads* the clock —
-        inside a scheduler frame those reads are frame-local times,
-        whose differences are exactly the op's charged time.
+        Once the world has a scheduler, the virtual time ``fn`` charges
+        is attributed to this layer exclusive of nested dispatches into
+        lower layers, on a world-level stack of open frames
+        ``[start_us, child_us]``: a frame's self time is its total
+        elapsed minus the totals its nested frames reported into
+        ``child_us``.  It only ever *reads* the clock — inside a
+        scheduler frame those reads are frame-local times, whose
+        differences are exactly the op's charged time.
         """
         world = self.world
-        stack = world.busy_stack
-        if stack is None:
-            return fn(*args, **kwargs)
-        frame = [world.clock.now_us, 0.0]
-        stack.append(frame)
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            total = world.clock.now_us - frame[0]
-            stack.pop()
-            self.busy_us += total - frame[1]
-            if stack:
-                stack[-1][1] += total
+        key = self.count_keys[op]
+        if size is not None:
+            self._inc(key)
+            if size:
+                self._inc(self.byte_keys[op], size)
+            if world.tracer is not None:
+                self._trace(key, offset, size)
+        if world.busy_stack is None:
+            result = fn(*args)
+        else:
+            stack = world.busy_stack
+            frame = [world.clock.now_us, 0.0]
+            stack.append(frame)
+            try:
+                result = fn(*args)
+            finally:
+                total = world.clock.now_us - frame[0]
+                stack.pop()
+                self.busy_us += total - frame[1]
+                if stack:
+                    stack[-1][1] += total
+        if size is None:
+            size = bytes_in(result)
+            self._inc(key)
+            if size:
+                self._inc(self.byte_keys[op], size)
+            if world.tracer is not None:
+                self._trace(key, offset, size)
+        return result
+
+    def _trace(self, key: str, offset: Optional[int], size: int) -> None:
+        self.world.trace(
+            "layer", key, layer=self.layer.fs_type(), depth=self.depth,
+            offset=offset, size=size,
+        )
 
 
 class ChannelOps:
@@ -417,50 +423,42 @@ class LayerPagerObject(FsPager):
 
     @operation
     def page_in(self, offset: int, size: int, access: AccessRights) -> bytes:
-        runtime = self.runtime
-        runtime.record("page_in", offset, size)
-        return runtime.timed(
-            self.ops.page_in, self.source_key, self, offset, size, access
+        return self.runtime.dispatch(
+            "page_in", offset, size,
+            self.ops.page_in, self.source_key, self, offset, size, access,
         )
 
     @operation
     def page_in_range(
         self, offset: int, min_size: int, max_size: int, access: AccessRights
     ) -> bytes:
-        runtime = self.runtime
-        data = runtime.timed(
+        return self.runtime.dispatch(
+            "page_in_range", offset, None,
             self.ops.page_in_range,
             self.source_key, self, offset, min_size, max_size, access,
         )
-        # Recorded after dispatch: the byte count is what actually moved.
-        runtime.record("page_in_range", offset, len(data))
-        return data
 
     @operation
     def page_out(self, offset: int, size: int, data: bytes) -> None:
-        runtime = self.runtime
-        runtime.record("page_out", offset, size)
-        runtime.timed(
-            self.ops.page_out, self.source_key, self, offset, size, data,
-            retain=None,
+        self.runtime.dispatch(
+            "page_out", offset, size,
+            self.ops.page_out, self.source_key, self, offset, size, data, None,
         )
 
     @operation
     def write_out(self, offset: int, size: int, data: bytes) -> None:
-        runtime = self.runtime
-        runtime.record("write_out", offset, size)
-        runtime.timed(
+        self.runtime.dispatch(
+            "write_out", offset, size,
             self.ops.page_out, self.source_key, self, offset, size, data,
-            retain=AccessRights.READ_ONLY,
+            AccessRights.READ_ONLY,
         )
 
     @operation
     def sync(self, offset: int, size: int, data: bytes) -> None:
-        runtime = self.runtime
-        runtime.record("sync", offset, size)
-        runtime.timed(
+        self.runtime.dispatch(
+            "sync", offset, size,
             self.ops.page_out, self.source_key, self, offset, size, data,
-            retain=AccessRights.READ_WRITE,
+            AccessRights.READ_WRITE,
         )
 
     @operation
@@ -470,15 +468,16 @@ class LayerPagerObject(FsPager):
 
     @operation
     def attr_page_in(self) -> FileAttributes:
-        runtime = self.runtime
-        runtime.record("attr_page_in")
-        return runtime.timed(self.ops.attr_page_in, self.source_key, self)
+        return self.runtime.dispatch(
+            "attr_page_in", None, 0, self.ops.attr_page_in, self.source_key, self
+        )
 
     @operation
     def attr_write_out(self, attrs: FileAttributes) -> None:
-        runtime = self.runtime
-        runtime.record("attr_write_out")
-        runtime.timed(self.ops.attr_write_out, self.source_key, self, attrs)
+        self.runtime.dispatch(
+            "attr_write_out", None, 0,
+            self.ops.attr_write_out, self.source_key, self, attrs,
+        )
 
 
 class LayerFsCache(FsCache):
@@ -487,7 +486,7 @@ class LayerFsCache(FsCache):
     The lower pager invokes these to perform coherency actions against
     this layer's cached state for one file (``state`` is the layer's
     per-file record).  Like the pager side, every call dispatches into
-    the layer's :class:`ChannelOps` table after recording telemetry.
+    the layer's :class:`ChannelOps` table through the runtime.
     """
 
     def __init__(self, domain, layer: "BaseLayer", state: Any) -> None:
@@ -499,64 +498,63 @@ class LayerFsCache(FsCache):
 
     @operation
     def flush_back(self, offset: int, size: int) -> Dict[int, bytes]:
-        runtime = self.runtime
-        pages = runtime.timed(self.ops.flush_back, self.state, offset, size)
-        runtime.record("flush_back", offset, _pages_bytes(pages))
-        return pages
+        return self.runtime.dispatch(
+            "flush_back", offset, None, self.ops.flush_back, self.state, offset, size
+        )
 
     @operation
     def deny_writes(self, offset: int, size: int) -> Dict[int, bytes]:
-        runtime = self.runtime
-        pages = runtime.timed(self.ops.deny_writes, self.state, offset, size)
-        runtime.record("deny_writes", offset, _pages_bytes(pages))
-        return pages
+        return self.runtime.dispatch(
+            "deny_writes", offset, None, self.ops.deny_writes, self.state, offset, size
+        )
 
     @operation
     def write_back(self, offset: int, size: int) -> Dict[int, bytes]:
-        runtime = self.runtime
-        pages = runtime.timed(self.ops.write_back, self.state, offset, size)
-        runtime.record("write_back", offset, _pages_bytes(pages))
-        return pages
+        return self.runtime.dispatch(
+            "write_back", offset, None, self.ops.write_back, self.state, offset, size
+        )
 
     @operation
     def delete_range(self, offset: int, size: int) -> None:
-        runtime = self.runtime
-        runtime.record("delete_range", offset, size)
-        runtime.timed(self.ops.delete_range, self.state, offset, size)
+        self.runtime.dispatch(
+            "delete_range", offset, size,
+            self.ops.delete_range, self.state, offset, size,
+        )
 
     @operation
     def zero_fill(self, offset: int, size: int) -> None:
-        runtime = self.runtime
-        runtime.record("zero_fill", offset, size)
-        runtime.timed(self.ops.zero_fill, self.state, offset, size)
+        self.runtime.dispatch(
+            "zero_fill", offset, size, self.ops.zero_fill, self.state, offset, size
+        )
 
     @operation
     def populate(
         self, offset: int, size: int, access: AccessRights, data: bytes
     ) -> None:
-        runtime = self.runtime
-        runtime.record("populate", offset, size)
-        runtime.timed(
-            self.ops.populate, self.state, offset, size, access, data
+        self.runtime.dispatch(
+            "populate", offset, size,
+            self.ops.populate, self.state, offset, size, access, data,
         )
 
     @operation
     def destroy_cache(self) -> None:
-        runtime = self.runtime
-        runtime.record("destroy_cache")
-        runtime.timed(self.ops.destroy_cache, self.state)
+        self.runtime.dispatch(
+            "destroy_cache", None, 0, self.ops.destroy_cache, self.state
+        )
 
     @operation
     def invalidate_attributes(self) -> None:
-        runtime = self.runtime
-        runtime.record("invalidate_attributes")
-        runtime.timed(self.ops.invalidate_attributes, self.state)
+        self.runtime.dispatch(
+            "invalidate_attributes", None, 0,
+            self.ops.invalidate_attributes, self.state,
+        )
 
     @operation
     def write_back_attributes(self) -> Optional[FileAttributes]:
-        runtime = self.runtime
-        runtime.record("write_back_attributes")
-        return runtime.timed(self.ops.write_back_attributes, self.state)
+        return self.runtime.dispatch(
+            "write_back_attributes", None, 0,
+            self.ops.write_back_attributes, self.state,
+        )
 
     @operation
     def held_blocks(self) -> Optional[Dict[int, Tuple[bool, bool]]]:
@@ -827,8 +825,8 @@ class BaseLayer(LayerNaming, StackableFs, CacheManager, abc.ABC):
     #: Access requested when binding below on first downstream use.
     down_access = AccessRights.READ_WRITE
     #: Tuning knobs, both off by default: calibration runs uncompounded
-    #: and without read-ahead.  Set per layer, by assignment or the
-    #: constructor keyword of the layers that take one.  ``compound``:
+    #: and without read-ahead.  Set per layer, by assignment (DFS also
+    #: takes ``compound`` as a keyword: two callers pass it).  ``compound``:
     #: batch per-holder coherency fan-out messages into one round trip
     #: per remote node (see :mod:`repro.ipc.compound`).
     #: ``readahead_pages``: sequential read-ahead window of the layer's

@@ -132,15 +132,6 @@ class CfsLayer(BaseLayer):
     file_class = CfsFile
     directory_class = CfsContext
 
-    def __init__(self, domain, readahead_pages: int = 0) -> None:
-        super().__init__(domain)
-        #: Sequential read-ahead window for the mappings CFS reads and
-        #: writes through.  Applied per-cache (VmCache.readahead_override)
-        #: rather than via the node-wide VMM knob, so only CFS traffic is
-        #: affected; the ranged page-ins travel the whole remote stack —
-        #: DFS forwards them and the disk layer clusters.
-        self.readahead_pages = readahead_pages
-
     def fs_type(self) -> str:
         return "cfs"
 
@@ -208,6 +199,9 @@ class CfsLayer(BaseLayer):
         )
         state.mapping_length = length
         if self.readahead_pages > 0:
+            # Per cache rather than the node-wide VMM knob, so only CFS
+            # traffic reads ahead; the ranged page-ins travel the whole
+            # remote stack — DFS forwards them and the disk layer clusters.
             state.mapping.cache.readahead_override = self.readahead_pages
 
     def file_read(self, state: CfsFileState, offset: int, size: int) -> bytes:
@@ -287,9 +281,8 @@ class CfsLayer(BaseLayer):
         return []
 
 
-def start_cfs(node, readahead_pages: int = 0) -> CfsLayer:
+def start_cfs(node) -> CfsLayer:
     """Boot a CFS server on a node (administratively optional)."""
     from repro.ipc.domain import Credentials
 
-    domain = node.create_domain("cfs", Credentials("cfs", privileged=True))
-    return CfsLayer(domain, readahead_pages=readahead_pages)
+    return CfsLayer(node.create_domain("cfs", Credentials("cfs", privileged=True)))

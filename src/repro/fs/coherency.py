@@ -200,17 +200,10 @@ class CoherencyLayer(BaseLayer):
     directory_class = CoherentDirectory
 
     def __init__(
-        self,
-        domain,
-        cache: bool = True,
-        readahead_pages: int = 0,
-        protocol: str = "per_block",
-        compound: bool = False,
+        self, domain, cache: bool = True, protocol: str = "per_block"
     ) -> None:
         super().__init__(domain)
         self.cache_enabled = cache
-        self.compound = compound
-        self.readahead_pages = readahead_pages
         #: Coherency policy: "per_block" (the paper's production choice)
         #: or "whole_file" (coarse single-owner) — the protocol is not
         #: dictated by the architecture (sec. 3.3.3).

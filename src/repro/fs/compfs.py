@@ -58,8 +58,8 @@ MAGIC = b"CZ01"
 _HEADER = struct.Struct("<4sQ")
 
 
-def pack_compressed(plaintext: bytes, level: int = 6) -> bytes:
-    return _HEADER.pack(MAGIC, len(plaintext)) + zlib.compress(plaintext, level)
+def pack_compressed(plaintext: bytes) -> bytes:
+    return _HEADER.pack(MAGIC, len(plaintext)) + zlib.compress(plaintext, 6)
 
 
 def unpack_compressed(payload: bytes) -> bytes:
@@ -205,10 +205,9 @@ class CompFs(BaseLayer):
     directory_class = CompDirectory
     down_access = AccessRights.READ_ONLY
 
-    def __init__(self, domain, coherent: bool = True, level: int = 6) -> None:
+    def __init__(self, domain, coherent: bool = True) -> None:
         super().__init__(domain)
         self.coherent = coherent
-        self.level = level
 
     def fs_type(self) -> str:
         return "compfs"
@@ -262,7 +261,7 @@ class CompFs(BaseLayer):
         """Compress the plaintext and rewrite the underlying file."""
         plaintext = self._plaintext(state)
         self.world.charge.compress(len(plaintext))
-        payload = pack_compressed(plaintext, self.level)
+        payload = pack_compressed(plaintext)
         # The underlying set_length + write go through the file
         # interface; in case 2 the lower layer's coherency protocol will
         # flush/invalidate our C3 cache as part of this.  Those actions

@@ -100,10 +100,6 @@ class MirrorFs(MirrorNaming, BaseLayer):
     max_under = 2
     file_class = MirrorFile
 
-    def __init__(self, domain) -> None:
-        super().__init__(domain)
-        self.failovers = 0
-
     def fs_type(self) -> str:
         return "mirrorfs"
 
@@ -151,7 +147,6 @@ class MirrorFs(MirrorNaming, BaseLayer):
             except StorageError as exc:
                 last_error = exc
                 if index + 1 < len(state.replicas):
-                    self.failovers += 1
                     self.world.counters.inc("mirrorfs.failover")
         raise FsError(f"all replicas failed: {last_error}")
 

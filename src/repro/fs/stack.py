@@ -104,29 +104,20 @@ def render_layer_breakdown(top: StackableFs) -> str:
     return "\n".join(lines)
 
 
-def layer_busy_breakdown(
-    top: StackableFs, makespan_us: float = 0.0
-) -> List[Tuple[str, int, float, float]]:
-    """Per-layer busy time ``(fs_type, depth, busy_us, utilization)``,
-    top layer first.
+def layer_busy_breakdown(top: StackableFs) -> List[Tuple[str, int, float]]:
+    """Per-layer busy time ``(fs_type, depth, busy_us)``, top layer first.
 
     ``busy_us`` is the virtual time the layer spent servicing channel
     ops exclusive of the layers below it (see
-    :meth:`repro.fs.base.LayerRuntime.timed`), accumulated only while
-    :meth:`repro.world.World.enable_layer_busy_accounting` is on.
-    ``utilization`` is ``busy_us / makespan_us`` (0.0 when no makespan
-    given) — under the discrete-event scheduler this is the classic
-    "how loaded is this service centre" number, and the layer whose
-    utilization approaches 1.0 first is the stack's saturation
-    bottleneck.
+    :meth:`repro.fs.base.LayerRuntime.dispatch`), accumulated once the
+    world has a scheduler (:meth:`repro.world.World.scheduler`).  Over a
+    run's makespan it is the layer's utilization — the layer nearest
+    saturation is the stack's bottleneck.
     """
     from repro.fs.base import BaseLayer
 
-    rows: List[Tuple[str, int, float, float]] = []
-    for layer in stack_layers(top):
-        if not isinstance(layer, BaseLayer):
-            continue
-        busy = layer.runtime.busy_us
-        util = busy / makespan_us if makespan_us > 0 else 0.0
-        rows.append((layer.fs_type(), layer.runtime.depth, busy, util))
-    return rows
+    return [
+        (layer.fs_type(), layer.runtime.depth, layer.runtime.busy_us)
+        for layer in stack_layers(top)
+        if isinstance(layer, BaseLayer)
+    ]

@@ -82,7 +82,6 @@ class CompoundRegion:
         self.origin = invocation.current_domain()
         #: (src node, dst node) -> [ops absorbed, request bytes].
         self._pairs: Dict[Tuple[Any, Any], List[int]] = {}
-        self.absorbed_ops = 0
 
     def absorbs(self, caller, server) -> bool:
         return self.origin is not None and caller is self.origin
@@ -95,7 +94,6 @@ class CompoundRegion:
         entry = self._pairs.setdefault((src_node, dst_node), [0, 0])
         entry[0] += 1
         entry[1] += nbytes
-        self.absorbed_ops += 1
 
     def flush(self) -> None:
         """Charge one round trip per destination carrying the summed
@@ -193,16 +191,11 @@ class CompoundInvocation:
     >>> result[0].attributes.size  # doctest: +SKIP
     """
 
-    def __init__(
-        self, world=None, fail_fast: bool = True, retry_policy=None
-    ) -> None:
+    def __init__(self, world=None, fail_fast: bool = True) -> None:
         #: May be None for batches made purely of socket-transport stub
         #: operations (a split-process client has no simulated world).
         self.world = world
         self.fail_fast = fail_fast
-        #: Per-batch override; None falls back to ``world.retry_policy``
-        #: (so a world-wide ``enable_retries`` covers batches too).
-        self.retry_policy = retry_policy
         self._calls: List[Tuple[str, Callable[..., Any], tuple, dict]] = []
 
     def add(self, op: Callable[..., Any], *args: Any, **kwargs: Any) -> int:
@@ -318,7 +311,7 @@ class CompoundInvocation:
         """Run the batch inside a compound region and demultiplex the
         per-op outcomes.
 
-        With a retry policy (set on the batch or world-wide), transient
+        Under the world's retry policy (``World.enable_retries``), transient
         send-time failures are retried with backoff — *idempotence-
         aware*: only sub-ops that never executed (the failed send and
         everything fail-fast skipped after it) are re-run; sub-ops whose
@@ -338,11 +331,7 @@ class CompoundInvocation:
                 "CompoundInvocation without a world can only batch "
                 "transport stub operations"
             )
-        policy = (
-            self.retry_policy
-            if self.retry_policy is not None
-            else self.world.retry_policy
-        )
+        policy = self.world.retry_policy
         total = len(self._calls)
         outcomes: List[Any] = [SKIPPED] * total
         executed: List[bool] = [False] * total

@@ -51,6 +51,10 @@ from repro.ipc.narrow import narrow
 from repro.naming import name as names
 from repro.naming.context import NamingContext
 
+#: Entries a :class:`NameCache` keeps live (and, with ``serve_stale``,
+#: stale) before evicting the least recently used.
+CAPACITY = 1024
+
 
 @dataclasses.dataclass
 class _Entry:
@@ -70,24 +74,16 @@ class _Entry:
 
 
 class NameCache:
-    """LRU name cache with negative entries and prefix sharing."""
+    """LRU name cache with negative entries and prefix sharing.  Its
+    events are ``namecache.*`` keys of ``world.counters``."""
 
     def __init__(
-        self,
-        world,
-        capacity: int = 1024,
-        one_hop: bool = False,
-        negative: bool = True,
-        prefix: bool = True,
-        serve_stale: bool = False,
+        self, world, one_hop: bool = False, serve_stale: bool = False
     ) -> None:
         self.world = world
-        self.capacity = capacity
         #: Resolve misses via a single server-side ``resolve_path`` walk
         #: (one hop per node) instead of a client-driven component walk.
         self.one_hop = one_hop
-        self.negative = negative
-        self.prefix = prefix
         #: Graceful degradation: keep invalidated positive entries in a
         #: stale side table, and when real resolution fails with a
         #: *transient* network error (partition, crashed server), serve
@@ -101,17 +97,10 @@ class NameCache:
             collections.OrderedDict()
         )
         #: Invalidated positive entries kept for ``serve_stale`` (LRU,
-        #: bounded by ``capacity`` like the live table).
+        #: bounded by :data:`CAPACITY` like the live table).
         self._stale: "collections.OrderedDict[Tuple[int, str], _Entry]" = (
             collections.OrderedDict()
         )
-        self.hits = 0
-        self.misses = 0
-        self.negative_hits = 0
-        self.prefix_hits = 0
-        self.evictions = 0
-        self.invalidations = 0
-        self.stale_serves = 0
         world.register_name_cache(self)
 
     # --- lookup ---------------------------------------------------------------
@@ -124,13 +113,10 @@ class NameCache:
             self._entries.move_to_end(key)
             self.world.charge.name_cache_hit()
             if entry.negative:
-                self.negative_hits += 1
                 self.world.counters.inc("namecache.negative_hit")
                 raise entry.error(f"{entry.missing!r} not found (cached)")
-            self.hits += 1
             self.world.counters.inc("namecache.hit")
             return entry.value
-        self.misses += 1
         self.world.counters.inc("namecache.miss")
         start, remainder, path_oids = self._consult_prefix(
             root, normalized
@@ -138,17 +124,10 @@ class NameCache:
         try:
             obj, walked = self._resolve_tracking(start, remainder)
         except (NameNotFoundError, FileNotFoundError_) as exc:
-            if self.negative:
-                path_oids |= getattr(exc, "path_oids", set())
-                self._insert(
-                    key,
-                    _Entry(
-                        None,
-                        path_oids,
-                        missing=normalized,
-                        error=type(exc),
-                    ),
-                )
+            path_oids |= getattr(exc, "path_oids", set())
+            self._insert(
+                key, _Entry(None, path_oids, missing=normalized, error=type(exc))
+            )
             raise
         except TransientNetworkError:
             # Authoritative resolution is unreachable (partition, crashed
@@ -158,7 +137,6 @@ class NameCache:
             if stale is None:
                 raise
             self._stale.move_to_end(key)
-            self.stale_serves += 1
             self.world.counters.inc("namecache.stale_serves")
             self.world.charge.name_cache_hit()
             return stale.value
@@ -172,8 +150,6 @@ class NameCache:
         """Longest cached positive context prefix of ``normalized``, if
         any: returns (context to resume from, remaining name, oids of
         the cached prefix path).  Falls back to (root, whole name, {})."""
-        if not self.prefix:
-            return root, normalized, set()
         components = normalized.split(names.SEPARATOR)
         for cut in range(len(components) - 1, 0, -1):
             prefix_key = (root.oid, names.SEPARATOR.join(components[:cut]))
@@ -184,7 +160,6 @@ class NameCache:
             if context is None:
                 continue
             self._entries.move_to_end(prefix_key)
-            self.prefix_hits += 1
             self.world.charge.name_cache_hit()
             self.world.counters.inc("namecache.prefix_hit")
             remainder = names.SEPARATOR.join(components[cut:])
@@ -232,9 +207,8 @@ class NameCache:
     def _insert(self, key: Tuple[int, str], entry: _Entry) -> None:
         if key in self._entries:
             self._entries.move_to_end(key)
-        elif len(self._entries) >= self.capacity:
+        elif len(self._entries) >= CAPACITY:
             victim_key, victim = self._entries.popitem(last=False)
-            self.evictions += 1
             self.world.counters.inc("namecache.evict")
             self._demote(victim_key, victim)
         self._entries[key] = entry
@@ -244,7 +218,7 @@ class NameCache:
         table as the degraded-mode fallback (LRU-bounded)."""
         if not self.serve_stale or entry.negative:
             return
-        if key not in self._stale and len(self._stale) >= self.capacity:
+        if key not in self._stale and len(self._stale) >= CAPACITY:
             self._stale.popitem(last=False)
         self._stale[key] = entry
         self._stale.move_to_end(key)
@@ -262,7 +236,7 @@ class NameCache:
             # authoritative, but it is the best available answer if
             # the authority becomes unreachable.
             entry = self._entries.pop(key)
-            self.invalidations += 1
+            self.world.counters.inc("namecache.invalidate")
             self._demote(key, entry)
 
     def clear(self) -> None:

@@ -97,18 +97,16 @@ def report_layer_breakdown() -> None:
     )
 
 
-def build_load_saturation_demo(loads=None) -> str:
+def build_load_saturation_demo() -> str:
     """Run a compact offered-load sweep (the full 1 -> 2048 sweep lives
     in benchmarks/bench_load_sweep.py -> BENCH_load.json) and render the
     saturation curve — throughput plateaus at the shared disk's service
     rate while p99 latency keeps growing — for each configuration."""
     from repro.bench.loadgen import CONFIGS, render_sweep, sweep
 
-    loads = loads or [1, 8, 32, 128]
-    blocks = []
-    for name in CONFIGS:
-        blocks.append(render_sweep(name, sweep(name, loads)))
-    return "\n\n".join(blocks)
+    return "\n\n".join(
+        render_sweep(name, sweep(name, [1, 8, 32, 128])) for name in CONFIGS
+    )
 
 
 def report_load_saturation() -> None:

@@ -139,11 +139,10 @@ class ServiceQueue:
 
 
 class _Think:
-    __slots__ = ("us", "category")
+    __slots__ = ("us",)
 
-    def __init__(self, us: float, category: str) -> None:
+    def __init__(self, us: float) -> None:
         self.us = us
-        self.category = category
 
 
 class _Request:
@@ -153,9 +152,10 @@ class _Request:
         self.fn = fn
 
 
-def think(us: float, category: str = "client_think") -> _Think:
-    """Directive: idle for ``us`` of virtual time (request pacing)."""
-    return _Think(us, category)
+def think(us: float) -> _Think:
+    """Directive: idle for ``us`` of virtual time (request pacing),
+    charged to ``client_think``."""
+    return _Think(us)
 
 
 def request(fn: Callable[[], Any]) -> _Request:
@@ -263,7 +263,7 @@ class Scheduler:
         if isinstance(directive, _Think):
             self.clock.begin_frame(now_us)
             try:
-                self.clock.advance(directive.us, directive.category)
+                self.clock.advance(directive.us, "client_think")
             finally:
                 elapsed = self.clock.end_frame()
             self._post(now_us + elapsed, task, ("resume", None))

@@ -17,6 +17,9 @@ import collections
 import dataclasses
 from typing import Deque, Dict, List, Optional
 
+#: Events a :class:`Tracer` keeps; older ones are dropped (and counted).
+CAPACITY = 10_000
+
 
 @dataclasses.dataclass
 class TraceEvent:
@@ -34,11 +37,10 @@ class TraceEvent:
 
 
 class Tracer:
-    """A bounded ring buffer of trace events."""
+    """A bounded ring buffer of the last :data:`CAPACITY` trace events."""
 
-    def __init__(self, capacity: int = 10_000) -> None:
-        self.capacity = capacity
-        self._events: Deque[TraceEvent] = collections.deque(maxlen=capacity)
+    def __init__(self) -> None:
+        self._events: Deque[TraceEvent] = collections.deque(maxlen=CAPACITY)
         self._seq = 0
         self.dropped = 0
 
@@ -54,12 +56,12 @@ class Tracer:
         deque evicts, when the buffer is already full — so after any
         sequence of records (with no ``clear``) the invariants hold::
 
-            len(tracer) == min(total_records, capacity)
-            dropped     == max(0, total_records - capacity)
+            len(tracer) == min(total_records, CAPACITY)
+            dropped     == max(0, total_records - CAPACITY)
             events()[0].seq == dropped + 1   # oldest retained event
         """
         self._seq += 1
-        if len(self._events) == self.capacity:
+        if len(self._events) == CAPACITY:
             self.dropped += 1
         self._events.append(TraceEvent(self._seq, time_us, category, name, detail))
 

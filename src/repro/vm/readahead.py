@@ -12,9 +12,12 @@ from __future__ import annotations
 
 from typing import List
 
+#: Stream heads a :class:`StreamTable` tracks.
+STREAMS = 4
+
 
 class StreamTable:
-    """Fixed-capacity table of recent sequential-stream heads.
+    """Table of the :data:`STREAMS` most recent sequential-stream heads.
 
     ``observe(index)`` reports whether the fault at ``index`` continues
     any tracked stream (some stream's head is ``index - 1``).  Unmatched
@@ -23,10 +26,9 @@ class StreamTable:
     the table without ever producing a hit.
     """
 
-    __slots__ = ("capacity", "_heads")
+    __slots__ = ("_heads",)
 
-    def __init__(self, capacity: int = 4) -> None:
-        self.capacity = capacity
+    def __init__(self) -> None:
         self._heads: List[int] = []
 
     def observe(self, index: int) -> bool:
@@ -36,7 +38,7 @@ class StreamTable:
             position = self._heads.index(index - 1)
         except ValueError:
             self._heads.append(index)
-            if len(self._heads) > self.capacity:
+            if len(self._heads) > STREAMS:
                 self._heads.pop(0)
             return False
         self._heads.pop(position)

@@ -292,7 +292,6 @@ class Vmm(CacheManager):
         #: faults would exceed it, the VMM reclaims: clean pages are
         #: dropped, dirty pages written out through their pagers.
         self.capacity_pages: Optional[int] = None
-        self.evictions = 0
         #: Resident pages across all caches, maintained incrementally by
         #: the PageStore observer hooks (never recomputed by scanning).
         self._resident = 0
@@ -406,7 +405,6 @@ class Vmm(CacheManager):
                     break
             evicted += self._evict_dirty(victims)
 
-        self.evictions += evicted
         self.world.counters.inc("vmm.evicted", evicted)
         return evicted
 

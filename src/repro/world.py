@@ -63,9 +63,9 @@ class Counters:
 class World:
     """One simulated installation of Spring machines."""
 
-    def __init__(self, cost_model: Optional[CostModel] = None) -> None:
+    def __init__(self) -> None:
         self.clock = SimClock()
-        self.cost_model = cost_model or CostModel()
+        self.cost_model = CostModel()
         self.charge = Charger(self.clock, self.cost_model)
         self.network = Network(self)
         self.counters = Counters()
@@ -84,15 +84,15 @@ class World:
         #: None until :meth:`scheduler` is first called.
         self._scheduler = None
         #: Per-layer busy-time accounting stack (see
-        #: :meth:`repro.fs.base.LayerRuntime.timed`); None = disabled,
-        #: the zero-overhead default.
+        #: :meth:`repro.fs.base.LayerRuntime.dispatch`): created with the
+        #: scheduler, so sequential runs pay one ``is None`` test per op.
         self.busy_stack: Optional[list] = None
 
-    def enable_tracing(self, capacity: int = 10_000):
+    def enable_tracing(self):
         """Turn on event tracing; returns the tracer."""
         from repro.sim.trace import Tracer
 
-        self.tracer = Tracer(capacity)
+        self.tracer = Tracer()
         return self.tracer
 
     # --- concurrency ----------------------------------------------------------
@@ -100,21 +100,15 @@ class World:
         """The world's discrete-event scheduler (created on first use) —
         the entry point to concurrent mode: spawn client coroutines on
         it and :meth:`~repro.sim.scheduler.Scheduler.run`.  Sequential
-        code never touches it."""
+        code never touches it.  From here on every layer accounts the
+        virtual time it spends servicing channel ops, exclusive of the
+        layers below it (``runtime.busy_us``)."""
         if self._scheduler is None:
             from repro.sim.scheduler import Scheduler
 
             self._scheduler = Scheduler(self)
-        return self._scheduler
-
-    def enable_layer_busy_accounting(self) -> None:
-        """Turn on per-layer busy-time accounting at the channel
-        dispatch spine (virtual time each layer spent servicing channel
-        ops, exclusive of the layers below it).  Off by default: the
-        accounting itself charges nothing, but staying out of the
-        dispatch hot path keeps calibration runs exactly as fast."""
-        if self.busy_stack is None:
             self.busy_stack = []
+        return self._scheduler
 
     # --- fault tolerance ------------------------------------------------------
     def install_fault_plan(self, plan):

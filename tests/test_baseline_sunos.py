@@ -59,16 +59,6 @@ class TestFunctional:
         with pytest.raises(UnixError):
             sunos.pread(fd, 1, 0)
 
-    def test_uncached_mode_hits_disk(self, world, node):
-        device = BlockDevice(node.nucleus, "sdu", 8192)
-        fs = SunOsFs(world, device, cache=False)
-        fd = fs.open("u.dat", create=True)
-        fs.pwrite(fd, b"x" * PAGE_SIZE, 0)
-        reads = device.reads
-        fs.pread(fd, PAGE_SIZE, 0)
-        fs.pread(fd, PAGE_SIZE, 0)
-        assert device.reads >= reads + 2
-
 
 class TestTable3Calibration:
     """Exact reproduction of the paper's SunOS numbers."""

@@ -40,7 +40,7 @@ class TestMeasure:
             else:
                 world.clock.advance(10, "cpu")
 
-        result = measure(world, "op", op, iterations=10, runs=2, warmup=1)
+        result = measure(world, "op", op, iterations=10, runs=2)
         assert result.mean_us == 10
 
     def test_breakdown_per_iteration(self, world):

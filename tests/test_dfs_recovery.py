@@ -18,7 +18,7 @@ from repro.fs.cfs import start_cfs
 from repro.fs.dfs import export_dfs, mount_remote
 from repro.fs.sfs import create_sfs
 from repro.ipc.network import NetworkPartitionError
-from repro.naming.cache import NameCache
+from repro.naming.cache import CAPACITY, NameCache
 from repro.storage.block_device import BlockDevice
 from repro.types import PAGE_SIZE, AccessRights
 
@@ -192,7 +192,6 @@ class TestNameCacheStaleServing:
             world.network.partition(server, client)
             again = cache.resolve(client.fs_context, "dfs@server/shared.dat")
         assert again is first  # the last known answer, not an error
-        assert cache.stale_serves == 1
         assert world.counters.get("namecache.stale_serves") == 1
 
     def test_knob_off_fails_the_open(self, dist):
@@ -219,15 +218,16 @@ class TestNameCacheStaleServing:
 
     def test_capacity_eviction_demotes(self, dist):
         world, server, client, sfs, dfs, su, cu = dist
-        with su.activate():
-            for i in range(3):
-                dfs.create_file(f"f{i}.dat")
-        cache = NameCache(world, capacity=2, serve_stale=True)
+        for i in range(CAPACITY):
+            client.fs_context.bind(f"n{i}", object())
+        cache = NameCache(world, serve_stale=True)
         with cu.activate():
-            for i in range(3):
-                cache.resolve(client.fs_context, f"dfs@server/f{i}.dat")
-        assert len(cache._entries) == 2
-        assert len(cache._stale) == 1  # the LRU victim, kept for degraded mode
+            cache.resolve(client.fs_context, "dfs@server/shared.dat")
+            for i in range(CAPACITY):
+                cache.resolve(client.fs_context, f"n{i}")
+        assert len(cache._entries) == CAPACITY
+        # The LRU victim, kept for degraded mode.
+        assert [name for _, name in cache._stale] == ["dfs@server/shared.dat"]
 
     def test_negative_entries_never_demote(self, dist):
         world, server, client, sfs, dfs, su, cu = dist

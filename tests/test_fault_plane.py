@@ -326,10 +326,9 @@ class TestCompoundCommitRevalidation:
                 "server", "client", base + 1, heal_at_us=base + 10_000
             )
         )
+        world.enable_retries(RetryPolicy(base_backoff_us=2_000.0))
         with cu.activate():
-            batch = CompoundInvocation(
-                world, retry_policy=RetryPolicy(base_backoff_us=2_000.0)
-            )
+            batch = CompoundInvocation(world)
             for i in range(4):
                 batch.add(directory.open_intent, f"f{i}.dat")
             result = batch.commit()
@@ -349,10 +348,9 @@ class TestCompoundCommitRevalidation:
                 calls.append(1)
                 raise NodeCrashedError("transient-looking body failure")
 
+        world.enable_retries(RetryPolicy(base_backoff_us=10))
         with cu.activate():
-            batch = CompoundInvocation(
-                world, retry_policy=RetryPolicy(base_backoff_us=10)
-            )
+            batch = CompoundInvocation(world)
             batch.add(Probe().op)
             result = batch.commit()
         # The body ran once and raised something retry-eligible — but a

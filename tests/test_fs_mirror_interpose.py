@@ -60,7 +60,7 @@ class TestMirrorFs:
             f = mirror.create_file("r.dat")
             f.write(0, b"data")
             assert f.read(0, 4) == b"data"
-        assert mirror.failovers == 0
+        assert world.counters.get("mirrorfs.failover") == 0
 
     def test_failover_on_primary_error(self, mirror_env):
         world, node, sfs_a, sfs_b, mirror, dev_a, _, user = mirror_env
@@ -78,7 +78,7 @@ class TestMirrorFs:
             dev_a.inject_bad_block(block)
         with user.activate():
             assert mirror.resolve("r.dat").read(0, 8) == b"survives"
-        assert mirror.failovers >= 1
+        assert world.counters.get("mirrorfs.failover") >= 1
 
     def test_all_replicas_failed(self, mirror_env):
         world, node, sfs_a, sfs_b, mirror, dev_a, dev_b, user = mirror_env

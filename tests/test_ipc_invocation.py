@@ -194,9 +194,9 @@ class TestThreads:
                 thread.join(timeout=10)
                 assert not thread.is_alive()
 
-        with remote.activate(), compound_region(world) as region:
+        with remote.activate(), compound_region(world):
             Spawner(server).run()
-            assert region.absorbed_ops == 1
+        assert world.counters.get("compound.batched_ops") == 1
         assert seen == {"current": None, "calling": None, "after": None}
         assert world.counters.get("invoke.network_batched") == 1
         assert world.counters.get("invoke.network") == 1

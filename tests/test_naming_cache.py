@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import NameNotFoundError
-from repro.naming.cache import NameCache
+from repro.naming.cache import CAPACITY, NameCache
 from repro.naming.context import MemoryContext
 
 
@@ -16,21 +16,33 @@ def tree(world, node):
     return root, sub
 
 
+def count(world, event):
+    return world.counters.get(f"namecache.{event}")
+
+
+def fill(root, cache, names):
+    """Bind ``n<i>`` for every ``i`` in ``names`` and resolve each once."""
+    for i in names:
+        root.bind(f"n{i}", i)
+    for i in names:
+        cache.resolve(root, f"n{i}")
+
+
 class TestNameCacheHits:
     def test_miss_then_hit(self, world, tree):
         root, _ = tree
         cache = NameCache(world)
         assert cache.resolve(root, "sub/leaf") == "value"
-        assert (cache.hits, cache.misses) == (0, 1)
+        assert (count(world, "hit"), count(world, "miss")) == (0, 1)
         assert cache.resolve(root, "sub/leaf") == "value"
-        assert (cache.hits, cache.misses) == (1, 1)
+        assert (count(world, "hit"), count(world, "miss")) == (1, 1)
 
     def test_distinct_names_cached_separately(self, world, tree):
         root, _ = tree
         cache = NameCache(world)
         cache.resolve(root, "sub/leaf")
         cache.resolve(root, "top")
-        assert cache.misses == 2
+        assert count(world, "miss") == 2
         assert len(cache) == 2
 
     def test_hit_charges_less_than_miss(self, world, node, tree):
@@ -49,45 +61,38 @@ class TestNameCacheHits:
 
     def test_capacity_bounded(self, world, tree):
         root, _ = tree
-        cache = NameCache(world, capacity=2)
-        for i in range(5):
-            root.bind(f"n{i}", i)
-        for i in range(5):
-            cache.resolve(root, f"n{i}")
-        assert len(cache) <= 2
+        cache = NameCache(world)
+        fill(root, cache, range(CAPACITY + 3))
+        assert len(cache) == CAPACITY
+        assert count(world, "evict") == 3
 
 
 class TestNameCacheLru:
     def test_eviction_is_lru_not_wholesale(self, world, tree):
         root, _ = tree
-        cache = NameCache(world, capacity=2, prefix=False)
-        for i in range(3):
-            root.bind(f"n{i}", i)
-        cache.resolve(root, "n0")
-        cache.resolve(root, "n1")
+        cache = NameCache(world)
+        root.bind(f"n{CAPACITY}", CAPACITY)  # before: a bind invalidates
+        fill(root, cache, range(CAPACITY))  # full, n0 least recently used
         cache.resolve(root, "n0")  # refresh n0: n1 is now LRU
-        cache.resolve(root, "n2")  # evicts exactly n1
-        assert len(cache) == 2
-        assert cache.evictions == 1
-        assert world.counters.get("namecache.evict") == 1
-        hits = cache.hits
+        cache.resolve(root, f"n{CAPACITY}")  # evicts exactly n1
+        assert len(cache) == CAPACITY
+        assert count(world, "evict") == 1
+        hits = count(world, "hit")
         cache.resolve(root, "n0")
-        assert cache.hits == hits + 1  # survived the eviction
+        assert count(world, "hit") == hits + 1  # survived the eviction
         cache.resolve(root, "n1")
-        assert cache.hits == hits + 1  # n1 was the one evicted
+        assert count(world, "hit") == hits + 1  # n1 was the one evicted
 
     def test_hit_refreshes_entry(self, world, tree):
         root, _ = tree
-        cache = NameCache(world, capacity=2, prefix=False)
-        for i in range(3):
-            root.bind(f"n{i}", i)
-        cache.resolve(root, "n0")
-        cache.resolve(root, "n1")
+        cache = NameCache(world)
+        root.bind(f"n{CAPACITY}", CAPACITY)
+        fill(root, cache, range(CAPACITY))
         cache.resolve(root, "n0")  # hit moves n0 to MRU
-        cache.resolve(root, "n2")
-        hits = cache.hits
+        cache.resolve(root, f"n{CAPACITY}")
+        hits = count(world, "hit")
         cache.resolve(root, "n0")
-        assert cache.hits == hits + 1
+        assert count(world, "hit") == hits + 1
 
 
 class TestNegativeCaching:
@@ -98,8 +103,7 @@ class TestNegativeCaching:
             cache.resolve(root, "sub/ghost")
         with pytest.raises(NameNotFoundError):
             cache.resolve(root, "sub/ghost")
-        assert cache.negative_hits == 1
-        assert world.counters.get("namecache.negative_hit") == 1
+        assert count(world, "negative_hit") == 1
 
     def test_negative_hit_costs_one_cache_charge(self, world, node, tree):
         root, _ = tree
@@ -121,13 +125,6 @@ class TestNegativeCaching:
         sub.bind("ghost", "now-here")
         assert cache.resolve(root, "sub/ghost") == "now-here"
 
-    def test_negative_off_knob(self, world, tree):
-        root, _ = tree
-        cache = NameCache(world, negative=False)
-        with pytest.raises(NameNotFoundError):
-            cache.resolve(root, "sub/ghost")
-        assert len(cache) == 0
-
 
 class TestPrefixSharing:
     def test_cached_prefix_short_circuits_walk(self, world, node, tree):
@@ -143,8 +140,7 @@ class TestPrefixSharing:
             resolves = world.counters.get("op.resolve") - before
         # Only the uncached suffix was resolved (1 hop), not the prefix.
         assert resolves == 1
-        assert cache.prefix_hits == 1
-        assert world.counters.get("namecache.prefix_hit") == 1
+        assert count(world, "prefix_hit") == 1
 
     def test_prefix_consult_does_not_populate(self, world, tree):
         root, _ = tree
@@ -161,20 +157,6 @@ class TestPrefixSharing:
         sub.rebind("leaf", "v2")
         assert cache.resolve(root, "sub/leaf") == "v2"
 
-    def test_prefix_off_knob(self, world, node, tree):
-        root, sub = tree
-        deep = sub.create_context("deep")
-        deep.bind("leaf2", "v2")
-        cache = NameCache(world, prefix=False)
-        user = world.create_user_domain(node)
-        with user.activate():
-            cache.resolve(root, "sub/deep")
-            before = world.counters.get("op.resolve")
-            cache.resolve(root, "sub/deep/leaf2")
-            resolves = world.counters.get("op.resolve") - before
-        assert resolves == 3  # full walk, no short-circuit
-        assert cache.prefix_hits == 0
-
 
 class TestNameCacheInvalidation:
     def test_rebind_invalidates(self, world, tree):
@@ -183,7 +165,7 @@ class TestNameCacheInvalidation:
         cache.resolve(root, "sub/leaf")
         sub.rebind("leaf", "new-value")
         assert cache.resolve(root, "sub/leaf") == "new-value"
-        assert cache.invalidations >= 1
+        assert count(world, "invalidate") >= 1
 
     def test_unbind_of_intermediate_context_invalidates(self, world, tree):
         root, sub = tree
@@ -198,9 +180,9 @@ class TestNameCacheInvalidation:
         cache = NameCache(world)
         cache.resolve(root, "sub/leaf")
         other.bind("elsewhere", 1)
-        assert cache.hits == 0
+        assert count(world, "hit") == 0
         cache.resolve(root, "sub/leaf")
-        assert cache.hits == 1
+        assert count(world, "hit") == 1
 
     def test_sibling_change_in_traversed_context_invalidates(self, world, tree):
         """Conservative: any change to a traversed context drops entries

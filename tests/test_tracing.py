@@ -3,7 +3,7 @@
 import pytest
 
 from repro.fs.sfs import create_sfs
-from repro.sim.trace import Tracer
+from repro.sim.trace import CAPACITY, Tracer
 from repro.storage.block_device import BlockDevice
 from repro.types import PAGE_SIZE
 from repro.world import World
@@ -20,21 +20,25 @@ class TestTracerUnit:
         assert events[0].seq < events[1].seq
 
     def test_capacity_ring(self):
-        tracer = Tracer(capacity=3)
-        for i in range(5):
+        tracer = Tracer()
+        for i in range(CAPACITY + 2):
             tracer.record(float(i), "x", f"e{i}")
-        assert tracer.names() == ["e2", "e3", "e4"]
+        assert tracer.names()[:2] == ["e2", "e3"]
+        assert tracer.names()[-1] == f"e{CAPACITY + 1}"
         assert tracer.dropped == 2
 
     def test_drop_accounting_invariants(self):
         """seq advances for every record (even evicting ones); dropped
         counts exactly the evictions; the oldest retained event's seq is
         always dropped + 1 — the documented Tracer.record contract."""
-        tracer = Tracer(capacity=3)
-        for total in range(1, 10):
+        tracer = Tracer()
+        checkpoints = {1, 2, CAPACITY - 1, CAPACITY, CAPACITY + 1, CAPACITY + 7}
+        for total in range(1, CAPACITY + 8):
             tracer.record(float(total), "x", f"e{total}")
-            assert len(tracer) == min(total, 3)
-            assert tracer.dropped == max(0, total - 3)
+            assert len(tracer) == min(total, CAPACITY)
+            assert tracer.dropped == max(0, total - CAPACITY)
+            if total not in checkpoints:
+                continue
             events = tracer.events()
             assert events[0].seq == tracer.dropped + 1
             assert events[-1].seq == total  # no seq reuse across drops
@@ -45,17 +49,17 @@ class TestTracerUnit:
     def test_seq_is_global_across_clear(self):
         """clear() empties the ring and resets dropped, but the global
         event id keeps advancing — ids are never reissued."""
-        tracer = Tracer(capacity=2)
-        for i in range(5):
+        tracer = Tracer()
+        for i in range(CAPACITY + 3):
             tracer.record(float(i), "x", f"e{i}")
         tracer.clear()
         assert tracer.dropped == 0
         tracer.record(9.0, "x", "after")
-        assert tracer.events()[0].seq == 6
+        assert tracer.events()[0].seq == CAPACITY + 4
 
     def test_render_reports_drop_count(self):
-        tracer = Tracer(capacity=2)
-        for i in range(5):
+        tracer = Tracer()
+        for i in range(CAPACITY + 3):
             tracer.record(float(i), "x", f"e{i}")
         assert "(3 earlier events dropped)" in tracer.render()
 

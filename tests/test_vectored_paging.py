@@ -22,7 +22,7 @@ from repro.ipc.domain import Credentials
 from repro.types import PAGE_SIZE, AccessRights
 from repro.vm.page import PageStore, index_runs
 from repro.vm.pager_object import PagerObject
-from repro.vm.readahead import StreamTable
+from repro.vm.readahead import STREAMS, StreamTable
 from repro.vm.vmm import VmCache
 from repro.world import World
 
@@ -139,12 +139,11 @@ class TestStreamTable:
             assert streams.observe(100 + step)
 
     def test_capacity_evicts_oldest_stream(self):
-        streams = StreamTable(capacity=2)
-        streams.observe(0)
-        streams.observe(100)
-        streams.observe(200)  # table full: the stream at head 0 is evicted
+        streams = StreamTable()
+        for stream in range(STREAMS + 1):  # the last evicts the stream at 0
+            streams.observe(100 * stream)
         assert not streams.observe(1)  # its continuation no longer matches
-        assert streams.observe(201)  # a younger stream survives
+        assert streams.observe(100 * STREAMS + 1)  # a younger one survives
 
     def test_advance_head_after_prefetch(self):
         streams = StreamTable()
@@ -610,7 +609,8 @@ class TestCfsReadaheadOverride:
         self, world, node, device, user
     ):
         stack = create_sfs(node, device)
-        cfs = start_cfs(node, readahead_pages=4)
+        cfs = start_cfs(node)
+        cfs.readahead_pages = 4
         state = self._roundtrip(stack, cfs, user)
         assert state.mapping.cache.readahead_override == 4
         assert node.vmm.readahead_pages == 0  # global policy untouched

@@ -34,7 +34,7 @@ class TestCapacityBound:
             for page in range(32):
                 mapping.read(page * PAGE_SIZE, 16)
                 assert node.vmm.resident_pages() <= 8
-        assert node.vmm.evictions > 0
+        assert node.world.counters.get("vmm.evicted") > 0
 
     def test_unlimited_by_default(self, node, env, user):
         stack, user = env
@@ -43,7 +43,7 @@ class TestCapacityBound:
             mapping = node.vmm.create_address_space("t").map(f, RO)
             for page in range(32):
                 mapping.read(page * PAGE_SIZE, 16)
-        assert node.vmm.evictions == 0
+        assert node.world.counters.get("vmm.evicted") == 0
         assert node.vmm.resident_pages() == 32
 
     def test_clean_pages_evicted_before_dirty(self, node, env, user):
