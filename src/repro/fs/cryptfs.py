@@ -236,10 +236,15 @@ class CryptFs(BaseLayer):
         plaintext zeros.  The hole the extension creates underneath is
         raw zeros — NOT valid ciphertext — so zero plaintext pages are
         recorded dirty and real encrypted zeros go down on flush."""
-        state.under_file.set_length(new)
         first, within = divmod(old, PAGE_SIZE)
+        if within and state.plain.get(first) is None:
+            # Faulted before the file grows: a fault that fails leaves
+            # the length as it was.
+            state.cache.fault(first, AccessRights.READ_WRITE)
+        state.under_file.set_length(new)
         if within:
-            # The old last page keeps its head and is zero from there on.
+            # The old last page keeps its head and is zero from there on
+            # (fetched again: growing below may have recalled it).
             page = state.plain.get(first)
             if page is None:
                 page = state.cache.fault(first, AccessRights.READ_WRITE)

@@ -31,7 +31,9 @@ class FileType(enum.IntEnum):
 
 @dataclasses.dataclass
 class Inode:
-    """In-memory image of one on-disk i-node."""
+    """In-memory image of one on-disk i-node.  A type value that is no
+    :class:`FileType` stays the plain ``int`` read from the image, so the
+    volume mounts and fsck can report and clear it."""
 
     ino: int
     type: FileType = FileType.FREE
@@ -62,9 +64,13 @@ class Inode:
     @classmethod
     def unpack(cls, ino: int, raw: bytes) -> "Inode":
         fields = _INODE.unpack_from(raw)
+        try:
+            ftype = FileType(fields[0])
+        except ValueError:
+            ftype = fields[0]
         return cls(
             ino=ino,
-            type=FileType(fields[0]),
+            type=ftype,
             nlink=fields[1],
             size=fields[2],
             atime_us=fields[3],

@@ -336,10 +336,13 @@ class Volume:
     def _walk_tree(self, block: int, holder: int, slot: int, span: int, base: int):
         """:meth:`_walk` below one pointer: the tree under pointer block
         ``block`` (0: there is none), each of whose slots covers
-        ``span`` file blocks, the first of them ``base``."""
+        ``span`` file blocks, the first of them ``base``.  A pointer
+        outside the data region is yielded but not descended."""
         if not block:
             return
         yield None, block, holder, slot
+        if not self.sb.is_data_block(block):
+            return
         for index in range(self._pointers_per_block):
             child = self._pointer(block, index)
             if child and span == 1:
@@ -352,13 +355,18 @@ class Volume:
 
     def _repoint(self, inode: Inode, holder: int, slot: int, block: int) -> None:
         """Point the file block whose pointer :meth:`_walk` found at
-        ``holder, slot`` at ``block`` — 0 unmaps it (truncate); fsck's
-        duplicate-block repair remaps it."""
+        ``holder, slot`` at ``block`` — 0 unmaps it (truncate, fsck's
+        cleared pointers); fsck's duplicate-block repair remaps it."""
         if holder:
             self._set_pointer(holder, slot, block)
-        else:
+            return
+        if slot < NUM_DIRECT:
             inode.direct[slot] = block
-            self.mark_dirty(inode.ino)
+        elif slot == NUM_DIRECT:
+            inode.indirect = block
+        else:
+            inode.dbl_indirect = block
+        self.mark_dirty(inode.ino)
 
     def _mapped_blocks(self, inode: Inode) -> List[Tuple[int, int]]:
         """All (file_block, device_block) pairs mapped by an i-node."""
@@ -585,14 +593,13 @@ class Volume:
         self._dentries.pop((src_dir, src_name), None)
         self._dentries[(dst_dir, dst_name)] = ino
 
-    def _free_inode(self, inode: Inode, bitmap_may_lag: bool = False) -> None:
-        """Release an i-node and every block it owns.  Freeing a block
-        the bitmap does not have is an error — except from fsck
-        (``bitmap_may_lag``), which repairs exactly the post-crash
-        states where the bitmap never recorded an allocation."""
+    def _free_inode(self, inode: Inode) -> None:
+        """Release an i-node and every allocated data block it owns (after
+        a crash, fsck releases i-nodes whose blocks the bitmap never
+        recorded)."""
         assert self.allocator is not None
         for file_block, block, _, _ in list(self._walk(inode)):
-            if not bitmap_may_lag or self.allocator.is_allocated(block):
+            if self.allocator.is_allocated(block):
                 self.allocator.free(block)
             if file_block is None:
                 self._meta.pop(block, None)
@@ -706,9 +713,11 @@ class Volume:
         that was DIRTY at mount time is itself reported, and with
         ``repair=True`` every repairable inconsistency is fixed —
         leaked blocks freed, lost allocations reclaimed, doubly-claimed
-        blocks duplicated onto fresh blocks, dangling directory entries
-        pruned, orphaned i-nodes released, and link counts corrected —
-        after which the repairs are synced and the volume is considered
+        data blocks duplicated onto fresh blocks, pointers outside the
+        data region or past the end of the file cleared, i-nodes of
+        unknown type cleared, dangling directory entries pruned,
+        orphaned i-nodes released, and link counts corrected — after
+        which the repairs are synced and the volume is considered
         clean."""
         assert self.allocator is not None
         problems: List[str] = []
@@ -716,38 +725,62 @@ class Volume:
             problems.append(
                 "superblock: volume was not cleanly unmounted (dirty)"
             )
+        unknown = {
+            inode.ino: inode
+            for inode in self._inodes
+            if not isinstance(inode.type, FileType)
+        }
+        for ino in unknown:
+            problems.append(f"ino {ino}: unknown file type")
+        walks = [
+            (inode, list(self._walk(inode)))
+            for inode in self._inodes
+            if inode.allocated and inode.ino not in unknown
+        ]
         claimed: Dict[int, int] = {}
-        duplicates: List[Tuple[Inode, int, int, int]] = []
+        #: (i-node, block to copy or 0 to clear, holder, slot) to repoint.
+        repoints: List[Tuple[Inode, int, int, int]] = []
         lost_claims: List[int] = []
+        #: (ino, pointer block) whose subtree that i-node does not own.
+        cut: Set[Tuple[int, int]] = set()
         bs = self.sb.block_size
-        for inode in self._inodes:
-            if not inode.allocated:
-                continue
-            max_block = (inode.size + bs - 1) // bs
-            for file_block, block, holder, slot in self._walk(inode):
-                if not self.sb.is_data_block(block):
-                    problems.append(f"ino {inode.ino}: block {block} out of range")
-                elif not self.allocator.is_allocated(block):
-                    problems.append(
-                        f"ino {inode.ino}: block {block} not marked allocated"
-                    )
-                    lost_claims.append(block)
-                if block in claimed:
-                    problems.append(
-                        f"block {block} claimed by ino {claimed[block]} "
-                        f"and ino {inode.ino}"
-                    )
-                    # A doubly-claimed pointer block cannot be resolved
-                    # without knowing which chain is stale: reported only.
-                    if file_block is not None:
-                        duplicates.append((inode, block, holder, slot))
-                else:
-                    claimed[block] = inode.ino
-                if file_block is not None and file_block >= max_block and inode.size:
-                    problems.append(
-                        f"ino {inode.ino}: block beyond size "
-                        f"(file_block {file_block}, size {inode.size})"
-                    )
+        # Pointer blocks are claimed before any data block, so a block
+        # that is one tree's pointer block and another's data stays with
+        # the tree and the data claimant gets the copy.
+        for pointers in (True, False):
+            for inode, walk in walks:
+                ino, max_block = inode.ino, (inode.size + bs - 1) // bs
+                for file_block, block, holder, slot in walk:
+                    if (file_block is None) is not pointers:
+                        continue
+                    if (ino, holder) in cut:
+                        cut.add((ino, block))
+                    elif not self.sb.is_data_block(block):
+                        problems.append(f"ino {ino}: block {block} out of range")
+                        repoints.append((inode, 0, holder, slot))
+                    elif not pointers and inode.size and file_block >= max_block:
+                        problems.append(
+                            f"ino {ino}: block beyond size "
+                            f"(file_block {file_block}, size {inode.size})"
+                        )
+                        repoints.append((inode, 0, holder, slot))
+                    elif block in claimed:
+                        problems.append(
+                            f"block {block} claimed by ino {claimed[block]} "
+                            f"and ino {ino}"
+                        )
+                        # The second data claimant gets a copy; the second
+                        # tree through a pointer block loses the pointer.
+                        if pointers:
+                            cut.add((ino, block))
+                        repoints.append((inode, 0 if pointers else block, holder, slot))
+                    else:
+                        claimed[block] = ino
+                        if not self.allocator.is_allocated(block):
+                            problems.append(
+                                f"ino {ino}: block {block} not marked allocated"
+                            )
+                            lost_claims.append(block)
         # Leaked blocks: marked allocated but claimed by no i-node.
         leaked = [
             block
@@ -773,19 +806,20 @@ class Volume:
                 problems.append(f"ino {dir_ino}: unreadable directory: {exc}")
                 continue
             for name, ino in entries.items():
-                if not 0 <= ino < self.sb.inode_count or not self._inodes[ino].allocated:
+                target = self._inodes[ino] if 0 <= ino < self.sb.inode_count else None
+                if target is None or not target.allocated or ino in unknown:
                     problems.append(f"dangling entry {name!r} -> ino {ino}")
                     dangling.append((dir_ino, name))
                     continue
                 refs[ino] = refs.get(ino, 0) + 1
-                if self._inodes[ino].is_dir:
+                if target.is_dir:
                     stack.append(ino)
         nlink_fixes: List[Tuple[Inode, int]] = []
         orphans: List[Inode] = []
-        for inode in self._inodes:
-            if inode.ino in (0,):
+        for inode, _ in walks:
+            if inode.ino == 0:
                 continue
-            if inode.allocated and refs.get(inode.ino, 0) != inode.nlink:
+            if refs.get(inode.ino, 0) != inode.nlink:
                 problems.append(
                     f"ino {inode.ino}: nlink {inode.nlink} != "
                     f"{refs.get(inode.ino, 0)} references"
@@ -796,18 +830,19 @@ class Volume:
                     nlink_fixes.append((inode, refs[inode.ino]))
         if repair and problems:
             self._repair(
-                lost_claims, duplicates, leaked, dangling, nlink_fixes, orphans
+                lost_claims, repoints, [*unknown.values(), *orphans], leaked,
+                dangling, nlink_fixes,
             )
         return problems
 
     def _repair(
         self,
         lost_claims: List[int],
-        duplicates: List[Tuple[Inode, int, int, int]],
+        repoints: List[Tuple[Inode, int, int, int]],
+        orphans: List[Inode],
         leaked: List[int],
         dangling: List[Tuple[int, str]],
         nlink_fixes: List[Tuple[Inode, int]],
-        orphans: List[Inode],
     ) -> None:
         """Apply fsck repairs in dependency order, then persist them."""
         assert self.allocator is not None
@@ -815,17 +850,26 @@ class Volume:
         #    must be marked before anything else allocates over them).
         for block in lost_claims:
             self.allocator.claim(block)
-        # 2. Resolve double claims: the second claimant gets a fresh
-        #    block with a copy of the contested bytes (classic fsck
-        #    block duplication).
-        for inode, block, holder, slot in duplicates:
-            fresh = self.allocator.allocate(self.sb.group_of_ino(inode.ino))
-            self.device.write_block(fresh, self.device.read_block(block))
+        # 2. Resolve double claims of a data block: the second claimant
+        #    gets a fresh block with a copy of the contested bytes
+        #    (classic fsck block duplication; read before anything is
+        #    synced).  Clear every other bad pointer — outside the data
+        #    region, past the end of the file, or to a pointer block
+        #    another tree holds — as FFS clears a BAD block: what it
+        #    reached and nobody else claims is freed as a leak below.
+        for inode, block, holder, slot in repoints:
+            fresh = 0
+            if block:
+                fresh = self.allocator.allocate(self.sb.group_of_ino(inode.ino))
+                self.device.write_block(fresh, self.device.read_block(block))
             self._repoint(inode, holder, slot, fresh)
-        # 3. Release orphaned i-nodes (allocated, zero references):
-        #    their blocks go back to the free pool.
+        # 3. Release orphaned i-nodes (allocated, zero references) and
+        #    clear those of unknown type, whose pointers are not
+        #    trusted: their blocks go back to the free pool.
         for inode in orphans:
-            self._free_inode(inode, bitmap_may_lag=True)
+            if not isinstance(inode.type, FileType):
+                inode.reset(FileType.REGULAR)
+            self._free_inode(inode)
         # 4. Free leaked blocks — after orphan release so a block both
         #    leaked and orphan-owned is freed exactly once.
         for block in leaked:
