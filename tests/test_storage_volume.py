@@ -319,3 +319,65 @@ class TestFsck:
         volume._inodes[f.ino].type = FileType.FREE
         problems = volume.fsck()
         assert any("dangling" in p.lower() for p in problems)
+
+
+def _tree(volume):
+    """Directory ``d`` and two files, ``a`` in the root and ``d/f`` of
+    5 000 bytes; returns d's i-node and ``{(parent, name): (ino, bytes)}``."""
+    root = volume.sb.root_ino
+    d = volume.create(root, "d", FileType.DIRECTORY).ino
+    files = {}
+    for parent, name, size in ((root, "a", 3000), (d, "f", 5000)):
+        data = name.encode() * size
+        ino = volume.create(parent, name, FileType.REGULAR).ino
+        volume.write_data(ino, 0, data)
+        files[(parent, name)] = (ino, data)
+    return d, files
+
+
+def _assert_files_read_back(volume, files):
+    for (parent, name), (ino, data) in files.items():
+        assert volume.lookup(parent, name) == ino
+        assert volume.read_data(ino, 0, len(data) + 1) == data
+
+
+class TestFsckRepairsTheDirectoryTree:
+    @pytest.mark.parametrize("name, names_root", [("up", True), ("self", False)])
+    def test_a_directory_cycle_is_pruned(self, ram_device, name, names_root):
+        volume = Volume.mkfs(ram_device)
+        root = volume.sb.root_ino
+        d, files = _tree(volume)
+        entries = volume.readdir(d)
+        entries[name] = root if names_root else d
+        volume._write_dir(d, entries)
+        volume.unmount()
+        volume = Volume.mount(ram_device)
+        nlinks = {inode.ino: inode.nlink for inode in volume._inodes if inode.allocated}
+
+        problems = volume.fsck(repair=True)
+        assert any("directory cycle" in p for p in problems)
+        assert volume.fsck() == []
+        assert name not in volume.readdir(d)
+        assert {
+            inode.ino: inode.nlink for inode in volume._inodes if inode.allocated
+        } == nlinks
+        _assert_files_read_back(volume, files)
+
+    def test_an_unreadable_directory_loses_no_file(self, ram_device):
+        volume = Volume.mkfs(ram_device)
+        root = volume.sb.root_ino
+        d, files = _tree(volume)
+        ((_, block),) = volume._mapped_blocks(volume.iget(d))
+        volume.unmount()
+        ram_device.inject_bad_block(block)
+        volume = Volume.mount(ram_device)
+
+        problems = volume.fsck(repair=True)
+        assert any("unreadable directory" in p for p in problems)
+        assert volume.fsck() == []
+        assert volume.readdir(d) == {}
+        ino, data = files.pop((d, "f"))
+        lost_found = volume.lookup(root, "lost+found")
+        assert volume.readdir(lost_found) == {f"#{ino}": ino}
+        files[(lost_found, f"#{ino}")] = (ino, data)
+        _assert_files_read_back(volume, files)
