@@ -4,9 +4,11 @@ Rebuilds each benchmark record fresh and compares it with the committed
 ``BENCH_*.json``.  The simulation is deterministic, so a clean tree
 reproduces every committed leaf that is not a wall-clock measurement
 exactly; which leaves are wall-clock, and which module rebuilds a
-record, is one table (:data:`RECORDS`).
+record, is one table (:data:`RECORDS`).  Before anything is rebuilt,
+the table and the committed files must match: a ``BENCH_*.json`` with no
+row, or a row with no file, fails and is named.
 
-**The exact check** runs first and on every record: every deterministic
+**The exact check** runs next and on every record: every deterministic
 leaf of the rebuilt record must equal the committed file, and the dotted
 path of each one that does not is printed.  This is the
 "no deterministic field moved" referee for a refactor — and the reminder
@@ -34,6 +36,7 @@ Usage (from the repo root)::
 """
 
 import argparse
+import glob
 import importlib
 import json
 import os
@@ -52,7 +55,6 @@ RECORDS = {
     "BENCH_ipc.json": ("benchmarks.bench_ipc_compound", ()),
     "BENCH_paging.json": ("benchmarks.bench_macro_workload", ()),
     "BENCH_faults.json": ("benchmarks.bench_fault_recovery", ()),
-    "BENCH_load.json": ("benchmarks.bench_load_sweep", ()),
     "BENCH_hotpath.json": ("benchmarks.bench_hotpath", ("metrics.",)),
     "BENCH_shard.json": ("benchmarks.bench_dfs_shard", ()),
     "BENCH_volume.json": ("benchmarks.bench_volume_persist", ()),
@@ -116,8 +118,35 @@ def moved_leaves(filename: str, committed: dict, rebuilt: dict) -> list:
     ]
 
 
+def half_records(bench_dir: str, records: dict) -> list:
+    """Half a record: a committed ``BENCH_*.json`` that no row of
+    ``records`` rebuilds, or a row whose file is not committed."""
+    committed = {
+        os.path.basename(path)
+        for path in glob.glob(os.path.join(bench_dir, "BENCH_*.json"))
+    }
+    return [
+        f"{name}: committed, but no RECORDS row rebuilds it"
+        for name in sorted(committed - records.keys())
+    ] + [
+        f"{name}: a RECORDS row, but no committed file"
+        for name in sorted(records.keys() - committed)
+    ]
+
+
 def main(argv=None) -> int:
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
+
+    halves = half_records(BENCH_DIR, RECORDS)
+    for half in halves:
+        print(f"  [HALF] {half}")
+    if halves:
+        print(
+            "\nrecord table FAILED: every committed record needs a RECORDS "
+            "row and every row a committed file.  Add the missing half, or "
+            "remove both."
+        )
+        return 1
 
     records = {}  # committed file -> (committed record, freshly built one)
     for filename, (module_name, _) in RECORDS.items():

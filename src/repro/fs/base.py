@@ -121,7 +121,6 @@ class LayerRuntime:
         "depth",
         "count_keys",
         "byte_keys",
-        "busy_us",
     )
 
     def __init__(self, layer: "BaseLayer") -> None:
@@ -131,12 +130,6 @@ class LayerRuntime:
         #: objects are fixed for the layer's lifetime.
         self.world = layer.world
         self._inc = self.world.counters.inc
-        #: Virtual time this layer spent servicing channel ops,
-        #: *exclusive* of time spent inside the layers below it.
-        #: Accumulated once the world has a scheduler
-        #: (:meth:`repro.world.World.scheduler`); over a run's makespan
-        #: it is the layer's utilization.
-        self.busy_us = 0.0
         #: Number of layers below this one in its stack (0 = bottom);
         #: maintained by :meth:`BaseLayer.stack_on`.
         self.depth = 0
@@ -158,15 +151,6 @@ class LayerRuntime:
         request-sized op is counted first, so one that raises is still
         counted; ``size`` None means result-sized: counted after the
         call, with the bytes it returned.
-
-        Once the world has a scheduler, the virtual time ``fn`` charges
-        is attributed to this layer exclusive of nested dispatches into
-        lower layers, on a world-level stack of open frames
-        ``[start_us, child_us]``: a frame's self time is its total
-        elapsed minus the totals its nested frames reported into
-        ``child_us``.  It only ever *reads* the clock — inside a
-        scheduler frame those reads are frame-local times, whose
-        differences are exactly the op's charged time.
         """
         world = self.world
         key = self.count_keys[op]
@@ -176,20 +160,7 @@ class LayerRuntime:
                 self._inc(self.byte_keys[op], size)
             if world.tracer is not None:
                 self._trace(key, offset, size)
-        if world.busy_stack is None:
-            result = fn(*args)
-        else:
-            stack = world.busy_stack
-            frame = [world.clock.now_us, 0.0]
-            stack.append(frame)
-            try:
-                result = fn(*args)
-            finally:
-                total = world.clock.now_us - frame[0]
-                stack.pop()
-                self.busy_us += total - frame[1]
-                if stack:
-                    stack[-1][1] += total
+        result = fn(*args)
         if size is None:
             size = bytes_in(result)
             self._inc(key)

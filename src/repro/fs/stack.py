@@ -102,22 +102,3 @@ def render_layer_breakdown(top: StackableFs) -> str:
                 line += f"  {nbytes:>12} bytes"
             lines.append(line)
     return "\n".join(lines)
-
-
-def layer_busy_breakdown(top: StackableFs) -> List[Tuple[str, int, float]]:
-    """Per-layer busy time ``(fs_type, depth, busy_us)``, top layer first.
-
-    ``busy_us`` is the virtual time the layer spent servicing channel
-    ops exclusive of the layers below it (see
-    :meth:`repro.fs.base.LayerRuntime.dispatch`), accumulated once the
-    world has a scheduler (:meth:`repro.world.World.scheduler`).  Over a
-    run's makespan it is the layer's utilization — the layer nearest
-    saturation is the stack's bottleneck.
-    """
-    from repro.fs.base import BaseLayer
-
-    return [
-        (layer.fs_type(), layer.runtime.depth, layer.runtime.busy_us)
-        for layer in stack_layers(top)
-        if isinstance(layer, BaseLayer)
-    ]

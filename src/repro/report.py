@@ -3,10 +3,10 @@
 ``python -m repro.report`` regenerates every table and figure of the
 paper in one run and prints them with the paper-reported values for
 side-by-side comparison — the human-readable form of EXPERIMENTS.md —
-followed by the per-layer channel telemetry of a 3-deep stack and a
-compact offered-load sweep.  The fault-tolerance drill is the
-benchmark's: ``benchmarks/bench_fault_recovery.py`` (``--smoke`` to run
-it without writing ``BENCH_faults.json``).
+followed by the per-layer channel telemetry of a 3-deep stack.  The
+fault-tolerance drill is the benchmark's:
+``benchmarks/bench_fault_recovery.py`` (``--smoke`` to run it without
+writing ``BENCH_faults.json``).
 
 Options::
 
@@ -97,31 +97,6 @@ def report_layer_breakdown() -> None:
     )
 
 
-def build_load_saturation_demo() -> str:
-    """Run a compact offered-load sweep (the full 1 -> 2048 sweep lives
-    in benchmarks/bench_load_sweep.py -> BENCH_load.json) and render the
-    saturation curve — throughput plateaus at the shared disk's service
-    rate while p99 latency keeps growing — for each configuration."""
-    from repro.bench.loadgen import CONFIGS, render_sweep, sweep
-
-    return "\n\n".join(
-        render_sweep(name, sweep(name, [1, 8, 32, 128])) for name in CONFIGS
-    )
-
-
-def report_load_saturation() -> None:
-    _heading("Concurrency — saturation under offered load")
-    print(build_load_saturation_demo())
-    print(
-        "\nClients run as coroutines on the discrete-event scheduler\n"
-        "(repro.sim.scheduler); the disk arm and the DFS server node are\n"
-        "finite-capacity ServiceQueues, so overlapping requests pay\n"
-        "queueing delay.  The knee is where throughput stops scaling with\n"
-        "offered load; past it, added clients only deepen the queues.\n"
-        "Full sweep + record: benchmarks/bench_load_sweep.py."
-    )
-
-
 FIGURES: Dict[str, Callable[[], Dict[str, object]]] = {
     "Figure 1 — Spring node structure": figures.fig01_node_structure,
     "Figure 2 — pager-cache channels": figures.fig02_pager_cache_channels,
@@ -167,7 +142,6 @@ def main(argv=None) -> int:
         report_figures()
     if everything:
         report_layer_breakdown()
-        report_load_saturation()
     print(f"\n{RULE}\nreport complete.\n{RULE}")
     return 0
 

@@ -16,12 +16,12 @@ Two execution modes share this clock:
   forward, and elapsed time equals charged time.  Everything the paper's
   tables measure runs this way, byte-identically to earlier revisions.
 
-* **Concurrent** (the load-sweep mode): the discrete-event scheduler in
+* **Concurrent**: the discrete-event scheduler in
   :mod:`repro.sim.scheduler` executes each simulated client's operation
   atomically inside a clock *frame*.  ``begin_frame`` pins ``now_us`` to
   the task's virtual start time; charges made while the frame is open
-  advance ``now_us`` locally (so cost models, fault planes, and service
-  queues see a consistent in-operation time); ``end_frame`` returns the
+  advance ``now_us`` locally (so cost models, fault planes, and server
+  slots see a consistent in-operation time); ``end_frame`` returns the
   frame's elapsed virtual time and restores ``now_us`` to the
   scheduler's global event time.  Category totals accumulate across all
   frames, so under concurrency they read as *busy time summed over
@@ -71,10 +71,10 @@ class SimClock:
         Negative charges are a programming error and raise ``ValueError``.
 
         This is the hottest function in the simulator (a toy macro
-        workload charges it ~2k times; a load sweep, millions), so the
-        body avoids per-call allocation.  Charge sites should pass
-        interned category strings (see :mod:`repro.sim.costs`) so the
-        dict updates hash pre-interned keys.
+        workload charges it ~2k times), so the body avoids per-call
+        allocation.  Charge sites should pass interned category strings
+        (see :mod:`repro.sim.costs`) so the dict updates hash
+        pre-interned keys.
         """
         if delta_us < 0:
             raise ValueError(f"negative time charge: {delta_us}")

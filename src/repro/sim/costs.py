@@ -68,7 +68,7 @@ class CostModel:
     encrypt_per_kb_us: float = 200.0
     decrypt_per_kb_us: float = 200.0
 
-    # --- service-time queues (concurrent mode; see repro.sim.scheduler) --
+    # --- server-slot queues (concurrent mode; see repro.sim.scheduler) ---
     #: Server-side handling time a request occupies one server slot for
     #: (demultiplex, dispatch, context switch) — the service time of a
     #: node's request queue under load.
@@ -100,20 +100,19 @@ class CostModel:
 
 
 #: Clock categories, interned once at import: ``SimClock.advance`` runs
-#: on every single charge (2k+ times in a toy macro workload, millions in
-#: a load sweep), and pre-interned keys make the per-category dict
-#: updates hash-and-compare by pointer instead of by string content.
+#: on every single charge (2k+ times in a toy macro workload), and
+#: pre-interned keys make the per-category dict updates hash-and-compare
+#: by pointer instead of by string content.
 CPU = sys.intern("cpu")
 DISK = sys.intern("disk")
 NETWORK = sys.intern("network")
 LOCAL_CALL = sys.intern("local_call")
 CROSS_DOMAIN = sys.intern("cross_domain")
 SYSCALL = sys.intern("syscall")
-#: Queue-wait categories charged by the service queues of concurrent
-#: mode (repro.sim.scheduler.ServiceQueue): time a request spent waiting
-#: for a server slot / the disk arm, as opposed to being serviced.
+#: Queue-wait category charged by a node's server-slot queue under the
+#: scheduler (repro.sim.scheduler.ServiceQueue): time a request spent
+#: waiting for a server slot, as opposed to being serviced.
 SERVER_QUEUE_WAIT = sys.intern("server_queue_wait")
-DISK_QUEUE_WAIT = sys.intern("disk_queue_wait")
 
 
 class Charger:

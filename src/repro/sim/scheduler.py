@@ -2,14 +2,13 @@
 
 Everything the paper's tables measure runs *sequentially* — one
 operation at a time on :class:`repro.sim.clock.SimClock`.  That is the
-right methodology for relative-cost claims, but it makes "heavy
-traffic" unmeasurable: no two requests ever contend for a server or a
-disk, so throughput scales without bound and latency never grows.
+right methodology for relative-cost claims, but no two requests ever
+overlap, so nothing can be in flight when a fault strikes or queued
+behind another request at a server.
 
 This module adds the missing half: a priority-queue event loop over
-virtual time on which thousands of simulated clients run as generator
-coroutines.  The execution model is **atomic-frame discrete-event
-simulation**:
+virtual time on which simulated clients run as generator coroutines.
+The execution model is **atomic-frame discrete-event simulation**:
 
 * A client coroutine ``yield``\\ s directives — :func:`think` to idle for
   some virtual time, :func:`request` (or a bare callable) to perform one
@@ -26,11 +25,12 @@ simulation**:
   exception thrown in) at *T + Δ*.
 
 * Contention between overlapping operations is carried by
-  :class:`ServiceQueue` reservations on shared resources (server nodes,
-  disks): each admission reserves the earliest-free slot and charges
-  the waiting time to a ``*_queue_wait`` clock category, so queueing
-  delay — the signature of saturation — appears in both each request's
-  latency and the category totals.
+  :class:`ServiceQueue` reservations on a node's server slots
+  (:meth:`repro.ipc.node.Node.install_server_queue`): each admission
+  reserves the earliest-free slot and charges the waiting time to
+  ``server_queue_wait``, so queueing delay appears in both each
+  request's latency and the category totals.  Nothing else contends:
+  a CPU, a domain or a disk serves overlapping operations at once.
 
 Determinism: events are ordered by ``(time, sequence-number)`` with
 sequence numbers assigned in creation order, frames execute atomically,
@@ -70,10 +70,9 @@ class ServiceQueue:
     the queue's clock category, and occupies the slot for ``service_us``.
     With a single server and a backlog of *n* undrained reservations the
     wait is exactly *n × service_us* — the "queue depth × service time"
-    model.  The *service* time itself is **not** charged here: it either
-    is charged by the resource's own cost model (a disk transfer charges
-    ``disk``) or represents server-side work the client's operation
-    charges inline; the queue only adds the waiting.
+    model.  The *service* time itself is **not** charged here: it
+    represents server-side work the client's operation charges inline;
+    the queue only adds the waiting.
 
     All bookkeeping is pure virtual-time arithmetic — no wall clock, no
     randomness — so a workload replayed with the same seed reproduces
@@ -127,15 +126,6 @@ class ServiceQueue:
         """Drop all reservations (e.g. after a crash wipes a server's
         request queue) and keep the cumulative statistics."""
         self._free_at = [0.0] * self.servers
-
-    def stats(self) -> dict:
-        return {
-            "servers": self.servers,
-            "admitted": self.admitted,
-            "total_wait_ms": round(self.total_wait_us / 1000, 3),
-            "total_service_ms": round(self.total_service_us / 1000, 3),
-            "peak_wait_ms": round(self.peak_wait_us / 1000, 3),
-        }
 
 
 class _Think:

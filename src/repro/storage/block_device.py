@@ -12,13 +12,13 @@ Where the block bytes actually live is delegated to a pluggable
 in-memory dict (volatile, exactly as before), while an
 :class:`~repro.storage.blockstore.ImageBlockStore` puts the same block
 array in a sparse disk-image file so volumes survive process restarts.
-Latency charging, ``ServiceQueue`` integration, and fault injection are
-backend-independent — they live here, above the store.
+Latency charging and fault injection are backend-independent — they
+live here, above the store.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import Dict, Optional
 
 from repro.errors import DeviceError
 from repro.ipc.invocation import operation
@@ -26,9 +26,6 @@ from repro.ipc.object import SpringObject
 from repro.storage.blockstore import BlockStore, MemoryBlockStore
 from repro.types import PAGE_SIZE
 from repro.vm.page import ZERO_PAGE
-
-if TYPE_CHECKING:
-    from repro.sim.scheduler import ServiceQueue
 
 
 class BlockDevice(SpringObject):
@@ -71,34 +68,16 @@ class BlockDevice(SpringObject):
         #: :meth:`inject_power_failure_after`).
         self._power_countdown: Optional[int] = None
         self._power_failed = False
-        #: Transfer queue (concurrent mode): None — the default — means
-        #: transfers never contend, which is the sequential calibration
-        #: behaviour.  Install one with :meth:`install_queue` to model a
-        #: disk arm that serves overlapping requests one at a time.
-        self.queue: Optional["ServiceQueue"] = None
-
-    def install_queue(self, servers: int = 1) -> "ServiceQueue":
-        """Give the device a finite transfer capacity: each transfer
-        reserves a slot for its own modelled duration, and time spent
-        waiting behind other transfers is charged to
-        ``disk_queue_wait`` (see :class:`repro.sim.scheduler.ServiceQueue`)."""
-        from repro.sim.costs import DISK_QUEUE_WAIT
-        from repro.sim.scheduler import ServiceQueue
-
-        self.queue = ServiceQueue(
-            self.world.clock, servers, DISK_QUEUE_WAIT
-        )
-        return self.queue
 
     # --- device interface --------------------------------------------------
     def _transfer(self, start: int, count: int, write: bool) -> None:
         """Everything one transfer of ``count`` physically contiguous
         blocks at ``start`` does before its store call: validate, the
-        write-side power-cut gate, wait for the disk arm, charge and
-        trace.  ONE seek + rotational latency, then sequential media
-        transfer — per-byte cost collapses for sequential runs, which is
-        what makes clustering, read-ahead (paper sec. 8's open problem)
-        and batched page-out pay."""
+        write-side power-cut gate, charge and trace.  ONE seek +
+        rotational latency, then sequential media transfer — per-byte
+        cost collapses for sequential runs, which is what makes
+        clustering, read-ahead (paper sec. 8's open problem) and batched
+        page-out pay."""
         if count <= 0:
             raise DeviceError(f"transfer of {count} blocks on {self.name!r}")
         if start < 0 or start + count > self.num_blocks:
@@ -116,13 +95,8 @@ class BlockDevice(SpringObject):
         if write:
             self._power_check()
         world = self.world
-        nbytes = count * self.block_size
-        if self.queue is not None:
-            # Concurrent mode: wait for the disk arm before the transfer
-            # itself is charged.
-            self.queue.admit(world.cost_model.disk_io_us(nbytes))
         if self.charge_latency:
-            world.charge.disk_io(nbytes)
+            world.charge.disk_io(count * self.block_size)
         if world.tracer is not None:
             world.trace(
                 "disk", "transfer", device=self.name, blocks=count, write=write

@@ -715,10 +715,11 @@ class Volume:
         leaked blocks freed, lost allocations reclaimed, doubly-claimed
         data blocks duplicated onto fresh blocks, pointers outside the
         data region or past the end of the file cleared, i-nodes of
-        unknown type cleared, dangling directory entries pruned,
-        orphaned i-nodes released, and link counts corrected — after
-        which the repairs are synced and the volume is considered
-        clean."""
+        unknown type cleared, dangling and cycle-closing directory
+        entries pruned, orphaned i-nodes released, link counts
+        corrected, and an unreadable directory emptied with what it may
+        have named moved under ``/lost+found`` — after which the repairs
+        are synced and the volume is considered clean."""
         assert self.allocator is not None
         problems: List[str] = []
         if not self.was_clean:
@@ -782,70 +783,67 @@ class Volume:
                             )
                             lost_claims.append(block)
         # Leaked blocks: marked allocated but claimed by no i-node.
-        leaked = [
-            block
-            for block in sorted(self.allocator._used)
-            if block not in claimed
-        ]
+        leaked = sorted(self.allocator._used - claimed.keys())
         for block in leaked:
             problems.append(f"block {block} allocated but unreferenced (leaked)")
-        # Reference counts from the directory tree.
+        # Reference counts from the directory tree.  A directory has one
+        # entry naming it, so an entry naming a directory already reached
+        # closes a cycle: it is pruned like a dangling one, not counted.
         refs: Dict[int, int] = {self.sb.root_ino: 1}
         dangling: List[Tuple[int, str]] = []
-        stack = [self.sb.root_ino]
-        visited = set()
-        while stack:
-            dir_ino = stack.pop()
-            if dir_ino in visited:
-                problems.append(f"directory cycle through ino {dir_ino}")
-                continue
-            visited.add(dir_ino)
-            try:
-                entries = self._dir_entries(dir_ino)
-            except StorageError as exc:
-                problems.append(f"ino {dir_ino}: unreadable directory: {exc}")
-                continue
-            for name, ino in entries.items():
-                target = self._inodes[ino] if 0 <= ino < self.sb.inode_count else None
-                if target is None or not target.allocated or ino in unknown:
-                    problems.append(f"dangling entry {name!r} -> ino {ino}")
-                    dangling.append((dir_ino, name))
+        unreadable: List[Inode] = []
+
+        def walk_tree(top: int) -> None:
+            stack = [top]
+            while stack:
+                dir_ino = stack.pop()
+                try:
+                    entries = self._dir_entries(dir_ino)
+                except StorageError as exc:
+                    problems.append(f"ino {dir_ino}: unreadable directory: {exc}")
+                    unreadable.append(self._inodes[dir_ino])
                     continue
-                refs[ino] = refs.get(ino, 0) + 1
-                if target.is_dir:
-                    stack.append(ino)
+                for name, ino in entries.items():
+                    target = self._inodes[ino] if 0 <= ino < len(self._inodes) else None
+                    if target is None or not target.allocated or ino in unknown:
+                        problems.append(f"dangling entry {name!r} -> ino {ino}")
+                        dangling.append((dir_ino, name))
+                    elif target.is_dir and ino in refs:
+                        problems.append(f"directory cycle through ino {ino}")
+                        dangling.append((dir_ino, name))
+                    else:
+                        refs[ino] = refs.get(ino, 0) + 1
+                        if target.is_dir:
+                            stack.append(ino)
+
+        walk_tree(self.sb.root_ino)
+        # An unreadable directory may have named any i-node no entry
+        # reached, so none of them is proved unreferenced: each goes
+        # under /lost+found, directories first so a lost subtree stays
+        # whole.
+        lost: List[int] = []
+        for inode, _ in sorted(walks, key=lambda walk: not walk[0].is_dir):
+            if unreadable and inode.ino and inode.ino not in refs:
+                problems.append(f"ino {inode.ino}: unreached; to /lost+found")
+                refs[inode.ino] = 1
+                lost.append(inode.ino)
+                if inode.is_dir:
+                    walk_tree(inode.ino)
         nlink_fixes: List[Tuple[Inode, int]] = []
         orphans: List[Inode] = []
         for inode, _ in walks:
-            if inode.ino == 0:
-                continue
-            if refs.get(inode.ino, 0) != inode.nlink:
+            count = refs.get(inode.ino, 0)
+            if inode.ino and count != inode.nlink:
                 problems.append(
-                    f"ino {inode.ino}: nlink {inode.nlink} != "
-                    f"{refs.get(inode.ino, 0)} references"
+                    f"ino {inode.ino}: nlink {inode.nlink} != {count} references"
                 )
-                if refs.get(inode.ino, 0) == 0:
-                    orphans.append(inode)
+                if count:
+                    nlink_fixes.append((inode, count))
                 else:
-                    nlink_fixes.append((inode, refs[inode.ino]))
-        if repair and problems:
-            self._repair(
-                lost_claims, repoints, [*unknown.values(), *orphans], leaked,
-                dangling, nlink_fixes,
-            )
-        return problems
-
-    def _repair(
-        self,
-        lost_claims: List[int],
-        repoints: List[Tuple[Inode, int, int, int]],
-        orphans: List[Inode],
-        leaked: List[int],
-        dangling: List[Tuple[int, str]],
-        nlink_fixes: List[Tuple[Inode, int]],
-    ) -> None:
-        """Apply fsck repairs in dependency order, then persist them."""
-        assert self.allocator is not None
+                    orphans.append(inode)
+        if not (repair and problems):
+            return problems
+        # The repairs, in dependency order:
         # 1. Reclaim allocations the bitmap lost (referenced blocks
         #    must be marked before anything else allocates over them).
         for block in lost_claims:
@@ -866,7 +864,7 @@ class Volume:
         # 3. Release orphaned i-nodes (allocated, zero references) and
         #    clear those of unknown type, whose pointers are not
         #    trusted: their blocks go back to the free pool.
-        for inode in orphans:
+        for inode in [*unknown.values(), *orphans]:
             if not isinstance(inode.type, FileType):
                 inode.reset(FileType.REGULAR)
             self._free_inode(inode)
@@ -881,10 +879,34 @@ class Volume:
             if name in entries:
                 del entries[name]
                 self._write_dir(dir_ino, entries)
-            self._dentries.pop((dir_ino, name), None)
         # 6. Correct link counts.
         for inode, count in nlink_fixes:
             inode.nlink = count
             self.mark_dirty(inode.ino)
+        # 7. An unreadable directory becomes empty, as FFS fsck clears a
+        #    BAD directory block, and what it may have named goes under
+        #    /lost+found as ``#<ino>``.  Its blocks are freed last, so
+        #    nothing this repair allocates lands on one that failed.
+        detached: List[int] = []
+        for inode in unreadable:
+            for file_block, block, holder, slot in list(self._walk(inode)):
+                if file_block is not None:
+                    detached.append(block)
+                    self._repoint(inode, holder, slot, 0)
+            inode.size = 0
+            self.mark_dirty(inode.ino)
+        if lost:
+            root = self.sb.root_ino
+            found = self._dir_entries(root).get("lost+found")
+            if found is None:
+                found = self.create(root, "lost+found", FileType.DIRECTORY).ino
+            entries = self._dir_entries(found)
+            entries.update({f"#{ino}": ino for ino in lost})
+            self._write_dir(found, entries)
+        for block in detached:
+            self.allocator.free(block)
+        # Then persist them; the dentry cache may name what moved.
+        self._dentries.clear()
         self.sync()
         self.was_clean = True
+        return problems

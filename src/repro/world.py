@@ -12,7 +12,7 @@ reproduced tables exactly repeatable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.ipc.domain import Credentials, Domain
 from repro.ipc.network import Network
@@ -83,10 +83,6 @@ class World:
         #: Lazily created discrete-event scheduler (concurrent mode);
         #: None until :meth:`scheduler` is first called.
         self._scheduler = None
-        #: Per-layer busy-time accounting stack (see
-        #: :meth:`repro.fs.base.LayerRuntime.dispatch`): created with the
-        #: scheduler, so sequential runs pay one ``is None`` test per op.
-        self.busy_stack: Optional[list] = None
 
     def enable_tracing(self):
         """Turn on event tracing; returns the tracer."""
@@ -100,14 +96,11 @@ class World:
         """The world's discrete-event scheduler (created on first use) —
         the entry point to concurrent mode: spawn client coroutines on
         it and :meth:`~repro.sim.scheduler.Scheduler.run`.  Sequential
-        code never touches it.  From here on every layer accounts the
-        virtual time it spends servicing channel ops, exclusive of the
-        layers below it (``runtime.busy_us``)."""
+        code never touches it."""
         if self._scheduler is None:
             from repro.sim.scheduler import Scheduler
 
             self._scheduler = Scheduler(self)
-            self.busy_stack = []
         return self._scheduler
 
     # --- fault tolerance ------------------------------------------------------

@@ -186,3 +186,39 @@ class TestRegressionGateExactCheck:
         assert "cells.socket.rtt_small_p50_us" in moved_leaves(
             "BENCH_ipc.json", committed, rebuilt
         )
+
+
+class TestRegressionGateRefusesHalfARecord:
+    """The gate fails before rebuilding anything, naming the file, when
+    a committed ``BENCH_*.json`` has no ``RECORDS`` row or a row has no
+    committed file."""
+
+    @staticmethod
+    def _gate(monkeypatch, tmp_path, files, rows):
+        from benchmarks import check_regression
+
+        for name in files:
+            (tmp_path / name).write_text("{}")
+        monkeypatch.setattr(check_regression, "BENCH_DIR", str(tmp_path))
+        monkeypatch.setattr(
+            check_regression, "RECORDS", {name: ("unused", ()) for name in rows}
+        )
+        return check_regression.main([])
+
+    def test_a_committed_record_with_no_row_fails(self, monkeypatch, tmp_path, capsys):
+        files = ["BENCH_a.json", "BENCH_b.json"]
+        assert self._gate(monkeypatch, tmp_path, files, ["BENCH_a.json"]) == 1
+        assert "BENCH_b.json: committed, but no RECORDS row" in capsys.readouterr().out
+
+    def test_a_row_with_no_file_fails(self, monkeypatch, tmp_path, capsys):
+        rows = ["BENCH_a.json", "BENCH_gone.json"]
+        assert self._gate(monkeypatch, tmp_path, ["BENCH_a.json"], rows) == 1
+        assert "BENCH_gone.json: a RECORDS row, but no committed file" in (
+            capsys.readouterr().out
+        )
+
+    def test_the_committed_records_are_whole(self):
+        from benchmarks.check_regression import RECORDS, half_records
+        from benchmarks.emit_common import BENCH_DIR
+
+        assert half_records(BENCH_DIR, RECORDS) == []

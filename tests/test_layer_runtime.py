@@ -20,11 +20,7 @@ from repro.errors import DeviceError, NarrowError
 from repro.fs.dfs import DfsLayer
 from repro.fs.interposer import AuditFile
 from repro.fs.sfs import create_sfs
-from repro.fs.stack import (
-    layer_busy_breakdown,
-    layer_op_breakdown,
-    render_layer_breakdown,
-)
+from repro.fs.stack import layer_op_breakdown, render_layer_breakdown
 from repro.ipc.domain import Credentials
 from repro.ipc.narrow import narrow, narrow_or_raise
 from repro.types import PAGE_SIZE, AccessRights
@@ -115,7 +111,7 @@ class TestLayerBreakdown:
 
 
 # ---------------------------------------------------------------------------
-# LayerRuntime.dispatch: one call per channel op counts it and times it
+# LayerRuntime.dispatch: one call per channel op counts it
 # ---------------------------------------------------------------------------
 def _map_and_read(node, f, pages):
     mapping = node.vmm.create_address_space("t").map(f, RO)
@@ -124,48 +120,6 @@ def _map_and_read(node, f, pages):
 
 
 class TestDispatch:
-    def test_sequential_world_accounts_no_busy_time(
-        self, world, node, user, dfs_stack
-    ):
-        with user.activate():
-            f = dfs_stack.create_file("seq.dat")
-            f.write(0, b"s" * (4 * PAGE_SIZE))
-            f.sync()
-            _map_and_read(node, f, 4)
-        assert world.busy_stack is None
-        rows = layer_busy_breakdown(dfs_stack)
-        assert [(fs, depth) for fs, depth, _ in rows] == [
-            ("dfs", 2), ("coherency", 1), ("disk", 0),
-        ]
-        assert all(busy_us == 0 for _, _, busy_us in rows)
-
-    def test_scheduler_accounts_every_dispatching_layer(
-        self, world, node, user, dfs_stack
-    ):
-        scheduler = world.scheduler()  # busy accounting starts here
-        charged = sum(world.clock.categories().values())
-
-        def traffic():
-            with user.activate():
-                f = dfs_stack.create_file("busy.dat")
-                f.write(0, b"b" * (4 * PAGE_SIZE))
-                f.sync()
-                (state,) = dfs_stack.under._states.values()
-                state.store.clear()  # each fault travels to the disk
-                _map_and_read(node, f, 4)
-
-        def client():
-            yield traffic
-
-        scheduler.spawn(client(), name="client")
-        scheduler.run()
-        charged = sum(world.clock.categories().values()) - charged
-        busy = {fs: busy_us for fs, _, busy_us in layer_busy_breakdown(dfs_stack)}
-        for fs, _, ops in layer_op_breakdown(dfs_stack):
-            assert ops, f"{fs} dispatched nothing"
-            assert busy[fs] > 0, f"{fs} dispatched but accounted no time"
-        assert sum(busy.values()) <= charged
-
     def test_a_page_in_that_raises_below_is_counted_at_every_layer(
         self, world, node, device, user, dfs_stack
     ):

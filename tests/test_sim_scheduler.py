@@ -73,10 +73,9 @@ class TestServiceQueue:
         clock = SimClock()
         queue = ServiceQueue(clock, servers=3, category="q")
         queue.admit(10.0)
-        stats = queue.stats()
-        assert stats["servers"] == 3
-        assert stats["admitted"] == 1
-        assert stats["total_service_ms"] == 0.01
+        assert queue.servers == 3
+        assert queue.admitted == 1
+        assert queue.total_service_us == 10.0
 
     def test_rejects_bad_arguments(self):
         clock = SimClock()
@@ -309,15 +308,7 @@ class TestSchedulerDeterminism:
         assert self._run_once(7) != self._run_once(8)
 
 
-class TestLoadSweepDeterminism:
-    def test_small_sweep_reproduces_exactly(self):
-        from repro.bench.loadgen import sweep
-
-        loads = [1, 4]
-        first = sweep("monolithic", loads, seed=11)
-        second = sweep("monolithic", loads, seed=11)
-        assert first == second
-
+class TestClockSchedulerIntegration:
     def test_sequential_path_untouched_by_import(self):
         # Importing the scheduler machinery must not perturb a
         # sequential world: no frames, no queues, plain advances.
@@ -325,10 +316,7 @@ class TestLoadSweepDeterminism:
         world.clock.advance(10.0, "cpu")
         assert world.clock.now_us == 10.0
         assert not world.clock.in_frame
-        assert world.busy_stack is None
 
-
-class TestClockSchedulerIntegration:
     def test_seek_moves_global_time(self):
         clock = SimClock()
         clock.seek(500.0)
