@@ -43,16 +43,24 @@ name and message.
 Both directions are table-dispatched and stream-free: :func:`pack_frame`
 builds a whole frame in one bytearray; :func:`unpack_body` decodes out of
 a :class:`FrameBuffer` view of the receive buffer, copies what it keeps,
-and raises only :class:`WireError` whatever bytes arrive.
+and raises only :class:`WireError` whatever bytes arrive.  What a call
+mostly carries costs no bytecode per item: a list whose items are all
+ints (a ``FileType`` counts, a ``bool`` does not) is packed, and a list
+whose every ninth byte is the int tag is parsed, by C-level iteration
+over one ``struct`` — the same bytes the per-item loop writes and reads,
+which every other list still takes.  A decoded frame is a
+:data:`Message` tuple, so building one runs no Python code.
 """
 
 from __future__ import annotations
 
 import builtins
+import collections
 import functools
+import itertools
 import mmap
 import struct
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro import errors as _errors
@@ -76,9 +84,10 @@ MAX_FRAME = 64 * 1024 * 1024
 #: 256 KiB payload and its headers fit); larger frames get a one-off.
 RECV_BUFFER = 512 * 1024
 
+_MAGIC_VERSION = MAGIC + bytes([VERSION])
 _LEN = _U32 = struct.Struct("!I")  # the frame length; a length or count
-_HEAD = struct.Struct("!2sBBIBB")  # magic, version, kind, seq, name lengths
-_FRAME_HEAD = struct.Struct("!I2sBBI")  # _LEN, then _HEAD up to the lengths
+_HEAD = struct.Struct("!3sBIBB")  # magic + version, kind, seq, name lengths
+_FRAME_HEAD = struct.Struct("!I3sBI")  # _LEN, then _HEAD up to the lengths
 _I64 = struct.Struct("!q")
 _F64 = struct.Struct("!d")
 _TAG_U32 = struct.Struct("!BI")  # tag byte, then a length or count
@@ -152,11 +161,14 @@ def _register_builtin_structs() -> None:
     from repro.storage.inode import FileType
 
     _ENCODERS[FileType] = _encode_int  # an IntEnum packs as its value
+    _INT_TYPES.add(FileType)
+    # A dict lookup, not FileType(value): an unknown value is a KeyError.
+    file_types = {ftype.value: ftype for ftype in FileType}
     register_struct(
         "FileAttributes", FileAttributes,
         ("size", "atime_us", "mtime_us", "ctime_us", "ftype", "nlink"),
         lambda size, atime, mtime, ctime, ftype, nlink: FileAttributes(
-            size, atime, mtime, ctime, FileType(ftype), nlink
+            size, atime, mtime, ctime, file_types[ftype], nlink
         ),
     )
 
@@ -261,6 +273,13 @@ def _encode_view(value: memoryview, buf: bytearray) -> None:
 
 def _encode_list(value, buf: bytearray, tag: int = _T_LIST) -> None:
     buf += _TAG_U32.pack(tag, len(value))
+    if _INT_TYPES.issuperset(map(type, value)):
+        # A run of ints (bool is not one) packs without per-item bytecode.
+        try:
+            buf += b"".join(map(_TAG_I64.pack, _INT_TAGS, value))
+            return
+        except struct.error:
+            pass  # an int past 64 bits: the loop sends it as _T_BIGINT
     for item in value:
         if type(item) is int and _I64_MIN <= item <= _I64_MAX:
             buf += _TAG_I64.pack(_T_INT, item)
@@ -308,6 +327,11 @@ _ENCODERS: Dict[type, Callable[[Any, bytearray], None]] = {
     dict: _encode_dict,
 }
 
+#: The item types of a list that is an int run (FileType joins them when
+#: the built-in structs register), and the tag each of its items carries.
+_INT_TYPES = {int}
+_INT_TAGS = itertools.repeat(_T_INT)
+
 
 # --- value decoding ---------------------------------------------------------
 # Decoders are ``(buf, pos past the tag) -> (value, pos)`` over bytes or
@@ -330,37 +354,44 @@ def decode_value(data) -> Any:
     return value
 
 
-def _take(buf, pos: int, n: int):
-    """``buf[pos:pos + n]`` and the offset past it.  A slice, unlike
-    ``unpack_from``, truncates silently, so check."""
-    end = pos + n
-    if end > len(buf):
-        raise WireError("truncated frame body")
-    return buf[pos:end], end
-
-
 def _decode_unknown(buf, pos: int):
     raise WireError(f"unknown value tag 0x{buf[pos - 1]:02x}")
 
 
+# A length-prefixed value ends at ``end``.  A slice, unlike
+# ``unpack_from``, truncates silently, so each checks before it slices.
+
 def _decode_bigint(buf, pos: int):
-    raw, pos = _take(buf, pos + 4, _U32.unpack_from(buf, pos)[0])
-    return int.from_bytes(raw, "big", signed=True), pos
+    end = pos + 4 + _U32.unpack_from(buf, pos)[0]
+    if end > len(buf):
+        raise WireError("truncated frame body")
+    return int.from_bytes(buf[pos + 4:end], "big", signed=True), end
 
 
 def _decode_str(buf, pos: int):
-    raw, pos = _take(buf, pos + 4, _U32.unpack_from(buf, pos)[0])
-    return str(raw, "utf-8"), pos
+    end = pos + 4 + _U32.unpack_from(buf, pos)[0]
+    if end > len(buf):
+        raise WireError("truncated frame body")
+    return str(buf[pos + 4:end], "utf-8"), end
 
 
 def _decode_bytes(buf, pos: int):
-    raw, pos = _take(buf, pos + 4, _U32.unpack_from(buf, pos)[0])
-    return bytes(raw), pos
+    end = pos + 4 + _U32.unpack_from(buf, pos)[0]
+    if end > len(buf):
+        raise WireError("truncated frame body")
+    return bytes(buf[pos + 4:end]), end
+
+
+_second = itemgetter(1)
 
 
 def _decode_list(buf, pos: int):
     count = _U32.unpack_from(buf, pos)[0]
     pos += 4
+    end = pos + 9 * count
+    # Every ninth byte the _T_INT tag (0x03): an int run, read in one go.
+    if end <= len(buf) and buf[pos:end:9] == b"\x03" * count:
+        return list(map(_second, _TAG_I64.iter_unpack(buf[pos:end]))), end
     items = []
     for _ in range(count):
         tag = buf[pos]
@@ -425,57 +456,49 @@ _DECODERS[_T_EXC] = _decode_exception
 
 # --- framing ----------------------------------------------------------------
 
-class Message:
-    """One decoded frame: ``payload`` is a request's args or a reply's
-    value; ``nbytes`` its size on the wire, length prefix included."""
-
-    __slots__ = ("kind", "seq", "target", "op", "payload", "kwargs", "nbytes")
-
-    def __init__(self, kind: int, seq: int, target: str, op: str,
-                 payload: Any, kwargs: Any, nbytes: int) -> None:
-        self.kind = kind
-        self.seq = seq
-        self.target = target
-        self.op = op
-        self.payload = payload
-        self.kwargs = kwargs
-        self.nbytes = nbytes
+#: One decoded frame: ``payload`` is a request's args or a reply's value;
+#: ``nbytes`` its size on the wire, length prefix included.  A tuple, so
+#: building one runs no Python code.
+Message = collections.namedtuple(
+    "Message", "kind seq target op payload kwargs nbytes"
+)
 
 
 @functools.lru_cache(maxsize=4096)
 def _names(target: str, op: str) -> bytes:
-    """Both length bytes, then both names: encoded once per pair."""
+    """Room for the fixed header, both length bytes, then both names:
+    encoded once per pair."""
     raws = target.encode("utf-8"), op.encode("utf-8")
     if max(map(len, raws)) > 255:
         raise WireEncodeError("target and op names are at most 255 bytes")
-    return bytes(map(len, raws)) + b"".join(raws)
+    return bytes(_FRAME_HEAD.size) + bytes(map(len, raws)) + b"".join(raws)
 
 
 def pack_frame(kind: int, seq: int, target: str, op: str, payload: Any,
                kwargs: Optional[dict] = None) -> bytearray:
-    """One whole frame in one buffer; the length is patched in last.
+    """One whole frame in one buffer; the header is patched in last.
     A reply has no names (``""``) and no kwargs."""
-    frame = bytearray(_FRAME_HEAD.size)
-    frame += _names(target, op)
+    frame = bytearray(_names(target, op))
     _ENCODERS.get(type(payload), _encode_other)(payload, frame)
     if kwargs:
         _encode_dict(kwargs, frame)
     length = len(frame) - _LEN.size
     if length > MAX_FRAME:
         raise WireEncodeError(f"frame body {length} exceeds MAX_FRAME")
-    _FRAME_HEAD.pack_into(frame, 0, length, MAGIC, VERSION, kind, seq)
+    _FRAME_HEAD.pack_into(frame, 0, length, _MAGIC_VERSION, kind, seq)
     return frame
 
 
 def unpack_body(body) -> Message:
     """Decode one frame body; the message keeps no reference to it."""
-    if len(body) < _HEAD.size:
-        raise WireError("frame body shorter than header")
-    magic, version, kind, seq, target_len, op_len = _HEAD.unpack_from(body)
-    if magic != MAGIC:
-        raise WireError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise WireError(f"unsupported wire version {version}")
+    try:
+        head, kind, seq, target_len, op_len = _HEAD.unpack_from(body)
+    except struct.error:
+        raise WireError("frame body shorter than header") from None
+    if head != _MAGIC_VERSION:
+        if head[:2] != MAGIC:
+            raise WireError(f"bad magic {head[:2]!r}")
+        raise WireError(f"unsupported wire version {head[2]}")
     pos = _HEAD.size
     target = op = ""
     kwargs: Any = {}
@@ -493,9 +516,10 @@ def unpack_body(body) -> Message:
         raise WireError(f"malformed frame body: {exc!r}") from exc
     if pos != len(body):
         raise WireError(f"{len(body) - pos} trailing bytes in frame")
-    return Message(
+    # tuple.__new__ directly: a namedtuple's own __new__ is Python code.
+    return tuple.__new__(Message, (
         kind, seq, target, op, payload, kwargs, _LEN.size + len(body)
-    )
+    ))
 
 
 class FrameBuffer:
@@ -506,7 +530,7 @@ class FrameBuffer:
     returns None (or nothing is :meth:`pending`: every frame received
     was whole).  A body is a view of the one reusable buffer, valid
     until the next call on this object.  A frame that does not fit gets
-    a one-off buffer of exactly its size, after the ``MAX_FRAME`` check.
+    a one-off map of exactly its size, after the ``MAX_FRAME`` check.
     """
 
     def __init__(self, size: int = RECV_BUFFER) -> None:
@@ -531,8 +555,16 @@ class FrameBuffer:
         return self._end - self._start
 
     def next_frame(self) -> Optional[memoryview]:
-        view, start = self._view, self._start
-        have = self._end - start
+        view, end = self._view, self._end
+        # Exactly one whole frame (every frame a closed-loop peer sends).
+        # It fits the home buffer, or passed the MAX_FRAME check when its
+        # one-off map was made.  Under four bytes, the stale length read
+        # cannot equal the negative body size.
+        if not self._start and _LEN.unpack_from(view)[0] == end - 4:
+            self._view, self._end = self._home, 0
+            return view[4:end]
+        start = self._start
+        have = end - start
         need = _LEN.size
         if have >= need:
             (length,) = _LEN.unpack_from(view, start)
@@ -547,9 +579,11 @@ class FrameBuffer:
                 return view[start + _LEN.size:start + need]
         # Incomplete: make sure the rest of it has somewhere to land.
         if start:
-            view[:have] = view[start:self._end]
+            view[:have] = view[start:end]
             self._start, self._end = 0, have
         if need > len(view):
-            self._view = memoryview(bytearray(need))
+            # A map too: announcing a frame reserves address space, and
+            # only the bytes that arrive become resident.
+            self._view = memoryview(mmap.mmap(-1, need))
             self._view[:have] = view[:have]
         return None

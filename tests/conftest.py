@@ -10,7 +10,8 @@ from repro.storage.block_device import BlockDevice, RamDevice
 from repro.storage.volume import Volume
 from repro.world import World
 
-#: The chaos job's search depth (``--hypothesis-profile=deep``) for the
+#: CI's search depth (``--hypothesis-profile=deep``: the fsck search in
+#: the chaos job, the wire codec in the socket-transport job) for the
 #: property tests that leave ``max_examples`` to the profile.
 settings.register_profile("deep", max_examples=1500)
 

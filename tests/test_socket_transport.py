@@ -2,6 +2,7 @@
 failure mapping, retries, and parity with the served objects called in
 process."""
 
+import asyncio
 import logging
 import os
 import socket
@@ -371,6 +372,13 @@ class TestSocketRoundTrip:
         assert client.reconnects == 2
         client.close()
 
+    def test_reprs_name_the_endpoint_without_connecting(self):
+        client = SocketTransport("127.0.0.1", closed_port())
+        name = f"SocketTransport(127.0.0.1:{client.port})"
+        assert repr(client) == name
+        assert repr(client.bind("fs")) == f"<RemoteStub 'fs' via {name}>"
+        assert client.reconnects == 0
+
     def test_shutdown_reply_arrives_before_serving_stops(self, served):
         client = served.client()
         try:
@@ -576,6 +584,63 @@ class TestFailureMapping:
         try:
             assert client.invoke("fs", "read", (1,)) == b"x" * 4000
             assert client._sock.gettimeout() == 5.0
+        finally:
+            client.close()
+            peer.close()
+
+    def test_a_frame_past_its_deadline_times_out_before_reading(self):
+        mine, peer = socket.socketpair()
+        with mine, peer:
+            peer.sendall(b"\x00\x00\x00\x05SW")
+            frames = wire.FrameBuffer(64)
+            with pytest.raises(socket.timeout):
+                transport._rest_of_frame(mine, frames, time.monotonic() - 1)
+            assert frames.pending() == 0  # the waiting bytes were not read
+
+    def test_a_result_outside_the_wire_types_is_an_error_reply(self):
+        # The op ran and returned a set: the caller gets that as an error
+        # and the connection carries on.
+        class Odd:
+            def numbers(self):
+                return {1, 2}
+
+            def ping(self):
+                return "pong"
+
+        thread = ServerThread(SocketServer({"odd": Odd()}))
+        client = SocketTransport("127.0.0.1", thread.start())
+        try:
+            with pytest.raises(wire.RemoteError, match="set cannot cross"):
+                client.invoke("odd", "numbers")
+            assert client.invoke("odd", "ping") == "pong"
+            assert client.reconnects == 1
+        finally:
+            client.close()
+            thread.stop()
+
+    def test_a_failed_request_write_is_a_send_phase_crash(self):
+        client = SocketTransport("127.0.0.1", closed_port())
+        mine, peer = socket.socketpair()
+        with peer:
+            mine.shutdown(socket.SHUT_WR)  # the next send fails: EPIPE
+            client._sock = mine
+            with pytest.raises(NodeCrashedError, match="request write") as info:
+                client.invoke("fs", "stat", ("x",))
+        # The server never saw the op, so a retry policy may resend it.
+        assert info.value._send_phase
+        assert client._sock is None and mine.fileno() == -1
+        assert client.messages == 0
+
+    def test_a_reply_to_another_request_closes_the_connection(self):
+        def script(conn, seq):
+            conn.sendall(wire.pack_frame(wire.REPLY, seq + 1, "", "", "stale"))
+
+        peer = ScriptedPeer(script)
+        client = SocketTransport("127.0.0.1", peer.port, reply_timeout_s=5.0)
+        try:
+            with pytest.raises(wire.WireError, match="does not match"):
+                client.invoke("fs", "stat", ("x",))
+            assert client._sock is None and client.bytes_in == 0
         finally:
             client.close()
             peer.close()
@@ -943,6 +1008,32 @@ class TestServerThread:
         assert not thread._thread.is_alive()
         with pytest.raises(OSError):
             thread.stop()  # still what the thread died with
+
+    def test_a_server_that_does_not_start_in_time_fails_start(self):
+        released = threading.Event()
+
+        class Stalled(SocketServer):
+            async def start(self):
+                while not released.is_set():
+                    await asyncio.sleep(0.01)
+                raise OSError("never bound")
+
+        thread = ServerThread(Stalled())
+        thread._started.wait = lambda timeout: False  # the wait ran out
+        with pytest.raises(RuntimeError, match="failed to start in time"):
+            thread.start()
+        released.set()
+        thread._thread.join(timeout=5)
+        assert not thread._thread.is_alive()
+
+    def test_accept_without_a_waiting_connection_is_a_no_op(self):
+        # Readiness went stale: the peer gave up before accept().
+        server = SocketServer()
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.setblocking(False)
+            server._listener = listener
+            server._accept()
+        assert server._connections == {}
 
     def test_stop_reraises_what_the_serving_thread_died_with(self):
         class Dying(SocketServer):
