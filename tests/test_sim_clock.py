@@ -21,6 +21,18 @@ class TestSimClock:
             clock.advance(-1.0)
         assert clock.now_us == 0.0
 
+    def test_nan_advance_rejected_and_leaves_the_clock_alone(self):
+        # NaN compares false to everything, so a "< 0" test lets it in,
+        # and one NaN charge poisons now_us and its category for good.
+        clock = SimClock()
+        clock.advance(5.0)
+        with pytest.raises(ValueError):
+            clock.advance(float("nan"))
+        clock.advance(3.0)
+        assert clock.now_us == 8.0
+        assert clock.categories() == {"cpu": 8.0}
+        assert clock.charge_counts() == {"cpu": 2}
+
     def test_zero_advance_allowed(self):
         clock = SimClock()
         clock.advance(0.0)
