@@ -93,6 +93,10 @@ CACHE_OPS: Tuple[str, ...] = (
     "write_back_attributes",
 )
 
+#: What :meth:`BaseLayer.fanout_region` returns with ``compound`` off:
+#: one reusable no-op context, not a new one per fan-out.
+_NO_REGION = contextlib.nullcontext()
+
 
 def split_pages(offset: int, size: int, data) -> Dict[int, bytes]:
     """A channel op's ``offset, size, data`` as ``{page index: chunk}`` —
@@ -835,7 +839,7 @@ class BaseLayer(LayerNaming, StackableFs, CacheManager, abc.ABC):
         ``compound`` knob is on, else a no-op context."""
         if self.compound:
             return compound_region(self.world)
-        return contextlib.nullcontext()
+        return _NO_REGION
 
     # ------------------------------------------------------------- stacking
     @operation

@@ -34,10 +34,14 @@ from repro.ipc.retry import retry_send
 #: ``network_batched`` is a network-path invocation absorbed into a
 #: compound batch (see :mod:`repro.ipc.compound`): it rides a shared
 #: round trip instead of paying its own.
-_INVOKE_KEYS = {
-    path: sys.intern(f"invoke.{path}")
+_DIRECT, _LOCAL, _CROSS_DOMAIN, _NETWORK, _NETWORK_BATCHED = (
+    sys.intern(f"invoke.{path}")
     for path in ("direct", "local", "cross_domain", "network", "network_batched")
-}
+)
+
+#: Exact types that never carry payload bytes: a list of only these is
+#: measured without a Python call per item.
+_SCALARS = frozenset((int, float, str, bool, type(None)))
 
 
 class _Stacks(threading.local):
@@ -108,14 +112,12 @@ def bytes_in(value: Any) -> int:
     if isinstance(value, (bytes, bytearray, memoryview)):
         return len(value)
     if isinstance(value, dict):
-        return sum(bytes_in(v) for v in value.values())
-    if isinstance(value, (list, tuple)):
-        return sum(bytes_in(v) for v in value)
-    return 0
-
-
-def _payload_bytes(args: tuple, kwargs: dict) -> int:
-    return sum(bytes_in(v) for v in args) + sum(bytes_in(v) for v in kwargs.values())
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return 0
+    if _SCALARS.issuperset(map(type, value)):
+        return 0
+    return sum(map(bytes_in, value))
 
 
 F = TypeVar("F", bound=Callable[..., Any])
@@ -142,27 +144,29 @@ def operation(fn: F) -> F:
         domain_stack = _tls.stack
         caller_stack = _tls.callers
         caller = domain_stack[-1] if domain_stack else None
+        remote = False
         if caller is None:
             # No active domain: zero-cost local semantics (see module doc).
-            path = "direct"
+            path = _DIRECT
         elif caller is server:
-            path = "local"
+            path = _LOCAL
             world.charge.local_call()
         elif caller.node is server.node:
-            path = "cross_domain"
+            path = _CROSS_DOMAIN
             world.charge.cross_domain_call()
         else:
-            request_bytes = _payload_bytes(args, kwargs)
+            remote = True
+            request_bytes = bytes_in(args) + (bytes_in(kwargs) if kwargs else 0)
             region = (
                 _absorbing_region(caller, server) if _tls.regions else None
             )
             if region is not None:
                 # Batched: the round trip is shared with the other ops of
                 # the compound; only the payload bytes are accumulated.
-                path = "network_batched"
+                path = _NETWORK_BATCHED
                 region.absorb(caller.node, server.node, request_bytes)
             else:
-                path = "network"
+                path = _NETWORK
                 policy = world.retry_policy
                 if policy is None:
                     world.network.transfer(
@@ -175,14 +179,14 @@ def operation(fn: F) -> F:
                         world, self, policy, caller.node, server.node,
                         request_bytes,
                     )
-        inc = world.counters.inc
-        inc(_INVOKE_KEYS[path])
-        inc(op_key)
+        counts = world.counters.counts
+        counts[path] = counts.get(path, 0) + 1
+        counts[op_key] = counts.get(op_key, 0) + 1
         if world.tracer is not None:
             world.trace(
                 "invoke",
                 f"{type(self).__name__}.{fn.__name__}",
-                path=path,
+                path=path.removeprefix("invoke."),
                 server=f"{server.node.name}/{server.name}",
                 caller=(
                     f"{caller.node.name}/{caller.name}" if caller else "-"
@@ -195,7 +199,7 @@ def operation(fn: F) -> F:
         finally:
             domain_stack.pop()
             caller_stack.pop()
-        if caller is not None and caller.node is not server.node:
+        if remote:
             reply_bytes = bytes_in(result)
             if reply_bytes:
                 world.network.payload(server.node, caller.node, reply_bytes)

@@ -86,8 +86,9 @@ class Network:
         self.per_pair[key] = self.per_pair.get(key, 0) + 1
         self.per_pair_bytes[key] = self.per_pair_bytes.get(key, 0) + nbytes
         self.world.charge.network(nbytes)
-        self.world.trace("network", "message", src=src.name, dst=dst.name,
-                         bytes=nbytes)
+        if self.world.tracer is not None:  # no kwargs dict while it is off
+            self.world.trace("network", "message", src=src.name,
+                             dst=dst.name, bytes=nbytes)
 
     def payload(self, src: "Node", dst: "Node", nbytes: int) -> None:
         """Additional payload (e.g. a bulk reply) on an exchange whose
@@ -123,7 +124,8 @@ class Network:
         if src.crashed or dst.crashed:
             down = src if src.crashed else dst
             raise NodeCrashedError(f"node {down.name!r} is crashed")
-        if frozenset((src.name, dst.name)) in self._partitions:
+        partitions = self._partitions  # a set per message only when cut
+        if partitions and frozenset((src.name, dst.name)) in partitions:
             raise NetworkPartitionError(
                 f"network partition between {src.name!r} and {dst.name!r}"
             )

@@ -28,12 +28,11 @@ class SpringObject:
 
     def __init__(self, domain: "Domain") -> None:
         self.domain = domain
+        #: Bound at creation, as ``Domain.world`` is: an object never
+        #: changes server domain, and layers read this on every charge.
+        self.world = domain.world
         self.oid = domain.world.next_oid()
         self._revoked = False
-
-    @property
-    def world(self):
-        return self.domain.world
 
     @property
     def revoked(self) -> bool:

@@ -61,6 +61,8 @@ OK, ERRORED, SKIPPED = "ok", "error", "skipped"
 #: default reply timeout; on the server, what a stalled peer gets.
 FRAME_TIMEOUT_S = 30.0
 
+_MALFORMED_CALL = "malformed call: args must be a list and kwargs a dict"
+
 _log = logging.getLogger(__name__)
 
 
@@ -102,7 +104,7 @@ class ExportRegistry:
             obj = self.exports[target]
         except KeyError:
             raise NameNotFoundError(f"no export named {target!r}")
-        if op.startswith("_") or op.startswith("*"):
+        if op.startswith(("_", "*")):
             raise InvocationError(f"operation name {op!r} is not invokable")
         method = getattr(obj, op, None)
         if not callable(method):
@@ -228,34 +230,32 @@ class SocketServer:
         connection dropped for the peer's doing is logged with why: a
         malformed or stalled frame as a warning, a hang-up as info."""
         frames = wire.FrameBuffer()
-        recv_into, domain = sock.recv_into, self._domain
+        receive, recv_into = frames.receive, sock.recv_into
+        domain = self._domain
         try:
             while True:
-                nbytes = recv_into(frames.writable())
-                if not nbytes:
+                body = receive(recv_into)
+                if body is None:
+                    if not frames.pending():
+                        return  # the peer hung up between frames
+                    # Only now, with part of a frame buffered, does the
+                    # socket carry a timeout; idle, it has none.
+                    body = _rest_of_frame(
+                        sock, frames, time.monotonic() + FRAME_TIMEOUT_S
+                    )
+                    sock.settimeout(None)
+                with domain:
+                    msg = wire.unpack_body(body)
+                    self.frames_in += 1
+                    reply = self._reply_for(msg)
+                    if self._fail_next_replies > 0:
+                        self._fail_next_replies -= 1
+                        return  # crash: executed, never replied
+                    self.frames_out += 1
+                    self.bytes_out += len(reply)
+                sock.sendall(reply)
+                if self._shutdown_after_reply:
                     return
-                frames.received(nbytes)
-                while frames.pending():
-                    body = frames.next_frame()
-                    if body is None:
-                        # Only now, with part of a frame buffered, does
-                        # the socket carry a timeout; idle, it has none.
-                        body = _rest_of_frame(
-                            sock, frames, time.monotonic() + FRAME_TIMEOUT_S
-                        )
-                        sock.settimeout(None)
-                    with domain:
-                        msg = wire.unpack_body(body)
-                        self.frames_in += 1
-                        reply = self._reply_for(msg)
-                        if self._fail_next_replies > 0:
-                            self._fail_next_replies -= 1
-                            return  # crash: executed, never replied
-                        self.frames_out += 1
-                        self.bytes_out += len(reply)
-                    sock.sendall(reply)
-                    if self._shutdown_after_reply:
-                        return
         except (wire.WireError, OSError) as exc:
             # Malformed, timed out or gone: this connection only.
             at_fault = isinstance(exc, (wire.WireError, socket.timeout))
@@ -277,12 +277,14 @@ class SocketServer:
                 kind, value = wire.COMPOUND_REPLY, self._run_compound(msg)
             elif msg.op == PING_OP:
                 value = None
-            else:
-                _check_call(msg.payload, msg.kwargs)
+            elif (isinstance(msg.payload, (list, tuple))
+                  and type(msg.kwargs) is dict):
                 value = self.registry.call(
                     msg.target, msg.op, msg.payload, msg.kwargs
                 )
                 self.ops_served += 1
+            else:
+                raise InvocationError(_MALFORMED_CALL)
         except Exception as exc:
             kind, value = wire.ERROR, exc
         try:
@@ -323,11 +325,10 @@ class SocketServer:
 
 def _check_call(args: Any, kwargs: Any) -> None:
     """The shape of a call as read off the wire (the codec has already
-    made every dict key a str)."""
+    made every dict key a str); :meth:`SocketServer._reply_for` tests a
+    plain request's inline."""
     if not isinstance(args, (list, tuple)) or type(kwargs) is not dict:
-        raise InvocationError(
-            "malformed call: args must be a list and kwargs a dict"
-        )
+        raise InvocationError(_MALFORMED_CALL)
 
 
 class ServerThread:
@@ -460,12 +461,10 @@ class SocketTransport:
         frames = self._frames
         deadline = time.monotonic() + self.reply_timeout_s
         try:
-            nbytes = sock.recv_into(frames.writable())
-            if not nbytes:
-                raise ConnectionError(f"closed mid-invoke (op {op!r})")
-            frames.received(nbytes)
-            body = frames.next_frame()
+            body = frames.receive(sock.recv_into)
             if body is None:
+                if not frames.pending():
+                    raise ConnectionError(f"closed mid-invoke (op {op!r})")
                 body = _rest_of_frame(sock, frames, deadline)
                 sock.settimeout(self.reply_timeout_s)
             msg = wire.unpack_body(body)
@@ -488,34 +487,41 @@ class SocketTransport:
         self.bytes_in += msg.nbytes
         return msg
 
+    def _retry(self, exc: TransientNetworkError, kind: int, target: str,
+               op: str, args: list, kwargs: Optional[dict],
+               idempotent: bool) -> wire.Message:
+        """The exchange failed with ``exc``: resend it after a backoff
+        while the policy allows — after a send-phase failure always,
+        after a lost reply only for an idempotent op — and return the
+        reply that comes, or raise the last failure."""
+        policy, attempt, waited_us = self.retry_policy, 0, 0.0
+        while (
+            policy is not None
+            and (getattr(exc, "_send_phase", False) or idempotent)
+            and policy.should_retry(attempt, waited_us, exc)
+        ):
+            backoff = policy.backoff_us(attempt)
+            time.sleep(backoff / 1e6)
+            waited_us += backoff
+            attempt += 1
+            self.retries += 1
+            try:
+                return self._exchange(kind, target, op, args, kwargs)
+            except TransientNetworkError as again:
+                exc = again
+        raise exc
+
     def _call(self, kind: int, target: str, op: str, args: list,
               kwargs: Optional[dict], idempotent: bool) -> Any:
-        """Run one exchange with send-only (or idempotent) retries;
-        returns the reply's value or raises the error it carries."""
-        policy = self.retry_policy
-        attempt = 0
-        waited_us = 0.0
-        while True:
-            try:
-                msg = self._exchange(kind, target, op, args, kwargs)
-            except TransientNetworkError as exc:
-                send_phase = getattr(exc, "_send_phase", False)
-                if (
-                    policy is None
-                    or not (send_phase or idempotent)
-                    or not policy.should_retry(attempt, waited_us, exc)
-                ):
-                    raise
-                backoff = policy.backoff_us(attempt)
-                time.sleep(backoff / 1e6)
-                waited_us += backoff
-                attempt += 1
-                self.retries += 1
-            else:
-                # Outside the try: an error the *op* raised is never retried.
-                if msg.kind == wire.ERROR:
-                    raise msg.payload
-                return msg.payload
+        """:meth:`invoke` for any frame kind: the reply's value, or the
+        error it carries (an error the *op* raised is never retried)."""
+        try:
+            msg = self._exchange(kind, target, op, args, kwargs)
+        except TransientNetworkError as exc:
+            msg = self._retry(exc, kind, target, op, args, kwargs, idempotent)
+        if msg.kind == wire.ERROR:
+            raise msg.payload
+        return msg.payload
 
     # --- round trips ------------------------------------------------------
     def send(self, src, dst, nbytes: int) -> None:
@@ -530,9 +536,17 @@ class SocketTransport:
         return RemoteStub(self, target, idempotent)
 
     def invoke(self, target, op, args=(), kwargs=None, idempotent=False):
-        return self._call(
-            wire.REQUEST, target, op, list(args), kwargs, idempotent
-        )
+        # _call's body, written out: this runs once per op, and the
+        # exchange is entered directly (the retry loop only on failure).
+        args = list(args)
+        try:
+            msg = self._exchange(wire.REQUEST, target, op, args, kwargs)
+        except TransientNetworkError as exc:
+            msg = self._retry(exc, wire.REQUEST, target, op, args, kwargs,
+                              idempotent)
+        if msg.kind == wire.ERROR:
+            raise msg.payload
+        return msg.payload
 
     def invoke_compound(self, calls, fail_fast=True, idempotent=False):
         outcomes = self._call(

@@ -525,10 +525,13 @@ def unpack_body(body) -> Message:
 class FrameBuffer:
     """Receive side of the framing, for both ends of a connection.
 
-    The owner receives into :meth:`writable`, reports the count to
-    :meth:`received`, then takes bodies from :meth:`next_frame` until it
-    returns None (or nothing is :meth:`pending`: every frame received
-    was whole).  A body is a view of the one reusable buffer, valid
+    The owner calls :meth:`receive` with its socket's ``recv_into``: one
+    call per frame when, as from a closed-loop peer, every read brings
+    exactly one whole frame.  When it returns None the rest of a frame
+    is outstanding (:meth:`pending` is not 0) or the peer has closed
+    (it is 0); the owner then receives into :meth:`writable`, reports
+    the count to :meth:`received` and asks :meth:`next_frame` until a
+    body comes.  A body is a view of the one reusable buffer, valid
     until the next call on this object.  A frame that does not fit gets
     a one-off map of exactly its size, after the ``MAX_FRAME`` check.
     """
@@ -543,6 +546,21 @@ class FrameBuffer:
         self._view = self._home
         self._start = self._end = 0
 
+    def receive(self, recv_into) -> Optional[memoryview]:
+        """The next frame's body, or None (see the class doc).  Bytes
+        already buffered are parsed without receiving; otherwise one
+        ``recv_into`` fills the home buffer from its start."""
+        if self._end:
+            return self.next_frame()
+        view = self._home  # nothing buffered: the whole of it is writable
+        nbytes = recv_into(view)
+        # Exactly one whole frame.  Under four bytes, the stale length
+        # read cannot equal the negative body size.
+        if _LEN.unpack_from(view)[0] == nbytes - 4:
+            return view[4:nbytes]
+        self._end = nbytes
+        return self.next_frame() if nbytes else None
+
     def writable(self) -> memoryview:
         """Where the next ``recv_into`` goes; never empty."""
         return self._view[self._end:]
@@ -555,15 +573,7 @@ class FrameBuffer:
         return self._end - self._start
 
     def next_frame(self) -> Optional[memoryview]:
-        view, end = self._view, self._end
-        # Exactly one whole frame (every frame a closed-loop peer sends).
-        # It fits the home buffer, or passed the MAX_FRAME check when its
-        # one-off map was made.  Under four bytes, the stale length read
-        # cannot equal the negative body size.
-        if not self._start and _LEN.unpack_from(view)[0] == end - 4:
-            self._view, self._end = self._home, 0
-            return view[4:end]
-        start = self._start
+        view, start, end = self._view, self._start, self._end
         have = end - start
         need = _LEN.size
         if have >= need:

@@ -68,7 +68,9 @@ class SimClock:
     def advance(self, delta_us: float, category: str = "cpu") -> None:
         """Advance virtual time by ``delta_us``, attributed to ``category``.
 
-        Negative charges are a programming error and raise ``ValueError``.
+        A negative or NaN charge is a programming error and raises
+        ``ValueError`` with the clock untouched (``not >= 0`` is the test
+        NaN fails; ``< 0`` would let it poison every later reading).
 
         This is the hottest function in the simulator (a toy macro
         workload charges it ~2k times), so the body avoids per-call
@@ -76,8 +78,8 @@ class SimClock:
         (see :mod:`repro.sim.costs`) so the dict updates hash
         pre-interned keys.
         """
-        if delta_us < 0:
-            raise ValueError(f"negative time charge: {delta_us}")
+        if not delta_us >= 0:
+            raise ValueError(f"time charge must be >= 0: {delta_us}")
         self._now_us += delta_us
         try:
             self._by_category[category] += delta_us

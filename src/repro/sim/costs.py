@@ -21,18 +21,21 @@ from __future__ import annotations
 
 import dataclasses
 import sys
+from functools import partial
 
 from repro.sim.clock import SimClock
 from repro.types import KB
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class CostModel:
     """Latency parameters of the simulated node, in microseconds.
 
     The defaults model the paper's 40 MHz SPARCstation 10 with a 4400 RPM
     disk.  Benchmarks may construct variants (e.g. a faster disk for
-    sensitivity ablations) — the model is plain data.
+    sensitivity ablations) — the model is frozen, bound at construction:
+    a :class:`Charger` binds each fixed cost once, so a variant is a new
+    model, never an edited one.
     """
 
     # --- invocation paths (paper sec. 6.4: "Our object invocation stub
@@ -114,6 +117,16 @@ SYSCALL = sys.intern("syscall")
 #: waiting for a server slot, as opposed to being serviced.
 SERVER_QUEUE_WAIT = sys.intern("server_queue_wait")
 
+#: The charges of fixed cost and the category each is charged under:
+#: the invocation paths (charged by the ipc layer, exposed for the
+#: baselines), then CPU work in layers.
+FIXED_CHARGES = {
+    "local_call": LOCAL_CALL, "cross_domain_call": CROSS_DOMAIN,
+    "syscall": SYSCALL, "fs_resolve": CPU, "fs_open_state": CPU,
+    "fs_attr_copy": CPU, "fs_access_check": CPU, "fs_read_cpu": CPU,
+    "fs_write_cpu": CPU, "vm_fault": CPU, "bind": CPU, "name_cache_hit": CPU,
+}
+
 
 class Charger:
     """Binds a :class:`CostModel` to a :class:`SimClock`.
@@ -121,28 +134,25 @@ class Charger:
     Layer implementations call ``charge.fs_resolve()`` etc.; each named
     charge advances the clock under a stable category so the harness can
     attribute virtual time (cpu vs disk vs cross_domain vs network).
+
+    A charge of fixed cost (one of :data:`FIXED_CHARGES`) is bound once,
+    here: ``functools.partial`` over the clock's ``advance`` with the
+    model's ``<name>_us`` and the charge's category, so calling one
+    enters no Python frame but ``advance``'s.  The model is frozen, so a
+    bound constant cannot go stale.
     """
 
-    __slots__ = ("clock", "model", "_advance", "_memcpy_per_kb_us")
+    __slots__ = ("clock", "model", "_advance", "_memcpy_per_kb_us",
+                 *FIXED_CHARGES)
 
     def __init__(self, clock: SimClock, model: CostModel) -> None:
         self.clock = clock
         self.model = model
-        # The hottest charges run once per simulated load/store; resolve
-        # the clock's advance and the per-KB constant once instead of
-        # three attribute hops per call.
-        self._advance = clock.advance
+        advance = self._advance = clock.advance
         self._memcpy_per_kb_us = model.memcpy_per_kb_us
-
-    # Invocation paths — charged by the ipc layer, exposed for baselines.
-    def local_call(self) -> None:
-        self.clock.advance(self.model.local_call_us, LOCAL_CALL)
-
-    def cross_domain_call(self) -> None:
-        self.clock.advance(self.model.cross_domain_call_us, CROSS_DOMAIN)
-
-    def syscall(self) -> None:
-        self.clock.advance(self.model.syscall_us, SYSCALL)
+        for name, category in FIXED_CHARGES.items():
+            cost = getattr(model, f"{name}_us")
+            setattr(self, name, partial(advance, cost, category))
 
     def network(self, nbytes: int = 0) -> None:
         self.clock.advance(self.model.network_transfer_us(nbytes), NETWORK)
@@ -155,38 +165,10 @@ class Charger:
     def disk_io(self, nbytes: int) -> None:
         self.clock.advance(self.model.disk_io_us(nbytes), DISK)
 
-    # CPU work in layers.
     def memcpy(self, nbytes: int) -> None:
         # Same float expression as CostModel.memcpy_us — bit-identical
         # virtual time, minus the method call and attribute chain.
         self._advance(self._memcpy_per_kb_us * (nbytes / KB), CPU)
-
-    def fs_resolve(self) -> None:
-        self.clock.advance(self.model.fs_resolve_us, CPU)
-
-    def fs_open_state(self) -> None:
-        self.clock.advance(self.model.fs_open_state_us, CPU)
-
-    def fs_attr_copy(self) -> None:
-        self.clock.advance(self.model.fs_attr_copy_us, CPU)
-
-    def fs_access_check(self) -> None:
-        self.clock.advance(self.model.fs_access_check_us, CPU)
-
-    def fs_read_cpu(self) -> None:
-        self.clock.advance(self.model.fs_read_cpu_us, CPU)
-
-    def fs_write_cpu(self) -> None:
-        self.clock.advance(self.model.fs_write_cpu_us, CPU)
-
-    def vm_fault(self) -> None:
-        self._advance(self.model.vm_fault_us, CPU)
-
-    def bind(self) -> None:
-        self.clock.advance(self.model.bind_us, CPU)
-
-    def name_cache_hit(self) -> None:
-        self.clock.advance(self.model.name_cache_hit_us, CPU)
 
     def compress(self, nbytes: int) -> None:
         self.clock.advance(self.model.compress_per_kb_us * nbytes / KB, CPU)

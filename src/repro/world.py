@@ -29,33 +29,34 @@ class Counters:
     several figure reproductions assert on.
     """
 
-    __slots__ = ("_counts",)
+    __slots__ = ("counts",)
 
     def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
+        #: The counts themselves.  The ``@operation`` wrapper increments
+        #: its two keys here inline: it runs on every invocation, and a
+        #: call to :meth:`inc` would be a Python frame each.
+        self.counts: Dict[str, int] = {}
 
     def inc(self, name: str, amount: int = 1) -> None:
-        # try/except beats .get() on the hit path, and inc runs twice per
-        # invocation — this is one of the hottest calls in the system.
         try:
-            self._counts[name] += amount
+            self.counts[name] += amount
         except KeyError:
-            self._counts[name] = amount
+            self.counts[name] = amount
 
     def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
+        return self.counts.get(name, 0)
 
     def snapshot(self) -> Dict[str, int]:
-        return dict(self._counts)
+        return dict(self.counts)
 
     def reset(self) -> None:
-        self._counts.clear()
+        self.counts.clear()
 
     def delta_since(self, snapshot: Dict[str, int]) -> Dict[str, int]:
         """Counters incremented since ``snapshot`` was taken."""
         return {
             name: value - snapshot.get(name, 0)
-            for name, value in self._counts.items()
+            for name, value in self.counts.items()
             if value - snapshot.get(name, 0) != 0
         }
 
@@ -195,11 +196,8 @@ class World:
         devices are durable on disk afterwards.  The world stays usable:
         the next mutation lazily re-dirties its volume's superblock.
         Returns total blocks written."""
-        for node in self.nodes.values():
-            fs_context = getattr(node, "fs_context", None)
-            if fs_context is None:
-                continue
-            for _name, obj in fs_context.list_bindings():
+        for node in self.nodes.values():  # each booted with an fs context
+            for _name, obj in node.fs_context.list_bindings():
                 sync = getattr(obj, "sync_fs", None)
                 if sync is not None:
                     sync()

@@ -117,11 +117,33 @@ class TestPayloadAccounting:
         assert bytes_in({1: b"abcd", 2: b"ef"}) == 6
         assert bytes_in([b"a", (b"bc", 7)]) == 3
 
+    def test_bytes_in_scalar_containers_and_subclasses(self):
+        # A container of exact scalars is measured in one pass; anything
+        # else, subclasses of the buffer and container types included,
+        # is looked into item by item.
+        class Blob(bytes):
+            pass
+
+        class Pages(dict):
+            pass
+
+        assert bytes_in((1, 2.5, "s", None, True)) == 0
+        assert bytes_in({"k": 1, "v": "x"}) == 0
+        assert bytes_in([Blob(b"abc"), 1]) == 3
+        assert bytes_in((Pages({0: b"xy"}), [[b"z"]])) == 3
+        assert bytes_in([object()]) == 0  # an object reference is free
+
     def test_remote_payload_charged_both_ways(self, setup):
         world, echo, _, _, remote = setup
         with remote.activate():
             echo.bulk(b"x" * 1024)
         # Request carries 1 KB, reply 2 KB.
+        assert world.network.bytes_moved == 3 * 1024
+
+    def test_keyword_payload_is_charged_too(self, setup):
+        world, echo, _, _, remote = setup
+        with remote.activate():
+            echo.bulk(data=b"x" * 1024)
         assert world.network.bytes_moved == 3 * 1024
 
     def test_local_calls_carry_no_network_payload(self, setup):
@@ -134,7 +156,9 @@ class TestPayloadAccounting:
 class TestRevocation:
     def test_revoked_object_raises(self, setup):
         _, echo, _, peer, _ = setup
+        assert not echo.revoked
         echo.revoke()
+        assert echo.revoked
         with peer.activate():
             with pytest.raises(RevokedObjectError):
                 echo.ping()

@@ -1,5 +1,7 @@
 """Unit tests for the cost model and charger calibration anchors."""
 
+import dataclasses
+
 import pytest
 
 from repro.sim.clock import SimClock
@@ -40,6 +42,15 @@ class TestCostModel:
     def test_model_is_plain_data(self):
         fast = CostModel(disk_seek_us=0.0, disk_rotation_us=0.0)
         assert fast.disk_io_us(1024) == fast.disk_xfer_per_kb_us
+
+    def test_model_is_frozen(self):
+        # A Charger binds the fixed costs once: an edit would not be seen.
+        model = CostModel()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.fs_resolve_us = 1.0
+        charger = Charger(SimClock(), CostModel(fs_resolve_us=7.0))
+        charger.fs_resolve()
+        assert charger.clock.categories() == {"cpu": 7.0}
 
 
 class TestCharger:

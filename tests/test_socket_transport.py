@@ -662,6 +662,33 @@ class TestFailureMapping:
         finally:
             client.close()
 
+    def test_a_ping_retries_like_an_invoke(self):
+        # send() does not go through invoke(); its send-phase failures
+        # take the same retry loop.
+        policy = RetryPolicy(
+            max_attempts=3, base_backoff_us=1000.0, timeout_us=1e6
+        )
+        client = SocketTransport(
+            "127.0.0.1", closed_port(),
+            connect_timeout_s=0.2, retry_policy=policy,
+        )
+        try:
+            with pytest.raises(NetworkPartitionError):
+                client.send(None, None, 16)
+            assert client.retries == 2
+        finally:
+            client.close()
+
+    def test_a_batch_the_server_refuses_raises_its_error(self, served):
+        client = served.client()
+        try:
+            with pytest.raises(InvocationError, match="malformed compound"):
+                client.invoke_compound([("control", 5, (), None)])
+            assert client.bind("control").ping() == "pong"  # still connected
+            assert client.reconnects == 1
+        finally:
+            client.close()
+
 
 # --- parity with the served objects ------------------------------------------
 
@@ -1034,6 +1061,20 @@ class TestServerThread:
             server._listener = listener
             server._accept()
         assert server._connections == {}
+
+    def test_stop_tolerates_a_connection_its_thread_already_closed(self):
+        # A connection thread closes its socket before it leaves the
+        # table; stop() may find it there, closed, and must carry on.
+        server = SocketServer()
+        thread = ServerThread(server)
+        thread.start()
+        gone = socket.socket()
+        gone.close()
+        finished = threading.Thread(target=lambda: None)
+        finished.start()
+        server._connections[gone] = finished
+        thread.stop()
+        assert not thread._thread.is_alive()
 
     def test_stop_reraises_what_the_serving_thread_died_with(self):
         class Dying(SocketServer):

@@ -10,7 +10,7 @@ import pathlib
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import UnixError
@@ -543,6 +543,120 @@ class TestFrameBuffer:
         assert feed(frames, wire.MAX_FRAME.to_bytes(4, "big")) == []
         assert len(frames.writable()) == wire.MAX_FRAME
         assert resident() - before < 1024 * 1024
+
+
+# --- FrameBuffer.receive against the parts it merges --------------------------
+# ``receive`` stands for ``writable`` + ``received`` + ``next_frame`` on
+# the good path; a transport finishes a frame it leaves incomplete with
+# ``_rest_of_frame``.  Fed the same bytes, cut at the same offsets, the
+# two must hand out the same bodies in the same order.
+
+class Chunks:
+    """A fake ``recv_into``: delivers ``stream`` one chunk (the bytes
+    between two cuts) at a time, at most as much as the buffer takes,
+    then 0 for a closed peer.  ``settimeout`` lets it stand in for the
+    socket ``_rest_of_frame`` reads from."""
+
+    def __init__(self, stream, cuts):
+        edges = sorted({0, len(stream)}
+                       | {cut for cut in cuts if 0 < cut < len(stream)})
+        view = memoryview(stream)
+        self._chunks = [view[a:b] for a, b in zip(edges, edges[1:])]
+
+    def recv_into(self, buf):
+        if not self._chunks:
+            return 0
+        chunk = self._chunks[0]
+        count = min(len(buf), len(chunk))
+        buf[:count] = chunk[:count]
+        if count < len(chunk):
+            self._chunks[0] = chunk[count:]
+        else:
+            self._chunks.pop(0)
+        return count
+
+    def settimeout(self, value):
+        pass
+
+
+def by_parts(frames, sock, bodies):
+    """The loop ``receive`` replaces."""
+    while True:
+        nbytes = sock.recv_into(frames.writable())
+        if not nbytes:
+            return
+        frames.received(nbytes)
+        while (body := frames.next_frame()) is not None:
+            bodies.append(bytes(body))
+
+
+def by_receive(frames, sock, bodies):
+    """The loop the transport runs."""
+    from repro.ipc import transport
+
+    while True:
+        body = frames.receive(sock.recv_into)
+        if body is None:
+            if not frames.pending():
+                return  # the peer closed between frames
+            body = transport._rest_of_frame(sock, frames, float("inf"))
+        bodies.append(bytes(body))
+
+
+def outcome(loop, size, stream, cuts):
+    """The bodies ``loop`` yields, and the type of what it raised."""
+    bodies = []
+    try:
+        loop(wire.FrameBuffer(size), Chunks(stream, cuts), bodies)
+    except Exception as exc:  # compared, then required to be a WireError
+        return bodies, type(exc)
+    return bodies, None
+
+
+def filling(size, seq=1):
+    """A frame of exactly ``size`` bytes."""
+    frame = frame_of(b"", seq)
+    return frame_of(b"f" * (size - len(frame)), seq)
+
+
+OVERSIZED = (wire.MAX_FRAME + 1).to_bytes(4, "big") + b"SW\x02"
+
+
+class TestReceiveMatchesTheParts:
+    @given(
+        size=st.sampled_from([32, 64, 200, wire.RECV_BUFFER]),
+        payloads=st.lists(st.integers(0, 300), min_size=1, max_size=5),
+        cuts=st.lists(st.integers(0, 2**21), max_size=8),
+        # (frame, offset): a cut that many bytes into one frame, so
+        # every stream has cuts at and just after its length prefixes.
+        near=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 6)),
+                      max_size=4),
+        oversized=st.booleans(),
+    )
+    @example(size=wire.RECV_BUFFER, payloads=[], cuts=[4], near=[],
+             oversized=False)
+    @example(size=wire.RECV_BUFFER, payloads=[-wire.RECV_BUFFER, 5],
+             cuts=[], near=[(1, 4)], oversized=False)
+    @example(size=wire.RECV_BUFFER, payloads=[-wire.RECV_BUFFER - 1, 0],
+             cuts=[], near=[(0, 4)], oversized=False)
+    @example(size=64, payloads=[3], cuts=[], near=[(1, 2)], oversized=True)
+    @settings(deadline=None)
+    def test_same_bodies_in_the_same_order(self, size, payloads, cuts, near,
+                                           oversized):
+        # A negative payload stands for a frame of exactly -payload bytes.
+        stream = [filling(-n, seq) if n < 0 else frame_of(b"p" * n, seq)
+                  for seq, n in enumerate(payloads or [0])]
+        starts = [0]
+        for frame in stream:
+            starts.append(starts[-1] + len(frame))
+        stream = b"".join(stream) + (OVERSIZED if oversized else b"")
+        cuts = [c % (len(stream) + 1) for c in cuts]
+        cuts += [starts[i % len(starts)] + k for i, k in near]
+        parts = outcome(by_parts, size, stream, cuts)
+        merged = outcome(by_receive, size, stream, cuts)
+        assert merged == parts
+        assert merged[1] is (wire.WireError if oversized else None)
+        assert len(merged[0]) == len(payloads or [0])
 
 
 class TestCopyBudget:
