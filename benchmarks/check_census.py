@@ -10,7 +10,8 @@ Python 3.11 has no ``sys.monitoring``.
 
 A tracer armed once before the suite loses lines part-way through it,
 so the tracer is also a plugin of the suite: its ``pytest_runtest_call``
-hook wrapper arms it again before every test.  What counts as
+hook wrapper arms it again before every test, and it fixes what
+hypothesis draws, so two runs list the same lines.  What counts as
 executable is what the compiler gives a line number (``co_lines``), so
 a multi-line statement may be attributed to its continuation lines; the
 body of an ``if TYPE_CHECKING:`` does not count.  The run takes about
@@ -49,6 +50,7 @@ ROOT = REPO / "src" / "repro"
 COMMITTED = pathlib.Path(__file__).resolve().parent / "CENSUS.json"
 EXAMPLES = ("compression_stack", "distributed_sharing", "encrypted_mirror",
             "performance_tuning", "quickstart", "watchdog_interposition")
+
 
 class LineTracer:
     """Which lines of ``src/repro`` ran: a ``sys.settrace`` tracer that
@@ -110,6 +112,18 @@ class LineTracer:
         sys.settrace(None)
         threading.settrace(None)
 
+    @pytest.hookimpl(tryfirst=True)
+    def pytest_configure(self, config):
+        """The ``census`` profile, registered before hypothesis's own hook
+        loads it: the same drawn cases on every run and host, and none
+        replayed from a local example database, or a line only some
+        draws reach would join and leave the list from run to run."""
+        import hypothesis
+
+        hypothesis.settings.register_profile(
+            "census", derandomize=True, database=None
+        )
+
     @pytest.hookimpl(hookwrapper=True)
     def pytest_runtest_call(self, item):
         self.arm()
@@ -149,6 +163,7 @@ def census() -> dict:
     tracer.arm()
     try:
         status = pytest.main(["-q", "-x", "-p", "no:cacheprovider",
+                              "--hypothesis-profile=census",
                               str(REPO / "tests")], plugins=[tracer])
         for name in EXAMPLES:
             tracer.arm()

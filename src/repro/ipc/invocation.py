@@ -16,6 +16,15 @@ Code runs "inside" a domain via ``with domain.activate():``.  Invocations
 made with no active domain (common in unit tests that don't care about
 costs) are treated as originating in the server's own domain and charge
 nothing; benchmarks always activate a client domain.
+
+The wrapper runs on every invocation, so it enters as few Python frames
+as it can: a local or cross-domain call enters the wrapper,
+``SimClock.advance`` (the charge is a ``functools.partial``, see
+:class:`repro.sim.costs.Charger`) and the body; a direct call, the
+wrapper and the body.  The two counters are incremented on
+``world.counters.counts`` inline, and the reply's network charge is
+decided by the branch already taken.  ``tests/test_spine_frames.py``
+pins the frames each path enters.
 """
 
 from __future__ import annotations

@@ -43,7 +43,10 @@ name and message.
 Both directions are table-dispatched and stream-free: :func:`pack_frame`
 builds a whole frame in one bytearray; :func:`unpack_body` decodes out of
 a :class:`FrameBuffer` view of the receive buffer, copies what it keeps,
-and raises only :class:`WireError` whatever bytes arrive.  What a call
+and raises only :class:`WireError` whatever bytes arrive.  A connection
+takes each frame with one :meth:`FrameBuffer.receive` call, which makes
+the ``recv_into`` itself and returns the body of a read that brought one
+whole frame without storing any state.  What a call
 mostly carries costs no bytecode per item: a list whose items are all
 ints (a ``FileType`` counts, a ``bool`` does not) is packed, and a list
 whose every ninth byte is the int tag is parsed, by C-level iteration

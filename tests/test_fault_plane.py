@@ -80,6 +80,19 @@ class TestScheduledEvents:
         assert a.epoch == 1
         assert world.counters.get("faults.recoveries") == 1
 
+    def test_crash_and_recover_are_idempotent(self, pair):
+        # Overlapping schedules may crash a node that is down, or recover
+        # one that is up: the second call changes nothing.
+        a, _ = pair
+        fired = []
+        a.add_crash_listener(lambda: fired.append(a.epoch))
+        a.crash()
+        a.crash()
+        assert a.crashed and fired == [0]
+        a.recover()
+        a.recover()
+        assert not a.crashed and a.epoch == 1
+
     def test_partition_and_heal(self, world, pair):
         a, b = pair
         world.install_fault_plan(

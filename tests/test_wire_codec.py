@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.errors import UnixError
 from repro.fs.attributes import FileAttributes
-from repro.ipc import wire
+from repro.ipc import transport, wire
 from repro.storage.inode import FileType
 
 REQUEST_ARGS = [3, 4096, 8192]
@@ -592,8 +592,6 @@ def by_parts(frames, sock, bodies):
 
 def by_receive(frames, sock, bodies):
     """The loop the transport runs."""
-    from repro.ipc import transport
-
     while True:
         body = frames.receive(sock.recv_into)
         if body is None:
@@ -627,8 +625,8 @@ class TestReceiveMatchesTheParts:
         size=st.sampled_from([32, 64, 200, wire.RECV_BUFFER]),
         payloads=st.lists(st.integers(0, 300), min_size=1, max_size=5),
         cuts=st.lists(st.integers(0, 2**21), max_size=8),
-        # (frame, offset): a cut that many bytes into one frame, so
-        # every stream has cuts at and just after its length prefixes.
+        # (frame, offset): a cut that many bytes into one frame, which
+        # puts cuts at and just after length prefixes far more often.
         near=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 6)),
                       max_size=4),
         oversized=st.booleans(),
