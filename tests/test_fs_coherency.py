@@ -3,6 +3,7 @@ VMM clients, attribute coherency, and cache hooks from below."""
 
 import pytest
 
+from repro.errors import OutOfRangeError
 from repro.types import PAGE_SIZE, AccessRights
 
 RO = AccessRights.READ_ONLY
@@ -250,6 +251,19 @@ class TestCacheHooksFromBelow:
         assert state.attrs is not None
         coherency.ops.invalidate_attributes(state)
         assert state.attrs is None
+
+    def test_unaligned_populate_refused_and_page_kept(self, sfs, user):
+        """populate pushes whole pages at a page-aligned offset, as the
+        VMM takes it: one that starts mid-page is refused, and the page
+        the layer caches keeps every byte."""
+        with user.activate():
+            f = sfs.top.create_file("a.bin")
+            f.write(0, b"a" * PAGE_SIZE)
+            f.sync()
+            state = next(iter(sfs.coherency_layer._states.values()))
+            with pytest.raises(OutOfRangeError):
+                state.down_channel.cache_object.populate(100, 10, RO, b"x" * 10)
+            assert f.read(0, PAGE_SIZE) == b"a" * PAGE_SIZE
 
 
 class TestCoherentStacksFromNonCoherentLayers:

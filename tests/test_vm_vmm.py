@@ -324,6 +324,13 @@ class TestVmmCacheObject:
         cache_obj.populate(0, PAGE_SIZE, RO, b"PUSHED" + bytes(PAGE_SIZE - 6))
         assert mapping.read(0, 6) == b"PUSHED"
 
+    def test_unaligned_populate_refused(self, bound):
+        mapping, cache_obj, _ = bound
+        before = mapping.read(0, PAGE_SIZE)
+        with pytest.raises(OutOfRangeError):
+            cache_obj.populate(100, 10, RO, b"x" * 10)
+        assert mapping.read(0, PAGE_SIZE) == before
+
     def test_destroy_cache_kills_mapping(self, bound):
         mapping, cache_obj, _ = bound
         cache_obj.destroy_cache()
