@@ -15,11 +15,7 @@ See README.md for the architecture overview and DESIGN.md for the
 paper-to-module map.
 """
 
-from repro.errors import SpringError
-from repro.sim.costs import CostModel
-from repro.types import PAGE_SIZE, AccessRights
+from repro.types import AccessRights
 from repro.world import World
 
-__version__ = "1.0.0"
-
-__all__ = ["SpringError", "CostModel", "PAGE_SIZE", "AccessRights", "World"]
+__all__ = ["AccessRights", "World"]

@@ -1,5 +1,2 @@
-"""Baselines: the monolithic SunOS 4.1.3 comparator of Table 3."""
-
-from repro.baseline.sunos import SunOsCosts, SunOsFs
-
-__all__ = ["SunOsCosts", "SunOsFs"]
+"""Baselines: the monolithic SunOS 4.1.3 comparator of Table 3
+(``repro.baseline.sunos``)."""

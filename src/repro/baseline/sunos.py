@@ -140,12 +140,6 @@ class SunOsFs:
         self.volume.mark_dirty(entry.ino)
         return len(data)
 
-    def read(self, fd: int, size: int) -> bytes:
-        entry = self._entry(fd)
-        data = self.pread(fd, size, entry.position)
-        entry.position += len(data)
-        return data
-
     def write(self, fd: int, data: bytes) -> int:
         entry = self._entry(fd)
         written = self.pwrite(fd, data, entry.position)

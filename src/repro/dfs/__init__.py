@@ -3,20 +3,11 @@
 See ``docs/DISTRIBUTED.md`` for the protocol and state machines.
 """
 
-from repro.dfs.blockmap import BlockInfo, BlockMap
-from repro.dfs.cluster import ShardedCluster, create_sharded_dfs
-from repro.dfs.datanode import DataNodeService
-from repro.dfs.layer import QuorumReadError, QuorumWriteError, ShardedDfsLayer
-from repro.dfs.namenode import NameNodeService
+from repro.dfs.cluster import create_sharded_dfs
+from repro.dfs.layer import QuorumReadError, QuorumWriteError
 
 __all__ = [
-    "BlockInfo",
-    "BlockMap",
-    "DataNodeService",
-    "NameNodeService",
     "QuorumReadError",
     "QuorumWriteError",
-    "ShardedCluster",
-    "ShardedDfsLayer",
     "create_sharded_dfs",
 ]

@@ -63,10 +63,6 @@ class DataNodeService(SpringObject):
         return self.domain.node.epoch, len(self._versions)
 
     @operation
-    def used_bytes(self) -> int:
-        return sum(store.resident_bytes() for store in self._stores.values())
-
-    @operation
     def put_blocks(
         self, file_key: Hashable, items: List[Tuple[int, bytes, int]]
     ) -> List[Tuple[int, int]]:

@@ -8,63 +8,34 @@ plus per-file interposition (sec. 5) and creators/stack configuration
 tools (sec. 4.4).
 """
 
-from repro.fs.attributes import CachedAttributes, FileAttributes
-from repro.fs.base import BaseLayer, LayerFsCache, LayerPagerObject
-from repro.fs.cfs import CfsFile, CfsLayer, start_cfs
-from repro.fs.coherency import CoherencyLayer, CoherentDirectory, CoherentFile
-from repro.fs.compfs import CompFile, CompFs, pack_compressed, unpack_compressed
+from repro.fs.cfs import start_cfs
+from repro.fs.compfs import CompFs
 from repro.fs.creators import (
-    LayerCreator,
     LayerSpec,
     build_stack,
     lookup_creator,
     register_standard_creators,
 )
-from repro.fs.cryptfs import CryptFile, CryptFs, keystream, xor_block
-from repro.fs.dfs import DfsFile, DfsLayer, export_dfs, mount_remote
-from repro.fs.disk_layer import DiskDirectory, DiskFile, DiskLayer
-from repro.fs.file import File
-from repro.fs.fs_interfaces import Fs, StackableFs, StackableFsCreator
-from repro.fs.holders import (
-    BlockHolderTable,
-    WholeFileHolderTable,
-    make_holder_table,
-)
+from repro.fs.dfs import export_dfs, mount_remote
 from repro.fs.interposer import (
     AuditFile,
-    InterposedFile,
     ReadOnlyFile,
     TransformFile,
-    WatchdogContext,
     interpose_on_name,
 )
-from repro.fs.mirrorfs import MirrorFile, MirrorFs
-from repro.fs.monolithic import MonoFile, MonolithicSfs
-from repro.fs.nullfs import NullFile, NullFs
-from repro.fs.quotafs import QuotaExceededError, QuotaFile, QuotaFs
-from repro.fs.sfs import PLACEMENTS, SfsStack, create_sfs
-from repro.fs.stack import describe_stack, domains_of, stack_depth, stack_layers
+from repro.fs.nullfs import NullFs
+from repro.fs.sfs import create_sfs
+from repro.fs.stack import describe_stack
 
 __all__ = [
-    "CachedAttributes", "FileAttributes",
-    "BaseLayer", "LayerFsCache", "LayerPagerObject",
-    "CfsFile", "CfsLayer", "start_cfs",
-    "CoherencyLayer", "CoherentDirectory", "CoherentFile",
-    "CompFile", "CompFs", "pack_compressed", "unpack_compressed",
-    "LayerCreator", "LayerSpec", "build_stack", "lookup_creator",
+    "start_cfs",
+    "CompFs",
+    "LayerSpec", "build_stack", "lookup_creator",
     "register_standard_creators",
-    "CryptFile", "CryptFs", "keystream", "xor_block",
-    "DfsFile", "DfsLayer", "export_dfs", "mount_remote",
-    "DiskDirectory", "DiskFile", "DiskLayer",
-    "File",
-    "Fs", "StackableFs", "StackableFsCreator",
-    "BlockHolderTable", "WholeFileHolderTable", "make_holder_table",
-    "AuditFile", "InterposedFile", "ReadOnlyFile", "TransformFile",
-    "WatchdogContext", "interpose_on_name",
-    "MirrorFile", "MirrorFs",
-    "MonoFile", "MonolithicSfs",
-    "NullFile", "NullFs",
-    "QuotaExceededError", "QuotaFile", "QuotaFs",
-    "PLACEMENTS", "SfsStack", "create_sfs",
-    "describe_stack", "domains_of", "stack_depth", "stack_layers",
+    "export_dfs", "mount_remote",
+    "AuditFile", "ReadOnlyFile", "TransformFile",
+    "interpose_on_name",
+    "NullFs",
+    "create_sfs",
+    "describe_stack",
 ]

@@ -540,10 +540,7 @@ class LayerFsCache(FsCache):
         store = self.state.store
         if store is None:
             return None
-        return {
-            index: (page.rights.writable, page.dirty)
-            for index, page in store.pages()
-        }
+        return store.held_blocks()
 
 
 class LayerFileState:
@@ -663,10 +660,6 @@ class ForwardingFile(LayerFile):
     """Fully transparent handle: every operation — including ``bind`` —
     forwards straight to the underlying file, so the layer stays out of
     the page traffic entirely (the nullfs/quotafs shape)."""
-
-    @property
-    def under_file(self) -> File:
-        return self.state.under_file
 
     @operation
     def bind(
@@ -933,7 +926,7 @@ class BaseLayer(LayerNaming, StackableFs, CacheManager, abc.ABC):
         state = self._states_by_source.get(source_key)
         holders = getattr(state, "holders", None) if state is not None else None
         if holders is not None:
-            holders.drop_channel(channel)
+            holders.forget_range(channel, 0, WHOLE_FILE)
 
     # ------------------------------------------------- cache-manager side
     @operation

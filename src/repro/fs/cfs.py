@@ -64,10 +64,6 @@ class CfsFileState(LayerFileState):
         self.mapping = None
         self.mapping_length = 0
 
-    @property
-    def remote_file(self) -> File:
-        return self.under_file
-
 
 class CfsFile(LayerFile):
     """The locally implemented stand-in for a remote file."""
@@ -83,7 +79,7 @@ class CfsFile(LayerFile):
         # Forward: local VMM ends up with a channel straight to the
         # remote DFS; CFS stays out of the page traffic.
         self.layer.world.counters.inc("cfs.bind_forwarded")
-        return self.state.remote_file.bind(
+        return self.state.under_file.bind(
             cache_manager, requested_access, offset, length
         )
 
@@ -169,7 +165,7 @@ class CfsLayer(BaseLayer):
             if state.down_pager is not None:
                 fetched = state.down_pager.attr_page_in()
             else:
-                fetched = state.remote_file.get_attributes()
+                fetched = state.under_file.get_attributes()
             state.attrs = CachedAttributes(fetched)
         return state.attrs.attrs
 
@@ -192,7 +188,7 @@ class CfsLayer(BaseLayer):
         state.mapping = self._aspace.map(
             # Map the CfsFile itself?  No: map the remote file; its bind
             # is what reaches the remote DFS pager.
-            state.remote_file,
+            state.under_file,
             AccessRights.READ_WRITE,
             offset=0,
             length=length,
@@ -224,7 +220,7 @@ class CfsLayer(BaseLayer):
             # Growth must go to the authority (the remote file) so other
             # clients observe it.  The server's invalidation fan-out may
             # drop our attribute cache during this call — refetch after.
-            state.remote_file.set_length(end)
+            state.under_file.set_length(end)
             self.cached_attrs(state)
             state.attrs.set_size(end)
         self._ensure_mapping(state, end)
@@ -241,7 +237,7 @@ class CfsLayer(BaseLayer):
         return self.cached_attrs(state).copy()
 
     def file_set_length(self, state: CfsFileState, length: int) -> None:
-        state.remote_file.set_length(length)
+        state.under_file.set_length(length)
         if state.attrs is not None:
             state.attrs.set_size(length)
 

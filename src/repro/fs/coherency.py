@@ -48,7 +48,6 @@ from repro.fs.base import (
     LayerDirectory,
     LayerFile,
     LayerFileState,
-    split_pages,
 )
 from repro.fs.file import File
 
@@ -169,8 +168,7 @@ class CoherencyOps(ChannelOps):
         state.store.zero_range(offset, size)
 
     def populate(self, state, offset, size, access, data) -> None:
-        for index, chunk in split_pages(offset, size, data).items():
-            state.store.install(index, chunk, access)
+        state.store.populate(offset, size, data, access)
 
     def destroy_cache(self, state) -> None:
         state.store.clear()

@@ -116,13 +116,6 @@ class BlockHolderTable:
             if previous is not None:
                 self._unref(oid, previous[1].writable)
 
-    def drop_channel(self, channel: Channel) -> None:
-        oid = channel.cache_object.oid
-        for holders in self._holders.values():
-            previous = holders.pop(oid, None)
-            if previous is not None:
-                self._unref(oid, previous[1].writable)
-
     def holders_of(self, page: int) -> List[Tuple[Channel, AccessRights]]:
         return list(self._holders.get(page, {}).values())
 
@@ -193,7 +186,7 @@ class BlockHolderTable:
         ).items():
             if access.writable:
                 modified = channel.cache_object.flush_back(offset, size)
-                self._forget_holder_range(oid, offset, size)
+                self.forget_range(channel, offset, size)
             else:
                 modified = channel.cache_object.deny_writes(offset, size)
                 self._downgrade_holder_range(oid, offset, size)
@@ -235,12 +228,6 @@ class BlockHolderTable:
                 self._unref(oid, rights.writable)
 
     # --- internals --------------------------------------------------------
-    def _forget_holder_range(self, oid: int, offset: int, size: int) -> None:
-        for page in self._tracked_pages(offset, size):
-            previous = self._holders[page].pop(oid, None)
-            if previous is not None:
-                self._unref(oid, previous[1].writable)
-
     def _downgrade_holder_range(self, oid: int, offset: int, size: int) -> None:
         for page in self._tracked_pages(offset, size):
             holders = self._holders[page]
@@ -282,9 +269,6 @@ class WholeFileHolderTable:
 
     def forget_range(self, channel: Channel, offset: int, size: int) -> None:
         # Coarse protocol: giving up any of the file gives up all of it.
-        self._holders.pop(channel.cache_object.oid, None)
-
-    def drop_channel(self, channel: Channel) -> None:
         self._holders.pop(channel.cache_object.oid, None)
 
     def holders_of(self, page: int) -> List[Tuple[Channel, AccessRights]]:

@@ -145,9 +145,6 @@ class CompoundResult:
     def __init__(self, outcomes: List[Any]) -> None:
         self.outcomes = outcomes
 
-    def __len__(self) -> int:
-        return len(self.outcomes)
-
     @property
     def error(self) -> Optional[CompoundSubOpError]:
         """The first sub-op failure, or None if the batch succeeded."""

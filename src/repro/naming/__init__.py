@@ -1,27 +1,6 @@
 """Spring naming architecture (paper sec. 3.2).
 
-Public surface: :class:`NamingContext` and :class:`MemoryContext`
-(contexts and bindings), :class:`Namespace` (per-domain views),
-:class:`NameCache` (sec. 6.4 name caching), and the ACL model.
+Contexts and bindings (``repro.naming.context``), per-domain views
+(``.namespace``), sec. 6.4 name caching (``.cache``) and the ACL model
+(``.acl``).  Import from the modules: the package re-exports nothing.
 """
-
-from repro.naming.acl import Acl, open_acl, system_acl
-from repro.naming.cache import NameCache
-from repro.naming.context import MemoryContext, NamingContext
-from repro.naming.name import head_tail, is_absolute, join, split_name
-from repro.naming.namespace import Namespace, namespace_for
-
-__all__ = [
-    "Acl",
-    "open_acl",
-    "system_acl",
-    "NameCache",
-    "MemoryContext",
-    "NamingContext",
-    "head_tail",
-    "is_absolute",
-    "join",
-    "split_name",
-    "Namespace",
-    "namespace_for",
-]

@@ -27,21 +27,9 @@ class Namespace:
         self.domain = domain
         self.root = root
         self.private = MemoryContext(domain)
-        #: Optional per-domain name cache (see :meth:`attach_cache`).
-        self.cache = None
-
-    def attach_cache(self, cache) -> "Namespace":
-        """Route absolute-name resolution through ``cache`` (a
-        :class:`~repro.naming.cache.NameCache`).  Relative names stay
-        uncached — the private context is served by this very domain, so
-        a cache would save nothing.  Returns self for chaining."""
-        self.cache = cache
-        return self
 
     def resolve(self, name: str) -> object:
         if names.is_absolute(name):
-            if self.cache is not None:
-                return self.cache.resolve(self.root, name)
             return self.root.resolve(name)
         try:
             return self.private.resolve(name)

@@ -1,18 +1,3 @@
 """Virtual-time simulation substrate: clock, calibrated cost model,
-discrete-event scheduler, and the fault plane."""
-
-from repro.sim.clock import SimClock, StopWatch
-from repro.sim.costs import Charger, CostModel
-from repro.sim.scheduler import Scheduler, ServiceQueue, Task, request, think
-
-__all__ = [
-    "SimClock",
-    "StopWatch",
-    "Charger",
-    "CostModel",
-    "Scheduler",
-    "ServiceQueue",
-    "Task",
-    "request",
-    "think",
-]
+discrete-event scheduler, and the fault plane.  Import from the modules
+(``repro.sim.clock``, ``.costs``, ...): the package re-exports nothing."""

@@ -2,39 +2,24 @@
 backends (in-memory and persistent disk images), and the UFS-like
 on-disk file system engine used by the disk layer."""
 
-from repro.storage.allocator import BlockAllocator
-from repro.storage.block_device import BlockDevice, RamDevice
+from repro.storage.block_device import BlockDevice
 from repro.storage.blockstore import (
-    BlockStore,
     ImageBlockStore,
     MemoryBlockStore,
 )
-from repro.storage.directory import pack_entries, unpack_entries
-from repro.storage.inode import INODE_SIZE, NUM_DIRECT, FileType, Inode
+from repro.storage.inode import FileType
 from repro.storage.layout import (
     STATE_CLEAN,
-    STATE_DIRTY,
-    CylinderGroup,
     SuperBlock,
 )
 from repro.storage.volume import Volume
 
 __all__ = [
-    "BlockAllocator",
     "BlockDevice",
-    "BlockStore",
-    "CylinderGroup",
     "ImageBlockStore",
     "MemoryBlockStore",
-    "RamDevice",
-    "pack_entries",
-    "unpack_entries",
-    "INODE_SIZE",
-    "NUM_DIRECT",
     "FileType",
-    "Inode",
     "STATE_CLEAN",
-    "STATE_DIRTY",
     "SuperBlock",
     "Volume",
 ]

@@ -207,18 +207,15 @@ class Volume:
         files go to their parent directory's group (locality).  With one
         group this is exactly the classic lowest-free-i-node scan."""
         ngroups = len(self._groups)
-        if ngroups == 1:
-            order = [0]
+        if ftype is FileType.DIRECTORY:
+            preferred = max(
+                range(ngroups), key=lambda g: (self._ino_free[g], -g)
+            )
+        elif parent_ino is not None:
+            preferred = self.sb.group_of_ino(parent_ino)
         else:
-            if ftype is FileType.DIRECTORY:
-                preferred = max(
-                    range(ngroups), key=lambda g: (self._ino_free[g], -g)
-                )
-            elif parent_ino is not None:
-                preferred = self.sb.group_of_ino(parent_ino)
-            else:
-                preferred = 0
-            order = [preferred] + [g for g in range(ngroups) if g != preferred]
+            preferred = 0
+        order = [preferred] + [g for g in range(ngroups) if g != preferred]
         for gi in order:
             if self._ino_free[gi] == 0:
                 continue

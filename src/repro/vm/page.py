@@ -117,6 +117,13 @@ class PageStore:
     def pages(self) -> Iterator[Tuple[int, CachedPage]]:
         return iter(sorted(self._pages.items()))
 
+    def held_blocks(self) -> Dict[int, Tuple[bool, bool]]:
+        """``{index: (writable, dirty)}`` of every resident page: what a
+        cache manager re-declares to a recovering pager."""
+        return {
+            index: (page.rights.writable, page.dirty) for index, page in self.pages()
+        }
+
     def dirty_indices(self, offset: int = 0, size: int = 2**62) -> List[int]:
         """The indices of the dirty pages, ascending — all of them, or
         those of a byte range.  What a write-back is given."""
@@ -177,6 +184,15 @@ class PageStore:
         if dirty:
             self.set_dirty(index, True)
         return page
+
+    def populate(
+        self, offset: int, size: int, data: bytes, rights: AccessRights
+    ) -> None:
+        """A cache-side ``populate``: the pager pushes ``size`` bytes as
+        whole pages from a page-aligned ``offset``, one run."""
+        if offset % PAGE_SIZE != 0:
+            raise OutOfRangeError("populate must be page-aligned")
+        self.install_run(offset // PAGE_SIZE, -(-size // PAGE_SIZE), data, rights)
 
     def install_run(
         self, first: int, count: int, data: bytes, rights: AccessRights

@@ -20,7 +20,7 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 from repro.errors import ChannelClosedError, OutOfRangeError, VmError
 from repro.ipc.invocation import operation
 from repro.ipc.object import SpringObject
-from repro.types import PAGE_SIZE, AccessRights
+from repro.types import AccessRights
 from repro.vm.cache_object import CacheObject
 from repro.vm.channel import CacheRights, Channel
 from repro.vm.memory_object import CacheManager, MemoryObject
@@ -142,10 +142,7 @@ class VmmCacheObject(CacheObject):
     def populate(
         self, offset: int, size: int, access: AccessRights, data: bytes
     ) -> None:
-        if offset % PAGE_SIZE != 0:
-            raise OutOfRangeError("populate must be page-aligned")
-        pages = (size + PAGE_SIZE - 1) // PAGE_SIZE
-        self.cache.store.install_run(offset // PAGE_SIZE, pages, data, access)
+        self.cache.store.populate(offset, size, data, access)
         self.world.counters.inc("vmm.populate")
 
     @operation
@@ -159,10 +156,7 @@ class VmmCacheObject(CacheObject):
         """Re-declare this VMM's resident pages to a recovering pager
         (see :meth:`repro.vm.cache_object.CacheObject.held_blocks`)."""
         self.world.counters.inc("vmm.held_blocks")
-        return {
-            index: (page.rights.writable, page.dirty)
-            for index, page in self.cache.store.pages()
-        }
+        return self.cache.store.held_blocks()
 
 
 @dataclasses.dataclass(slots=True)

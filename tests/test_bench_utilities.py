@@ -1,6 +1,7 @@
 """Unit tests for the bench harness, workload generators, world
 counters, and the report generator."""
 
+import pathlib
 import zlib
 
 import pytest
@@ -115,6 +116,35 @@ class TestUnusedImportScan:
         )
         assert unused_imports(source) == [(1, "os"), (3, "Dict")]
         assert "never used" not in capsys.readouterr().out
+
+    def test_a_reexport_counts_only_when_imported_through_its_package(
+        self, tmp_path, capsys
+    ):
+        from benchmarks.check_unused_imports import main, unused_reexports
+
+        package = tmp_path / "src" / "pkg"
+        (package / "sub").mkdir(parents=True)
+        (package / "core.py").write_text("class Used: ...\nclass Planted: ...\n")
+        (package / "__init__.py").write_text(
+            '"""Root."""\n\nfrom pkg.core import Used, Planted\n'
+        )
+        (package / "sub" / "__init__.py").write_text(
+            "from pkg.sub.impl import (\n    read,\n    write,\n)\n"
+        )
+        (tmp_path / "user.py").write_text(
+            "from pkg import Used  # noqa\nimport pkg.sub\npkg.sub.read()\n"
+        )
+        # Through the defining module, not the package: no importer.
+        (tmp_path / "README.md").write_text(
+            "Use `from pkg.core import Planted` and `from pkg.sub import write`.\n"
+        )
+        found = unused_reexports(package, [tmp_path / "user.py", tmp_path / "README.md"])
+        assert [(path.relative_to(package), line, name)
+                for path, line, name in found] == [
+            (pathlib.Path("__init__.py"), 3, "Planted"),
+        ]
+        assert main([str(package)]) == 1
+        assert "Planted (re-exported" in capsys.readouterr().out
 
 
 class TestCounters:

@@ -8,7 +8,7 @@ from repro.types import PAGE_SIZE, AccessRights
 from repro.vm.cache_object import CacheObject
 from repro.vm.channel import CacheRights, Channel
 from repro.vm.pager_object import PagerObject
-from repro.fs.holders import BlockHolderTable
+from repro.fs.holders import WHOLE_FILE, BlockHolderTable
 
 RO = AccessRights.READ_ONLY
 RW = AccessRights.READ_WRITE
@@ -223,7 +223,7 @@ class TestCollectAndInvalidate:
         table = BlockHolderTable()
         c = make_channel()
         table.acquire(c, 0, 4 * PAGE_SIZE, RO)
-        table.drop_channel(c)
+        table.forget_range(c, 0, WHOLE_FILE)
         assert not table.any_holder()
 
     def test_closed_channels_skipped(self, make_channel):
