@@ -2,7 +2,8 @@
 
 ROADMAP item 10: every line of ``src/repro`` is run by a test, an
 example or a benchmark, or it goes.  This script runs the tier-1 suite
-(``tests/``) and the six in-process examples in one process under a
+(``tests/``), the six in-process examples and ``python -m repro.report
+--quick`` (all three run by CI's ``test`` job) in one process under a
 ``sys.settrace`` line tracer (``threading.settrace`` too, so the socket
 server's connection threads count), then lists, per module, the lines
 that carry bytecode and never ran.  There is no ``coverage`` here and
@@ -22,9 +23,9 @@ its module and its text, not its number, so an edit above it does not
 move it.  The check fails when a line joins the list, and also when one
 has left it (the list is a ratchet: commit the shorter one).  The lines
 were counted on Python 3.11; another version attributes some lines
-differently, so CI runs this on 3.11.  The benchmark smokes and a
-``repro.serve`` world served in-process are not run yet, so
-``serve.py`` and ``bench/`` lines that only they reach are listed.
+differently, so CI runs this on 3.11.  The benchmark smokes are not
+run, so ``bench/`` lines that only they reach are listed, and so is
+``repro.serve``'s ``main``, which runs only as its own process.
 
 Usage (from the repo root)::
 
@@ -42,6 +43,7 @@ import runpy
 import sys
 import threading
 import types
+import warnings
 
 import pytest
 
@@ -155,9 +157,9 @@ def executable(path: pathlib.Path) -> dict:
 
 
 def census() -> dict:
-    """Run the suite and the examples; ``{module: [[line, text], ...]}``
-    for every module with a line that did not run, and the total count
-    of executable lines."""
+    """Run the suite, the examples and the quick report;
+    ``{module: [[line, text], ...]}`` for every module with a line that
+    did not run, and the total count of executable lines."""
     sys.path[:0] = [str(REPO / "src"), str(REPO)]
     tracer = LineTracer()
     tracer.arm()
@@ -170,6 +172,18 @@ def census() -> dict:
             with contextlib.redirect_stdout(io.StringIO()):
                 runpy.run_path(str(REPO / "examples" / f"{name}.py"),
                                run_name="__main__")
+        tracer.arm()
+        argv, sys.argv = sys.argv, ["repro.report", "--quick"]
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+                # The suite imported repro.report already; run it afresh.
+                warnings.simplefilter("ignore", RuntimeWarning)
+                runpy.run_module("repro.report", run_name="__main__")
+        except SystemExit as exc:
+            if exc.code:
+                raise SystemExit(f"repro.report --quick failed (exit {exc.code})")
+        finally:
+            sys.argv = argv
     finally:
         tracer.disarm()
     if status != 0:

@@ -107,8 +107,6 @@ class CompoundRegion:
         """
         counters = self.world.counters
         for (src, dst), (nops, nbytes) in self._pairs.items():
-            if nops == 0:
-                continue
             self.world.network.transfer(src, dst, nbytes, checked=False)
             counters.inc("compound.batches")
             counters.inc("compound.batched_ops", nops)

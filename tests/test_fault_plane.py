@@ -350,6 +350,20 @@ class TestCompoundCommitRevalidation:
         assert sizes == [1, 2, 3, 4]
         assert world.counters.get("compound.retries") >= 1
 
+    def test_compound_retry_gives_up_after_max_attempts(self, intent_setup):
+        world, server, client, directory, cu = intent_setup
+        world.install_fault_plan(
+            FaultPlan().partition("server", "client", world.clock.now_us)
+        )
+        world.enable_retries(RetryPolicy(max_attempts=2, base_backoff_us=10))
+        with cu.activate():
+            batch = CompoundInvocation(world)
+            batch.add(directory.open_intent, "f0.dat")
+            result = batch.commit()
+        # One retry pass, then the policy's last attempt is spent.
+        assert world.counters.get("compound.retries") == 1
+        assert isinstance(result.error.cause, NetworkPartitionError)
+
     def test_executed_sub_ops_never_rerun(self, dist):
         world, server, client, dfs, su, cu = dist
         calls = []

@@ -136,6 +136,16 @@ class TestDataPath:
         with su.activate():
             assert dfs.resolve("doc.dat").get_attributes().size == end + 8
 
+    def test_truncate_through_cfs(self, dist):
+        world, server, client, dfs, cfs, su, cu = dist
+        local = interposed(client, cfs, cu)
+        with cu.activate():
+            local.get_attributes()  # cached from here on
+            local.set_length(100)
+            assert local.get_length() == 100
+        with su.activate():
+            assert dfs.resolve("doc.dat").get_attributes().size == 100
+
     def test_bind_forwarded_to_remote(self, dist):
         """Mapping a CfsFile wires the local VMM straight to the remote
         DFS pager; CFS is not in the page path."""

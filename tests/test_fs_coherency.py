@@ -3,7 +3,7 @@ VMM clients, attribute coherency, and cache hooks from below."""
 
 import pytest
 
-from repro.errors import OutOfRangeError
+from repro.errors import FsError, OutOfRangeError
 from repro.types import PAGE_SIZE, AccessRights
 
 RO = AccessRights.READ_ONLY
@@ -178,6 +178,29 @@ class TestUncachedMode:
             mapping.write(0, b"VIA-MAP!")
             assert stack.top.resolve("u.bin").read(0, 8) == b"VIA-MAP!"
 
+    def test_attributes_from_above_go_straight_down(self, uncached):
+        """Uncached, the layer keeps no attribute copy: what a holder
+        writes out, and what a caching layer stacked on it holds dirty,
+        reaches the disk layer's i-node."""
+        from repro.fs.coherency import CoherencyLayer
+
+        node, stack, user = uncached
+        disk_file = stack.disk_layer.resolve
+        with user.activate():
+            f = stack.top.resolve("u.bin")
+            mapping = node.vmm.create_address_space("t").map(f, RW)
+            attrs = f.get_attributes()
+            attrs.mtime_us = 123
+            mapping.cache.channel.pager_object.attr_write_out(attrs)
+            assert disk_file("u.bin").get_attributes().mtime_us == 123
+            top = CoherencyLayer(node.create_domain("top"), cache=True)
+            top.stack_on(stack.top)
+            top.resolve("u.bin").write(0, b"grown" * PAGE_SIZE)
+            # The top layer holds the new size dirty; asking the uncached
+            # layer for attributes pulls it down first.
+            assert f.get_attributes().size == 5 * PAGE_SIZE
+            assert disk_file("u.bin").get_attributes().size == 5 * PAGE_SIZE
+
 
 class TestAttributeCoherency:
     def test_attrs_cached_after_first_fetch(self, fs, user, world):
@@ -251,6 +274,25 @@ class TestCacheHooksFromBelow:
         assert state.attrs is not None
         coherency.ops.invalidate_attributes(state)
         assert state.attrs is None
+
+    def test_a_pager_object_without_a_live_channel_is_refused(self, fs, user):
+        coherency = fs.coherency_layer
+        with user.activate():
+            fs.top.resolve("data.bin").read(0, 1)
+        state = next(iter(coherency._states.values()))
+        with pytest.raises(FsError, match="live channel"):
+            coherency.ops.page_in(state.source_key, object(), 0, PAGE_SIZE, RO)
+
+    def test_attributes_from_the_file_below_a_plain_pager(self, fs, user):
+        """A layer below that answers the bind with a plain storage pager
+        (no fs_pager to narrow to) serves attributes through its file
+        interface."""
+        coherency = fs.coherency_layer
+        with user.activate():
+            size = fs.top.resolve("data.bin").get_attributes().size
+            state = next(iter(coherency._states.values()))
+            state.down_pager, state.attrs = None, None
+            assert coherency._current_attrs(state).size == size
 
     def test_unaligned_populate_refused_and_page_kept(self, sfs, user):
         """populate pushes whole pages at a page-aligned offset, as the

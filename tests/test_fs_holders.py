@@ -8,7 +8,7 @@ from repro.types import PAGE_SIZE, AccessRights
 from repro.vm.cache_object import CacheObject
 from repro.vm.channel import CacheRights, Channel
 from repro.vm.pager_object import PagerObject
-from repro.fs.holders import WHOLE_FILE, BlockHolderTable
+from repro.fs.holders import WHOLE_FILE, BlockHolderTable, WholeFileHolderTable
 
 RO = AccessRights.READ_ONLY
 RW = AccessRights.READ_WRITE
@@ -240,3 +240,39 @@ class TestCollectAndInvalidate:
         table.forget_range(c, 0, PAGE_SIZE)
         assert table.holders_of(0) == []
         assert table.holders_of(1) == [(c, RO)]
+
+    def test_an_empty_range_touches_nothing(self, make_channel):
+        table = BlockHolderTable()
+        c = make_channel()
+        table.acquire(c, 0, PAGE_SIZE, RO)
+        table.invalidate(0, 0)
+        assert c.cache_object.actions == []
+        assert table.holders_of(0) == [(c, RO)]
+
+
+class TestWholeFileTable:
+    """The coarse protocol: one state per holder, every action over the
+    whole file."""
+
+    def test_one_writer_is_every_page_s_writer(self, make_channel):
+        table = WholeFileHolderTable()
+        reader, writer = make_channel(), make_channel()
+        assert not table.any_holder() and table.writer_of(0) is None
+        table.acquire(reader, 0, PAGE_SIZE, RO)
+        assert table.holders_of(7) == [(reader, RO)]
+        assert table.writer_of(7) is None
+        table.acquire(writer, 5 * PAGE_SIZE, PAGE_SIZE, RW)
+        # The writer took the file: the reader was flushed whole.
+        assert reader.cache_object.actions == [("flush_back", 0, WHOLE_FILE)]
+        assert table.writer_of(0) is writer and table.any_holder()
+
+    def test_invalidate_skips_the_excluded_and_the_closed(self, make_channel):
+        table = WholeFileHolderTable()
+        keep, closed, told = make_channel(), make_channel(), make_channel()
+        for channel in (keep, closed, told):
+            table.acquire(channel, 0, PAGE_SIZE, RO)
+        closed.closed = True
+        table.invalidate(PAGE_SIZE, PAGE_SIZE, exclude=keep)
+        assert told.cache_object.actions == [("delete_range", 0, WHOLE_FILE)]
+        assert keep.cache_object.actions == closed.cache_object.actions == []
+        assert table.holders_of(0) == [(keep, RO)]

@@ -3,7 +3,7 @@ per-destination batching, demultiplexed results, and resolve_path."""
 
 import pytest
 
-from repro.errors import NotAContextError, PermissionDeniedError
+from repro.errors import InvocationError, NotAContextError, PermissionDeniedError
 from repro.ipc.compound import (
     SKIPPED,
     CompoundInvocation,
@@ -12,6 +12,7 @@ from repro.ipc.compound import (
 )
 from repro.ipc.invocation import operation
 from repro.ipc.object import SpringObject
+from repro.ipc.transport import SocketTransport
 from repro.naming.acl import Acl
 from repro.naming.cache import NameCache
 from repro.naming.context import MemoryContext
@@ -169,6 +170,7 @@ class TestCompoundInvocation:
         assert exc_info.value.op_name == "fail"
         # Fail-fast: op 2 never ran; asking for it surfaces the abort.
         assert result.outcomes[2] is SKIPPED
+        assert repr(SKIPPED) == "<skipped>"
         with pytest.raises(CompoundSubOpError):
             result[2]
 
@@ -192,6 +194,19 @@ class TestCompoundInvocation:
         # Both absorbed ops went over the wire before the failure was
         # demuxed; the shared round trip is still charged.
         assert world.network.message_count(node_a, node_b) == 1
+
+    def test_without_a_world_only_one_transports_stubs_batch(self):
+        """A world-less batch ships as one compound frame or not at all:
+        stubs of two transports, or no op, are refused before anything
+        is sent."""
+        first = SocketTransport("127.0.0.1", 9).bind("fs")
+        second = SocketTransport("127.0.0.1", 9).bind("fs")
+        mixed, empty = CompoundInvocation(), CompoundInvocation()
+        mixed.add(first.stat, "a")
+        mixed.add(second.stat, "b")
+        for batch in (mixed, empty):
+            with pytest.raises(InvocationError, match="without a world"):
+                batch.commit()
 
 
 class TestResolvePath:

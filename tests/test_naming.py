@@ -190,6 +190,28 @@ class TestNamespace:
         ns.bind("/fs/thing", 7)
         assert node.fs_context.resolve("thing") == 7
 
+    def test_unbind_from_the_private_view_and_the_root(self, world, node):
+        ns = namespace_for(node.create_domain("d", None))
+        ns.bind("mine", 1)
+        ns.bind("/fs/thing", 7)
+        assert ns.unbind("mine") == 1
+        assert ns.unbind("/fs/thing") == 7
+        with pytest.raises(NameNotFoundError):
+            ns.resolve("mine")
+        with pytest.raises(NameNotFoundError):
+            node.fs_context.resolve("thing")
+
+    def test_list_bindings_of_the_private_view_or_a_context(self, world, node):
+        ns = namespace_for(node.create_domain("d", None))
+        ns.bind("mine", 1)
+        ns.bind("/fs/shared", 2)
+        assert ns.list_bindings() == [("mine", 1)]
+        assert ("shared", 2) in ns.list_bindings("/fs")
+        with pytest.raises(NameNotFoundError, match="not a context"):
+            ns.list_bindings("mine")
+        with pytest.raises(NameNotFoundError, match="not a context"):
+            ns.bind("/fs/shared/below", 3)
+
     def test_namespace_cached_per_domain(self, world, node):
         domain = node.create_domain("d")
         assert namespace_for(domain) is namespace_for(domain)

@@ -29,6 +29,7 @@ from repro.ipc.transport import (
     SocketTransport,
 )
 from repro.serve import Control, FileService, build_service
+from repro.unix.posixlike import O_RDWR, SEEK_END
 from repro.world import World
 
 
@@ -243,6 +244,23 @@ class TestSocketRoundTrip:
         finally:
             client.close()
 
+    def test_compound_batch_counts_into_a_given_world(self, served):
+        world = World()
+        client = served.client()
+        try:
+            fs = client.bind("fs")
+            fs.write_file("a", b"1")
+            batch = CompoundInvocation(world)
+            batch.add(fs.stat, "a")
+            batch.add(fs.stat, "a")
+            assert [a.size for a in batch.commit().values()] == [1, 1]
+        finally:
+            client.close()
+        assert world.counters.snapshot() == {
+            "compound.commit": 1, "compound.batches": 1,
+            "compound.batched_ops": 2, "compound.messages_saved": 1,
+        }
+
     def test_stub_operations_are_created_once(self, served):
         client = served.client()
         try:
@@ -387,6 +405,51 @@ class TestSocketRoundTrip:
             client.close()
         served.thread._thread.join(timeout=5)
         assert not served.thread._thread.is_alive()
+
+
+class TestServedDfsWorld:
+    def test_every_verb_over_the_wire(self):
+        """The two-node DFS world of ``repro.serve`` behind a real socket:
+        every FileService verb, then Control.stats and Control.shutdown."""
+        served = ServedWorld("dfs")
+        client = served.client()
+        try:
+            fs, control = client.bind("fs"), client.bind("control")
+            fs.mkdir("d")
+            assert fs.write_file("d/a", b"hello") == 5
+            fd = fs.open("d/a", O_RDWR)
+            assert fs.read(fd, 2) == b"he"
+            assert fs.write(fd, b"LL") == 2
+            assert fs.lseek(fd, 0, SEEK_END) == 5
+            assert fs.pwrite(fd, b"!", 5) == 1
+            assert fs.pread(fd, 6, 0) == b"heLLo!"
+            fs.ftruncate(fd, 4)
+            fs.fsync(fd)
+            assert fs.fstat(fd).size == 4
+            assert fs.open_fds() == 1
+            fs.close(fd)
+            assert fs.open_fds() == 0
+            fs.rename("d/a", "d/b")
+            assert fs.listdir("d") == ["b"]
+            assert fs.stat("d/b").size == 4
+            assert fs.read_file("d/b") == b"heLL"
+            fs.unlink("d/b")
+            assert fs.listdir("d") == []
+            stats = control.stats()
+            assert set(stats) == {"sim_messages", "sim_bytes_moved",
+                                  "invoke_network", "invoke_cross_domain"}
+            # The ops crossed the simulated gateway -> storage boundary.
+            assert stats["sim_messages"] > 0 and stats["sim_bytes_moved"] > 0
+            assert stats["invoke_network"] > 0
+            assert control.shutdown() == "bye"
+        finally:
+            client.close()
+        served.thread._thread.join(timeout=5)
+        assert not served.thread._thread.is_alive()
+
+    def test_an_unknown_stack_is_refused(self):
+        with pytest.raises(ValueError, match="unknown stack 'nfs'"):
+            build_service("nfs")
 
 
 # --- failure mapping and retries --------------------------------------------
