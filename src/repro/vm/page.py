@@ -192,7 +192,8 @@ class PageStore:
         whole pages from a page-aligned ``offset``, one run."""
         if offset % PAGE_SIZE != 0:
             raise OutOfRangeError("populate must be page-aligned")
-        self.install_run(offset // PAGE_SIZE, -(-size // PAGE_SIZE), data, rights)
+        pages = (size + PAGE_SIZE - 1) // PAGE_SIZE
+        self.install_run(offset // PAGE_SIZE, pages, data, rights)
 
     def install_run(
         self, first: int, count: int, data: bytes, rights: AccessRights
