@@ -1,2 +1,1 @@
-"""Baselines: the monolithic SunOS 4.1.3 comparator of Table 3
-(``repro.baseline.sunos``)."""
+"""Baselines: the monolithic SunOS 4.1.3 comparator of Table 3."""

@@ -1,6 +1,6 @@
 """Spring naming architecture (paper sec. 3.2).
 
-Contexts and bindings (``repro.naming.context``), per-domain views
-(``.namespace``), sec. 6.4 name caching (``.cache``) and the ACL model
-(``.acl``).  Import from the modules: the package re-exports nothing.
+Public surface: :class:`NamingContext` and :class:`MemoryContext`
+(contexts and bindings), :class:`Namespace` (per-domain views),
+:class:`NameCache` (sec. 6.4 name caching), and the ACL model.
 """

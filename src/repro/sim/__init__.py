@@ -1,3 +1,2 @@
 """Virtual-time simulation substrate: clock, calibrated cost model,
-discrete-event scheduler, and the fault plane.  Import from the modules
-(``repro.sim.clock``, ``.costs``, ...): the package re-exports nothing."""
+discrete-event scheduler, and the fault plane."""

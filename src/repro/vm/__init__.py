@@ -2,7 +2,5 @@
 
 Memory objects (mappable store, no paging ops), pager/cache objects (the
 two ends of a coherency channel), cache-rights objects, the per-source
-cache every cache manager keeps, and the per-node VMM.  Import from the
-modules (``repro.vm.vmm``, ``.channel``, ...): the package re-exports
-nothing.
+cache every cache manager keeps, and the per-node VMM.
 """
