@@ -218,10 +218,7 @@ class ChannelOps:
 
     def requester(self, source_key: Hashable, pager_object) -> Optional[Channel]:
         """The upstream channel this pager object serves, or None."""
-        for channel in self.layer.channels.channels_for(source_key):
-            if channel.pager_object is pager_object:
-                return channel
-        return None
+        return self.layer.channels.serving(source_key, pager_object)
 
     def region(self):
         """Compound region for a holder fan-out when batching is on."""
@@ -602,8 +599,9 @@ class LayerCache(SourceCache):
 
 class LayerFile(File):
     """Generic open handle for a layer's file: each operation delegates
-    to the layer's ``file_*`` hook, whose defaults forward to the
-    underlying file.  ``bind`` serves a channel from this layer."""
+    to the layer's ``file_*`` hook (the layer writes the data hooks; the
+    others default to forwarding to the underlying file).  ``bind``
+    serves a channel from this layer."""
 
     def __init__(
         self, layer: "BaseLayer", state: LayerFileState, charge_open: bool = True
@@ -914,11 +912,11 @@ class BaseLayer(LayerNaming, StackableFs, CacheManager, abc.ABC):
 
     def _channel_done(self, source_key: Hashable, pager_object) -> None:
         """An upstream cache manager closed its channel end."""
-        for channel in self.channels.channels_for(source_key):
-            if channel.pager_object is pager_object:
-                channel.closed = True
-                self.channels.forget(channel)
-                self._on_channel_closed(source_key, channel)
+        channel = self.channels.serving(source_key, pager_object)
+        if channel is not None:
+            channel.closed = True
+            self.channels.forget(source_key, channel)
+            self._on_channel_closed(source_key, channel)
 
     def _on_channel_closed(self, source_key: Hashable, channel: Channel) -> None:
         """Hook: an upstream channel went away.  The default drops the
@@ -1030,12 +1028,16 @@ class BaseLayer(LayerNaming, StackableFs, CacheManager, abc.ABC):
         reads: holders keep their pages and hand over the latest copy.
         With ``access`` the layer itself takes the range in that mode,
         so conflicting holders flush and give it up.  Returns the
-        recalled pages (already merged)."""
+        recalled pages (already merged).  With no holder above there is
+        nobody to reach: no fan-out, nothing to merge."""
+        holders = state.holders
+        if not holders.any_holder():
+            return {}
         with self.fanout_region():
             if access is None:
-                recovered = state.holders.collect_latest(offset, size)
+                recovered = holders.collect_latest(offset, size)
             else:
-                recovered = state.holders.acquire(None, offset, size, access)
+                recovered = holders.acquire(None, offset, size, access)
         self.merge_recovered(state, recovered)
         return recovered
 
@@ -1080,6 +1082,8 @@ class BaseLayer(LayerNaming, StackableFs, CacheManager, abc.ABC):
         self, state: Any, exclude: Optional[Channel] = None
     ) -> None:
         """Tell every upstream attribute cache to drop its copy."""
+        if state.source_key not in self.channels:
+            return  # nobody above to tell
         with self.fanout_region():
             for channel in self.channels.channels_for(state.source_key):
                 if channel is exclude:
@@ -1118,18 +1122,13 @@ class BaseLayer(LayerNaming, StackableFs, CacheManager, abc.ABC):
         open-time attribute fetch when one was paid for."""
 
     # ------------------------------------------------------------ file hooks
-    # Defaults forward to the underlying file; transform layers override.
+    # The defaults forward to the underlying file.  The data hooks —
+    # ``file_read``, ``file_write``, ``file_set_length`` — have none: a
+    # layer whose handles are LayerFiles serves channels, so each of them
+    # recalls from the holders above first (:meth:`recall`) and says what
+    # the layer does with the data.
     def file_length(self, state: Any) -> int:
         return state.under_file.get_length()
-
-    def file_set_length(self, state: Any, length: int) -> None:
-        state.under_file.set_length(length)
-
-    def file_read(self, state: Any, offset: int, size: int) -> bytes:
-        return state.under_file.read(offset, size)
-
-    def file_write(self, state: Any, offset: int, data: bytes) -> int:
-        return state.under_file.write(offset, data)
 
     def file_get_attributes(self, state: Any) -> FileAttributes:
         self.world.charge.fs_attr_copy()

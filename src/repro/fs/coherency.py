@@ -239,7 +239,10 @@ class CoherencyLayer(BaseLayer):
         """Attribute analogue of write_back: pull dirty attributes from
         upstream file-system caches (narrowable to fs_cache) so this
         layer's view is current.  VMM channels are plain cache managers
-        and are skipped — so this costs nothing in a plain SFS."""
+        and are skipped — so this costs nothing in a plain SFS, and a
+        file with no channel above returns at once."""
+        if state.source_key not in self.channels:
+            return
         with self.fanout_region():
             for channel in self.channels.channels_for(state.source_key):
                 fs_cache = narrow(channel.cache_object, FsCache)

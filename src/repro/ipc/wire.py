@@ -91,6 +91,10 @@ _MAGIC_VERSION = MAGIC + bytes([VERSION])
 _LEN = _U32 = struct.Struct("!I")  # the frame length; a length or count
 _HEAD = struct.Struct("!3sBIBB")  # magic + version, kind, seq, name lengths
 _FRAME_HEAD = struct.Struct("!I3sBI")  # _LEN, then _HEAD up to the lengths
+# Bound once: each runs once per frame.  _LEN is 4 bytes and _HEAD 10, the
+# literal offsets below.
+_unpack_len, _unpack_head = _LEN.unpack_from, _HEAD.unpack_from
+_pack_frame_head = _FRAME_HEAD.pack_into
 _I64 = struct.Struct("!q")
 _F64 = struct.Struct("!d")
 _TAG_U32 = struct.Struct("!BI")  # tag byte, then a length or count
@@ -465,6 +469,8 @@ _DECODERS[_T_EXC] = _decode_exception
 Message = collections.namedtuple(
     "Message", "kind seq target op payload kwargs nbytes"
 )
+# tuple.__new__ directly: a namedtuple's own __new__ is Python code.
+_message = functools.partial(tuple.__new__, Message)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -485,44 +491,42 @@ def pack_frame(kind: int, seq: int, target: str, op: str, payload: Any,
     _ENCODERS.get(type(payload), _encode_other)(payload, frame)
     if kwargs:
         _encode_dict(kwargs, frame)
-    length = len(frame) - _LEN.size
+    length = len(frame) - 4
     if length > MAX_FRAME:
         raise WireEncodeError(f"frame body {length} exceeds MAX_FRAME")
-    _FRAME_HEAD.pack_into(frame, 0, length, _MAGIC_VERSION, kind, seq)
+    _pack_frame_head(frame, 0, length, _MAGIC_VERSION, kind, seq)
     return frame
 
 
 def unpack_body(body) -> Message:
     """Decode one frame body; the message keeps no reference to it."""
     try:
-        head, kind, seq, target_len, op_len = _HEAD.unpack_from(body)
+        head, kind, seq, target_len, op_len = _unpack_head(body)
     except struct.error:
         raise WireError("frame body shorter than header") from None
     if head != _MAGIC_VERSION:
         if head[:2] != MAGIC:
             raise WireError(f"bad magic {head[:2]!r}")
         raise WireError(f"unsupported wire version {head[2]}")
-    pos = _HEAD.size
+    pos = 10
+    end = len(body)
     target = op = ""
     kwargs: Any = {}
     try:
         if target_len or op_len:
             mid = pos + target_len
             pos = mid + op_len
-            target = str(body[_HEAD.size:mid], "utf-8")
+            target = str(body[10:mid], "utf-8")
             op = str(body[mid:pos], "utf-8")
         # Names cut short leave no tag byte here: an IndexError.
         payload, pos = _DECODERS[body[pos]](body, pos + 1)
-        if pos != len(body) and kind in (REQUEST, COMPOUND):
+        if pos != end and kind in (REQUEST, COMPOUND):
             kwargs, pos = _DECODERS[body[pos]](body, pos + 1)
     except _MALFORMED as exc:
         raise WireError(f"malformed frame body: {exc!r}") from exc
-    if pos != len(body):
-        raise WireError(f"{len(body) - pos} trailing bytes in frame")
-    # tuple.__new__ directly: a namedtuple's own __new__ is Python code.
-    return tuple.__new__(Message, (
-        kind, seq, target, op, payload, kwargs, _LEN.size + len(body)
-    ))
+    if pos != end:
+        raise WireError(f"{end - pos} trailing bytes in frame")
+    return _message((kind, seq, target, op, payload, kwargs, 4 + end))
 
 
 class FrameBuffer:
@@ -559,7 +563,7 @@ class FrameBuffer:
         nbytes = recv_into(view)
         # Exactly one whole frame.  Under four bytes, the stale length
         # read cannot equal the negative body size.
-        if _LEN.unpack_from(view)[0] == nbytes - 4:
+        if _unpack_len(view)[0] == nbytes - 4:
             return view[4:nbytes]
         self._end = nbytes
         return self.next_frame() if nbytes else None
@@ -578,9 +582,9 @@ class FrameBuffer:
     def next_frame(self) -> Optional[memoryview]:
         view, start, end = self._view, self._start, self._end
         have = end - start
-        need = _LEN.size
+        need = 4
         if have >= need:
-            (length,) = _LEN.unpack_from(view, start)
+            (length,) = _unpack_len(view, start)
             if length > MAX_FRAME:
                 raise WireError(f"frame body {length} exceeds MAX_FRAME")
             need += length
@@ -589,7 +593,7 @@ class FrameBuffer:
                     self.clear()
                 else:
                     self._start = start + need
-                return view[start + _LEN.size:start + need]
+                return view[start + 4:start + need]
         # Incomplete: make sure the rest of it has somewhere to land.
         if start:
             view[:have] = view[start:end]

@@ -75,7 +75,8 @@ class _ClientCall:
     """Run the enclosed call on behalf of the client domain (what
     ``Domain.activate`` does); a Spring error it raises leaves as the
     ``UnixError`` of :data:`ERRNO`.  A plain context manager: this is
-    entered once per POSIX call."""
+    entered once per POSIX call, and holds no state of its own between
+    entry and exit, so one instance may be entered again and again."""
 
     __slots__ = ("domain", "path")
 
@@ -102,8 +103,10 @@ class Posix:
         self.domain = domain
         self._fds: Dict[int, OpenFile] = {}
         self._next_fd = 3  # leave 0-2 for the traditional trio
+        #: The path-less syscalls' call, built once: they name no path.
+        self._call = _ClientCall(domain, "")
 
-    def _client(self, path: str = "") -> _ClientCall:
+    def _client(self, path: str) -> _ClientCall:
         return _ClientCall(self.domain, path)
 
     # ------------------------------------------------------------ resolution
@@ -166,7 +169,7 @@ class Posix:
             raise UnixError("EBADF", "fd not open for reading")
         if size < 0:
             raise UnixError("EINVAL", "negative size")
-        with self._client():
+        with self._call:
             data = entry.file.read(entry.position, size)
         entry.position += len(data)
         return data
@@ -175,7 +178,7 @@ class Posix:
         entry = self._entry(fd)
         if not entry.writable:
             raise UnixError("EBADF", "fd not open for writing")
-        with self._client():
+        with self._call:
             if entry.flags & O_APPEND:
                 entry.position = entry.file.get_length()
             written = entry.file.write(entry.position, data)
@@ -188,7 +191,7 @@ class Posix:
             raise UnixError("EBADF", "fd not open for reading")
         if size < 0 or offset < 0:
             raise UnixError("EINVAL", "negative size or offset")
-        with self._client():
+        with self._call:
             return entry.file.read(offset, size)
 
     def pwrite(self, fd: int, data: bytes, offset: int) -> int:
@@ -197,7 +200,7 @@ class Posix:
             raise UnixError("EBADF", "fd not open for writing")
         if offset < 0:
             raise UnixError("EINVAL", "negative offset")
-        with self._client():
+        with self._call:
             return entry.file.write(offset, data)
 
     def lseek(self, fd: int, offset: int, whence: int = SEEK_SET) -> int:
@@ -207,7 +210,7 @@ class Posix:
         elif whence == SEEK_CUR:
             new = entry.position + offset
         elif whence == SEEK_END:
-            with self._client():
+            with self._call:
                 new = entry.file.get_length() + offset
         else:
             raise UnixError("EINVAL", f"whence {whence}")
@@ -218,7 +221,7 @@ class Posix:
 
     def fstat(self, fd: int) -> FileAttributes:
         entry = self._entry(fd)
-        with self._client():
+        with self._call:
             return entry.file.get_attributes()
 
     def stat(self, path: str) -> FileAttributes:
@@ -231,12 +234,12 @@ class Posix:
             raise UnixError("EBADF", "fd not open for writing")
         if length < 0:
             raise UnixError("EINVAL", "negative length")
-        with self._client():
+        with self._call:
             entry.file.set_length(length)
 
     def fsync(self, fd: int) -> None:
         entry = self._entry(fd)
-        with self._client():
+        with self._call:
             entry.file.sync()
 
     def close(self, fd: int) -> None:

@@ -17,18 +17,27 @@ one set of cached pages.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.vm.channel import Channel
 from repro.vm.memory_object import CacheManager
 from repro.vm.pager_object import PagerObject
 
+#: What a source with no channel looks up: nothing to iterate.
+_NO_CHANNELS: Dict[int, Channel] = {}
+
 
 class ChannelRegistry:
-    """Channels a pager has open, keyed by (source key, cache manager)."""
+    """Channels a pager has open, by source key and then by cache
+    manager oid, each in bind order.  Every per-file question — the
+    fan-out set, the channel a pager object serves, a departure — looks
+    at that file's channels only, so a file nobody else caches costs one
+    dict lookup however many channels the pager has open."""
+
+    __slots__ = ("_by_source",)
 
     def __init__(self) -> None:
-        self._channels: Dict[Tuple[Hashable, int], Channel] = {}
+        self._by_source: Dict[Hashable, Dict[int, Channel]] = {}
 
     def get_or_create(
         self,
@@ -42,38 +51,53 @@ class ChannelRegistry:
 
         Returns ``(channel, created)``.
         """
-        key = (source_key, cache_manager.oid)
-        channel = self._channels.get(key)
+        oid = cache_manager.oid
+        channel = self._by_source.get(source_key, _NO_CHANNELS).get(oid)
         if channel is not None and not channel.closed:
             return channel, False
         pager_object = make_pager_object()
         channel = cache_manager.accept_channel(pager_object, label)
-        self._channels[key] = channel
+        self._by_source.setdefault(source_key, {})[oid] = channel
         return channel, True
 
     def channels_for(self, source_key: Hashable) -> List[Channel]:
         """All live channels for one source — the fan-out set for
         coherency actions."""
-        return [
-            channel
-            for (key, _), channel in self._channels.items()
-            if key == source_key and not channel.closed
-        ]
+        channels = self._by_source.get(source_key, _NO_CHANNELS)
+        return [channel for channel in channels.values() if not channel.closed]
+
+    def __contains__(self, source_key: Hashable) -> bool:
+        """Whether ``source_key`` has a channel on record.  False proves
+        in O(1) that a fan-out for the file reaches nobody; a channel
+        closed but not yet forgotten still counts, and the fan-out then
+        skips it."""
+        return source_key in self._by_source
+
+    def serving(self, source_key: Hashable, pager_object) -> Optional[Channel]:
+        """The live channel of ``source_key`` whose pager end is
+        ``pager_object``, or None."""
+        for channel in self.channels_for(source_key):
+            if channel.pager_object is pager_object:
+                return channel
+        return None
 
     def all_channels(self) -> List[Channel]:
-        return [c for c in self._channels.values() if not c.closed]
+        return [c for source in self._by_source for c in self.channels_for(source)]
 
-    def forget(self, channel: Channel) -> None:
+    def forget(self, source_key: Hashable, channel: Channel) -> None:
         """Drop a channel after the cache manager called
         done_with_pager_object."""
-        stale = [k for k, c in self._channels.items() if c is channel]
-        for key in stale:
-            del self._channels[key]
+        channels = self._by_source[source_key]
+        for oid, known in list(channels.items()):
+            if known is channel:
+                del channels[oid]
+        if not channels:
+            del self._by_source[source_key]
 
     def close_all(self) -> None:
-        for channel in list(self._channels.values()):
+        for channel in self.all_channels():
             channel.close()
-        self._channels.clear()
+        self._by_source.clear()
 
     def __len__(self) -> int:
-        return len([c for c in self._channels.values() if not c.closed])
+        return len(self.all_channels())

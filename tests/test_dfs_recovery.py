@@ -126,6 +126,24 @@ class TestEpochRecovery:
             dfs.resolve("shared.dat").read(0, 4)
         assert recoveries(dfs) == 2
 
+    def test_recovery_re_registers_a_reader_read_only(self, dist):
+        world, server, client, sfs, dfs, su, cu = dist
+        with cu.activate():
+            mapping = client.vmm.create_address_space("c").map(
+                remote_file(client), AccessRights.READ_ONLY
+            )
+            assert mapping.read(0, 4) == b"SSSS"
+        server.crash()
+        server.recover()
+        with su.activate():
+            dfs.resolve("shared.dat").read(0, 4)  # triggers recovery
+        # The reader's page is held again, and only for reading: a write
+        # below would deny it nothing, and nobody is its writer.
+        ((channel, rights),) = dfs_state(dfs).holders.holders_of(0)
+        assert channel.cache_object is mapping.cache.channel.cache_object
+        assert rights is AccessRights.READ_ONLY
+        assert dfs_state(dfs).holders.writer_of(0) is None
+
     def test_remote_traffic_triggers_recovery_too(self, dist):
         world, server, client, sfs, dfs, su, cu = dist
         with cu.activate():

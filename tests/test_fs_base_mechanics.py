@@ -1,16 +1,21 @@
 """Tests for the shared layer plumbing in repro.fs.base and the channel
 registry: bind handshakes, channel reuse, unsolicited accept_channel,
-narrowing of channel ends, and sync propagation."""
+narrowing of channel ends, the naming face over a file system that is
+not a layer, and sync propagation."""
 
 import pytest
 
 from repro.errors import StackingError
 from repro.fs.coherency import CoherencyLayer
 from repro.fs.disk_layer import DiskLayer
+from repro.fs.fs_interfaces import StackableFs
+from repro.fs.nullfs import NullFs
 from repro.fs.sfs import create_sfs
 from repro.ipc.domain import Credentials
+from repro.naming.context import MemoryContext
 from repro.storage.block_device import RamDevice
 from repro.types import PAGE_SIZE, AccessRights
+from repro.vm.channel import BindResult, CacheRights
 from repro.vm.pager_base import ChannelRegistry
 
 
@@ -89,11 +94,53 @@ class TestChannelRegistry:
             assert mapping2.read(0, 1) == b"x"
         assert len(coherency.channels) == 1
 
-    def test_close_all(self):
-        registry = ChannelRegistry()
-        assert len(registry) == 0
-        registry.close_all()
-        assert registry.all_channels() == []
+    def test_close_all(self, layered, node, user):
+        assert len(ChannelRegistry()) == 0
+        disk, coherency, _ = layered
+        with user.activate():
+            node.vmm.create_address_space("t").map(
+                coherency.resolve("x.dat"), AccessRights.READ_ONLY
+            ).read(0, 1)
+        (channel,) = coherency.channels.all_channels()
+        coherency.channels.close_all()
+        assert channel.closed
+        assert coherency.channels.all_channels() == []
+        assert len(coherency.channels) == 0
+
+
+class MemoryFs(MemoryContext, StackableFs):
+    """A stackable file system that is not a layer: an in-memory tree
+    that holds any object under a name."""
+
+    def fs_type(self):
+        return "memfs"
+
+    def sync_fs(self):
+        pass
+
+    def stack_on(self, underlying):
+        raise StackingError("memfs stacks on nothing")
+
+    def under_layers(self):
+        return []
+
+
+class TestLayerNamingForwards:
+    def test_a_layer_over_a_plain_tree_forwards_its_names(self, node, user):
+        """Over a file system that is not a layer, the layer is one deep;
+        naming mutations go below as they are, and what resolves to
+        neither a file nor a context comes back unwrapped."""
+        memfs = MemoryFs(node.create_domain("mem"))
+        nullfs = NullFs(node.create_domain("null"))
+        nullfs.stack_on(memfs)
+        assert nullfs.runtime.depth == 1
+        first, second = object(), object()
+        with user.activate():
+            nullfs.bind("thing", first)
+            assert memfs.resolve("thing") is first
+            assert nullfs.resolve("thing") is first
+            assert nullfs.rebind("thing", second) is first
+            assert memfs.resolve("thing") is second
 
 
 class TestAcceptChannel:
@@ -106,6 +153,23 @@ class TestAcceptChannel:
         rogue_pager = LayerPagerObject(node.nucleus, disk, ("disk", 0, 999))
         with pytest.raises(StackingError):
             coherency.accept_channel(rogue_pager, "rogue")
+
+    def test_bind_below_refuses_rights_it_did_not_issue(self, layered, node):
+        """A file below that answers the bind with cache rights some
+        other cache manager holds leaves this layer with no channel."""
+        disk, coherency, _ = layered
+        forged = CacheRights(node.create_domain("forger"), "forged")
+
+        class Impostor:
+            def get_length(self):
+                return 0
+
+            def bind(self, cache_manager, access, offset, length):
+                return BindResult(forged, offset)
+
+        with pytest.raises(StackingError, match="rights we did not issue"):
+            coherency.bind_below(object(), Impostor(), AccessRights.READ_ONLY)
+        assert coherency._pending_bind_state is None
 
     def test_down_channel_ends_narrow_correctly(self, layered, node, user):
         from repro.ipc.narrow import narrow

@@ -115,6 +115,26 @@ class TestMonolithicSfs:
             f.write(0, b"FILEIF")
             assert mapping.read(0, 6) == b"FILEIF"
 
+    def test_uncached_read_recalls_a_mapped_writer_into_the_volume(
+        self, sfs_factory
+    ):
+        """Uncached, the monolithic SFS keeps a page it recalls nowhere
+        but on the volume: a read writes the mapped writer's page there
+        first, then reads it back."""
+        node, stack = sfs_factory(placement="not_stacked", cache=False)
+        fs = stack.top
+        user = node.world.create_user_domain(node)
+        with user.activate():
+            f = fs.create_file("m.dat")
+            f.write(0, b"z" * PAGE_SIZE)
+            mapping = node.vmm.create_address_space("t").map(
+                f, AccessRights.READ_WRITE
+            )
+            mapping.write(0, b"MAPPED")
+            assert f.read(0, 8) == b"MAPPEDzz"
+        ino = fs.volume.lookup(fs.volume.sb.root_ino, "m.dat")
+        assert fs.volume.read_data(ino, 0, 6) == b"MAPPED"
+
     def test_resolve_multi_component(self, mono):
         node, fs, user = mono
         volume = fs.volume

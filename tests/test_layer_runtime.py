@@ -143,7 +143,10 @@ class TestDispatch:
         self, world, node, user, dfs_stack
     ):
         """A write below the DFS layer takes the dirty page back from
-        the mapping above it: one flush_back, carrying that page."""
+        the mapping above it: one flush_back, carrying that page — and,
+        with tracing on, one ``layer`` event recorded after the call
+        with the size of what it returned."""
+        tracer = world.enable_tracing()
         with user.activate():
             f = dfs_stack.create_file("flush.dat")
             f.write(0, bytes(PAGE_SIZE))
@@ -153,6 +156,45 @@ class TestDispatch:
             dfs_stack.under.resolve("flush.dat").write(PAGE_SIZE // 2, b"below")
         assert world.counters.get("dfs.flush_back") == 1
         assert world.counters.get("dfs.flush_back.bytes") == PAGE_SIZE
+        (event,) = [e for e in tracer.events("layer") if e.name == "dfs.flush_back"]
+        assert event.detail == {
+            "layer": "dfs", "depth": 2, "offset": PAGE_SIZE // 2, "size": PAGE_SIZE,
+        }
+
+    def test_a_window_past_the_end_of_the_file_is_empty(
+        self, world, node, user, dfs_stack
+    ):
+        """A ranged page-in clamps its window to the file: from the end
+        on, with no minimum, there is nothing to send below."""
+        with user.activate():
+            f = dfs_stack.create_file("short.dat")
+            f.write(0, b"s" * 100)
+            node.vmm.create_address_space("t").map(f, RO).read(0, 1)
+            (state,) = dfs_stack._states.values()
+            (channel,) = dfs_stack.channels.channels_for(state.source_key)
+            before = world.counters.get("coherency.page_in")
+            assert channel.pager_object.page_in_range(
+                PAGE_SIZE, 0, 4 * PAGE_SIZE, RO
+            ) == b""
+        assert world.counters.get("coherency.page_in") == before
+        assert world.counters.get("dfs.page_in_range") == 1
+
+    def test_a_write_back_from_no_live_channel_records_no_holder(
+        self, world, node, user, dfs_stack
+    ):
+        """A pass-through layer takes a write-back from a pager object
+        that serves none of its channels (one it never handed out) to
+        the file below, and records nobody as holding the pages."""
+        from repro.fs.base import LayerPagerObject
+
+        with user.activate():
+            f = dfs_stack.create_file("stray.dat")
+            f.write(0, bytes(PAGE_SIZE))
+            (state,) = dfs_stack._states.values()
+            stranger = LayerPagerObject(dfs_stack.domain, dfs_stack, state.source_key)
+            stranger.page_out(0, PAGE_SIZE, b"w" * PAGE_SIZE)
+            assert not state.holders.any_holder()
+            assert dfs_stack.under.resolve("stray.dat").read(0, 2) == b"ww"
 
 
 # ---------------------------------------------------------------------------

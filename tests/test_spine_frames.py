@@ -7,7 +7,10 @@ Python versions CI runs, frame counts do not, so these tests count the
 ``"call"`` events ``sys.setprofile`` reports (a C function, such as a
 ``functools.partial`` charge or a socket's ``recv_into``, reports
 ``"c_call"`` instead) and compare the names, in order, with a list.  A
-change that adds a frame to the spine fails here and must say why."""
+change that adds a frame to the spine fails here and must say why.  One
+cached served read is pinned whole, from ``FileService.pread`` down to
+the page store, so a coherency fan-out with nobody to reach that opens
+a region again fails here too."""
 
 import gc
 import io
@@ -19,7 +22,9 @@ from repro.ipc import wire
 from repro.ipc.compound import compound_region
 from repro.ipc.invocation import operation
 from repro.ipc.object import SpringObject
+from repro.serve import build_service
 from repro.sim.costs import FIXED_CHARGES
+from repro.unix.posixlike import O_CREAT, O_RDWR
 from repro.world import World
 
 WRAPPER = "operation.<locals>.wrapper"
@@ -129,3 +134,35 @@ class TestReceiveFrames:
         names, body = entered(frames.receive, io.BytesIO(frame).readinto)
         assert names == ["FrameBuffer.receive"]
         assert bytes(body) == frame[4:] and frames.pending() == 0
+
+
+#: The frames one cached ``FileService.pread`` enters on the served SFS:
+#: the POSIX call, one cross-domain invocation, the coherency layer's
+#: read from its cache.  Nobody else caches the file, so each coherency
+#: fan-out is one O(1) test that finds nobody to reach — the attribute
+#: fan-out asks the channel registry, the recall the holder table — and
+#: neither opens a fan-out region.
+SERVED_PREAD = [
+    "FileService.pread", "Posix.pread", "Posix._entry", "OpenFile.readable",
+    "_ClientCall.__enter__", "push_domain",
+    WRAPPER, "SimClock.advance", "LayerFile.read",
+    "CoherencyLayer.file_read", "SimClock.advance",
+    "CoherencyLayer._current_attrs", "CoherencyLayer._collect_latest_attrs",
+    "ChannelRegistry.__contains__",
+    "BaseLayer.recall", "BlockHolderTable.any_holder",
+    "PageStore.read", "PageStore.read_bytes",
+    "CoherencyLayer._now", "SimClock.now_us", "CachedAttributes.touch_atime",
+    "Charger.memcpy", "SimClock.advance",
+    "_ClientCall.__exit__", "pop_domain",
+]
+
+
+class TestServedReadFrames:
+    def test_a_cached_pread_enters_only_its_listed_frames(self):
+        world, node, service = build_service("sfs")
+        fd = service.open("hot.dat", O_CREAT | O_RDWR)
+        service.pwrite(fd, b"h" * 4096, 0)
+        service.pread(fd, 4096, 0)  # warm: page and attributes cached
+        assert entered(service.pread, fd, 4096, 0) == (
+            SERVED_PREAD, b"h" * 4096
+        )
