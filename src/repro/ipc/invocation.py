@@ -17,14 +17,21 @@ made with no active domain (common in unit tests that don't care about
 costs) are treated as originating in the server's own domain and charge
 nothing; benchmarks always activate a client domain.
 
+Each thread keeps one stack of flattened ``(caller, domain)`` pairs:
+``stack[-1]`` is the domain on whose behalf code is executing and
+``stack[-2]`` the domain that invoked the operation executing (None
+outside any).  An invocation pushes ``(caller, server)``; an activation
+pushes ``(calling_domain(), domain)``, so it changes the first and keeps
+the second.  Either pops its pair with one ``del stack[-2:]``.
+
 The wrapper runs on every invocation, so it enters as few Python frames
 as it can: a local or cross-domain call enters the wrapper,
-``SimClock.advance`` (the charge is a ``functools.partial``, see
+``SimClock.charge`` (the charge is a ``functools.partial``, see
 :class:`repro.sim.costs.Charger`) and the body; a direct call, the
-wrapper and the body.  The two counters are incremented on
-``world.counters.counts`` inline, and the reply's network charge is
-decided by the branch already taken.  ``tests/test_spine_frames.py``
-pins the frames each path enters.
+wrapper and the body.  It tests the local path first, the two counters
+are incremented on ``world.counters.counts`` inline, and the reply's
+network charge is decided by the branch already taken.
+``tests/test_spine_frames.py`` pins the frames each path enters.
 """
 
 from __future__ import annotations
@@ -55,14 +62,13 @@ _SCALARS = frozenset((int, float, str, bool, type(None)))
 
 class _Stacks(threading.local):
     """One thread's invocation state.  ``threading.local`` runs
-    ``__init__`` in each thread that touches the object, so all three
-    stacks exist — empty — wherever they are read."""
+    ``__init__`` in each thread that touches the object, so both stacks
+    exist — empty — wherever they are read."""
 
     def __init__(self) -> None:
-        #: Domains on whose behalf code is executing, innermost last.
+        #: Flattened ``(caller, domain)`` pairs, innermost last (see the
+        #: module docstring).
         self.stack: List[Any] = []
-        #: The domain that invoked each operation now executing.
-        self.callers: List[Any] = []
         #: Open compound regions (see repro.ipc.compound.CompoundRegion):
         #: a region absorbs the network hops issued by the domain that
         #: opened it, coalescing them into one round trip per destination
@@ -84,16 +90,18 @@ def calling_domain() -> Optional[Any]:
     """The domain that invoked the operation currently executing — what
     ACL checks must authenticate (the *client*, not the server whose
     domain is active while the operation body runs)."""
-    stack = _tls.callers
-    return stack[-1] if stack else None
+    stack = _tls.stack
+    return stack[-2] if stack else None
 
 
 def push_domain(domain: Any) -> None:
-    _tls.stack.append(domain)
+    """Make ``domain`` current; the calling domain stays as it was."""
+    stack = _tls.stack
+    stack += (stack[-2] if stack else None, domain)
 
 
 def pop_domain() -> None:
-    _tls.stack.pop()
+    del _tls.stack[-2:]
 
 
 def push_compound_region(region: Any) -> None:
@@ -150,16 +158,15 @@ def operation(fn: F) -> F:
             )
         server = self.domain
         world = server.world
-        domain_stack = _tls.stack
-        caller_stack = _tls.callers
-        caller = domain_stack[-1] if domain_stack else None
+        stack = _tls.stack
+        caller = stack[-1] if stack else None
         remote = False
-        if caller is None:
-            # No active domain: zero-cost local semantics (see module doc).
-            path = _DIRECT
-        elif caller is server:
+        if caller is server:
             path = _LOCAL
             world.charge.local_call()
+        elif caller is None:
+            # No active domain: zero-cost local semantics (see module doc).
+            path = _DIRECT
         elif caller.node is server.node:
             path = _CROSS_DOMAIN
             world.charge.cross_domain_call()
@@ -201,17 +208,16 @@ def operation(fn: F) -> F:
                     f"{caller.node.name}/{caller.name}" if caller else "-"
                 ),
             )
-        domain_stack.append(server)
-        caller_stack.append(caller)
+        stack += (caller, server)
         try:
+            if not remote:
+                return fn(self, *args, **kwargs)
             result = fn(self, *args, **kwargs)
         finally:
-            domain_stack.pop()
-            caller_stack.pop()
-        if remote:
-            reply_bytes = bytes_in(result)
-            if reply_bytes:
-                world.network.payload(server.node, caller.node, reply_bytes)
+            del stack[-2:]
+        reply_bytes = bytes_in(result)
+        if reply_bytes:
+            world.network.payload(server.node, caller.node, reply_bytes)
         return result
 
     wrapper._is_operation = True  # type: ignore[attr-defined]

@@ -30,7 +30,20 @@ Two execution modes share this clock:
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional
+
+
+class _Account:
+    """One category's running total and charge count.  ``total`` starts
+    at int 0, so after the first charge it equals that charge in type as
+    well as value: a category charged only ints totals an int."""
+
+    __slots__ = ("total", "count")
+
+    def __init__(self) -> None:
+        self.total = 0
+        self.count = 0
 
 
 class SimClock:
@@ -40,20 +53,20 @@ class SimClock:
     how much virtual time went to ``disk`` vs ``cross_domain``), which the
     benchmark harness uses to attribute costs the way the paper's
     discussion does ("the disk overhead is much higher than the cross
-    domain call overhead").
+    domain call overhead").  Each category has one :class:`_Account`,
+    opened by :meth:`account` — when a :class:`~repro.sim.costs.Charger`
+    binds its fixed charges, or on the category's first ``advance``.
     """
 
-    __slots__ = ("_now_us", "_by_category", "_charges",
-                 "_frame_start", "_frame_saved")
+    __slots__ = ("_now_us", "_accounts", "_frame_start", "_frame_saved")
 
     def __init__(self) -> None:
         self._now_us = 0.0
-        self._by_category: Dict[str, float] = {}
-        #: Per-category charge *counts* — how many times each category
-        #: was explicitly charged (including zero-delta charges), which
-        #: is what lets :class:`StopWatch` distinguish "charged 0.0"
-        #: from "never charged".
-        self._charges: Dict[str, int] = {}
+        #: Category -> account, in the order they were opened.  An
+        #: account never charged (count 0) is listed nowhere, which is
+        #: what lets :class:`StopWatch` tell "charged 0.0" (a zero-delta
+        #: charge counts) from "never charged".
+        self._accounts: Dict[str, _Account] = {}
         #: Open speculative frame (see module docstring); None outside
         #: the discrete-event scheduler.
         self._frame_start: Optional[float] = None
@@ -65,6 +78,10 @@ class SimClock:
         this is the frame-local time (start + charges so far)."""
         return self._now_us
 
+    def account(self, category: str) -> _Account:
+        """The account ``category`` is charged to, opened on first use."""
+        return self._accounts.setdefault(category, _Account())
+
     def advance(self, delta_us: float, category: str = "cpu") -> None:
         """Advance virtual time by ``delta_us``, attributed to ``category``.
 
@@ -72,52 +89,59 @@ class SimClock:
         ``ValueError`` with the clock untouched (``not >= 0`` is the test
         NaN fails; ``< 0`` would let it poison every later reading).
 
-        This is the hottest function in the simulator (a toy macro
-        workload charges it ~2k times), so the body avoids per-call
-        allocation.  Charge sites should pass interned category strings
-        (see :mod:`repro.sim.costs`) so the dict updates hash
-        pre-interned keys.
+        Every charge whose cost depends on its arguments comes here (a
+        toy macro workload makes ~2k), so the body allocates nothing:
+        one dict lookup finds the category's account.
         """
         if not delta_us >= 0:
             raise ValueError(f"time charge must be >= 0: {delta_us}")
+        try:
+            account = self._accounts[category]
+        except KeyError:
+            account = self.account(category)
         self._now_us += delta_us
-        try:
-            self._by_category[category] += delta_us
-        except KeyError:
-            self._by_category[category] = delta_us
-        try:
-            self._charges[category] += 1
-        except KeyError:
-            self._charges[category] = 1
+        account.total += delta_us
+        account.count += 1
+
+    def charge(self, cost_us: float, account: _Account) -> None:
+        """Charge ``cost_us`` to ``account``: ``advance`` for a cost that
+        was checked when it was bound (see
+        :class:`~repro.sim.costs.Charger`), minus the check and the
+        lookup."""
+        self._now_us += cost_us
+        account.total += cost_us
+        account.count += 1
 
     def charged(self, category: str) -> float:
         """Total virtual time charged to ``category`` since construction."""
-        return self._by_category.get(category, 0.0)
+        return self.categories().get(category, 0.0)
 
     def charge_count(self, category: str) -> int:
         """How many times ``category`` was explicitly charged (zero-delta
         charges count)."""
-        return self._charges.get(category, 0)
+        return self.charge_counts().get(category, 0)
 
     def categories(self) -> Dict[str, float]:
-        """Snapshot of all per-category totals."""
-        return dict(self._by_category)
+        """Snapshot of the per-category totals of every category charged."""
+        return {c: a.total for c, a in self._accounts.items() if a.count}
 
     def charge_counts(self) -> Dict[str, int]:
-        """Snapshot of all per-category charge counts."""
-        return dict(self._charges)
+        """Snapshot of the per-category charge counts of every category
+        charged."""
+        return {c: a.count for c, a in self._accounts.items() if a.count}
 
     # --- scheduler integration (see repro.sim.scheduler) -------------------
     def seek(self, to_us: float) -> None:
         """Jump global time forward to ``to_us`` without charging any
         category — the discrete-event scheduler uses this to move to the
-        next event's timestamp.  Rejects moving backwards and may not be
-        called while a frame is open."""
+        next event's timestamp.  Rejects moving backwards or to NaN (with
+        the clock untouched) and may not be called while a frame is
+        open."""
         if self._frame_start is not None:
             raise RuntimeError("seek inside an open frame")
-        if to_us < self._now_us:
+        if not to_us >= self._now_us:
             raise ValueError(
-                f"seek backwards: {to_us} < {self._now_us}"
+                f"seek backwards or to NaN: {to_us} < {self._now_us}"
             )
         self._now_us = to_us
 
@@ -127,10 +151,13 @@ class SimClock:
         While the frame is open, ``now_us`` runs from ``at_us`` and
         ``advance`` moves it locally; the pre-frame global time is saved
         and restored by :meth:`end_frame`.  Frames do not nest — the
-        scheduler executes exactly one task operation at a time.
+        scheduler executes exactly one task operation at a time.  A NaN
+        ``at_us`` raises ``ValueError`` with the clock untouched.
         """
         if self._frame_start is not None:
             raise RuntimeError("frame already open")
+        if math.isnan(at_us):
+            raise ValueError("frame start is NaN")
         self._frame_start = at_us
         self._frame_saved = self._now_us
         self._now_us = at_us

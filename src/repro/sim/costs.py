@@ -102,10 +102,10 @@ class CostModel:
         return self.server_service_us + self.server_service_per_kb_us * (nbytes / KB)
 
 
-#: Clock categories, interned once at import: ``SimClock.advance`` runs
-#: on every single charge (2k+ times in a toy macro workload), and
-#: pre-interned keys make the per-category dict updates hash-and-compare
-#: by pointer instead of by string content.
+#: Clock categories, interned once at import: ``SimClock.advance`` looks
+#: up a category's account on every charge whose cost depends on a size,
+#: and pre-interned keys make that lookup hash-and-compare by pointer
+#: instead of by string content.
 CPU = sys.intern("cpu")
 DISK = sys.intern("disk")
 NETWORK = sys.intern("network")
@@ -136,38 +136,59 @@ class Charger:
     attribute virtual time (cpu vs disk vs cross_domain vs network).
 
     A charge of fixed cost (one of :data:`FIXED_CHARGES`) is bound once,
-    here: ``functools.partial`` over the clock's ``advance`` with the
-    model's ``<name>_us`` and the charge's category, so calling one
-    enters no Python frame but ``advance``'s.  The model is frozen, so a
-    bound constant cannot go stale.
+    here: ``functools.partial`` over the clock's ``charge`` with the
+    model's ``<name>_us`` and the account of the charge's category, so
+    calling one enters no Python frame but ``charge``'s, which neither
+    checks the cost nor looks the category up: a negative or NaN fixed
+    cost is refused here instead.  The model is frozen, so a bound
+    constant cannot go stale.
     """
 
     __slots__ = ("clock", "model", "_advance", "_memcpy_per_kb_us",
-                 *FIXED_CHARGES)
+                 "_network_rtt_us", "_network_per_kb_us", "_disk_fixed_us",
+                 "_disk_xfer_per_kb_us", *FIXED_CHARGES)
 
     def __init__(self, clock: SimClock, model: CostModel) -> None:
         self.clock = clock
         self.model = model
-        advance = self._advance = clock.advance
+        self._advance = clock.advance
         self._memcpy_per_kb_us = model.memcpy_per_kb_us
+        self._network_rtt_us = model.network_rtt_us
+        self._network_per_kb_us = model.network_per_kb_us
+        # The first addition of CostModel.disk_io_us, made once.
+        self._disk_fixed_us = model.disk_seek_us + model.disk_rotation_us / 2.0
+        self._disk_xfer_per_kb_us = model.disk_xfer_per_kb_us
+        # Every account this charger charges is open before its first
+        # charge, so no charge opens one.
+        clock.account(NETWORK)
+        clock.account(DISK)
         for name, category in FIXED_CHARGES.items():
             cost = getattr(model, f"{name}_us")
-            setattr(self, name, partial(advance, cost, category))
+            if not cost >= 0:
+                raise ValueError(f"{name}_us must be >= 0: {cost}")
+            setattr(self, name, partial(clock.charge, cost, clock.account(category)))
 
+    # The size-dependent charges below compute the same float expressions
+    # as the CostModel methods of the same names: bit-identical virtual
+    # time, minus the method call and attribute chain.
     def network(self, nbytes: int = 0) -> None:
-        self.clock.advance(self.model.network_transfer_us(nbytes), NETWORK)
+        self._advance(
+            self._network_rtt_us + self._network_per_kb_us * (nbytes / KB),
+            NETWORK,
+        )
 
     def network_payload(self, nbytes: int) -> None:
         """Per-KB payload cost only, for a reply piggybacked on an
         already-charged round trip."""
-        self.clock.advance(self.model.network_per_kb_us * nbytes / KB, NETWORK)
+        self._advance(self._network_per_kb_us * nbytes / KB, NETWORK)
 
     def disk_io(self, nbytes: int) -> None:
-        self.clock.advance(self.model.disk_io_us(nbytes), DISK)
+        self._advance(
+            self._disk_fixed_us + self._disk_xfer_per_kb_us * (nbytes / KB),
+            DISK,
+        )
 
     def memcpy(self, nbytes: int) -> None:
-        # Same float expression as CostModel.memcpy_us — bit-identical
-        # virtual time, minus the method call and attribute chain.
         self._advance(self._memcpy_per_kb_us * (nbytes / KB), CPU)
 
     def compress(self, nbytes: int) -> None:

@@ -246,7 +246,7 @@ class FaultPlane:
             self._link(event.a, event.b).drop_windows.append(
                 (event.probability, event.until_us)
             )
-        else:  # pragma: no cover - plan constructors gate the kinds
+        else:  # the plan's constructors make only the kinds above
             raise ValueError(f"unknown fault kind {event.kind!r}")
 
     # --- per-message effects -----------------------------------------------

@@ -20,7 +20,7 @@ from repro.fs.sfs import create_sfs
 from repro.ipc.compound import CompoundInvocation, CompoundSubOpError
 from repro.ipc.network import NetworkPartitionError
 from repro.ipc.retry import RetryPolicy
-from repro.sim.faults import FaultPlan
+from repro.sim.faults import FaultEvent, FaultPlan
 from repro.storage.block_device import BlockDevice
 from repro.types import PAGE_SIZE
 from repro.world import World
@@ -43,6 +43,22 @@ class TestFaultPlanSchedule:
         plan.heal("a", "b", at_us=100)  # same time: insertion order wins
         kinds = [(e.time_us, e.kind) for e in plan.sorted_events()]
         assert kinds == [(100, "partition"), (100, "heal"), (500, "crash")]
+
+    @pytest.mark.parametrize("probability", [-0.1, 1.5, float("nan")])
+    def test_drop_probability_out_of_range_is_refused(self, probability):
+        plan = FaultPlan()
+        with pytest.raises(ValueError, match="probability out of range"):
+            plan.drop_probability("a", "b", probability)
+        assert plan.events == []
+
+    def test_an_unknown_kind_is_refused_when_applied(self, world, pair):
+        # The plan's constructors name only known kinds; an event built
+        # by hand is refused when the plane reaches it.
+        plan = FaultPlan()
+        plan.events.append(FaultEvent(0.0, "meteor", "a"))
+        plane = world.install_fault_plan(plan)
+        with pytest.raises(ValueError, match="unknown fault kind 'meteor'"):
+            plane.poll()
 
     def test_plan_is_inert_until_installed(self, world, pair):
         a, b = pair
@@ -151,6 +167,17 @@ class TestLinkEffects:
         assert world.clock.charged("network_fault_delay") == 250.0
         assert world.clock.now_us > before + 249
         assert world.counters.get("faults.delayed") == 1
+
+    def test_a_delay_of_count_n_delays_n_messages(self, world, pair):
+        a, b = pair
+        world.install_fault_plan(
+            FaultPlan().delay("a", "b", at_us=0, delay_us=250.0, count=3)
+        )
+        for _ in range(4):
+            world.network.transfer(a, b, 0)
+        assert world.clock.charged("network_fault_delay") == 750.0
+        assert world.clock.charge_count("network_fault_delay") == 3
+        assert world.counters.get("faults.delayed") == 3
 
     def test_duplicate_charges_second_send(self, world, pair):
         a, b = pair

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from repro.errors import RevokedObjectError
+from repro.errors import NameNotFoundError, RevokedObjectError, UnixError
 from repro.ipc.compound import compound_region
 from repro.ipc.invocation import (
     bytes_in,
@@ -14,6 +14,7 @@ from repro.ipc.invocation import (
     operation,
 )
 from repro.ipc.object import SpringObject
+from repro.unix.posixlike import Posix
 from repro.world import World
 
 
@@ -225,3 +226,145 @@ class TestThreads:
         assert world.counters.get("invoke.network_batched") == 1
         assert world.counters.get("invoke.network") == 1
         assert world.network.messages == 2
+
+
+class Probe(SpringObject):
+    """Records ``(current_domain(), calling_domain())`` inside its
+    operation, then runs ``then`` there, if given."""
+
+    def __init__(self, domain) -> None:
+        super().__init__(domain)
+        self.seen = []
+
+    @operation
+    def look(self, then=None):
+        self.seen.append(where())
+        if then is not None:
+            return then()
+
+    @operation
+    def resolve(self, path):
+        """The one call ``Posix.open`` makes on its root: not found."""
+        self.seen.append(where())
+        raise NameNotFoundError(path)
+
+
+def where():
+    return current_domain(), calling_domain()
+
+
+class TestDomainStack:
+    """``current_domain()`` and ``calling_domain()`` at every depth: an
+    activation sets the first and keeps the second, an operation body
+    sets both, and leaving either puts back what was there."""
+
+    def test_activation_inside_a_body_inside_an_activation(self, setup):
+        _, _, server, peer, far = setup
+        inner = Probe(peer)
+        depths = []
+
+        def in_body():
+            depths.append(where())
+            with far.activate():
+                depths.append(where())
+                inner.look(lambda: depths.append(where()))
+                depths.append(where())
+            depths.append(where())
+
+        assert where() == (None, None)
+        with peer.activate():
+            assert where() == (peer, None)
+            Probe(server).look(in_body)
+            assert where() == (peer, None)
+        assert where() == (None, None)
+        assert depths == [
+            (server, peer),  # the body: server active, peer called it
+            (far, peer),  # an activation keeps the caller
+            (peer, far),  # far invoked inner, served by peer
+            (far, peer),
+            (server, peer),
+        ]
+        assert inner.seen == [(peer, far)]
+
+    def test_a_posix_call(self, setup):
+        _, _, server, peer, _ = setup
+        root = Probe(server)
+        posix = Posix(root, peer)
+        with pytest.raises(UnixError):
+            posix.open("missing")
+        assert where() == (None, None)
+        with server.activate():
+            with pytest.raises(UnixError):
+                posix.open("missing")
+            assert where() == (server, None)
+        # The call runs on behalf of the process's domain, which is the
+        # caller whatever was active around it.
+        assert root.seen == [(server, peer), (server, peer)]
+
+    def test_a_raising_op_leaves_the_stack_as_it_found_it(self, setup):
+        _, _, server, peer, _ = setup
+        depths = []
+
+        def in_body():
+            before = where()
+            with pytest.raises(NameNotFoundError):
+                Probe(peer).resolve("x")
+            depths.append((before, where()))
+
+        with peer.activate():
+            with pytest.raises(NameNotFoundError):
+                Probe(server).resolve("y")
+            assert where() == (peer, None)
+            Probe(server).look(in_body)
+            assert where() == (peer, None)
+        assert where() == (None, None)
+        assert depths == [((server, peer), (server, peer))]
+
+    def test_two_threads_keep_their_own_stacks(self, setup):
+        _, _, server, peer, far = setup
+        both_inside = threading.Barrier(2, timeout=10)
+        seen = {}
+
+        def client(domain):
+            depths = [where()]
+            with domain.activate():
+                depths.append(where())
+                Probe(server).look(
+                    lambda: (both_inside.wait(), depths.append(where()))
+                )
+                depths.append(where())
+            depths.append(where())
+            seen[domain.name] = depths
+
+        threads = [
+            threading.Thread(target=client, args=(domain,))
+            for domain in (peer, far)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        for domain in (peer, far):
+            assert seen[domain.name] == [
+                (None, None), (domain, None), (server, domain),
+                (domain, None), (None, None),
+            ]
+
+    def test_a_compound_regions_origin(self, setup):
+        world, _, server, peer, _ = setup
+        origins = []
+
+        def in_body():
+            with compound_region(world) as region:
+                origins.append((region.origin, where()))
+
+        with compound_region(world) as region:
+            assert region.origin is None
+        with peer.activate():
+            with compound_region(world) as region:
+                assert region.origin is peer
+                assert where() == (peer, None)
+                Probe(server).look(in_body)
+        # Opened inside a body, a region's origin is the server.
+        assert origins == [(server, (server, peer))]

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.sim.clock import SimClock
-from repro.sim.costs import Charger, CostModel
+from repro.sim.costs import FIXED_CHARGES, Charger, CostModel
 from repro.types import PAGE_SIZE
 
 
@@ -100,3 +100,90 @@ class TestCharger:
         charger.network(1024)
         round_trip = charger.clock.now_us - payload_cost
         assert round_trip > payload_cost
+
+
+def exact(value):
+    """``value`` down to its type and bits: -0.0 and 0.0 differ, 5 and
+    5.0 differ."""
+    return type(value), repr(value)
+
+
+def clock_state(clock):
+    """Listed by category: a clock lists its categories in the order
+    their accounts were opened, and a ``Charger`` opens its own first."""
+    return (
+        exact(clock.now_us),
+        sorted((key, exact(total)) for key, total in clock.categories().items()),
+        sorted(clock.charge_counts().items()),
+    )
+
+
+class TestFixedCharges:
+    """A fixed charge is ``SimClock.charge`` over a cost checked when it
+    was bound; it must leave the clock exactly as ``advance`` of the same
+    cost under the same category does."""
+
+    #: Zero, int and float fixed costs.
+    MODEL = CostModel(
+        local_call_us=0, cross_domain_call_us=107, syscall_us=0.0,
+        fs_resolve_us=150, fs_read_cpu_us=0.1, vm_fault_us=25.5,
+    )
+    SEQUENCE = [
+        "syscall", "local_call", "fs_read_cpu", "cross_domain_call",
+        "fs_resolve", "fs_read_cpu", "vm_fault", "local_call", "bind",
+    ]
+
+    def replay(self, clock, charge):
+        """The sequence, with size-dependent charges between, and again
+        inside a frame that starts behind the clock."""
+        charge(self.SEQUENCE[:4])
+        clock.advance(0.0, "disk")
+        clock.advance(3, "network")
+        charge(self.SEQUENCE[4:])
+        clock.seek(1_000.5)
+        clock.begin_frame(20)
+        charge(self.SEQUENCE)
+        clock.advance(7, "cpu")
+        elapsed = clock.end_frame()
+        return exact(elapsed), clock_state(clock)
+
+    def test_partials_and_advance_leave_bit_identical_clocks(self):
+        bound = Charger(SimClock(), self.MODEL)
+
+        def through_partials(names):
+            for name in names:
+                getattr(bound, name)()
+
+        plain = SimClock()
+
+        def through_advance(names):
+            for name in names:
+                plain.advance(
+                    getattr(self.MODEL, f"{name}_us"), FIXED_CHARGES[name]
+                )
+
+        via_partials = self.replay(bound.clock, through_partials)
+        via_advance = self.replay(plain, through_advance)
+        assert via_partials == via_advance
+        # The int and zero costs kept their type.
+        categories = dict(via_partials[1][1])
+        assert categories["local_call"] == (int, "0")
+        assert categories["syscall"] == (float, "0.0")
+        assert categories["disk"] == (float, "0.0")
+
+    def test_a_bound_charge_lists_nothing_until_it_is_charged(self):
+        charger = Charger(SimClock(), CostModel())
+        assert charger.clock.categories() == {}
+        assert charger.clock.charge_counts() == {}
+        assert charger.clock.charged("cpu") == 0.0
+        assert charger.clock.charge_count("cpu") == 0
+        charger.syscall()
+        assert charger.clock.categories() == {"syscall": 25.0}
+        assert charger.clock.charge_counts() == {"syscall": 1}
+
+    @pytest.mark.parametrize("cost", [-1.0, float("nan")])
+    @pytest.mark.parametrize("name", ["local_call", "fs_resolve"])
+    def test_a_negative_or_nan_fixed_cost_is_refused(self, name, cost):
+        model = dataclasses.replace(CostModel(), **{f"{name}_us": cost})
+        with pytest.raises(ValueError, match=f"{name}_us"):
+            Charger(SimClock(), model)

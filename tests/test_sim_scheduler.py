@@ -207,6 +207,18 @@ class TestScheduler:
         assert task.started_us == 0.0
         assert task.finished_us == 30.0
 
+    def test_run_all_returns_the_tasks_and_repr_says_their_state(self):
+        world = World()
+        scheduler = world.scheduler()
+
+        def client():
+            yield think(10.0)
+
+        task = scheduler.spawn(client(), name="c0")
+        assert repr(task) == "<Task 'c0' live>"
+        assert scheduler.run_all() == [task]
+        assert repr(task) == "<Task 'c0' done>"
+
     def test_run_until_leaves_future_events(self):
         world = World()
         scheduler = world.scheduler()

@@ -1,8 +1,12 @@
 """The Python frames the invocation spine enters, pinned.
 
 Every invocation runs the ``@operation`` wrapper, every charge
-``SimClock.advance``, every received frame a ``FrameBuffer`` call; what
-else they enter is their cost.  Bytecode counts differ between the
+``SimClock.advance`` or ``SimClock.charge``, every received frame a
+``FrameBuffer`` call; what else they enter is their cost.  A charge of
+fixed cost enters ``SimClock.charge``, not ``advance``: its cost was
+refused or accepted once, when the ``Charger`` bound it to its
+category's account, so its frame neither checks the cost nor looks the
+category up.  Bytecode counts differ between the
 Python versions CI runs, frame counts do not, so these tests count the
 ``"call"`` events ``sys.setprofile`` reports (a C function, such as a
 ``functools.partial`` charge or a socket's ``recv_into``, reports
@@ -72,17 +76,16 @@ def spine():
 
 
 #: The frames one call of ``Echo.ping(3)`` enters, by invocation path: a
-#: cross-domain call enters the wrapper, the charge's ``advance`` and the
+#: cross-domain call enters the wrapper, the charge's ``charge`` and the
 #: body, nothing else.
 PATHS = {
     "direct": [WRAPPER, "Echo.ping"],
-    "local": [WRAPPER, "SimClock.advance", "Echo.ping"],
-    "cross_domain": [WRAPPER, "SimClock.advance", "Echo.ping"],
+    "local": [WRAPPER, "SimClock.charge", "Echo.ping"],
+    "cross_domain": [WRAPPER, "SimClock.charge", "Echo.ping"],
     "network": [
         WRAPPER, "bytes_in", "Network.transfer", "Network._check_reachable",
-        "Network._account", "Charger.network",
-        "CostModel.network_transfer_us", "SimClock.advance", "Echo.ping",
-        "bytes_in",
+        "Network._account", "Charger.network", "SimClock.advance",
+        "Echo.ping", "bytes_in",
     ],
     "network_batched": [
         WRAPPER, "bytes_in", "_absorbing_region", "CompoundRegion.absorbs",
@@ -116,9 +119,11 @@ class TestInvocationFrames:
 class TestChargeFrames:
     @pytest.mark.parametrize("charge", sorted(FIXED_CHARGES))
     def test_a_fixed_charge_enters_only_advance(self, charge):
+        # Named when the frame was ``SimClock.advance``; it is the one
+        # frame a fixed charge enters, now ``SimClock.charge``.
         world = World()
         assert entered(getattr(world.charge, charge)) == (
-            ["SimClock.advance"], None
+            ["SimClock.charge"], None
         )
         # The model's constant, under the charge's category.
         assert world.clock.categories() == {
@@ -145,8 +150,8 @@ class TestReceiveFrames:
 SERVED_PREAD = [
     "FileService.pread", "Posix.pread", "Posix._entry", "OpenFile.readable",
     "_ClientCall.__enter__", "push_domain",
-    WRAPPER, "SimClock.advance", "LayerFile.read",
-    "CoherencyLayer.file_read", "SimClock.advance",
+    WRAPPER, "SimClock.charge", "LayerFile.read",
+    "CoherencyLayer.file_read", "SimClock.charge",
     "CoherencyLayer._current_attrs", "CoherencyLayer._collect_latest_attrs",
     "ChannelRegistry.__contains__",
     "BaseLayer.recall", "BlockHolderTable.any_holder",
