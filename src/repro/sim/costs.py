@@ -168,9 +168,10 @@ class Charger:
                 raise ValueError(f"{name}_us must be >= 0: {cost}")
             setattr(self, name, partial(clock.charge, cost, clock.account(category)))
 
-    # The size-dependent charges below compute the same float expressions
-    # as the CostModel methods of the same names: bit-identical virtual
-    # time, minus the method call and attribute chain.
+    # network, disk_io and memcpy compute the same float expressions as
+    # CostModel.network_transfer_us, disk_io_us and memcpy_us:
+    # bit-identical virtual time, minus the method call and attribute
+    # chain.
     def network(self, nbytes: int = 0) -> None:
         self._advance(
             self._network_rtt_us + self._network_per_kb_us * (nbytes / KB),
