@@ -16,8 +16,8 @@ claim made concrete.  It provides:
   complete coherent pass-through layer (modelled on DFS's forwarding):
   holder bookkeeping above, forwarding below.  Concrete layers
   subclass it and override only their transform points — COMPFS's
-  encode/decode, CRYPTFS's seal/unseal, the coherency layer's recall
-  policy;
+  encode/decode, CRYPTFS's seal/unseal, the coherency layer's page
+  cache; the cache side is one recall-first template for all of them;
 * :class:`LayerRuntime` — uniform telemetry at the dispatch choke-point:
   every dispatched op increments a standardized ``<layer>.<op>`` counter
   (plus ``<layer>.<op>.bytes`` when data moves) and, when tracing is on,
@@ -191,8 +191,8 @@ class ChannelOps:
     with no overrides.
 
     Layers that transform data (COMPFS, CRYPTFS) or that cache it (the
-    coherency layer) override the ops they change and keep the rest.
-    Two conveniences keep those overrides small:
+    coherency layer) override the pager-side ops they change and keep
+    the rest.  Two conveniences keep those overrides small:
 
     * a layer that overrides :meth:`page_in` receives a ranged page-in
       through the same override — the window, clamped to the file
@@ -200,14 +200,11 @@ class ChannelOps:
       holder bookkeeping followed by the layer's own
       :meth:`BaseLayer.merge_recovered`, one page or a whole run — so a
       transform layer writes one decode and one encode;
-    * the cache-side defaults no-op gracefully when the layer keeps no
-      holder table (``state.holders is None``).
+    * the cache side is a template no layer overrides: the holders above
+      first, then the :meth:`give_back` / :meth:`forget` hook on the
+      layer's own store (``state.store``; None or no holder table, and
+      the step is skipped).
     """
-
-    #: Register a client as writer when it syncs with READ_WRITE retain.
-    #: CRYPTFS turns this off: it writes ciphertext through immediately,
-    #: so a syncing holder never needs to be recalled.
-    register_writers = True
 
     def __init__(self, layer: "BaseLayer") -> None:
         self.layer = layer
@@ -268,7 +265,7 @@ class ChannelOps:
             state.holders.forget_range(requester, offset, size)
         elif retain is AccessRights.READ_ONLY:
             state.holders.record(requester, offset, size, AccessRights.READ_ONLY)
-        elif self.register_writers:
+        else:
             recovered = state.holders.acquire(
                 requester, offset, size, AccessRights.READ_WRITE
             )
@@ -322,48 +319,107 @@ class ChannelOps:
             pager.attr_write_out(attrs)
 
     # ----------------------------------------------------------- cache side
-    # Invoked by the layer below; the pass-through holds nothing itself,
-    # so every action fans out to the holders above.
-    def _take_back(self, state, offset, size, access) -> Dict[int, bytes]:
-        """What the holders above give up so that the layer below may
-        have the range with ``access``: everything (a flush) or only
-        the right to write (a denial)."""
-        if state.holders is None:
-            return {}
-        with self.region():
-            return state.holders.acquire(None, offset, size, access)
+    # Invoked by the layer below.  Each entry point first does to the
+    # holders above what the op requires, and only then calls one of two
+    # hooks on the layer's own store: ``give_back`` after a recall,
+    # ``forget`` after a change below.  A layer overrides the hooks, never
+    # an entry point, so none can answer for its holders without asking
+    # them.
+    def holders_above(self, state):
+        """The holder table a cache-side op acts on first.  None when the
+        layer keeps none, or while it writes through the file interface
+        below (``state.writing_through``): what reaches it then is the
+        echo of its own write."""
+        return None if state.writing_through else state.holders
+
+    def _recall(self, state, offset, size, access, keep) -> Dict[int, bytes]:
+        """Take the range back from the holders above — everything
+        (``access`` READ_WRITE), the right to write (READ_ONLY) or only
+        the latest copy (None) — then :meth:`give_back`."""
+        recovered = {}
+        holders = self.holders_above(state)
+        if holders is not None:
+            with self.region():
+                if access is None:
+                    recovered = holders.collect_latest(offset, size)
+                else:
+                    recovered = holders.acquire(None, offset, size, access)
+        return self.give_back(state, offset, size, recovered, keep)
+
+    def _invalidate_above(self, state, offset, size) -> None:
+        holders = self.holders_above(state)
+        if holders is not None:
+            with self.region():
+                holders.invalidate(offset, size)
 
     def flush_back(self, state, offset, size) -> Dict[int, bytes]:
-        return self._take_back(state, offset, size, AccessRights.READ_WRITE)
+        return self._recall(state, offset, size, AccessRights.READ_WRITE, None)
 
     def deny_writes(self, state, offset, size) -> Dict[int, bytes]:
-        return self._take_back(state, offset, size, AccessRights.READ_ONLY)
+        return self._recall(
+            state, offset, size, AccessRights.READ_ONLY, AccessRights.READ_ONLY
+        )
 
     def write_back(self, state, offset, size) -> Dict[int, bytes]:
-        if state.holders is None:
-            return {}
-        with self.region():
-            return state.holders.collect_latest(offset, size)
+        return self._recall(state, offset, size, None, AccessRights.READ_WRITE)
 
     def delete_range(self, state, offset, size) -> None:
-        if state.holders is None:
-            return
-        with self.region():
-            state.holders.invalidate(offset, size)
+        self._invalidate_above(state, offset, size)
+        self.forget(state, offset, size)
 
     def zero_fill(self, state, offset, size) -> None:
-        if state.holders is None:
-            return
-        with self.region():
-            state.holders.invalidate(offset, size)
+        self._invalidate_above(state, offset, size)
+        self.forget(state, offset, size, b"")
 
     def populate(self, state, offset, size, access, data) -> None:
-        pass  # nothing cached here
+        # The pager pushes the file as it is: nothing above goes stale.
+        self.forget(state, offset, size, data, access)
 
     def destroy_cache(self, state) -> None:
-        if state.holders is not None:
-            state.holders.invalidate(0, WHOLE_FILE)
-        state.down_channel = None
+        state.down_channel = None  # the pager below has let it go
+        state.purge()
+
+    def give_back(self, state, offset, size, recovered, keep) -> Dict[int, bytes]:
+        """Hook: answer a recall with the layer's own store.  The pages
+        the holders gave back (``recovered``) are installed as modified,
+        the modified pages of the range collected, and the range settled
+        for what the layer keeps of it: nothing (``keep`` None: dropped),
+        a read-only copy (downgraded, clean) or the pages (clean).
+        Returns them as the layer below stores them — through the cache's
+        ``encode`` when it has one.  With no store, ``recovered`` as is."""
+        store = state.store
+        if store is None:
+            return recovered
+        store.install_modified(recovered)
+        modified = store.collect_modified(offset, size)
+        if modified and state.cache.encode is not None:
+            modified = dict(zip(modified, state.cache.encode(modified)))
+        if keep is None:
+            store.drop_range(offset, size)
+        else:
+            if keep is AccessRights.READ_ONLY:
+                store.downgrade_range(offset, size)
+            store.clean_range(offset, size)
+        return modified
+
+    def forget(self, state, offset, size, data=None, access=None) -> None:
+        """Hook: the layer below deleted the range (``data`` None),
+        zero-filled it (no ``access``) or populated it with ``data`` in
+        ``access``.  A store that holds the channel's bytes does the same;
+        a store of pages derived from them (the cache has a ``decode``)
+        drops its clean pages of the range, and its dirty ones go below
+        over the change on the next write-back."""
+        store = state.store
+        if store is None:
+            return
+        if state.cache.decode is not None:
+            store.drop_range(offset, size, keep_dirty=True)
+        elif data is None:
+            store.drop_range(offset, size)
+        elif access is None:
+            store.zero_range(offset, size)
+        else:
+            store.populate(offset, size, data, access)
 
     def invalidate_attributes(self, state) -> None:
         # Upstream attribute caches must drop their copies.
@@ -544,9 +600,10 @@ class LayerFileState:
     """Generic per-file state a layer keeps for one underlying file.
 
     Layers subclass to add their caches (plaintext stores, attribute
-    copies); the spine relies only on the attributes set here.  A layer
-    that keeps no holder table (CFS) sets ``holders`` to None and the
-    cache-side defaults no-op.
+    copies); the spine relies only on the attributes set here, and the
+    default cache-side hooks on ``cache`` too — the :class:`LayerCache`
+    that a ``store`` belongs to.  A layer that keeps no holder table
+    (CFS) sets ``holders`` to None and the cache side skips the holders.
     """
 
     def __init__(self, layer: "BaseLayer", under_file: File) -> None:
@@ -563,6 +620,11 @@ class LayerFileState:
         #: This layer as cache manager to the layer below.
         self.down_channel: Optional[Channel] = None
         self.down_pager: Optional[FsPager] = None
+        #: True while the layer rewrites the file below through its file
+        #: interface (COMPFS): the coherency actions that provokes are
+        #: echoes of its own write, and the cache side leaves the holders
+        #: above alone.
+        self.writing_through = False
 
     def purge(self) -> None:
         """Drop everything before the underlying file is unlinked; the
@@ -1165,14 +1227,20 @@ class RecoveringFileState(LayerFileState):
 
 class RecoveringOps(ChannelOps):
     """The coherent pass-through table of a layer whose holder tables a
-    crash loses: every state lookup first runs crash recovery — a
-    channel operation arriving after the node rebooted must not see the
-    empty post-crash holder table as authoritative."""
+    crash loses: every state lookup, and every cache-side op before it
+    touches the holders, first runs crash recovery — a channel operation
+    arriving after the node rebooted must not see the empty post-crash
+    holder table as authoritative."""
 
     def state(self, source_key):
         state = self.layer.state_by_source(source_key)
         self.layer.ensure_recovered(state)
         return state
+
+    def holders_above(self, state):
+        # A recall from below after a crash must reach the clients too.
+        self.layer.ensure_recovered(state)
+        return super().holders_above(state)
 
 
 class RecoveringLayer(BaseLayer):

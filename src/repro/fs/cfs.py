@@ -25,9 +25,10 @@ Mechanisms reproduced:
 CFS is optional (the paper's last note): without it, every file
 operation goes to the remote DFS.
 
-CFS keeps no holder table of its own (``holders`` is None — the local
-VMM's channel goes straight to the remote DFS), so the spine's
-cache-side defaults already return nothing for data ops; its only
+CFS keeps no holder table and no page store of its own (``holders`` and
+``store`` are None — the local VMM's channel goes straight to the
+remote DFS), so the spine's cache side returns nothing for data ops,
+and ``destroy_cache`` is :meth:`CfsFileState.purge`; its only
 :class:`ChannelOps` overrides are the attribute-cache ones.
 """
 
@@ -39,7 +40,7 @@ from repro.errors import FsError
 from repro.ipc.invocation import operation
 from repro.ipc.narrow import narrow
 from repro.naming.context import NamingContext
-from repro.types import PAGE_SIZE, AccessRights
+from repro.types import AccessRights
 from repro.vm.channel import BindResult
 from repro.vm.memory_object import CacheManager
 
@@ -63,6 +64,10 @@ class CfsFileState(LayerFileState):
         #: Local mapping used to serve read/write through the local VMM.
         self.mapping = None
         self.mapping_length = 0
+
+    def purge(self) -> None:
+        super().purge()
+        self.attrs = None
 
 
 class CfsFile(LayerFile):
@@ -103,11 +108,6 @@ class CfsOps(ChannelOps):
     its own channel to the remote DFS).  With no holder table, the
     spine's data-op defaults already collect nothing — only the
     attribute ops need real behaviour."""
-
-    def destroy_cache(self, state) -> None:
-        state.attrs = None
-        state.down_channel = None
-        state.down_pager = None
 
     def invalidate_attributes(self, state) -> None:
         self.layer.world.counters.inc("cfs.attr_invalidated")
@@ -181,8 +181,6 @@ class CfsLayer(BaseLayer):
                 "cfs"
             )
         length = max(needed_length, self.cached_attrs(state).size)
-        if length == 0:
-            length = PAGE_SIZE
         if state.mapping is not None:
             state.mapping.address_space.unmap(state.mapping)
         state.mapping = self._aspace.map(

@@ -23,10 +23,12 @@ coherent stack (sec. 6.3); Spring SFS is exactly coherency-over-disk
 (Figure 10).  Construct with ``cache=False`` to disable data+attribute
 caching — the "Cached by Coherency Layer? No" rows of Table 2.
 
-In spine terms (:mod:`repro.fs.base`): this layer IS the recall policy,
-so :class:`CoherencyOps` overrides nearly the whole dispatch table —
-what it inherits from the runtime is the state registry, the naming
-face, the bind plumbing, and the fan-out helpers.
+In spine terms (:mod:`repro.fs.base`): :class:`CoherencyOps` overrides
+the pager side — every page-in is served from the layer's page cache —
+and the attribute ops.  The cache side is the spine's template: the
+holders above are recalled first, then the layer's store answers, as in
+every layer that caches.  What it inherits besides is the state
+registry, the naming face, the bind plumbing, and the fan-out helpers.
 """
 
 from __future__ import annotations
@@ -135,46 +137,10 @@ class CoherencyOps(ChannelOps):
                 state.down_pager.attr_write_out(attrs)
 
     # ----------------------------------------------------------- cache side
-    # The lower pager acts on our cache of ITS file; we must first recall
-    # the affected blocks from our own upstream holders (recursive
-    # coherency, the P3-C3 arrow of Figure 6 composed with P1-C1) — that
-    # half is the spine's default, the fan-out to the holders above —
-    # and then act on our own store.
-    def flush_back(self, state, offset, size) -> Dict[int, bytes]:
-        state.store.install_modified(super().flush_back(state, offset, size))
-        modified = state.store.collect_modified(offset, size)
-        state.store.drop_range(offset, size)
-        return modified
-
-    def deny_writes(self, state, offset, size) -> Dict[int, bytes]:
-        state.store.install_modified(super().deny_writes(state, offset, size))
-        modified = state.store.collect_modified(offset, size)
-        state.store.downgrade_range(offset, size)
-        state.store.clean_range(offset, size)
-        return modified
-
-    def write_back(self, state, offset, size) -> Dict[int, bytes]:
-        state.store.install_modified(super().write_back(state, offset, size))
-        modified = state.store.collect_modified(offset, size)
-        state.store.clean_range(offset, size)
-        return modified
-
-    def delete_range(self, state, offset, size) -> None:
-        super().delete_range(state, offset, size)
-        state.store.drop_range(offset, size)
-
-    def zero_fill(self, state, offset, size) -> None:
-        super().zero_fill(state, offset, size)
-        state.store.zero_range(offset, size)
-
-    def populate(self, state, offset, size, access, data) -> None:
-        state.store.populate(offset, size, data, access)
-
-    def destroy_cache(self, state) -> None:
-        state.store.clear()
-        state.attrs = None
-        state.destroyed = True
-
+    # The lower pager acts on our cache of ITS file: the spine's template
+    # recalls the range from our own upstream holders first (recursive
+    # coherency, the P3-C3 arrow of Figure 6 composed with P1-C1), then
+    # acts on ``state.store`` — which holds the bytes below as they are.
     def invalidate_attributes(self, state) -> None:
         state.attrs = None
         self.layer.invalidate_upstream_attrs(state)

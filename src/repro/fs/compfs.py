@@ -87,11 +87,6 @@ class CompFileState(LayerFileState):
         self.store = self.plain = PageStore()
         self.plain_size: Optional[int] = None  # None = not loaded
         self.dirty = False
-        #: True while _write_through is rewriting the underlying file.
-        #: The lower layer's coherency actions during that window are
-        #: echoes of our own write — they must not invalidate the (still
-        #: current) plaintext or our clients' caches.
-        self.writing_through = False
 
     def purge(self) -> None:
         super().purge()
@@ -117,9 +112,8 @@ class CompDirectory(LayerDirectory):
 class CompOps(ChannelOps):
     """COMPFS's transform points: pages are served from / merged into the
     whole-file plaintext cache, and every modification is re-encoded and
-    written through (case 2).  The compressed image below is held
-    read-only, so cache-side flushes return nothing — any change to it
-    just drops the derived plaintext."""
+    written through (case 2).  From below it overrides the cache side's
+    two hooks and nothing else."""
 
     def data_length(self, state) -> int:
         self.layer._ensure_loaded(state)
@@ -158,37 +152,23 @@ class CompOps(ChannelOps):
             layer.file_set_length(state, attrs.size)
 
     # -------------------------------------------------- cache side (case 2)
-    # The lower layer invalidates/flushes our cache of the *compressed*
-    # bytes.  Plaintext is derived data: any change to the compressed
-    # image invalidates the whole plaintext cache (conservative, always
-    # correct for a whole-file compressor).  We write through, so we
-    # never hold modified compressed data — the flush/deny results are
-    # empty.
-    def flush_back(self, state, offset, size) -> Dict[int, bytes]:
-        self.layer._drop_plaintext(state)
+    # The lower layer acts on our cache of the *compressed* bytes, which
+    # we hold read-only and write through: a recall finds nothing of ours
+    # to give back.  What the holders above gave it folds into the
+    # plaintext as dirty, written through on the next sync.  A flush that
+    # recalled nothing, or a change to the image, drops the plaintext
+    # derived from it (conservative, always correct for a whole-file
+    # compressor); a populate pushes the image as it is.
+    def give_back(self, state, offset, size, recovered, keep) -> Dict[int, bytes]:
+        if recovered:
+            self.merge_recovered(state, recovered)
+        elif keep is None:
+            self.layer._drop_plaintext(state)
         return {}
 
-    def deny_writes(self, state, offset, size) -> Dict[int, bytes]:
-        # We only ever hold the compressed image read-only.
-        return {}
-
-    def write_back(self, state, offset, size) -> Dict[int, bytes]:
-        return {}
-
-    def delete_range(self, state, offset, size) -> None:
-        self.layer._drop_plaintext(state)
-
-    def zero_fill(self, state, offset, size) -> None:
-        self.layer._drop_plaintext(state)
-
-    def populate(self, state, offset, size, access, data) -> None:
-        # Fresh compressed data pushed at us; simplest correct response
-        # is to reload lazily.
-        self.layer._drop_plaintext(state)
-
-    def destroy_cache(self, state) -> None:
-        self.layer._drop_plaintext(state)
-        state.down_channel = None
+    def forget(self, state, offset, size, data=None, access=None) -> None:
+        if access is None:
+            self.layer._drop_plaintext(state)
 
     def invalidate_attributes(self, state) -> None:
         # Length lives in the compressed header; reload lazily.
@@ -246,8 +226,6 @@ class CompFs(BaseLayer):
 
     def _plaintext(self, state: CompFileState) -> bytes:
         assert state.plain_size is not None
-        if state.plain_size == 0:
-            return b""
         return state.plain.read(0, state.plain_size, self._zero_fault(state))
 
     @staticmethod
@@ -265,8 +243,8 @@ class CompFs(BaseLayer):
         # The underlying set_length + write go through the file
         # interface; in case 2 the lower layer's coherency protocol will
         # flush/invalidate our C3 cache as part of this.  Those actions
-        # are echoes of this very write: writing_through suppresses the
-        # plaintext drop they would otherwise trigger.
+        # are echoes of this very write: writing_through keeps them off
+        # our holders above and off the (still current) plaintext.
         state.writing_through = True
         try:
             state.under_file.set_length(len(payload))
@@ -348,13 +326,9 @@ class CompFs(BaseLayer):
                 self._write_through(state)
 
     # --------------------------------------------------------------- statistics
-    def space_report(self, state_or_file) -> Dict[str, int]:
+    def space_report(self, f: CompFile) -> Dict[str, int]:
         """Plaintext vs stored (compressed) sizes for one file."""
-        state = (
-            state_or_file.state
-            if isinstance(state_or_file, CompFile)
-            else state_or_file
-        )
+        state = f.state
         self._ensure_loaded(state)
         return {
             "plaintext_bytes": state.plain_size,

@@ -132,12 +132,10 @@ class CryptDirectory(LayerDirectory):
 
 class CryptOps(ChannelOps):
     """CRYPTFS's transform points: decrypt on the way up, encrypt and
-    write through on the way down.  Write-through means a syncing client
-    is never registered as a writer (``register_writers`` off): the
-    ciphertext below is already current, so there is nothing to recall
-    from it later."""
-
-    register_writers = False
+    write through on the way down.  From below, the spine's template:
+    a recall re-encrypts what the holders above gave back (the cache's
+    ``encode``), and a change below drops the clean plaintext of the
+    range (the cache's ``decode`` marks its pages as derived)."""
 
     def page_in(self, source_key, pager_object, offset, size, access) -> bytes:
         state = self.state(source_key)
@@ -149,37 +147,6 @@ class CryptOps(ChannelOps):
         state = self.state(source_key)
         if attrs.size != state.under_file.get_length():
             self.layer.file_set_length(state, attrs.size)
-
-    # --- cache side (from below): per-block invalidation -------------------
-    def flush_back(self, state, offset, size) -> Dict[int, bytes]:
-        state.holders.invalidate(offset, size)
-        state.plain.drop_range(offset, size)
-        return {}  # write-through: nothing modified held here
-
-    def deny_writes(self, state, offset, size) -> Dict[int, bytes]:
-        state.plain.downgrade_range(offset, size)
-        return {}
-
-    def write_back(self, state, offset, size) -> Dict[int, bytes]:
-        return {}
-
-    def delete_range(self, state, offset, size) -> None:
-        """What the layer below changed drops the cached plaintext —
-        but never dirty pages: locally modified data supersedes any
-        external invalidation and is re-encrypted over it on the next
-        flush."""
-        state.holders.invalidate(offset, size)
-        state.plain.drop_range(offset, size, keep_dirty=True)
-
-    def zero_fill(self, state, offset, size) -> None:
-        self.delete_range(state, offset, size)
-
-    def populate(self, state, offset, size, access, data) -> None:
-        self.delete_range(state, offset, size)
-
-    def destroy_cache(self, state) -> None:
-        state.plain.clear()
-        state.down_channel = None
 
     def invalidate_attributes(self, state) -> None:
         pass  # attributes are not cached by this layer

@@ -180,6 +180,24 @@ class TestEpochRecovery:
         assert recoveries(dfs) == 0
 
 
+def test_a_recall_from_below_reaches_the_client_after_recovery(dist):
+    """The first post-recovery access may come from below: a read of
+    the file through SFS recalls from DFS, and DFS re-registers the
+    surviving clients' holds before it answers.  (The sharded layer
+    has no channel below it to be recalled through.)"""
+    world, server, client, sfs, dfs, su, cu = dist
+    with cu.activate():
+        mapping = client.vmm.create_address_space("c").map(
+            remote_file(client), RW
+        )
+        mapping.write(0, b"CLIENT DIRTY")
+    server.crash()
+    server.recover()
+    with su.activate():
+        assert sfs.top.resolve("shared.dat").read(0, 12) == b"CLIENT DIRTY"
+    assert recoveries(dfs) == 1
+
+
 class TestShardedLayerRecovery(TestCrashLosesHolderState, TestEpochRecovery):
     """The same crash and re-registration tests with the sharded DFS
     layer as the server: its node is the one that crashes, and the

@@ -3,6 +3,7 @@ invalidation from the server, bind forwarding, and mapped read/write."""
 
 import pytest
 
+from repro.errors import FsError
 from repro.fs.cfs import start_cfs
 from repro.fs.dfs import export_dfs, mount_remote
 from repro.fs.sfs import create_sfs
@@ -168,3 +169,100 @@ class TestDataPath:
         with su.activate():
             attrs = dfs.resolve("doc.dat").get_attributes()
         assert attrs.size >= 11
+
+
+class TestNamingFace:
+    @pytest.mark.parametrize("op, args", [
+        ("resolve", ("doc.dat",)),
+        ("bind", ("x", None)),
+        ("unbind", ("doc.dat",)),
+        ("rebind", ("x", None)),
+    ])
+    def test_the_cfs_root_holds_no_bindings(self, dist, op, args):
+        world, server, client, dfs, cfs, su, cu = dist
+        with cu.activate():
+            with pytest.raises(FsError):
+                getattr(cfs, op)(*args)
+            assert cfs.list_bindings() == []
+
+    def test_a_wrapped_context_lists_and_unlinks_remotely(self, dist):
+        """Listing a CFS context returns the remote entries as they are
+        (no interposition for a listing); an unlink goes straight to the
+        remote directory."""
+        world, server, client, dfs, cfs, su, cu = dist
+        with cu.activate():
+            context = cfs.wrap_resolved(client.fs_context.resolve("dfs@server"))
+            assert [name for name, _ in context.list_bindings()] == ["doc.dat"]
+            context.unbind("doc.dat")
+            assert context.list_bindings() == []
+        with su.activate():
+            assert dfs.list_bindings() == []
+
+    def test_an_object_neither_file_nor_context_passes_through(self, dist):
+        world, server, client, dfs, cfs, su, cu = dist
+        token = object()
+        assert cfs.wrap_resolved(token) is token
+
+
+class TestEdges:
+    def test_read_past_eof_is_empty(self, dist):
+        world, server, client, dfs, cfs, su, cu = dist
+        local = interposed(client, cfs, cu)
+        with cu.activate():
+            assert local.read(2 * PAGE_SIZE, 10) == b""
+
+    def test_an_empty_file_maps_empty_then_remaps_to_grow(self, dist):
+        world, server, client, dfs, cfs, su, cu = dist
+        with su.activate():
+            dfs.create_file("empty.dat")
+        local = interposed(client, cfs, cu, "empty.dat")
+        with cu.activate():
+            local.write(0, b"")
+            assert local.state.mapping_length == 0
+            local.write(0, b"grown")
+            assert local.state.mapping_length == 5
+            assert local.read(0, 5) == b"grown"
+
+    def test_destroy_cache_from_below_refetches_through_the_file(self, dist):
+        """The remote pager lets the channel go: CFS drops its attributes
+        and its pager, and the next stat asks the remote file itself."""
+        world, server, client, dfs, cfs, su, cu = dist
+        local = interposed(client, cfs, cu)
+        state = local.state
+        with cu.activate():
+            local.get_attributes()
+            state.down_channel.cache_object.destroy_cache()
+            assert state.attrs is None and state.down_pager is None
+            assert local.get_attributes().size == 2 * PAGE_SIZE
+        assert world.counters.get("cfs.attr_fetch") == 2
+
+    def test_sync_fs_pushes_every_interposed_file(self, dist):
+        world, server, client, dfs, cfs, su, cu = dist
+        with su.activate():
+            dfs.create_file("other.dat")
+        a = interposed(client, cfs, cu, "doc.dat")
+        b = interposed(client, cfs, cu, "other.dat")
+        with cu.activate():
+            a.write(0, b"A" * 10)
+            b.write(0, b"B" * 10)
+            assert a.state.attrs.dirty and b.state.attrs.dirty
+            cfs.sync_fs()
+            assert not a.state.attrs.dirty and not b.state.attrs.dirty
+        with su.activate():
+            assert dfs.resolve("other.dat").read(0, 10) == b"B" * 10
+
+
+def test_set_length_updates_the_cached_length_when_nothing_invalidates_it(
+    world, node, device, user
+):
+    """Over an uncached coherency layer no attribute invalidation comes
+    back from a truncate, so CFS sets its cached length itself."""
+    sfs = create_sfs(node, device, cache=False)
+    cfs = start_cfs(node)
+    with user.activate():
+        sfs.top.create_file("f").write(0, b"x" * 100)
+        local = cfs.interpose(sfs.top.resolve("f"))
+        assert local.get_length() == 100
+        local.set_length(40)
+        assert local.state.attrs is not None
+        assert local.get_length() == 40

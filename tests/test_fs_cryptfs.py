@@ -6,8 +6,10 @@ import pytest
 from repro.bench.workloads import incompressible_bytes
 from repro.errors import DeviceError
 from repro.fs.cryptfs import CryptFs, keystream, xor_block
+from repro.fs.dfs import export_dfs
 from repro.fs.sfs import create_sfs
 from repro.ipc.domain import Credentials
+from repro.storage.block_device import BlockDevice
 from repro.types import PAGE_SIZE, AccessRights
 
 RW = AccessRights.READ_WRITE
@@ -154,6 +156,23 @@ class TestCoherenceWithDirectAccess:
             mapping = node.vmm.create_address_space("t").map(f, RW)
             mapping.write(0, b"VIA MAP")
             assert layer.resolve("m.bin").read(0, 7) == b"VIA MAP"
+
+    def test_a_recall_while_growing_refetches_the_last_page(self, world):
+        """Over a remote DFS, growing the file inside its last page makes
+        DFS recall that page from CRYPTFS (a set_length recalls the
+        boundary page from every holder).  The page is fetched again,
+        and its head survives and its tail reads as zeros."""
+        server = world.create_node("server")
+        client = world.create_node("client")
+        sfs = create_sfs(server, BlockDevice(server.nucleus, "sd0", 4096))
+        layer = CryptFs(client.create_domain("cryptfs"), key=b"unit-test-key")
+        layer.stack_on(export_dfs(server, sfs.top))
+        with world.create_user_domain(client).activate():
+            f = layer.create_file("g.bin")
+            f.write(0, b"head")
+            f.set_length(100)
+            assert world.counters.get("cryptfs.flush_back") == 1
+            assert f.read(0, 100) == b"head" + bytes(96)
 
 
 class TestDegradedMode:

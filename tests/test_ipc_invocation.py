@@ -368,3 +368,12 @@ class TestDomainStack:
                 Probe(server).look(in_body)
         # Opened inside a body, a region's origin is the server.
         assert origins == [(server, (server, peer))]
+
+
+def test_a_node_and_a_domain_name_themselves(world):
+    """What a failure message shows of a node and a domain: names, and
+    the node's domains by name."""
+    node = world.create_node("n1")
+    domain = node.create_domain("srv")
+    assert repr(domain) == "<Domain 'srv' on 'n1'>"
+    assert repr(node) == "<Node 'n1' domains=['naming', 'nucleus', 'srv']>"
