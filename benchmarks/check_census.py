@@ -24,8 +24,9 @@ move it.  The check fails when a line joins the list, and also when one
 has left it (the list is a ratchet: commit the shorter one).  The lines
 were counted on Python 3.11; another version attributes some lines
 differently, so CI runs this on 3.11.  The benchmark smokes are not
-run, so ``bench/`` lines that only they reach are listed, and so is
-``repro.serve``'s ``main``, which runs only as its own process.
+run, so ``bench/`` lines that only they reach are listed.
+``repro.serve`` runs as ``__main__`` on a thread of the suite
+(``tests/test_socket_transport.py::TestServeMain``).
 
 Usage (from the repo root)::
 

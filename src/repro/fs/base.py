@@ -201,7 +201,8 @@ class ChannelOps:
       :meth:`BaseLayer.merge_recovered`, one page or a whole run — so a
       transform layer writes one decode and one encode;
     * the cache side is a template no layer overrides: the holders above
-      first, then the :meth:`give_back` / :meth:`forget` hook on the
+      first (over the range :meth:`stale_above` names, for a change
+      below), then the :meth:`give_back` / :meth:`forget` hook on the
       layer's own store (``state.store``; None or no holder table, and
       the step is skipped).
     """
@@ -320,8 +321,9 @@ class ChannelOps:
 
     # ----------------------------------------------------------- cache side
     # Invoked by the layer below.  Each entry point first does to the
-    # holders above what the op requires, and only then calls one of two
-    # hooks on the layer's own store: ``give_back`` after a recall,
+    # holders above what the op requires (after a change below, over the
+    # range the ``stale_above`` hook names), and only then calls one of
+    # two hooks on the layer's own store: ``give_back`` after a recall,
     # ``forget`` after a change below.  A layer overrides the hooks, never
     # an entry point, so none can answer for its holders without asking
     # them.
@@ -350,7 +352,14 @@ class ChannelOps:
         holders = self.holders_above(state)
         if holders is not None:
             with self.region():
-                holders.invalidate(offset, size)
+                holders.invalidate(*self.stale_above(state, offset, size))
+
+    def stale_above(self, state, offset, size) -> Tuple[int, int]:
+        """Hook: the range of the holders' pages that a change below, to
+        ``[offset, offset + size)`` of the channel's bytes, leaves stale.
+        The same range, for a layer whose pages are those bytes or a
+        page-for-page transform of them."""
+        return offset, size
 
     def flush_back(self, state, offset, size) -> Dict[int, bytes]:
         return self._recall(state, offset, size, AccessRights.READ_WRITE, None)

@@ -113,7 +113,7 @@ class CompOps(ChannelOps):
     """COMPFS's transform points: pages are served from / merged into the
     whole-file plaintext cache, and every modification is re-encoded and
     written through (case 2).  From below it overrides the cache side's
-    two hooks and nothing else."""
+    three hooks and nothing else."""
 
     def data_length(self, state) -> int:
         self.layer._ensure_loaded(state)
@@ -154,11 +154,16 @@ class CompOps(ChannelOps):
     # -------------------------------------------------- cache side (case 2)
     # The lower layer acts on our cache of the *compressed* bytes, which
     # we hold read-only and write through: a recall finds nothing of ours
-    # to give back.  What the holders above gave it folds into the
+    # to give back, and a change to any range of them is a change to the
+    # whole plaintext above.  What the holders above gave it folds into the
     # plaintext as dirty, written through on the next sync.  A flush that
     # recalled nothing, or a change to the image, drops the plaintext
     # derived from it (conservative, always correct for a whole-file
     # compressor); a populate pushes the image as it is.
+    def stale_above(self, state, offset, size):
+        # Every plaintext page is derived from the whole image.
+        return 0, WHOLE_FILE
+
     def give_back(self, state, offset, size, recovered, keep) -> Dict[int, bytes]:
         if recovered:
             self.merge_recovered(state, recovered)

@@ -15,7 +15,11 @@ the two do not plug into one another:
   both ends: the server answers a request on the thread that received
   it (one thread per connection, one domain lock around execution), the
   client blocks for the reply; neither puts an event loop, a stream or
-  a task between the socket and the codec.  The client process binds
+  a task between the socket and the codec.  A plain request costs the
+  server's connection loop one ``ExportRegistry.call`` and one
+  ``wire.pack_frame`` beside its counters; a compound, a ping, a
+  malformed call and a crash armed by ``fail_next_reply`` take
+  :meth:`SocketServer._reply_for`.  The client process binds
   :class:`RemoteStub`\\ s and invokes them.  Socket
   failures map onto the same transient-error taxonomy the simulated
   fault plane uses — connect failures/timeouts become
@@ -31,6 +35,7 @@ the two do not plug into one another:
 from __future__ import annotations
 
 import asyncio
+import itertools
 import logging
 import socket
 import threading
@@ -47,6 +52,7 @@ from repro.errors import (
 )
 from repro.ipc import wire
 from repro.ipc.network import NetworkPartitionError
+from repro.ipc.wire import COMPOUND, COMPOUND_REPLY, ERROR, REPLY, REQUEST
 
 #: Reserved op :meth:`SocketTransport.send` uses: the server replies
 #: None without touching any export — a pure round trip carrying the
@@ -153,6 +159,9 @@ class SocketServer:
         self.ops_served = 0
         self.compound_batches = 0
         self._fail_next_replies = 0
+        #: The kind :meth:`_serve` answers itself; None while a crash is
+        #: armed.
+        self._plain: Optional[int] = REQUEST
         self._shutdown_after_reply = False
         self._domain = threading.Lock()
         self._listener: Optional[socket.socket] = None
@@ -163,8 +172,11 @@ class SocketServer:
     # --- fault injection / shutdown ------------------------------------
     def fail_next_reply(self, count: int = 1) -> None:
         """Drop the connection instead of replying to the next ``count``
-        requests (after executing them) — a mid-invoke crash."""
+        requests (after executing them) — a mid-invoke crash.  Armed,
+        no request is plain: each takes :meth:`_reply_for`, which counts
+        the crashes down and makes requests plain again after the last."""
         self._fail_next_replies += count
+        self._plain = None
 
     def request_shutdown(self) -> None:
         """Stop serving after the currently executing request's reply is
@@ -227,11 +239,15 @@ class SocketServer:
         """One connection, start to finish on its own thread.  Every
         whole frame received is decoded, executed and answered before
         the next ``recv``, so a body view never outlives its bytes.  A
-        connection dropped for the peer's doing is logged with why: a
+        plain request is answered here, with one call of the registry
+        and one packed reply; every other frame by :meth:`_reply_for`.
+        A connection dropped for the peer's doing is logged with why: a
         malformed or stalled frame as a warning, a hang-up as info."""
         frames = wire.FrameBuffer()
         receive, recv_into = frames.receive, sock.recv_into
-        domain = self._domain
+        # The registry's ``call`` is looked up per frame, not bound here:
+        # a tracer may wrap it on the class while the connection is open.
+        domain, registry = self._domain, self.registry
         try:
             while True:
                 body = receive(recv_into)
@@ -247,10 +263,23 @@ class SocketServer:
                 with domain:
                     msg = wire.unpack_body(body)
                     self.frames_in += 1
-                    reply = self._reply_for(msg)
-                    if self._fail_next_replies > 0:
-                        self._fail_next_replies -= 1
-                        return  # crash: executed, never replied
+                    self.bytes_in += msg.nbytes
+                    try:
+                        if (msg.kind != self._plain or type(msg.payload) is not list
+                                or type(msg.kwargs) is not dict or msg.op == PING_OP):
+                            kind, value = self._reply_for(msg)
+                            reply = wire.pack_frame(kind, msg.seq, "", "", value)
+                        else:  # a plain request
+                            value = registry.call(
+                                msg.target, msg.op, msg.payload, msg.kwargs)
+                            self.ops_served += 1
+                            reply = wire.pack_frame(REPLY, msg.seq, "", "", value)
+                    except _Crash:
+                        return  # executed, never replied
+                    except Exception as exc:
+                        # Raised by the op, or by packing what it returned
+                        # (outside the wire type system): an error reply.
+                        reply = wire.pack_frame(ERROR, msg.seq, "", "", exc)
                     self.frames_out += 1
                     self.bytes_out += len(reply)
                 sock.sendall(reply)
@@ -269,30 +298,25 @@ class SocketServer:
             if self._shutdown_after_reply:
                 self.stop()  # the farewell reply has been sent
 
-    def _reply_for(self, msg: wire.Message) -> bytearray:
-        self.bytes_in += msg.nbytes
-        kind = wire.REPLY
+    def _reply_for(self, msg: wire.Message) -> Tuple[int, Any]:
+        """The kind and value of the reply to a frame :meth:`_serve` does
+        not answer itself: a compound, a ping, a malformed call (raises)
+        — or any frame while a crash is armed, which runs and then raises
+        :class:`_Crash` in place of its reply or error."""
         try:
-            if msg.kind == wire.COMPOUND:
-                kind, value = wire.COMPOUND_REPLY, self._run_compound(msg)
-            elif msg.op == PING_OP:
-                value = None
-            elif (isinstance(msg.payload, (list, tuple))
-                  and type(msg.kwargs) is dict):
-                value = self.registry.call(
-                    msg.target, msg.op, msg.payload, msg.kwargs
-                )
-                self.ops_served += 1
-            else:
-                raise InvocationError(_MALFORMED_CALL)
-        except Exception as exc:
-            kind, value = wire.ERROR, exc
-        try:
-            return wire.pack_frame(kind, msg.seq, "", "", value)
-        except wire.WireEncodeError as exc:
-            # The op returned something outside the wire type system;
-            # surface that as the error rather than killing the stream.
-            return wire.pack_frame(wire.ERROR, msg.seq, "", "", exc)
+            if msg.kind == COMPOUND:
+                return COMPOUND_REPLY, self._run_compound(msg)
+            if msg.op == PING_OP:
+                return REPLY, None
+            _check_call(msg.payload, msg.kwargs)
+            value = self.registry.call(msg.target, msg.op, msg.payload, msg.kwargs)
+            self.ops_served += 1
+            return REPLY, value
+        finally:
+            if self._fail_next_replies:
+                self._fail_next_replies -= 1
+                self._plain = None if self._fail_next_replies else REQUEST
+                raise _Crash
 
     def _run_compound(self, msg: wire.Message) -> List[Tuple[str, Any]]:
         """Execute a batch; ``(status, value)`` per sub-op where status
@@ -325,10 +349,14 @@ class SocketServer:
 
 def _check_call(args: Any, kwargs: Any) -> None:
     """The shape of a call as read off the wire (the codec has already
-    made every dict key a str); :meth:`SocketServer._reply_for` tests a
+    made every dict key a str); :meth:`SocketServer._serve` tests a
     plain request's inline."""
     if not isinstance(args, (list, tuple)) or type(kwargs) is not dict:
         raise InvocationError(_MALFORMED_CALL)
+
+
+class _Crash(Exception):
+    """An armed ``fail_next_reply``: the connection drops unanswered."""
 
 
 class ServerThread:
@@ -413,7 +441,7 @@ class SocketTransport:
         self.bytes_in = 0
         self.retries = 0
         self.reconnects = 0
-        self._seq = 0
+        self._seqs = itertools.count(1)
         self._sock: Optional[socket.socket] = None
         self._frames = wire.FrameBuffer()
 
@@ -444,10 +472,12 @@ class SocketTransport:
     def _exchange(self, kind: int, target: str, op: str, args: list,
                   kwargs: Optional[dict]) -> wire.Message:
         """One request frame out, one reply frame in.  Raises transient
-        errors tagged with whether the failure was send-phase."""
+        errors tagged with whether the failure was send-phase.  The
+        reply's first bytes get ``reply_timeout_s`` (the socket's
+        timeout), and the rest of it ``reply_timeout_s`` from then, as
+        :data:`FRAME_TIMEOUT_S` has it at the server."""
         sock = self._sock or self._connect()
-        self._seq += 1
-        seq = self._seq
+        seq = next(self._seqs)
         frame = wire.pack_frame(kind, seq, target, op, args, kwargs)
         try:
             sock.sendall(frame)
@@ -458,14 +488,15 @@ class SocketTransport:
             )) from exc
         self.messages += 1
         self.bytes_out += len(frame)
-        frames = self._frames
-        deadline = time.monotonic() + self.reply_timeout_s
         try:
-            body = frames.receive(sock.recv_into)
+            body = self._frames.receive(sock.recv_into)
             if body is None:
+                frames = self._frames
                 if not frames.pending():
                     raise ConnectionError(f"closed mid-invoke (op {op!r})")
-                body = _rest_of_frame(sock, frames, deadline)
+                body = _rest_of_frame(
+                    sock, frames, time.monotonic() + self.reply_timeout_s
+                )
                 sock.settimeout(self.reply_timeout_s)
             msg = wire.unpack_body(body)
         except socket.timeout as exc:
@@ -519,7 +550,7 @@ class SocketTransport:
             msg = self._exchange(kind, target, op, args, kwargs)
         except TransientNetworkError as exc:
             msg = self._retry(exc, kind, target, op, args, kwargs, idempotent)
-        if msg.kind == wire.ERROR:
+        if msg.kind == ERROR:
             raise msg.payload
         return msg.payload
 
@@ -529,7 +560,7 @@ class SocketTransport:
         calling no export — the floor under every op.  The connection
         fixes both ends; ``src``/``dst`` only keep the call shaped like
         :meth:`Network.transfer`, which is what it is measured against."""
-        self._call(wire.REQUEST, "", PING_OP, [b"\x00" * nbytes], None, True)
+        self._call(REQUEST, "", PING_OP, [b"\x00" * nbytes], None, True)
 
     def bind(self, target: str, idempotent: Iterable[str] = ()) -> "RemoteStub":
         """A stub whose method calls go through this transport."""
@@ -540,22 +571,21 @@ class SocketTransport:
         # exchange is entered directly (the retry loop only on failure).
         args = list(args)
         try:
-            msg = self._exchange(wire.REQUEST, target, op, args, kwargs)
+            msg = self._exchange(REQUEST, target, op, args, kwargs)
         except TransientNetworkError as exc:
-            msg = self._retry(exc, wire.REQUEST, target, op, args, kwargs,
+            msg = self._retry(exc, REQUEST, target, op, args, kwargs,
                               idempotent)
-        if msg.kind == wire.ERROR:
+        if msg.kind == ERROR:
             raise msg.payload
         return msg.payload
 
     def invoke_compound(self, calls, fail_fast=True, idempotent=False):
-        outcomes = self._call(
-            wire.COMPOUND, "", "",
+        return self._call(  # a (status, value) tuple per call
+            COMPOUND, "", "",
             [[target, op, list(args), kwargs or {}]
              for target, op, args, kwargs in calls],
             {"fail_fast": fail_fast}, idempotent,
         )
-        return [(status, value) for status, value in outcomes]
 
     def __repr__(self) -> str:
         return f"SocketTransport({self.host}:{self.port})"

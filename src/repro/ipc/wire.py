@@ -40,19 +40,28 @@ builtins) and are re-raised client-side as the same type; unknown server
 exceptions decode as :class:`RemoteError` carrying the original class
 name and message.
 
-Both directions are table-dispatched and stream-free: :func:`pack_frame`
-builds a whole frame in one bytearray; :func:`unpack_body` decodes out of
-a :class:`FrameBuffer` view of the receive buffer, copies what it keeps,
+Both directions are stream-free: :func:`pack_frame` builds a whole frame
+in one bytearray; :func:`unpack_body` decodes out of a
+:class:`FrameBuffer` view of the receive buffer, copies what it keeps,
 and raises only :class:`WireError` whatever bytes arrive.  A connection
 takes each frame with one :meth:`FrameBuffer.receive` call, which makes
 the ``recv_into`` itself and returns the body of a read that brought one
-whole frame without storing any state.  What a call
-mostly carries costs no bytecode per item: a list whose items are all
-ints (a ``FileType`` counts, a ``bool`` does not) is packed, and a list
-whose every ninth byte is the int tag is parsed, by C-level iteration
-over one ``struct`` — the same bytes the per-item loop writes and reads,
-which every other list still takes.  A decoded frame is a
-:data:`Message` tuple, so building one runs no Python code.
+whole frame without storing any state.
+
+The payload shapes the served workloads carry are read and written
+inline, by an arm of :func:`unpack_body` and :func:`pack_frame`, and any
+other payload through the tables of per-tag decoders and per-type
+encoders: a list (an int run in one pass, any other list straight to
+the per-item loop, which takes ints and strs inline, and ``bytes`` too
+when decoding), a ``bytes`` value running to the end of the frame, and
+on decode a registered struct whose fields are an int run (its encoder
+writes them as one).  An int run is a list whose items are all ints (a
+``FileType`` counts, a ``bool`` does not), packed, and parsed when
+every ninth byte is the int tag, by C-level iteration over one
+``struct``.  An arm writes and reads the bytes the per-item path does.
+A request's target and op are decoded once per pair, through a cache
+bounded like the pack side's.  A decoded frame is a :data:`Message`
+tuple, so building one runs no Python code.
 """
 
 from __future__ import annotations
@@ -91,15 +100,17 @@ _MAGIC_VERSION = MAGIC + bytes([VERSION])
 _LEN = _U32 = struct.Struct("!I")  # the frame length; a length or count
 _HEAD = struct.Struct("!3sBIBB")  # magic + version, kind, seq, name lengths
 _FRAME_HEAD = struct.Struct("!I3sBI")  # _LEN, then _HEAD up to the lengths
-# Bound once: each runs once per frame.  _LEN is 4 bytes and _HEAD 10, the
-# literal offsets below.
-_unpack_len, _unpack_head = _LEN.unpack_from, _HEAD.unpack_from
-_pack_frame_head = _FRAME_HEAD.pack_into
 _I64 = struct.Struct("!q")
 _F64 = struct.Struct("!d")
 _TAG_U32 = struct.Struct("!BI")  # tag byte, then a length or count
 _TAG_I64 = struct.Struct("!Bq")
 _TAG_F64 = struct.Struct("!Bd")
+# Bound once: each runs once or twice per frame.  _LEN is 4 bytes and
+# _HEAD 10, the literal offsets below.
+_unpack_len, _unpack_head = _LEN.unpack_from, _HEAD.unpack_from
+_pack_frame_head = _FRAME_HEAD.pack_into
+_pack_tag_u32, _pack_int, _iter_tag_i64 = (  # an int: _pack_int(_T_INT, i)
+    _TAG_U32.pack, _TAG_I64.pack, _TAG_I64.iter_unpack)
 
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
@@ -142,9 +153,10 @@ class RemoteError(InvocationError):
 # --- value structs ----------------------------------------------------------
 # Registered value types cross the wire as a name and their field values
 # in registered order, and are rebuilt by their registered constructor —
-# the typed alternative to pickle.  name -> (field count, constructor):
+# the typed alternative to pickle.  name -> (field count, constructor,
+# the list header of its fields):
 
-_STRUCTS: Dict[str, Tuple[int, Callable[..., Any]]] = {}
+_STRUCTS: Dict[str, Tuple[int, Callable[..., Any], bytes]] = {}
 
 
 def register_struct(name: str, cls: type, fields: Tuple[str, ...],
@@ -152,14 +164,16 @@ def register_struct(name: str, cls: type, fields: Tuple[str, ...],
     """Teach the wire a value type (idempotent per name): ``fields`` are
     the attributes sent, in order; ``from_values(*values)`` rebuilds."""
     raw = name.encode("utf-8")
-    head = _TAG_U32.pack(_T_STRUCT, len(raw)) + raw
+    # The list header its fields follow: unpack_body's struct arm checks
+    # it before it reads them as one int run.
+    run_head = _TAG_U32.pack(_T_LIST, len(fields))
+    head = _TAG_U32.pack(_T_STRUCT, len(raw)) + raw + run_head
     values_of = attrgetter(*fields)
 
     def encode_struct(value: Any, buf: bytearray) -> None:
-        buf += head
-        _encode_list(values_of(value), buf)
+        _encode_list(values_of(value), buf, head)
 
-    _STRUCTS[name] = (len(fields), from_values)
+    _STRUCTS[name] = (len(fields), from_values, run_head)
     _ENCODERS[cls] = encode_struct
 
 
@@ -257,14 +271,7 @@ def _encode_int(value: int, buf: bytearray) -> None:
         buf += _TAG_I64.pack(_T_INT, value)
     else:
         raw = value.to_bytes((value.bit_length() + 8) // 8, "big", signed=True)
-        buf += _TAG_U32.pack(_T_BIGINT, len(raw))
-        buf += raw
-
-
-def _encode_str(value: str, buf: bytearray) -> None:
-    raw = value.encode("utf-8")
-    buf += _TAG_U32.pack(_T_STR, len(raw))
-    buf += raw
+        buf += _TAG_U32.pack(_T_BIGINT, len(raw)) + raw
 
 
 def _encode_bytes(value, buf: bytearray) -> None:
@@ -278,20 +285,33 @@ def _encode_view(value: memoryview, buf: bytearray) -> None:
     _encode_bytes(flat, buf)
 
 
-def _encode_list(value, buf: bytearray, tag: int = _T_LIST) -> None:
-    buf += _TAG_U32.pack(tag, len(value))
+def _encode_list(value, buf: bytearray, head: bytes) -> None:
+    """``head`` (a list's or a tuple's, or a struct's name and the
+    header of its fields), then the items of ``value``: in one pass when
+    they are an int run (bool is not an int here), else by the per-item
+    loop."""
     if _INT_TYPES.issuperset(map(type, value)):
-        # A run of ints (bool is not one) packs without per-item bytecode.
         try:
-            buf += b"".join(map(_TAG_I64.pack, _INT_TAGS, value))
+            buf += head + b"".join(map(_pack_int, _INT_TAGS, value))
             return
         except struct.error:
             pass  # an int past 64 bits: the loop sends it as _T_BIGINT
+    buf += head
+    _encode_items(value, buf)
+
+
+def _encode_items(value, buf: bytearray) -> None:
+    """The per-item loop: an int or a str inline, any other item through
+    its encoder."""
     for item in value:
-        if type(item) is int and _I64_MIN <= item <= _I64_MAX:
-            buf += _TAG_I64.pack(_T_INT, item)
+        cls = type(item)
+        if cls is int and _I64_MIN <= item <= _I64_MAX:
+            buf += _pack_int(_T_INT, item)
+        elif cls is str:
+            raw = item.encode("utf-8")
+            buf += _pack_tag_u32(_T_STR, len(raw)) + raw
         else:
-            _ENCODERS.get(type(item), _encode_other)(item, buf)
+            _ENCODERS.get(cls, _encode_other)(item, buf)
 
 
 def _encode_dict(value: dict, buf: bytearray) -> None:
@@ -325,12 +345,12 @@ _ENCODERS: Dict[type, Callable[[Any, bytearray], None]] = {
     bool: lambda value, buf: buf.append(_T_TRUE if value else _T_FALSE),
     int: _encode_int,
     float: lambda value, buf: buf.extend(_TAG_F64.pack(_T_FLOAT, value)),
-    str: _encode_str,
+    str: lambda value, buf: _encode_items((value,), buf),
     bytes: _encode_bytes,
     bytearray: _encode_bytes,
     memoryview: _encode_view,
-    list: _encode_list,
-    tuple: lambda value, buf: _encode_list(value, buf, _T_TUPLE),
+    list: lambda v, buf: _encode_list(v, buf, _pack_tag_u32(_T_LIST, len(v))),
+    tuple: lambda v, buf: _encode_list(v, buf, _pack_tag_u32(_T_TUPLE, len(v))),
     dict: _encode_dict,
 }
 
@@ -368,47 +388,50 @@ def _decode_unknown(buf, pos: int):
 # A length-prefixed value ends at ``end``.  A slice, unlike
 # ``unpack_from``, truncates silently, so each checks before it slices.
 
-def _decode_bigint(buf, pos: int):
-    end = pos + 4 + _U32.unpack_from(buf, pos)[0]
-    if end > len(buf):
-        raise WireError("truncated frame body")
-    return int.from_bytes(buf[pos + 4:end], "big", signed=True), end
+def _sized(convert):
+    """The decoder of a length-prefixed value: its bytes, ``convert``ed."""
+    def decode(buf, pos: int):
+        end = pos + 4 + _U32.unpack_from(buf, pos)[0]
+        if end > len(buf):
+            raise WireError("truncated frame body")
+        return convert(buf[pos + 4:end]), end
+    return decode
 
 
-def _decode_str(buf, pos: int):
-    end = pos + 4 + _U32.unpack_from(buf, pos)[0]
-    if end > len(buf):
-        raise WireError("truncated frame body")
-    return str(buf[pos + 4:end], "utf-8"), end
-
-
-def _decode_bytes(buf, pos: int):
-    end = pos + 4 + _U32.unpack_from(buf, pos)[0]
-    if end > len(buf):
-        raise WireError("truncated frame body")
-    return bytes(buf[pos + 4:end]), end
+_decode_bigint = _sized(functools.partial(int.from_bytes, byteorder="big", signed=True))
+_str = functools.partial(str, encoding="utf-8")
+_decode_str = _sized(_str)
+_decode_bytes = _sized(bytes)
 
 
 _second = itemgetter(1)
 
 
-def _decode_list(buf, pos: int):
-    count = _U32.unpack_from(buf, pos)[0]
-    pos += 4
-    end = pos + 9 * count
-    # Every ninth byte the _T_INT tag (0x03): an int run, read in one go.
-    if end <= len(buf) and buf[pos:end:9] == b"\x03" * count:
-        return list(map(_second, _TAG_I64.iter_unpack(buf[pos:end]))), end
+def _decode_items(buf, pos: int, count: int):
+    """The per-item loop over ``count`` items from ``pos``: an int, a str
+    or a ``bytes`` inline, any other item through its decoder.  (A list
+    that is the payload of a frame is an int run more often than not:
+    :func:`unpack_body` reads that in one pass first.)"""
     items = []
     for _ in range(count):
         tag = buf[pos]
         if tag == _T_INT:
             items.append(_I64.unpack_from(buf, pos + 1)[0])
             pos += 9
+        elif tag == _T_STR or tag == _T_BYTES:
+            start = pos + 5
+            pos = start + _unpack_len(buf, pos + 1)[0]
+            if pos > len(buf):
+                raise WireError("truncated frame body")
+            items.append((_str if tag == _T_STR else bytes)(buf[start:pos]))
         else:
             item, pos = _DECODERS[tag](buf, pos + 1)
             items.append(item)
     return items, pos
+
+
+def _decode_list(buf, pos: int):
+    return _decode_items(buf, pos + 4, _U32.unpack_from(buf, pos)[0])
 
 
 def _decode_tuple(buf, pos: int):
@@ -433,7 +456,7 @@ def _decode_struct(buf, pos: int):
         _register_builtin_structs()
     if name not in _STRUCTS:
         raise WireError(f"unknown wire struct {name!r}")
-    arity, from_values = _STRUCTS[name]
+    arity, from_values, _ = _STRUCTS[name]
     values, pos = _DECODERS[buf[pos]](buf, pos + 1)
     if type(values) is not list or len(values) != arity:
         raise WireError(f"struct {name!r} takes a list of {arity} fields")
@@ -483,12 +506,38 @@ def _names(target: str, op: str) -> bytes:
     return bytes(_FRAME_HEAD.size) + bytes(map(len, raws)) + b"".join(raws)
 
 
+@functools.lru_cache(maxsize=1024)
+def _names_of(raw: bytes) -> Tuple[str, str]:
+    """``(target, op)`` from both length bytes and both names: decoded
+    once per pair.  Bounded, because the peer picks the pairs."""
+    mid = 2 + raw[0]
+    return str(raw[2:mid], "utf-8"), str(raw[mid:], "utf-8")
+
+
 def pack_frame(kind: int, seq: int, target: str, op: str, payload: Any,
                kwargs: Optional[dict] = None) -> bytearray:
     """One whole frame in one buffer; the header is patched in last.
-    A reply has no names (``""``) and no kwargs."""
+    A reply has no names (``""``) and no kwargs.  A list (an int run in
+    one pass, any other straight to the per-item loop) and a ``bytes``
+    value are written inline, any other payload by its encoder."""
     frame = bytearray(_names(target, op))
-    _ENCODERS.get(type(payload), _encode_other)(payload, frame)
+    cls = type(payload)
+    if cls is list:
+        head = _pack_tag_u32(_T_LIST, len(payload))
+        if _INT_TYPES.issuperset(map(type, payload)):
+            try:
+                frame += head + b"".join(map(_pack_int, _INT_TAGS, payload))
+            except struct.error:  # an int past 64 bits
+                frame += head
+                _encode_items(payload, frame)
+        else:
+            frame += head
+            _encode_items(payload, frame)
+    elif cls is bytes:
+        frame += _pack_tag_u32(_T_BYTES, len(payload))
+        frame += payload
+    else:
+        _ENCODERS.get(cls, _encode_other)(payload, frame)
     if kwargs:
         _encode_dict(kwargs, frame)
     length = len(frame) - 4
@@ -499,34 +548,63 @@ def pack_frame(kind: int, seq: int, target: str, op: str, payload: Any,
 
 
 def unpack_body(body) -> Message:
-    """Decode one frame body; the message keeps no reference to it."""
+    """Decode one frame body; the message keeps no reference to it.  A
+    list (an int run in one pass, any other straight to the per-item
+    loop), a ``bytes`` value and a registered all-int struct are read
+    inline, any other payload by its decoder."""
     try:
+        # A body shorter than the header is a struct.error here.
         head, kind, seq, target_len, op_len = _unpack_head(body)
-    except struct.error:
-        raise WireError("frame body shorter than header") from None
-    if head != _MAGIC_VERSION:
-        if head[:2] != MAGIC:
-            raise WireError(f"bad magic {head[:2]!r}")
-        raise WireError(f"unsupported wire version {head[2]}")
-    pos = 10
-    end = len(body)
-    target = op = ""
-    kwargs: Any = {}
-    try:
+        if head != _MAGIC_VERSION:
+            if head[:2] != MAGIC:
+                raise WireError(f"bad magic {head[:2]!r}")
+            raise WireError(f"unsupported wire version {head[2]}")
+        end = len(body)
         if target_len or op_len:
-            mid = pos + target_len
-            pos = mid + op_len
-            target = str(body[10:mid], "utf-8")
-            op = str(body[mid:pos], "utf-8")
+            pos = 10 + target_len + op_len
+            target, op = _names_of(bytes(body[8:pos]))
+        else:
+            pos = 10
+            target = op = ""
         # Names cut short leave no tag byte here: an IndexError.
-        payload, pos = _DECODERS[body[pos]](body, pos + 1)
-        if pos != end and kind in (REQUEST, COMPOUND):
-            kwargs, pos = _DECODERS[body[pos]](body, pos + 1)
+        tag = body[pos]
+        if tag == _T_LIST:
+            count, pos = _unpack_len(body, pos + 1)[0], pos + 5
+            stop = pos + 9 * count
+            # Every ninth byte the _T_INT tag (0x03): an int run, read in
+            # one pass.  The bound first: a hostile count must not size
+            # the comparand.
+            if stop <= end and body[pos:stop:9] == b"\x03" * count:
+                payload = list(map(_second, _iter_tag_i64(body[pos:stop])))
+                pos = stop
+            else:
+                payload, pos = _decode_items(body, pos, count)
+        elif tag == _T_BYTES and _unpack_len(body, pos + 1)[0] == end - pos - 5:
+            payload = bytes(body[pos + 5:])  # to the end of the frame
+            pos = end
+        elif tag == _T_STRUCT:
+            # Registered, with every field an int: its name, the header of
+            # its fields' list as _STRUCTS holds it, then an int run.
+            start = pos + 5 + _unpack_len(body, pos + 1)[0]
+            arity, from_values, list_head = _STRUCTS.get(
+                str(body[pos + 5:start], "utf-8"), (0, None, None))
+            run, stop = start + 5, start + 5 + 9 * arity
+            if body[start:run] == list_head and body[run:stop:9] == b"\x03" * arity:
+                payload = from_values(*map(_second, _iter_tag_i64(body[run:stop])))
+                pos = stop
+            else:  # any other struct, or none registered yet
+                payload, pos = _decode_struct(body, pos + 1)
+        else:
+            payload, pos = _DECODERS[tag](body, pos + 1)
+        if pos != end:
+            if kind in (REQUEST, COMPOUND):
+                kwargs, pos = _DECODERS[body[pos]](body, pos + 1)
+                if pos == end:
+                    return _message((kind, seq, target, op, payload, kwargs, 4 + end))
+            raise WireError(f"{end - pos} trailing bytes in frame")
     except _MALFORMED as exc:
         raise WireError(f"malformed frame body: {exc!r}") from exc
-    if pos != end:
-        raise WireError(f"{end - pos} trailing bytes in frame")
-    return _message((kind, seq, target, op, payload, kwargs, 4 + end))
+    return _message((kind, seq, target, op, payload, {}, 4 + end))
 
 
 class FrameBuffer:

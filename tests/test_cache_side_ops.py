@@ -306,3 +306,18 @@ def test_pager_side_ops_no_runner_sends(kind):
         attrs.size = PAGE_SIZE
         pager.attr_write_out(attrs)
         assert f.get_length() == PAGE_SIZE
+
+
+@pytest.mark.parametrize("op", ["delete_range", "zero_fill"])
+def test_a_compfs_change_from_below_reaches_the_vmm_once(op):
+    """Every plaintext page is derived from the whole compressed image,
+    so a change to any range of it makes the whole file above stale: the
+    VMM gets one whole-file ``delete_range``, not the changed range (in
+    the image's coordinates) and then the whole file."""
+    world, user, _, state, _, mapping = stacked("compfs")
+    before = world.counters.snapshot()
+    with user.activate():
+        # The first page of the image only: the VMM holds both pages.
+        getattr(state.down_channel.cache_object, op)(0, PAGE_SIZE)
+    assert world.counters.delta_since(before).get("vmm.delete_range") == 1
+    assert mapping.cache.store.held_blocks() == {}

@@ -3,12 +3,17 @@ failure mapping, retries, and parity with the served objects called in
 process."""
 
 import asyncio
+import contextlib
+import io
 import logging
 import os
+import re
+import runpy
 import socket
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -1180,3 +1185,52 @@ class TestServerThread:
         finally:
             client.close()
             thread.stop()
+
+
+class TestServeMain:
+    def test_main_serves_until_shutdown_and_reports_what_it_served(
+            self, monkeypatch):
+        """``python -m repro.serve`` in process, on a thread: the READY
+        line names the port 0 was bound to, a stat crosses, and
+        ``control.shutdown()`` ends the process's ``main`` with exit 0
+        and a DONE line counting the ops and frames it served."""
+        monkeypatch.setattr(sys, "argv", ["repro.serve", "--port", "0",
+                                          "--blocks", "256"])
+        root = logging.getLogger()
+        handlers, level = root.handlers[:], root.level
+        out, exits = io.StringIO(), []
+
+        def run_as_main():
+            try:
+                runpy.run_module("repro.serve", run_name="__main__")
+            except SystemExit as exc:
+                exits.append(exc.code)
+
+        thread = threading.Thread(target=run_as_main)
+        try:
+            # runpy warns that the suite imported repro.serve already.
+            with contextlib.redirect_stdout(out), warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                thread.start()
+                assert wait_until(lambda: "\n" in out.getvalue(), timeout=10)
+                ready = re.fullmatch(
+                    r"REPRO-SERVE READY host=127\.0\.0\.1 port=(\d+) stack=sfs",
+                    out.getvalue().splitlines()[0],
+                )
+                assert ready and int(ready[1]) > 0
+                client = SocketTransport("127.0.0.1", int(ready[1]))
+                try:
+                    with pytest.raises(UnixError, match="ENOENT"):
+                        client.bind("fs").stat("missing")
+                    assert client.bind("control").shutdown() == "bye"
+                finally:
+                    client.close()
+                thread.join(timeout=10)
+        finally:
+            root.handlers[:] = handlers
+            root.setLevel(level)
+        assert not thread.is_alive() and exits == [0]
+        # The failed stat was served as a frame, not as an op.
+        assert out.getvalue().splitlines()[1:] == [
+            "REPRO-SERVE DONE ops=1 frames=2"
+        ]

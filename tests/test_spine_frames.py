@@ -14,11 +14,14 @@ Python versions CI runs, frame counts do not, so these tests count the
 change that adds a frame to the spine fails here and must say why.  One
 cached served read is pinned whole, from ``FileService.pread`` down to
 the page store, so a coherency fan-out with nobody to reach that opens
-a region again fails here too."""
+a region again fails here too; and so is its wire, at both ends of a
+real socket, with a ceiling on its bytecodes under CPython 3.11."""
 
+import collections
 import gc
 import io
 import sys
+import threading
 
 import pytest
 
@@ -30,6 +33,7 @@ from repro.serve import build_service
 from repro.sim.costs import FIXED_CHARGES
 from repro.unix.posixlike import O_CREAT, O_RDWR
 from repro.world import World
+from tests.test_socket_transport import ServedWorld
 
 WRAPPER = "operation.<locals>.wrapper"
 
@@ -171,3 +175,110 @@ class TestServedReadFrames:
         assert entered(service.pread, fd, 4096, 0) == (
             SERVED_PREAD, b"h" * 4096
         )
+
+
+#: The ``repro.ipc`` frames one cached ``pread`` through a socket enters,
+#: at each end.  The client: the stub, the transport's invoke and
+#: exchange, and the codec once each way.  The server: one turn of its
+#: connection loop, from the ``FrameBuffer.receive`` that takes the
+#: request to the one that waits for the next: the codec once each way
+#: around one ``ExportRegistry.call``, with the invocation of
+#: ``SERVED_PREAD`` under it.  No frame shape of a workload's cached
+#: read takes a ``_decode_*`` or ``_encode_*`` function, and the loop
+#: answers the request without ``_reply_for``.
+SERVED_WIRE = {
+    "client": [
+        "StubOperation.__call__", "SocketTransport.invoke",
+        "SocketTransport._exchange", "pack_frame", "FrameBuffer.receive",
+        "unpack_body",
+    ],
+    "server": [
+        "FrameBuffer.receive", "unpack_body", "ExportRegistry.call",
+        "push_domain", WRAPPER, "pop_domain", "pack_frame",
+    ],
+}
+
+#: Bytecodes CPython 3.11 runs in ``repro/ipc/`` for that read, both
+#: ends: ``ipc.wire`` 415 and ``ipc.transport`` 280 (782 before the
+#: codec's shape arms and the loop's own answer), ``ipc.invocation``
+#: 118.  A ceiling, so that the saving cannot drift back unnoticed.
+SERVED_WIRE_OPCODES = 813
+
+
+class Recorder:
+    """``threading.settrace`` on both ends of a served connection: the
+    names of the ``repro.ipc`` frames entered and the bytecodes run in
+    them, per end.  The client end is the calling thread while
+    ``client_on`` is set.  The server end is one turn of its connection
+    loop: from the ``FrameBuffer.receive`` it calls once ``armed`` is set
+    to the next one, which sets ``server_done``."""
+
+    def __init__(self):
+        self.frames = {"client": [], "server": []}
+        self.opcodes = collections.Counter()
+        self.client = threading.get_ident()
+        self.client_on = self.armed = self.server_on = False
+        self.server_done = threading.Event()
+
+    def _end(self, frame):
+        """The end whose events ``frame``'s are, or None when not counted."""
+        if frame.f_globals.get("__name__", "").startswith("repro.ipc."):
+            if threading.get_ident() == self.client:
+                return "client" if self.client_on else None
+            return "server" if self.server_on else None
+        return None
+
+    def trace(self, frame, event, arg):
+        """A new frame: a receive on the server turns its count on or off."""
+        if (self.armed and not self.server_done.is_set()
+                and threading.get_ident() != self.client
+                and frame.f_code.co_qualname == "FrameBuffer.receive"):
+            self.server_on = not self.server_on
+            if not self.server_on:
+                self.server_done.set()
+        end = self._end(frame)
+        if end is not None:
+            self.frames[end].append(frame.f_code.co_qualname)
+        frame.f_trace_opcodes = True
+        frame.f_trace_lines = False
+        return self._count
+
+    def _count(self, frame, event, arg):
+        if event == "opcode":
+            end = self._end(frame)
+            if end is not None:
+                self.opcodes[end] += 1
+        return self._count
+
+
+class TestServedWireFrames:
+    def test_a_cached_pread_enters_only_its_listed_frames(self):
+        recorder = Recorder()
+        # Set before the connection's server thread starts, so it runs
+        # under the trace from its first frame.
+        threading.settrace(recorder.trace)
+        served = ServedWorld()
+        client = served.client()
+        try:
+            fs = client.bind("fs", idempotent=("pread",))
+            fd = fs.open("hot.dat", O_CREAT | O_RDWR)
+            fs.pwrite(fd, b"h" * 4096, 0)
+            fs.pread(fd, 4096, 0)  # warm: page, attributes, name caches
+            gc.collect()
+            gc.disable()
+            sys.settrace(recorder.trace)
+            recorder.armed = True
+            assert fs.pread(fd, 4096, 0) == b"h" * 4096
+            recorder.client_on = True
+            assert fs.pread(fd, 4096, 0) == b"h" * 4096
+            recorder.client_on = False
+            assert recorder.server_done.wait(timeout=5)
+        finally:
+            sys.settrace(None)
+            threading.settrace(None)
+            gc.enable()
+            client.close()
+            served.stop()
+        assert recorder.frames == SERVED_WIRE
+        if sys.version_info[:2] == (3, 11):
+            assert sum(recorder.opcodes.values()) <= SERVED_WIRE_OPCODES

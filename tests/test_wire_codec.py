@@ -1,12 +1,14 @@
 """The wire codec and receive-side framing on their own (no sockets):
 round trips over the whole value grammar, byte-for-byte goldens, hostile
-input, int runs against the per-item loop, ``FrameBuffer`` reassembly
-and residency, and the copy budget of a large frame."""
+input, int runs and the codec's shape arms against the per-item path,
+``FrameBuffer`` reassembly and residency, and the copy budget of a large
+frame."""
 
 import array
 import mmap
 import os
 import pathlib
+import struct
 import tracemalloc
 
 import pytest
@@ -443,6 +445,198 @@ class TestIntRuns:
                 wire.decode_value(value[:cut])
             with pytest.raises(wire.WireError):
                 wire.unpack_body(body[:10 + cut])
+
+
+# --- the shape arms against the per-item path ---------------------------------
+# ``pack_frame`` and ``unpack_body`` take the shapes calls mostly carry
+# in line: a list of ints, a list of strs and ints (in the per-item
+# loop), a ``bytes`` value to the end of the frame and, decoding, a
+# registered struct of ints; an int reply, drawn too, takes the tables.
+# ``per_item_body`` below walks the grammar one tag at a time with no arm
+# at all.  A body drawn in an arm's shape, or in one next to it, and
+# every cut of it, must decode to the same message both ways, or be
+# refused both ways, by ``unpack_body`` with a WireError only.
+
+def _take(buf, pos, size):
+    raw = bytes(buf[pos:pos + size])
+    if len(raw) != size:
+        raise wire.WireError("cut short")
+    return raw, pos + size
+
+
+def _u32(buf, pos):
+    raw, pos = _take(buf, pos, 4)
+    return int.from_bytes(raw, "big"), pos
+
+
+def per_item_value(buf, pos):
+    """One value: its tag, then its parts, each read on its own."""
+    (tag,), pos = _take(buf, pos, 1)
+    if tag <= 0x02:
+        return (None, True, False)[tag], pos
+    if tag in (0x03, 0x05):
+        raw, pos = _take(buf, pos, 8)
+        return struct.unpack("!q" if tag == 0x03 else "!d", raw)[0], pos
+    if tag in (0x04, 0x06, 0x07, 0x0B):
+        size, pos = _u32(buf, pos)
+        raw, pos = _take(buf, pos, size)
+        if tag == 0x04:
+            return int.from_bytes(raw, "big", signed=True), pos
+        if tag == 0x07:
+            return raw, pos
+        if tag == 0x06:
+            return raw.decode("utf-8"), pos
+        if not wire._STRUCTS:
+            wire._register_builtin_structs()
+        arity, from_values, _ = wire._STRUCTS[raw.decode("utf-8")]
+        values, pos = per_item_value(buf, pos)
+        if type(values) is not list or len(values) != arity:
+            raise wire.WireError("struct fields")
+        return from_values(*values), pos
+    if tag in (0x08, 0x09, 0x0A):
+        count, pos = _u32(buf, pos)
+        items = []
+        for _ in range(count):
+            if tag == 0x0A:
+                size, pos = _u32(buf, pos)
+                key, pos = _take(buf, pos, size)
+                items.append(key.decode("utf-8"))
+            item, pos = per_item_value(buf, pos)
+            items.append(item)
+        if tag == 0x0A:
+            return dict(zip(items[::2], items[1::2])), pos
+        return (items if tag == 0x08 else tuple(items)), pos
+    if tag == 0x0C:
+        fields, pos = per_item_value(buf, pos)
+        return wire.exception_from_fields(fields), pos
+    raise wire.WireError(f"unknown tag {tag}")
+
+
+def per_item_body(body):
+    """The message ``unpack_body`` should return, or None for a body it
+    should refuse."""
+    try:
+        head, pos = _take(body, 0, 10)
+        if head[:3] != b"SW\x02":
+            return None
+        kind, seq, target_len, op_len = struct.unpack("!BIBB", head[3:])
+        target, pos = _take(body, pos, target_len)
+        op, pos = _take(body, pos, op_len)
+        payload, pos = per_item_value(body, pos)
+        kwargs = {}
+        if pos != len(body) and kind in (wire.REQUEST, wire.COMPOUND):
+            kwargs, pos = per_item_value(body, pos)
+        if pos != len(body):
+            return None
+        return wire.Message(kind, seq, target.decode("utf-8"),
+                            op.decode("utf-8"), payload, kwargs, 4 + pos)
+    except Exception:
+        return None
+
+
+def agrees_with_the_per_item_path(body):
+    """``body`` and every cut of it, as bytes and as a writable view
+    (what a connection's receive buffer hands the decoder)."""
+    for cut in range(len(body) + 1):
+        expected = per_item_body(body[:cut])
+        for data in (body[:cut], memoryview(bytearray(body[:cut]))):
+            if expected is None:
+                with pytest.raises(wire.WireError):
+                    wire.unpack_body(data)
+                continue
+            got = wire.unpack_body(data)
+            assert got[:4] == expected[:4] and got.nbytes == expected.nbytes
+            assert same(got.payload, expected.payload)
+            assert same(got.kwargs, expected.kwargs)
+
+
+i64s = st.integers(I64_MIN, I64_MAX)
+#: A payload in each arm's shape, and an int.
+arm_payloads = st.one_of(
+    st.lists(st.one_of(i64s, st.sampled_from(list(FileType))), max_size=8),
+    st.lists(st.one_of(i64s, st.text(max_size=6)), max_size=6),
+    st.binary(max_size=40),
+    attributes,
+    i64s,
+)
+
+
+def _replaced(values, at, item):
+    return values[:at] + [item] + values[at + 1:]
+
+
+#: From a FileAttributes' six field values, the index of one and an item
+#: that is not an int: a struct's name and fields next to the arm's shape.
+STRUCT_MISSES = (
+    lambda values, at, item: ("FileAttributes", _replaced(values, at, item)),
+    lambda values, at, item: ("FileAttributes", values[:at]),
+    lambda values, at, item: ("FileAttributes", values + [at]),
+    lambda values, at, item: ("FileAttributes", _replaced(values, 4, 99)),
+    lambda values, at, item: ("NoSuchStruct", values),
+)
+
+
+def encoded_struct(name, values):
+    raw = name.encode("utf-8") if isinstance(name, str) else name
+    return b"\x0b" + len(raw).to_bytes(4, "big") + raw + wire.encode_value(values)
+
+
+#: Encoded payloads next to an arm's shape: an int past 64 bits in a run,
+#: a struct unregistered, of the wrong arity, with a field that is not an
+#: int or out of its range, and invalid utf-8 in a list's str or a
+#: struct's name.
+near_misses = st.one_of(
+    st.lists(st.one_of(i64s, st.sampled_from([I64_MIN - 1, I64_MAX + 1, 2**70])),
+             min_size=1, max_size=8).map(wire.encode_value),
+    st.builds(
+        lambda attrs, miss, at, breaker: encoded_struct(*miss(
+            [attrs.size, attrs.atime_us, attrs.mtime_us, attrs.ctime_us,
+             int(attrs.ftype), attrs.nlink], at, breaker,
+        )),
+        attributes, st.sampled_from(STRUCT_MISSES), st.integers(0, 5),
+        st.sampled_from([True, None, 1.5, "1", 2**70, I64_MIN - 1]),
+    ),
+    st.just(b"\x08\x00\x00\x00\x01" + b"\x06\x00\x00\x00\x02\xc3\x28"),
+    st.just(encoded_struct(b"\xc3\x28", [1, 2, 3, 4, 1, 1])),
+)
+#: A frame's names: none (a reply's), a request's, or invalid utf-8.
+frame_names = st.sampled_from([(b"", b""), (b"fs", b"pread"), (b"\xff\xfe", b"op")])
+#: What may follow the payload: nothing, or a kwargs dict (a request's;
+#: after any other kind, trailing bytes).
+trailers = st.one_of(
+    st.just(b""),
+    st.dictionaries(st.text(max_size=4), i64s, max_size=2).map(wire.encode_value),
+)
+
+
+class TestShapeArms:
+    @given(arm_payloads, st.sampled_from([wire.REQUEST, wire.REPLY]))
+    @settings(deadline=None)
+    def test_each_arm_packs_what_the_encoders_write(self, payload, kind):
+        names = ("fs", "pread") if kind == wire.REQUEST else ("", "")
+        frame = wire.pack_frame(kind, 1, *names, payload)
+        assert bytes(frame[14 + sum(map(len, names)):]) == wire.encode_value(payload)
+        if type(payload) is list:
+            assert wire.encode_value(payload) == per_item(payload)
+
+    @given(st.one_of(arm_payloads.map(wire.encode_value), near_misses),
+           frame_names, trailers,
+           st.sampled_from([wire.REQUEST, wire.REPLY, wire.COMPOUND]))
+    @settings(deadline=None)
+    def test_every_arm_and_its_near_misses_decode_as_the_per_item_path(
+            self, payload, names, trailer, kind):
+        agrees_with_the_per_item_path(
+            raw_body(payload, trailer, kind=kind, target=names[0], op=names[1])
+        )
+
+    def test_hostile_names_leave_the_name_cache_at_its_bound(self):
+        wire._names_of.cache_clear()
+        bound = wire._names_of.cache_info().maxsize
+        args = wire.encode_value([1, 2, 3])
+        for index in range(10_000):
+            msg = wire.unpack_body(raw_body(args, target=b"t%d" % index))
+            assert msg.target == f"t{index}"
+        assert wire._names_of.cache_info().currsize == bound
 
 
 # --- FrameBuffer ------------------------------------------------------------
