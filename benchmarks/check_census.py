@@ -15,8 +15,10 @@ hook wrapper arms it again before every test, and it fixes what
 hypothesis draws, so two runs list the same lines.  What counts as
 executable is what the compiler gives a line number (``co_lines``), so
 a multi-line statement may be attributed to its continuation lines; the
-body of an ``if TYPE_CHECKING:`` does not count.  The run takes about
-three times as long as the suite alone.
+body of an ``if TYPE_CHECKING:`` does not count.  Each module's lines
+are read before the suite starts, so a module edited while it runs is
+compared with the text that ran.  The run takes about three times as
+long as the suite alone.
 
 The list is committed as ``benchmarks/CENSUS.json``.  A line is known by
 its module and its text, not its number, so an edit above it does not
@@ -162,6 +164,11 @@ def census() -> dict:
     ``{module: [[line, text], ...]}`` for every module with a line that
     did not run, and the total count of executable lines."""
     sys.path[:0] = [str(REPO / "src"), str(REPO)]
+    # Each module's lines as they are when the run starts, the text the
+    # suite imports: a module edited during the run is still compared
+    # line for line with the code that ran.
+    modules = {str(path.relative_to(ROOT.parent)): executable(path)
+               for path in sorted(ROOT.rglob("*.py"))}
     tracer = LineTracer()
     tracer.arm()
     try:
@@ -190,9 +197,7 @@ def census() -> dict:
     if status != 0:
         raise SystemExit(f"tier-1 failed under the tracer (exit {status})")
     unrun, total = {}, 0
-    for path in sorted(ROOT.rglob("*.py")):
-        module = str(path.relative_to(ROOT.parent))
-        lines = executable(path)
+    for module, lines in modules.items():
         total += len(lines)
         ran = tracer.ran[module]
         missed = [[n, text] for n, text in lines.items() if n not in ran]

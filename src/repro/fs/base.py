@@ -121,7 +121,7 @@ class LayerRuntime:
     __slots__ = (
         "layer",
         "world",
-        "_inc",
+        "counts",
         "depth",
         "count_keys",
         "byte_keys",
@@ -129,11 +129,12 @@ class LayerRuntime:
 
     def __init__(self, layer: "BaseLayer") -> None:
         self.layer = layer
-        #: The layer's world and its counter-increment method, resolved
-        #: once: dispatch() runs per channel op, and the world/counters
-        #: objects are fixed for the layer's lifetime.
+        #: The layer's world and its counts, resolved once: dispatch()
+        #: runs per channel op, and the world/counters objects are fixed
+        #: for the layer's lifetime.  dispatch() increments the counts
+        #: inline, as the ``@operation`` wrapper does.
         self.world = layer.world
-        self._inc = self.world.counters.inc
+        self.counts = self.world.counters.counts
         #: Number of layers below this one in its stack (0 = bottom);
         #: maintained by :meth:`BaseLayer.stack_on`.
         self.depth = 0
@@ -156,23 +157,19 @@ class LayerRuntime:
         counted; ``size`` None means result-sized: counted after the
         call, with the bytes it returned.
         """
-        world = self.world
-        key = self.count_keys[op]
-        if size is not None:
-            self._inc(key)
-            if size:
-                self._inc(self.byte_keys[op], size)
-            if world.tracer is not None:
-                self._trace(key, offset, size)
-        result = fn(*args)
         if size is None:
+            result = fn(*args)
             size = bytes_in(result)
-            self._inc(key)
-            if size:
-                self._inc(self.byte_keys[op], size)
-            if world.tracer is not None:
-                self._trace(key, offset, size)
-        return result
+            fn = None
+        counts = self.counts
+        key = self.count_keys[op]
+        counts[key] = counts.get(key, 0) + 1
+        if size:
+            byte_key = self.byte_keys[op]
+            counts[byte_key] = counts.get(byte_key, 0) + size
+        if self.world.tracer is not None:
+            self._trace(key, offset, size)
+        return result if fn is None else fn(*args)
 
     def _trace(self, key: str, offset: Optional[int], size: int) -> None:
         self.world.trace(

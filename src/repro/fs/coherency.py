@@ -274,11 +274,14 @@ class CoherencyLayer(BaseLayer):
         pager = state.down_channel.pager_object
         first, skip = divmod(offset, PAGE_SIZE)
         count = (skip + size - 1) // PAGE_SIZE + 1
-        runs = [(first, count)]  # nothing recalled, the usual case: one run
-        if recovered:
-            runs = index_runs(
-                [i for i in range(first, first + count) if i not in recovered]
-            )
+        if not (recovered or skip):
+            # The usual case, one run from a page boundary: the pager's
+            # bytes are the answer, zero-padded only past a short EOF.
+            data = pager.page_in(offset, count * PAGE_SIZE, AccessRights.READ_ONLY)
+            return bytes(data[:size]).ljust(size, b"\0")
+        runs = index_runs(
+            [i for i in range(first, first + count) if i not in recovered]
+        )
         out = bytearray(count * PAGE_SIZE)
         for run, pages in runs:
             data = pager.page_in(

@@ -63,12 +63,15 @@ class Network:
         the way a real server would service both copies.
         """
         duplicated = False
-        if checked:
+        plane = self.fault_plane
+        # One test when nothing is scheduled, crashed or partitioned.
+        if checked and (plane is not None or src.crashed or dst.crashed
+                        or self._partitions):
             self._check_reachable(src, dst)
-            if self.fault_plane is not None:
+            if plane is not None:
                 # May raise MessageDroppedError, charge a delay, or ask
                 # for the message to be duplicated.
-                duplicated = self.fault_plane.on_send(src, dst, nbytes)
+                duplicated = plane.on_send(src, dst, nbytes)
         queue = dst.server_queue
         if queue is not None:
             service_us = self.world.cost_model.server_service_time_us(nbytes)
@@ -95,7 +98,8 @@ class Network:
         round trip was already charged.  The reply rides the request's
         exchange, so scheduled fault events are *not* re-polled here —
         the request's send-time check covers the round trip."""
-        self._check_reachable(src, dst, poll=False)
+        if src.crashed or dst.crashed or self._partitions:
+            self._check_reachable(src, dst, poll=False)
         self.bytes_moved += nbytes
         key = (src.name, dst.name)
         self.per_pair_bytes[key] = self.per_pair_bytes.get(key, 0) + nbytes

@@ -300,12 +300,17 @@ class SocketServer:
 
     def _reply_for(self, msg: wire.Message) -> Tuple[int, Any]:
         """The kind and value of the reply to a frame :meth:`_serve` does
-        not answer itself: a compound, a ping, a malformed call (raises)
-        — or any frame while a crash is armed, which runs and then raises
-        :class:`_Crash` in place of its reply or error."""
+        not answer itself: a compound, a ping, a malformed call or a
+        frame of a reply kind (both raise) — or any frame while a crash
+        is armed, which runs and then raises :class:`_Crash` in place of
+        its reply or error."""
         try:
             if msg.kind == COMPOUND:
                 return COMPOUND_REPLY, self._run_compound(msg)
+            if msg.kind != REQUEST:
+                raise InvocationError(
+                    f"malformed call: a frame of kind {msg.kind} is not a request"
+                )
             if msg.op == PING_OP:
                 return REPLY, None
             _check_call(msg.payload, msg.kwargs)

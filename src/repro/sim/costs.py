@@ -144,14 +144,14 @@ class Charger:
     constant cannot go stale.
     """
 
-    __slots__ = ("clock", "model", "_advance", "_memcpy_per_kb_us",
-                 "_network_rtt_us", "_network_per_kb_us", "_disk_fixed_us",
-                 "_disk_xfer_per_kb_us", *FIXED_CHARGES)
+    __slots__ = ("clock", "model", "_charge", "_cpu", "_disk", "_network",
+                 "_memcpy_per_kb_us", "_network_rtt_us", "_network_per_kb_us",
+                 "_disk_fixed_us", "_disk_xfer_per_kb_us", *FIXED_CHARGES)
 
     def __init__(self, clock: SimClock, model: CostModel) -> None:
         self.clock = clock
         self.model = model
-        self._advance = clock.advance
+        self._charge = clock.charge
         self._memcpy_per_kb_us = model.memcpy_per_kb_us
         self._network_rtt_us = model.network_rtt_us
         self._network_per_kb_us = model.network_per_kb_us
@@ -159,38 +159,47 @@ class Charger:
         self._disk_fixed_us = model.disk_seek_us + model.disk_rotation_us / 2.0
         self._disk_xfer_per_kb_us = model.disk_xfer_per_kb_us
         # Every account this charger charges is open before its first
-        # charge, so no charge opens one.
-        clock.account(NETWORK)
-        clock.account(DISK)
+        # charge, so no charge opens one; the variable charges below are
+        # bound to theirs as the fixed ones are.
+        self._network = clock.account(NETWORK)
+        self._disk = clock.account(DISK)
         for name, category in FIXED_CHARGES.items():
             cost = getattr(model, f"{name}_us")
             if not cost >= 0:
                 raise ValueError(f"{name}_us must be >= 0: {cost}")
             setattr(self, name, partial(clock.charge, cost, clock.account(category)))
+        self._cpu = clock.account(CPU)
 
     # network, disk_io and memcpy compute the same float expressions as
     # CostModel.network_transfer_us, disk_io_us and memcpy_us:
-    # bit-identical virtual time, minus the method call and attribute
-    # chain.
+    # bit-identical virtual time.  A size-dependent cost is checked per
+    # charge, as ``SimClock.advance`` would, then charged straight to
+    # its bound account: no category lookup.
     def network(self, nbytes: int = 0) -> None:
-        self._advance(
-            self._network_rtt_us + self._network_per_kb_us * (nbytes / KB),
-            NETWORK,
-        )
+        cost = self._network_rtt_us + self._network_per_kb_us * (nbytes / KB)
+        if not cost >= 0:
+            raise ValueError(f"time charge must be >= 0: {cost}")
+        self._charge(cost, self._network)
 
     def network_payload(self, nbytes: int) -> None:
         """Per-KB payload cost only, for a reply piggybacked on an
         already-charged round trip."""
-        self._advance(self._network_per_kb_us * nbytes / KB, NETWORK)
+        cost = self._network_per_kb_us * nbytes / KB
+        if not cost >= 0:
+            raise ValueError(f"time charge must be >= 0: {cost}")
+        self._charge(cost, self._network)
 
     def disk_io(self, nbytes: int) -> None:
-        self._advance(
-            self._disk_fixed_us + self._disk_xfer_per_kb_us * (nbytes / KB),
-            DISK,
-        )
+        cost = self._disk_fixed_us + self._disk_xfer_per_kb_us * (nbytes / KB)
+        if not cost >= 0:
+            raise ValueError(f"time charge must be >= 0: {cost}")
+        self._charge(cost, self._disk)
 
     def memcpy(self, nbytes: int) -> None:
-        self._advance(self._memcpy_per_kb_us * (nbytes / KB), CPU)
+        cost = self._memcpy_per_kb_us * (nbytes / KB)
+        if not cost >= 0:
+            raise ValueError(f"time charge must be >= 0: {cost}")
+        self._charge(cost, self._cpu)
 
     def compress(self, nbytes: int) -> None:
         self.clock.advance(self.model.compress_per_kb_us * nbytes / KB, CPU)

@@ -72,15 +72,16 @@ class BlockDevice(SpringObject):
     # --- device interface --------------------------------------------------
     def _transfer(self, start: int, count: int, write: bool) -> None:
         """Everything one transfer of ``count`` physically contiguous
-        blocks at ``start`` does before its store call: validate, the
-        write-side power-cut gate, charge and trace.  ONE seek +
+        blocks at ``start`` does before its store call: validate (one
+        test on the good path), the write-side power-cut
+        gate when one is armed, charge and trace.  ONE seek +
         rotational latency, then sequential media transfer — per-byte
         cost collapses for sequential runs, which is what makes
         clustering, read-ahead (paper sec. 8's open problem) and batched
         page-out pay."""
-        if count <= 0:
-            raise DeviceError(f"transfer of {count} blocks on {self.name!r}")
-        if start < 0 or start + count > self.num_blocks:
+        if count <= 0 or start < 0 or start + count > self.num_blocks:
+            if count <= 0:
+                raise DeviceError(f"transfer of {count} blocks on {self.name!r}")
             raise DeviceError(
                 f"blocks {start}..{start + count - 1} out of range on "
                 f"{self.name!r} (0..{self.num_blocks - 1})"
@@ -92,7 +93,7 @@ class BlockDevice(SpringObject):
                     raise DeviceError(
                         f"I/O error on {self.name!r} block {index}: {bad[index]}"
                     )
-        if write:
+        if write and self._power_countdown is not None:
             self._power_check()
         world = self.world
         if self.charge_latency:
@@ -103,11 +104,10 @@ class BlockDevice(SpringObject):
             )
 
     def _power_check(self) -> None:
-        """Write-side power-cut gate: after the countdown runs out the
-        write — and every later write — fails without reaching the
-        store, leaving it exactly as a torn flush would."""
-        if self._power_countdown is None and not self._power_failed:
-            return
+        """Write-side power-cut gate, entered only while a cut is armed:
+        after the countdown runs out the write — and every later write —
+        fails without reaching the store, leaving it exactly as a torn
+        flush would."""
         if self._power_failed or self._power_countdown <= 0:
             self._power_failed = True
             raise DeviceError(f"simulated power failure on {self.name!r}")

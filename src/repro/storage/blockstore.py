@@ -45,7 +45,9 @@ _HEADER = struct.Struct("<8sIII")
 
 
 class BlockStore:
-    """Contract for block backends (see module docstring).
+    """Contract for block backends (see module docstring): a backend
+    defines ``read`` and ``write``; ``flush`` and ``close`` default to
+    no-ops.
 
     ``num_blocks`` and ``block_size`` are fixed at construction; the
     owning device adopts them.
@@ -53,12 +55,6 @@ class BlockStore:
 
     num_blocks: int
     block_size: int
-
-    def read(self, index: int, count: int = 1) -> Optional[bytes]:
-        raise NotImplementedError
-
-    def write(self, index: int, data) -> None:
-        raise NotImplementedError
 
     def flush(self) -> None:
         """Push buffered writes to the backing medium (if any)."""
@@ -112,15 +108,18 @@ class ImageBlockStore(BlockStore):
 
     The image is created sparse (``truncate`` to its full logical size),
     so untouched regions of a large volume cost no disk space and read
-    as zeros.  ``write`` accepts any buffer and passes it straight to
-    ``file.write`` — no intermediate ``bytes()`` copy.
+    as zeros.  Blocks move by positional I/O on the image's descriptor:
+    ``read`` is one ``os.pread``, ``write`` hands any buffer straight
+    to one ``os.pwrite`` — no seek, no userspace buffer, no intermediate
+    ``bytes()`` copy.  The buffered file object is only the header's.
     """
 
-    __slots__ = ("num_blocks", "block_size", "path", "_file", "_closed")
+    __slots__ = ("num_blocks", "block_size", "path", "_file", "_fd", "_closed")
 
     def __init__(self, path: str, file, num_blocks: int, block_size: int) -> None:
         self.path = path
         self._file = file
+        self._fd = file.fileno()
         self.num_blocks = num_blocks
         self.block_size = block_size
         self._closed = False
@@ -171,20 +170,23 @@ class ImageBlockStore(BlockStore):
         return cls(path, fh, num_blocks, block_size)
 
     # ------------------------------------------------------------------ I/O
-    def _offset(self, index: int) -> int:
-        return HEADER_SIZE + index * self.block_size
-
     def read(self, index: int, count: int = 1) -> Optional[bytes]:
-        self._check_open()
-        self._file.seek(self._offset(index))
-        return self._file.read(count * self.block_size)
+        if self._closed:
+            raise DeviceError(f"image {self.path!r} is closed")
+        bs = self.block_size
+        return os.pread(self._fd, count * bs, HEADER_SIZE + index * bs)
 
     def write(self, index: int, data) -> None:
-        self._check_open()
-        self._file.seek(self._offset(index))
-        self._file.write(data)
+        if self._closed:
+            raise DeviceError(f"image {self.path!r} is closed")
+        at = HEADER_SIZE + index * self.block_size
+        if os.pwrite(self._fd, data, at) != len(data):
+            raise DeviceError(f"short write to image {self.path!r} at block {index}")
 
     def flush(self) -> None:
+        # Blocks bypass the file object, so its buffer is empty here;
+        # this is the one durability hook, where an ``os.fsync`` of the
+        # image would go (ROADMAP item 1).
         if not self._closed:
             self._file.flush()
 
@@ -193,10 +195,6 @@ class ImageBlockStore(BlockStore):
             self._file.flush()
             self._file.close()
             self._closed = True
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise DeviceError(f"image {self.path!r} is closed")
 
     @property
     def persistent(self) -> bool:

@@ -34,6 +34,7 @@ doubly-claimed blocks, prunes dangling entries, and fixes link counts.
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
@@ -52,6 +53,9 @@ from repro.storage.directory import pack_entries, unpack_entries
 from repro.storage.inode import INODE_SIZE, NUM_DIRECT, FileType, Inode
 from repro.storage.layout import STATE_CLEAN, STATE_DIRTY, SuperBlock
 from repro.vm.page import index_runs
+
+#: One block pointer in an indirect block: a little-endian u32.
+_POINTER = struct.Struct("<I")
 
 
 class Volume:
@@ -182,7 +186,7 @@ class Volume:
         if not 0 <= ino < self.sb.inode_count:
             raise StorageError(f"i-node {ino} out of range")
         inode = self._inodes[ino]
-        if not inode.allocated:
+        if inode.type is FileType.FREE:
             raise FileNotFoundError_(f"i-node {ino} is free")
         return inode
 
@@ -251,12 +255,10 @@ class Volume:
             self._write_sb_state(STATE_DIRTY)
 
     def _pointer(self, block: int, slot: int) -> int:
-        raw = self._meta_read(block)
-        return int.from_bytes(raw[slot * 4 : slot * 4 + 4], "little")
+        return _POINTER.unpack_from(self._meta_read(block), slot * 4)[0]
 
     def _set_pointer(self, block: int, slot: int, value: int) -> None:
-        raw = self._meta_read(block)
-        raw[slot * 4 : slot * 4 + 4] = value.to_bytes(4, "little")
+        _POINTER.pack_into(self._meta_read(block), slot * 4, value)
         self._dirty_meta.add(block)
         if self._sb_clean_on_disk:
             self._write_sb_state(STATE_DIRTY)
@@ -269,7 +271,7 @@ class Volume:
         group."""
         assert self.allocator is not None
         ppb = self._pointers_per_block
-        hint = self.sb.group_of_ino(inode.ino)
+        hint = self.sb.group_of_ino(inode.ino) if allocate else 0
         if file_block < NUM_DIRECT:
             block = inode.direct[file_block]
             if block == 0 and allocate:
@@ -400,13 +402,18 @@ class Volume:
         size = min(size, inode.size - offset)
         bs = self.sb.block_size
         first, skip = divmod(offset, bs)
-        pieces = []
-        for block, _, length in self._runs(inode, first, (skip + size + bs - 1) // bs):
-            if block:
-                pieces.append(self.device.read_block(block, length))
-            else:
-                pieces.append(bytes(length * bs))
-        data = b"".join(pieces)
+        if 0 < skip + size <= bs:  # inside one block: no run list
+            block = self.bmap(inode, first)
+            data = self.device.read_block(block) if block else bytes(bs)
+        else:
+            pieces = []
+            count = (skip + size + bs - 1) // bs
+            for block, _, length in self._runs(inode, first, count):
+                if block:
+                    pieces.append(self.device.read_block(block, length))
+                else:
+                    pieces.append(bytes(length * bs))
+            data = b"".join(pieces)
         inode.atime_us = self._now()
         self.mark_dirty(ino)
         return data[skip : skip + size]

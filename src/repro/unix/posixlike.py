@@ -85,10 +85,13 @@ class _ClientCall:
         self.path = path
 
     def __enter__(self) -> None:
-        invocation.push_domain(self.domain)
+        # ``invocation.push_domain`` and ``pop_domain``, inline: this is
+        # entered once per POSIX call.
+        stack = invocation._tls.stack
+        stack += (stack[-2] if stack else None, self.domain)
 
     def __exit__(self, exc_type, exc, traceback) -> None:
-        invocation.pop_domain()
+        del invocation._tls.stack[-2:]
         if isinstance(exc, errors.SpringError):
             for cls in exc_type.__mro__:
                 if cls in ERRNO:

@@ -170,6 +170,23 @@ class TestUncachedMode:
             f.write(10, b"MARK")
             assert f.read(8, 8) == b"uuMARKuu"
 
+    def test_a_short_page_in_is_zero_padded_on_either_arm(
+        self, uncached, monkeypatch
+    ):
+        # A pager may return less than the attributes promise: a read
+        # from a page boundary, which answers with the pager's bytes,
+        # pads them with zeros as the run path of an unaligned read does.
+        from repro.fs.disk_layer import DiskOps
+
+        node, stack, user = uncached
+        page_in = DiskOps.page_in
+        monkeypatch.setattr(DiskOps, "page_in", lambda *args: page_in(*args)[:-96])
+        expected = b"u" * (PAGE_SIZE - 96) + bytes(96)
+        with user.activate():
+            f = stack.top.resolve("u.bin")
+            assert f.read(0, PAGE_SIZE) == expected
+            assert f.read(1, PAGE_SIZE - 1) == expected[1:]
+
     def test_mapping_still_coherent_with_file_interface(self, uncached):
         node, stack, user = uncached
         with user.activate():

@@ -3,7 +3,7 @@ network model (including partitions)."""
 
 import pytest
 
-from repro.errors import NarrowError
+from repro.errors import NarrowError, NodeCrashedError
 from repro.ipc.interpose import InterposerBase
 from repro.ipc.invocation import operation
 from repro.ipc.narrow import narrow, narrow_or_raise
@@ -126,6 +126,21 @@ class TestNetwork:
         world.network.heal_all()
         with client.activate():
             assert server.hello() == "base"
+
+    def test_a_reply_payload_is_refused_on_a_cut_link(self, pair):
+        # A payload does not re-poll the fault schedule, but a partition
+        # or a crash made since the request still stops it, uncharged.
+        world, a, b = pair
+        world.network.payload(a, b, 100)
+        world.network.partition(a, b)
+        with pytest.raises(NetworkPartitionError):
+            world.network.payload(a, b, 100)
+        world.network.heal(a, b)
+        b.crashed = True
+        with pytest.raises(NodeCrashedError):
+            world.network.payload(a, b, 100)
+        assert world.network.bytes_moved == 100
+        assert world.clock.charge_count("network") == 1
 
     def test_partition_is_pairwise(self):
         world = World()

@@ -21,6 +21,7 @@ from repro.storage import (
     SuperBlock,
     Volume,
 )
+from repro.storage.blockstore import IMAGE_MAGIC, IMAGE_VERSION
 from repro.unix.posixlike import O_CREAT, O_RDWR, Posix
 from repro.world import World
 
@@ -84,6 +85,54 @@ class TestImageBlockStore:
         store.close()
         with pytest.raises(DeviceError, match="closed"):
             store.read(0)
+        with pytest.raises(DeviceError, match="closed"):
+            store.write(0, bytes(512))
+
+    def test_rejects_a_missing_path(self, tmp_path):
+        with pytest.raises(DeviceError, match="cannot open"):
+            ImageBlockStore.open(str(tmp_path / "absent.img"))
+
+    def test_rejects_a_short_header(self, tmp_path):
+        path = str(tmp_path / "stub.img")
+        with open(path, "wb") as fh:
+            fh.write(IMAGE_MAGIC)
+        with pytest.raises(DeviceError, match="no header"):
+            ImageBlockStore.open(path)
+
+    def test_rejects_a_newer_format_version(self, tmp_path):
+        path = str(tmp_path / "new.img")
+        ImageBlockStore.create(path, 16, 512).close()
+        with open(path, "r+b") as fh:
+            fh.seek(len(IMAGE_MAGIC))
+            fh.write((IMAGE_VERSION + 1).to_bytes(4, "little"))
+        with pytest.raises(DeviceError, match="newer"):
+            ImageBlockStore.open(path)
+
+    @pytest.mark.parametrize("num_blocks, block_size", [(0, 512), (16, 0), (-1, 512)])
+    def test_rejects_a_non_positive_geometry(self, tmp_path, num_blocks, block_size):
+        path = tmp_path / "none.img"
+        with pytest.raises(DeviceError, match="positive"):
+            ImageBlockStore.create(str(path), num_blocks, block_size)
+        assert not path.exists()
+
+    def test_a_written_block_is_in_the_file_before_any_flush(self, tmp_path):
+        # Blocks go to the image by os.pwrite, not through a userspace
+        # buffer: a second opening sees them without flush or close.
+        path = str(tmp_path / "shared.img")
+        store = ImageBlockStore.create(path, 16, 512)
+        store.write(2, memoryview(bytearray(b"w" * 1024)))
+        other = ImageBlockStore.open(path)
+        assert other.read(2, 2) == b"w" * 1024
+        other.close()
+        store.close()
+
+    def test_a_short_pwrite_raises(self, tmp_path, monkeypatch):
+        store = ImageBlockStore.create(str(tmp_path / "full.img"), 16, 512)
+        monkeypatch.setattr(os, "pwrite", lambda fd, data, at: len(data) - 1)
+        with pytest.raises(DeviceError, match="short write"):
+            store.write(1, b"s" * 512)
+        monkeypatch.undo()
+        store.close()
 
     def test_memoryview_write_lands(self, tmp_path):
         """Zero-copy discipline: a memoryview rides straight into the file."""

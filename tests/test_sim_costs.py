@@ -94,6 +94,22 @@ class TestCharger:
         charger.compress(4096)
         assert charger.clock.now_us - before == pytest.approx(5 * one_kb)
 
+    @pytest.mark.parametrize(
+        "charge", ["network", "network_payload", "disk_io", "memcpy"]
+    )
+    def test_a_negative_or_nan_size_charge_is_refused(self, charge):
+        # A size-dependent charge goes straight to its bound account, so
+        # its cost is checked in the Charger: a bad one leaves the clock
+        # exactly as it was.
+        model = CostModel(network_rtt_us=0.0, disk_seek_us=0.0,
+                          disk_rotation_us=0.0)
+        charger = Charger(SimClock(), model)
+        for nbytes in (-1, float("nan")):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                getattr(charger, charge)(nbytes)
+        assert charger.clock.now_us == 0.0
+        assert charger.clock.charge_counts() == {}
+
     def test_network_payload_cheaper_than_round_trip(self, charger):
         charger.network_payload(1024)
         payload_cost = charger.clock.now_us

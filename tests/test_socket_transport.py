@@ -371,6 +371,37 @@ class TestSocketRoundTrip:
         )
         assert served.server.compound_batches == 1
 
+    @pytest.mark.parametrize(
+        "kind", [wire.REPLY, wire.ERROR, wire.COMPOUND_REPLY],
+        ids=["reply", "error", "compound_reply"],
+    )
+    def test_a_reply_kind_frame_is_refused_not_run(self, served, kind):
+        # A frame of a reply kind naming a call is not a call: the answer
+        # is an ERROR frame, the op never runs, and the connection keeps
+        # serving requests.
+        frames = [
+            wire.pack_frame(kind, 1, "control", "ping", []),
+            wire.pack_frame(kind, 2, "fs", "stat", ["a.dat"]),
+            wire.pack_frame(wire.REQUEST, 3, "fs", "stat", ["a.dat"]),
+        ]
+        client = served.client()
+        try:
+            client.bind("fs").write_file("a.dat", b"x")
+        finally:
+            client.close()
+        served_before = served.server.ops_served
+        with socket.create_connection(("127.0.0.1", served.port)) as sock:
+            sock.settimeout(5)
+            sock.sendall(b"".join(frames))
+            replies = recv_frames(sock, 3)
+        for seq, msg in enumerate(replies[:2], start=1):
+            assert (msg.seq, msg.kind) == (seq, wire.ERROR)
+            assert type(msg.payload) is InvocationError
+            assert "not a request" in str(msg.payload)
+        assert (replies[2].seq, replies[2].kind) == (3, wire.REPLY)
+        assert replies[2].payload.size == 1
+        assert served.server.ops_served == served_before + 1
+
     def test_version_1_frame_closes_the_connection(self, served):
         v1 = (b"SW\x01\x01\x00\x00\x00\x01\x00\x03raw\x00\x06server"
               b"\x00\x04ping\x0a\x00\x00\x00\x00")

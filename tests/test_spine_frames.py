@@ -6,7 +6,9 @@ Every invocation runs the ``@operation`` wrapper, every charge
 fixed cost enters ``SimClock.charge``, not ``advance``: its cost was
 refused or accepted once, when the ``Charger`` bound it to its
 category's account, so its frame neither checks the cost nor looks the
-category up.  Bytecode counts differ between the
+category up; the size-dependent charges of a disk transfer, a copy and
+a network message check their cost in the ``Charger`` and then enter
+``SimClock.charge`` too.  Bytecode counts differ between the
 Python versions CI runs, frame counts do not, so these tests count the
 ``"call"`` events ``sys.setprofile`` reports (a C function, such as a
 ``functools.partial`` charge or a socket's ``recv_into``, reports
@@ -15,7 +17,8 @@ change that adds a frame to the spine fails here and must say why.  One
 cached served read is pinned whole, from ``FileService.pread`` down to
 the page store, so a coherency fan-out with nobody to reach that opens
 a region again fails here too; and so is its wire, at both ends of a
-real socket, with a ceiling on its bytecodes under CPython 3.11."""
+real socket, and one uncached read from the POSIX call down to the
+image file, each with a ceiling on its bytecodes under CPython 3.11."""
 
 import collections
 import gc
@@ -28,10 +31,11 @@ import pytest
 from repro.ipc import wire
 from repro.ipc.compound import compound_region
 from repro.ipc.invocation import operation
+from repro.fs import create_sfs
 from repro.ipc.object import SpringObject
-from repro.serve import build_service
+from repro.serve import FileService, build_service
 from repro.sim.costs import FIXED_CHARGES
-from repro.unix.posixlike import O_CREAT, O_RDWR
+from repro.unix.posixlike import O_CREAT, O_RDWR, Posix
 from repro.world import World
 from tests.test_socket_transport import ServedWorld
 
@@ -87,9 +91,8 @@ PATHS = {
     "local": [WRAPPER, "SimClock.charge", "Echo.ping"],
     "cross_domain": [WRAPPER, "SimClock.charge", "Echo.ping"],
     "network": [
-        WRAPPER, "bytes_in", "Network.transfer", "Network._check_reachable",
-        "Network._account", "Charger.network", "SimClock.advance",
-        "Echo.ping", "bytes_in",
+        WRAPPER, "bytes_in", "Network.transfer", "Network._account",
+        "Charger.network", "SimClock.charge", "Echo.ping", "bytes_in",
     ],
     "network_batched": [
         WRAPPER, "bytes_in", "_absorbing_region", "CompoundRegion.absorbs",
@@ -153,7 +156,7 @@ class TestReceiveFrames:
 #: neither opens a fan-out region.
 SERVED_PREAD = [
     "FileService.pread", "Posix.pread", "Posix._entry", "OpenFile.readable",
-    "_ClientCall.__enter__", "push_domain",
+    "_ClientCall.__enter__",
     WRAPPER, "SimClock.charge", "LayerFile.read",
     "CoherencyLayer.file_read", "SimClock.charge",
     "CoherencyLayer._current_attrs", "CoherencyLayer._collect_latest_attrs",
@@ -161,8 +164,8 @@ SERVED_PREAD = [
     "BaseLayer.recall", "BlockHolderTable.any_holder",
     "PageStore.read", "PageStore.read_bytes",
     "CoherencyLayer._now", "SimClock.now_us", "CachedAttributes.touch_atime",
-    "Charger.memcpy", "SimClock.advance",
-    "_ClientCall.__exit__", "pop_domain",
+    "Charger.memcpy", "SimClock.charge",
+    "_ClientCall.__exit__",
 ]
 
 
@@ -175,6 +178,84 @@ class TestServedReadFrames:
         assert entered(service.pread, fd, 4096, 0) == (
             SERVED_PREAD, b"h" * 4096
         )
+
+
+#: The frames one uncached ``FileService.pread`` enters on an SFS over an
+#: image file with the coherency cache off: the coherency layer's read
+#: through, one page-in down the channel to the disk layer, one block
+#: read from the image.  Everything between the channel and the image —
+#: the volume's one-block read, the device's range test, the charges,
+#: ``os.pread`` — is entered once, and no bookkeeping frame beside it.
+SERVED_COLD_PREAD = [
+    "FileService.pread", "Posix.pread", "Posix._entry", "OpenFile.readable",
+    "_ClientCall.__enter__",
+    WRAPPER, "SimClock.charge", "LayerFile.read",
+    "CoherencyLayer.file_read", "SimClock.charge",
+    "CoherencyLayer._current_attrs", "CoherencyLayer._collect_latest_attrs",
+    "ChannelRegistry.__contains__",
+    WRAPPER, "SimClock.charge", "DiskFile.get_attributes", "SimClock.charge",
+    "Volume.iget", "FileAttributes.from_inode",
+    "__create_fn__.<locals>.__init__",
+    "BaseLayer.recall", "BlockHolderTable.any_holder",
+    "CoherencyLayer._read_through", "BaseLayer.ensure_down",
+    WRAPPER, "SimClock.charge", "LayerPagerObject.page_in",
+    "LayerRuntime.dispatch", "DiskOps.page_in",
+    "Volume.read_data", "Volume.iget", "Volume.bmap",
+    WRAPPER, "SimClock.charge", "BlockDevice.read_block",
+    "BlockDevice._transfer", "Charger.disk_io", "SimClock.charge",
+    "ImageBlockStore.read",
+    "Volume._now", "SimClock.now_us", "Volume.mark_dirty",
+    "Charger.memcpy", "SimClock.charge",
+    "_ClientCall.__exit__",
+]
+
+#: Bytecodes CPython 3.11 runs for that read, every frame of it (1459
+#: before the storage bottom, the channel dispatch and the variable
+#: charges lost their bookkeeping).  A ceiling, like the wire's below.
+SERVED_COLD_PREAD_OPCODES = 1294
+
+
+class TestServedColdReadFrames:
+    def test_an_uncached_pread_enters_only_its_listed_frames(self, tmp_path):
+        world = World()
+        node = world.create_node("server")
+        device = world.create_image(node.nucleus, str(tmp_path / "cold.img"), 4096)
+        sfs = create_sfs(node, device, cache=False)
+        service = FileService(Posix(sfs.top, world.create_user_domain(node)))
+        fd = service.open("cold.dat", O_CREAT | O_RDWR)
+        service.pwrite(fd, b"c" * 4096, 0)
+        service.pread(fd, 4096, 0)  # warm: the channel to the disk layer
+        opcodes = collections.Counter()
+
+        def count(frame, event, arg):
+            if event == "opcode":
+                opcodes[frame.f_code.co_filename] += 1
+            return count
+
+        def trace(frame, event, arg):
+            frame.f_trace_opcodes = True
+            frame.f_trace_lines = False
+            return count
+
+        try:
+            reads = device.reads
+            assert entered(service.pread, fd, 4096, 0) == (
+                SERVED_COLD_PREAD, b"c" * 4096
+            )
+            assert device.reads == reads + 1
+            if sys.version_info[:2] == (3, 11):
+                gc.collect()
+                gc.disable()
+                sys.settrace(trace)
+                try:
+                    data = service.pread(fd, 4096, 0)
+                finally:
+                    sys.settrace(None)
+                    gc.enable()
+                assert data == b"c" * 4096
+                assert sum(opcodes.values()) <= SERVED_COLD_PREAD_OPCODES
+        finally:
+            device.close()
 
 
 #: The ``repro.ipc`` frames one cached ``pread`` through a socket enters,
@@ -194,15 +275,17 @@ SERVED_WIRE = {
     ],
     "server": [
         "FrameBuffer.receive", "unpack_body", "ExportRegistry.call",
-        "push_domain", WRAPPER, "pop_domain", "pack_frame",
+        WRAPPER, "pack_frame",
     ],
 }
 
 #: Bytecodes CPython 3.11 runs in ``repro/ipc/`` for that read, both
 #: ends: ``ipc.wire`` 415 and ``ipc.transport`` 280 (782 before the
 #: codec's shape arms and the loop's own answer), ``ipc.invocation``
-#: 118.  A ceiling, so that the saving cannot drift back unnoticed.
-SERVED_WIRE_OPCODES = 813
+#: 97 (118 while the POSIX call entered ``push_domain`` and
+#: ``pop_domain``).  A ceiling, so that the saving cannot drift back
+#: unnoticed.
+SERVED_WIRE_OPCODES = 792
 
 
 class Recorder:

@@ -2,6 +2,8 @@
 indirect blocks, persistence, and fsck."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     DirectoryNotEmptyError,
@@ -11,10 +13,13 @@ from repro.errors import (
     NoSpaceError,
     NotADirectoryError_,
     OutOfRangeError,
+    StorageError,
 )
-from repro.storage.inode import NUM_DIRECT, FileType
+from repro.storage.block_device import RamDevice
+from repro.storage.inode import NUM_DIRECT, FileType, max_file_blocks
 from repro.storage.volume import Volume
 from repro.types import PAGE_SIZE
+from repro.world import World
 
 
 @pytest.fixture
@@ -120,6 +125,97 @@ class TestFileData:
         world.clock.advance(1000)
         volume.read_data(f.ino, 0, 4)
         assert volume.iget(f.ino).atime_us > inode.mtime_us
+
+
+PPB = PAGE_SIZE // 4  # pointers per indirect block
+
+
+class TestBlockMap:
+    def test_holes_past_the_direct_blocks_read_zero_without_io(
+        self, volume, root, ram_device
+    ):
+        # A file extended sparsely into the double-indirect range owns no
+        # pointer block at all; one block written at its end gives it a
+        # double-indirect block with one level-1 block under it.
+        f = volume.create(root, "sparse", FileType.REGULAR)
+        single = (NUM_DIRECT + 5) * PAGE_SIZE
+        double = (NUM_DIRECT + PPB + 7) * PAGE_SIZE
+        last = (NUM_DIRECT + PPB + 3 * PPB) * PAGE_SIZE
+        volume.truncate(f.ino, last)
+        reads = ram_device.reads
+        assert volume.read_data(f.ino, single, 100) == bytes(100)
+        assert volume.read_data(f.ino, double, PAGE_SIZE) == bytes(PAGE_SIZE)
+        assert ram_device.reads == reads
+        volume.write_data(f.ino, last, b"end")
+        inode = volume.iget(f.ino)
+        assert inode.indirect == 0 and inode.dbl_indirect != 0
+        reads = ram_device.reads
+        # Under a double-indirect block whose level-1 slot is empty.
+        assert volume.read_data(f.ino, double, 2 * PAGE_SIZE) == bytes(2 * PAGE_SIZE)
+        assert volume.read_data(f.ino, single, 100) == bytes(100)
+        assert ram_device.reads == reads
+        assert volume.read_data(f.ino, last, 3) == b"end"
+        assert ram_device.reads == reads + 1
+
+    def test_a_read_past_the_maximum_file_size_is_refused(self, volume, root):
+        f = volume.create(root, "huge", FileType.REGULAR)
+        end = max_file_blocks(PAGE_SIZE) * PAGE_SIZE
+        volume.truncate(f.ino, end + PAGE_SIZE)
+        assert volume.read_data(f.ino, end - 10, 10) == bytes(10)
+        with pytest.raises(NoSpaceError, match="maximum size"):
+            volume.read_data(f.ino, end, 1)
+
+    def test_iget_out_of_range_is_a_storage_error(self, volume):
+        for ino in (-1, volume.sb.inode_count):
+            with pytest.raises(StorageError, match="out of range"):
+                volume.iget(ino)
+
+
+#: Block sizes small enough that hypothesis can build a volume per
+#: example; the file starts at a direct, a single- or a double-indirect
+#: block, so a read lands under each kind of pointer.
+_BS = 512
+_BASES = (0, NUM_DIRECT - 1, NUM_DIRECT + _BS // 4 - 1)
+
+
+@st.composite
+def one_block_reads(draw):
+    base = draw(st.sampled_from(_BASES))
+    blocks = draw(st.integers(2, 6))
+    mapped = draw(st.lists(st.booleans(), min_size=blocks, max_size=blocks))
+    size = (base + blocks) * _BS - draw(st.integers(0, _BS - 1))
+    block = draw(st.integers(base, base + blocks - 1))
+    skip = draw(st.integers(0, _BS - 1))
+    length = draw(st.integers(0, _BS - skip))
+    return base, mapped, size, block * _BS + skip, length
+
+
+class TestOneBlockArm:
+    @settings(max_examples=60, deadline=None)
+    @given(one_block_reads())
+    def test_matches_the_run_path(self, case):
+        """A read inside one block, with no run list, returns what the
+        run path returns for the same bytes of a read over the whole
+        written range, and reads the device once for a mapped block and
+        never for a hole."""
+        base, mapped, size, offset, length = case
+        world = World()
+        device = RamDevice(world.create_node("n").nucleus, "ram", 2048, _BS)
+        volume = Volume.mkfs(device, inode_count=16)
+        ino = volume.create(volume.sb.root_ino, "f", FileType.REGULAR).ino
+        for i, present in enumerate(mapped):
+            if present:
+                volume.write_data(ino, (base + i) * _BS, bytes([i + 1]) * _BS)
+        volume.truncate(ino, size)
+        window = volume.read_data(ino, base * _BS, len(mapped) * _BS)
+        assert len(window) > _BS  # more than one block: the run path
+        reads = device.reads
+        data = volume.read_data(ino, offset, length)
+        at = offset - base * _BS
+        assert data == window[at : at + length]
+        block_mapped = mapped[offset // _BS - base] and offset < size
+        expected_reads = 1 if (block_mapped and (offset % _BS or data)) else 0
+        assert device.reads - reads == expected_reads
 
 
 class TestDirectories:
