@@ -20,9 +20,7 @@ claim made concrete.  It provides:
   cache; the cache side is one recall-first template for all of them;
 * :class:`LayerRuntime` — uniform telemetry at the dispatch choke-point:
   every dispatched op increments a standardized ``<layer>.<op>`` counter
-  (plus ``<layer>.<op>.bytes`` when data moves) and, when tracing is on,
-  emits a ``layer`` trace span carrying the layer name, stack depth, and
-  range;
+  (plus ``<layer>.<op>.bytes`` when data moves);
 * generic per-file state (:class:`LayerFileState`), file wrappers
   (:class:`LayerFile`, :class:`ForwardingFile`) and the naming face
   (:class:`LayerNaming`), written once and run both on the layer root
@@ -118,23 +116,14 @@ class LayerRuntime:
     simulated page so it must not rebuild f-strings per call.
     """
 
-    __slots__ = (
-        "layer",
-        "world",
-        "counts",
-        "depth",
-        "count_keys",
-        "byte_keys",
-    )
+    __slots__ = ("counts", "depth", "count_keys", "byte_keys")
 
     def __init__(self, layer: "BaseLayer") -> None:
-        self.layer = layer
-        #: The layer's world and its counts, resolved once: dispatch()
-        #: runs per channel op, and the world/counters objects are fixed
-        #: for the layer's lifetime.  dispatch() increments the counts
-        #: inline, as the ``@operation`` wrapper does.
-        self.world = layer.world
-        self.counts = self.world.counters.counts
+        #: The world's counts, resolved once: dispatch() runs per channel
+        #: op, and the counters object is fixed for the layer's lifetime.
+        #: dispatch() increments the counts inline, as the
+        #: ``@operation`` wrapper does.
+        self.counts = layer.world.counters.counts
         #: Number of layers below this one in its stack (0 = bottom);
         #: maintained by :meth:`BaseLayer.stack_on`.
         self.depth = 0
@@ -146,16 +135,14 @@ class LayerRuntime:
             op: sys.intern(f"{fs}.{op}.bytes") for op in PAGER_OPS + CACHE_OPS
         }
 
-    def dispatch(
-        self, op: str, offset: Optional[int], size: Optional[int], fn, *args
-    ):
+    def dispatch(self, op: str, size: Optional[int], fn, *args):
         """Count channel op ``op`` and run ``fn(*args)``.
 
         The op is counted under ``<layer>.<op>``, with ``size`` bytes
-        under ``<layer>.<op>.bytes``, and traced when tracing is on.  A
-        request-sized op is counted first, so one that raises is still
-        counted; ``size`` None means result-sized: counted after the
-        call, with the bytes it returned.
+        under ``<layer>.<op>.bytes``.  A request-sized op is counted
+        first, so one that raises is still counted; ``size`` None means
+        result-sized: counted after the call, with the bytes it
+        returned.
         """
         if size is None:
             result = fn(*args)
@@ -167,15 +154,7 @@ class LayerRuntime:
         if size:
             byte_key = self.byte_keys[op]
             counts[byte_key] = counts.get(byte_key, 0) + size
-        if self.world.tracer is not None:
-            self._trace(key, offset, size)
         return result if fn is None else fn(*args)
-
-    def _trace(self, key: str, offset: Optional[int], size: int) -> None:
-        self.world.trace(
-            "layer", key, layer=self.layer.fs_type(), depth=self.depth,
-            offset=offset, size=size,
-        )
 
 
 class ChannelOps:
@@ -458,7 +437,7 @@ class LayerPagerObject(FsPager):
     @operation
     def page_in(self, offset: int, size: int, access: AccessRights) -> bytes:
         return self.runtime.dispatch(
-            "page_in", offset, size,
+            "page_in", size,
             self.ops.page_in, self.source_key, self, offset, size, access,
         )
 
@@ -467,7 +446,7 @@ class LayerPagerObject(FsPager):
         self, offset: int, min_size: int, max_size: int, access: AccessRights
     ) -> bytes:
         return self.runtime.dispatch(
-            "page_in_range", offset, None,
+            "page_in_range", None,
             self.ops.page_in_range,
             self.source_key, self, offset, min_size, max_size, access,
         )
@@ -475,14 +454,14 @@ class LayerPagerObject(FsPager):
     @operation
     def page_out(self, offset: int, size: int, data: bytes) -> None:
         self.runtime.dispatch(
-            "page_out", offset, size,
+            "page_out", size,
             self.ops.page_out, self.source_key, self, offset, size, data, None,
         )
 
     @operation
     def write_out(self, offset: int, size: int, data: bytes) -> None:
         self.runtime.dispatch(
-            "write_out", offset, size,
+            "write_out", size,
             self.ops.page_out, self.source_key, self, offset, size, data,
             AccessRights.READ_ONLY,
         )
@@ -490,7 +469,7 @@ class LayerPagerObject(FsPager):
     @operation
     def sync(self, offset: int, size: int, data: bytes) -> None:
         self.runtime.dispatch(
-            "sync", offset, size,
+            "sync", size,
             self.ops.page_out, self.source_key, self, offset, size, data,
             AccessRights.READ_WRITE,
         )
@@ -503,13 +482,13 @@ class LayerPagerObject(FsPager):
     @operation
     def attr_page_in(self) -> FileAttributes:
         return self.runtime.dispatch(
-            "attr_page_in", None, 0, self.ops.attr_page_in, self.source_key, self
+            "attr_page_in", 0, self.ops.attr_page_in, self.source_key, self
         )
 
     @operation
     def attr_write_out(self, attrs: FileAttributes) -> None:
         self.runtime.dispatch(
-            "attr_write_out", None, 0,
+            "attr_write_out", 0,
             self.ops.attr_write_out, self.source_key, self, attrs,
         )
 
@@ -533,32 +512,32 @@ class LayerFsCache(FsCache):
     @operation
     def flush_back(self, offset: int, size: int) -> Dict[int, bytes]:
         return self.runtime.dispatch(
-            "flush_back", offset, None, self.ops.flush_back, self.state, offset, size
+            "flush_back", None, self.ops.flush_back, self.state, offset, size
         )
 
     @operation
     def deny_writes(self, offset: int, size: int) -> Dict[int, bytes]:
         return self.runtime.dispatch(
-            "deny_writes", offset, None, self.ops.deny_writes, self.state, offset, size
+            "deny_writes", None, self.ops.deny_writes, self.state, offset, size
         )
 
     @operation
     def write_back(self, offset: int, size: int) -> Dict[int, bytes]:
         return self.runtime.dispatch(
-            "write_back", offset, None, self.ops.write_back, self.state, offset, size
+            "write_back", None, self.ops.write_back, self.state, offset, size
         )
 
     @operation
     def delete_range(self, offset: int, size: int) -> None:
         self.runtime.dispatch(
-            "delete_range", offset, size,
+            "delete_range", size,
             self.ops.delete_range, self.state, offset, size,
         )
 
     @operation
     def zero_fill(self, offset: int, size: int) -> None:
         self.runtime.dispatch(
-            "zero_fill", offset, size, self.ops.zero_fill, self.state, offset, size
+            "zero_fill", size, self.ops.zero_fill, self.state, offset, size
         )
 
     @operation
@@ -566,27 +545,27 @@ class LayerFsCache(FsCache):
         self, offset: int, size: int, access: AccessRights, data: bytes
     ) -> None:
         self.runtime.dispatch(
-            "populate", offset, size,
+            "populate", size,
             self.ops.populate, self.state, offset, size, access, data,
         )
 
     @operation
     def destroy_cache(self) -> None:
         self.runtime.dispatch(
-            "destroy_cache", None, 0, self.ops.destroy_cache, self.state
+            "destroy_cache", 0, self.ops.destroy_cache, self.state
         )
 
     @operation
     def invalidate_attributes(self) -> None:
         self.runtime.dispatch(
-            "invalidate_attributes", None, 0,
+            "invalidate_attributes", 0,
             self.ops.invalidate_attributes, self.state,
         )
 
     @operation
     def write_back_attributes(self) -> Optional[FileAttributes]:
         return self.runtime.dispatch(
-            "write_back_attributes", None, 0,
+            "write_back_attributes", 0,
             self.ops.write_back_attributes, self.state,
         )
 
@@ -1310,10 +1289,6 @@ class RecoveringLayer(BaseLayer):
                         if state.down_pager is not None:
                             state.down_pager.attr_write_out(attrs)
         self.world.counters.inc(f"{self.fs_type()}.recoveries")
-        self.world.trace(
-            "fault", f"{self.fs_type()}_recovered",
-            file=str(state.under_key), epoch=node.epoch,
-        )
 
     def recall(self, state, offset, size, access=None) -> Dict[int, bytes]:
         self.ensure_recovered(state)

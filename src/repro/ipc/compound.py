@@ -351,10 +351,6 @@ class CompoundInvocation:
                 break
             backoff = policy.backoff_us(attempt)
             self.world.counters.inc("compound.retries")
-            self.world.trace(
-                "retry", "compound_backoff", attempt=attempt,
-                backoff_us=backoff, ops=len(retryable),
-            )
             self.world.clock.advance(backoff, "retry_backoff")
             waited_us += backoff
             attempt += 1

@@ -198,16 +198,6 @@ def operation(fn: F) -> F:
         counts = world.counters.counts
         counts[path] = counts.get(path, 0) + 1
         counts[op_key] = counts.get(op_key, 0) + 1
-        if world.tracer is not None:
-            world.trace(
-                "invoke",
-                f"{type(self).__name__}.{fn.__name__}",
-                path=path.removeprefix("invoke."),
-                server=f"{server.node.name}/{server.name}",
-                caller=(
-                    f"{caller.node.name}/{caller.name}" if caller else "-"
-                ),
-            )
         stack += (caller, server)
         try:
             if not remote:

@@ -89,9 +89,6 @@ class Network:
         self.per_pair[key] = self.per_pair.get(key, 0) + 1
         self.per_pair_bytes[key] = self.per_pair_bytes.get(key, 0) + nbytes
         self.world.charge.network(nbytes)
-        if self.world.tracer is not None:  # no kwargs dict while it is off
-            self.world.trace("network", "message", src=src.name,
-                             dst=dst.name, bytes=nbytes)
 
     def payload(self, src: "Node", dst: "Node", nbytes: int) -> None:
         """Additional payload (e.g. a bulk reply) on an exchange whose

@@ -96,7 +96,6 @@ class Node:
         if self.crashed:
             return
         self.crashed = True
-        self.world.trace("fault", "node_crash", node=self.name)
         if self.server_queue is not None:
             # The in-memory request queue dies with the machine: slots
             # free immediately, so post-recovery requests start clean.
@@ -112,7 +111,6 @@ class Node:
             return
         self.crashed = False
         self.epoch += 1
-        self.world.trace("fault", "node_recover", node=self.name, epoch=self.epoch)
 
     def create_domain(
         self, name: str, credentials: Optional[Credentials] = None

@@ -93,14 +93,6 @@ def retry_send(world, target, policy: RetryPolicy, src_node, dst_node,
             layer = getattr(target, "layer", None)
             if layer is not None:
                 world.counters.inc(layer.fs_type() + ".retries")
-            world.trace(
-                "retry",
-                "backoff",
-                attempt=attempt,
-                backoff_us=backoff,
-                dst=dst_node.name,
-                error=type(exc).__name__,
-            )
             world.clock.advance(backoff, "retry_backoff")
             waited_us += backoff
             attempt += 1

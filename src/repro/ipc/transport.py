@@ -154,8 +154,6 @@ class SocketServer:
         self.port = port
         self.frames_in = 0
         self.frames_out = 0
-        self.bytes_in = 0
-        self.bytes_out = 0
         self.ops_served = 0
         self.compound_batches = 0
         self._fail_next_replies = 0
@@ -263,7 +261,6 @@ class SocketServer:
                 with domain:
                     msg = wire.unpack_body(body)
                     self.frames_in += 1
-                    self.bytes_in += msg.nbytes
                     try:
                         if (msg.kind != self._plain or type(msg.payload) is not list
                                 or type(msg.kwargs) is not dict or msg.op == PING_OP):
@@ -281,7 +278,6 @@ class SocketServer:
                         # (outside the wire type system): an error reply.
                         reply = wire.pack_frame(ERROR, msg.seq, "", "", exc)
                     self.frames_out += 1
-                    self.bytes_out += len(reply)
                 sock.sendall(reply)
                 if self._shutdown_after_reply:
                     return

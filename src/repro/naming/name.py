@@ -18,6 +18,12 @@ SEPARATOR = "/"
 def split_name(name: str) -> List[str]:
     """Split a textual name into components, validating each.
 
+    A split component holds no separator, so a name is valid when no
+    component is empty and the name holds no NUL: the good path tests
+    exactly that, and only a bad name is walked component by component,
+    so the error is the one :func:`validate_component` gives its first
+    offender.
+
     >>> split_name("a/b/c")
     ['a', 'b', 'c']
     >>> split_name("/fs/sfs0")
@@ -25,13 +31,17 @@ def split_name(name: str) -> List[str]:
     """
     if not isinstance(name, str) or name == "":
         raise InvalidNameError(f"invalid name: {name!r}")
-    stripped = name[1:] if name.startswith(SEPARATOR) else name
-    if stripped == "":
+    components = (name[1:] if name[0] == SEPARATOR else name).split(SEPARATOR)
+    if "" not in components and "\0" not in name:
+        return components
+    if name == SEPARATOR:
         raise InvalidNameError("the root itself cannot be named by ''")
-    components = stripped.split(SEPARATOR)
     for component in components:
-        validate_component(component)
-    return components
+        if "\0" in component:
+            raise InvalidNameError("component contains NUL")
+        if component == "":
+            break
+    raise InvalidNameError("empty name component")
 
 
 def validate_component(component: str) -> None:

@@ -219,9 +219,6 @@ class FaultPlane:
         world = self.world
         counters = world.counters
         self.applied.append((event.kind, event.time_us, event.a, event.b))
-        world.trace(
-            "fault", event.kind, at=event.time_us, a=event.a, b=event.b
-        )
         if event.kind == "crash":
             world.nodes[event.a].crash()
             counters.inc("faults.crashes")

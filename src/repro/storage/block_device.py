@@ -74,7 +74,7 @@ class BlockDevice(SpringObject):
         """Everything one transfer of ``count`` physically contiguous
         blocks at ``start`` does before its store call: validate (one
         test on the good path), the write-side power-cut
-        gate when one is armed, charge and trace.  ONE seek +
+        gate when one is armed, and the charge.  ONE seek +
         rotational latency, then sequential media transfer — per-byte
         cost collapses for sequential runs, which is what makes
         clustering, read-ahead (paper sec. 8's open problem) and batched
@@ -95,13 +95,8 @@ class BlockDevice(SpringObject):
                     )
         if write and self._power_countdown is not None:
             self._power_check()
-        world = self.world
         if self.charge_latency:
-            world.charge.disk_io(count * self.block_size)
-        if world.tracer is not None:
-            world.trace(
-                "disk", "transfer", device=self.name, blocks=count, write=write
-            )
+            self.world.charge.disk_io(count * self.block_size)
 
     def _power_check(self) -> None:
         """Write-side power-cut gate, entered only while a cut is armed:

@@ -76,21 +76,12 @@ class World:
         #: Every mounted :class:`~repro.storage.volume.Volume`, so
         #: :meth:`save` can quiesce the whole installation in one sweep.
         self._volumes: List[object] = []
-        #: Optional event tracing (see repro.sim.trace); None = off.
-        self.tracer = None
         #: Optional invocation retry knobs (see repro.ipc.retry); None =
         #: transient failures surface immediately (the default).
         self.retry_policy = None
         #: Lazily created discrete-event scheduler (concurrent mode);
         #: None until :meth:`scheduler` is first called.
         self._scheduler = None
-
-    def enable_tracing(self):
-        """Turn on event tracing; returns the tracer."""
-        from repro.sim.trace import Tracer
-
-        self.tracer = Tracer()
-        return self.tracer
 
     # --- concurrency ----------------------------------------------------------
     def scheduler(self):
@@ -122,10 +113,6 @@ class World:
 
         self.retry_policy = policy or RetryPolicy()
         return self.retry_policy
-
-    def trace(self, category: str, name: str, **detail: object) -> None:
-        if self.tracer is not None:
-            self.tracer.record(self.clock.now_us, category, name, **detail)
 
     # --- identity ------------------------------------------------------------
     def next_oid(self) -> int:

@@ -2,6 +2,8 @@
 per-domain namespaces."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import (
     InvalidNameError,
@@ -14,6 +16,33 @@ from repro.naming import name as names
 from repro.naming.acl import Acl, open_acl, system_acl
 from repro.naming.context import MemoryContext
 from repro.naming.namespace import namespace_for
+
+
+def _reference_split_name(name):
+    """``split_name`` as it was written before its good path skipped the
+    per-component check: every component through ``validate_component``
+    in order, so the first offender names the error."""
+    if not isinstance(name, str) or name == "":
+        raise InvalidNameError(f"invalid name: {name!r}")
+    stripped = name[1:] if name.startswith(names.SEPARATOR) else name
+    if stripped == "":
+        raise InvalidNameError("the root itself cannot be named by ''")
+    components = stripped.split(names.SEPARATOR)
+    for component in components:
+        names.validate_component(component)
+    return components
+
+
+def _split_outcome(split, name):
+    """What ``split(name)`` returns, or the message it raises."""
+    try:
+        return split(name)
+    except InvalidNameError as exc:
+        return ("raised", str(exc))
+
+
+class _Text(str):
+    """A ``str`` subclass: still a name."""
 
 
 class TestNameSyntax:
@@ -30,6 +59,26 @@ class TestNameSyntax:
     def test_invalid_names_rejected(self, bad):
         with pytest.raises(InvalidNameError):
             names.split_name(bad)
+
+    @pytest.mark.parametrize("name", [
+        "a\0//b", "a//b\0", "//a", "\0", "/\0", "a/", "//", None, b"a/b", 7,
+    ])
+    def test_the_first_offender_names_the_error(self, name):
+        assert _split_outcome(names.split_name, name) == _split_outcome(
+            _reference_split_name, name
+        )
+
+    @given(st.one_of(
+        st.text(alphabet="ab/\0é", max_size=12),
+        st.text(max_size=12),
+        st.builds(_Text, st.text(alphabet="a/\0", max_size=6)),
+        st.none(), st.integers(), st.binary(max_size=6),
+        st.lists(st.text(alphabet="a/", max_size=3), max_size=3),
+    ))
+    def test_split_matches_the_per_component_reference(self, name):
+        assert _split_outcome(names.split_name, name) == _split_outcome(
+            _reference_split_name, name
+        )
 
     def test_head_tail(self):
         assert names.head_tail("a/b/c") == ("a", "b/c")

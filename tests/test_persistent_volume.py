@@ -22,6 +22,7 @@ from repro.storage import (
     Volume,
 )
 from repro.storage.blockstore import IMAGE_MAGIC, IMAGE_VERSION
+from repro.storage.inode import NUM_DIRECT
 from repro.unix.posixlike import O_CREAT, O_RDWR, Posix
 from repro.world import World
 
@@ -558,18 +559,28 @@ class TestCylinderGroups:
         dev2.close()
 
     def test_file_blocks_follow_inode_group(self):
+        """A file made in a directory that sits in a group other than the
+        root's takes its i-node, its data blocks and its indirect block
+        from that group — not from group 0, where the root and the
+        allocator's first cursor are."""
         world = World()
         node = world.create_node("n")
         dev = BlockDevice(node.nucleus, "mem", num_blocks=8192)
         vol = Volume.mkfs(dev, inode_count=256, cylinder_groups=4)
-        root = vol.sb.root_ino
         groups = vol.sb.groups()
-        f = vol.create(root, "f", FileType.REGULAR)
-        vol.write_data(f.ino, 0, b"z" * 8192)
-        gi = vol.sb.group_of_ino(f.ino)
+        d = vol.create(vol.sb.root_ino, "d", FileType.DIRECTORY)
+        gi = vol.sb.group_of_ino(d.ino)
+        assert gi != vol.sb.group_of_ino(vol.sb.root_ino) == 0
+        f = vol.create(d.ino, "f", FileType.REGULAR)
+        assert vol.sb.group_of_ino(f.ino) == gi
+        vol.write_data(f.ino, 0, b"z" * (NUM_DIRECT + 2) * dev.block_size)
         g = groups[gi]
-        for _, block in vol._mapped_blocks(vol.iget(f.ino)):
+        inode = vol.iget(f.ino)
+        mapped = vol._mapped_blocks(inode)
+        assert len(mapped) == NUM_DIRECT + 2
+        for _, block in mapped:
             assert g.data_start <= block < g.end
+        assert g.data_start <= inode.indirect < g.end
 
     def test_directories_spread_across_groups(self):
         world = World()

@@ -180,6 +180,25 @@ class TestServedReadFrames:
         )
 
 
+class TestServedStatFrames:
+    def test_a_valid_name_is_split_without_a_check_per_component(self):
+        """A served ``stat`` of a two-component name splits it once: the
+        volume's resolve enters ``split_name`` and goes on to its first
+        lookup, and no ``validate_component`` is entered anywhere."""
+        world, node, service = build_service("sfs")
+        service.mkdir("d0")
+        service.close(service.open("d0/f000", O_CREAT | O_RDWR))
+        service.stat("d0/f000")  # warm
+        names, _attrs = entered(service.stat, "d0/f000")
+        at = names.index("VolumeNaming.resolve")
+        assert names[at : at + 4] == [
+            "VolumeNaming.resolve", "split_name", "SimClock.charge",
+            "Volume.lookup",
+        ]
+        assert names.count("split_name") == 1
+        assert "validate_component" not in names
+
+
 #: The frames one uncached ``FileService.pread`` enters on an SFS over an
 #: image file with the coherency cache off: the coherency layer's read
 #: through, one page-in down the channel to the disk layer, one block
@@ -211,8 +230,10 @@ SERVED_COLD_PREAD = [
 
 #: Bytecodes CPython 3.11 runs for that read, every frame of it (1459
 #: before the storage bottom, the channel dispatch and the variable
-#: charges lost their bookkeeping).  A ceiling, like the wire's below.
-SERVED_COLD_PREAD_OPCODES = 1294
+#: charges lost their bookkeeping; 1294 while the wrapper, the channel
+#: dispatch and the device transfer each tested for an event tracer).
+#: A ceiling, like the wire's below.
+SERVED_COLD_PREAD_OPCODES = 1272
 
 
 class TestServedColdReadFrames:
@@ -280,12 +301,14 @@ SERVED_WIRE = {
 }
 
 #: Bytecodes CPython 3.11 runs in ``repro/ipc/`` for that read, both
-#: ends: ``ipc.wire`` 415 and ``ipc.transport`` 280 (782 before the
-#: codec's shape arms and the loop's own answer), ``ipc.invocation``
-#: 97 (118 while the POSIX call entered ``push_domain`` and
-#: ``pop_domain``).  A ceiling, so that the saving cannot drift back
-#: unnoticed.
-SERVED_WIRE_OPCODES = 792
+#: ends: ``ipc.wire`` 415 and ``ipc.transport`` 262 (782 before the
+#: codec's shape arms and the loop's own answer; 280 while the loop
+#: tallied the bytes it received and sent), ``ipc.invocation`` 94 (118
+#: while the POSIX call entered ``push_domain`` and ``pop_domain``, 97
+#: while the wrapper tested for an event tracer).  792 in all before
+#: those last two went.  A ceiling, so that the saving cannot drift
+#: back unnoticed.
+SERVED_WIRE_OPCODES = 771
 
 
 class Recorder:
