@@ -30,6 +30,13 @@ run, so ``bench/`` lines that only they reach are listed.
 ``repro.serve`` runs as ``__main__`` on a thread of the suite
 (``tests/test_socket_transport.py::TestServeMain``).
 
+ROADMAP item 18 asks the next question: which lines only tests reach.
+A second, fresh tracer in a fresh interpreter runs the entry points
+alone — the six examples, the quick report and the ``--smoke`` run of
+each record emitter in ``SMOKES`` — and ``CENSUS.json`` records, per
+module, how many lines the suite ran that none of them reaches
+(``test_only``).  That count is written but not gated.
+
 Usage (from the repo root)::
 
     PYTHONPATH=src:. python benchmarks/check_census.py [--update]
@@ -43,7 +50,9 @@ import io
 import json
 import pathlib
 import runpy
+import subprocess
 import sys
+import tempfile
 import threading
 import types
 import warnings
@@ -55,6 +64,10 @@ ROOT = REPO / "src" / "repro"
 COMMITTED = pathlib.Path(__file__).resolve().parent / "CENSUS.json"
 EXAMPLES = ("compression_stack", "distributed_sharing", "encrypted_mirror",
             "performance_tuning", "quickstart", "watchdog_interposition")
+#: The record emitters whose ``--smoke`` run counts as an entry point
+#: for ``test_only`` (``bench_<name>.py``).
+SMOKES = ("fault_recovery", "hotpath", "ipc_compound", "macro_workload",
+          "socket_transport", "volume_persist")
 
 
 class LineTracer:
@@ -159,10 +172,57 @@ def executable(path: pathlib.Path) -> dict:
     return {line: text[line - 1].strip() for line in sorted(lines)}
 
 
+def _run_main(tracer: LineTracer, argv: list, run) -> None:
+    """Run one entry point as ``__main__`` with ``argv`` under
+    ``tracer``, its output swallowed; a non-zero exit fails the census."""
+    tracer.arm()
+    saved, sys.argv = sys.argv, argv
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+            # The suite imported repro.report already; run it afresh.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run()
+    except SystemExit as exc:
+        if exc.code:
+            raise SystemExit(f"{' '.join(argv)} failed (exit {exc.code})")
+    finally:
+        sys.argv = saved
+
+
+def run_entry_points(tracer: LineTracer, smokes=()) -> None:
+    """The six in-process examples, ``repro.report --quick`` and the
+    ``--smoke`` run of each emitter named in ``smokes``, under
+    ``tracer``."""
+    for name in EXAMPLES:
+        path = str(REPO / "examples" / f"{name}.py")
+        _run_main(tracer, [path],
+                  lambda: runpy.run_path(path, run_name="__main__"))
+    _run_main(tracer, ["repro.report", "--quick"],
+              lambda: runpy.run_module("repro.report", run_name="__main__"))
+    for name in smokes:
+        path = str(REPO / "benchmarks" / f"bench_{name}.py")
+        _run_main(tracer, [path, "--smoke"],
+                  lambda: runpy.run_path(path, run_name="__main__"))
+
+
+def reached_without_tests() -> dict:
+    """``{module: line numbers}`` that the examples, the quick report
+    and the emitter smokes reach, counted by a fresh tracer in a fresh
+    interpreter: a module's top-level lines run once per process, and
+    the suite has imported every module already."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "reached.json"
+        subprocess.run([sys.executable, __file__, "--entry-points", str(out)],
+                       check=True)
+        return {module: set(lines)
+                for module, lines in json.loads(out.read_text()).items()}
+
+
 def census() -> dict:
     """Run the suite, the examples and the quick report;
     ``{module: [[line, text], ...]}`` for every module with a line that
-    did not run, and the total count of executable lines."""
+    did not run, the total count of executable lines, and per module
+    the count of lines that ran but that no entry point reaches."""
     sys.path[:0] = [str(REPO / "src"), str(REPO)]
     # Each module's lines as they are when the run starts, the text the
     # suite imports: a module edited during the run is still compared
@@ -175,35 +235,23 @@ def census() -> dict:
         status = pytest.main(["-q", "-x", "-p", "no:cacheprovider",
                               "--hypothesis-profile=census",
                               str(REPO / "tests")], plugins=[tracer])
-        for name in EXAMPLES:
-            tracer.arm()
-            with contextlib.redirect_stdout(io.StringIO()):
-                runpy.run_path(str(REPO / "examples" / f"{name}.py"),
-                               run_name="__main__")
-        tracer.arm()
-        argv, sys.argv = sys.argv, ["repro.report", "--quick"]
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
-                # The suite imported repro.report already; run it afresh.
-                warnings.simplefilter("ignore", RuntimeWarning)
-                runpy.run_module("repro.report", run_name="__main__")
-        except SystemExit as exc:
-            if exc.code:
-                raise SystemExit(f"repro.report --quick failed (exit {exc.code})")
-        finally:
-            sys.argv = argv
+        run_entry_points(tracer)
     finally:
         tracer.disarm()
     if status != 0:
         raise SystemExit(f"tier-1 failed under the tracer (exit {status})")
-    unrun, total = {}, 0
+    reached = reached_without_tests()
+    unrun, test_only, total = {}, {}, 0
     for module, lines in modules.items():
         total += len(lines)
         ran = tracer.ran[module]
         missed = [[n, text] for n, text in lines.items() if n not in ran]
         if missed:
             unrun[module] = missed
-    return {"executable": total, "unrun": unrun}
+        only = len(ran.intersection(lines) - reached.get(module, set()))
+        if only:
+            test_only[module] = only
+    return {"executable": total, "test_only": test_only, "unrun": unrun}
 
 
 def _texts(unrun: dict) -> collections.Counter:
@@ -216,14 +264,30 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--update", action="store_true",
                         help="rewrite benchmarks/CENSUS.json with this run")
+    parser.add_argument("--entry-points", metavar="PATH",
+                        help=argparse.SUPPRESS)  # reached_without_tests
     args = parser.parse_args(argv)
+    if args.entry_points:
+        sys.path[:0] = [str(REPO / "src"), str(REPO)]
+        tracer = LineTracer()
+        try:
+            run_entry_points(tracer, SMOKES)
+        finally:
+            tracer.disarm()
+        pathlib.Path(args.entry_points).write_text(json.dumps(
+            {module: sorted(lines) for module, lines in tracer.ran.items()}))
+        return 0
     fresh = census()
-    unrun = fresh["unrun"]
+    unrun, test_only = fresh["unrun"], fresh["test_only"]
     count = sum(map(len, unrun.values()))
     print(f"\nunrun: {count} of {fresh['executable']} executable lines "
           f"of src/repro, in {len(unrun)} modules")
     for module in sorted(unrun, key=lambda m: -len(unrun[m]))[:10]:
         print(f"  {module:<32} {len(unrun[module]):>4}")
+    print(f"test only (not gated): {sum(test_only.values())} lines that no "
+          "example, quick report or emitter smoke reaches")
+    for module in sorted(test_only, key=lambda m: -test_only[m])[:10]:
+        print(f"  {module:<32} {test_only[module]:>4}")
     if args.update:
         COMMITTED.write_text(json.dumps(fresh, indent=1) + "\n")
         print(f"wrote {COMMITTED}")

@@ -56,7 +56,6 @@ RECORDS = {
     "BENCH_paging.json": ("benchmarks.bench_macro_workload", ()),
     "BENCH_faults.json": ("benchmarks.bench_fault_recovery", ()),
     "BENCH_hotpath.json": ("benchmarks.bench_hotpath", ("metrics.",)),
-    "BENCH_shard.json": ("benchmarks.bench_dfs_shard", ()),
     "BENCH_volume.json": ("benchmarks.bench_volume_persist", ()),
     "BENCH_socket.json": (
         "benchmarks.bench_socket_transport",
@@ -79,8 +78,6 @@ WALL_CLOCK_COLLAPSE = 0.5
 CONTRACTS = {
     "BENCH_faults.json:cells.knobs_on.availability_pct":
         "knobs-on availability is 100: a failed op is a protocol regression",
-    "BENCH_shard.json:cells.quorum.availability_pct":
-        "quorum-cell availability is 100: a failed op is a protocol regression",
     "BENCH_socket.json:cells.batching.frames_batched":
         "a compound batch over the wire is exactly one frame",
 }

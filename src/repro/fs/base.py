@@ -34,10 +34,7 @@ claim made concrete.  It provides:
 * :class:`LayerCache` — a layer's per-file
   :class:`~repro.vm.source_cache.SourceCache` over the file's downstream
   channel: fault, read-ahead, prefetch and write-back for a layer that
-  caches what it pages in from below;
-* :class:`RecoveringLayer` — the base of the layers that serve clients
-  on other machines (DFS, the sharded DFS): their holder tables are
-  volatile and are rebuilt from the surviving clients after a crash.
+  caches what it pages in from below.
 """
 
 from __future__ import annotations
@@ -1111,19 +1108,15 @@ class BaseLayer(LayerNaming, StackableFs, CacheManager, abc.ABC):
         self.push_recovered(state, recovered)
 
     def push_recovered(self, state: Any, recovered: Dict[int, bytes]) -> None:
-        """Push recalled pages toward storage, one :meth:`push_run` per
-        contiguous run."""
+        """Push recalled pages toward storage: down the channel, one
+        page-out per contiguous run."""
         for start, count in index_runs(sorted(recovered)):
-            self.push_run(
-                state,
+            write_run(
+                self.ops.down(state),
+                "page_out",
                 start * PAGE_SIZE,
                 [recovered[index] for index in range(start, start + count)],
             )
-
-    def push_run(self, state: Any, offset: int, chunks: List[bytes]) -> None:
-        """Where a run of recalled pages goes: down the channel, as one
-        page-out."""
-        write_run(self.ops.down(state), "page_out", offset, chunks)
 
     def invalidate_upstream_attrs(
         self, state: Any, exclude: Optional[Channel] = None
@@ -1196,104 +1189,3 @@ class BaseLayer(LayerNaming, StackableFs, CacheManager, abc.ABC):
 
     def _sync_impl(self) -> None:
         """Hook: flush this layer's own caches."""
-
-
-class RecoveringFileState(LayerFileState):
-    """Per-file state of a :class:`RecoveringLayer`.  The holder table
-    is *volatile*: a crash of the layer's node loses it.
-    ``registered_epoch`` stamps which incarnation of the node the
-    current table was built under; a mismatch against ``node.epoch``
-    after recovery triggers re-registration."""
-
-    def __init__(self, layer: "RecoveringLayer", under_file: File) -> None:
-        super().__init__(layer, under_file)
-        self.registered_epoch = layer.domain.node.epoch
-
-
-class RecoveringOps(ChannelOps):
-    """The coherent pass-through table of a layer whose holder tables a
-    crash loses: every state lookup, and every cache-side op before it
-    touches the holders, first runs crash recovery — a channel operation
-    arriving after the node rebooted must not see the empty post-crash
-    holder table as authoritative."""
-
-    def state(self, source_key):
-        state = self.layer.state_by_source(source_key)
-        self.layer.ensure_recovered(state)
-        return state
-
-    def holders_above(self, state):
-        # A recall from below after a crash must reach the clients too.
-        self.layer.ensure_recovered(state)
-        return super().holders_above(state)
-
-
-class RecoveringLayer(BaseLayer):
-    """Base of the layers that serve clients on other machines (DFS, the
-    sharded DFS).  A crash of the layer's node loses the per-client
-    holder tables; recovery rebuilds them from the surviving clients
-    (Lustre-style), before the first recall or channel operation of the
-    new epoch consults them."""
-
-    ops_class = RecoveringOps
-    state_class = RecoveringFileState
-
-    def __init__(self, domain) -> None:
-        super().__init__(domain)
-        domain.node.add_crash_listener(self._on_node_crash)
-
-    def _on_node_crash(self) -> None:
-        """The machine went down: every per-client holder table — who
-        caches which block, with what rights — is volatile state and is
-        lost with the crash.  The data below and the clients' own caches
-        survive."""
-        for state in self._states.values():
-            state.holders = self._make_holders()
-
-    def ensure_recovered(self, state: RecoveringFileState) -> None:
-        """Rebuild ``state``'s holder table after a crash of this node.
-
-        Clients detect the recovery through the node's epoch bump (the
-        state is stamped with the epoch its table was registered under).
-        Each surviving upstream channel re-declares its cached holds via
-        :meth:`~repro.vm.cache_object.CacheObject.held_blocks`, and any
-        dirty attribute copy a client's fs_cache still holds is replayed
-        down the stack — so post-recovery reads see exactly the
-        pre-crash state.  Dirty *data* blocks need no replay here:
-        re-recording the writer's hold lets the normal MRSW recall fetch
-        them on the next conflicting access.
-        """
-        node = self.domain.node
-        if state.registered_epoch == node.epoch:
-            return
-        state.registered_epoch = node.epoch
-        with self.fanout_region():
-            for channel in self.channels.channels_for(state.source_key):
-                held = channel.cache_object.held_blocks()
-                if held:
-                    for index in sorted(held):
-                        writable, _dirty = held[index]
-                        access = (
-                            AccessRights.READ_WRITE
-                            if writable
-                            else AccessRights.READ_ONLY
-                        )
-                        state.holders.record(
-                            channel, index * PAGE_SIZE, PAGE_SIZE, access
-                        )
-                fs_cache = narrow(channel.cache_object, FsCache)
-                if fs_cache is not None:
-                    attrs = fs_cache.write_back_attributes()
-                    if attrs is not None:
-                        self.ensure_down(state)
-                        if state.down_pager is not None:
-                            state.down_pager.attr_write_out(attrs)
-        self.world.counters.inc(f"{self.fs_type()}.recoveries")
-
-    def recall(self, state, offset, size, access=None) -> Dict[int, bytes]:
-        self.ensure_recovered(state)
-        return super().recall(state, offset, size, access)
-
-    def recall_for_shrink(self, state, length: int, old_length: int) -> None:
-        self.ensure_recovered(state)
-        super().recall_for_shrink(state, length, old_length)

@@ -24,30 +24,35 @@ invocation — our network model charges every hop, which *is* the
 
 DFS is the layer the :class:`repro.fs.base.ChannelOps` defaults are
 modelled on — a coherent pass-through that keeps no data cache of its
-own — so it overrides *no* channel operations at all, and its crash
-recovery (the per-client holder tables are volatile) is the shared
-:class:`repro.fs.base.RecoveringLayer`.  What remains here is its one
-transform point (local bind forwarding) and the intent-open fast path.
+own — so it overrides *no* channel operation's data path.  What it adds
+is its one transform point (local bind forwarding), the intent-open
+fast path, and crash recovery: the per-client holder tables are
+volatile, and :meth:`DfsLayer.ensure_recovered` rebuilds them from the
+surviving clients (Lustre-style) before anything consults them.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import Dict
 
 from repro.errors import FsError
 from repro.ipc.invocation import operation
 from repro.ipc.narrow import narrow
-from repro.types import AccessRights
+from repro.types import PAGE_SIZE, AccessRights
+from repro.vm.cache_object import FsCache
 from repro.vm.channel import BindResult
 from repro.vm.memory_object import CacheManager
 
 from repro.fs.attributes import FileAttributes
 from repro.fs.base import (
     WHOLE_FILE,
+    BaseLayer,
+    ChannelOps,
     LayerDirectory,
     LayerFile,
+    LayerFileState,
     LayerNaming,
-    RecoveringLayer,
 )
 from repro.fs.file import File
 
@@ -122,12 +127,47 @@ class DfsDirectory(DfsNaming, LayerDirectory):
     """Directory wrapper exporting DFS files (resolvable remotely)."""
 
 
-class DfsLayer(DfsNaming, RecoveringLayer):
-    """The DFS server layer; see module docstring."""
+class RecoveringFileState(LayerFileState):
+    """Per-file state of a :class:`DfsLayer`.  The holder table is
+    *volatile*: a crash of the layer's node loses it.
+    ``registered_epoch`` stamps which incarnation of the node the
+    current table was built under; a mismatch against ``node.epoch``
+    after recovery triggers re-registration."""
+
+    def __init__(self, layer: "DfsLayer", under_file: File) -> None:
+        super().__init__(layer, under_file)
+        self.registered_epoch = layer.domain.node.epoch
+
+
+class RecoveringOps(ChannelOps):
+    """DFS's channel table: the coherent pass-through, except that every
+    state lookup, and every cache-side op before it touches the holders,
+    first runs crash recovery — a channel operation arriving after the
+    node rebooted must not see the empty post-crash holder table as
+    authoritative."""
+
+    def state(self, source_key):
+        state = self.layer.state_by_source(source_key)
+        self.layer.ensure_recovered(state)
+        return state
+
+    def holders_above(self, state):
+        # A recall from below after a crash must reach the clients too.
+        self.layer.ensure_recovered(state)
+        return super().holders_above(state)
+
+
+class DfsLayer(DfsNaming, BaseLayer):
+    """The DFS server layer; see module docstring.  A crash of the
+    layer's node loses the per-client holder tables; recovery rebuilds
+    them from the surviving clients before the first recall or channel
+    operation of the new epoch consults them."""
 
     max_under = 1
     file_class = DfsFile
     directory_class = DfsDirectory
+    ops_class = RecoveringOps
+    state_class = RecoveringFileState
 
     def __init__(
         self,
@@ -137,6 +177,7 @@ class DfsLayer(DfsNaming, RecoveringLayer):
         compound: bool = False,
     ) -> None:
         super().__init__(domain)
+        domain.node.add_crash_listener(self._on_node_crash)
         self.forward_local_binds = forward_local_binds
         #: Coherency policy for remote client channels (sec. 3.3.3: the
         #: protocol is the pager's choice).
@@ -145,6 +186,63 @@ class DfsLayer(DfsNaming, RecoveringLayer):
 
     def fs_type(self) -> str:
         return "dfs"
+
+    # ------------------------------------------------------- crash recovery
+    def _on_node_crash(self) -> None:
+        """The machine went down: every per-client holder table — who
+        caches which block, with what rights — is volatile state and is
+        lost with the crash.  The data below and the clients' own caches
+        survive."""
+        for state in self._states.values():
+            state.holders = self._make_holders()
+
+    def ensure_recovered(self, state: RecoveringFileState) -> None:
+        """Rebuild ``state``'s holder table after a crash of this node.
+
+        Clients detect the recovery through the node's epoch bump (the
+        state is stamped with the epoch its table was registered under).
+        Each surviving upstream channel re-declares its cached holds via
+        :meth:`~repro.vm.cache_object.CacheObject.held_blocks`, and any
+        dirty attribute copy a client's fs_cache still holds is replayed
+        down the stack — so post-recovery reads see exactly the
+        pre-crash state.  Dirty *data* blocks need no replay here:
+        re-recording the writer's hold lets the normal MRSW recall fetch
+        them on the next conflicting access.
+        """
+        node = self.domain.node
+        if state.registered_epoch == node.epoch:
+            return
+        state.registered_epoch = node.epoch
+        with self.fanout_region():
+            for channel in self.channels.channels_for(state.source_key):
+                held = channel.cache_object.held_blocks()
+                if held:
+                    for index in sorted(held):
+                        writable, _dirty = held[index]
+                        access = (
+                            AccessRights.READ_WRITE
+                            if writable
+                            else AccessRights.READ_ONLY
+                        )
+                        state.holders.record(
+                            channel, index * PAGE_SIZE, PAGE_SIZE, access
+                        )
+                fs_cache = narrow(channel.cache_object, FsCache)
+                if fs_cache is not None:
+                    attrs = fs_cache.write_back_attributes()
+                    if attrs is not None:
+                        self.ensure_down(state)
+                        if state.down_pager is not None:
+                            state.down_pager.attr_write_out(attrs)
+        self.world.counters.inc("dfs.recoveries")
+
+    def recall(self, state, offset, size, access=None) -> Dict[int, bytes]:
+        self.ensure_recovered(state)
+        return super().recall(state, offset, size, access)
+
+    def recall_for_shrink(self, state, length: int, old_length: int) -> None:
+        self.ensure_recovered(state)
+        super().recall_for_shrink(state, length, old_length)
 
     # ------------------------------------------------------------- file ops
     # DFS keeps no data cache of its own: reads and writes are served out

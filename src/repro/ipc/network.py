@@ -52,15 +52,6 @@ class Network:
         fault effects are skipped — used by the compound layer to charge
         sends whose delivery was already validated when each sub-op was
         absorbed (see :meth:`repro.ipc.compound.CompoundRegion.flush`).
-
-        Queueing (concurrent mode): when the destination node has a
-        finite server queue installed, the message reserves a service
-        slot *after* fault effects ran — so a fault-delayed message
-        arrives late and only then competes for a slot (it does **not**
-        hold one while delayed in the network), and a dropped message
-        never occupies the server at all.  The wait is charged to
-        ``server_queue_wait``; a duplicated message occupies two slots,
-        the way a real server would service both copies.
         """
         duplicated = False
         plane = self.fault_plane
@@ -72,12 +63,6 @@ class Network:
                 # May raise MessageDroppedError, charge a delay, or ask
                 # for the message to be duplicated.
                 duplicated = plane.on_send(src, dst, nbytes)
-        queue = dst.server_queue
-        if queue is not None:
-            service_us = self.world.cost_model.server_service_time_us(nbytes)
-            queue.admit(service_us)
-            if duplicated:
-                queue.admit(service_us)
         self._account(src, dst, nbytes)
         if duplicated:
             self._account(src, dst, nbytes)
@@ -145,13 +130,3 @@ class Network:
         """Bytes carried from ``src`` to ``dst`` (requests plus replies
         travelling that direction)."""
         return self.per_pair_bytes.get((src.name, dst.name), 0)
-
-    def inbound_bytes(self, node: "Node") -> int:
-        """Total bytes delivered *to* ``node`` from every peer — the
-        per-node hotness signal the sharded-DFS rebalancer reads."""
-        name = node.name
-        return sum(
-            nbytes
-            for (_, dst), nbytes in self.per_pair_bytes.items()
-            if dst == name
-        )

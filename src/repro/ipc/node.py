@@ -13,7 +13,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 from repro.ipc.domain import Credentials, Domain
 
 if TYPE_CHECKING:
-    from repro.sim.scheduler import ServiceQueue
     from repro.vm.vmm import Vmm
 
 
@@ -42,12 +41,6 @@ class Node:
         #: Per-node virtual memory manager; attached by repro.vm.vmm at
         #: world.create_node time (avoids an import cycle).
         self.vmm: Optional["Vmm"] = None
-        #: Inbound request queue (concurrent mode): None — the default —
-        #: means infinite server concurrency and zero queueing, which is
-        #: exactly the sequential calibration behaviour.  Install one
-        #: with :meth:`install_server_queue` to give the node a finite
-        #: service capacity under overlapping load.
-        self.server_queue: Optional["ServiceQueue"] = None
         #: Objects this node exposes to out-of-process clients over a
         #: real transport (see :meth:`expose` / :meth:`serve`).  Empty —
         #: and cost-free — unless the node is actually served.
@@ -69,21 +62,6 @@ class Node:
 
         return SocketServer(self.exports, host=host, port=port)
 
-    # --- service capacity ---------------------------------------------------
-    def install_server_queue(self, servers: int = 1) -> "ServiceQueue":
-        """Give this node a finite request-service capacity: every
-        inbound network message reserves one of ``servers`` slots for
-        the model's per-message service time, and time spent waiting for
-        a slot is charged to ``server_queue_wait`` (see
-        :class:`repro.sim.scheduler.ServiceQueue`)."""
-        from repro.sim.costs import SERVER_QUEUE_WAIT
-        from repro.sim.scheduler import ServiceQueue
-
-        self.server_queue = ServiceQueue(
-            self.world.clock, servers, SERVER_QUEUE_WAIT
-        )
-        return self.server_queue
-
     # --- failure / recovery ------------------------------------------------
     def add_crash_listener(self, fn: Callable[[], None]) -> None:
         """Register ``fn`` to run when this node crashes."""
@@ -96,10 +74,6 @@ class Node:
         if self.crashed:
             return
         self.crashed = True
-        if self.server_queue is not None:
-            # The in-memory request queue dies with the machine: slots
-            # free immediately, so post-recovery requests start clean.
-            self.server_queue.reset()
         for fn in self._on_crash:
             fn()
 

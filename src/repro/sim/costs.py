@@ -71,14 +71,6 @@ class CostModel:
     encrypt_per_kb_us: float = 200.0
     decrypt_per_kb_us: float = 200.0
 
-    # --- server-slot queues (concurrent mode; see repro.sim.scheduler) ---
-    #: Server-side handling time a request occupies one server slot for
-    #: (demultiplex, dispatch, context switch) — the service time of a
-    #: node's request queue under load.
-    server_service_us: float = 500.0
-    #: Additional per-KB slot occupancy for payload-carrying requests.
-    server_service_per_kb_us: float = 25.0
-
     def disk_io_us(self, nbytes: int) -> float:
         """Cost of one disk transfer of ``nbytes`` (seek + average
         rotational latency + media transfer)."""
@@ -95,12 +87,6 @@ class CostModel:
     def memcpy_us(self, nbytes: int) -> float:
         return self.memcpy_per_kb_us * (nbytes / KB)
 
-    def server_service_time_us(self, nbytes: int) -> float:
-        """Time one request carrying ``nbytes`` occupies a server slot
-        (the service time of the node's request queue — see
-        :meth:`repro.ipc.node.Node.install_server_queue`)."""
-        return self.server_service_us + self.server_service_per_kb_us * (nbytes / KB)
-
 
 #: Clock categories, interned once at import: ``SimClock.advance`` looks
 #: up a category's account on every charge whose cost depends on a size,
@@ -112,10 +98,6 @@ NETWORK = sys.intern("network")
 LOCAL_CALL = sys.intern("local_call")
 CROSS_DOMAIN = sys.intern("cross_domain")
 SYSCALL = sys.intern("syscall")
-#: Queue-wait category charged by a node's server-slot queue under the
-#: scheduler (repro.sim.scheduler.ServiceQueue): time a request spent
-#: waiting for a server slot, as opposed to being serviced.
-SERVER_QUEUE_WAIT = sys.intern("server_queue_wait")
 
 #: The charges of fixed cost and the category each is charged under:
 #: the invocation paths (charged by the ipc layer, exposed for the

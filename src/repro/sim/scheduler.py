@@ -3,8 +3,7 @@
 Everything the paper's tables measure runs *sequentially* — one
 operation at a time on :class:`repro.sim.clock.SimClock`.  That is the
 right methodology for relative-cost claims, but no two requests ever
-overlap, so nothing can be in flight when a fault strikes or queued
-behind another request at a server.
+overlap, so nothing can be in flight when a fault strikes.
 
 This module adds the missing half: a priority-queue event loop over
 virtual time on which simulated clients run as generator coroutines.
@@ -18,19 +17,15 @@ The execution model is **atomic-frame discrete-event simulation**:
   *frame* at *T* (:meth:`SimClock.begin_frame`) and runs the operation
   to completion in ordinary synchronous Python.  Every charge the
   operation makes — invocation paths, disk transfers, fault-plane
-  delays, queue waits — advances the frame-local clock, so the cost
-  model and the fault plane see consistent, locally monotonic time.
-  Closing the frame yields the operation's total virtual duration Δ;
-  the coroutine is resumed (with the operation's return value, or its
-  exception thrown in) at *T + Δ*.
+  delays — advances the frame-local clock, so the cost model and the
+  fault plane see consistent, locally monotonic time.  Closing the
+  frame yields the operation's total virtual duration Δ; the coroutine
+  is resumed (with the operation's return value, or its exception
+  thrown in) at *T + Δ*.
 
-* Contention between overlapping operations is carried by
-  :class:`ServiceQueue` reservations on a node's server slots
-  (:meth:`repro.ipc.node.Node.install_server_queue`): each admission
-  reserves the earliest-free slot and charges the waiting time to
-  ``server_queue_wait``, so queueing delay appears in both each
-  request's latency and the category totals.  Nothing else contends:
-  a CPU, a domain or a disk serves overlapping operations at once.
+* Nothing contends: a node, a CPU, a domain or a disk serves
+  overlapping operations at once, so an operation's duration is what
+  it charged, whatever else is in flight.
 
 Determinism: events are ordered by ``(time, sequence-number)`` with
 sequence numbers assigned in creation order, frames execute atomically,
@@ -38,13 +33,11 @@ and all randomness lives in seeded generators owned by the workload.  A
 run is a pure function of (workload, seed, fault plan).
 
 Approximation (documented, deliberate): because an operation's charges
-happen atomically at its start time, a resource touched mid-operation is
-reserved in event-start order rather than true arrival order, and a
-fault-plane event may be applied from within a frame slightly before
-tasks whose start time precedes the frame's *end* get to run.  Both
-effects are deterministic and shrink with operation granularity; the
-sequential calibration path never enters a frame and is byte-identical
-to earlier revisions.
+happen atomically at its start time, a fault-plane event may be applied
+from within a frame slightly before tasks whose start time precedes the
+frame's *end* get to run.  The effect is deterministic and shrinks with
+operation granularity; the sequential calibration path never enters a
+frame and is byte-identical to earlier revisions.
 """
 
 from __future__ import annotations
@@ -53,79 +46,11 @@ import heapq
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 __all__ = [
-    "ServiceQueue",
     "Scheduler",
     "Task",
     "think",
     "request",
 ]
-
-
-class ServiceQueue:
-    """A FIFO service centre in virtual time: ``servers`` concurrent
-    slots, earliest-free-slot reservation.
-
-    ``admit`` models one request arriving now: it reserves the earliest
-    slot to come free, charges the wait (time until that slot frees) to
-    the queue's clock category, and occupies the slot for ``service_us``.
-    With a single server and a backlog of *n* undrained reservations the
-    wait is exactly *n × service_us* — the "queue depth × service time"
-    model.  The *service* time itself is **not** charged here: it
-    represents server-side work the client's operation charges inline;
-    the queue only adds the waiting.
-
-    All bookkeeping is pure virtual-time arithmetic — no wall clock, no
-    randomness — so a workload replayed with the same seed reproduces
-    identical waits.
-    """
-
-    __slots__ = ("clock", "servers", "category", "_free_at", "admitted",
-                 "total_wait_us", "total_service_us", "peak_wait_us")
-
-    def __init__(self, clock, servers: int = 1,
-                 category: str = "queue_wait") -> None:
-        if servers < 1:
-            raise ValueError(f"servers must be >= 1, got {servers}")
-        self.clock = clock
-        self.servers = servers
-        self.category = category
-        #: Min-heap of per-slot free times.
-        self._free_at: List[float] = [0.0] * servers
-        self.admitted = 0
-        self.total_wait_us = 0.0
-        self.total_service_us = 0.0
-        self.peak_wait_us = 0.0
-
-    def admit(self, service_us: float) -> float:
-        """Admit one request at the current (frame-local) virtual time;
-        charge and return its queue wait in microseconds."""
-        if service_us < 0:
-            raise ValueError(f"negative service time: {service_us}")
-        now = self.clock.now_us
-        slot_free = heapq.heappop(self._free_at)
-        start = slot_free if slot_free > now else now
-        wait = start - now
-        heapq.heappush(self._free_at, start + service_us)
-        self.admitted += 1
-        self.total_service_us += service_us
-        if wait > 0.0:
-            self.total_wait_us += wait
-            if wait > self.peak_wait_us:
-                self.peak_wait_us = wait
-            self.clock.advance(wait, self.category)
-        return wait
-
-    def backlog_us(self) -> float:
-        """Virtual time until the most-loaded slot comes free — how far
-        behind offered load the centre currently is."""
-        latest = max(self._free_at)
-        now = self.clock.now_us
-        return latest - now if latest > now else 0.0
-
-    def reset(self) -> None:
-        """Drop all reservations (e.g. after a crash wipes a server's
-        request queue) and keep the cumulative statistics."""
-        self._free_at = [0.0] * self.servers
 
 
 class _Think:

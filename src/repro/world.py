@@ -87,8 +87,10 @@ class World:
     def scheduler(self):
         """The world's discrete-event scheduler (created on first use) —
         the entry point to concurrent mode: spawn client coroutines on
-        it and :meth:`~repro.sim.scheduler.Scheduler.run`.  Sequential
-        code never touches it."""
+        it and :meth:`~repro.sim.scheduler.Scheduler.run`.  Overlapping
+        requests do not contend: each runs in its own clock frame, which
+        carries its charges and the fault plane's link effects on its
+        sends.  Sequential code never touches it."""
         if self._scheduler is None:
             from repro.sim.scheduler import Scheduler
 

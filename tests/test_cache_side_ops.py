@@ -278,7 +278,7 @@ def test_no_layer_overrides_a_cache_side_entry_point():
         pending += subclasses
         tables += [c for c in subclasses if c.__module__.startswith("repro.")]
     assert {c.__name__ for c in tables} >= {
-        "CoherencyOps", "CryptOps", "CompOps", "CfsOps", "DiskOps", "ShardedOps",
+        "CoherencyOps", "CryptOps", "CompOps", "CfsOps", "DiskOps", "RecoveringOps",
     }
     for table in tables:
         assert not CACHE_SIDE_ENTRY_POINTS & set(vars(table)), table

@@ -3,16 +3,13 @@
 A server crash loses the volatile per-client holder tables; recovery
 (Lustre-style) is detected via the node's epoch bump and rebuilds them
 from the surviving clients' ``held_blocks`` reports, replaying any dirty
-attribute copies down through the stack.  Both remote layers recover
-this way — :class:`TestShardedLayerRecovery` runs the same tests over
-the sharded DFS layer.  The name cache's
+attribute copies down through the stack.  The name cache's
 ``serve_stale`` knob covers the naming side: resolution degrades to the
 last known answer while the authority is unreachable.
 """
 
 import pytest
 
-from repro.dfs import create_sharded_dfs
 from repro.errors import FileNotFoundError_
 from repro.fs.cfs import start_cfs
 from repro.fs.dfs import export_dfs, mount_remote
@@ -49,7 +46,7 @@ def dfs_state(dfs):
 
 
 def recoveries(dfs):
-    return dfs.world.counters.get(f"{dfs.fs_type()}.recoveries")
+    return dfs.world.counters.get("dfs.recoveries")
 
 
 class TestCrashLosesHolderState:
@@ -183,8 +180,7 @@ class TestEpochRecovery:
 def test_a_recall_from_below_reaches_the_client_after_recovery(dist):
     """The first post-recovery access may come from below: a read of
     the file through SFS recalls from DFS, and DFS re-registers the
-    surviving clients' holds before it answers.  (The sharded layer
-    has no channel below it to be recalled through.)"""
+    surviving clients' holds before it answers."""
     world, server, client, sfs, dfs, su, cu = dist
     with cu.activate():
         mapping = client.vmm.create_address_space("c").map(
@@ -196,24 +192,6 @@ def test_a_recall_from_below_reaches_the_client_after_recovery(dist):
     with su.activate():
         assert sfs.top.resolve("shared.dat").read(0, 12) == b"CLIENT DIRTY"
     assert recoveries(dfs) == 1
-
-
-class TestShardedLayerRecovery(TestCrashLosesHolderState, TestEpochRecovery):
-    """The same crash and re-registration tests with the sharded DFS
-    layer as the server: its node is the one that crashes, and the
-    clients are a second machine's VMM and CFS."""
-
-    @pytest.fixture
-    def dist(self):
-        cluster = create_sharded_dfs()
-        world, server, dfs = cluster.world, cluster.client, cluster.layer
-        client = world.create_node("remote")
-        client.fs_context.bind("dfs@server", dfs)
-        su = world.create_user_domain(server, "server-user")
-        cu = world.create_user_domain(client, "client-user")
-        with su.activate():
-            dfs.create_file("shared.dat").write(0, b"S" * (2 * PAGE_SIZE))
-        return world, server, client, cluster.meta_sfs, dfs, su, cu
 
 
 class TestNameCacheStaleServing:

@@ -294,6 +294,32 @@ class TestInvocationRetry:
             rf.read(0, 4)
         assert world.counters.get("dfs.retries") >= 1
 
+    def test_a_dropped_write_is_resent_and_applied_once(self, dist, monkeypatch):
+        world, server, client, dfs, su, cu = dist
+        with cu.activate():
+            rf = client.fs_context.resolve("dfs@server/shared.dat")
+        applied = []
+        file_write = type(dfs).file_write
+
+        def counted(layer, state, offset, data):
+            applied.append(bytes(data))
+            return file_write(layer, state, offset, data)
+
+        monkeypatch.setattr(type(dfs), "file_write", counted)
+        world.install_fault_plan(
+            FaultPlan().drop("client", "server", world.clock.now_us)
+        )
+        world.enable_retries(RetryPolicy(base_backoff_us=100))
+        with cu.activate():
+            assert rf.write(0, b"WW") == 2
+        assert world.counters.get("faults.dropped") == 1
+        assert world.counters.get("invoke.retries") == 1
+        # The dropped send never reached the server, so the body ran
+        # zero times before the resend and once after it.
+        assert applied == [b"WW"]
+        with su.activate():
+            assert dfs.resolve("shared.dat").read(0, 4) == b"WWSS"
+
     def test_retries_exhausted_surfaces_error(self, dist):
         world, server, client, dfs, su, cu = dist
         world.install_fault_plan(

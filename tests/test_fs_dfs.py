@@ -3,6 +3,7 @@ coherency, and the P2-C2 cache-manager channel."""
 
 import pytest
 
+from repro.errors import FsError
 from repro.fs.dfs import DfsLayer, export_dfs, mount_remote
 from repro.fs.sfs import create_sfs
 from repro.storage.block_device import BlockDevice
@@ -69,6 +70,17 @@ class TestRemoteAccess:
                 n for n, _ in client.fs_context.resolve("dfs@server").list_bindings()
             ]
         assert "shared.dat" in names
+
+    def test_open_intent_refuses_a_directory(self, dist):
+        world, server, client, sfs, dfs, su, cu = dist
+        with su.activate():
+            dfs.create_dir("d")
+        with cu.activate():
+            root = client.fs_context.resolve("dfs@server")
+            with pytest.raises(FsError, match="'d' is not a file"):
+                root.open_intent("d")
+            assert root.open_intent("shared.dat").attributes.size == 2 * PAGE_SIZE
+        assert world.counters.get("dfs.intent_open") == 1
 
     def test_network_charged_for_remote_ops(self, dist):
         world, server, client, sfs, dfs, su, cu = dist
@@ -216,26 +228,20 @@ class TestPartitionBehaviour:
 def _file_with_remote_mapper(kind):
     """A 2-page file of ``A`` on ``kind``, plus a node other than the
     file's and a user on it to map the file from."""
-    from repro.dfs import create_sharded_dfs
     from repro.world import World
 
-    if kind == "shardfs":
-        cluster = create_sharded_dfs()
-        world, root = cluster.world, cluster.layer
-        owner = world.create_user_domain(cluster.client)
-    else:
-        world = World()
-        server = world.create_node("server")
-        sfs = create_sfs(server, BlockDevice(server.nucleus, "sd0", 8192))
-        root = sfs.top if kind == "sfs" else export_dfs(server, sfs.top)
-        owner = world.create_user_domain(server)
+    world = World()
+    server = world.create_node("server")
+    sfs = create_sfs(server, BlockDevice(server.nucleus, "sd0", 8192))
+    root = sfs.top if kind == "sfs" else export_dfs(server, sfs.top)
+    owner = world.create_user_domain(server)
     with owner.activate():
         root.create_file("t.dat").write(0, b"A" * (2 * PAGE_SIZE))
     mapper = world.create_node("mapper")
     return root, mapper, world.create_user_domain(mapper, "mapper-user")
 
 
-@pytest.mark.parametrize("kind", ["sfs", "dfs-remote", "shardfs"])
+@pytest.mark.parametrize("kind", ["sfs", "dfs-remote"])
 def test_truncate_into_page_a_remote_holder_has_dirty_keeps_its_head(kind):
     """Shrinking into a page recalls it from the holder that dirtied it:
     the bytes below the new length are that holder's, not the stale copy

@@ -9,7 +9,6 @@ import contextlib
 import pytest
 
 from repro.bench.workloads import pattern_bytes
-from repro.dfs.cluster import create_sharded_dfs
 from repro.errors import InvalidNameError, OutOfRangeError, UnixError
 from repro.fs.coherency import CoherencyLayer
 from repro.fs.file import File
@@ -87,9 +86,6 @@ def _stack(kind: str):
         with cu.activate():
             root = client.fs_context.resolve("dfs@server".replace("server", node.name))
         return root, cu
-    if kind == "sharded":
-        cluster = create_sharded_dfs(world)
-        return cluster.layer, world.create_user_domain(cluster.client)
     raise ValueError(kind)
 
 
@@ -475,9 +471,9 @@ class TestSameWorkloadEverywhere:
         check_whole()
 
 
-#: The stacks a VMM pages through: the eight kinds, the SFS with its
-#: coherency layer not caching, and the sharded DFS.
-PAGING_KINDS = KINDS + ["sfs-uncached", "sharded"]
+#: The stacks a VMM pages through: the eight kinds and the SFS with its
+#: coherency layer not caching.
+PAGING_KINDS = KINDS + ["sfs-uncached"]
 
 #: The data operations of the pager side of a channel, as the spine
 #: counts them (``<layer>.<op>``).
@@ -488,18 +484,14 @@ def _channel_census(root, transfers):
     """What the stack under ``root`` did since its world's counters
     were reset and ``transfers`` (``_device_transfers`` then) was
     taken: every layer's count of each pager-side data operation
-    (:func:`layer_op_breakdown`), the sharded layer's sink, and the
-    device reads and writes underneath."""
+    (:func:`layer_op_breakdown`) and the device reads and writes
+    underneath."""
     census = {
         f"{fs}.{op}": count
         for fs, _, ops in layer_op_breakdown(root)
         for op, (count, _) in ops.items()
         if op in _DATA_OPS
     }
-    counters = root.world.counters
-    for key in ("shard.reads", "shard.quorum_writes"):
-        if counters.get(key):
-            census[key] = counters.get(key)
     reads, writes = _device_transfers(root)
     census["device.reads"] = reads - transfers[0]
     census["device.writes"] = writes - transfers[1]
@@ -556,10 +548,6 @@ MAPPED_SCAN = {
     "sfs-uncached": {
         "coherency.page_in": 1, "coherency.page_in_range": 3,
         "disk.page_in": 4, "device.reads": 7, "device.writes": 0,
-    },
-    "sharded": {
-        "shardfs.page_in": 1, "shardfs.page_in_range": 3, "shard.reads": 4,
-        "device.reads": 1, "device.writes": 0,
     },
 }
 
@@ -673,16 +661,6 @@ MAPPED_WRITE = {
         "coherency.page_in": 5, "coherency.page_out": 1, "coherency.sync": 1,
         "disk.page_in": 5, "disk.page_out": 2, "device.reads": 6,
         "device.writes": 3,
-    },
-    ("sharded", False): {
-        "shardfs.page_in": 5, "shardfs.page_out": 2, "shardfs.sync": 3,
-        "shard.reads": 5, "shard.quorum_writes": 5, "device.reads": 1,
-        "device.writes": 0,
-    },
-    ("sharded", True): {
-        "shardfs.page_in": 5, "shardfs.page_out": 1, "shardfs.sync": 1,
-        "shard.reads": 5, "shard.quorum_writes": 2, "device.reads": 1,
-        "device.writes": 0,
     },
 }
 

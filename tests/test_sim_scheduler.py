@@ -1,89 +1,11 @@
-"""Unit tests for the discrete-event scheduler and service queues."""
+"""Unit tests for the discrete-event scheduler."""
 
 import pytest
 
 from repro.sim.clock import SimClock
-from repro.sim.scheduler import Scheduler, ServiceQueue, request, think
+from repro.sim.faults import FaultPlan
+from repro.sim.scheduler import request, think
 from repro.world import World
-
-
-class TestServiceQueue:
-    def test_empty_queue_no_wait(self):
-        clock = SimClock()
-        queue = ServiceQueue(clock, servers=1, category="q")
-        assert queue.admit(100.0) == 0.0
-        assert clock.now_us == 0.0
-        assert clock.charged("q") == 0.0
-
-    def test_backlog_charges_queue_depth(self):
-        clock = SimClock()
-        queue = ServiceQueue(clock, servers=1, category="q")
-        assert queue.admit(100.0) == 0.0  # t=0, slot busy until 100
-        # Charging the wait advances the caller's clock, so each later
-        # arrival lands where the previous reservation ends.
-        assert queue.admit(100.0) == 100.0  # arrives 0, starts 100
-        assert queue.admit(100.0) == 100.0  # arrives 100, starts 200
-        assert clock.charged("q") == 200.0
-        assert queue.total_wait_us == 200.0
-        assert queue.peak_wait_us == 100.0
-        assert queue.admitted == 3
-
-    def test_simultaneous_arrivals_pay_depth_times_service(self):
-        # Under the scheduler each admission happens inside its own
-        # frame pinned at the arrival time, so three arrivals at t=0
-        # wait 0, 1x, and 2x the service time.
-        clock = SimClock()
-        queue = ServiceQueue(clock, servers=1, category="q")
-        waits = []
-        for _ in range(3):
-            clock.begin_frame(0.0)
-            waits.append(queue.admit(100.0))
-            clock.end_frame()
-        assert waits == [0.0, 100.0, 200.0]
-        assert queue.peak_wait_us == 200.0
-
-    def test_multiple_servers_absorb_concurrency(self):
-        clock = SimClock()
-        queue = ServiceQueue(clock, servers=2, category="q")
-        assert queue.admit(100.0) == 0.0
-        assert queue.admit(100.0) == 0.0  # second slot
-        wait = queue.admit(100.0)  # must wait for a slot
-        assert wait > 0.0
-
-    def test_slot_frees_after_service(self):
-        clock = SimClock()
-        queue = ServiceQueue(clock, servers=1, category="q")
-        queue.admit(50.0)
-        clock.advance(60.0, "cpu")  # past the reservation
-        assert queue.backlog_us() == 0.0
-        assert queue.admit(50.0) == 0.0
-
-    def test_reset_drops_reservations_keeps_stats(self):
-        clock = SimClock()
-        queue = ServiceQueue(clock, servers=1, category="q")
-        queue.admit(100.0)
-        queue.admit(100.0)
-        assert queue.backlog_us() > 0.0
-        queue.reset()
-        assert queue.backlog_us() == 0.0
-        assert queue.admitted == 2  # cumulative stats survive
-        assert queue.admit(100.0) == 0.0  # fresh slot, no wait
-
-    def test_stats_shape(self):
-        clock = SimClock()
-        queue = ServiceQueue(clock, servers=3, category="q")
-        queue.admit(10.0)
-        assert queue.servers == 3
-        assert queue.admitted == 1
-        assert queue.total_service_us == 10.0
-
-    def test_rejects_bad_arguments(self):
-        clock = SimClock()
-        with pytest.raises(ValueError):
-            ServiceQueue(clock, servers=0)
-        queue = ServiceQueue(clock)
-        with pytest.raises(ValueError):
-            queue.admit(-1.0)
 
 
 class TestScheduler:
@@ -271,25 +193,6 @@ class TestScheduler:
         scheduler.run()
         assert scheduler.operations == 2
 
-    def test_contention_through_service_queue(self):
-        # Two clients hit a single-slot resource at the same instant:
-        # the second pays one full service time of queueing delay.
-        world = World()
-        scheduler = world.scheduler()
-        queue = ServiceQueue(world.clock, servers=1, category="q")
-        finish = {}
-
-        def client(name):
-            yield request(lambda: queue.admit(100.0))
-            finish[name] = world.clock.now_us
-
-        scheduler.spawn(client("first"), name="first")
-        scheduler.spawn(client("second"), name="second")
-        scheduler.run()
-        assert finish["first"] == 0.0  # no wait; service not charged here
-        assert finish["second"] == 100.0  # waited out the first reservation
-        assert world.clock.charged("q") == 100.0
-
 
 class TestSchedulerDeterminism:
     @staticmethod
@@ -298,14 +201,13 @@ class TestSchedulerDeterminism:
 
         world = World()
         scheduler = world.scheduler()
-        queue = ServiceQueue(world.clock, servers=1, category="q")
         trace = []
 
         def client(cid):
             rng = random.Random(seed * 1_000_003 + cid)
             for _ in range(3):
                 yield think(rng.expovariate(1 / 100.0))
-                yield request(lambda: queue.admit(25.0))
+                yield request(lambda: world.clock.advance(25.0, "cpu"))
                 trace.append((cid, world.clock.now_us))
 
         for cid in range(8):
@@ -320,10 +222,38 @@ class TestSchedulerDeterminism:
         assert self._run_once(7) != self._run_once(8)
 
 
+class TestFaultPlanInFrames:
+    def test_a_delay_lengthens_only_the_request_that_sends(self):
+        # The plan's link effect fires inside the sending request's
+        # frame: ``a`` sends at 0 and pays the 1000us delay before its
+        # 2000us round trip; ``b`` sends at 100 after the plan's one
+        # delay is spent, so it finishes first.
+        world = World()
+        src, dst = world.create_node("src"), world.create_node("dst")
+        world.install_fault_plan(
+            FaultPlan().delay("src", "dst", at_us=0.0, delay_us=1_000.0)
+        )
+        scheduler = world.scheduler()
+        finish = {}
+
+        def client(name, think_us):
+            yield think(think_us)
+            yield request(lambda: world.network.transfer(src, dst, 0))
+            finish[name] = world.clock.now_us
+
+        scheduler.spawn(client("a", 0.0), name="a")
+        scheduler.spawn(client("b", 100.0), name="b")
+        scheduler.run()
+        assert finish == {"b": 2_100.0, "a": 3_000.0}
+        assert list(finish) == ["b", "a"]
+        assert world.clock.charged("network_fault_delay") == 1_000.0
+        assert world.counters.get("faults.delayed") == 1
+
+
 class TestClockSchedulerIntegration:
     def test_sequential_path_untouched_by_import(self):
         # Importing the scheduler machinery must not perturb a
-        # sequential world: no frames, no queues, plain advances.
+        # sequential world: no frames, plain advances.
         world = World()
         world.clock.advance(10.0, "cpu")
         assert world.clock.now_us == 10.0
