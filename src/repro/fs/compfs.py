@@ -55,22 +55,22 @@ from repro.fs.base import (
 from repro.fs.file import File
 
 MAGIC = b"CZ01"
-_HEADER = struct.Struct("<4sQ")
+_PAYLOAD_HEAD = struct.Struct("<4sQ")
 
 
 def pack_compressed(plaintext: bytes) -> bytes:
-    return _HEADER.pack(MAGIC, len(plaintext)) + zlib.compress(plaintext, 6)
+    return _PAYLOAD_HEAD.pack(MAGIC, len(plaintext)) + zlib.compress(plaintext, 6)
 
 
 def unpack_compressed(payload: bytes) -> bytes:
     if len(payload) == 0:
         return b""
-    if len(payload) < _HEADER.size:
+    if len(payload) < _PAYLOAD_HEAD.size:
         raise FsError("underlying file too short to be a COMPFS file")
-    magic, plain_size = _HEADER.unpack_from(payload)
+    magic, plain_size = _PAYLOAD_HEAD.unpack_from(payload)
     if magic != MAGIC:
         raise FsError("underlying file is not in COMPFS format")
-    plaintext = zlib.decompress(payload[_HEADER.size :])
+    plaintext = zlib.decompress(payload[_PAYLOAD_HEAD.size :])
     if len(plaintext) != plain_size:
         raise FsError(
             f"COMPFS header claims {plain_size} bytes, got {len(plaintext)}"

@@ -30,18 +30,18 @@ Two backends:
 from __future__ import annotations
 
 import os
-import struct
 from typing import Dict, Optional
 
 from repro.errors import DeviceError
+from repro.storage.ondisk import IMAGE_HEADER
 
-#: Image header: magic, format version, block size, block count.  The
-#: header owns the first :data:`HEADER_SIZE` bytes of the file; block
-#: ``i`` lives at ``HEADER_SIZE + i * block_size``.
+#: The image header (:data:`repro.storage.ondisk.IMAGE_HEADER`) owns the
+#: first :data:`HEADER_SIZE` bytes of the file; block ``i`` lives at
+#: ``HEADER_SIZE + i * block_size``.
 IMAGE_MAGIC = b"SPRIMG1\x00"
 IMAGE_VERSION = 1
 HEADER_SIZE = 4096
-_HEADER = struct.Struct("<8sIII")
+_HEAD = IMAGE_HEADER.struct
 
 
 class BlockStore:
@@ -132,7 +132,7 @@ class ImageBlockStore(BlockStore):
             raise DeviceError("image geometry must be positive")
         fh = open(path, "w+b")
         header = bytearray(HEADER_SIZE)
-        _HEADER.pack_into(header, 0, IMAGE_MAGIC, IMAGE_VERSION, block_size, num_blocks)
+        _HEAD.pack_into(header, 0, IMAGE_MAGIC, IMAGE_VERSION, block_size, num_blocks)
         fh.write(header)
         fh.truncate(HEADER_SIZE + num_blocks * block_size)
         fh.flush()
@@ -145,11 +145,11 @@ class ImageBlockStore(BlockStore):
             fh = open(path, "r+b")
         except OSError as exc:
             raise DeviceError(f"cannot open image {path!r}: {exc}") from exc
-        raw = fh.read(_HEADER.size)
-        if len(raw) < _HEADER.size:
+        raw = fh.read(_HEAD.size)
+        if len(raw) < _HEAD.size:
             fh.close()
             raise DeviceError(f"image {path!r} is truncated (no header)")
-        magic, version, block_size, num_blocks = _HEADER.unpack(raw)
+        magic, version, block_size, num_blocks = _HEAD.unpack(raw)
         if magic != IMAGE_MAGIC:
             fh.close()
             raise DeviceError(f"image {path!r}: bad magic {magic!r}")

@@ -5,7 +5,7 @@ packed sequence of variable-length entries:
 
     u32 ino | u16 name_len | name bytes (utf-8)
 
-An entry with ino == 0 never appears — entries are rewritten compactly
+The head is :data:`repro.storage.ondisk.DIRECTORY_ENTRY`.  An entry with ino == 0 never appears — entries are rewritten compactly
 on every change, which keeps the format trivially consistent at the cost
 of rewriting the directory file.  Directories in this reproduction are
 small (the paper's benchmarks use single-component lookups), so the
@@ -14,12 +14,12 @@ simplicity is the right trade.
 
 from __future__ import annotations
 
-import struct
 from typing import Dict
 
 from repro.errors import StorageError
+from repro.storage.ondisk import DIRECTORY_ENTRY
 
-_ENTRY_HEAD = struct.Struct("<IH")
+_HEAD = DIRECTORY_ENTRY.struct
 MAX_NAME_LEN = 255
 
 
@@ -32,7 +32,7 @@ def pack_entries(entries: Dict[str, int]) -> bytes:
             raise StorageError(f"bad directory entry name {name!r}")
         if ino == 0:
             raise StorageError("directory entry with ino 0")
-        out += _ENTRY_HEAD.pack(ino, len(encoded))
+        out += _HEAD.pack(ino, len(encoded))
         out += encoded
     return bytes(out)
 
@@ -41,11 +41,11 @@ def unpack_entries(raw: bytes) -> Dict[str, int]:
     """Parse directory file contents back into a name -> ino mapping."""
     entries: Dict[str, int] = {}
     position = 0
-    while position + _ENTRY_HEAD.size <= len(raw):
-        ino, name_len = _ENTRY_HEAD.unpack_from(raw, position)
+    while position + _HEAD.size <= len(raw):
+        ino, name_len = _HEAD.unpack_from(raw, position)
         if ino == 0:
             break  # zero padding at the tail of the last block
-        position += _ENTRY_HEAD.size
+        position += _HEAD.size
         if position + name_len > len(raw):
             raise StorageError("truncated directory entry")
         name = raw[position : position + name_len].decode("utf-8")

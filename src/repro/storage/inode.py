@@ -10,17 +10,13 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import struct
 from typing import List
 
 from repro.errors import StorageError
+from repro.storage.ondisk import INODE
 
-INODE_SIZE = 128
+INODE_SIZE = INODE.size
 NUM_DIRECT = 12
-
-#: type, nlink, size, atime, mtime, ctime, 12 direct, indirect, dbl_indirect
-_INODE = struct.Struct("<HHIqqq12III" + "40x")
-assert _INODE.size == INODE_SIZE, _INODE.size
 
 
 class FileType(enum.IntEnum):
@@ -49,37 +45,16 @@ class Inode:
     def pack(self) -> bytes:
         if len(self.direct) != NUM_DIRECT:
             raise StorageError("direct pointer array corrupted")
-        return _INODE.pack(
-            int(self.type),
-            self.nlink,
-            self.size,
-            self.atime_us,
-            self.mtime_us,
-            self.ctime_us,
-            *self.direct,
-            self.indirect,
-            self.dbl_indirect,
-        )
+        return INODE.pack(self)
 
     @classmethod
     def unpack(cls, ino: int, raw: bytes) -> "Inode":
-        fields = _INODE.unpack_from(raw)
+        fields = INODE.unpack(raw)
         try:
-            ftype = FileType(fields[0])
+            fields["type"] = FileType(fields["type"])
         except ValueError:
-            ftype = fields[0]
-        return cls(
-            ino=ino,
-            type=ftype,
-            nlink=fields[1],
-            size=fields[2],
-            atime_us=fields[3],
-            mtime_us=fields[4],
-            ctime_us=fields[5],
-            direct=list(fields[6 : 6 + NUM_DIRECT]),
-            indirect=fields[6 + NUM_DIRECT],
-            dbl_indirect=fields[7 + NUM_DIRECT],
-        )
+            pass  # an unknown type stays the plain int (class docstring)
+        return cls(ino=ino, **fields)
 
     def reset(self, ftype: FileType) -> None:
         """Become an empty i-node of ``ftype`` — no links, no bytes, no

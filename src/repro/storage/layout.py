@@ -8,9 +8,9 @@ carrying a clean/dirty state flag, and the metadata organised in
 of the i-node table, and its data blocks, so allocation can keep an
 i-node's blocks near its group the way McKusick's FFS does.
 
-With one cylinder group (the default, and the geometry every pre-PR-9
-volume used) the layout degenerates to the classic arrangement and is
-*behaviour-identical* to the legacy format:
+One cylinder group (the default, and the geometry every pre-PR-9 volume
+used) is the classic arrangement, one group whose span is the whole
+device, block 0 included:
 
     block 0                superblock
     blocks 1..B            block allocation bitmap (whole device)
@@ -25,16 +25,17 @@ the device is carved into G equal regions of ``cg_size`` blocks:
         i-node table blocks    (i-nodes g*cg_inodes .. (g+1)*cg_inodes-1)
         data blocks
 
-All multi-byte integers are little-endian, packed with :mod:`struct`.
+Either way group ``g`` is group 0 moved ``g`` spans up the device.  The
+superblock's bytes are declared in :mod:`repro.storage.ondisk`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import struct
-from typing import List
+from typing import List, Tuple
 
 from repro.errors import StorageError
+from repro.storage.ondisk import INODE, SUPERBLOCK
 
 MAGIC = 0x53465331  # "SFS1"
 #: On-disk format revision.  Version 2 added the state flag and the
@@ -48,14 +49,6 @@ VERSION = 2
 #: look (see docs/ONDISK.md "Flush ordering").
 STATE_CLEAN = 1
 STATE_DIRTY = 2
-
-#: Superblock: magic, version, state, block_size, num_blocks,
-#: inode_count, root_ino, cg_count, cg_size, cg_inodes, bitmap_start,
-#: bitmap_blocks, inode_table_start, inode_table_blocks, data_start,
-#: checksum.  The bitmap/inode-table/data fields describe cylinder
-#: group 0; other groups are derived (uniform geometry).
-_SUPERBLOCK = struct.Struct("<16I")
-_CHECKSUM_MASK = 0xFFFFFFFF
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,6 +70,9 @@ class CylinderGroup:
 
 @dataclasses.dataclass
 class SuperBlock:
+    """The geometry and state of a volume.  The classic one-group layout
+    is stored with ``cg_size = cg_inodes = 0``."""
+
     block_size: int
     num_blocks: int
     bitmap_start: int
@@ -92,63 +88,58 @@ class SuperBlock:
     cg_size: int = 0          # blocks per group region (0 = single-group)
     cg_inodes: int = 0        # i-nodes per group (0 = single-group)
 
+    #: The superblock table's first row, a constant.
+    magic = MAGIC
+
+    @property
+    def checksum(self) -> int:
+        """The sum of every other superblock row, mod 2**32."""
+        rows = (getattr(self, f) for f in SUPERBLOCK.fields if f != "checksum")
+        return sum(rows) & 0xFFFFFFFF
+
     def pack(self) -> bytes:
-        fields = [
-            MAGIC,
-            self.version,
-            self.state,
-            self.block_size,
-            self.num_blocks,
-            self.inode_count,
-            self.root_ino,
-            self.cg_count,
-            self.cg_size,
-            self.cg_inodes,
-            self.bitmap_start,
-            self.bitmap_blocks,
-            self.inode_table_start,
-            self.inode_table_blocks,
-            self.data_start,
-        ]
-        checksum = sum(fields) & _CHECKSUM_MASK
-        return _SUPERBLOCK.pack(*fields, checksum)
+        return SUPERBLOCK.pack(self)
 
     @classmethod
     def unpack(cls, raw: bytes) -> "SuperBlock":
-        fields = _SUPERBLOCK.unpack_from(raw)
-        if fields[0] != MAGIC:
+        if len(raw) < SUPERBLOCK.size:
             raise StorageError(
-                f"bad superblock magic {fields[0]:#x}; device not formatted?"
+                f"superblock needs {SUPERBLOCK.size} bytes, the block holds {len(raw)}"
             )
-        if fields[1] != VERSION:
+        fields = SUPERBLOCK.unpack(raw)
+        magic, checksum = fields.pop("magic"), fields.pop("checksum")
+        if magic != MAGIC:
             raise StorageError(
-                f"superblock format version {fields[1]} not supported "
+                f"bad superblock magic {magic:#x}; device not formatted?"
+            )
+        if fields["version"] != VERSION:
+            raise StorageError(
+                f"superblock format version {fields['version']} not supported "
                 f"(this build reads version {VERSION})"
             )
-        if sum(fields[:-1]) & _CHECKSUM_MASK != fields[-1]:
+        sb = cls(**fields)
+        if sb.checksum != checksum:
             raise StorageError("superblock checksum mismatch; torn write?")
-        (
-            _magic, version, state, block_size, num_blocks, inode_count,
-            root_ino, cg_count, cg_size, cg_inodes, bitmap_start,
-            bitmap_blocks, inode_table_start, inode_table_blocks,
-            data_start, _checksum,
-        ) = fields
-        return cls(
-            block_size=block_size,
-            num_blocks=num_blocks,
-            bitmap_start=bitmap_start,
-            bitmap_blocks=bitmap_blocks,
-            inode_table_start=inode_table_start,
-            inode_table_blocks=inode_table_blocks,
-            inode_count=inode_count,
-            data_start=data_start,
-            root_ino=root_ino,
-            version=version,
-            state=state,
-            cg_count=cg_count,
-            cg_size=cg_size,
-            cg_inodes=cg_inodes,
+        return sb
+
+    def check(self, block_size: int, num_blocks: int) -> None:
+        """Refuse this superblock for a device of ``num_blocks`` blocks of
+        ``block_size`` bytes unless it describes that device and its
+        layout is the one :meth:`compute` derives from its own block
+        size, block count, i-node count and group count.  A block count
+        short of the device's is refused too: i-nodes may still name the
+        blocks past it."""
+        if (self.block_size, self.num_blocks) != (block_size, num_blocks):
+            raise StorageError(
+                f"superblock describes {self.num_blocks} blocks of "
+                f"{self.block_size} bytes; the device has {num_blocks} of "
+                f"{block_size}"
+            )
+        expected = SuperBlock.compute(
+            self.block_size, self.num_blocks, self.inode_count, self.cg_count
         )
+        if dataclasses.replace(expected, state=self.state) != self:
+            raise StorageError("superblock geometry contradicts itself")
 
     @classmethod
     def compute(
@@ -158,58 +149,29 @@ class SuperBlock:
         inode_count: int,
         cylinder_groups: int = 1,
     ) -> "SuperBlock":
-        """Derive a layout for a device of ``num_blocks`` blocks.
-
-        ``cylinder_groups=1`` (the default) produces the classic legacy
-        arrangement; larger counts carve the device into uniform group
-        regions (``inode_count`` is rounded up to a multiple of the
-        group count)."""
-        from repro.storage.inode import INODE_SIZE
-
-        bits_per_block = block_size * 8
-        inodes_per_block = block_size // INODE_SIZE
+        """Derive a layout for a device of ``num_blocks`` blocks: block 0
+        is the superblock, and ``cylinder_groups`` groups of one span each
+        hold a bitmap of their span, an i-node table slice and data.  One
+        group (the default) spans the whole device, block 0 included;
+        more groups follow block 0, and ``inode_count`` is rounded up to
+        a multiple of the group count."""
         if cylinder_groups < 1:
             raise StorageError("need at least one cylinder group")
-
-        if cylinder_groups == 1:
-            bitmap_blocks = (num_blocks + bits_per_block - 1) // bits_per_block
-            inode_table_blocks = (
-                inode_count + inodes_per_block - 1
-            ) // inodes_per_block
-            bitmap_start = 1
-            inode_table_start = bitmap_start + bitmap_blocks
-            data_start = inode_table_start + inode_table_blocks
-            if data_start >= num_blocks:
-                raise StorageError(
-                    f"device too small: metadata needs {data_start} of "
-                    f"{num_blocks} blocks"
-                )
-            return cls(
-                block_size=block_size,
-                num_blocks=num_blocks,
-                bitmap_start=bitmap_start,
-                bitmap_blocks=bitmap_blocks,
-                inode_table_start=inode_table_start,
-                inode_table_blocks=inode_table_blocks,
-                inode_count=inode_count,
-                data_start=data_start,
-                root_ino=1,
-                cg_count=1,
-                cg_size=0,
-                cg_inodes=0,
-            )
-
-        cg_inodes = (inode_count + cylinder_groups - 1) // cylinder_groups
-        inode_count = cg_inodes * cylinder_groups
-        cg_size = (num_blocks - 1) // cylinder_groups
-        bitmap_blocks = (cg_size + bits_per_block - 1) // bits_per_block
-        inode_table_blocks = (cg_inodes + inodes_per_block - 1) // inodes_per_block
-        overhead = bitmap_blocks + inode_table_blocks
-        if cg_size <= overhead:
+        if block_size < INODE.size:
+            raise StorageError(f"a block of {block_size} bytes holds no i-node")
+        if inode_count < 2:
+            raise StorageError("need i-node 0 (reserved) and the root, i-node 1")
+        origin = int(cylinder_groups > 1)  # first block of group 0
+        span = (num_blocks - origin) // cylinder_groups
+        cg_inodes = -(-inode_count // cylinder_groups)
+        bitmap_blocks = -(-span // (block_size * 8))
+        inode_table_blocks = -(-cg_inodes // (block_size // INODE.size))
+        data_start = 1 + bitmap_blocks + inode_table_blocks
+        if data_start >= origin + span:
             raise StorageError(
                 f"device too small for {cylinder_groups} cylinder groups: "
-                f"each group of {cg_size} blocks needs {overhead} metadata "
-                f"blocks"
+                f"each group of {span} blocks needs {data_start - origin} "
+                f"metadata blocks"
             )
         return cls(
             block_size=block_size,
@@ -218,68 +180,48 @@ class SuperBlock:
             bitmap_blocks=bitmap_blocks,
             inode_table_start=1 + bitmap_blocks,
             inode_table_blocks=inode_table_blocks,
-            inode_count=inode_count,
-            data_start=1 + overhead,
+            inode_count=cg_inodes * cylinder_groups,
+            data_start=data_start,
             root_ino=1,
             cg_count=cylinder_groups,
-            cg_size=cg_size,
-            cg_inodes=cg_inodes,
+            # The classic layout stores its span and i-nodes per group as 0.
+            cg_size=span * origin,
+            cg_inodes=cg_inodes * origin,
         )
 
     # ------------------------------------------------------------- geometry
+    def _origin_span(self) -> Tuple[int, int]:
+        """(first block of group 0, blocks per group)."""
+        return (1, self.cg_size) if self.cg_size else (0, self.num_blocks)
+
     def groups(self) -> List[CylinderGroup]:
         """The cylinder groups of this layout, in disk order.  The
-        single-group case describes the whole legacy layout as group 0
-        (spanning block 0 so its bitmap bits are the classic absolute
-        bit-per-block image)."""
-        if self.cg_count == 1:
-            return [
-                CylinderGroup(
-                    index=0,
-                    start=0,
-                    end=self.num_blocks,
-                    bitmap_start=self.bitmap_start,
-                    bitmap_blocks=self.bitmap_blocks,
-                    inode_start=self.inode_table_start,
-                    inode_blocks=self.inode_table_blocks,
-                    ino_base=0,
-                    inode_count=self.inode_count,
-                    data_start=self.data_start,
-                )
-            ]
-        out = []
-        overhead = self.bitmap_blocks + self.inode_table_blocks
-        for g in range(self.cg_count):
-            start = 1 + g * self.cg_size
-            out.append(
-                CylinderGroup(
-                    index=g,
-                    start=start,
-                    end=start + self.cg_size,
-                    bitmap_start=start,
-                    bitmap_blocks=self.bitmap_blocks,
-                    inode_start=start + self.bitmap_blocks,
-                    inode_blocks=self.inode_table_blocks,
-                    ino_base=g * self.cg_inodes,
-                    inode_count=self.cg_inodes,
-                    data_start=start + overhead,
-                )
+        classic layout's one group spans block 0, so its bitmap bits are
+        the absolute bit-per-block image."""
+        origin, span = self._origin_span()
+        per_group = self.cg_inodes or self.inode_count
+        return [
+            CylinderGroup(
+                index=g,
+                start=origin + g * span,
+                end=origin + (g + 1) * span,
+                bitmap_start=self.bitmap_start + g * span,
+                bitmap_blocks=self.bitmap_blocks,
+                inode_start=self.inode_table_start + g * span,
+                inode_blocks=self.inode_table_blocks,
+                ino_base=g * per_group,
+                inode_count=per_group,
+                data_start=self.data_start + g * span,
             )
-        return out
+            for g in range(self.cg_count)
+        ]
 
     def group_of_ino(self, ino: int) -> int:
-        if self.cg_count == 1:
-            return 0
-        return ino // self.cg_inodes
+        return ino // (self.cg_inodes or self.inode_count)
 
     def is_data_block(self, index: int) -> bool:
         """Whether ``index`` is inside some group's data region — the
         only blocks the allocator may hand out."""
-        if self.cg_count == 1:
-            return self.data_start <= index < self.num_blocks
-        if index < 1:
-            return False
-        g, within = divmod(index - 1, self.cg_size)
-        if g >= self.cg_count:
-            return False  # slack blocks past the last group
-        return within >= self.bitmap_blocks + self.inode_table_blocks
+        origin, span = self._origin_span()
+        g, within = divmod(index - origin, span)
+        return 0 <= g < self.cg_count and within >= self.data_start - origin

@@ -129,10 +129,13 @@ class Volume:
     def mount(cls, device: BlockDevice) -> "Volume":
         """Mount an already-formatted device, loading metadata caches.
 
-        Records whether the volume was cleanly unmounted
-        (:attr:`was_clean`); the on-disk superblock is re-marked DIRTY
-        lazily, on the first mutation."""
+        Refuses a superblock that does not fit the device or whose
+        geometry contradicts itself (:meth:`SuperBlock.check`).  Records
+        whether the volume was cleanly unmounted (:attr:`was_clean`); the
+        on-disk superblock is re-marked DIRTY lazily, on the first
+        mutation."""
         sb = SuperBlock.unpack(device.read_block(0))
+        sb.check(device.block_size, device.num_blocks)
         was_clean = sb.state == STATE_CLEAN
         sb.state = STATE_DIRTY
         volume = cls(device, sb)
@@ -169,12 +172,8 @@ class Volume:
 
     def _init_ino_tracking(self) -> None:
         for gi, group in enumerate(self._groups):
-            free = 0
-            for local in range(group.inode_count):
-                ino = group.ino_base + local
-                if ino < self.sb.inode_count and not self._inodes[ino].allocated:
-                    free += 1
-            self._ino_free[gi] = free
+            inodes = self._inodes[group.ino_base : group.ino_base + group.inode_count]
+            self._ino_free[gi] = sum(not inode.allocated for inode in inodes)
             self._ino_hint[gi] = 0
 
     def _now(self) -> int:
@@ -225,10 +224,7 @@ class Volume:
                 continue
             group = self._groups[gi]
             for local in range(self._ino_hint[gi], group.inode_count):
-                ino = group.ino_base + local
-                if ino >= self.sb.inode_count:
-                    break
-                inode = self._inodes[ino]
+                inode = self._inodes[group.ino_base + local]
                 if inode.allocated:
                     continue
                 inode.reset(ftype)
@@ -689,11 +685,7 @@ class Volume:
         table by and :meth:`sync` writes it by."""
         per_block = self.sb.block_size // INODE_SIZE
         first = block_index * per_block
-        stop = min(
-            first + per_block,
-            group.inode_count,
-            self.sb.inode_count - group.ino_base,
-        )
+        stop = min(first + per_block, group.inode_count)
         return range(group.ino_base + first, group.ino_base + stop)
 
     def unmount(self) -> int:

@@ -184,6 +184,13 @@ class TestVolumeLifecycle:
         assert SuperBlock.unpack(dev.peek(0)).state == STATE_CLEAN
         dev.close()
 
+    def test_mount_refuses_blocks_too_short_for_a_superblock(self, tmp_path):
+        ImageBlockStore.create(str(tmp_path / "v.img"), 64, 3).close()
+        dev = image_device(tmp_path / "v.img", fresh=False)
+        with pytest.raises(StorageError, match="superblock needs 64 bytes"):
+            Volume.mount(dev)
+        dev.close()
+
     def test_unmount_idempotent(self, tmp_path):
         dev = image_device(tmp_path / "v.img")
         vol = Volume.mkfs(dev, inode_count=64)

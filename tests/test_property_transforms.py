@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NameNotFoundError
-from repro.fs.compfs import _HEADER, CompFs, pack_compressed, unpack_compressed
+from repro.fs.compfs import _PAYLOAD_HEAD, CompFs, pack_compressed, unpack_compressed
 from repro.fs.cryptfs import CryptFs, xor_block
 from repro.fs.sfs import create_sfs
 from repro.ipc.domain import Credentials
@@ -28,7 +28,7 @@ class TestCompressionFormat:
     @settings(max_examples=50, deadline=None)
     def test_any_level_roundtrips(self, blob, level):
         """The reader takes a zlib stream of any level after the header."""
-        header = pack_compressed(blob)[:_HEADER.size]
+        header = pack_compressed(blob)[:_PAYLOAD_HEAD.size]
         assert unpack_compressed(header + zlib.compress(blob, level)) == blob
 
 

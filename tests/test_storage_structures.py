@@ -46,6 +46,14 @@ class TestSuperBlock:
         with pytest.raises(StorageError):
             SuperBlock.compute(PAGE_SIZE, 4, 1024)
 
+    def test_block_smaller_than_an_inode_rejected(self):
+        with pytest.raises(StorageError, match="holds no i-node"):
+            SuperBlock.compute(INODE_SIZE // 2, 8192, 1024)
+
+    def test_fewer_than_two_inodes_rejected(self):
+        with pytest.raises(StorageError, match="the root"):
+            SuperBlock.compute(PAGE_SIZE, 8192, 1)
+
 
 class TestInode:
     def test_record_size(self):

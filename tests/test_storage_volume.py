@@ -16,6 +16,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.storage.block_device import RamDevice
+from repro.storage.directory import pack_entries
 from repro.storage.inode import NUM_DIRECT, FileType, max_file_blocks
 from repro.storage.volume import Volume
 from repro.types import PAGE_SIZE
@@ -459,17 +460,21 @@ class TestFsckRepairsTheDirectoryTree:
         } == nlinks
         _assert_files_read_back(volume, files)
 
-    def test_an_unreadable_directory_loses_no_file(self, ram_device):
+    @pytest.mark.parametrize("damage", ["media error", "duplicate directory entry"])
+    def test_an_unreadable_directory_loses_no_file(self, ram_device, damage):
         volume = Volume.mkfs(ram_device)
         root = volume.sb.root_ino
         d, files = _tree(volume)
         ((_, block),) = volume._mapped_blocks(volume.iget(d))
+        if damage == "duplicate directory entry":  # one block naming "f" twice
+            volume.write_data(d, 0, pack_entries(volume.readdir(d)) * 2)
         volume.unmount()
-        ram_device.inject_bad_block(block)
+        if damage == "media error":
+            ram_device.inject_bad_block(block)
         volume = Volume.mount(ram_device)
 
         problems = volume.fsck(repair=True)
-        assert any("unreadable directory" in p for p in problems)
+        assert any("unreadable directory" in p and damage in p for p in problems)
         assert volume.fsck() == []
         assert volume.readdir(d) == {}
         ino, data = files.pop((d, "f"))
