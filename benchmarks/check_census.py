@@ -32,10 +32,12 @@ run, so ``bench/`` lines that only they reach are listed.
 
 ROADMAP item 18 asks the next question: which lines only tests reach.
 A second, fresh tracer in a fresh interpreter runs the entry points
-alone — the six examples, the quick report and the ``--smoke`` run of
-each record emitter in ``SMOKES`` — and ``CENSUS.json`` records, per
-module, how many lines the suite ran that none of them reaches
-(``test_only``).  That count is written but not gated.
+alone — the six examples, the quick report, the ``--smoke`` run of
+each record emitter in ``SMOKES`` and one client session against
+``repro.serve``'s ``FileService`` over a socket (:func:`served_session`)
+— and ``CENSUS.json`` records, per module, how many lines the suite ran
+that none of them reaches (``test_only``).  That count is written but
+not gated.
 
 Usage (from the repo root)::
 
@@ -205,11 +207,46 @@ def run_entry_points(tracer: LineTracer, smokes=()) -> None:
                   lambda: runpy.run_path(path, run_name="__main__"))
 
 
+def served_session(tracer: LineTracer) -> None:
+    """One client session against ``repro.serve``'s ``FileService``,
+    served on a thread of this interpreter: open, scattered ``pwrite``s,
+    ``fsync``, ``pread`` and close over a ``SocketTransport``.  The
+    tracer is armed (``threading.settrace`` too) before the server
+    thread starts, so its connection loop and the stack under it
+    count."""
+    from repro.ipc.transport import ServerThread, SocketTransport
+    from repro.serve import Control, build_service
+    from repro.unix.posixlike import O_CREAT, O_RDWR
+
+    tracer.arm()
+    world, node, service = build_service("sfs")
+    server = node.serve()
+    node.expose("fs", service)
+    node.expose("control", Control(world, server))
+    thread = ServerThread(server)
+    client = SocketTransport("127.0.0.1", thread.start(), dst=node.name,
+                             connect_timeout_s=2.0, reply_timeout_s=5.0)
+    try:
+        fs = client.bind("fs", idempotent=("pread",))
+        fd = fs.open("census.dat", O_CREAT | O_RDWR)
+        pages = (0, 2, 5)
+        for page in pages:
+            fs.pwrite(fd, bytes([page + 1]) * 4096, page * 4096)
+        fs.fsync(fd)
+        data = fs.pread(fd, 6 * 4096, 0)
+        fs.close(fd)
+    finally:
+        client.close()
+        thread.stop()
+    if any(data[page * 4096] != page + 1 for page in pages):
+        raise SystemExit("the served session read back other bytes")
+
+
 def reached_without_tests() -> dict:
-    """``{module: line numbers}`` that the examples, the quick report
-    and the emitter smokes reach, counted by a fresh tracer in a fresh
-    interpreter: a module's top-level lines run once per process, and
-    the suite has imported every module already."""
+    """``{module: line numbers}`` that the examples, the quick report,
+    the emitter smokes and the served session reach, counted by a fresh
+    tracer in a fresh interpreter: a module's top-level lines run once
+    per process, and the suite has imported every module already."""
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp) / "reached.json"
         subprocess.run([sys.executable, __file__, "--entry-points", str(out)],
@@ -272,6 +309,7 @@ def main(argv=None) -> int:
         tracer = LineTracer()
         try:
             run_entry_points(tracer, SMOKES)
+            served_session(tracer)
         finally:
             tracer.disarm()
         pathlib.Path(args.entry_points).write_text(json.dumps(

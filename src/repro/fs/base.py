@@ -56,7 +56,7 @@ from repro.vm.memory_object import CacheManager
 from repro.vm.page import index_runs
 from repro.vm.pager_object import FsPager, PagerObject
 from repro.vm.pager_base import ChannelRegistry
-from repro.vm.source_cache import SourceCache, write_run
+from repro.vm.source_cache import SourceCache
 
 from repro.fs.attributes import FileAttributes
 from repro.fs.file import File
@@ -1111,11 +1111,10 @@ class BaseLayer(LayerNaming, StackableFs, CacheManager, abc.ABC):
         """Push recalled pages toward storage: down the channel, one
         page-out per contiguous run."""
         for start, count in index_runs(sorted(recovered)):
-            write_run(
-                self.ops.down(state),
-                "page_out",
-                start * PAGE_SIZE,
-                [recovered[index] for index in range(start, start + count)],
+            chunks = [recovered[index] for index in range(start, start + count)]
+            self.ops.down(state).page_out(
+                start * PAGE_SIZE, count * PAGE_SIZE,
+                chunks[0] if count == 1 else b"".join(chunks),
             )
 
     def invalidate_upstream_attrs(

@@ -259,6 +259,11 @@ class Volume:
         if self._sb_clean_on_disk:
             self._write_sb_state(STATE_DIRTY)
 
+    def _allocate(self, inode: Inode) -> int:
+        """A free data block, from the i-node's own cylinder group when
+        it has one."""
+        return self.allocator.allocate(self.sb.group_of_ino(inode.ino))
+
     def bmap(self, inode: Inode, file_block: int, allocate: bool = False) -> int:
         """File block index -> device block index; 0 means a hole.
 
@@ -267,11 +272,10 @@ class Volume:
         group."""
         assert self.allocator is not None
         ppb = self._pointers_per_block
-        hint = self.sb.group_of_ino(inode.ino) if allocate else 0
         if file_block < NUM_DIRECT:
             block = inode.direct[file_block]
             if block == 0 and allocate:
-                block = self.allocator.allocate(hint)
+                block = self._allocate(inode)
                 inode.direct[file_block] = block
                 self.mark_dirty(inode.ino)
             return block
@@ -280,12 +284,12 @@ class Volume:
             if inode.indirect == 0:
                 if not allocate:
                     return 0
-                inode.indirect = self.allocator.allocate(hint)
+                inode.indirect = self._allocate(inode)
                 self._meta_write(inode.indirect, bytearray(self.sb.block_size))
                 self.mark_dirty(inode.ino)
             block = self._pointer(inode.indirect, file_block)
             if block == 0 and allocate:
-                block = self.allocator.allocate(hint)
+                block = self._allocate(inode)
                 self._set_pointer(inode.indirect, file_block, block)
             return block
         file_block -= ppb
@@ -295,19 +299,19 @@ class Volume:
         if inode.dbl_indirect == 0:
             if not allocate:
                 return 0
-            inode.dbl_indirect = self.allocator.allocate(hint)
+            inode.dbl_indirect = self._allocate(inode)
             self._meta_write(inode.dbl_indirect, bytearray(self.sb.block_size))
             self.mark_dirty(inode.ino)
         level1 = self._pointer(inode.dbl_indirect, outer)
         if level1 == 0:
             if not allocate:
                 return 0
-            level1 = self.allocator.allocate(hint)
+            level1 = self._allocate(inode)
             self._meta_write(level1, bytearray(self.sb.block_size))
             self._set_pointer(inode.dbl_indirect, outer, level1)
         block = self._pointer(level1, inner)
         if block == 0 and allocate:
-            block = self.allocator.allocate(hint)
+            block = self._allocate(inode)
             self._set_pointer(level1, inner, block)
         return block
 
@@ -419,45 +423,55 @@ class Volume:
         needed: one device transfer per physically contiguous run of
         blocks, read-modify-write only for an unaligned head or a
         partial tail block."""
-        if offset < 0:
-            raise OutOfRangeError(f"write at negative offset {offset}")
-        inode = self.iget(ino)
-        bs = self.sb.block_size
-        size = len(data)
-        first, skip = divmod(offset, bs)
-        end = skip + size
-        # An empty write maps (and allocates) nothing.
-        count = (end + bs - 1) // bs if size else 0
-        runs = self._runs(inode, first, count, allocate=True)
-        if count and (skip or end % bs):
-            # Read-modify-write: the unaligned head block and the partial
-            # tail block are read (once, when they are the same block) and
-            # go out with the run they belong to.
-            buffer = bytearray(count * bs)
-            if skip:
-                buffer[:bs] = self.device.read_block(runs[0][0])
-            if end % bs and not (skip and count == 1):
-                block, _, length = runs[-1]
-                buffer[-bs:] = self.device.read_block(block + length - 1)
-            buffer[skip:end] = data
-            data = memoryview(buffer)
-        for block, index, length in runs:
-            self.device.write_block(block, data[index * bs : (index + length) * bs])
-        if offset + size > inode.size:
-            inode.size = offset + size
-        now = self._now()
-        inode.mtime_us = now
-        inode.ctime_us = now
-        self.mark_dirty(ino)
+        self._write(self.iget(ino), offset, data)
 
     def write_back(self, ino: int, offset: int, data) -> None:
         """Write back a cache manager's page-padded ``data`` at
         ``offset``: the padding never extends the file.  Cache managers
         push attributes — the authoritative length — before data, so
         whatever lies past the i-node's size is padding."""
-        usable = min(len(data), self.iget(ino).size - offset)
-        if usable > 0:
-            self.write_data(ino, offset, data[:usable])
+        inode = self.iget(ino)
+        size = len(data)
+        usable = inode.size - offset
+        if 0 < size <= usable:
+            self._write(inode, offset, data)
+        elif 0 < usable < size:
+            self._write(inode, offset, data[:usable])
+
+    def _write(self, inode: Inode, offset: int, data) -> None:
+        """:meth:`write_data` on an i-node already looked up."""
+        if offset < 0:
+            raise OutOfRangeError(f"write at negative offset {offset}")
+        bs = self.sb.block_size
+        size = len(data)
+        first, skip = divmod(offset, bs)
+        end = skip + size
+        if end == bs and not skip:  # one whole, aligned block: no run list
+            self.device.write_block(self.bmap(inode, first, True), data)
+        else:
+            # An empty write maps (and allocates) nothing.
+            count = (end + bs - 1) // bs if size else 0
+            runs = self._runs(inode, first, count, allocate=True)
+            if count and (skip or end % bs):
+                # Read-modify-write: the unaligned head block and the
+                # partial tail block are read (once, when they are the
+                # same block) and go out with the run they belong to.
+                buffer = bytearray(count * bs)
+                if skip:
+                    buffer[:bs] = self.device.read_block(runs[0][0])
+                if end % bs and not (skip and count == 1):
+                    block, _, length = runs[-1]
+                    buffer[-bs:] = self.device.read_block(block + length - 1)
+                buffer[skip:end] = data
+                data = memoryview(buffer)
+            for block, index, length in runs:
+                self.device.write_block(block, data[index * bs : (index + length) * bs])
+        if offset + size > inode.size:
+            inode.size = offset + size
+        now = self._now()
+        inode.mtime_us = now
+        inode.ctime_us = now
+        self.mark_dirty(inode.ino)
 
     def truncate(self, ino: int, length: int) -> None:
         """Shrink or extend (sparsely) a file to ``length`` bytes."""
@@ -854,7 +868,7 @@ class Volume:
         for inode, block, holder, slot in repoints:
             fresh = 0
             if block:
-                fresh = self.allocator.allocate(self.sb.group_of_ino(inode.ino))
+                fresh = self._allocate(inode)
                 self.device.write_block(fresh, self.device.read_block(block))
             self._repoint(inode, holder, slot, fresh)
         # 3. Release orphaned i-nodes (allocated, zero references) and

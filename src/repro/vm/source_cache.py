@@ -24,7 +24,7 @@ manager does with it:
   that carried it returned.
 
 What differs between cache managers is subclass surface: where the pager
-object comes from (:meth:`SourceCache.pager`), a per-block transform
+object comes from (``pager()``), a per-block transform
 (``decode`` / ``encode``) and the manager's own per-fault work and
 residency bound (``before_fetch`` / :meth:`SourceCache.full`).
 """
@@ -32,21 +32,11 @@ residency bound (``before_fetch`` / :meth:`SourceCache.full`).
 from __future__ import annotations
 
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.types import PAGE_SIZE, AccessRights
 from repro.vm.page import CachedPage, PageStore, index_runs
-from repro.vm.pager_object import PagerObject
 from repro.vm.readahead import StreamTable
-
-
-def write_run(pager, op: str, offset: int, chunks: Sequence) -> None:
-    """One write-back call carrying the contiguous run of page-size
-    ``chunks`` that starts at byte ``offset``.  ``op`` names what the
-    caller keeps of it — ``page_out`` (nothing), ``write_out`` (a
-    read-only copy), ``sync`` (the pages as they were)."""
-    data = chunks[0] if len(chunks) == 1 else b"".join(chunks)
-    getattr(pager, op)(offset, len(chunks) * PAGE_SIZE, data)
 
 
 class SourceCache:
@@ -86,10 +76,9 @@ class SourceCache:
         self._readahead_key = sys.intern(f"{tag}.readahead")
 
     # --- what a kind of cache manager supplies -------------------------------
-    def pager(self) -> PagerObject:
-        """The live pager object of this cache's channel, establishing
-        (or refusing to use) the channel as the manager requires."""
-        raise NotImplementedError
+    # ``pager() -> PagerObject``, which every kind defines: the live pager
+    # object of this cache's channel, establishing (or refusing to use)
+    # the channel as the manager requires.
 
     def full(self) -> bool:
         """True when no further speculative page may be installed."""
@@ -156,25 +145,28 @@ class SourceCache:
     # --- write-back ------------------------------------------------------------
     def write_back(self, indices: List[int], op: str) -> int:
         """Push the resident pages ``indices`` — ascending, from the
-        store's dirty index — to the pager with ``op`` (see
-        :func:`write_run`), one call per contiguous run.  A page is
-        settled (dropped after a ``page_out``, clean after a ``sync``,
-        clean and read-only after a ``write_out``) only once the call
-        that carried it returned, so a failed call leaves its run, and
-        every later one, dirty and resident.  Returns the number of
-        pages pushed."""
+        store's dirty index — to the pager with ``op``, one call per
+        contiguous run.  ``op`` names what the cache keeps of a run:
+        ``page_out`` nothing (the pages are dropped), ``write_out`` a
+        read-only copy, ``sync`` the pages as they were (marked clean).
+        A page is settled only once the call that carried it returned,
+        so a failed call leaves its run, and every later one, dirty and
+        resident.  Returns the number of pages pushed."""
         if not indices:
             return 0
-        pager = self.pager()
+        push = getattr(self.pager(), op)
         encode = self.encode
         store = self.store
         for first, count in index_runs(indices):
             run = range(first, first + count)
-            if encode is None:
-                chunks = [store.get(index).snapshot() for index in run]
-            else:
+            if encode is not None:
                 chunks = encode(run)
-            write_run(pager, op, first * PAGE_SIZE, chunks)
+                data = chunks[0] if count == 1 else b"".join(chunks)
+            elif count == 1:
+                data = store.get(first).snapshot()
+            else:
+                data = b"".join([store.get(index).snapshot() for index in run])
+            push(first * PAGE_SIZE, count * PAGE_SIZE, data)
             for index in run:
                 if op == "page_out":
                     store.drop(index)

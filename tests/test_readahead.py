@@ -214,3 +214,24 @@ class TestVmmReadahead:
             # prefetched copies too.
             f.write(2 * PAGE_SIZE, b"NEW DATA")
             assert mapping.read(2 * PAGE_SIZE, 8) == b"NEW DATA"
+
+    def test_a_window_past_capacity_installs_nothing_past_it(
+        self, seq_env, world, node
+    ):
+        """A read-ahead window wider than ``capacity_pages``: each
+        sequential fault fetches the whole window, but installs
+        speculative pages only while the VMM has room, so residency
+        never passes the capacity."""
+        stack, user, payload, state = seq_env
+        node.vmm.capacity_pages = 2
+        node.vmm.readahead_pages = 4
+        with user.activate():
+            f = stack.top.resolve("seq.dat")
+            mapping = node.vmm.create_address_space("t").map(
+                f, AccessRights.READ_ONLY
+            )
+            for page in range(8):
+                at = page * PAGE_SIZE
+                assert mapping.read(at, PAGE_SIZE) == payload[at : at + PAGE_SIZE]
+                assert node.vmm.resident_pages() <= 2
+        assert world.counters.get("vmm.readahead") >= 1

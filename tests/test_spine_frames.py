@@ -70,6 +70,33 @@ def entered(call, *args):
     return names, result
 
 
+def bytecodes(call, *args):
+    """How many bytecodes ``call(*args)`` runs, every frame of it, and
+    its result."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return local
+
+    def trace(frame, event, arg):
+        frame.f_trace_opcodes = True
+        frame.f_trace_lines = False
+        return local
+
+    gc.collect()
+    gc.disable()
+    sys.settrace(trace)
+    try:
+        result = call(*args)
+    finally:
+        sys.settrace(None)
+        gc.enable()
+    return count, result
+
+
 @pytest.fixture
 def spine():
     world = World()
@@ -246,18 +273,6 @@ class TestServedColdReadFrames:
         fd = service.open("cold.dat", O_CREAT | O_RDWR)
         service.pwrite(fd, b"c" * 4096, 0)
         service.pread(fd, 4096, 0)  # warm: the channel to the disk layer
-        opcodes = collections.Counter()
-
-        def count(frame, event, arg):
-            if event == "opcode":
-                opcodes[frame.f_code.co_filename] += 1
-            return count
-
-        def trace(frame, event, arg):
-            frame.f_trace_opcodes = True
-            frame.f_trace_lines = False
-            return count
-
         try:
             reads = device.reads
             assert entered(service.pread, fd, 4096, 0) == (
@@ -265,16 +280,87 @@ class TestServedColdReadFrames:
             )
             assert device.reads == reads + 1
             if sys.version_info[:2] == (3, 11):
-                gc.collect()
-                gc.disable()
-                sys.settrace(trace)
-                try:
-                    data = service.pread(fd, 4096, 0)
-                finally:
-                    sys.settrace(None)
-                    gc.enable()
+                opcodes, data = bytecodes(service.pread, fd, 4096, 0)
                 assert data == b"c" * 4096
-                assert sum(opcodes.values()) <= SERVED_COLD_PREAD_OPCODES
+                assert opcodes <= SERVED_COLD_PREAD_OPCODES
+        finally:
+            device.close()
+
+
+#: What one dirty page costs a served ``fsync`` below the cache: its
+#: snapshot, one pager ``sync`` down the channel to the disk layer, the
+#: volume's one-block write back — one i-node lookup, one ``bmap``, no
+#: run list — one block written to the image and the page-out's flush,
+#: then the page is marked clean.  A one-page run enters no helper to
+#: join or push it.
+SYNC_PAGE = [
+    "PageStore.get", "CachedPage.snapshot",
+    WRAPPER, "SimClock.charge", "LayerPagerObject.sync",
+    "LayerRuntime.dispatch", "DiskOps.page_out",
+    "Volume.write_back", "Volume.iget", "Volume._write", "Volume.bmap",
+    WRAPPER, "SimClock.charge", "BlockDevice.write_block",
+    "BlockDevice._transfer", "Charger.disk_io", "SimClock.charge",
+    "ImageBlockStore.write",
+    "Volume._now", "SimClock.now_us", "Volume.mark_dirty",
+    "BlockDevice.flush", "ImageBlockStore.flush",
+    "PageStore.set_dirty",
+]
+
+#: The frames one served ``fsync`` of two dirty, non-adjacent pages
+#: enters on an SFS over an image file with the coherency cache on: the
+#: attributes pushed down first, then the store's dirty index, then
+#: :data:`SYNC_PAGE` once per page.
+SERVED_SYNC = [
+    "FileService.fsync", "Posix.fsync", "Posix._entry",
+    "_ClientCall.__enter__",
+    WRAPPER, "SimClock.charge", "LayerFile.sync",
+    "CoherencyLayer.file_sync", "BaseLayer.ensure_down",
+    "FileAttributes.copy", "__create_fn__.<locals>.__init__",
+    WRAPPER, "SimClock.charge", "LayerPagerObject.attr_write_out",
+    "LayerRuntime.dispatch", "VolumeOps.attr_write_out",
+    "Volume.iget", "FileAttributes.apply_to_inode", "Volume.mark_dirty",
+    "PageStore.dirty_indices", "PageStore._tracked_pages",
+    "PageStore._tracked_pages.<locals>.<listcomp>",
+    "SourceCache.write_back", "LayerCache.pager", "index_runs",
+    *SYNC_PAGE, *SYNC_PAGE,
+    "_ClientCall.__exit__",
+]
+
+#: Bytecodes CPython 3.11 runs for that ``fsync``, every frame of it
+#: (2599 while each page's write back looked its i-node up twice, built
+#: a one-element run list, computed the i-node's cylinder group for a
+#: block already mapped, and the cache entered a ``write_run`` frame and
+#: a list comprehension per one-page run).  A ceiling.
+SERVED_SYNC_OPCODES = 2291
+
+
+class TestServedSyncFrames:
+    def test_an_fsync_enters_only_its_listed_frames(self, tmp_path):
+        world = World()
+        node = world.create_node("server")
+        device = world.create_image(node.nucleus, str(tmp_path / "sync.img"), 4096)
+        sfs = create_sfs(node, device, cache=True)
+        service = FileService(Posix(sfs.top, world.create_user_domain(node)))
+        fd = service.open("sync.dat", O_CREAT | O_RDWR)
+
+        def dirty(byte):
+            for page in (0, 2):
+                service.pwrite(fd, byte * 4096, page * 4096)
+
+        try:
+            dirty(b"w")
+            service.fsync(fd)  # warm: both blocks allocated, channel bound
+            dirty(b"v")
+            writes = device.writes
+            assert entered(service.fsync, fd) == (SERVED_SYNC, None)
+            assert device.writes == writes + 2
+            if sys.version_info[:2] == (3, 11):
+                dirty(b"u")
+                opcodes, _ = bytecodes(service.fsync, fd)
+                assert opcodes <= SERVED_SYNC_OPCODES
+            assert service.pread(fd, 3 * 4096, 0) == (
+                b"u" * 4096 + bytes(4096) + b"u" * 4096
+            )
         finally:
             device.close()
 

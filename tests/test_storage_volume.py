@@ -191,6 +191,64 @@ def one_block_reads(draw):
     return base, mapped, size, block * _BS + skip, length
 
 
+@st.composite
+def whole_block_writes(draw):
+    """A whole-block write at file block ``block``, the first block or
+    one of the two after a base, so under a direct, a single- and a
+    double-indirect pointer; after the blocks ``before`` (beside it and
+    maybe it: into a hole or over a mapped block) were written."""
+    block = draw(st.sampled_from(_BASES)) + draw(st.integers(0, 2))
+    before = draw(st.sets(st.integers(max(block - 1, 0), block + 1)))
+    payload = draw(st.binary(min_size=_BS, max_size=_BS))
+    return block, sorted(before), payload
+
+
+def run_path_write(volume, ino, offset, data):
+    """``write_data``'s run path for whole blocks, taken by hand: map
+    the range with ``_runs`` (allocating), one transfer per run, then
+    grow the size."""
+    inode = volume.iget(ino)
+    runs = volume._runs(inode, offset // _BS, len(data) // _BS, allocate=True)
+    for block, index, length in runs:
+        volume.device.write_block(block, data[index * _BS : (index + length) * _BS])
+    inode.size = max(inode.size, offset + len(data))
+
+
+def write_twins(before, writes, size=None):
+    """One volume per ``write`` of ``writes``, each with the same file
+    ``f``: its blocks ``before`` written, then truncated to ``size``
+    (unless None), then ``write(volume, ino)``.  ``(volume, device,
+    device writes of that last write)`` for each."""
+    twins = []
+    for write in writes:
+        world = World()
+        device = RamDevice(world.create_node("n").nucleus, "ram", 2048, _BS)
+        volume = Volume.mkfs(device, inode_count=16)
+        ino = volume.create(volume.sb.root_ino, "f", FileType.REGULAR).ino
+        for file_block in before:
+            volume.write_data(ino, file_block * _BS, bytes([file_block % 250 + 1]) * _BS)
+        if size is not None:
+            volume.truncate(ino, size)
+        count = device.writes
+        write(volume, ino)
+        twins.append((volume, device, device.writes - count))
+    return twins
+
+
+def assert_same_volume(twins):
+    """Both twins wrote as often, map the file alike, hold the same
+    bytes on every device block, and the first is consistent."""
+    (one, one_device, one_writes), (two, two_device, two_writes) = twins
+    assert one_writes == two_writes
+    inode = one.iget(one.lookup(one.sb.root_ino, "f"))
+    twin = two.iget(two.lookup(two.sb.root_ino, "f"))
+    assert inode.size == twin.size
+    assert one._mapped_blocks(inode) == two._mapped_blocks(twin)
+    assert all(one_device.peek(i) == two_device.peek(i)
+               for i in range(one_device.num_blocks))
+    assert one.fsck() == []
+
+
 class TestOneBlockArm:
     @settings(max_examples=60, deadline=None)
     @given(one_block_reads())
@@ -217,6 +275,41 @@ class TestOneBlockArm:
         block_mapped = mapped[offset // _BS - base] and offset < size
         expected_reads = 1 if (block_mapped and (offset % _BS or data)) else 0
         assert device.reads - reads == expected_reads
+
+    @settings(max_examples=60, deadline=None)
+    @given(whole_block_writes())
+    def test_a_whole_block_write_matches_the_run_path(self, case):
+        """A whole, aligned one-block write, with no run list, maps the
+        block (and any pointer block it needs) and writes the device as
+        the run path does for the same bytes: one transfer, the same
+        block numbers, the same size."""
+        block, before, payload = case
+        offset = block * _BS
+        twins = write_twins(before, (
+            lambda volume, ino: volume.write_data(ino, offset, payload),
+            lambda volume, ino: run_path_write(volume, ino, offset, payload),
+        ))
+        assert twins[0][2] == 1
+        assert_same_volume(twins)
+        volume = twins[0][0]
+        assert volume.read_data(volume.lookup(volume.sb.root_ino, "f"), offset, _BS) == payload
+
+    @settings(max_examples=60, deadline=None)
+    @given(whole_block_writes(), st.integers(0, 2 * _BS))
+    def test_a_padded_write_back_clamps_at_the_size(self, case, short):
+        """``write_back`` of a page-padded run that ends ``short`` bytes
+        past the end of the file writes what ``write_data`` writes for
+        the bytes below the end, and never grows the file."""
+        block, before, payload = case
+        offset, padded = block * _BS, payload * 2
+        size = offset + len(padded) - short
+        twins = write_twins(before, (
+            lambda volume, ino: volume.write_back(ino, offset, padded),
+            lambda volume, ino: volume.write_data(ino, offset, padded[: size - offset]),
+        ), size)
+        assert_same_volume(twins)
+        volume = twins[0][0]
+        assert volume.iget(volume.lookup(volume.sb.root_ino, "f")).size == size
 
 
 class TestDirectories:

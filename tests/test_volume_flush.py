@@ -6,6 +6,7 @@ import pytest
 from repro.errors import DeviceError
 from repro.storage import BlockDevice, FileType, MemoryBlockStore, Volume
 from repro.storage.inode import INODE_SIZE, NUM_DIRECT
+from repro.storage.layout import STATE_DIRTY, SuperBlock
 from repro.types import PAGE_SIZE
 from repro.world import World
 
@@ -191,6 +192,64 @@ class TestPowerCutAtEveryTransfer:
                 len(list(again._walk(inode)))
                 for inode in again._inodes[1:] if inode.allocated
             ), k
+
+
+class TestFirstChangeAfterCleanMount:
+    """The superblock goes DIRTY on the device before anything the
+    session changes, also when the first change is a pointer block."""
+
+    @staticmethod
+    def remount(file_blocks):
+        """A cleanly unmounted volume, remounted, with a file of
+        ``file_blocks`` blocks: its i-node and pointer blocks on the
+        device, nothing written since the mount."""
+        device = logged_device(2048)
+        volume = Volume.mkfs(device, inode_count=64)
+        ino = volume.create(volume.sb.root_ino, "f", FileType.REGULAR).ino
+        volume.write_data(ino, 0, b"a" * (file_blocks * PAGE_SIZE))
+        volume.unmount()
+        device = fresh_device_over(device)
+        volume = Volume.mount(device)
+        assert volume.was_clean
+        del device.store.log[:]
+        return device, volume, ino
+
+    def first_write_goes_dirty_first(self, device, volume, ino, file_block):
+        volume.write_data(ino, file_block * PAGE_SIZE, b"b" * PAGE_SIZE)
+        data_block = volume.bmap(volume.iget(ino), file_block)
+        assert device.store.log == [(0, 1), (data_block, 1)]
+        assert SuperBlock.unpack(device.peek(0)).state == STATE_DIRTY
+        volume.unmount()
+        again = Volume.mount(fresh_device_over(device))
+        assert again.fsck() == []
+        assert again.read_data(ino, file_block * PAGE_SIZE, 1) == b"b"
+
+    def test_a_new_indirect_block(self):
+        """The first change is the file's single-indirect block, which
+        the write allocates before it touches the i-node."""
+        device, volume, ino = self.remount(NUM_DIRECT)
+        assert volume.iget(ino).indirect == 0
+        self.first_write_goes_dirty_first(device, volume, ino, NUM_DIRECT)
+
+    def test_a_new_slot_of_an_existing_indirect_block(self):
+        """The first change is a new pointer in a single-indirect block
+        already on the device, set before the i-node's size grows."""
+        device, volume, ino = self.remount(NUM_DIRECT + 1)
+        assert volume.iget(ino).indirect != 0
+        self.first_write_goes_dirty_first(device, volume, ino, NUM_DIRECT + 1)
+
+    def test_a_buffered_pointer_block_alone(self):
+        """Every write above also changes the i-node or a pointer right
+        after it buffers a new pointer block; buffering one is itself a
+        change, so a sync that writes only that block writes the
+        superblock DIRTY first."""
+        device, volume, ino = self.remount(1)
+        block = volume.allocator.allocate()
+        volume._meta_write(block, bytearray(PAGE_SIZE))
+        assert device.store.log == [(0, 1)]
+        volume.sync()
+        assert device.store.log[-1] == (block, 1)
+        assert SuperBlock.unpack(device.peek(0)).state == STATE_DIRTY
 
 
 class TestWriteBack:
