@@ -431,12 +431,9 @@ class Volume:
         push attributes — the authoritative length — before data, so
         whatever lies past the i-node's size is padding."""
         inode = self.iget(ino)
-        size = len(data)
         usable = inode.size - offset
-        if 0 < size <= usable:
-            self._write(inode, offset, data)
-        elif 0 < usable < size:
-            self._write(inode, offset, data[:usable])
+        if usable > 0 and data:
+            self._write(inode, offset, data if len(data) <= usable else data[:usable])
 
     def _write(self, inode: Inode, offset: int, data) -> None:
         """:meth:`write_data` on an i-node already looked up."""

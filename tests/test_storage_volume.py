@@ -214,11 +214,10 @@ def run_path_write(volume, ino, offset, data):
     inode.size = max(inode.size, offset + len(data))
 
 
-def write_twins(before, writes, size=None):
+def write_twins(before, writes):
     """One volume per ``write`` of ``writes``, each with the same file
-    ``f``: its blocks ``before`` written, then truncated to ``size``
-    (unless None), then ``write(volume, ino)``.  ``(volume, device,
-    device writes of that last write)`` for each."""
+    ``f``: its blocks ``before`` written, then ``write(volume, ino)``.
+    ``(volume, device, device writes of that last write)`` for each."""
     twins = []
     for write in writes:
         world = World()
@@ -227,8 +226,6 @@ def write_twins(before, writes, size=None):
         ino = volume.create(volume.sb.root_ino, "f", FileType.REGULAR).ino
         for file_block in before:
             volume.write_data(ino, file_block * _BS, bytes([file_block % 250 + 1]) * _BS)
-        if size is not None:
-            volume.truncate(ino, size)
         count = device.writes
         write(volume, ino)
         twins.append((volume, device, device.writes - count))
@@ -293,23 +290,6 @@ class TestOneBlockArm:
         assert_same_volume(twins)
         volume = twins[0][0]
         assert volume.read_data(volume.lookup(volume.sb.root_ino, "f"), offset, _BS) == payload
-
-    @settings(max_examples=60, deadline=None)
-    @given(whole_block_writes(), st.integers(0, 2 * _BS))
-    def test_a_padded_write_back_clamps_at_the_size(self, case, short):
-        """``write_back`` of a page-padded run that ends ``short`` bytes
-        past the end of the file writes what ``write_data`` writes for
-        the bytes below the end, and never grows the file."""
-        block, before, payload = case
-        offset, padded = block * _BS, payload * 2
-        size = offset + len(padded) - short
-        twins = write_twins(before, (
-            lambda volume, ino: volume.write_back(ino, offset, padded),
-            lambda volume, ino: volume.write_data(ino, offset, padded[: size - offset]),
-        ), size)
-        assert_same_volume(twins)
-        volume = twins[0][0]
-        assert volume.iget(volume.lookup(volume.sb.root_ino, "f")).size == size
 
 
 class TestDirectories:

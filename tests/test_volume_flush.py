@@ -252,45 +252,55 @@ class TestFirstChangeAfterCleanMount:
         assert SuperBlock.unpack(device.peek(0)).state == STATE_DIRTY
 
 
+def filled_from(base):
+    """A volume whose file ``f`` holds two pages and 100 bytes from
+    file block ``base`` on: ``(device, volume, ino, start, size)``."""
+    device = logged_device(2048)
+    volume = Volume.mkfs(device, inode_count=64)
+    ino = volume.create(volume.sb.root_ino, "f", FileType.REGULAR).ino
+    start = base * PAGE_SIZE
+    size = start + 2 * PAGE_SIZE + 100
+    volume.write_data(ino, start, b"a" * (size - start))
+    return device, volume, ino, start, size
+
+
 class TestWriteBack:
-    """``Volume.write_back``: page-padded data never extends the file."""
+    """``Volume.write_back``: page-padded data never extends the file.
+    Each case runs with the file starting at each of ``BASES``, so that
+    its pages sit under direct pointers, or cross into the single- or
+    the double-indirect block."""
 
-    @pytest.fixture
-    def filled(self):
-        device = logged_device(2048)
-        volume = Volume.mkfs(device, inode_count=64)
-        ino = volume.create(volume.sb.root_ino, "f", FileType.REGULAR).ino
-        size = 2 * PAGE_SIZE + 100
-        volume.write_data(ino, 0, b"a" * size)
-        return device, volume, ino, size
+    BASES = (0, NUM_DIRECT - 1, NUM_DIRECT + PAGE_SIZE // 4 - 1)
 
-    def test_at_across_and_past_eof(self, filled):
-        device, volume, ino, size = filled
-        page = b"b" * PAGE_SIZE
-        # Wholly inside the file: all of it lands.
-        volume.write_back(ino, PAGE_SIZE, page)
-        assert volume.iget(ino).size == size
-        # Across EOF: the 100 bytes below the length land, the padding
-        # does not.
-        volume.write_back(ino, 2 * PAGE_SIZE, page)
-        assert volume.iget(ino).size == size
-        assert volume.read_data(ino, 0, size + PAGE_SIZE) == (
-            b"a" * PAGE_SIZE + b"b" * PAGE_SIZE + b"b" * 100
-        )
-        # A run of pages, the last of them across EOF.
-        volume.write_back(ino, 0, b"c" * (3 * PAGE_SIZE))
-        assert volume.iget(ino).size == size
-        assert volume.read_data(ino, 0, size + 1) == b"c" * size
-        assert volume.fsck() == []
+    def test_at_across_and_past_eof(self):
+        for base in self.BASES:
+            device, volume, ino, start, size = filled_from(base)
+            page = b"b" * PAGE_SIZE
+            # Wholly inside the file: all of it lands.
+            volume.write_back(ino, start + PAGE_SIZE, page)
+            assert volume.iget(ino).size == size
+            # Across EOF: the 100 bytes below the length land, the
+            # padding does not.
+            volume.write_back(ino, start + 2 * PAGE_SIZE, page)
+            assert volume.iget(ino).size == size
+            assert volume.read_data(ino, start, size + PAGE_SIZE) == (
+                b"a" * PAGE_SIZE + b"b" * PAGE_SIZE + b"b" * 100
+            )
+            # A run of pages, the last of them across EOF.
+            volume.write_back(ino, start, b"c" * (3 * PAGE_SIZE))
+            assert volume.iget(ino).size == size
+            assert volume.read_data(ino, start, size + 1) == b"c" * (size - start)
+            assert volume.fsck() == []
 
-    def test_nothing_below_the_length_writes_nothing(self, filled):
-        device, volume, ino, size = filled
-        volume.truncate(ino, 2 * PAGE_SIZE)
-        writes, blocks = device.writes, volume.allocator.used_count
-        page = b"d" * PAGE_SIZE
-        volume.write_back(ino, 2 * PAGE_SIZE, page)  # the tail is zero bytes long
-        volume.write_back(ino, 5 * PAGE_SIZE, page)  # wholly past EOF
-        volume.write_back(ino, PAGE_SIZE, b"")
-        assert device.writes == writes
-        assert volume.allocator.used_count == blocks
-        assert volume.iget(ino).size == 2 * PAGE_SIZE
+    def test_nothing_below_the_length_writes_nothing(self):
+        for base in self.BASES:
+            device, volume, ino, start, size = filled_from(base)
+            volume.truncate(ino, start + 2 * PAGE_SIZE)
+            writes, blocks = device.writes, volume.allocator.used_count
+            page = b"d" * PAGE_SIZE
+            volume.write_back(ino, start + 2 * PAGE_SIZE, page)  # the tail is zero bytes long
+            volume.write_back(ino, start + 5 * PAGE_SIZE, page)  # wholly past EOF
+            volume.write_back(ino, start + PAGE_SIZE, b"")
+            assert device.writes == writes
+            assert volume.allocator.used_count == blocks
+            assert volume.iget(ino).size == start + 2 * PAGE_SIZE
