@@ -54,7 +54,7 @@ from repro.vm.cache_object import FsCache
 from repro.vm.channel import BindResult, CacheRights, Channel
 from repro.vm.memory_object import CacheManager
 from repro.vm.page import index_runs
-from repro.vm.pager_object import FsPager, PagerObject
+from repro.vm.pager_object import FsPager, PagerObject, Runs
 from repro.vm.pager_base import ChannelRegistry
 from repro.vm.source_cache import SourceCache
 
@@ -282,6 +282,11 @@ class ChannelOps:
         # it or writes it through.
         self.merge_recovered(state, split_pages(offset, size, data))
 
+    def synced(self, source_key) -> None:
+        """Hook: a pager ``sync`` has written its last run.  Where the
+        layer makes what the sync wrote durable; nothing to do for a
+        layer that keeps no medium of its own."""
+
     def attr_page_in(self, source_key, pager_object) -> FileAttributes:
         return self.state(source_key).under_file.get_attributes()
 
@@ -448,28 +453,26 @@ class LayerPagerObject(FsPager):
             self.source_key, self, offset, min_size, max_size, access,
         )
 
-    @operation
-    def page_out(self, offset: int, size: int, data: bytes) -> None:
-        self.runtime.dispatch(
-            "page_out", size,
-            self.ops.page_out, self.source_key, self, offset, size, data, None,
-        )
+    def _push(self, op: str, runs: Runs, retain: Optional[AccessRights]) -> None:
+        """Dispatch each run of one write-back to the layer's ``page_out``,
+        counted as ``op``; ``retain`` is the mode the caller keeps."""
+        dispatch, page_out = self.runtime.dispatch, self.ops.page_out
+        key = self.source_key
+        for offset, size, data in runs:
+            dispatch(op, size, page_out, key, self, offset, size, data, retain)
 
     @operation
-    def write_out(self, offset: int, size: int, data: bytes) -> None:
-        self.runtime.dispatch(
-            "write_out", size,
-            self.ops.page_out, self.source_key, self, offset, size, data,
-            AccessRights.READ_ONLY,
-        )
+    def page_out(self, runs: Runs) -> None:
+        self._push("page_out", runs, None)
 
     @operation
-    def sync(self, offset: int, size: int, data: bytes) -> None:
-        self.runtime.dispatch(
-            "sync", size,
-            self.ops.page_out, self.source_key, self, offset, size, data,
-            AccessRights.READ_WRITE,
-        )
+    def write_out(self, runs: Runs) -> None:
+        self._push("write_out", runs, AccessRights.READ_ONLY)
+
+    @operation
+    def sync(self, runs: Runs) -> None:
+        self._push("sync", runs, AccessRights.READ_WRITE)
+        self.ops.synced(self.source_key)
 
     @operation
     def done_with_pager_object(self) -> None:
@@ -1112,10 +1115,10 @@ class BaseLayer(LayerNaming, StackableFs, CacheManager, abc.ABC):
         page-out per contiguous run."""
         for start, count in index_runs(sorted(recovered)):
             chunks = [recovered[index] for index in range(start, start + count)]
-            self.ops.down(state).page_out(
+            self.ops.down(state).page_out([(
                 start * PAGE_SIZE, count * PAGE_SIZE,
                 chunks[0] if count == 1 else b"".join(chunks),
-            )
+            )])
 
     def invalidate_upstream_attrs(
         self, state: Any, exclude: Optional[Channel] = None

@@ -68,10 +68,11 @@ class _FileInterfacePager:
     def page_in(self, offset: int, size: int, access: AccessRights) -> bytes:
         return self.under_file.read(offset, size)
 
-    def sync(self, offset: int, size: int, data: bytes) -> None:
-        usable = min(size, max(0, self.under_file.get_length() - offset))
-        if usable:
-            self.under_file.write(offset, data[:usable])
+    def sync(self, runs) -> None:
+        for offset, size, data in runs:
+            usable = min(size, max(0, self.under_file.get_length() - offset))
+            if usable:
+                self.under_file.write(offset, data[:usable])
 
 
 class CryptCache(LayerCache):

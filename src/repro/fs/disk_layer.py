@@ -270,14 +270,14 @@ class DiskOps(VolumeOps):
         return self.layer.volume.read_data(source_key[2], offset, max_size)
 
     def page_out(self, source_key, pager_object, offset, size, data, retain) -> None:
-        volume = self.layer.volume
-        volume.write_back(source_key[2], offset, data[:size])
-        # A pager ``sync`` (the client keeps the page read-write) is how
-        # an fsync from a cache manager above ends: when it returns, the
-        # bytes must have left the block store's userspace buffer.  Free
-        # in virtual time, like every ``BlockDevice.flush``.
-        if retain is AccessRights.READ_WRITE:
-            volume.device.flush()
+        self.layer.volume.write_back(source_key[2], offset, data[:size])
+
+    def synced(self, source_key) -> None:
+        # A pager ``sync`` is how an fsync from a cache manager above
+        # ends: when it returns, every run it wrote must have left the
+        # block store's userspace buffer.  One flush for all of them,
+        # free in virtual time like every ``BlockDevice.flush``.
+        self.layer.volume.device.flush()
 
 
 def _through_root(name: str):

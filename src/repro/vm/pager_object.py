@@ -11,7 +11,7 @@ talking to a plain storage pager.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.ipc.object import SpringObject
 from repro.types import AccessRights
@@ -19,15 +19,20 @@ from repro.types import AccessRights
 if TYPE_CHECKING:
     from repro.fs.attributes import FileAttributes
 
+#: What one write-back carries: every run a cache manager pushes at once,
+#: each ``(offset, size, data)`` — ascending, no page in two runs.
+Runs = List[Tuple[int, int, bytes]]
+
 
 class PagerObject(SpringObject, abc.ABC):
     """One pager's end of a pager-cache channel for one memory object.
 
-    ``size`` is a whole number of pages in every data operation: a cache
-    manager holding a contiguous run of dirty pages may push it in one
-    ``page_out`` / ``write_out`` / ``sync``, so the run pays a single
-    invocation and the disk layer can cluster the device write.  Whether
-    adjacent pages are coalesced is the caller's policy."""
+    ``size`` is a whole number of pages in every data operation.  A
+    write-back (``page_out`` / ``write_out`` / ``sync``) carries a list of
+    :data:`Runs`, so a cache manager pushes every dirty run it holds in
+    one invocation, and the disk layer can cluster each run's device
+    write.  Whether adjacent pages are coalesced into one run is the
+    caller's policy."""
 
     @abc.abstractmethod
     def page_in(self, offset: int, size: int, access: AccessRights) -> bytes:
@@ -51,17 +56,17 @@ class PagerObject(SpringObject, abc.ABC):
         return self.page_in(offset, min_size, access)
 
     @abc.abstractmethod
-    def page_out(self, offset: int, size: int, data: bytes) -> None:
-        """Write data to the pager; the caller no longer retains it."""
+    def page_out(self, runs: Runs) -> None:
+        """Write the runs to the pager; the caller no longer retains them."""
 
     @abc.abstractmethod
-    def write_out(self, offset: int, size: int, data: bytes) -> None:
-        """Write data to the pager; the caller retains it read-only."""
+    def write_out(self, runs: Runs) -> None:
+        """Write the runs to the pager; the caller retains them read-only."""
 
     @abc.abstractmethod
-    def sync(self, offset: int, size: int, data: bytes) -> None:
-        """Write data to the pager; the caller retains it in the same
-        mode it held before the call."""
+    def sync(self, runs: Runs) -> None:
+        """Write the runs to the pager; the caller retains them in the
+        same mode it held before the call."""
 
     @abc.abstractmethod
     def done_with_pager_object(self) -> None:

@@ -17,11 +17,10 @@ manager does with it:
   speculatively;
 * **prefetch** the needed pages of a byte range, one fault per
   contiguous run;
-* **write back** dirty ``(index, page)`` pairs as ``page_out`` /
-  ``write_out`` / ``sync`` calls, one per contiguous run — adjacent
-  dirty pages are one call, the channel moves byte ranges — settling
-  each page (dropped, downgraded or marked clean) only after the call
-  that carried it returned.
+* **write back** dirty pages as one ``page_out`` / ``write_out`` /
+  ``sync`` call carrying every contiguous run — adjacent dirty pages
+  are one run, the channel moves byte ranges — settling the pages
+  (dropped, downgraded or marked clean) only after that call returned.
 
 What differs between cache managers is subclass surface: where the pager
 object comes from (``pager()``), a per-block transform
@@ -145,33 +144,35 @@ class SourceCache:
     # --- write-back ------------------------------------------------------------
     def write_back(self, indices: List[int], op: str) -> int:
         """Push the resident pages ``indices`` — ascending, from the
-        store's dirty index — to the pager with ``op``, one call per
-        contiguous run.  ``op`` names what the cache keeps of a run:
-        ``page_out`` nothing (the pages are dropped), ``write_out`` a
-        read-only copy, ``sync`` the pages as they were (marked clean).
-        A page is settled only once the call that carried it returned,
-        so a failed call leaves its run, and every later one, dirty and
+        store's dirty index — to the pager with ``op``, in one call that
+        carries every contiguous run.  ``op`` names what the cache keeps
+        of them: ``page_out`` nothing (the pages are dropped),
+        ``write_out`` a read-only copy, ``sync`` the pages as they were
+        (marked clean).  The pages are settled only once the call
+        returned, so a failed call leaves every one of them dirty and
         resident.  Returns the number of pages pushed."""
         if not indices:
             return 0
         push = getattr(self.pager(), op)
         encode = self.encode
         store = self.store
+        runs = []
         for first, count in index_runs(indices):
-            run = range(first, first + count)
+            pages = range(first, first + count)
             if encode is not None:
-                chunks = encode(run)
+                chunks = encode(pages)
                 data = chunks[0] if count == 1 else b"".join(chunks)
             elif count == 1:
                 data = store.get(first).snapshot()
             else:
-                data = b"".join([store.get(index).snapshot() for index in run])
-            push(first * PAGE_SIZE, count * PAGE_SIZE, data)
-            for index in run:
-                if op == "page_out":
-                    store.drop(index)
-                else:
-                    store.set_dirty(index, False)
-                    if op == "write_out":
-                        store.get(index).rights = AccessRights.READ_ONLY
+                data = b"".join([store.get(index).snapshot() for index in pages])
+            runs.append((first * PAGE_SIZE, count * PAGE_SIZE, data))
+        push(runs)
+        for index in indices:
+            if op == "page_out":
+                store.drop(index)
+            else:
+                store.set_dirty(index, False)
+                if op == "write_out":
+                    store.get(index).rights = AccessRights.READ_ONLY
         return len(indices)

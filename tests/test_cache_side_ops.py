@@ -294,7 +294,7 @@ def test_pager_side_ops_no_runner_sends(kind):
     channel = mapping.cache.channel
     pager = channel.pager_object
     with user.activate():
-        pager.write_out(0, PAGE_SIZE, b"W" * PAGE_SIZE)
+        pager.write_out([(0, PAGE_SIZE, b"W" * PAGE_SIZE)])
         assert state.holders.holders_of(0) == [(channel, RO)]
         assert world.counters.get(f"{layer.fs_type()}.write_out") == 1
         assert world.counters.get(f"{layer.fs_type()}.write_out.bytes") == PAGE_SIZE

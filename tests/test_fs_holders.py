@@ -65,15 +65,15 @@ class NullPager(PagerObject):
         return b""
 
     @operation
-    def page_out(self, offset, size, data):
+    def page_out(self, runs):
         pass
 
     @operation
-    def write_out(self, offset, size, data):
+    def write_out(self, runs):
         pass
 
     @operation
-    def sync(self, offset, size, data):
+    def sync(self, runs):
         pass
 
     @operation

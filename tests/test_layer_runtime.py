@@ -186,7 +186,7 @@ class TestDispatch:
             f.write(0, bytes(PAGE_SIZE))
             (state,) = dfs_stack._states.values()
             stranger = LayerPagerObject(dfs_stack.domain, dfs_stack, state.source_key)
-            stranger.page_out(0, PAGE_SIZE, b"w" * PAGE_SIZE)
+            stranger.page_out([(0, PAGE_SIZE, b"w" * PAGE_SIZE)])
             assert not state.holders.any_holder()
             assert dfs_stack.under.resolve("stray.dat").read(0, 2) == b"ww"
 

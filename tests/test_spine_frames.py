@@ -9,9 +9,9 @@ category's account, so its frame neither checks the cost nor looks the
 category up; the size-dependent charges of a disk transfer, a copy and
 a network message check their cost in the ``Charger`` and then enter
 ``SimClock.charge`` too.  Bytecode counts differ between the
-Python versions CI runs, frame counts do not (but for a list
-comprehension, which has a frame of its own only before 3.12), so these
-tests count the ``"call"`` events ``sys.setprofile`` reports (a C
+Python versions CI runs, frame counts do not (but for a
+comprehension, which has a frame of its own only before 3.12, so no
+list names one), so these tests count the ``"call"`` events ``sys.setprofile`` reports (a C
 function, such as a ``functools.partial`` charge or a socket's
 ``recv_into``, reports ``"c_call"`` instead) and compare the names, in
 order, with a list.  A
@@ -50,13 +50,21 @@ class Echo(SpringObject):
         return n
 
 
+#: Frames the interpreter decides on, not the code: a comprehension has
+#: one of its own before CPython 3.12 (PEP 709 inlines a list, dict or
+#: set comprehension), so a pin that listed one would hold on some of
+#: the versions CI runs and not on others.
+COMPREHENSIONS = ("<listcomp>", "<genexpr>", "<dictcomp>", "<setcomp>")
+
+
 def entered(call, *args):
     """Qualified names of the Python frames ``call(*args)`` enters, in
-    the order it enters them (``call`` itself first), and its result."""
+    the order it enters them (``call`` itself first), but for the
+    :data:`COMPREHENSIONS`, and its result."""
     names = []
 
     def hook(frame, event, arg):
-        if event == "call":
+        if event == "call" and frame.f_code.co_name not in COMPREHENSIONS:
             names.append(frame.f_code.co_qualname)
 
     # A collection inside the call would add its callbacks' frames (the
@@ -290,28 +298,26 @@ class TestServedColdReadFrames:
 
 
 #: What one dirty page costs a served ``fsync`` below the cache: its
-#: snapshot, one pager ``sync`` down the channel to the disk layer, the
-#: volume's one-block write back — one i-node lookup, one ``bmap``, no
-#: run list — one block written to the image and the page-out's flush,
-#: then the page is marked clean.  A one-page run enters no helper to
-#: join or push it.
+#: snapshot, one run of the pager ``sync`` dispatched to the disk layer,
+#: the volume's one-block write back — one i-node lookup, one ``bmap``,
+#: no run list — and one block written to the image.  A one-page run
+#: enters no helper to join or push it.
 SYNC_PAGE = [
-    "PageStore.get", "CachedPage.snapshot",
-    WRAPPER, "SimClock.charge", "LayerPagerObject.sync",
     "LayerRuntime.dispatch", "DiskOps.page_out",
     "Volume.write_back", "Volume.iget", "Volume._write", "Volume.bmap",
     WRAPPER, "SimClock.charge", "BlockDevice.write_block",
     "BlockDevice._transfer", "Charger.disk_io", "SimClock.charge",
     "ImageBlockStore.write",
     "Volume._now", "SimClock.now_us", "Volume.mark_dirty",
-    "BlockDevice.flush", "ImageBlockStore.flush",
-    "PageStore.set_dirty",
 ]
+SNAPSHOT = ["PageStore.get", "CachedPage.snapshot"]
 
 #: The frames one served ``fsync`` of two dirty, non-adjacent pages
 #: enters on an SFS over an image file with the coherency cache on: the
-#: attributes pushed down first, then the store's dirty index, then
-#: :data:`SYNC_PAGE` once per page.
+#: attributes pushed down first, then the store's dirty index, both
+#: pages' snapshots, one pager ``sync`` carrying both runs
+#: (:data:`SYNC_PAGE` once per page), the one flush that ends it, and
+#: the pages marked clean.
 SERVED_SYNC = [
     "FileService.fsync", "Posix.fsync", "Posix._entry",
     "_ClientCall.__enter__",
@@ -322,20 +328,22 @@ SERVED_SYNC = [
     "LayerRuntime.dispatch", "VolumeOps.attr_write_out",
     "Volume.iget", "FileAttributes.apply_to_inode", "Volume.mark_dirty",
     "PageStore.dirty_indices", "PageStore._tracked_pages",
-    # CPython 3.12 inlines a list comprehension (PEP 709): no frame.
-    *(["PageStore._tracked_pages.<locals>.<listcomp>"]
-      if sys.version_info < (3, 12) else []),
     "SourceCache.write_back", "LayerCache.pager", "index_runs",
-    *SYNC_PAGE, *SYNC_PAGE,
+    *SNAPSHOT, *SNAPSHOT,
+    WRAPPER, "SimClock.charge", "LayerPagerObject.sync",
+    "LayerPagerObject._push", *SYNC_PAGE, *SYNC_PAGE,
+    "DiskOps.synced", "BlockDevice.flush", "ImageBlockStore.flush",
+    "PageStore.set_dirty", "PageStore.set_dirty",
     "_ClientCall.__exit__",
 ]
 
 #: Bytecodes CPython 3.11 runs for that ``fsync``, every frame of it
-#: (2599 while each page's write back looked its i-node up twice, built
+#: (2289 while each page was its own pager ``sync`` and its own flush;
+#: 2599 while each page's write back looked its i-node up twice, built
 #: a one-element run list, computed the i-node's cylinder group for a
 #: block already mapped, and the cache entered a ``write_run`` frame and
 #: a list comprehension per one-page run).  A ceiling.
-SERVED_SYNC_OPCODES = 2289
+SERVED_SYNC_OPCODES = 2177
 
 
 class TestServedSyncFrames:

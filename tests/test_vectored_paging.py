@@ -12,13 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.workloads import incompressible_bytes
-from repro.errors import TransientNetworkError
+from repro.errors import DeviceError, TransientNetworkError
 from repro.fs.base import LayerCache
 from repro.fs.cfs import start_cfs
 from repro.fs.compfs import CompFs
 from repro.fs.cryptfs import CryptCache, xor_block
 from repro.fs.sfs import create_sfs
 from repro.ipc.domain import Credentials
+from repro.storage.block_device import BlockDevice
+from repro.storage.volume import Volume
 from repro.types import PAGE_SIZE, AccessRights
 from repro.vm.page import PageStore, index_runs
 from repro.vm.pager_object import PagerObject
@@ -38,10 +40,10 @@ def no_fault(index, access):
 
 class RecordingPager(PagerObject):
     """Concrete pager that logs the calls it served; every write-back op
-    accepts one page or a whole run.  ``fail_call`` is the ordinal
-    (from 0) of the write-back call that raises instead — a bad block,
-    a partitioned remote pager; ``data`` keeps what each served
-    write-back call carried."""
+    takes a list of runs.  ``fail_call`` is the ordinal (from 0) of the
+    write-back call that raises instead — a bad block, a partitioned
+    remote pager; ``log`` keeps ``(op, [(offset, size), ...])`` and
+    ``data`` the bytes of each run, for every served write-back call."""
 
     def __init__(self, domain) -> None:
         super().__init__(domain)
@@ -54,23 +56,24 @@ class RecordingPager(PagerObject):
         self.log.append(("page_in", offset, size))
         return bytes(size)
 
-    def _write_back(self, op, offset, size, data):
+    def _write_back(self, op, runs):
         ordinal = self._write_backs
         self._write_backs += 1
         if ordinal == self.fail_call:
             raise TransientNetworkError(f"injected: {op} call {ordinal}")
-        assert len(data) == size
-        self.log.append((op, offset, size))
-        self.data.append(bytes(data))
+        for _, size, data in runs:
+            assert len(data) == size
+        self.log.append((op, [(offset, size) for offset, size, _ in runs]))
+        self.data.append([bytes(data) for _, _, data in runs])
 
-    def page_out(self, offset, size, data):
-        self._write_back("page_out", offset, size, data)
+    def page_out(self, runs):
+        self._write_back("page_out", runs)
 
-    def write_out(self, offset, size, data):
-        self._write_back("write_out", offset, size, data)
+    def write_out(self, runs):
+        self._write_back("write_out", runs)
 
-    def sync(self, offset, size, data):
-        self._write_back("sync", offset, size, data)
+    def sync(self, runs):
+        self._write_back("sync", runs)
 
     def done_with_pager_object(self):
         pass
@@ -172,14 +175,13 @@ def recording_vm_cache(node):
 
 
 class TestBatchedWriteBackOrder:
-    def test_batched_sync_one_call_per_run_ascending(self, node):
+    def test_batched_sync_is_one_call_runs_ascending(self, node):
         cache, pager = recording_vm_cache(node)
         for index in (5, 6, 0, 1, 2):  # install out of order
             cache.store.install(index, b"x", RW, dirty=True)
         assert cache.sync() == 5
         assert pager.log == [
-            ("sync", 0, 3 * PAGE_SIZE),
-            ("sync", 5 * PAGE_SIZE, 2 * PAGE_SIZE),
+            ("sync", [(0, 3 * PAGE_SIZE), (5 * PAGE_SIZE, 2 * PAGE_SIZE)]),
         ]
         assert cache.store.dirty_pages() == []
 
@@ -189,35 +191,36 @@ class TestBatchedWriteBackOrder:
             cache.store.install(index, b"x", RW, dirty=True)
         assert cache.flush() == 3
         assert pager.log == [
-            ("page_out", 0, 2 * PAGE_SIZE),
-            ("page_out", 3 * PAGE_SIZE, PAGE_SIZE),
+            ("page_out", [(0, 2 * PAGE_SIZE), (3 * PAGE_SIZE, PAGE_SIZE)]),
         ]
         assert len(cache.store) == 0
 
     def test_failed_page_out_leaves_its_victims_evictable(self, node):
-        """A pager call that raises during eviction takes nothing: the
-        victims it carried (and those not yet sent) are still resident
-        and dirty, and go back on the queue — ``reclaim`` finds them
-        again once the pager heals, so ``capacity_pages`` stays a
-        bound."""
+        """A pager call that raises during eviction takes nothing: every
+        victim it carried is still resident and dirty, and goes back on
+        the queue — ``reclaim`` finds them again once the pager heals,
+        so ``capacity_pages`` stays a bound."""
         cache, pager = recording_vm_cache(node)
         vmm = node.vmm
         vmm.capacity_pages = 4
         for index in (0, 1, 3, 4, 6, 7):
             cache.store.install(index, b"x", RW, dirty=True)
-        pager.fail_call = 1  # the oldest four go as two runs; the second fails
+        pager.fail_call = 0  # the oldest four, two runs in one call
         with pytest.raises(TransientNetworkError):
             vmm.reclaim(pages_needed=2)
-        assert pager.log == [("page_out", 0, 2 * PAGE_SIZE)]
-        assert sorted(i for i, _ in cache.store.dirty_pages()) == [3, 4, 6, 7]
-        # Healed.  A fault reserving the whole capacity gets it.
-        assert vmm.reclaim(pages_needed=4) == 4
-        assert vmm.resident_pages() + 4 <= vmm.capacity_pages
-        # Every page reached the pager exactly once, the stranded run
-        # first: it went back to the front of the queue.
+        assert pager.log == []
+        assert sorted(i for i, _ in cache.store.dirty_pages()) == [0, 1, 3, 4, 6, 7]
+        # Healed.  The stranded victims went back to the front of the
+        # queue, so the same reclaim chooses them again ...
+        assert vmm.reclaim(pages_needed=2) == 4
         assert pager.log == [
-            ("page_out", first * PAGE_SIZE, 2 * PAGE_SIZE) for first in (0, 3, 6)
+            ("page_out", [(0, 2 * PAGE_SIZE), (3 * PAGE_SIZE, 2 * PAGE_SIZE)]),
         ]
+        # ... and a fault reserving the whole capacity gets it; every
+        # page reached the pager exactly once.
+        assert vmm.reclaim(pages_needed=4) == 2
+        assert vmm.resident_pages() + 4 <= vmm.capacity_pages
+        assert pager.log[1:] == [("page_out", [(6 * PAGE_SIZE, 2 * PAGE_SIZE)])]
 
 
 # --------------------------------------------------------------------------
@@ -232,8 +235,8 @@ FILE_LENGTH = PAGES * PAGE_SIZE - 100
 
 class _FileOverPager:
     """The plain file interface CRYPTFS falls back to when the layer
-    below refuses the channel; a ``write`` lands in the pager's log as
-    the ``sync`` it stands for, and fails when that call is to fail."""
+    below refuses the channel; a ``write`` lands in the pager's log as a
+    one-run ``sync``, and fails when that call is to fail."""
 
     def __init__(self, pager) -> None:
         self.pager = pager
@@ -242,7 +245,7 @@ class _FileOverPager:
         return FILE_LENGTH
 
     def write(self, offset, data) -> None:
-        self.pager.sync(offset, len(data), data)
+        self.pager.sync([(offset, len(data), data)])
 
 
 def _layer_cache(world, cls=LayerCache, channel=True):
@@ -290,6 +293,11 @@ def _maximal_runs(indices):
     return [(a, b - a + 1) for a, b in zip(starts, ends)]
 
 
+def pages_of(runs):
+    """The page indices of ``(first, count)`` runs, in order."""
+    return [i for first, count in runs for i in range(first, first + count)]
+
+
 def _content(index):
     return bytes([index + 1]) * PAGE_SIZE
 
@@ -302,19 +310,23 @@ def _write_back(cache, how):
 
 
 def _assert_carried(kind, pager, op, runs):
-    """The pager served exactly ``runs``, in order, each as one ``op``
-    call carrying those pages' contents (ciphertext from CRYPTFS; cut
-    to the file's length over the file interface)."""
+    """The pager served exactly ``runs``, in order, as one ``op`` call
+    (over the file interface, one ``write`` per run, cut to the file's
+    length), each run carrying those pages' contents (ciphertext from
+    CRYPTFS)."""
     sizes = [count * PAGE_SIZE for _, count in runs]
     if kind == "crypt-refused":
         sizes = [
             min(size, FILE_LENGTH - first * PAGE_SIZE)
             for size, (first, _) in zip(sizes, runs)
         ]
-    assert pager.log == [
-        (op, first * PAGE_SIZE, size) for size, (first, _) in zip(sizes, runs)
-    ]
-    for carried, (first, count) in zip(pager.data, runs):
+    served = [(first * PAGE_SIZE, size) for size, (first, _) in zip(sizes, runs)]
+    if kind == "crypt-refused":
+        assert pager.log == [(op, [run]) for run in served]
+    else:
+        assert pager.log == ([(op, served)] if served else [])
+    chunks = [run for call in pager.data for run in call]
+    for carried, (first, count) in zip(chunks, runs):
         for at in range(count):
             chunk = carried[at * PAGE_SIZE : (at + 1) * PAGE_SIZE]
             if kind.startswith("crypt"):
@@ -338,47 +350,45 @@ class TestWriteBackSendsMaximalRuns:
         data=st.data(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_one_call_per_run_and_a_failed_call_settles_nothing_after_it(
-        self, kind, dirty, clean, data
-    ):
+    def test_one_call_a_failed_call_settles_none(self, kind, dirty, clean, data):
         """``sync`` / ``flush`` / ``write_out`` / ``page_out`` of any
-        dirty set: one call per maximal run, ascending, every page in
-        exactly one call; a page is settled only after the call that
-        carried it returned, so when call k raises the runs before it
-        are settled and every page of run k and after is still dirty,
-        resident and writable."""
+        dirty set: one call carrying every maximal run, ascending, every
+        page in exactly one run; the pages are settled only after that
+        call returned, so when it raises every dirty page is still
+        dirty, resident and writable.  Over the file interface CRYPTFS
+        falls back to, the call is one ``write`` per run: when write k
+        raises, the runs before it are written below, and still no page
+        is settled."""
         build, ops = CACHE_KINDS[kind]
         cache, pager = build(World())
         store = cache.store
         how = data.draw(st.sampled_from(sorted(ops)))
         runs = _maximal_runs(dirty)
-        fail = data.draw(st.none() | st.integers(0, len(runs) - 1))
+        calls = len(runs) if kind == "crypt-refused" else 1
+        fail = data.draw(st.none() | st.integers(0, calls - 1))
         for index in data.draw(st.permutations(sorted(dirty | clean))):
             store.install(index, _content(index), RW, dirty=index in dirty)
         clean = clean - dirty
         pager.fail_call = fail
 
-        if fail is None:
-            assert _write_back(cache, how) == len(dirty)
-            served = runs
-        else:
+        if fail is not None:
             with pytest.raises(TransientNetworkError):
                 _write_back(cache, how)
-            served = runs[:fail]
-        _assert_carried(kind, pager, ops[how], served)
-
-        settled = [i for first, count in served for i in range(first, first + count)]
-        _assert_still_dirty(store, dirty - set(settled))
-        if how == "flush" and fail is None:
-            assert len(store) == 0  # a flush that went through drops the rest
-            return
-        for index in settled:
-            page = store.get(index)
-            if ops[how] == "page_out":
-                assert page is None
-            else:
-                assert not page.dirty
-                assert page.rights is (RO if how == "write_out" else RW)
+            _assert_carried(kind, pager, ops[how], runs[:fail])
+            _assert_still_dirty(store, dirty)
+        else:
+            assert _write_back(cache, how) == len(dirty)
+            _assert_carried(kind, pager, ops[how], runs)
+            if how == "flush":
+                assert len(store) == 0  # a flush that went through drops the rest
+                return
+            for index in dirty:
+                page = store.get(index)
+                if ops[how] == "page_out":
+                    assert page is None
+                else:
+                    assert not page.dirty
+                    assert page.rights is (RO if how == "write_out" else RW)
         for index in clean:
             assert not store.get(index).dirty
 
@@ -391,11 +401,11 @@ class TestWriteBackSendsMaximalRuns:
         self, order, data
     ):
         """Under ``capacity_pages`` the oldest-installed dirty pages are
-        the victims; they go out as the maximal runs among *them*,
-        ascending.  When call k raises, the runs before it are gone and
-        every other page is still dirty and resident — and still
-        evictable: after the pager heals a fault can reserve the whole
-        capacity, and every page has reached the pager exactly once."""
+        the victims; they go out in one call as the maximal runs among
+        *them*, ascending.  When that call raises, every page is still
+        dirty and resident — and still evictable: after the pager heals
+        a fault can reserve the whole capacity, and every page has
+        reached the pager exactly once."""
         node = World().create_node("n")
         cache, pager = recording_vm_cache(node)
         vmm = node.vmm
@@ -404,19 +414,18 @@ class TestWriteBackSendsMaximalRuns:
         vmm.capacity_pages = len(order)
         room = data.draw(st.integers(1, len(order)))
         victims = order[:room]  # FIFO: installation order
-        runs = _maximal_runs(set(victims))
-        fail = data.draw(st.none() | st.integers(0, len(runs) - 1))
-        pager.fail_call = fail
+        fail = data.draw(st.booleans())
+        pager.fail_call = 0 if fail else None
 
-        if fail is None:
-            assert vmm.reclaim(pages_needed=room) == room
-            served = runs
-        else:
+        if fail:
             with pytest.raises(TransientNetworkError):
                 vmm.reclaim(pages_needed=room)
-            served = runs[:fail]
+            served = []
+        else:
+            assert vmm.reclaim(pages_needed=room) == room
+            served = _maximal_runs(set(victims))
         _assert_carried("vm", pager, "page_out", served)
-        gone = {i for first, count in served for i in range(first, first + count)}
+        gone = set(pages_of(served))
         assert all(index not in cache.store for index in gone)
         _assert_still_dirty(cache.store, set(order) - gone)
         assert vmm.resident_pages() == len(order) - len(gone)
@@ -426,7 +435,9 @@ class TestWriteBackSendsMaximalRuns:
         assert vmm.resident_pages() == 0
         paged_out = [
             offset // PAGE_SIZE + at
-            for _, offset, size in pager.log for at in range(size // PAGE_SIZE)
+            for _, call in pager.log
+            for offset, size in call
+            for at in range(size // PAGE_SIZE)
         ]
         assert sorted(paged_out) == sorted(order)
 
@@ -465,6 +476,121 @@ class TestRangedSyncThroughStack:
         volume = stack.disk_layer.volume
         ino = volume.lookup(volume.sb.root_ino, "v.dat")
         assert volume.read_data(ino, 0, 4 * PAGE_SIZE) == payload
+
+
+    def test_a_sync_flushes_the_device_once_after_its_last_run(
+        self, node, device, user, monkeypatch
+    ):
+        """The disk layer ends a pager ``sync`` with one device flush,
+        after every run is written; the coherency layer's end (the
+        default: it keeps no medium of its own) flushes nothing."""
+        stack = create_sfs(node, device)
+        flushes = []
+        monkeypatch.setattr(device, "flush", lambda: flushes.append(device.writes))
+        with user.activate():
+            f = stack.top.create_file("s.dat")
+            f.write(0, bytes(6 * PAGE_SIZE))
+            f.sync()
+            mapping = node.vmm.create_address_space("t").map(f, RW)
+            for page in (0, 2, 3, 5):
+                mapping.write(page * PAGE_SIZE, b"s")
+            flushes.clear()
+            mapping.cache.sync()  # three runs into the coherency layer's cache
+            assert flushes == []
+            writes = device.writes
+            f.sync()  # the same three runs down to the disk layer
+            assert flushes == [writes + 3]
+
+
+class TestRemoteWriteBack:
+    def test_a_sync_of_separate_runs_is_one_round_trip(self, world):
+        """A cache manager on one node syncing n non-adjacent runs to a
+        layer on another pays one network charge and one message, which
+        carries exactly the runs' bytes; the layer still counts each
+        run."""
+        server, client = world.create_node("server"), world.create_node("client")
+        stack = create_sfs(server, BlockDevice(server.nucleus, "sd0", 8192))
+        user = world.create_user_domain(client)
+        pages = (0, 2, 4, 6)
+        with user.activate():
+            f = stack.top.create_file("r.dat")
+            f.write(0, bytes(8 * PAGE_SIZE))
+            mapping = client.vmm.create_address_space("c").map(f, RW)
+            for page in pages:
+                mapping.write(page * PAGE_SIZE, b"R" * PAGE_SIZE)
+            network, clock, counters = world.network, world.clock, world.counters
+            messages, charges = network.messages, clock.charge_count("network")
+            carried = network.bytes_count(client, server)
+            syncs = counters.get("coherency.sync")
+            assert mapping.cache.sync() == len(pages)
+            assert network.messages == messages + 1
+            assert clock.charge_count("network") == charges + 1
+            assert network.bytes_count(client, server) == (
+                carried + len(pages) * PAGE_SIZE
+            )
+            assert counters.get("coherency.sync") == syncs + len(pages)
+            assert f.read(0, 8 * PAGE_SIZE) == b"".join(
+                (b"R" if page in pages else b"\0") * PAGE_SIZE for page in range(8)
+            )
+
+
+class TestPowerCutInsideASync:
+    """A power cut between the runs of one ``fsync`` on an image: the
+    sync raises and settles nothing, and the image recovers to the last
+    completed ``fsync``, but for the runs written before the cut."""
+
+    PAGES = 6
+    RUNS = [(0, 1), (2, 2), (5, 1)]  # three runs: pages 0, 2-3 and 5
+
+    @pytest.mark.parametrize("cut", range(len(RUNS)))
+    def test_a_failed_multi_run_sync_settles_nothing(self, tmp_path, cut):
+        path = str(tmp_path / "cut.img")
+        world = World()
+        node = world.create_node("n")
+        device = world.create_image(node.nucleus, path, 2048)
+        stack = create_sfs(node, device, cache=True)
+        dirty = pages_of(self.RUNS)
+
+        def rewrite(f, byte):
+            for index in dirty:
+                f.write(index * PAGE_SIZE, byte * PAGE_SIZE)
+
+        try:
+            with world.create_user_domain(node).activate():
+                f = stack.top.create_file("f.dat")
+                f.write(0, b"a" * (self.PAGES * PAGE_SIZE))
+                stack.top.sync_fs()  # the file, its blocks and size on the image
+                rewrite(f, b"b")
+                writes = device.writes
+                f.sync()  # the last completed fsync: one transfer per run
+                assert device.writes == writes + len(self.RUNS)
+                rewrite(f, b"c")
+                device.inject_power_failure_after(cut)
+                with pytest.raises(DeviceError, match="power failure"):
+                    f.sync()
+            (state,) = stack.coherency_layer._states.values()
+            assert state.store.dirty_indices() == dirty
+            for index in dirty:
+                assert bytes(state.store.get(index).data) == b"c" * PAGE_SIZE
+        finally:
+            device.close()
+
+        reboot = World()
+        volume = Volume.mount(
+            reboot.open_image(reboot.create_node("reboot").nucleus, path)
+        )
+        try:
+            volume.fsck(repair=True)
+            assert volume.fsck() == []
+            landed = pages_of(self.RUNS[:cut])
+            expected = b"".join(
+                (b"c" if i in landed else b"b" if i in dirty else b"a") * PAGE_SIZE
+                for i in range(self.PAGES)
+            )
+            ino = volume.lookup(volume.sb.root_ino, "f.dat")
+            assert volume.read_data(ino, 0, self.PAGES * PAGE_SIZE) == expected
+        finally:
+            volume.device.close()
 
 
 # --------------------------------------------------------------------------

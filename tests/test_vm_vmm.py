@@ -20,7 +20,8 @@ RW = AccessRights.READ_WRITE
 
 
 class ScriptedPager(PagerObject):
-    """A pager over an in-memory bytearray, with call logging."""
+    """A pager over an in-memory bytearray, with call logging: a
+    write-back logs its op and the ``(offset, size)`` of every run."""
 
     def __init__(self, domain, backing: bytearray, log: list) -> None:
         super().__init__(domain)
@@ -33,25 +34,24 @@ class ScriptedPager(PagerObject):
         return bytes(self.backing[offset : offset + size])
 
     @operation
-    def page_out(self, offset, size, data):
-        self.log.append(("page_out", offset, size))
-        self._apply(offset, size, data)
+    def page_out(self, runs):
+        self._apply("page_out", runs)
 
     @operation
-    def write_out(self, offset, size, data):
-        self.log.append(("write_out", offset, size))
-        self._apply(offset, size, data)
+    def write_out(self, runs):
+        self._apply("write_out", runs)
 
     @operation
-    def sync(self, offset, size, data):
-        self.log.append(("sync", offset, size))
-        self._apply(offset, size, data)
+    def sync(self, runs):
+        self._apply("sync", runs)
 
-    def _apply(self, offset, size, data):
-        end = offset + min(size, len(data))
-        if end > len(self.backing):
-            self.backing.extend(bytes(end - len(self.backing)))
-        self.backing[offset:end] = data[: end - offset]
+    def _apply(self, op, runs):
+        self.log.append((op, [(offset, size) for offset, size, _ in runs]))
+        for offset, size, data in runs:
+            end = offset + min(size, len(data))
+            if end > len(self.backing):
+                self.backing.extend(bytes(end - len(self.backing)))
+            self.backing[offset:end] = data[: end - offset]
 
     @operation
     def done_with_pager_object(self):
@@ -128,6 +128,22 @@ class TestMappingBasics:
         mapping = node.vmm.create_address_space("t").map(memobj, RO)
         mapping.read(PAGE_SIZE - 10, 20)
         assert len([e for e in log if e[0] == "page_in"]) == 2
+
+    def test_a_pager_that_cannot_cluster_serves_a_ranged_fault_exactly(
+        self, world, node, pager_env
+    ):
+        """A fault that continues a sequential stream asks for its
+        read-ahead window; a pager with no ``page_in_range`` of its own
+        answers with exactly the faulting page, so nothing is installed
+        speculatively."""
+        memobj, _, log = pager_env
+        node.vmm.readahead_pages = 2
+        mapping = node.vmm.create_address_space("t").map(memobj, RO)
+        mapping.read(0, 4)
+        mapping.read(PAGE_SIZE, 4)  # continues the stream: a ranged fault
+        assert world.counters.get("vmm.readahead") == 1
+        assert log[-1] == ("page_in", PAGE_SIZE, PAGE_SIZE, RO)
+        assert 2 not in mapping.cache.store
 
     def test_write_requires_writable_mapping(self, node, pager_env):
         memobj, _, _ = pager_env
@@ -216,6 +232,16 @@ class TestWriteBack:
         assert bytes(backing[:5]) == b"DIRTY"
         assert mapping.cache.sync() == 0  # clean now
 
+    def test_a_sync_is_one_call_carrying_every_run(self, node, pager_env):
+        memobj, backing, log = pager_env
+        mapping = node.vmm.create_address_space("t").map(memobj, RW)
+        for page in (3, 0, 1):
+            mapping.write(page * PAGE_SIZE, b"RUN")
+        assert mapping.cache.sync() == 3
+        assert log[-1] == ("sync", [(0, 2 * PAGE_SIZE), (3 * PAGE_SIZE, PAGE_SIZE)])
+        assert [e[0] for e in log].count("sync") == 1
+        assert bytes(backing[3 * PAGE_SIZE : 3 * PAGE_SIZE + 3]) == b"RUN"
+
     def test_flush_pages_out_and_drops(self, node, pager_env):
         memobj, backing, log = pager_env
         mapping = node.vmm.create_address_space("t").map(memobj, RW)
@@ -238,7 +264,7 @@ class TestWriteBack:
         mapping.write(PAGE_SIZE, b"KEPT")
         cache = mapping.cache
         assert cache.write_back(cache.store.dirty_indices(), "write_out") == 1
-        assert ("write_out", PAGE_SIZE, PAGE_SIZE) in log
+        assert ("write_out", [(PAGE_SIZE, PAGE_SIZE)]) in log
         page = cache.store.get(1)
         assert not page.dirty and page.rights is RO
         assert bytes(backing[PAGE_SIZE : PAGE_SIZE + 4]) == b"KEPT"
@@ -249,8 +275,9 @@ class TestWriteBack:
     def test_failed_write_back_leaves_the_page_dirty_and_resident(
         self, node, pager_env
     ):
-        """A page is settled only after the call that carried it
-        returned: a flush that fails midway loses nothing."""
+        """The pages are settled only after the call that carried them
+        returned: a flush whose pager fails midway through its runs
+        loses nothing, and settles nothing."""
         memobj, backing, log = pager_env
         mapping = node.vmm.create_address_space("t").map(memobj, RW)
         mapping.write(0, b"ONE")
@@ -258,18 +285,19 @@ class TestWriteBack:
         cache = mapping.cache
         pager = cache.channel.pager_object
 
-        def refuse_second_page(offset, size, data):
-            if offset:
-                raise ChannelClosedError("pager went away")
-            pager._apply(offset, size, data)
+        def refuse_second_run(runs):
+            pager._apply("page_out", runs[:1])
+            raise ChannelClosedError("pager went away")
 
-        pager.page_out = refuse_second_page
+        pager.page_out = refuse_second_run
         with pytest.raises(ChannelClosedError):
             cache.flush()
-        assert 0 not in cache.store  # carried by the call that returned
-        assert cache.store.get(2).dirty  # still here, still dirty
+        assert log[-1] == ("page_out", [(0, PAGE_SIZE)])  # the one run served
+        assert cache.store.get(0).dirty and cache.store.get(2).dirty
         del pager.page_out
-        assert cache.flush() == 1
+        assert cache.flush() == 2
+        assert log[-1] == ("page_out", [(0, PAGE_SIZE), (2 * PAGE_SIZE, PAGE_SIZE)])
+        assert bytes(backing[:3]) == b"ONE"
         assert bytes(backing[2 * PAGE_SIZE : 2 * PAGE_SIZE + 3]) == b"TWO"
 
 
