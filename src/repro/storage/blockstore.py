@@ -186,7 +186,8 @@ class ImageBlockStore(BlockStore):
     def flush(self) -> None:
         # Blocks bypass the file object, so its buffer is empty here;
         # this is the one durability hook, where an ``os.fsync`` of the
-        # image would go (ROADMAP item 1).
+        # image would go (ROADMAP item 1(d)).  A pager ``sync`` calls it
+        # once, after its last run, so a barrier here is one per fsync.
         if not self._closed:
             self._file.flush()
 

@@ -9,10 +9,10 @@ category's account, so its frame neither checks the cost nor looks the
 category up; the size-dependent charges of a disk transfer, a copy and
 a network message check their cost in the ``Charger`` and then enter
 ``SimClock.charge`` too.  Bytecode counts differ between the
-Python versions CI runs, frame counts do not (but for a
-comprehension, which has a frame of its own only before 3.12, so no
-list names one), so these tests count the ``"call"`` events ``sys.setprofile`` reports (a C
-function, such as a ``functools.partial`` charge or a socket's
+Python versions CI runs, frame counts do not (but for a comprehension,
+which has a frame of its own only before 3.12, so no list names one),
+so these tests count the ``"call"`` events ``sys.setprofile`` reports
+(a C function, such as a ``functools.partial`` charge or a socket's
 ``recv_into``, reports ``"c_call"`` instead) and compare the names, in
 order, with a list.  A
 change that adds a frame to the spine fails here and must say why.  One
@@ -50,10 +50,11 @@ class Echo(SpringObject):
         return n
 
 
-#: Frames the interpreter decides on, not the code: a comprehension has
-#: one of its own before CPython 3.12 (PEP 709 inlines a list, dict or
-#: set comprehension), so a pin that listed one would hold on some of
-#: the versions CI runs and not on others.
+#: Frames the interpreter decides on, not the code: a list, dict or set
+#: comprehension has one of its own only before CPython 3.12 (PEP 709
+#: inlines it), so a pin that listed one would hold on some of the
+#: versions CI runs and not on others.  Generator expressions are left
+#: out with them, so no pin depends on how a comprehension is compiled.
 COMPREHENSIONS = ("<listcomp>", "<genexpr>", "<dictcomp>", "<setcomp>")
 
 
