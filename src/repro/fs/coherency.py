@@ -344,7 +344,7 @@ class CoherencyLayer(BaseLayer):
         and dirty blocks to the lower layer.
 
         Write-back order is deterministic: dirty pages ascend by index,
-        each contiguous run one sync.  Uncached there is nothing of ours
+        every contiguous run in one sync.  Uncached there is nothing of ours
         to push: the file below syncs itself."""
         if not self.cache_enabled:
             state.under_file.sync()

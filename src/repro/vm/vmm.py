@@ -85,14 +85,14 @@ class VmCache(SourceCache):
         mode.  Returns the number of pages written.
 
         Write-back order is deterministic — dirty pages ascend by
-        index, each contiguous run one call.  Benchmarks rely on this
+        index, every contiguous run in one call.  Benchmarks rely on this
         determinism for stable virtual time.
         """
         return self.write_back(self.store.dirty_indices(), "sync")
 
     def flush(self) -> int:
         """Push dirty pages and drop everything (page_out semantics).
-        Like :meth:`sync`, ascending, one call per run."""
+        Like :meth:`sync`, ascending, every run in one call."""
         count = self.write_back(self.store.dirty_indices(), "page_out")
         self.store.clear()
         return count
@@ -367,7 +367,7 @@ class Vmm(CacheManager):
 
         Victims come from the two FIFO eviction queues maintained by the
         PageStore observer hooks — clean pages first (dropped for free),
-        then dirty pages (paged out, one call per run).  The queues are
+        then dirty pages (paged out, one call per cache).  The queues are
         validated lazily (:meth:`_pop_victims`); each entry is touched
         at most a constant number of times over its lifetime, so
         eviction is amortized O(1) per fault, not a walk over every
@@ -431,8 +431,8 @@ class Vmm(CacheManager):
 
     def _evict_dirty(self, victims: List[Tuple[VmCache, int]]) -> int:
         """Page out and drop the chosen dirty victims: each cache's
-        victims together, ascending, so contiguous ones go out in one
-        call.  The victims are off the queue; if a pager call raises,
+        victims together, ascending, in one call, contiguous ones as one
+        run.  The victims are off the queue; if a pager call raises,
         those it did not take are still resident and dirty and go back
         to the front, order kept, for a later reclaim to choose."""
         by_cache: Dict[VmCache, List[int]] = {}
