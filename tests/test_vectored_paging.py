@@ -350,7 +350,9 @@ class TestWriteBackSendsMaximalRuns:
         data=st.data(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_one_call_a_failed_call_settles_none(self, kind, dirty, clean, data):
+    def test_one_call_carries_every_run_and_a_failed_call_settles_none(
+        self, kind, dirty, clean, data
+    ):
         """``sync`` / ``flush`` / ``write_out`` / ``page_out`` of any
         dirty set: one call carrying every maximal run, ascending, every
         page in exactly one run; the pages are settled only after that
