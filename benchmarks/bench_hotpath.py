@@ -5,10 +5,9 @@ modeled cost of the paper's mechanisms, deterministic to the last
 microsecond.  This one measures the opposite — how many operations per
 *real* second the Python hot paths sustain — because interpreter
 overhead, not modeled cost, is what bounds big experiments (the macro
-workload drives ~2k invocations for a toy build; a 2048-client load
-sweep schedules millions of events).
+workload drives ~2k invocations for a toy build).
 
-Five scenarios, each timed with :func:`time.perf_counter` around the
+Four scenarios, each timed with :func:`time.perf_counter` around the
 hot loop only (world construction and re-dirtying excluded), reported
 as the median of ``--repeats`` runs:
 
@@ -18,8 +17,6 @@ as the median of ``--repeats`` runs:
   dirty pages through the full two-domain SFS dispatch spine.
 * ``faults_per_sec`` — page faults refilled from the coherency layer's
   warm block cache (fault + channel dispatch, no modeled disk).
-* ``events_per_sec`` — discrete-event scheduler frames (think/request
-  alternation) with no file system at all.
 * ``bulk_file_mb_per_sec`` — the bulk file path: truncate, one
   multi-page ``File.write`` and one ``File.read`` of the same range
   through the two-domain SFS, in MB of user data per real second (the
@@ -27,8 +24,8 @@ as the median of ``--repeats`` runs:
   across the wire: a run demanded once, each byte copied once).
 
 Unlike the virtual-time records, the committed numbers are inherently
-host-dependent; the regression gate compares them with a wider (25%)
-tolerance to absorb timer and scheduler noise.
+host-dependent; the regression gate reports them beside the committed
+ones and fails only below half the committed value.
 
 Usage (from the repo root)::
 
@@ -63,7 +60,6 @@ from benchmarks.emit_common import (
 ensure_repo_on_path()
 
 from repro.fs.sfs import create_sfs
-from repro.sim.scheduler import Scheduler, request, think
 from repro.storage.block_device import BlockDevice
 from repro.types import PAGE_SIZE, AccessRights
 from repro.world import World
@@ -79,8 +75,6 @@ FULL = {
     "flush_pages": 64,
     "fault_rounds": 80,
     "fault_pages": 64,
-    "clients": 64,
-    "requests": 40,
     "bulk_rounds": 120,
     "bulk_pages": 64,
     "repeats": 5,
@@ -92,8 +86,6 @@ SMOKE = {
     "flush_pages": 16,
     "fault_rounds": 4,
     "fault_pages": 16,
-    "clients": 8,
-    "requests": 5,
     "bulk_rounds": 4,
     "bulk_pages": 16,
     "repeats": 3,
@@ -183,28 +175,6 @@ def run_faults(cfg: dict):
     return faulted, elapsed
 
 
-def run_events(cfg: dict):
-    """Scheduler frames: each client alternates think and a no-op
-    request, so both frame kinds are exercised."""
-    world = World()
-    sched = Scheduler(world)
-
-    def noop():
-        return None
-
-    def client(requests_per_client: int):
-        for _ in range(requests_per_client):
-            yield think(100.0)
-            yield request(noop)
-
-    for i in range(cfg["clients"]):
-        sched.spawn(client(cfg["requests"]), name=f"c{i}")
-    t0 = time.perf_counter()
-    sched.run_all()
-    elapsed = time.perf_counter() - t0
-    return cfg["clients"] * cfg["requests"] * 2, elapsed
-
-
 def run_bulk_file(cfg: dict):
     """Whole-file rewrite and read-back through the file interface:
     truncate, one multi-page ``File.write``, one ``File.read`` of the
@@ -229,7 +199,6 @@ SCENARIOS = [
     ("cached_reads_per_sec", run_cached_reads),
     ("flush_pages_per_sec", run_flush_pages),
     ("faults_per_sec", run_faults),
-    ("events_per_sec", run_events),
     ("bulk_file_mb_per_sec", run_bulk_file),
 ]
 

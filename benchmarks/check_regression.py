@@ -67,7 +67,7 @@ RECORDS = {
     ),
 }
 
-#: The record whose wall-clock leaves are reported — five rates, higher
+#: The record whose wall-clock leaves are reported — four rates, higher
 #: is better — and the fraction of the committed value below which one
 #: fails.
 WALL_CLOCK_REPORTED = "BENCH_hotpath.json"

@@ -1,2 +1,2 @@
-"""Virtual-time simulation substrate: clock, calibrated cost model,
-discrete-event scheduler, and the fault plane."""
+"""Virtual-time simulation substrate: clock, calibrated cost model and
+the fault plane."""

@@ -9,28 +9,14 @@ deterministically.
 
 Times are in microseconds, the unit the paper's Table 3 uses.
 
-Two execution modes share this clock:
-
-* **Sequential** (the calibration mode): one operation runs to
-  completion before the next starts, ``advance`` moves ``now_us``
-  forward, and elapsed time equals charged time.  Everything the paper's
-  tables measure runs this way, byte-identically to earlier revisions.
-
-* **Concurrent**: the discrete-event scheduler in
-  :mod:`repro.sim.scheduler` executes each simulated client's operation
-  atomically inside a clock *frame*.  ``begin_frame`` pins ``now_us`` to
-  the task's virtual start time; charges made while the frame is open
-  advance ``now_us`` locally (so cost models, fault planes, and server
-  slots see a consistent in-operation time); ``end_frame`` returns the
-  frame's elapsed virtual time and restores ``now_us`` to the
-  scheduler's global event time.  Category totals accumulate across all
-  frames, so under concurrency they read as *busy time summed over
-  clients* — they can legitimately exceed the makespan.
+Virtual time runs one way: one operation runs to completion before the
+next starts, ``advance`` moves ``now_us`` forward, and elapsed time
+equals charged time.  Everything the paper's tables measure runs this
+way.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Optional
 
 
@@ -58,7 +44,7 @@ class SimClock:
     binds its fixed charges, or on the category's first ``advance``.
     """
 
-    __slots__ = ("_now_us", "_accounts", "_frame_start", "_frame_saved")
+    __slots__ = ("_now_us", "_accounts")
 
     def __init__(self) -> None:
         self._now_us = 0.0
@@ -67,15 +53,10 @@ class SimClock:
         #: what lets :class:`StopWatch` tell "charged 0.0" (a zero-delta
         #: charge counts) from "never charged".
         self._accounts: Dict[str, _Account] = {}
-        #: Open speculative frame (see module docstring); None outside
-        #: the discrete-event scheduler.
-        self._frame_start: Optional[float] = None
-        self._frame_saved = 0.0
 
     @property
     def now_us(self) -> float:
-        """Current virtual time in microseconds.  Inside an open frame
-        this is the frame-local time (start + charges so far)."""
+        """Current virtual time in microseconds."""
         return self._now_us
 
     def account(self, category: str) -> _Account:
@@ -129,52 +110,6 @@ class SimClock:
         """Snapshot of the per-category charge counts of every category
         charged."""
         return {c: a.count for c, a in self._accounts.items() if a.count}
-
-    # --- scheduler integration (see repro.sim.scheduler) -------------------
-    def seek(self, to_us: float) -> None:
-        """Jump global time forward to ``to_us`` without charging any
-        category — the discrete-event scheduler uses this to move to the
-        next event's timestamp.  Rejects moving backwards or to NaN (with
-        the clock untouched) and may not be called while a frame is
-        open."""
-        if self._frame_start is not None:
-            raise RuntimeError("seek inside an open frame")
-        if not to_us >= self._now_us:
-            raise ValueError(
-                f"seek backwards or to NaN: {to_us} < {self._now_us}"
-            )
-        self._now_us = to_us
-
-    def begin_frame(self, at_us: float) -> None:
-        """Open a speculative task frame at virtual time ``at_us``.
-
-        While the frame is open, ``now_us`` runs from ``at_us`` and
-        ``advance`` moves it locally; the pre-frame global time is saved
-        and restored by :meth:`end_frame`.  Frames do not nest — the
-        scheduler executes exactly one task operation at a time.  A NaN
-        ``at_us`` raises ``ValueError`` with the clock untouched.
-        """
-        if self._frame_start is not None:
-            raise RuntimeError("frame already open")
-        if math.isnan(at_us):
-            raise ValueError("frame start is NaN")
-        self._frame_start = at_us
-        self._frame_saved = self._now_us
-        self._now_us = at_us
-
-    def end_frame(self) -> float:
-        """Close the open frame: restore global time and return the
-        frame's elapsed virtual time (the operation's service demand)."""
-        if self._frame_start is None:
-            raise RuntimeError("no open frame")
-        elapsed = self._now_us - self._frame_start
-        self._now_us = self._frame_saved
-        self._frame_start = None
-        return elapsed
-
-    @property
-    def in_frame(self) -> bool:
-        return self._frame_start is not None
 
 
 class StopWatch:

@@ -79,23 +79,6 @@ class World:
         #: Optional invocation retry knobs (see repro.ipc.retry); None =
         #: transient failures surface immediately (the default).
         self.retry_policy = None
-        #: Lazily created discrete-event scheduler (concurrent mode);
-        #: None until :meth:`scheduler` is first called.
-        self._scheduler = None
-
-    # --- concurrency ----------------------------------------------------------
-    def scheduler(self):
-        """The world's discrete-event scheduler (created on first use) —
-        the entry point to concurrent mode: spawn client coroutines on
-        it and :meth:`~repro.sim.scheduler.Scheduler.run`.  Overlapping
-        requests do not contend: each runs in its own clock frame, which
-        carries its charges and the fault plane's link effects on its
-        sends.  Sequential code never touches it."""
-        if self._scheduler is None:
-            from repro.sim.scheduler import Scheduler
-
-            self._scheduler = Scheduler(self)
-        return self._scheduler
 
     # --- fault tolerance ------------------------------------------------------
     def install_fault_plan(self, plan):

@@ -150,12 +150,23 @@ class TestLinkEffects:
         world.network.transfer(a, b, 64)  # budget spent, flows again
         assert world.counters.get("faults.dropped") == 2
 
-    def test_drop_is_directional(self, world, pair):
-        a, b = pair
-        world.install_fault_plan(FaultPlan().drop("a", "b", at_us=0))
-        world.network.transfer(b, a, 0)  # reverse direction unaffected
-        with pytest.raises(MessageDroppedError):
-            world.network.transfer(a, b, 0)
+    def test_drop_is_directional(self):
+        # A drop and a delay alike: the effect on a -> b leaves b -> a
+        # alone, and the reverse send does not spend it.
+        for kind, effect in (("drop", {}), ("delay", {"delay_us": 250.0})):
+            world = World()
+            a, b = world.create_node("a"), world.create_node("b")
+            plan = getattr(FaultPlan(), kind)("a", "b", at_us=0, **effect)
+            world.install_fault_plan(plan)
+            world.network.transfer(b, a, 0)  # reverse direction unaffected
+            assert world.clock.charged("network_fault_delay") == 0.0
+            if kind == "drop":
+                with pytest.raises(MessageDroppedError):
+                    world.network.transfer(a, b, 0)
+            else:
+                world.network.transfer(a, b, 0)
+                assert world.clock.charged("network_fault_delay") == 250.0
+                assert world.counters.get("faults.delayed") == 1
 
     def test_delay_advances_clock(self, world, pair):
         a, b = pair

@@ -2,33 +2,40 @@
 a cleanly unmounted volume, then mount, ``fsck(repair=True)`` and
 ``fsck()``.
 
-The volume (one cylinder group or four) holds a root, one directory and
-six files of 1-21 pages (three in each directory).  One i-node case
-mutates a regular file's type, nlink, size, one direct pointer, or its
-indirect or double-indirect pointer (one to three of them), or the type
-field of any i-node but the root and the reserved i-node 0.  Whatever
-the bytes, mount raises nothing but a ``StorageError``, fsck nothing,
-one repair converges (a second ``fsck()`` finds nothing), the allocator
-holds exactly the blocks the walks reach, and every file the case did
-not touch reads back intact.
+The volume (one cylinder group or four) holds a root, one directory
+``d`` and six files of 1-21 pages (three in each directory).  One i-node
+case mutates a regular file's type, nlink, size, one direct pointer, or
+its indirect or double-indirect pointer (one to three of them), one to
+three pointer fields of ``d``, or the type field of any i-node but the
+root and the reserved i-node 0.  Whatever the bytes, mount raises
+nothing but a ``StorageError``, fsck nothing, one repair converges (a
+second ``fsck()`` finds nothing), the allocator holds exactly the blocks
+the walks reach, and every file the case did not touch reads back
+intact.
 
 One superblock case writes one value over one slot, with the checksum
 left stale or recomputed.  A stale checksum never mounts.  A recomputed
 one mounts only if the geometry still agrees with itself, and then one
 repair converges.
 
-Out of scope here (ROADMAP item 9): corrupt directory contents and the
-root (a directory cycle and an unreadable directory have one test each,
-in ``test_storage_volume.py``).  So a regular file never becomes a
+A pointer of ``d`` may land anywhere, so ``d``'s entries are read from
+whatever block it names: a bitmap, an i-node table, a file's data, a
+block off the device, or none (0, the superblock's block, is no
+block).  Out of scope here (ROADMAP item 9): a directory block
+corrupted in place, ``d``'s nlink and size, and the root (a directory
+cycle and an unreadable directory have one test each, in
+``test_storage_volume.py``).  So a regular file never becomes a
 directory (its bytes would be read as entries), and an indirect pointer
 never lands on another tree's pointer block (two trees sharing one:
 which is rightful needs more than one i-node's view).
 
 Every run starts with one fixed case per field (:func:`every_field`,
-:func:`every_slot`), so each field is mutated and each repair step runs
-even when the draws skew.  The fields and their offsets come from the
-format's tables (``storage/ondisk.py``).  Tier-1 runs the default
-profile; the chaos job runs ``--hypothesis-profile=deep``.
+:func:`every_slot`) and one per kind of metadata block under ``d``'s
+first pointer (:func:`every_metadata_block`), so each field is mutated
+and each repair step runs even when the draws skew.  The fields and
+their offsets come from the format's tables (``storage/ondisk.py``).
+Tier-1 runs the default profile; the chaos job runs
+``--hypothesis-profile=deep``.
 """
 
 import struct
@@ -39,6 +46,7 @@ from hypothesis import strategies as st
 from repro.errors import StorageError
 from repro.storage.block_device import RamDevice
 from repro.storage.inode import INODE_SIZE, FileType
+from repro.storage.layout import SuperBlock
 from repro.storage.ondisk import INODE, SUPERBLOCK
 from repro.storage.volume import Volume
 from repro.types import PAGE_SIZE
@@ -67,14 +75,19 @@ values = {
 mutation = st.sampled_from(sorted(FIELDS)).flatmap(
     lambda field: st.tuples(st.just(field), values.get(field, pointers))
 )
+#: A pointer field of ``d``: its entries are read from where it lands.
+pointer_mutation = st.tuples(
+    st.sampled_from(sorted(FIELDS.keys() - {"type", "nlink", "size"})), pointers
+)
 #: The six files, three in the root and three in ``d``.
 PATHS = ["f0", "f1", "f2", "d/f3", "d/f4", "d/f5"]
 #: ``(target, mutations)``: a type over any i-node (an ``int``) but the
-#: root and the reserved i-node 0, or one to three fields of one regular
-#: file's (a path).
+#: root and the reserved i-node 0, one to three fields of one regular
+#: file's (a path), or one to three pointer fields of ``d``'s.
 cases = st.one_of(
     st.tuples(st.integers(2, 63), st.tuples(st.just("type"), types).map(lambda m: [m])),
     st.tuples(st.sampled_from(PATHS), st.lists(mutation, min_size=1, max_size=3)),
+    st.tuples(st.just("d"), st.lists(pointer_mutation, min_size=1, max_size=3)),
 )
 #: One fixed value per field, for the case per field every run makes
 #: before the search draws its own (which skews to some fields): an
@@ -84,6 +97,8 @@ FIXED = {"type": 0x7777, "nlink": 0, "size": PAGE_SIZE}
 GROUPS = (1, 4)
 #: Thirteen pages, so every file has an indirect block.
 FIXED_SIZES = [13 * PAGE_SIZE] * 6
+#: The device and i-node table :func:`build` formats.
+DEVICE_BLOCKS, INODES = 512, 64
 
 
 def every_field(test):
@@ -96,13 +111,26 @@ def every_field(test):
     return test
 
 
+def every_metadata_block(test):
+    """Give ``test`` one explicit case per layout with ``d``'s first
+    direct pointer on the superblock's block (0, no block), on the last
+    group's bitmap and i-node table, and on the first block off the
+    device."""
+    for groups in GROUPS:
+        last = SuperBlock.compute(PAGE_SIZE, DEVICE_BLOCKS, INODES, groups).groups()[-1]
+        for block in (0, last.bitmap_start, last.inode_start, DEVICE_BLOCKS):
+            case = ("d", [("direct0", block)])
+            test = example(sizes=FIXED_SIZES, groups=groups, case=case)(test)
+    return test
+
+
 def build(sizes, groups):
     """Format a volume of ``groups`` cylinder groups, populate it and
     unmount it cleanly; returns its device, the subdirectory's i-node,
     ``{path: (ino, bytes)}`` and each i-node's pointer blocks."""
     world = World()
-    device = RamDevice(world.create_node("n").nucleus, "ram", 512)
-    volume = Volume.mkfs(device, inode_count=64, cylinder_groups=groups)
+    device = RamDevice(world.create_node("n").nucleus, "ram", DEVICE_BLOCKS)
+    volume = Volume.mkfs(device, inode_count=INODES, cylinder_groups=groups)
     root = volume.sb.root_ino
     subdir = volume.create(root, "d", FileType.DIRECTORY).ino
     files = {}
@@ -155,12 +183,16 @@ class TestFsckRepairsOneCorruptInode:
         case=cases,
     )
     @every_field
+    @every_metadata_block
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_repair_converges_and_spares_the_rest(self, sizes, groups, case):
         device, subdir, files, pointer_blocks = build(sizes, groups)
         layout = Volume.mount(device)
         target, mutations = case
-        ino = files[target][0] if isinstance(target, str) else target
+        if isinstance(target, int):
+            ino = target
+        else:
+            ino = subdir if target == "d" else files[target][0]
         others = set().union(
             *(blocks for owner, blocks in pointer_blocks.items() if owner != ino)
         )

@@ -33,29 +33,6 @@ class TestSimClock:
         assert clock.categories() == {"cpu": 8.0}
         assert clock.charge_counts() == {"cpu": 2}
 
-    def test_nan_seek_rejected_and_leaves_the_clock_alone(self):
-        # "to < now" is false for NaN, and a clock sought to NaN reads
-        # NaN for good: every later seek and charge compares false.
-        clock = SimClock()
-        clock.seek(100.0)
-        with pytest.raises(ValueError):
-            clock.seek(float("nan"))
-        assert clock.now_us == 100.0
-        clock.seek(150.0)
-        assert clock.now_us == 150.0
-
-    def test_nan_frame_start_rejected_and_leaves_the_clock_alone(self):
-        clock = SimClock()
-        clock.seek(100.0)
-        with pytest.raises(ValueError):
-            clock.begin_frame(float("nan"))
-        assert clock.now_us == 100.0
-        assert not clock.in_frame
-        clock.begin_frame(40.0)
-        clock.advance(5.0)
-        assert clock.end_frame() == 5.0
-        assert clock.now_us == 100.0
-
     def test_zero_advance_allowed(self):
         clock = SimClock()
         clock.advance(0.0)

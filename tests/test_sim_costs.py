@@ -150,18 +150,12 @@ class TestFixedCharges:
     ]
 
     def replay(self, clock, charge):
-        """The sequence, with size-dependent charges between, and again
-        inside a frame that starts behind the clock."""
+        """The sequence, with size-dependent charges between."""
         charge(self.SEQUENCE[:4])
         clock.advance(0.0, "disk")
         clock.advance(3, "network")
         charge(self.SEQUENCE[4:])
-        clock.seek(1_000.5)
-        clock.begin_frame(20)
-        charge(self.SEQUENCE)
-        clock.advance(7, "cpu")
-        elapsed = clock.end_frame()
-        return exact(elapsed), clock_state(clock)
+        return clock_state(clock)
 
     def test_partials_and_advance_leave_bit_identical_clocks(self):
         bound = Charger(SimClock(), self.MODEL)
@@ -182,7 +176,7 @@ class TestFixedCharges:
         via_advance = self.replay(plain, through_advance)
         assert via_partials == via_advance
         # The int and zero costs kept their type.
-        categories = dict(via_partials[1][1])
+        categories = dict(via_partials[1])
         assert categories["local_call"] == (int, "0")
         assert categories["syscall"] == (float, "0.0")
         assert categories["disk"] == (float, "0.0")
