@@ -36,8 +36,10 @@ alone — the six examples, the quick report, the ``--smoke`` run of
 each record emitter in ``SMOKES`` and one client session against
 ``repro.serve``'s ``FileService`` over a socket (:func:`served_session`)
 — and ``CENSUS.json`` records, per module, how many lines the suite ran
-that none of them reaches (``test_only``).  That count is written but
-not gated.
+that none of them reaches (``test_only``).  That table is a ratchet too:
+the check fails when a module's count differs from the committed one,
+or when a module joins or leaves the table (commit a fall with
+``--update``).
 
 Usage (from the repo root)::
 
@@ -236,8 +238,12 @@ def served_session(tracer: LineTracer) -> None:
         data = fs.pread(fd, 6 * 4096, 0)
         fs.close(fd)
     finally:
-        client.close()
+        # The server stops first, with the connection still open, so its
+        # shutdown always wakes the connection's thread: closing the
+        # client first would race that thread's own close, and the lines
+        # the census counts would vary from run to run.
         thread.stop()
+        client.close()
     if any(data[page * 4096] != page + 1 for page in pages):
         raise SystemExit("the served session read back other bytes")
 
@@ -322,7 +328,7 @@ def main(argv=None) -> int:
           f"of src/repro, in {len(unrun)} modules")
     for module in sorted(unrun, key=lambda m: -len(unrun[m]))[:10]:
         print(f"  {module:<32} {len(unrun[module]):>4}")
-    print(f"test only (not gated): {sum(test_only.values())} lines that no "
+    print(f"test only: {sum(test_only.values())} lines that no "
           "example, quick report or emitter smoke reaches")
     for module in sorted(test_only, key=lambda m: -test_only[m])[:10]:
         print(f"  {module:<32} {test_only[module]:>4}")
@@ -330,19 +336,32 @@ def main(argv=None) -> int:
         COMMITTED.write_text(json.dumps(fresh, indent=1) + "\n")
         print(f"wrote {COMMITTED}")
         return 0
+    committed = json.loads(COMMITTED.read_text())
     now = _texts(unrun)
-    before = _texts(json.loads(COMMITTED.read_text())["unrun"])
+    before = _texts(committed["unrun"])
     joined, left = now - before, before - now
     for label, lines in (("joined", joined), ("left", left)):
         for (module, text), times in sorted(lines.items()):
             repeat = f" (x{times})" if times > 1 else ""
             print(f"  {label}: {module}: {text}{repeat}")
+    was_only = committed["test_only"]
+    moved = {module: (was_only.get(module, 0), test_only.get(module, 0))
+             for module in sorted({*was_only, *test_only})
+             if was_only.get(module, 0) != test_only.get(module, 0)}
+    for module, (was, count) in moved.items():
+        print(f"  test only: {module}: {was} -> {count}")
+    rose = [module for module, (was, count) in moved.items() if count > was]
     if joined:
         print(f"\n{sum(joined.values())} line(s) joined the list: give each "
               "a test that runs it, or delete it.")
+    if rose:
+        print(f"\n{len(rose)} module(s) gained test-only lines: reach each "
+              "from an example, the quick report, an emitter smoke or the "
+              "served session, or delete it.")
+    if joined or rose:
         return 1
-    if left:
-        print(f"\n{sum(left.values())} line(s) left the list.  Run "
+    if left or moved:
+        print("\nthe census fell.  Run "
               "`PYTHONPATH=src:. python benchmarks/check_census.py --update` "
               "and commit benchmarks/CENSUS.json.")
         return 1

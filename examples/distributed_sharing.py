@@ -5,8 +5,9 @@ paper sec. 6.2).
 A server exports its SFS through DFS; two client machines mount it.
 Every view — the server's local mapping, both clients' mappings, and the
 plain read/write interface — stays coherent, because coherency actions
-fan out through the pager-cache channels.  CFS on the clients then cuts
-the attribute-fetch network traffic.
+fan out through the pager-cache channels.  CFS on a client then cuts
+the attribute-fetch network traffic and serves reads and writes from its
+own mapping of the remote file.
 
 Run:  python examples/distributed_sharing.py
 """
@@ -43,20 +44,20 @@ def main() -> None:
         m1 = client1.vmm.create_address_space("u1").map(
             rf1, AccessRights.READ_WRITE
         )
-        print("client1 reads:", m1.read(0, 27))
+        print("client1 reads:", m1.read_copy(0, 27))
     with user2.activate():
         rf2 = client2.fs_context.resolve("dfs@server").resolve("design.doc")
         m2 = client2.vmm.create_address_space("u2").map(
             rf2, AccessRights.READ_WRITE
         )
-        print("client2 reads:", m2.read(0, 27))
+        print("client2 reads:", m2.read_copy(0, 27))
 
     # client1 writes through its mapping; client2 and the server observe
     # it — the per-block MRSW protocol recalls the dirty block.
     with user1.activate():
         m1.write(0, b"v2: client1 changed this!  ")
     with user2.activate():
-        print("client2 now sees:", m2.read(0, 27))
+        print("client2 now sees:", m2.read_copy(0, 27))
     with server_user.activate():
         print("server now sees: ", dfs.resolve("design.doc").read(0, 27))
     print(f"network messages so far: {world.network.messages}")
@@ -80,6 +81,13 @@ def main() -> None:
 
     print(f"100 stats without CFS: {plain_msgs} network messages")
     print(f"100 stats with CFS:    {cfs_msgs} network messages")
+
+    # CFS's data path: reads and writes go through its own mapping of the
+    # remote file, and a sync pushes the dirty page back to the server.
+    with user1.activate():
+        local.write(0, b"v3: written through CFS    ")
+        local.sync()
+        print("client1 reads via CFS:", local.read(0, 27))
     print(f"virtual time: {world.clock.now_us / 1000:.1f} ms "
           f"({world.clock.charged('network') / 1000:.1f} ms on the network)")
 

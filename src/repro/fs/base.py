@@ -704,7 +704,7 @@ class LayerFile(File):
 class ForwardingFile(LayerFile):
     """Fully transparent handle: every operation — including ``bind`` —
     forwards straight to the underlying file, so the layer stays out of
-    the page traffic entirely (the nullfs/quotafs shape)."""
+    the page traffic entirely (the nullfs shape)."""
 
     @operation
     def bind(
@@ -758,9 +758,10 @@ class LayerNaming(NamingContext):
     deeper.  Both carry ``layer`` (on the root, the root itself) and
     ``under`` (the context the directory wraps), and the bodies use
     nothing else: resolution returns wrapped objects, mutation forwards
-    below.  A layer that changes one operation overrides the hook behind
-    it (``wrap_resolved``, ``unbind_in``) and so changes it in both
-    places.
+    below.  A layer that changes how names resolve overrides
+    ``wrap_resolved`` and so changes it in both places; ``unbind`` purges
+    the layer's state for the file (``purge_named``) before it unlinks
+    below.
     """
 
     @operation
@@ -773,7 +774,8 @@ class LayerNaming(NamingContext):
 
     @operation
     def unbind(self, name: str) -> object:
-        return self.layer.unbind_in(self.under, name)
+        self.layer.purge_named(self.under, name)
+        return self.under.unbind(name)
 
     @operation
     def rebind(self, name: str, obj: object) -> object:
@@ -1152,12 +1154,6 @@ class BaseLayer(LayerNaming, StackableFs, CacheManager, abc.ABC):
         if under_context is not None:
             return self.directory_class(self, under_context)
         return obj
-
-    def unbind_in(self, under_context: NamingContext, name: str) -> object:
-        """Hook behind ``unbind`` on the root and on every directory:
-        purge this layer's state for the file, then unlink below."""
-        self.purge_named(under_context, name)
-        return under_context.unbind(name)
 
     def _on_open(self, state: Any, attrs: Optional[FileAttributes]) -> None:
         """Hook: a handle is being created; ``attrs`` carries the

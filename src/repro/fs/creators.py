@@ -30,7 +30,6 @@ from repro.fs.dfs import DfsLayer
 from repro.fs.fs_interfaces import StackableFs, StackableFsCreator
 from repro.fs.mirrorfs import MirrorFs
 from repro.fs.nullfs import NullFs
-from repro.fs.quotafs import QuotaFs
 
 
 class LayerCreator(StackableFsCreator):
@@ -79,7 +78,6 @@ CREATABLE_LAYERS: Dict[str, type] = {
     "mirrorfs": MirrorFs,
     "cfs": CfsLayer,
     "nullfs": NullFs,
-    "quotafs": QuotaFs,
 }
 
 

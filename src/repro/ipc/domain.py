@@ -2,9 +2,7 @@
 
 "A Spring domain is an address space with a collection of threads"
 (paper sec. 3.1).  A domain may serve some objects and be a client of
-others.  Domains carry the credentials used by naming-context ACL checks,
-and each has a per-domain name space (paper sec. 3.2) installed by the
-naming subsystem.
+others.  Domains carry the credentials used by naming-context ACL checks.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from repro.ipc import invocation
 
 if TYPE_CHECKING:
     from repro.ipc.node import Node
-    from repro.naming.namespace import Namespace
 
 
 class Credentials:
@@ -59,8 +56,6 @@ class Domain:
         #: hot path, so a plain attribute beats a property hop.
         self.world = node.world
         self.credentials = credentials or Credentials(name)
-        #: Per-domain name space; installed by repro.naming.namespace.
-        self.name_space: Optional["Namespace"] = None
 
     @contextlib.contextmanager
     def activate(self) -> Iterator["Domain"]:

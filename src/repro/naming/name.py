@@ -1,9 +1,8 @@
 """Compound-name syntax.
 
 Spring names are sequences of components; we use the familiar
-slash-separated textual form.  A leading slash means "resolve from the
-node's shared root" in :mod:`repro.naming.namespace`; within a context a
-name is always relative.
+slash-separated textual form.  Within a context a name is always
+relative: a leading slash is dropped.
 """
 
 from __future__ import annotations
@@ -54,10 +53,6 @@ def validate_component(component: str) -> None:
         raise InvalidNameError("component contains NUL")
 
 
-def is_absolute(name: str) -> bool:
-    return name.startswith(SEPARATOR)
-
-
 def normalize(name: str) -> str:
     """Canonical textual form of a name relative to a given context:
     components joined by the separator, leading slash dropped.  Used as
@@ -83,17 +78,3 @@ def head_tail(name: str) -> Tuple[str, str]:
     tail = SEPARATOR.join(components[1:])
     return head, tail
 
-
-def join(*parts: str) -> str:
-    """Join name parts with the separator, preserving a leading slash on
-    the first part.
-
-    >>> join("/fs", "sfs0", "file1")
-    '/fs/sfs0/file1'
-    """
-    if not parts:
-        raise InvalidNameError("join of no parts")
-    cleaned = [parts[0].rstrip(SEPARATOR)] + [
-        p.strip(SEPARATOR) for p in parts[1:] if p.strip(SEPARATOR)
-    ]
-    return SEPARATOR.join(cleaned)

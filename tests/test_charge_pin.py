@@ -54,7 +54,7 @@ from tests.test_layer_matrix import _stack
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "charge_pin.json"
 
 KINDS = [
-    "mirrorfs", "mono", "nullfs", "quotafs", "compfs", "cryptfs", "dfs-remote",
+    "mirrorfs", "mono", "nullfs", "compfs", "cryptfs", "dfs-remote",
 ]
 
 

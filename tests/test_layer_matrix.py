@@ -18,7 +18,6 @@ from repro.fs.cryptfs import CryptFs
 from repro.fs.dfs import export_dfs, mount_remote
 from repro.fs.mirrorfs import MirrorFs
 from repro.fs.nullfs import NullFs
-from repro.fs.quotafs import QuotaFs
 from repro.fs.sfs import create_sfs
 from repro.fs.stack import layer_op_breakdown, stack_layers
 from repro.ipc.domain import Credentials
@@ -69,8 +68,6 @@ def _stack(kind: str):
         return layer(CompFs), user
     if kind == "cryptfs":
         return layer(CryptFs, key=b"matrix"), user
-    if kind == "quotafs":
-        return layer(QuotaFs, budget_bytes=10**9), user
     if kind == "mirrorfs":
         device_b = RamDevice(node.nucleus, "ram-b", 16384)
         sfs_b = create_sfs(node, device_b, name="sfs-b")
@@ -238,7 +235,6 @@ KINDS = [
     "nullfs",
     "compfs",
     "cryptfs",
-    "quotafs",
     "mirrorfs",
     "dfs-remote",
 ]
@@ -532,10 +528,6 @@ MAPPED_SCAN = {
         "cryptfs.page_in_range": 3, "disk.page_in": 4, "device.reads": 7,
         "device.writes": 0,
     },
-    "quotafs": {
-        "coherency.page_in": 1, "coherency.page_in_range": 3,
-        "disk.page_in": 4, "device.reads": 7, "device.writes": 0,
-    },
     "mirrorfs": {
         "coherency.page_in": 1, "coherency.page_in_range": 3,
         "disk.page_in": 4, "device.reads": 8, "device.writes": 0,
@@ -631,16 +623,6 @@ MAPPED_WRITE = {
         "coherency.page_in": 5, "coherency.sync": 2, "cryptfs.page_in": 5,
         "cryptfs.page_out": 1, "cryptfs.sync": 1, "disk.page_in": 5,
         "disk.sync": 1, "device.reads": 6, "device.writes": 1,
-    },
-    ("quotafs", False): {
-        "coherency.page_in": 5, "coherency.page_out": 2, "coherency.sync": 3,
-        "disk.page_in": 5, "disk.sync": 1, "device.reads": 6,
-        "device.writes": 1,
-    },
-    ("quotafs", True): {
-        "coherency.page_in": 5, "coherency.page_out": 1, "coherency.sync": 1,
-        "disk.page_in": 5, "disk.sync": 1, "device.reads": 6,
-        "device.writes": 1,
     },
     ("dfs-remote", False): {
         "coherency.page_in": 5, "coherency.page_out": 5, "dfs.page_in": 5,

@@ -1,5 +1,4 @@
-"""Unit tests for the naming architecture: names, contexts, ACLs,
-per-domain namespaces."""
+"""Unit tests for the naming architecture: names, contexts, ACLs."""
 
 import pytest
 from hypothesis import given
@@ -15,7 +14,6 @@ from repro.errors import (
 from repro.naming import name as names
 from repro.naming.acl import Acl, open_acl, system_acl
 from repro.naming.context import MemoryContext
-from repro.naming.namespace import namespace_for
 
 
 def _reference_split_name(name):
@@ -83,14 +81,6 @@ class TestNameSyntax:
     def test_head_tail(self):
         assert names.head_tail("a/b/c") == ("a", "b/c")
         assert names.head_tail("only") == ("only", "")
-
-    def test_join(self):
-        assert names.join("/fs", "x", "y") == "/fs/x/y"
-        assert names.join("a", "b") == "a/b"
-
-    def test_is_absolute(self):
-        assert names.is_absolute("/x")
-        assert not names.is_absolute("x")
 
 
 @pytest.fixture
@@ -203,64 +193,3 @@ class TestAcls:
             node.fs_context.bind("mine", 42)
             assert node.fs_context.resolve("mine") == 42
 
-
-class TestNamespace:
-    def test_private_binding_shadows_nothing_shared(self, world, node):
-        d1 = node.create_domain("d1")
-        d2 = node.create_domain("d2")
-        ns1, ns2 = namespace_for(d1), namespace_for(d2)
-        ns1.bind("private", "d1-only")
-        assert ns1.resolve("private") == "d1-only"
-        with pytest.raises(NameNotFoundError):
-            ns2.resolve("private")
-
-    def test_shared_root_visible_to_all(self, world, node):
-        d1 = node.create_domain("d1")
-        d2 = node.create_domain("d2")
-        node.fs_context.bind("shared", "everyone")
-        assert namespace_for(d1).resolve("/fs/shared") == "everyone"
-        assert namespace_for(d2).resolve("/fs/shared") == "everyone"
-
-    def test_relative_falls_back_to_root(self, world, node):
-        domain = node.create_domain("d")
-        ns = namespace_for(domain)
-        assert ns.resolve("fs") is node.fs_context
-
-    def test_private_wins_over_root(self, world, node):
-        domain = node.create_domain("d")
-        ns = namespace_for(domain)
-        ns.bind("fs", "my own fs")
-        assert ns.resolve("fs") == "my own fs"
-        assert ns.resolve("/fs") is node.fs_context
-
-    def test_absolute_bind_goes_to_root(self, world, node):
-        domain = node.create_domain("d", None)
-        ns = namespace_for(domain)
-        ns.bind("/fs/thing", 7)
-        assert node.fs_context.resolve("thing") == 7
-
-    def test_unbind_from_the_private_view_and_the_root(self, world, node):
-        ns = namespace_for(node.create_domain("d", None))
-        ns.bind("mine", 1)
-        ns.bind("/fs/thing", 7)
-        assert ns.unbind("mine") == 1
-        assert ns.unbind("/fs/thing") == 7
-        with pytest.raises(NameNotFoundError):
-            ns.resolve("mine")
-        with pytest.raises(NameNotFoundError):
-            node.fs_context.resolve("thing")
-
-    def test_list_bindings_of_the_private_view_or_a_context(self, world, node):
-        ns = namespace_for(node.create_domain("d", None))
-        ns.bind("mine", 1)
-        ns.bind("/fs/shared", 2)
-        assert ns.list_bindings() == [("mine", 1)]
-        assert ("shared", 2) in ns.list_bindings("/fs")
-        with pytest.raises(NameNotFoundError, match="not a context"):
-            ns.list_bindings("mine")
-        with pytest.raises(NameNotFoundError, match="not a context"):
-            ns.bind("/fs/shared/below", 3)
-
-    def test_namespace_cached_per_domain(self, world, node):
-        domain = node.create_domain("d")
-        assert namespace_for(domain) is namespace_for(domain)

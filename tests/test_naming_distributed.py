@@ -1,5 +1,5 @@
 """Distributed naming tests: contexts served by remote domains, charged
-per hop; remote mounts composed into local name spaces; interposition on
+per hop; remote mounts composed into a node's name space; interposition on
 remote names — "any domain may implement a naming context and ... bind
 the context in any other context" (paper sec. 3.2), across machines."""
 
@@ -8,7 +8,6 @@ import pytest
 from repro.fs.sfs import create_sfs
 from repro.naming.cache import NameCache
 from repro.naming.context import MemoryContext
-from repro.naming.namespace import namespace_for
 from repro.storage.block_device import RamDevice
 from repro.world import World
 
@@ -60,20 +59,18 @@ class TestCrossNodeContexts:
             assert world.network.messages - messages_before == 2
 
     def test_namespace_composes_remote_mounts(self, world, two_nodes):
-        """A per-domain name space can point at remote file systems —
+        """A node's name space can point at a remote file system —
         naming stays orthogonal to location."""
         node_a, node_b = two_nodes
         stack = create_sfs(node_a, RamDevice(node_a.nucleus, "ram", 4096))
         user_b = world.create_user_domain(node_b)
-        ns = namespace_for(user_b)
-        ns.bind("homedir", stack.top)  # private, client-side view
+        node_b.fs_context.bind("homedir", stack.top)
         with user_b.activate():
-            home = ns.resolve("homedir")
+            home = node_b.fs_context.resolve("homedir")
             f = home.create_file("note.txt")
             f.write(0, b"written across the network")
-            assert ns.resolve("homedir").resolve("note.txt").read(0, 7) == (
-                b"written"
-            )
+            note = node_b.fs_context.resolve("homedir/note.txt")
+            assert note.read(0, 7) == b"written"
 
     def test_partition_blocks_remote_resolution(self, world, two_nodes):
         from repro.ipc.network import NetworkPartitionError

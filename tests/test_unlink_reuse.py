@@ -86,23 +86,6 @@ class TestTransformLayerPurge:
             g.write(0, b"fresh secret")
             assert g.read(0, 12) == b"fresh secret"
 
-    def test_quota_refund_then_reuse(self, world, node, stack, user):
-        """The end-to-end scenario that exposed the bug."""
-        from repro.fs.quotafs import QuotaFs
-
-        quota = QuotaFs(
-            node.create_domain("q", Credentials("q", True)),
-            budget_bytes=10 * PAGE_SIZE,
-        )
-        quota.stack_on(stack.top)
-        with user.activate():
-            f = quota.create_file("a.dat")
-            f.write(0, b"x" * (10 * PAGE_SIZE))
-            quota.unbind("a.dat")
-            g = quota.create_file("b.dat")
-            g.write(0, b"y" * (10 * PAGE_SIZE))
-        assert quota.used_bytes == 10 * PAGE_SIZE
-
 
 class TestMonolithicPurge:
     """The fused baseline keeps its file state in the runtime's two

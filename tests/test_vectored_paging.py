@@ -503,6 +503,32 @@ class TestRangedSyncThroughStack:
             f.sync()  # the same three runs down to the disk layer
             assert flushes == [writes + 3]
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "a layer that keeps no cache forwards a sync's runs through "
+        "BaseLayer.push_recovered as plain page_outs, so the disk layer's "
+        "synced hook never runs and the device is not flushed (ROADMAP 1(b))"
+    ))
+    def test_a_sync_through_an_uncached_stack_flushes_the_device_once(
+        self, node, device, user, monkeypatch
+    ):
+        """With ``cache=False`` the coherency layer holds no pages, so a
+        pager ``sync`` of two separate dirty pages reaches the disk layer
+        at once: two device writes, then one flush."""
+        stack = create_sfs(node, device, cache=False)
+        flushes = []
+        monkeypatch.setattr(device, "flush", lambda: flushes.append(device.writes))
+        with user.activate():
+            f = stack.top.create_file("u.dat")
+            f.write(0, bytes(6 * PAGE_SIZE))
+            mapping = node.vmm.create_address_space("t").map(f, RW)
+            for page in (0, 3):
+                mapping.write(page * PAGE_SIZE, b"u")
+            flushes.clear()
+            writes = device.writes
+            mapping.cache.sync()
+            assert device.writes == writes + 2
+            assert flushes == [writes + 2]
+
 
 class TestRemoteWriteBack:
     def test_a_sync_of_separate_runs_is_one_round_trip(self, world):
