@@ -247,3 +247,77 @@ class TestMappings:
             f.write(0, b"y" * PAGE_SIZE)
             node.vmm.create_address_space("t").map(f, RO).read(0, 4)
         assert world.counters.get("compfs.channel_created") == 1
+
+
+#: Pages per compression cluster.
+CLUSTER = 16 * PAGE_SIZE
+
+
+class TestTornRewrite:
+    """A power cut in the middle of saving a one-page rewrite leaves every
+    cluster of the file reading its old or its new bytes."""
+
+    PAGES = 64
+
+    def _stack(self, path, fresh):
+        from repro.world import World
+
+        world = World()
+        node = world.create_node("n")
+        if fresh:
+            device = world.create_image(node.nucleus, path, 4096)
+        else:
+            device = world.open_image(node.nucleus, path)
+        sfs = create_sfs(node, device, format_device=fresh)
+        layer = CompFs(node.create_domain("cz", Credentials("cz", True)))
+        layer.stack_on(sfs.top)
+        node.fs_context.bind("cz", layer)
+        return world, sfs, layer, device, world.create_user_domain(node)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the whole-file stream is rewritten in place: a cut leaves it "
+        "torn (ROADMAP item 26)"
+    ))
+    def test_each_cluster_reads_old_or_new_at_every_cut(self, tmp_path):
+        from repro.errors import DeviceError
+
+        path = str(tmp_path / "torn.img")
+        old = compressible_bytes(self.PAGES * PAGE_SIZE, seed=21)
+        page = compressible_bytes(PAGE_SIZE, seed=22)
+        new = old[: 3 * PAGE_SIZE] + page + old[4 * PAGE_SIZE :]
+        world, _, layer, device, user = self._stack(path, fresh=True)
+        with user.activate():
+            layer.create_file("f").write(0, old)
+        world.save()
+        device.close()
+        with open(path, "rb") as image:
+            clean = image.read()
+
+        cut = 0
+        while True:
+            with open(path, "wb") as image:
+                image.write(clean)
+            world, _, layer, device, user = self._stack(path, fresh=False)
+            with user.activate():
+                layer.resolve("f").write(3 * PAGE_SIZE, page)
+            device.inject_power_failure_after(cut)
+            try:
+                world.save()
+                finished = True
+            except DeviceError:
+                finished = False
+            device.close()
+
+            _, sfs, layer, device, user = self._stack(path, fresh=False)
+            sfs.volume.fsck(repair=True)
+            with user.activate():
+                got = layer.resolve("f").read(0, len(old))
+            device.close()
+            for start in range(0, len(old), CLUSTER):
+                assert got[start : start + CLUSTER] in (
+                    old[start : start + CLUSTER], new[start : start + CLUSTER]
+                ), (cut, start // CLUSTER)
+            if finished:
+                assert got == new
+                break
+            cut += 1
