@@ -6,11 +6,11 @@ the fault plane replays the ISSUE's reference schedule: **two server
 crashes and one 1.5 ms network partition**.  The two cells measure what
 the fault-tolerance knobs buy:
 
-* ``knobs_off`` — the library defaults: no retry policy, no name-cache
-  stale serving.  Every operation that lands in a fault window fails.
+* ``knobs_off`` — the library defaults: no retry policy, no name
+  cache.  Every operation that lands in a fault window fails.
 * ``knobs_on`` — ``world.enable_retries`` (capped exponential backoff
   that carries the caller across the window), DFS crash recovery
-  (epoch-bump re-registration), and ``NameCache(serve_stale=True)``.
+  (epoch-bump re-registration), and a ``NameCache``.
 
 The acceptance bar asserted by ``tests/test_fault_plane.py``: knobs-on
 completes 100% of operations with zero user-visible errors; knobs-off
@@ -49,8 +49,7 @@ NUM_FILES = 8
 #: workload over enough virtual time for the schedule to land mid-run.
 THINK_US = 60.0
 #: Operation index at which a binding on the resolution path changes,
-#: invalidating the client's cached entries (they demote to the stale
-#: table, which is what serve_stale degrades to during the partition).
+#: invalidating the client's cached entries.
 INVALIDATE_AT = 45
 
 #: The reference schedule, as offsets from the workload's first op
@@ -112,7 +111,7 @@ def _setup(knobs_on: bool):
     cache = None
     if knobs_on:
         world.enable_retries(POLICY)
-        cache = NameCache(world, serve_stale=True)
+        cache = NameCache(world)
     # A client VMM mapping with a dirty page: the per-client holder
     # state the server loses on crash and must re-register to recall.
     with cu.activate():
@@ -136,7 +135,7 @@ def _run_cell(knobs_on: bool) -> dict:
             world.clock.advance(THINK_US, "client_think")
             if i == INVALIDATE_AT:
                 # A binding on the resolution path changes: cached
-                # entries are invalidated (stale-demoted with the knob).
+                # entries are invalidated.
                 client.fs_context.bind(f"scratch{i}", object())
             path = f"dfs@server/proj/f{i % NUM_FILES}.dat"
             try:

@@ -45,14 +45,13 @@ from repro.errors import (
     FileNotFoundError_,
     NameNotFoundError,
     NotAContextError,
-    TransientNetworkError,
 )
 from repro.ipc.narrow import narrow
 from repro.naming import name as names
 from repro.naming.context import NamingContext
 
-#: Entries a :class:`NameCache` keeps live (and, with ``serve_stale``,
-#: stale) before evicting the least recently used.
+#: Entries a :class:`NameCache` keeps before evicting the least
+#: recently used.
 CAPACITY = 1024
 
 
@@ -77,28 +76,14 @@ class NameCache:
     """LRU name cache with negative entries and prefix sharing.  Its
     events are ``namecache.*`` keys of ``world.counters``."""
 
-    def __init__(
-        self, world, one_hop: bool = False, serve_stale: bool = False
-    ) -> None:
+    def __init__(self, world, one_hop: bool = False) -> None:
         self.world = world
         #: Resolve misses via a single server-side ``resolve_path`` walk
         #: (one hop per node) instead of a client-driven component walk.
         self.one_hop = one_hop
-        #: Graceful degradation: keep invalidated positive entries in a
-        #: stale side table, and when real resolution fails with a
-        #: *transient* network error (partition, crashed server), serve
-        #: the stale copy — marked by ``namecache.stale_serves`` — rather
-        #: than failing the open.  Off by default: availability over
-        #: strict freshness is an explicit opt-in.
-        self.serve_stale = serve_stale
         #: (root oid, normalized name) -> _Entry, in LRU order
         #: (least recently used first).
         self._entries: "collections.OrderedDict[Tuple[int, str], _Entry]" = (
-            collections.OrderedDict()
-        )
-        #: Invalidated positive entries kept for ``serve_stale`` (LRU,
-        #: bounded by :data:`CAPACITY` like the live table).
-        self._stale: "collections.OrderedDict[Tuple[int, str], _Entry]" = (
             collections.OrderedDict()
         )
         world.register_name_cache(self)
@@ -129,18 +114,6 @@ class NameCache:
                 key, _Entry(None, path_oids, missing=normalized, error=type(exc))
             )
             raise
-        except TransientNetworkError:
-            # Authoritative resolution is unreachable (partition, crashed
-            # server).  With serve_stale on and a previously-valid copy
-            # at hand, degrade gracefully instead of failing the open.
-            stale = self._stale.get(key) if self.serve_stale else None
-            if stale is None:
-                raise
-            self._stale.move_to_end(key)
-            self.world.counters.inc("namecache.stale_serves")
-            self.world.charge.name_cache_hit()
-            return stale.value
-        self._stale.pop(key, None)  # fresh truth supersedes the stale copy
         self._insert(key, _Entry(obj, path_oids | walked))
         return obj
 
@@ -208,20 +181,9 @@ class NameCache:
         if key in self._entries:
             self._entries.move_to_end(key)
         elif len(self._entries) >= CAPACITY:
-            victim_key, victim = self._entries.popitem(last=False)
+            self._entries.popitem(last=False)
             self.world.counters.inc("namecache.evict")
-            self._demote(victim_key, victim)
         self._entries[key] = entry
-
-    def _demote(self, key: Tuple[int, str], entry: _Entry) -> None:
-        """With ``serve_stale``, keep a positive entry leaving the live
-        table as the degraded-mode fallback (LRU-bounded)."""
-        if not self.serve_stale or entry.negative:
-            return
-        if key not in self._stale and len(self._stale) >= CAPACITY:
-            self._stale.popitem(last=False)
-        self._stale[key] = entry
-        self._stale.move_to_end(key)
 
     # --- invalidation ---------------------------------------------------------
     def on_name_event(self, context: NamingContext, component: str) -> None:
@@ -232,16 +194,11 @@ class NameCache:
             if context.oid in entry.path_oids
         ]
         for key in stale:
-            # Demote rather than discard: the copy is no longer
-            # authoritative, but it is the best available answer if
-            # the authority becomes unreachable.
-            entry = self._entries.pop(key)
+            del self._entries[key]
             self.world.counters.inc("namecache.invalidate")
-            self._demote(key, entry)
 
     def clear(self) -> None:
         self._entries.clear()
-        self._stale.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

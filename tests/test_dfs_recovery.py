@@ -3,19 +3,17 @@
 A server crash loses the volatile per-client holder tables; recovery
 (Lustre-style) is detected via the node's epoch bump and rebuilds them
 from the surviving clients' ``held_blocks`` reports, replaying any dirty
-attribute copies down through the stack.  The name cache's
-``serve_stale`` knob covers the naming side: resolution degrades to the
-last known answer while the authority is unreachable.
+attribute copies down through the stack.  On the naming side a partition
+fails an open the name cache cannot answer.
 """
 
 import pytest
 
-from repro.errors import FileNotFoundError_
 from repro.fs.cfs import start_cfs
 from repro.fs.dfs import export_dfs, mount_remote
 from repro.fs.sfs import create_sfs
 from repro.ipc.network import NetworkPartitionError
-from repro.naming.cache import CAPACITY, NameCache
+from repro.naming.cache import NameCache
 from repro.storage.block_device import BlockDevice
 from repro.types import PAGE_SIZE, AccessRights
 
@@ -194,70 +192,14 @@ def test_a_recall_from_below_reaches_the_client_after_recovery(dist):
     assert recoveries(dfs) == 1
 
 
-class TestNameCacheStaleServing:
-    def test_stale_serve_during_partition(self, dist):
-        world, server, client, sfs, dfs, su, cu = dist
-        cache = NameCache(world, serve_stale=True)
-        with cu.activate():
-            first = cache.resolve(client.fs_context, "dfs@server/shared.dat")
-            # A binding change on the resolution path invalidates the
-            # entry — it demotes to the stale table instead of vanishing.
-            client.fs_context.bind("scratch", object())
-            world.network.partition(server, client)
-            again = cache.resolve(client.fs_context, "dfs@server/shared.dat")
-        assert again is first  # the last known answer, not an error
-        assert world.counters.get("namecache.stale_serves") == 1
-
-    def test_knob_off_fails_the_open(self, dist):
-        world, server, client, sfs, dfs, su, cu = dist
-        cache = NameCache(world)  # serve_stale defaults off
-        with cu.activate():
+def test_a_partition_fails_a_name_cache_miss(dist):
+    """An entry invalidated by a binding change on its path is gone:
+    the next open resolves for real, and a partition fails it."""
+    world, server, client, sfs, dfs, su, cu = dist
+    cache = NameCache(world)
+    with cu.activate():
+        cache.resolve(client.fs_context, "dfs@server/shared.dat")
+        client.fs_context.bind("scratch", object())
+        world.network.partition(server, client)
+        with pytest.raises(NetworkPartitionError):
             cache.resolve(client.fs_context, "dfs@server/shared.dat")
-            client.fs_context.bind("scratch", object())
-            world.network.partition(server, client)
-            with pytest.raises(NetworkPartitionError):
-                cache.resolve(client.fs_context, "dfs@server/shared.dat")
-
-    def test_fresh_resolution_supersedes_stale(self, dist):
-        world, server, client, sfs, dfs, su, cu = dist
-        cache = NameCache(world, serve_stale=True)
-        with cu.activate():
-            cache.resolve(client.fs_context, "dfs@server/shared.dat")
-            client.fs_context.bind("scratch", object())
-            assert len(cache._stale) == 1
-            # Authority reachable again: a real resolution wins and the
-            # stale copy is discarded.
-            cache.resolve(client.fs_context, "dfs@server/shared.dat")
-            assert len(cache._stale) == 0
-
-    def test_capacity_eviction_demotes(self, dist):
-        world, server, client, sfs, dfs, su, cu = dist
-        for i in range(CAPACITY):
-            client.fs_context.bind(f"n{i}", object())
-        cache = NameCache(world, serve_stale=True)
-        with cu.activate():
-            cache.resolve(client.fs_context, "dfs@server/shared.dat")
-            for i in range(CAPACITY):
-                cache.resolve(client.fs_context, f"n{i}")
-        assert len(cache._entries) == CAPACITY
-        # The LRU victim, kept for degraded mode.
-        assert [name for _, name in cache._stale] == ["dfs@server/shared.dat"]
-
-    def test_negative_entries_never_demote(self, dist):
-        world, server, client, sfs, dfs, su, cu = dist
-        cache = NameCache(world, serve_stale=True)
-        with cu.activate():
-            with pytest.raises(FileNotFoundError_):
-                cache.resolve(client.fs_context, "dfs@server/missing.dat")
-            client.fs_context.bind("scratch", object())
-        assert len(cache._stale) == 0  # a cached failure is not an answer
-
-    def test_clear_drops_stale_table(self, dist):
-        world, server, client, sfs, dfs, su, cu = dist
-        cache = NameCache(world, serve_stale=True)
-        with cu.activate():
-            cache.resolve(client.fs_context, "dfs@server/shared.dat")
-            client.fs_context.bind("scratch", object())
-        cache.clear()
-        assert len(cache) == 0
-        assert len(cache._stale) == 0
