@@ -24,7 +24,7 @@ writing dirty runs back are the shared engine's.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.errors import FsError, OutOfRangeError
 
@@ -116,6 +116,10 @@ class CryptFileState(LayerFileState):
         #: True once the lower layer refused a writable bind (mirrorfs);
         #: we then use the plain file interface instead of a channel.
         self.channel_refused = False
+        #: The file's length as last seen — at open, by a file operation
+        #: of this layer — or None once the layer below said its
+        #: attributes changed.  A page-in clamps at it.
+        self.length: Optional[int] = None
 
     def purge(self) -> None:
         super().purge()
@@ -141,16 +145,24 @@ class CryptOps(ChannelOps):
     def page_in(self, source_key, pager_object, offset, size, access) -> bytes:
         state = self.state(source_key)
         self.admit(state, pager_object, offset, size, access)
+        # Past EOF the layer below returns zero-fill, not ciphertext:
+        # nothing there is decrypted, the page-in is short instead.
+        length = state.length
+        if length is None:
+            length = self.layer.file_length(state)
+        size = min(size, length - offset)
+        if size <= 0:
+            return b""
         state.cache.prefetch(offset, size, access)
         return state.plain.read(offset, size, state.cache.fault, access)
 
     def attr_write_out(self, source_key, pager_object, attrs) -> None:
         state = self.state(source_key)
-        if attrs.size != state.under_file.get_length():
+        if attrs.size != self.layer.file_length(state):
             self.layer.file_set_length(state, attrs.size)
 
     def invalidate_attributes(self, state) -> None:
-        pass  # attributes are not cached by this layer
+        state.length = None  # fetched again when next needed
 
 
 class CryptFs(BaseLayer):
@@ -187,9 +199,17 @@ class CryptFs(BaseLayer):
             self.world.counters.inc("cryptfs.bind_refused")
             return False
 
+    def _on_open(self, state: CryptFileState, attrs) -> None:
+        if attrs is not None:
+            state.length = attrs.size
+
+    def file_length(self, state: CryptFileState) -> int:
+        state.length = state.under_file.get_length()
+        return state.length
+
     def file_read(self, state: CryptFileState, offset: int, size: int) -> bytes:
         self.world.charge.fs_read_cpu()
-        file_size = state.under_file.get_length()
+        file_size = self.file_length(state)
         if offset >= file_size:
             return b""
         size = min(size, file_size - offset)
@@ -210,6 +230,7 @@ class CryptFs(BaseLayer):
             # the length as it was.
             state.cache.fault(first, AccessRights.READ_WRITE)
         state.under_file.set_length(new)
+        state.length = new
         if within:
             # The old last page keeps its head and is zero from there on
             # (fetched again: growing below may have recalled it).
@@ -228,7 +249,7 @@ class CryptFs(BaseLayer):
             raise OutOfRangeError(f"negative offset {offset}")
         self.recall(state, offset, len(data), AccessRights.READ_WRITE)
         end = offset + len(data)
-        old = state.under_file.get_length()
+        old = self.file_length(state)
         if end > old:
             self._extend(state, old, end)
         state.cache.prefetch(offset, len(data), AccessRights.READ_WRITE, upgrade=True)
@@ -245,21 +266,22 @@ class CryptFs(BaseLayer):
         state.cache.write_back(state.plain.dirty_indices(offset, size), "sync")
 
     def file_set_length(self, state: CryptFileState, length: int) -> None:
-        old = state.under_file.get_length()
+        old = self.file_length(state)
         if length < old:
             self.recall_for_shrink(state, length, old)
             state.plain.truncate_to(length)
             state.under_file.set_length(length)
+            state.length = length
         elif length > old:
             self._extend(state, old, length)
 
     def file_sync(self, state: CryptFileState) -> None:
-        self._flush_range(state, 0, state.under_file.get_length())
+        self._flush_range(state, 0, self.file_length(state))
         state.under_file.sync()
 
     def _sync_impl(self) -> None:
         for state in self._states.values():
-            self._flush_range(state, 0, state.under_file.get_length())
+            self._flush_range(state, 0, self.file_length(state))
 
     def merge_recovered(
         self, state: CryptFileState, recovered: Dict[int, bytes]

@@ -401,7 +401,7 @@ class TestSameWorkloadEverywhere:
         assert settle(root, user) == []
 
     @pytest.mark.parametrize("through_cache", [False, True])
-    def test_multi_page_session(self, kind, through_cache, request):
+    def test_multi_page_session(self, kind, through_cache):
         """Multi-page reads and writes — demanded below by the run —
         give the same bytes and the same errors on every stack.  With
         ``through_cache`` the session runs through a coherency layer
@@ -411,11 +411,6 @@ class TestSameWorkloadEverywhere:
         if through_cache:
             if kind == "mirrorfs":
                 pytest.skip("mirrorfs refuses the writable bind a cache needs")
-            if kind == "cryptfs":
-                request.applymarker(pytest.mark.xfail(strict=True, reason=(
-                    "CRYPTFS decrypts the zero-fill a page-in past EOF gets "
-                    "from below as if it were ciphertext (ROADMAP item 2)"
-                )))
             top = CoherencyLayer(
                 user.node.create_domain("top", Credentials("top", True))
             )
