@@ -79,7 +79,7 @@ def _stacked_scan(window: int):
     state.store.clear()
     state.streams.reset()
     cstate = next(iter(crypt._states.values()))
-    cstate.plain.clear()
+    cstate.store.clear()
     reads_before = device.reads
     with user.activate():
         handle = crypt.resolve("scan.dat")

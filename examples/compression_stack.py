@@ -14,9 +14,10 @@ Run:  python examples/compression_stack.py
 from repro import World
 from repro.bench.workloads import compressible_bytes
 from repro.fs import CompFs, create_sfs, describe_stack
-from repro.fs.compfs import pack_compressed
+from repro.fs.compfs import write_image
 from repro.ipc.domain import Credentials
 from repro.storage import BlockDevice
+from repro.types import PAGE_SIZE
 
 
 def build(world: World, node, coherent: bool, tag: str):
@@ -40,7 +41,10 @@ def main() -> None:
     text = compressible_bytes(256 * 1024, seed=7)
     with user.activate():
         f = compfs.create_file("corpus.txt")
-        f.write(0, text)
+        # Appended a page at a time: each write encodes the one cluster
+        # it lands in, not the file.
+        for offset in range(0, len(text), PAGE_SIZE):
+            f.write(offset, text[offset : offset + PAGE_SIZE])
         f.sync()
         report = compfs.space_report(f)
     saved = 1 - report["stored_bytes"] / report["plaintext_bytes"]
@@ -48,6 +52,11 @@ def main() -> None:
         f"stored {report['plaintext_bytes']} plaintext bytes in "
         f"{report['stored_bytes']} on disk ({saved:.0%} saved)"
     )
+    with user.activate():
+        f.write(5 * PAGE_SIZE, compressible_bytes(PAGE_SIZE, seed=8))
+        f.sync()
+        report = compfs.space_report(f)
+    print(f"page 5 rewritten: {report['stored_bytes']} bytes stored")
 
     # Anyone can open the underlying SFS file and see compressed bytes —
     # "A client opening file_SFS can access this file as usual, reading
@@ -68,10 +77,7 @@ def main() -> None:
 
             # A direct client rewrites the underlying compressed image.
             new_plain = b"second version, written directly to file_SFS"
-            under = layer.under.resolve("shared.txt")
-            image = pack_compressed(new_plain)
-            under.set_length(len(image))
-            under.write(0, image)
+            write_image(layer.under.resolve("shared.txt"), new_plain)
 
             seen = layer.resolve("shared.txt").read(0, len(new_plain))
         status = "coherent" if seen == new_plain else "STALE"

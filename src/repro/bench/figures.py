@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.fs.compfs import CompFs, pack_compressed
+from repro.fs.compfs import MAGIC, CompFs, write_image
 from repro.fs.dfs import DfsLayer, export_dfs, mount_remote
 from repro.fs.fs_interfaces import Fs
 from repro.fs.mirrorfs import MirrorFs
@@ -191,9 +191,9 @@ def _compfs_scenario(coherent: bool) -> Dict[str, object]:
         f_comp.write(0, original)
         f_comp.sync()
         stored = stack.top.resolve("doc.dat")
-        observations["stored_bytes"] = stored.get_length()
+        observations["stored_bytes"] = compfs.space_report(f_comp)["stored_bytes"]
         observations["plain_bytes"] = len(original)
-        observations["stored_is_compressed"] = stored.read(0, 4) == b"CZ01"
+        observations["stored_is_compressed"] = stored.read(0, 4) == MAGIC
 
         # Prime COMPFS's plaintext cache.
         f_comp2 = compfs.resolve("doc.dat")
@@ -201,10 +201,7 @@ def _compfs_scenario(coherent: bool) -> Dict[str, object]:
 
         # Direct write to file_SFS (a new compressed image).
         replacement = b"replaced by a direct SFS client " * 20
-        image = pack_compressed(replacement)
-        direct = stack.top.resolve("doc.dat")
-        direct.set_length(len(image))
-        direct.write(0, image)
+        write_image(stack.top.resolve("doc.dat"), replacement)
 
         # Does COMPFS observe it?
         seen = compfs.resolve("doc.dat").read(0, len(replacement))
@@ -368,8 +365,7 @@ def fig09_full_stack() -> Dict[str, object]:
     traffic = world.counters.delta_since(counters_before)
 
     with server_user.activate():
-        stored = sfs.top.resolve("big.dat")
-        stored_len = stored.get_length()
+        stored_len = compfs.space_report(compfs.resolve("big.dat"))["stored_bytes"]
 
     return {
         "remote_read_correct": data == payload,

@@ -34,7 +34,11 @@ claim made concrete.  It provides:
 * :class:`LayerCache` — a layer's per-file
   :class:`~repro.vm.source_cache.SourceCache` over the file's downstream
   channel: fault, read-ahead, prefetch and write-back for a layer that
-  caches what it pages in from below.
+  caches what it pages in from below;
+* :class:`TransformLayer` — the data hooks of a layer whose pages are a
+  transform of the file below (CRYPTFS, COMPFS), written once: the layer
+  supplies its cache's ``decode`` / ``encode`` and the map between its
+  file's length and the length below.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import contextlib
 import sys
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
-from repro.errors import FsError, StackingError
+from repro.errors import FsError, OutOfRangeError, StackingError
 from repro.ipc.compound import compound_region
 from repro.ipc.invocation import bytes_in, operation
 from repro.ipc.narrow import narrow
@@ -173,9 +177,9 @@ class ChannelOps:
       holder bookkeeping followed by the layer's own
       :meth:`BaseLayer.merge_recovered`, one page or a whole run — so a
       transform layer writes one decode and one encode;
-    * the cache side is a template no layer overrides: the holders above
-      first (over the range :meth:`stale_above` names, for a change
-      below), then the :meth:`give_back` / :meth:`forget` hook on the
+    * the cache side is a template no layer overrides: over the range of
+      the layer's pages that :meth:`stale_above` names, the holders above
+      first, then the :meth:`give_back` / :meth:`forget` hook on the
       layer's own store (``state.store``; None or no holder table, and
       the step is skipped).
     """
@@ -298,24 +302,23 @@ class ChannelOps:
             pager.attr_write_out(attrs)
 
     # ----------------------------------------------------------- cache side
-    # Invoked by the layer below.  Each entry point first does to the
-    # holders above what the op requires (after a change below, over the
-    # range the ``stale_above`` hook names), and only then calls one of
-    # two hooks on the layer's own store: ``give_back`` after a recall,
-    # ``forget`` after a change below.  A layer overrides the hooks, never
-    # an entry point, so none can answer for its holders without asking
-    # them.
+    # Invoked by the layer below, with a range of the channel's bytes.
+    # Each entry point turns it into the range of the layer's own pages
+    # (the ``stale_above`` hook), first does to the holders above what
+    # the op requires over it, and only then calls one of two hooks on
+    # the layer's own store: ``give_back`` after a recall, ``forget``
+    # after a change below.  A layer overrides the hooks, never an entry
+    # point, so none can answer for its holders without asking them.
     def holders_above(self, state):
-        """The holder table a cache-side op acts on first.  None when the
-        layer keeps none, or while it writes through the file interface
-        below (``state.writing_through``): what reaches it then is the
-        echo of its own write."""
-        return None if state.writing_through else state.holders
+        """The holder table a cache-side op acts on first; None when the
+        layer keeps none."""
+        return state.holders
 
     def _recall(self, state, offset, size, access, keep) -> Dict[int, bytes]:
         """Take the range back from the holders above — everything
         (``access`` READ_WRITE), the right to write (READ_ONLY) or only
         the latest copy (None) — then :meth:`give_back`."""
+        offset, size = self.stale_above(state, offset, size)
         recovered = {}
         holders = self.holders_above(state)
         if holders is not None:
@@ -330,13 +333,14 @@ class ChannelOps:
         holders = self.holders_above(state)
         if holders is not None:
             with self.region():
-                holders.invalidate(*self.stale_above(state, offset, size))
+                holders.invalidate(offset, size)
 
     def stale_above(self, state, offset, size) -> Tuple[int, int]:
-        """Hook: the range of the holders' pages that a change below, to
-        ``[offset, offset + size)`` of the channel's bytes, leaves stale.
-        The same range, for a layer whose pages are those bytes or a
-        page-for-page transform of them."""
+        """Hook: the range of the layer's pages — its holders' above and
+        its own store's — derived from ``[offset, offset + size)`` of the
+        channel's bytes: what a change there leaves stale and what a
+        recall of them takes back.  The same range, for a layer whose
+        pages are those bytes or a page-for-page transform of them."""
         return offset, size
 
     def flush_back(self, state, offset, size) -> Dict[int, bytes]:
@@ -351,10 +355,12 @@ class ChannelOps:
         return self._recall(state, offset, size, None, AccessRights.READ_WRITE)
 
     def delete_range(self, state, offset, size) -> None:
+        offset, size = self.stale_above(state, offset, size)
         self._invalidate_above(state, offset, size)
         self.forget(state, offset, size)
 
     def zero_fill(self, state, offset, size) -> None:
+        offset, size = self.stale_above(state, offset, size)
         self._invalidate_above(state, offset, size)
         self.forget(state, offset, size, b"")
 
@@ -372,15 +378,17 @@ class ChannelOps:
         the modified pages of the range collected, and the range settled
         for what the layer keeps of it: nothing (``keep`` None: dropped),
         a read-only copy (downgraded, clean) or the pages (clean).
-        Returns them as the layer below stores them — through the cache's
-        ``encode`` when it has one.  With no store, ``recovered`` as is."""
+        Returns them as the layer below stores them — the pages the
+        cache's ``encode`` makes of them, when it has one.  With no
+        store, ``recovered`` as is."""
         store = state.store
         if store is None:
             return recovered
         store.install_modified(recovered)
-        modified = store.collect_modified(offset, size)
-        if modified and state.cache.encode is not None:
-            modified = dict(zip(modified, state.cache.encode(modified)))
+        if state.cache.encode is None:
+            modified = store.collect_modified(offset, size)
+        else:
+            modified = state.cache.encode(store.dirty_indices(offset, size))
         if keep is None:
             store.drop_range(offset, size)
         else:
@@ -392,15 +400,18 @@ class ChannelOps:
     def forget(self, state, offset, size, data=None, access=None) -> None:
         """Hook: the layer below deleted the range (``data`` None),
         zero-filled it (no ``access``) or populated it with ``data`` in
-        ``access``.  A store that holds the channel's bytes does the same;
-        a store of pages derived from them (the cache has a ``decode``)
-        drops its clean pages of the range, and its dirty ones go below
-        over the change on the next write-back."""
+        ``access``.  A store that holds the channel's bytes does the same.
+        A store of pages derived from them (the cache has a ``decode``)
+        keeps its pages of a populated range, which are derived from the
+        same bytes; after a delete or a zero-fill it drops its clean pages
+        of the range, and its dirty ones go below over the change on the
+        next write-back."""
         store = state.store
         if store is None:
             return
         if state.cache.decode is not None:
-            store.drop_range(offset, size, keep_dirty=True)
+            if access is None:
+                store.drop_range(offset, size, keep_dirty=True)
         elif data is None:
             store.drop_range(offset, size)
         elif access is None:
@@ -605,11 +616,6 @@ class LayerFileState:
         #: This layer as cache manager to the layer below.
         self.down_channel: Optional[Channel] = None
         self.down_pager: Optional[FsPager] = None
-        #: True while the layer rewrites the file below through its file
-        #: interface (COMPFS): the coherency actions that provokes are
-        #: echoes of its own write, and the cache side leaves the holders
-        #: above alone.
-        self.writing_through = False
 
     def purge(self) -> None:
         """Drop everything before the underlying file is unlinked; the
@@ -1187,3 +1193,254 @@ class BaseLayer(LayerNaming, StackableFs, CacheManager, abc.ABC):
 
     def _sync_impl(self) -> None:
         """Hook: flush this layer's own caches."""
+
+
+class FileInterfacePager:
+    """The two pager operations a transform layer's cache needs, over the
+    plain file interface of a file it keeps no channel to (the layer
+    below refused it, or the layer declines one)."""
+
+    def __init__(self, under_file: File) -> None:
+        self.under_file = under_file
+
+    def page_in(self, offset: int, size: int, access: AccessRights) -> bytes:
+        return self.under_file.read(offset, size)
+
+    def sync(self, runs: Runs) -> None:
+        for offset, size, data in runs:
+            usable = min(size, max(0, self.under_file.get_length() - offset))
+            if usable:
+                self.under_file.write(offset, data[:usable])
+
+
+class TransformCache(LayerCache):
+    """The cache of a transform layer's file: its own pages, made by the
+    subclass's ``decode`` of what crosses the channel and pushed back as
+    its ``encode`` of them.  When the layer has no channel below the
+    source and sink is the plain file interface — no read-ahead window,
+    a dirty run is one ``write`` — and none of the lower layer's
+    coherency actions reach this cache."""
+
+    __slots__ = ()
+
+    def pager(self):
+        state = self.state
+        if self.manager.ensure_down(state):
+            return state.down_channel.pager_object
+        self.readahead_override = 0  # the file interface has no ranged read
+        return FileInterfacePager(state.under_file)
+
+
+class TransformFileState(LayerFileState):
+    """A transform layer's file: its cache (the layer's ``cache_class``)
+    over the file below."""
+
+    def __init__(self, layer: "TransformLayer", under_file: File) -> None:
+        super().__init__(layer, under_file)
+        self.cache = layer.cache_class(layer, self)
+        self.store = self.cache.store
+        #: True once the lower layer refused the writable bind (mirrorfs):
+        #: the plain file interface is used instead of a channel.
+        self.channel_refused = False
+        #: The file's length as last seen — at open, by a file operation
+        #: of the layer — or None once the layer below said its
+        #: attributes changed.  A page-in clamps at it.
+        self.length: Optional[int] = None
+
+    def purge(self) -> None:
+        super().purge()
+        self.store.clear()
+
+
+class TransformOps(ChannelOps):
+    """A transform layer's pager side: page-ins decoded out of the cache,
+    lengths and attributes in the layer's own terms.  The cache side is
+    the spine's template: a recall takes the pages back from the holders
+    above and returns the cache's ``encode`` of them, and a change below
+    drops the clean pages derived from the range."""
+
+    def data_length(self, state) -> int:
+        return self.layer.file_length(state)
+
+    def page_in(self, source_key, pager_object, offset, size, access) -> bytes:
+        state = self.state(source_key)
+        self.admit(state, pager_object, offset, size, access)
+        # Past EOF the layer below holds no encoding of anything: nothing
+        # there is decoded, the page-in is short instead.
+        length = state.length
+        if length is None:
+            length = self.layer.file_length(state)
+        size = min(size, length - offset)
+        if size <= 0:
+            return b""
+        state.cache.prefetch(offset, size, access)
+        return state.store.read(offset, size, state.cache.fault, access)
+
+    def attr_page_in(self, source_key, pager_object) -> FileAttributes:
+        attrs = super().attr_page_in(source_key, pager_object)
+        attrs.size = self.layer.plain_length(attrs.size)
+        return attrs
+
+    def attr_write_out(self, source_key, pager_object, attrs) -> None:
+        state = self.state(source_key)
+        if attrs.size != self.layer.file_length(state):
+            self.layer.file_set_length(state, attrs.size)
+
+    def invalidate_attributes(self, state) -> None:
+        state.length = None  # fetched again when next needed
+
+
+class TransformLayer(BaseLayer):
+    """A layer whose file is a transform of one file below, cached by a
+    :class:`TransformCache` per file.  A subclass names its cache class
+    and, when the transform changes lengths, the map between its file's
+    length and the length below (``plain_length`` / ``stored_length``;
+    the identity here).
+
+    With ``coherent`` the layer keeps a channel below — so the lower
+    layer's coherency actions reach its cache — and writes every change
+    through at once; in coherent mode no dirty page outlives the file
+    operation that made it.  Without it (COMPFS case 1) the layer goes
+    through the plain file interface and writes back on ``sync``.
+    """
+
+    max_under = 1
+    ops_class = TransformOps
+    state_class = TransformFileState
+    file_class = LayerFile
+    cache_class = TransformCache
+    coherent = True
+
+    @staticmethod
+    def plain_length(stored: int) -> int:
+        """This layer's file length, given the length of the file below."""
+        return stored
+
+    @staticmethod
+    def stored_length(plain: int) -> int:
+        """The length below that holds a file of ``plain`` bytes."""
+        return plain
+
+    def ensure_down(self, state: TransformFileState) -> bool:
+        """Establish the channel below on first use.  A layer that
+        refuses the writable bind (mirrorfs) leaves the transform on the
+        plain file interface — still correct, but the lower layer's
+        coherency actions no longer reach the cache."""
+        if not self.coherent:
+            return False
+        if state.down_channel is not None and not state.down_channel.closed:
+            return True
+        if state.channel_refused:
+            return False
+        try:
+            return super().ensure_down(state)
+        except FsError:
+            state.channel_refused = True
+            self.world.counters.inc(f"{self.fs_type()}.bind_refused")
+            return False
+
+    def _on_open(self, state: TransformFileState, attrs) -> None:
+        if attrs is not None:
+            state.length = self.plain_length(attrs.size)
+
+    def file_length(self, state: TransformFileState) -> int:
+        state.length = self.plain_length(state.under_file.get_length())
+        return state.length
+
+    def file_get_attributes(self, state: TransformFileState) -> FileAttributes:
+        attrs = super().file_get_attributes(state)
+        attrs.size = self.plain_length(attrs.size)
+        return attrs
+
+    def file_read(self, state: TransformFileState, offset: int, size: int) -> bytes:
+        self.world.charge.fs_read_cpu()
+        file_size = self.file_length(state)
+        if offset >= file_size:
+            return b""
+        size = min(size, file_size - offset)
+        self.recall(state, offset, size)
+        state.cache.prefetch(offset, size, AccessRights.READ_ONLY)
+        data = state.store.read(offset, size, state.cache.fault)
+        self.world.charge.memcpy(size)
+        return data
+
+    def _extend(self, state: TransformFileState, old: int, new: int) -> None:
+        """Grow the file below and make the new range read as zeros.
+        What the extension creates below is no encoding of zeros, so the
+        zero pages are recorded dirty and their encoding goes down on
+        the next flush."""
+        first, within = divmod(old, PAGE_SIZE)
+        store = state.store
+        if within and store.get(first) is None:
+            # Faulted before the file grows: a fault that fails leaves
+            # the length as it was.
+            state.cache.fault(first, AccessRights.READ_WRITE)
+        state.under_file.set_length(self.stored_length(new))
+        state.length = new
+        if within:
+            # The old last page keeps its head and is zero from there on
+            # (fetched again: growing below may have recalled it).
+            page = store.get(first)
+            if page is None:
+                page = state.cache.fault(first, AccessRights.READ_WRITE)
+            page.data[within:] = bytes(PAGE_SIZE - within)
+            store.set_dirty(first, True)
+            first += 1
+        for index in range(first, (new - 1) // PAGE_SIZE + 1):
+            store.install(index, b"", AccessRights.READ_WRITE, dirty=True)
+
+    def file_write(self, state: TransformFileState, offset: int, data: bytes) -> int:
+        self.world.charge.fs_write_cpu()
+        if offset < 0:  # refused before _extend can grow the file for it
+            raise OutOfRangeError(f"negative offset {offset}")
+        self.recall(state, offset, len(data), AccessRights.READ_WRITE)
+        end = offset + len(data)
+        start = offset
+        old = self.file_length(state)
+        if end > old:
+            self._extend(state, old, end)
+            start = min(offset, old)
+        state.cache.prefetch(offset, len(data), AccessRights.READ_WRITE, upgrade=True)
+        state.store.write(offset, data, state.cache.fault)
+        self.world.charge.memcpy(len(data))
+        if self.coherent:
+            self._flush_range(state, start, end - start)
+        return len(data)
+
+    def _flush_range(self, state: TransformFileState, offset: int, size: int) -> None:
+        """Encode and push the dirty pages of the range below: every
+        contiguous run in one sync."""
+        state.cache.write_back(state.store.dirty_indices(offset, size), "sync")
+
+    def file_set_length(self, state: TransformFileState, length: int) -> None:
+        old = self.file_length(state)
+        if length < old:
+            self.recall_for_shrink(state, length, old)
+            state.store.truncate_to(length)
+            state.under_file.set_length(self.stored_length(length))
+            state.length = length
+        elif length > old:
+            self._extend(state, old, length)
+            if self.coherent:
+                self._flush_range(state, old, length - old)
+
+    def file_sync(self, state: TransformFileState) -> None:
+        self._flush_range(state, 0, self.file_length(state))
+        state.under_file.sync()
+
+    def _sync_impl(self) -> None:
+        for state in self._states.values():
+            self._flush_range(state, 0, self.file_length(state))
+
+    def merge_recovered(
+        self, state: TransformFileState, recovered: Dict[int, bytes]
+    ) -> None:
+        if not recovered:
+            return
+        state.store.install_modified(recovered)
+        if self.coherent:
+            first = min(recovered)
+            last = max(recovered)
+            self._flush_range(
+                state, first * PAGE_SIZE, (last - first + 1) * PAGE_SIZE
+            )

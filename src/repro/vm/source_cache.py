@@ -2,8 +2,8 @@
 
 "Pagers can also act as cache managers to other pagers" (paper sec.
 4.2): the VMM caching a mapped file, the coherency layer caching the
-disk layer's blocks and CRYPTFS caching decrypted blocks all stand on
-the same side of a channel and make the same Appendix B calls.  A
+disk layer's blocks and CRYPTFS and COMPFS caching their plaintext all
+stand on the same side of a channel and make the same Appendix B calls.  A
 :class:`SourceCache` is that side for one source — a
 :class:`~repro.vm.page.PageStore`, a sequential-stream detector and the
 way to the channel's pager object — and owns the three things a cache
@@ -23,9 +23,10 @@ manager does with it:
   (dropped, downgraded or marked clean) only after that call returned.
 
 What differs between cache managers is subclass surface: where the pager
-object comes from (``pager()``), a per-block transform
-(``decode`` / ``encode``) and the manager's own per-fault work and
-residency bound (``before_fetch`` / :meth:`SourceCache.full`).
+object comes from (``pager()``), a transform between the cache's pages
+and the channel's (``decode`` / ``encode``) and the manager's own
+per-fault work and residency bound (``before_fetch`` /
+:meth:`SourceCache.full`).
 """
 
 from __future__ import annotations
@@ -50,11 +51,11 @@ class SourceCache:
     __slots__ = ("manager", "world", "store", "streams", "readahead_override",
                  "_readahead_key")
 
-    #: Per-block transforms of a cache whose pages differ from what
-    #: crosses the channel: ``decode(first_index, data) -> data`` on the
-    #: way in, ``encode(run) -> chunks`` (``run`` the page indices of
-    #: one contiguous run) on the way out.  None: the channel carries
-    #: the pages as they are.
+    #: Transforms of a cache whose pages differ from what crosses the
+    #: channel: ``decode(first_index, data) -> data`` on the way in,
+    #: ``encode(indices) -> {page index below: page}`` (``indices`` the
+    #: dirty pages to push, ascending) on the way out.  None: the
+    #: channel carries the pages as they are.
     decode = None
     encode = None
     #: ``before_fetch(first, pages)``: the manager's own work on a fault
@@ -154,19 +155,22 @@ class SourceCache:
         if not indices:
             return 0
         push = getattr(self.pager(), op)
-        encode = self.encode
         store = self.store
         runs = []
-        for first, count in index_runs(indices):
-            pages = range(first, first + count)
-            if encode is not None:
-                chunks = encode(pages)
-                data = chunks[0] if count == 1 else b"".join(chunks)
-            elif count == 1:
-                data = store.get(first).snapshot()
-            else:
-                data = b"".join([store.get(index).snapshot() for index in pages])
-            runs.append((first * PAGE_SIZE, count * PAGE_SIZE, data))
+        if self.encode is not None:
+            pages = self.encode(indices)
+            for first, count in index_runs(sorted(pages)):
+                data = b"".join([pages[i] for i in range(first, first + count)])
+                runs.append((first * PAGE_SIZE, count * PAGE_SIZE, data))
+        else:
+            for first, count in index_runs(indices):
+                if count == 1:
+                    data = store.get(first).snapshot()
+                else:
+                    data = b"".join(
+                        [store.get(index).snapshot() for index in range(first, first + count)]
+                    )
+                runs.append((first * PAGE_SIZE, count * PAGE_SIZE, data))
         push(runs)
         for index in indices:
             if op == "page_out":

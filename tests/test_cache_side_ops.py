@@ -18,10 +18,10 @@ dirty)}``), and which cache-side ops reached the VMM.
 Every layer that keeps holders answers a recall (``flush_back``,
 ``deny_writes``, ``write_back``) by recalling its holder above first:
 the VMM gives its dirty page up, and the layer returns it in the form
-the layer below stores (CRYPTFS re-encrypts it; COMPFS folds it into its
-plaintext and returns nothing, since it holds the compressed image
-read-only).  The entry points are one template in
-:class:`repro.fs.base.ChannelOps` that no layer overrides.
+the layer below stores (CRYPTFS re-encrypts it; COMPFS compresses its
+cluster into the pages of the cluster's slot).  A change below reaches
+the whole of every COMPFS cluster it touches.  The entry points are one
+template in :class:`repro.fs.base.ChannelOps` that no layer overrides.
 """
 
 import importlib
@@ -32,7 +32,7 @@ import pytest
 import repro
 from repro.fs.base import ChannelOps
 from repro.fs.cfs import start_cfs
-from repro.fs.compfs import CompFs, unpack_compressed
+from repro.fs.compfs import STREAM_MAX, CompFs, unpack_cluster
 from repro.fs.cryptfs import CryptFs, xor_block
 from repro.fs.dfs import export_dfs, mount_remote
 from repro.fs.sfs import create_sfs
@@ -47,10 +47,8 @@ RW = AccessRights.READ_WRITE
 CLEAN_RW, DIRTY_RW, CLEAN_RO = (True, False), (True, True), (False, False)
 #: The VMM above before any op: page 0 written, page 1 only read.
 ABOVE = {0: DIRTY_RW, 1: CLEAN_RO}
-#: The coherency layer's and CRYPTFS's store before any op.
+#: Every caching layer's store before any op.
 STORE = {0: CLEAN_RW, 1: CLEAN_RW}
-#: COMPFS's whole-file plaintext store before any op.
-COMP_STORE = {0: DIRTY_RW, 1: DIRTY_RW}
 
 TWO_PAGES = (0, 2 * PAGE_SIZE)
 ARGS = {
@@ -94,25 +92,26 @@ EXPECTED = {
         "write_back": ([0], STORE, {0: CLEAN_RW, 1: CLEAN_RO}, ["write_back"]),
         "delete_range": (None, {}, {}, ["delete_range"]),
         "zero_fill": (None, {1: CLEAN_RW}, {1: CLEAN_RO}, ["delete_range"]),
-        "populate": (None, {1: CLEAN_RW}, ABOVE, []),
+        "populate": (None, STORE, ABOVE, []),
         "destroy_cache": (None, {}, {}, ["delete_range"]),
         "invalidate_attributes": (None, STORE, ABOVE, []),
         "write_back_attributes": (None, STORE, ABOVE, []),
         "held_blocks": (STORE, STORE, ABOVE, []),
     },
     "compfs": {
-        "flush_back": ([], COMP_STORE, {}, ["flush_back"]),
+        "flush_back": ([0], {}, {}, ["flush_back"]),
         "deny_writes": (
-            [], COMP_STORE, {0: CLEAN_RO, 1: CLEAN_RO}, ["deny_writes"]
+            [0], {0: CLEAN_RO, 1: CLEAN_RO}, {0: CLEAN_RO, 1: CLEAN_RO},
+            ["deny_writes"],
         ),
-        "write_back": ([], COMP_STORE, {0: CLEAN_RW, 1: CLEAN_RO}, ["write_back"]),
+        "write_back": ([0], STORE, {0: CLEAN_RW, 1: CLEAN_RO}, ["write_back"]),
         "delete_range": (None, {}, {}, ["delete_range"]),
         "zero_fill": (None, {}, {}, ["delete_range"]),
-        "populate": (None, COMP_STORE, ABOVE, []),
+        "populate": (None, STORE, ABOVE, []),
         "destroy_cache": (None, {}, {}, ["delete_range"]),
-        "invalidate_attributes": (None, {}, {}, ["delete_range"]),
-        "write_back_attributes": (None, COMP_STORE, ABOVE, []),
-        "held_blocks": (COMP_STORE, COMP_STORE, ABOVE, []),
+        "invalidate_attributes": (None, STORE, ABOVE, []),
+        "write_back_attributes": (None, STORE, ABOVE, []),
+        "held_blocks": (STORE, STORE, ABOVE, []),
     },
     "cfs": {
         op: ([] if op in ("flush_back", "deny_writes", "write_back") else None,
@@ -191,10 +190,13 @@ def test_cache_side_op_from_below(kind, op):
     returned, store, above, sent = EXPECTED[kind][op]
     if op in ("flush_back", "deny_writes", "write_back"):
         assert sorted(result) == returned
-        for index, page in result.items():
-            if kind == "cryptfs":  # ciphertext, as the layer below keeps it
-                page = xor_block(page, layer.key, index)
-            assert bytes(page[:2]) == b"Ua"  # the holder's dirty page
+        pages = [bytes(result[index]) for index in sorted(result)]
+        if kind == "cryptfs":  # ciphertext, as the layer below keeps it
+            pages = [xor_block(page, layer.key, i) for i, page in zip(result, pages)]
+        elif kind == "compfs":  # the cluster's slot, as the layer below keeps it
+            pages = [unpack_cluster(b"".join(pages))]
+        for page in pages:
+            assert page[:2] == b"Ua"  # the holder's dirty page
     else:
         assert result == returned
     assert (state.store.held_blocks() if state.store is not None else None) == store
@@ -248,15 +250,14 @@ def test_cryptfs_mapped_write_survives_a_writer_below(world, node, device, user)
 
 
 def test_compfs_writes_a_recalled_page_through_on_the_next_sync():
-    """A flush from below recalls the VMM's dirty page into COMPFS's
-    plaintext; the next sync compresses it into the file below."""
+    """A read of the file below recalls the VMM's dirty page through
+    COMPFS, which hands the layer below the page's cluster compressed;
+    the sync after it keeps the page."""
     world, user, layer, state, f, _ = stacked("compfs")
     with user.activate():
-        state.down_channel.cache_object.flush_back(*TWO_PAGES)
+        plaintext = unpack_cluster(layer.under.resolve("f").read(0, STREAM_MAX))
         f.sync()
         assert f.read(0, 2) == b"Ua"
-        below = layer.under.resolve("f")
-        plaintext = unpack_compressed(below.read(0, below.get_length()))
     assert plaintext == b"U" + b"a" * (PAGE_SIZE - 1) + b"b" * PAGE_SIZE
 
 
@@ -278,7 +279,8 @@ def test_no_layer_overrides_a_cache_side_entry_point():
         pending += subclasses
         tables += [c for c in subclasses if c.__module__.startswith("repro.")]
     assert {c.__name__ for c in tables} >= {
-        "CoherencyOps", "CryptOps", "CompOps", "CfsOps", "DiskOps", "RecoveringOps",
+        "CoherencyOps", "TransformOps", "CompOps", "CfsOps", "DiskOps",
+        "RecoveringOps",
     }
     for table in tables:
         assert not CACHE_SIDE_ENTRY_POINTS & set(vars(table)), table
@@ -310,10 +312,10 @@ def test_pager_side_ops_no_runner_sends(kind):
 
 @pytest.mark.parametrize("op", ["delete_range", "zero_fill"])
 def test_a_compfs_change_from_below_reaches_the_vmm_once(op):
-    """Every plaintext page is derived from the whole compressed image,
-    so a change to any range of it makes the whole file above stale: the
-    VMM gets one whole-file ``delete_range``, not the changed range (in
-    the image's coordinates) and then the whole file."""
+    """Every plaintext page of a cluster is derived from the whole of its
+    slot, so a change to any range of the slot makes the whole cluster
+    above stale: the VMM gets one ``delete_range`` of the cluster, not
+    the changed range (in the slot's coordinates) and then the cluster."""
     world, user, _, state, _, mapping = stacked("compfs")
     before = world.counters.snapshot()
     with user.activate():

@@ -154,13 +154,10 @@ def _cold_file(root, user, name: str, pages: int):
     layer = root
     while True:
         for state in layer._states.values():
-            for attr in ("store", "plain"):
-                if hasattr(state, attr):
-                    getattr(state, attr).clear()
+            if state.store is not None:
+                state.store.clear()
             if hasattr(state, "streams"):
                 state.streams.reset()
-            if hasattr(state, "plain_size"):
-                state.plain_size = None  # compfs: plaintext not loaded
         if not layer.under_layers():
             return f
         layer = layer.under
@@ -324,7 +321,7 @@ def _cryptfs_refused_session() -> dict:
         assert f.read(0, len(payload)) == payload
         pin.snap("read")
         for state in crypt._states.values():
-            state.plain.clear()
+            state.store.clear()
         assert f.read(0, len(payload)) == payload
         pin.snap("cold_read")
         f.write(PAGE_SIZE - 4, b"straddle")

@@ -5,7 +5,16 @@ import pytest
 
 from repro.bench.workloads import compressible_bytes, incompressible_bytes
 from repro.errors import FsError
-from repro.fs.compfs import CompFs, pack_compressed, unpack_compressed
+from repro.fs.compfs import (
+    CLUSTER_BYTES,
+    MAGIC,
+    SLOT_PAGES,
+    STREAM_MAX,
+    CompFs,
+    pack_cluster,
+    unpack_cluster,
+    write_image,
+)
 from repro.fs.sfs import create_sfs
 from repro.ipc.domain import Credentials
 from repro.types import PAGE_SIZE, AccessRights
@@ -31,33 +40,48 @@ def env(world, node, device):
 
 
 class TestFormat:
+    """One cluster's slot: header (magic, stream length, plaintext
+    length), then the zlib stream."""
+
     def test_roundtrip(self):
         blob = compressible_bytes(10_000, seed=1)
-        assert unpack_compressed(pack_compressed(blob)) == blob
+        assert unpack_cluster(pack_cluster(blob)) == blob
 
     def test_empty(self):
-        assert unpack_compressed(pack_compressed(b"")) == b""
-        assert unpack_compressed(b"") == b""
+        assert unpack_cluster(pack_cluster(b"")) == b""
+        assert unpack_cluster(b"") == b""
+        assert unpack_cluster(bytes(STREAM_MAX)) == b""  # a slot never written
 
     def test_bad_magic_rejected(self):
         with pytest.raises(FsError):
-            unpack_compressed(b"XXXX" + bytes(100))
+            unpack_cluster(b"XXXX" + bytes(100))
 
     def test_truncated_header_rejected(self):
         with pytest.raises(FsError):
-            unpack_compressed(b"CZ")
+            unpack_cluster(b"CZ")
 
     def test_size_mismatch_detected(self):
         import struct
 
-        payload = pack_compressed(b"hello")
-        forged = struct.pack("<4sQ", b"CZ01", 999) + payload[12:]
+        slot = pack_cluster(b"hello")
+        _, length, _ = struct.unpack_from("<4sII", slot)
+        forged = struct.pack("<4sII", MAGIC, length, 999) + slot[12:]
         with pytest.raises(FsError):
-            unpack_compressed(forged)
+            unpack_cluster(forged)
+
+    def test_cut_stream_rejected(self):
+        slot = pack_cluster(compressible_bytes(10_000, seed=3))
+        with pytest.raises(FsError):
+            unpack_cluster(slot[:-1])
 
     def test_actually_compresses(self):
-        blob = compressible_bytes(100_000, seed=2)
-        assert len(pack_compressed(blob)) < len(blob) // 2
+        blob = compressible_bytes(CLUSTER_BYTES, seed=2)
+        assert len(pack_cluster(blob)) < len(blob) // 2
+
+    def test_a_cluster_that_does_not_compress_fits_its_slot(self):
+        assert len(pack_cluster(incompressible_bytes(CLUSTER_BYTES, seed=4))) <= (
+            STREAM_MAX
+        )
 
 
 class TestBasicOperation:
@@ -80,8 +104,8 @@ class TestBasicOperation:
             f.write(0, payload)
             f.sync()
             raw = sfs.top.resolve("a.z")
-            assert raw.read(0, 4) == b"CZ01"
-            assert raw.get_length() < len(payload)
+            assert raw.read(0, 4) == MAGIC
+            assert unpack_cluster(raw.read(0, STREAM_MAX)) == payload
 
     def test_space_report(self, env):
         _, _, _, user, build = env
@@ -165,11 +189,8 @@ class TestBasicOperation:
 
 class TestCoherenceCases:
     def _direct_rewrite(self, sfs, name, new_plain, user):
-        image = pack_compressed(new_plain)
         with user.activate():
-            raw = sfs.top.resolve(name)
-            raw.set_length(len(image))
-            raw.write(0, image)
+            write_image(sfs.top.resolve(name), new_plain)
 
     def test_case1_stale_after_direct_write(self, env):
         _, _, sfs, user, build = env
@@ -201,8 +222,7 @@ class TestCoherenceCases:
             f = compfs.create_file("w.z")
             f.write(0, b"written through compfs")
             raw = sfs.top.resolve("w.z")
-            image = raw.read(0, raw.get_length())
-            assert unpack_compressed(image) == b"written through compfs"
+            assert unpack_cluster(raw.read(0, STREAM_MAX)) == b"written through compfs"
 
     def test_case1_write_back_needs_sync(self, env):
         _, _, sfs, user, build = env
@@ -210,9 +230,10 @@ class TestCoherenceCases:
         with user.activate():
             f = compfs.create_file("lazy.z")
             f.write(0, b"lazy data")
-            assert sfs.top.resolve("lazy.z").get_length() == 0  # not yet
+            raw = sfs.top.resolve("lazy.z")
+            assert not any(raw.read(0, STREAM_MAX))  # the length, no data yet
             f.sync()
-            assert sfs.top.resolve("lazy.z").get_length() > 0
+            assert unpack_cluster(raw.read(0, STREAM_MAX)) == b"lazy data"
 
 
 class TestMappings:
@@ -249,10 +270,6 @@ class TestMappings:
         assert world.counters.get("compfs.channel_created") == 1
 
 
-#: Pages per compression cluster.
-CLUSTER = 16 * PAGE_SIZE
-
-
 class TestTornRewrite:
     """A power cut in the middle of saving a one-page rewrite leaves every
     cluster of the file reading its old or its new bytes."""
@@ -274,10 +291,6 @@ class TestTornRewrite:
         node.fs_context.bind("cz", layer)
         return world, sfs, layer, device, world.create_user_domain(node)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the whole-file stream is rewritten in place: a cut leaves it "
-        "torn (ROADMAP item 26)"
-    ))
     def test_each_cluster_reads_old_or_new_at_every_cut(self, tmp_path):
         from repro.errors import DeviceError
 
@@ -313,11 +326,75 @@ class TestTornRewrite:
             with user.activate():
                 got = layer.resolve("f").read(0, len(old))
             device.close()
-            for start in range(0, len(old), CLUSTER):
-                assert got[start : start + CLUSTER] in (
-                    old[start : start + CLUSTER], new[start : start + CLUSTER]
-                ), (cut, start // CLUSTER)
+            for start in range(0, len(old), CLUSTER_BYTES):
+                end = start + CLUSTER_BYTES
+                assert got[start:end] in (old[start:end], new[start:end]), (
+                    cut, start // CLUSTER_BYTES,
+                )
             if finished:
                 assert got == new
                 break
             cut += 1
+
+
+def _coherent_file(pages):
+    """``(world, user, layer, sfs, file)``: a coherent COMPFS file of
+    ``pages`` compressible pages over SFS."""
+    from repro.storage.block_device import BlockDevice
+    from repro.world import World
+
+    world = World()
+    node = world.create_node("n")
+    sfs = create_sfs(node, BlockDevice(node.nucleus, "sd0", 8192))
+    layer = CompFs(node.create_domain("cz", Credentials("cz", True)))
+    layer.stack_on(sfs.top)
+    user = world.create_user_domain(node)
+    with user.activate():
+        f = layer.create_file("f")
+        f.write(0, compressible_bytes(pages * PAGE_SIZE, seed=pages))
+    return world, user, layer, sfs, f
+
+
+class TestWriteCost:
+    """A 4 KiB write encodes the one cluster it lands in, whatever the
+    size of the file."""
+
+    SIZES = (16, 64, 256)
+
+    def _cost(self, pages, offset):
+        world, user, _, _, f = _coherent_file(pages)
+        page = compressible_bytes(PAGE_SIZE, seed=7)
+        with user.activate():
+            start = world.clock.now_us
+            f.write(offset, page)
+            return world.clock.now_us - start
+
+    def test_an_append_costs_the_same_at_every_size(self):
+        costs = [self._cost(pages, pages * PAGE_SIZE) for pages in self.SIZES]
+        assert max(costs) <= 2 * min(costs), costs
+
+    def test_a_rewrite_of_the_last_page_costs_the_same_at_every_size(self):
+        costs = [
+            self._cost(pages, (pages - 1) * PAGE_SIZE) for pages in self.SIZES
+        ]
+        assert max(costs) <= 2 * min(costs), costs
+
+
+def test_slot_tails_stay_unallocated():
+    """Below, each cluster's slot holds its header and stream and nothing
+    else: every block of the slot past them is a hole."""
+    pages = 3 * CLUSTER_BYTES // PAGE_SIZE
+    _, user, _, sfs, f = _coherent_file(pages)
+    plaintext = compressible_bytes(pages * PAGE_SIZE, seed=pages)
+    with user.activate():
+        f.sync()
+    volume = sfs.volume
+    inode = volume.iget(volume.lookup(volume.sb.root_ino, "f"))
+    for cluster in range(3):
+        start = cluster * CLUSTER_BYTES
+        used = -(-len(pack_cluster(plaintext[start : start + CLUSTER_BYTES])) // PAGE_SIZE)
+        held = [
+            volume.bmap(inode, cluster * SLOT_PAGES + block) != 0
+            for block in range(SLOT_PAGES)
+        ]
+        assert held == [True] * used + [False] * (SLOT_PAGES - used)

@@ -107,7 +107,7 @@ class TestRoundtrip:
             f.write(0, payload)
             f.sync()
         state = next(iter(layer._states.values()))
-        state.plain.clear()
+        state.store.clear()
         with user.activate():
             assert layer.resolve("e.bin").read(0, len(payload)) == payload
 
@@ -212,7 +212,7 @@ class TestDegradedMode:
             g = crypt.create_file("scan.bin")
             g.write(0, payload)
             for state in crypt._states.values():
-                state.plain.clear()
+                state.store.clear()
             scanned = b"".join(
                 g.read(page * PAGE_SIZE, PAGE_SIZE) for page in range(6)
             )

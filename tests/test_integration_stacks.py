@@ -5,6 +5,7 @@ import pytest
 
 from repro.bench import figures
 from repro.bench.workloads import compressible_bytes, pattern_bytes
+from repro.fs.compfs import MAGIC
 from repro.fs.creators import LayerSpec, build_stack, register_standard_creators
 from repro.fs.dfs import mount_remote
 from repro.fs.sfs import create_sfs
@@ -82,7 +83,7 @@ class TestSection45Walkthrough:
             assert compfs.resolve("coh.dat").read(0, 5) == b"SECND"
             # And the raw SFS bytes are a fresh compressed image.
             raw = sfs.top.resolve("coh.dat")
-            assert raw.read(0, 4) == b"CZ01"
+            assert raw.read(0, 4) == MAGIC
 
     def test_underlying_files_exported_too(self, stacked):
         """'A decision is made whether or not to export SFS, COMPFS, and

@@ -99,8 +99,6 @@ def _go_cold(root, user) -> None:
                     value.clear()
             if hasattr(state, "streams"):
                 state.streams.reset()
-            if hasattr(state, "plain_size"):
-                state.plain_size = None  # compfs: plaintext not loaded
         if hasattr(layer, "remount"):
             layer.remount()
 
@@ -499,7 +497,8 @@ def _device_transfers(root):
 #: A cold 16-page file scanned page by page through a mapping, VMM
 #: read-ahead window 4: who saw a fault, who saw a window, and how many
 #: transfers the device made.  Recorded at 433fecd; ``sfs-uncached``
-#: again at fad6008 (the window goes below as one ``page_in``).
+#: again at fad6008 (the window goes below as one ``page_in``), and
+#: ``compfs`` again when it went to clusters (a fault pages one slot in).
 MAPPED_SCAN = {
     "sfs": {
         "coherency.page_in": 1, "coherency.page_in_range": 3,
@@ -514,7 +513,7 @@ MAPPED_SCAN = {
         "disk.page_in": 4, "device.reads": 7, "device.writes": 0,
     },
     "compfs": {
-        "coherency.page_in_range": 1, "compfs.page_in": 1,
+        "coherency.page_in": 1, "compfs.page_in": 1,
         "compfs.page_in_range": 3, "disk.page_in": 1, "device.reads": 2,
         "device.writes": 0,
     },
@@ -569,7 +568,9 @@ def test_mapped_scan_with_readahead(kind):
 #: the device — by whether the stored pages are adjacent.  True: all
 #: five, then the middle three — one run each time.  False: pages 0, 2
 #: and 4, then 1 and 3 — every page a run of its own, so a clean gap
-#: splits a call on every stack.  Recorded at fad6008.
+#: splits a call on every stack.  Recorded at fad6008; ``compfs`` again
+#: when it went to clusters (each write-back encodes the page's cluster
+#: and syncs its stream below).
 MAPPED_WRITE = {
     ("sfs", False): {
         "coherency.page_in": 5, "coherency.page_out": 2, "coherency.sync": 3,
@@ -600,14 +601,14 @@ MAPPED_WRITE = {
         "device.writes": 1,
     },
     ("compfs", False): {
-        "coherency.page_in_range": 1, "compfs.page_in": 5,
-        "compfs.page_out": 2, "compfs.sync": 3, "disk.page_in": 2,
-        "disk.sync": 1, "device.reads": 4, "device.writes": 1,
+        "coherency.page_in": 1, "coherency.sync": 5, "compfs.page_in": 5,
+        "compfs.page_out": 2, "compfs.sync": 3, "disk.page_in": 1,
+        "disk.sync": 1, "device.reads": 2, "device.writes": 1,
     },
     ("compfs", True): {
-        "coherency.page_in_range": 1, "compfs.page_in": 5,
-        "compfs.page_out": 1, "compfs.sync": 1, "disk.page_in": 2,
-        "disk.sync": 1, "device.reads": 4, "device.writes": 1,
+        "coherency.page_in": 1, "coherency.sync": 2, "compfs.page_in": 5,
+        "compfs.page_out": 1, "compfs.sync": 1, "disk.page_in": 1,
+        "disk.sync": 1, "device.reads": 2, "device.writes": 1,
     },
     ("cryptfs", False): {
         "coherency.page_in": 5, "coherency.sync": 5, "cryptfs.page_in": 5,

@@ -8,7 +8,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NameNotFoundError
-from repro.fs.compfs import _PAYLOAD_HEAD, CompFs, pack_compressed, unpack_compressed
+from repro.fs.compfs import (
+    _HEADER,
+    CLUSTER_BYTES,
+    MAGIC,
+    CompFs,
+    pack_cluster,
+    unpack_cluster,
+)
 from repro.fs.cryptfs import CryptFs, xor_block
 from repro.fs.sfs import create_sfs
 from repro.ipc.domain import Credentials
@@ -19,17 +26,18 @@ from repro.world import World
 
 
 class TestCompressionFormat:
-    @given(blob=st.binary(max_size=64 * 1024))
+    @given(blob=st.binary(max_size=CLUSTER_BYTES))
     @settings(max_examples=100, deadline=None)
     def test_roundtrip(self, blob):
-        assert unpack_compressed(pack_compressed(blob)) == blob
+        assert unpack_cluster(pack_cluster(blob)) == blob
 
     @given(blob=st.binary(min_size=1, max_size=8192), level=st.integers(1, 9))
     @settings(max_examples=50, deadline=None)
     def test_any_level_roundtrips(self, blob, level):
         """The reader takes a zlib stream of any level after the header."""
-        header = pack_compressed(blob)[:_PAYLOAD_HEAD.size]
-        assert unpack_compressed(header + zlib.compress(blob, level)) == blob
+        stream = zlib.compress(blob, level)
+        slot = _HEADER.pack(MAGIC, len(stream), len(blob)) + stream
+        assert unpack_cluster(slot) == blob
 
 
 class TestCipher:
@@ -50,7 +58,10 @@ class TestCipher:
         assert a != b
 
 
-def _layer_roundtrip(layer_factory, writes):
+def _layer_roundtrip(layer_factory, writes, length):
+    """The writes, then the length set (None: left as the writes made
+    it): the file reads as the oracle does, then again through a fresh
+    handle with the layer's cache dropped, from what went below."""
     world = World()
     node = world.create_node("prop")
     device = RamDevice(node.nucleus, "ram", 8192)
@@ -66,51 +77,60 @@ def _layer_roundtrip(layer_factory, writes):
             if len(oracle) < offset + len(data):
                 oracle.extend(bytes(offset + len(data) - len(oracle)))
             oracle[offset : offset + len(data)] = data
+        if length is not None:
+            f.set_length(length)
+            del oracle[length:]
+            oracle.extend(bytes(length - len(oracle)))
         f.sync()
         assert f.get_length() == len(oracle)
         assert f.read(0, len(oracle)) == bytes(oracle)
-        # And through a fresh handle after sync.
+        for state in layer._states.values():
+            state.store.clear()
         again = layer.resolve("prop.bin")
-        assert again.read(0, len(oracle)) == bytes(oracle)
+        assert again.read(0, len(oracle) + 1) == bytes(oracle)
 
 
+#: Writes across the first three COMPFS clusters.
 write_lists = st.lists(
     st.tuples(
-        st.integers(0, 2 * PAGE_SIZE),
+        st.integers(0, 2 * CLUSTER_BYTES + PAGE_SIZE),
         st.binary(min_size=1, max_size=PAGE_SIZE),
     ),
     min_size=1,
     max_size=10,
 )
+lengths = st.one_of(st.none(), st.integers(0, 3 * CLUSTER_BYTES))
 
 
 class TestTransformLayersPreserveData:
-    @given(writes=write_lists)
+    @given(writes=write_lists, length=lengths, coherent=st.booleans())
     @settings(
         max_examples=25,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_compfs(self, writes):
+    def test_compfs(self, writes, length, coherent):
         _layer_roundtrip(
             lambda node: CompFs(
-                node.create_domain("cz", Credentials("c", True)), coherent=True
+                node.create_domain("cz", Credentials("c", True)), coherent=coherent
             ),
             writes,
+            length,
         )
 
-    @given(writes=write_lists)
+    @given(writes=write_lists, length=lengths)
     @settings(
         max_examples=25,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_cryptfs(self, writes):
+    def test_cryptfs(self, writes, length):
         _layer_roundtrip(
             lambda node: CryptFs(
                 node.create_domain("cy", Credentials("c", True)), key=b"prop"
             ),
             writes,
+            length,
         )
 
 

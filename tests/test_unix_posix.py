@@ -191,5 +191,6 @@ class TestOverStacks:
         posix.fsync(fd)
         posix.lseek(fd, 0)
         assert posix.read(fd, 10) == b"compressed"
-        raw = Posix(sfs.top, user)
-        assert raw.stat("doc.txt").size < 1000
+        with user.activate():
+            report = compfs.space_report(compfs.resolve("doc.txt"))
+        assert report["stored_bytes"] < 1000

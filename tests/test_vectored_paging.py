@@ -710,10 +710,10 @@ class TestReadaheadThroughCompfs:
     def test_ranged_page_in_reaches_the_disk_layer(
         self, world, node, device, user
     ):
-        """A cold read through coherent COMPFS issues one ranged page-in
-        for the whole compressed image; the coherency layer demands the
-        missing run below in one call and the disk layer clusters the
-        device reads — far fewer transfers than pages."""
+        """A cold read through coherent COMPFS pages in the slot of each
+        cluster with one page-in; the coherency layer demands the missing
+        run below in one call and the disk layer clusters the device
+        reads — far fewer transfers than pages."""
         stack = create_sfs(node, device)
         payload = incompressible_bytes(8 * PAGE_SIZE, seed=3)
         first = CompFs(
@@ -740,7 +740,7 @@ class TestReadaheadThroughCompfs:
         bytes_before = counters.get("disk.page_in.bytes")
         with user.activate():
             assert second.resolve("big.z").read(0, len(payload)) == payload
-        assert counters.get("coherency.page_in_range") >= 1
+        assert counters.get("coherency.page_in") == 1
         # The missing run reaches the disk layer as a run: one call of
         # many pages (a plain sized page-in — no window is set here).
         assert calls_below(world) - calls_before == 1
