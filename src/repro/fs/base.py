@@ -1195,7 +1195,7 @@ class BaseLayer(LayerNaming, StackableFs, CacheManager, abc.ABC):
         """Hook: flush this layer's own caches."""
 
 
-class FileInterfacePager:
+class _FileInterfacePager:
     """The two pager operations a transform layer's cache needs, over the
     plain file interface of a file it keeps no channel to (the layer
     below refused it, or the layer declines one)."""
@@ -1228,7 +1228,7 @@ class TransformCache(LayerCache):
         if self.manager.ensure_down(state):
             return state.down_channel.pager_object
         self.readahead_override = 0  # the file interface has no ranged read
-        return FileInterfacePager(state.under_file)
+        return _FileInterfacePager(state.under_file)
 
 
 class TransformFileState(LayerFileState):
@@ -1304,7 +1304,6 @@ class TransformLayer(BaseLayer):
     through the plain file interface and writes back on ``sync``.
     """
 
-    max_under = 1
     ops_class = TransformOps
     state_class = TransformFileState
     file_class = LayerFile
