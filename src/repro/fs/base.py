@@ -1370,9 +1370,11 @@ class TransformLayer(BaseLayer):
         the next flush."""
         first, within = divmod(old, PAGE_SIZE)
         store = state.store
-        if within and store.get(first) is None:
-            # Faulted before the file grows: a fault that fails leaves
-            # the length as it was.
+        page = store.get(first)
+        if within and (page is None or page.rights is not AccessRights.READ_WRITE):
+            # Faulted writable before the file grows: a fault that fails
+            # leaves the length as it was, and no later upgrade fault
+            # replaces the zeros below.
             state.cache.fault(first, AccessRights.READ_WRITE)
         state.under_file.set_length(self.stored_length(new))
         state.length = new

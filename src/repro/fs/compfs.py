@@ -49,7 +49,6 @@ from typing import Dict
 
 from repro.errors import FsError
 from repro.types import PAGE_SIZE, AccessRights
-from repro.vm.page import ZERO_PAGE
 
 from repro.fs.base import (
     LayerDirectory,
@@ -136,10 +135,8 @@ class CompCache(TransformCache):
     """The plaintext cache of one file, faulted and written back a
     cluster at a time.  A fault brings each cluster it touches in whole
     (one page-in of its stream's room); a page dirty here is newer than
-    its slot and stays.  Every drop is cluster-rounded (``stale_above``)
-    and in coherent mode no dirty page outlives its operation, so a
-    cluster's pages within the file are resident together: ``encode``
-    takes a missing page as past EOF, zeros."""
+    its slot and stays.  ``encode`` compresses each dirty cluster up to
+    the file's length, faulting what of it is not here first."""
 
     __slots__ = ()
 
@@ -170,15 +167,20 @@ class CompCache(TransformCache):
         return plaintext
 
     def encode(self, indices) -> Dict[int, bytes]:
-        store = self.store
+        length = self.state.length
+        if length is None:
+            length = self.manager.file_length(self.state)
         pages = {}
         for cluster in sorted({index // CLUSTER_PAGES for index in indices}):
-            start = cluster * CLUSTER_PAGES
-            plaintext = b"".join([
-                ZERO_PAGE if page is None else page.data
-                for page in map(store.get, range(start, start + CLUSTER_PAGES))
-            ]).rstrip(b"\0")
-            self.world.charge.compress(len(plaintext))
+            start = cluster * CLUSTER_BYTES
+            if start >= length:
+                continue  # wholly past EOF: nothing of it is stored
+            # A cluster is encoded whole: its pages that are not here
+            # (an append to a file whose cache is cold) come up first.
+            size = min(CLUSTER_BYTES, length - start)
+            self.prefetch(start, size, AccessRights.READ_WRITE)
+            plaintext = self.store.read(start, size, self.fault)
+            self.world.charge.compress(size)
             stream = pack_cluster(plaintext)
             base = cluster * SLOT_PAGES
             for at in range(0, len(stream), PAGE_SIZE):

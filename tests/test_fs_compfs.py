@@ -270,6 +270,31 @@ class TestMappings:
         assert world.counters.get("compfs.channel_created") == 1
 
 
+@pytest.mark.parametrize("coherent", [True, False])
+def test_an_append_to_a_cold_file_keeps_its_last_cluster(env, coherent):
+    """A second COMPFS instance over the same file holds none of it: an
+    append into the last cluster brings that cluster up before encoding
+    it whole."""
+    _, node, sfs, user, _ = env
+
+    def instance(name):
+        layer = CompFs(node.create_domain(name, Credentials(name, True)), coherent)
+        layer.stack_on(sfs.top)
+        return layer
+
+    data = compressible_bytes(10 * PAGE_SIZE, seed=12)
+    with user.activate():
+        f = instance("first").create_file("cold.z")
+        f.write(0, data)
+        f.sync()
+        g = instance("second").resolve("cold.z")
+        g.write(len(data), b"T" * (2 * PAGE_SIZE))
+        g.sync()
+        assert instance("third").resolve("cold.z").read(0, 12 * PAGE_SIZE) == (
+            data + b"T" * (2 * PAGE_SIZE)
+        )
+
+
 class TestTornRewrite:
     """A power cut in the middle of saving a one-page rewrite leaves every
     cluster of the file reading its old or its new bytes."""

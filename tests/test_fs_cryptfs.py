@@ -174,6 +174,37 @@ class TestCoherenceWithDirectAccess:
             assert world.counters.get("cryptfs.flush_back") == 1
             assert f.read(0, 100) == b"head" + bytes(96)
 
+    def test_a_write_past_eof_into_a_read_only_last_page_leaves_zeros(self, env):
+        """The last page came up read-only (a cold read), and the layer
+        below holds nothing past EOF to decrypt: a write that leaves a gap
+        after EOF reads zeros there, not keystream."""
+        _, _, sfs, layer, user = env
+        with user.activate():
+            f = layer.create_file("gap.bin")
+            f.write(0, b"a" * 100)
+            f.sync()
+            for cache in (layer, sfs.coherency_layer):
+                for state in cache._states.values():
+                    state.store.clear()
+            assert f.read(0, 100) == b"a" * 100
+            f.write(150, b"X")
+            assert f.read(0, 200) == b"a" * 100 + bytes(50) + b"X"
+
+    def test_a_page_in_after_a_change_below_asks_the_length_again(self, env):
+        """A shrink below drops the length the file state keeps; the next
+        page-in asks again and stops at the new EOF, so a mapping reads
+        zeros past it, not the keystream of the zeros below."""
+        _, node, sfs, layer, user = env
+        with user.activate():
+            f = layer.create_file("cut.bin")
+            f.write(0, b"b" * 100)
+            mapping = node.vmm.create_address_space("t").map(f, RW)
+            sfs.top.resolve("cut.bin").set_length(50)
+            (state,) = layer._states.values()
+            assert state.length is None
+            assert bytes(mapping.read(0, 100)) == b"b" * 50 + bytes(50)
+            assert state.length == 50
+
 
 class TestDegradedMode:
     def test_works_over_mirrorfs(self, world, node):
