@@ -11,7 +11,7 @@ Demonstrates both of the paper's design points:
 Run:  python examples/compression_stack.py
 """
 
-from repro import World
+from repro import AccessRights, World
 from repro.bench.workloads import compressible_bytes
 from repro.fs import CompFs, create_sfs, describe_stack
 from repro.fs.compfs import write_image
@@ -54,9 +54,22 @@ def main() -> None:
     )
     with user.activate():
         f.write(5 * PAGE_SIZE, compressible_bytes(PAGE_SIZE, seed=8))
+        # A store through a mapping, across the boundary of pages 7 and
+        # 8, goes back on sync: its cluster is encoded again.
+        mapping = node.vmm.create_address_space("corpus").map(
+            f, AccessRights.READ_WRITE
+        )
+        mapping.write(8 * PAGE_SIZE - 6, b"mapped store")
+        mapping.cache.sync()
         f.sync()
-        report = compfs.space_report(f)
-    print(f"page 5 rewritten: {report['stored_bytes']} bytes stored")
+        rewritten = compfs.space_report(f)["stored_bytes"]
+        f.set_length(100_000)  # into the middle of a cluster
+        f.sync()
+        truncated = compfs.space_report(f)["stored_bytes"]
+    # A truncate keeps the stream of the cluster it cuts until that
+    # cluster is written again; the clusters past it go.
+    print(f"page 5 rewritten, pages 7-8 stored through a mapping: "
+          f"{rewritten} bytes stored; truncated to 100000 bytes: {truncated}")
 
     # Anyone can open the underlying SFS file and see compressed bytes —
     # "A client opening file_SFS can access this file as usual, reading
@@ -71,18 +84,26 @@ def main() -> None:
         _, layer = build(world, node, coherent=coherent, tag=tag)
         with user.activate():
             f = layer.create_file("shared.txt")
-            f.write(0, b"first version of the data")
+            f.write(0, b"first version of the data, written through COMPFS")
+            # A mapping of file_COMP, written through and written back.
+            mapping = node.vmm.create_address_space(tag).map(
+                f, AccessRights.READ_WRITE
+            )
+            mapping.write(0, b"F")
+            mapping.cache.sync()
             f.sync()
-            f.read(0, 8)  # prime the plaintext cache
 
             # A direct client rewrites the underlying compressed image.
             new_plain = b"second version, written directly to file_SFS"
             write_image(layer.under.resolve("shared.txt"), new_plain)
 
             seen = layer.resolve("shared.txt").read(0, len(new_plain))
-        status = "coherent" if seen == new_plain else "STALE"
+            mapped = mapping.read_copy(0, len(new_plain))
+        views = [
+            "coherent" if view == new_plain else "STALE" for view in (seen, mapped)
+        ]
         print(f"{tag} ({'with' if coherent else 'no'} C3-P3 channel): "
-              f"COMPFS view is {status}")
+              f"COMPFS view is {views[0]}, its mapping is {views[1]}")
 
 
 if __name__ == "__main__":

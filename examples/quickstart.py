@@ -49,6 +49,10 @@ def main() -> None:
     posix.lseek(fd, 0)
     print("POSIX read:", posix.read(fd, 27))
     print("fstat size:", posix.fstat(fd).size)
+    posix.fsync(fd)
+    posix.ftruncate(fd, 5)
+    posix.lseek(fd, 0)
+    print("after ftruncate(5):", posix.read(fd, 27), posix.fstat(fd).size)
     posix.close(fd)
     print("directory:", posix.listdir())
 

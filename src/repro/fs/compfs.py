@@ -171,10 +171,9 @@ class CompCache(TransformCache):
         if length is None:
             length = self.manager.file_length(self.state)
         pages = {}
-        for cluster in sorted({index // CLUSTER_PAGES for index in indices}):
+        clusters = {i // CLUSTER_PAGES for i in indices if i * PAGE_SIZE < length}
+        for cluster in sorted(clusters):
             start = cluster * CLUSTER_BYTES
-            if start >= length:
-                continue  # wholly past EOF: nothing of it is stored
             # A cluster is encoded whole: its pages that are not here
             # (an append to a file whose cache is cold) come up first.
             size = min(CLUSTER_BYTES, length - start)

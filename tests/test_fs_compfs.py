@@ -8,10 +8,13 @@ from repro.errors import FsError
 from repro.fs.compfs import (
     CLUSTER_BYTES,
     MAGIC,
+    SLOT_BYTES,
     SLOT_PAGES,
     STREAM_MAX,
     CompFs,
     pack_cluster,
+    plain_length,
+    stored_length,
     unpack_cluster,
     write_image,
 )
@@ -68,6 +71,22 @@ class TestFormat:
         forged = struct.pack("<4sII", MAGIC, length, 999) + slot[12:]
         with pytest.raises(FsError):
             unpack_cluster(forged)
+
+    def test_corrupt_stream_rejected(self):
+        slot = bytearray(pack_cluster(compressible_bytes(10_000, seed=3)))
+        slot[20:40] = bytes(20)
+        with pytest.raises(FsError):
+            unpack_cluster(bytes(slot))
+
+    def test_the_length_below_says_the_plaintext_length(self):
+        for length in (0, 1, PAGE_SIZE, CLUSTER_BYTES - 1, CLUSTER_BYTES,
+                       CLUSTER_BYTES + 1, 5 * CLUSTER_BYTES + 123):
+            stored = stored_length(length)
+            assert plain_length(stored) == length
+            # The last slot ends past any stream its cluster can have.
+            assert stored == 0 or stored % SLOT_BYTES > STREAM_MAX or (
+                stored % SLOT_BYTES == 0
+            )
 
     def test_cut_stream_rejected(self):
         slot = pack_cluster(compressible_bytes(10_000, seed=3))
