@@ -1246,6 +1246,10 @@ class TransformFileState(LayerFileState):
         #: of the layer — or None once the layer below said its
         #: attributes changed.  A page-in clamps at it.
         self.length: Optional[int] = None
+        #: True while a length change waits for the next sync (a layer
+        #: that writes back on sync): ``length`` is the file's length
+        #: and the length below is the old one.
+        self.resized = False
 
     def purge(self) -> None:
         super().purge()
@@ -1278,7 +1282,7 @@ class TransformOps(ChannelOps):
 
     def attr_page_in(self, source_key, pager_object) -> FileAttributes:
         attrs = super().attr_page_in(source_key, pager_object)
-        attrs.size = self.layer.plain_length(attrs.size)
+        attrs.size = self.layer.seen_length(self.state(source_key), attrs.size)
         return attrs
 
     def attr_write_out(self, source_key, pager_object, attrs) -> None:
@@ -1301,7 +1305,9 @@ class TransformLayer(BaseLayer):
     layer's coherency actions reach its cache — and writes every change
     through at once; in coherent mode no dirty page outlives the file
     operation that made it.  Without it (COMPFS case 1) the layer goes
-    through the plain file interface and writes back on ``sync``.
+    through the plain file interface and writes back on ``sync``: a
+    length change too waits for it, so until then the file below is as
+    it was.
     """
 
     ops_class = TransformOps
@@ -1338,18 +1344,35 @@ class TransformLayer(BaseLayer):
             self.world.counters.inc(f"{self.fs_type()}.bind_refused")
             return False
 
+    def seen_length(self, state: TransformFileState, stored: int) -> int:
+        """The file's length, given ``stored``, the length below as just
+        read; a length that waits for sync stands."""
+        if not state.resized:
+            state.length = self.plain_length(stored)
+        return state.length
+
     def _on_open(self, state: TransformFileState, attrs) -> None:
         if attrs is not None:
-            state.length = self.plain_length(attrs.size)
+            self.seen_length(state, attrs.size)
 
     def file_length(self, state: TransformFileState) -> int:
-        state.length = self.plain_length(state.under_file.get_length())
+        if not state.resized:
+            state.length = self.plain_length(state.under_file.get_length())
         return state.length
 
     def file_get_attributes(self, state: TransformFileState) -> FileAttributes:
         attrs = super().file_get_attributes(state)
-        attrs.size = self.plain_length(attrs.size)
+        attrs.size = self.seen_length(state, attrs.size)
         return attrs
+
+    def _set_length(self, state: TransformFileState, length: int) -> None:
+        """Make ``length`` the file's length: below at once when the
+        layer writes through, else with the data on the next sync."""
+        state.length = length
+        if self.coherent:
+            state.under_file.set_length(self.stored_length(length))
+        else:
+            state.resized = True
 
     def file_read(self, state: TransformFileState, offset: int, size: int) -> bytes:
         self.world.charge.fs_read_cpu()
@@ -1364,10 +1387,10 @@ class TransformLayer(BaseLayer):
         return data
 
     def _extend(self, state: TransformFileState, old: int, new: int) -> None:
-        """Grow the file below and make the new range read as zeros.
-        What the extension creates below is no encoding of zeros, so the
-        zero pages are recorded dirty and their encoding goes down on
-        the next flush."""
+        """Grow the file (:meth:`_set_length`) and make the new range
+        read as zeros.  What the extension creates below is no encoding
+        of zeros, so the zero pages are recorded dirty and their
+        encoding goes down on the next flush."""
         first, within = divmod(old, PAGE_SIZE)
         store = state.store
         page = store.get(first)
@@ -1376,8 +1399,7 @@ class TransformLayer(BaseLayer):
             # leaves the length as it was, and no later upgrade fault
             # replaces the zeros below.
             state.cache.fault(first, AccessRights.READ_WRITE)
-        state.under_file.set_length(self.stored_length(new))
-        state.length = new
+        self._set_length(state, new)
         if within:
             # The old last page keeps its head and is zero from there on
             # (fetched again: growing below may have recalled it).
@@ -1418,20 +1440,27 @@ class TransformLayer(BaseLayer):
         if length < old:
             self.recall_for_shrink(state, length, old)
             state.store.truncate_to(length)
-            state.under_file.set_length(self.stored_length(length))
-            state.length = length
+            self._set_length(state, length)
         elif length > old:
             self._extend(state, old, length)
             if self.coherent:
                 self._flush_range(state, old, length - old)
 
-    def file_sync(self, state: TransformFileState) -> None:
+    def _flush(self, state: TransformFileState) -> None:
+        """Push all the file has that waits: its length, then its
+        dirty pages."""
+        if state.resized:
+            state.under_file.set_length(self.stored_length(state.length))
+            state.resized = False
         self._flush_range(state, 0, self.file_length(state))
+
+    def file_sync(self, state: TransformFileState) -> None:
+        self._flush(state)
         state.under_file.sync()
 
     def _sync_impl(self) -> None:
         for state in self._states.values():
-            self._flush_range(state, 0, self.file_length(state))
+            self._flush(state)
 
     def merge_recovered(
         self, state: TransformFileState, recovered: Dict[int, bytes]

@@ -134,7 +134,8 @@ def write_image(under_file, plaintext: bytes) -> None:
 class CompCache(TransformCache):
     """The plaintext cache of one file, faulted and written back a
     cluster at a time.  A fault brings each cluster it touches in whole
-    (one page-in of its stream's room); a page dirty here is newer than
+    (a page-in of the slot's first page, then of the rest of its stream
+    if the header says there is more); a page dirty here is newer than
     its slot and stays.  ``encode`` compresses each dirty cluster up to
     the file's length, faulting what of it is not here first."""
 
@@ -145,10 +146,15 @@ class CompCache(TransformCache):
         pager = self.pager()
         last = (first + count - 1) // CLUSTER_PAGES
         for cluster in range(first // CLUSTER_PAGES, last + 1):
-            plaintext = self.decode(
-                cluster,
-                pager.page_in(cluster * SLOT_BYTES, STREAM_MAX, access),
-            )
+            base = cluster * SLOT_BYTES
+            slot = pager.page_in(base, PAGE_SIZE, access)
+            if len(slot) >= _HEADER.size:
+                # The header says how far into its room the stream runs.
+                end = min(_HEADER.size + _HEADER.unpack_from(slot)[1], STREAM_MAX)
+                if end > PAGE_SIZE:
+                    rest = -(-end // PAGE_SIZE) * PAGE_SIZE - PAGE_SIZE
+                    slot = b"".join((slot, pager.page_in(base + PAGE_SIZE, rest, access)))
+            plaintext = self.decode(cluster, slot)
             start = cluster * CLUSTER_PAGES
             dirty = store.dirty_indices(start * PAGE_SIZE, CLUSTER_BYTES)
             if not dirty:
@@ -188,10 +194,14 @@ class CompCache(TransformCache):
 
 
 class CompOps(TransformOps):
-    """A change below to any byte of a slot changes its whole cluster."""
+    """A change below to any byte of a slot's stream room changes its
+    whole cluster; a change only to its length room (a truncate below
+    that keeps the slot) changes none."""
 
     def stale_above(self, state, offset, size):
-        first = offset // SLOT_BYTES
+        first, within = divmod(offset, SLOT_BYTES)
+        if within >= STREAM_MAX:
+            first += 1
         last = (offset + size - 1) // SLOT_BYTES
         return first * CLUSTER_BYTES, (last + 1 - first) * CLUSTER_BYTES
 

@@ -206,6 +206,20 @@ class TestBasicOperation:
             assert compfs.resolve("sub/inner.z").read(0, 6) == b"nested"
 
 
+def test_a_cold_read_pages_in_only_the_stream(world, env):
+    """A cluster whose stream fits its slot's first page is one page-in
+    of one page below, not of the stream's whole room."""
+    _, _, sfs, user, build = env
+    with user.activate():
+        write_image(sfs.top.create_file("c.z"), bytes(CLUSTER_BYTES))
+        sfs.top.sync_fs()
+    compfs = build()
+    before = world.counters.get("coherency.page_in.bytes")
+    with user.activate():
+        assert compfs.resolve("c.z").read(0, PAGE_SIZE) == bytes(PAGE_SIZE)
+    assert world.counters.get("coherency.page_in.bytes") - before == PAGE_SIZE
+
+
 class TestCoherenceCases:
     def _direct_rewrite(self, sfs, name, new_plain, user):
         with user.activate():
@@ -250,9 +264,29 @@ class TestCoherenceCases:
             f = compfs.create_file("lazy.z")
             f.write(0, b"lazy data")
             raw = sfs.top.resolve("lazy.z")
-            assert not any(raw.read(0, STREAM_MAX))  # the length, no data yet
+            assert raw.get_length() == 0  # not yet: the length waits too
+            assert f.get_length() == 9
             f.sync()
+            assert raw.get_length() == stored_length(9)
             assert unpack_cluster(raw.read(0, STREAM_MAX)) == b"lazy data"
+
+    def test_case1_truncate_needs_sync(self, env):
+        _, _, sfs, user, build = env
+        compfs = build(coherent=False)
+        payload = compressible_bytes(2 * CLUSTER_BYTES, seed=2)
+        with user.activate():
+            f = compfs.create_file("cut.z")
+            f.write(0, payload)
+            f.sync()
+            raw = sfs.top.resolve("cut.z")
+            f.set_length(100)
+            assert f.get_length() == 100
+            assert f.get_attributes().size == 100
+            assert f.read(0, 200) == payload[:100]
+            assert raw.get_length() == stored_length(2 * CLUSTER_BYTES)
+            f.sync()
+            assert raw.get_length() == stored_length(100)
+            assert compfs.resolve("cut.z").read(0, 200) == payload[:100]
 
 
 class TestMappings:
@@ -276,6 +310,25 @@ class TestMappings:
             mapping.write(0, b"MAPWRITE")
             mapping.cache.sync()
             assert compfs.resolve("mw.z").read(0, 8) == b"MAPWRITE"
+
+    def test_a_truncate_below_a_mapped_write_keeps_it(self, env):
+        """A page of cluster 1 written through a mapping survives a
+        truncate that cuts cluster 2: the length below then ends in
+        cluster 1's slot, past its stream, so the layer below changed
+        none of cluster 1."""
+        _, node, _, user, build = env
+        compfs = build()
+        payload = compressible_bytes(3 * CLUSTER_BYTES, seed=5)
+        at = 20 * PAGE_SIZE
+        with user.activate():
+            f = compfs.create_file("cut.z")
+            f.write(0, payload)
+            mapping = node.vmm.create_address_space("t").map(f, RW)
+            mapping.write(at, b"MAPPED")
+            f.set_length(24 * PAGE_SIZE)
+            mapping.cache.sync()
+            assert f.read(at, 8) == b"MAPPED" + payload[at + 6 : at + 8]
+            assert mapping.read(at, 6) == b"MAPPED"
 
     def test_binds_to_file_comp_handled_by_compfs(self, env, world):
         """COMPFS can never share the underlying cache — plaintext and

@@ -710,10 +710,11 @@ class TestReadaheadThroughCompfs:
     def test_ranged_page_in_reaches_the_disk_layer(
         self, world, node, device, user
     ):
-        """A cold read through coherent COMPFS pages in the slot of each
-        cluster with one page-in; the coherency layer demands the missing
-        run below in one call and the disk layer clusters the device
-        reads — far fewer transfers than pages."""
+        """A cold read through coherent COMPFS pages in a cluster's slot
+        with two page-ins: the first page, whose header says how long
+        the stream is, then the rest of the stream.  The coherency layer
+        demands that missing run below in one call and the disk layer
+        clusters the device reads — far fewer transfers than pages."""
         stack = create_sfs(node, device)
         payload = incompressible_bytes(8 * PAGE_SIZE, seed=3)
         first = CompFs(
@@ -740,10 +741,11 @@ class TestReadaheadThroughCompfs:
         bytes_before = counters.get("disk.page_in.bytes")
         with user.activate():
             assert second.resolve("big.z").read(0, len(payload)) == payload
-        assert counters.get("coherency.page_in") == 1
-        # The missing run reaches the disk layer as a run: one call of
-        # many pages (a plain sized page-in — no window is set here).
-        assert calls_below(world) - calls_before == 1
+        assert counters.get("coherency.page_in") == 2
+        # The rest of the stream reaches the disk layer as a run: one
+        # call of many pages (a plain sized page-in — no window is set
+        # here), after the header page's call.
+        assert calls_below(world) - calls_before == 2
         assert counters.get("disk.page_in.bytes") - bytes_before > 4 * PAGE_SIZE
         # ~8 pages of incompressible image came in via clustered reads.
         assert device.reads - reads_before < 8
