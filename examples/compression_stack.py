@@ -71,6 +71,19 @@ def main() -> None:
     print(f"page 5 rewritten, pages 7-8 stored through a mapping: "
           f"{rewritten} bytes stored; truncated to 100000 bytes: {truncated}")
 
+    # A second COMPFS over the same SFS starts cold: each cluster comes
+    # up in two page-ins, its slot's first page (the header says how
+    # long the stream is) and the rest of its stream.
+    cold = CompFs(node.create_domain("compfs-cold", Credentials("compfs", True)))
+    cold.stack_on(sfs.top)
+    with user.activate():
+        expected = f.read(0, 100_000)
+        before = world.counters.get("coherency.page_in")
+        same = cold.resolve("corpus.txt").read(0, 100_000) == expected
+    print(f"read cold through a second COMPFS: "
+          f"{'the same' if same else 'DIFFERENT'} 100000 bytes, "
+          f"{world.counters.get('coherency.page_in') - before} page-ins below")
+
     # Anyone can open the underlying SFS file and see compressed bytes —
     # "A client opening file_SFS can access this file as usual, reading
     # and writing its compressed data."

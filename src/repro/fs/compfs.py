@@ -11,7 +11,7 @@ selected per instance:
 
 * ``coherent=False`` — **case 1 (Figure 5)**: COMPFS accesses the
   underlying file through the plain file interface and caches plaintext,
-  written back on ``sync``.  Mappings/reads of file_COMP and direct
+  written back on ``sync`` (a length change too).  Mappings/reads of file_COMP and direct
   access to file_SFS are *not* coherent: a direct write to the
   underlying file leaves COMPFS's plaintext cache stale (the staleness
   window Figure 5 warns about, and which
@@ -33,7 +33,9 @@ the file system below leaves it a hole and allocates nothing for it.  A
 slot that was never written (all zeros) is a cluster of zeros.  The
 length below says the plaintext length (:func:`stored_length`): the
 last slot ends ``STREAM_MAX`` bytes plus the last cluster's plaintext
-bytes in, past any stream, so a truncate cuts no stream it keeps.
+bytes in, past any stream, so a truncate cuts no stream it keeps.  A
+length then costs one ``get_length`` below; read from the last slot's
+header it would cost a ``read`` more.
 
 COMPFS is a :class:`~repro.fs.base.TransformLayer`, as CRYPTFS is: its
 data hooks and pager side are the shared ones, and what is its own is
